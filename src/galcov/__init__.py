@@ -82,8 +82,8 @@ from .presentation import (
     eliminate_generator,
     free_reduce,
     parse_relation,
-    simplify_presentation,
     vk_relation,
 )
+from .tietze import simplify_presentation
 
 __version__ = "1.0.0"

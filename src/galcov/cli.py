@@ -52,8 +52,8 @@ from .presentation import (
     build_tilde_presentation,
     format_relation,
     projective_relator,
-    simplify_presentation,
 )
+from .tietze import simplify_presentation
 
 SCHEMA_VERSION = 1
 DEFAULT_MAX_COSETS = 1_000_000
@@ -215,9 +215,14 @@ def analyze(
     warnings.extend(chern.warnings)
 
     try:
-        pres = timed("presentation", build_tilde_presentation, complex_)
-        pres_noproj = build_tilde_presentation(complex_, include_projective=False)
-        proj = projective_relator(complex_)
+        pres, pres_noproj, proj = timed(
+            "presentation",
+            lambda: (
+                build_tilde_presentation(complex_),
+                build_tilde_presentation(complex_, include_projective=False),
+                projective_relator(complex_),
+            ),
+        )
     except (PresentationError, ComplexError) as exc:
         raise AnalysisError("presentation", str(exc)) from exc
 
@@ -373,14 +378,9 @@ def _coxeter_route(report, pres_noproj, pres, proj, complex_, table, max_cosets,
     plan = None
     if report.source.startswith("builtin:"):
         plan = coxeter_plan_for(report.source.split(":", 1)[1])
-    route = timed(
-        "coxeter",
-        coxeter_route,
-        pres_noproj,
-        proj,
-        plan,
-        table if table is not None else _full_table_for_route(pres, max_cosets),
-    )
+    if table is None:
+        table = timed("enumerate", _full_table_for_route, pres, max_cosets)
+    route = timed("coxeter", coxeter_route, pres_noproj, proj, plan, table)
     if not route.supported:
         report.coxeter_route = {"supported": False, "reason": route.reason}
         return None

@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from operator import neg
 
 from .complexes import (
     DegenerationComplex,
@@ -77,7 +78,7 @@ def free_reduce(word) -> Word:
 
 
 def invert_word(word) -> Word:
-    return tuple(-x for x in reversed(word))
+    return tuple(map(neg, reversed(word)))
 
 
 def substitute(word, gen: int, replacement) -> Word:
@@ -100,17 +101,55 @@ def renumber_word(word, mapping) -> Word:
 
 
 def canonical_key(word) -> Word:
-    """Smallest rotation of the word or its inverse; dedup key for relators."""
-    w = free_reduce(word)
+    """Smallest rotation of the word or its inverse; dedup key for relators.
+
+    The word is freely reduced first (not cyclically: ``(1, 2, -1)`` keeps
+    its own key).  A least rotation starts at an occurrence of the least
+    letter, so only those rotations are compared; on relators, where the
+    least letter is rare, that is about linear in the word length.
+    """
+    return _reduced_key(free_reduce(word))
+
+
+def _reduced_key(w) -> Word:
+    """:func:`canonical_key` of an already freely reduced word."""
     if not w:
         return w
+    # the key starts with the least letter of the word or of its inverse
+    least, inverse_least = min(w), -max(w)
+    if least < inverse_least:
+        return _least_rotation(w)
+    if inverse_least < least:
+        return _least_rotation(invert_word(w))
+    return min(_least_rotation(w), _least_rotation(invert_word(w)))
+
+
+def _least_rotation(w) -> Word:
+    least = min(w)
     best = None
-    for cand in (w, invert_word(w)):
-        for i in range(len(cand)):
-            rot = cand[i:] + cand[:i]
-            if best is None or rot < best:
-                best = rot
+    i = -1
+    for _ in range(w.count(least)):
+        i = w.index(least, i + 1)
+        rot = w[i:] + w[:i]
+        if best is None or rot < best:
+            best = rot
     return best
+
+
+def _dedupe(words):
+    """Drop empty words and keep the first word of each canonical key.
+
+    The words must be freely reduced.
+    """
+    kept, seen = [], set()
+    for w in words:
+        if not w:
+            continue
+        key = _reduced_key(w)
+        if key not in seen:
+            seen.add(key)
+            kept.append(w)
+    return kept
 
 
 def involution_reduce(word, involutions) -> Word:
@@ -153,23 +192,16 @@ class GroupPresentation:
         if len(set(names)) != len(names):
             raise PresentationError("duplicate generator names")
         n = len(names)
-        seen = set()
-        normalized = []
-        for w in relators:
-            w = free_reduce(w)
-            for x in w:
-                if not 1 <= abs(x) <= n:
-                    raise PresentationError(
-                        f"relator references generator {abs(x)} outside 1..{n}"
-                    )
-            if not w:
-                continue
-            key = canonical_key(w)
-            if key in seen:
-                continue
-            seen.add(key)
-            normalized.append(w)
-        return cls(names=names, relators=tuple(normalized))
+        kept = _dedupe(map(free_reduce, relators))
+        # a dropped duplicate has the letters of an earlier kept relator,
+        # so the first bad kept relator is the first bad one of the input
+        for w in kept:
+            if min(w) < -n or max(w) > n or 0 in w:
+                x = next(x for x in w if not 1 <= abs(x) <= n)
+                raise PresentationError(
+                    f"relator references generator {abs(x)} outside 1..{n}"
+                )
+        return cls(names=names, relators=tuple(kept))
 
     @property
     def generator_count(self):
@@ -528,111 +560,3 @@ def eliminate_and_rewrite(pres, gen, replacement, companions):
 def parse_word(text: str, names) -> Word:
     """Parse a bare whitespace-separated word of gK / gK^-1 tokens."""
     return _parse_tokens(text.split(), tuple(names), text, 0)
-
-
-def simplify_presentation(pres, eliminate_up_to=4):
-    """Cheap Tietze reduction for machine-generated presentations.
-
-    Repeatedly (a) kills generators with a length-1 relator, (b) merges
-    generator pairs identified by length-2 relators (one signed union-find
-    pass handles them all at once), and (c) eliminates generators that
-    occur exactly once in some relator of length <= ``eliminate_up_to``.
-    Every step is a Tietze move, so the group (and its abelianization)
-    is unchanged.  Rewritten subgroup presentations shrink from thousands
-    of generators to a handful this way.
-    """
-    while True:
-        pres, changed = _merge_short_relators(pres)
-        if changed:
-            continue
-        step = _single_occurrence_elimination(pres, eliminate_up_to)
-        if step is None:
-            return pres
-        gen, w = step
-        pres, _ = eliminate_and_rewrite(pres, gen, w, ())
-
-
-def _merge_short_relators(pres):
-    """One batched pass over all length-1 and length-2 relators."""
-    m = pres.generator_count
-    parent = list(range(m + 1))
-    sign = [1] * (m + 1)
-    dead = [False] * (m + 1)
-
-    def find(g):
-        s = 1
-        while parent[g] != g:
-            s *= sign[g]
-            g = parent[g]
-        return g, s
-
-    changed = False
-    for w in pres.relators:
-        if len(w) == 1:
-            r, _ = find(abs(w[0]))
-            if not dead[r]:
-                dead[r] = True
-                changed = True
-        elif len(w) == 2:
-            (ra, sa), (rb, sb) = find(abs(w[0])), find(abs(w[1]))
-            pa = sa * (1 if w[0] > 0 else -1)
-            pb = sb * (1 if w[1] > 0 else -1)
-            if ra == rb:
-                continue  # either trivial or a square; squares stay
-            # ra^pa * rb^pb = e  =>  ra = rb^(-pa*pb)
-            parent[ra] = rb
-            sign[ra] = -pa * pb
-            if dead[ra]:
-                dead[ra] = False
-                dead[rb] = True
-            changed = True
-    if not changed:
-        return pres, False
-
-    roots = []
-    renumber = {}
-    for g in range(1, m + 1):
-        r, _ = find(g)
-        if not dead[r] and r not in renumber:
-            renumber[r] = len(roots) + 1
-            roots.append(r)
-    new_names = tuple(pres.names[r - 1] for r in roots)
-
-    def rewrite(word):
-        out = []
-        for x in word:
-            r, s = find(abs(x))
-            if dead[r]:
-                continue
-            out.append((1 if x > 0 else -1) * s * renumber[r])
-        return free_reduce(out)
-
-    new_relators = [rewrite(w) for w in pres.relators]
-    return GroupPresentation.make(new_names, new_relators), True
-
-
-def _single_occurrence_elimination(pres, max_len):
-    """A generator occurring exactly once in some short relator, with its
-    derived replacement word; the cheapest such elimination, or None."""
-    occurrences = [0] * (pres.generator_count + 1)
-    for w in pres.relators:
-        for x in w:
-            occurrences[abs(x)] += 1
-    best = None
-    for w in pres.relators:
-        if len(w) > max_len:
-            continue
-        for t, x in enumerate(w):
-            g = abs(x)
-            if sum(1 for y in w if abs(y) == g) != 1:
-                continue
-            rot = w[t:] + w[:t]
-            repl = invert_word(rot[1:]) if rot[0] > 0 else rot[1:]
-            cost = (len(w) - 1) * max(occurrences[g] - 1, 0)
-            if best is None or cost < best[0]:
-                best = (cost, g, free_reduce(repl))
-        if best is not None and best[0] == 0:
-            break
-    if best is None:
-        return None
-    return best[1], best[2]

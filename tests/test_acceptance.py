@@ -32,8 +32,8 @@ from galcov.presentation import (
     eliminate_generator,
     parse_word,
     projective_relator,
-    simplify_presentation,
 )
+from galcov.tietze import simplify_presentation
 
 from .conftest import mulclose, random_valid_complex, snf_oracle
 

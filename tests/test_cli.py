@@ -151,3 +151,11 @@ def test_analyze_file_without_plan_reports_coxeter_unsupported(tmp_path, dt4):
     assert report.pi1 == {"kind": "ElementaryAbelian2", "rank": 4}
     assert report.coxeter_route["supported"] is False
     assert report.route_agreement is None
+
+
+def test_coxeter_route_times_its_fallback_enumeration():
+    # --route coxeter has no enumeration-route table, so the Coxeter route
+    # enumerates the group itself; that work is reported as "enumerate"
+    report = analyze("t4", route="coxeter")
+    assert report.enumeration_route is None
+    assert {"presentation", "enumerate", "coxeter"} <= set(report.timings)

@@ -1,0 +1,30 @@
+"""Whole-report regression net: JSON reports against committed golden copies.
+
+The files in ``tests/golden/`` were written, before the incremental Tietze
+rewrite of ``simplify_presentation``, by
+
+    emit_report(analyze(name, route=route), "json")
+
+for ``name`` in t4, dt4 and ``route`` in enumerate, coxeter, both, with the
+``timings`` key removed and the rest re-serialized by
+``json.dumps(data, indent=2)``.  Timings vary from run to run; every other
+field must match exactly.
+"""
+
+import json
+from pathlib import Path
+
+import pytest
+
+from galcov.cli import analyze, emit_report
+
+GOLDEN = Path(__file__).parent / "golden"
+
+
+@pytest.mark.parametrize("route", ["enumerate", "coxeter", "both"])
+@pytest.mark.parametrize("name", ["t4", "dt4"])
+def test_report_matches_golden(name, route):
+    report = json.loads(emit_report(analyze(name, route=route), "json"))
+    report.pop("timings")
+    golden = json.loads((GOLDEN / f"{name}-{route}.json").read_text(encoding="utf-8"))
+    assert report == golden

@@ -17,8 +17,8 @@ from galcov.permutations import Permutation, SymmetricAssignment, plane_transpos
 from galcov.presentation import (
     GroupPresentation,
     eliminate_generator,
-    simplify_presentation,
 )
+from galcov.tietze import simplify_presentation
 
 from .conftest import snf_oracle
 

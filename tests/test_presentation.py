@@ -19,10 +19,10 @@ from galcov.presentation import (
     parse_relation,
     parse_word,
     projective_relator,
-    simplify_presentation,
     triple_word,
     vk_relation,
 )
+from galcov.tietze import simplify_presentation
 
 T4_TRIPLE_PAIRS = {
     (1, 2), (1, 4), (1, 5), (1, 6), (2, 3), (2, 4),
@@ -75,6 +75,33 @@ def test_canonical_key_rotation_and_inversion():
     assert canonical_key((1, 2, 3)) == canonical_key(invert_word((1, 2, 3)))
     assert canonical_key(triple_word(1, 2)) == canonical_key(triple_word(2, 1))
     assert canonical_key(commutator_word(1, 3)) == canonical_key(commutator_word(3, 1))
+
+
+def _brute_force_key(word):
+    """Least rotation of the free reduction of ``word`` or of its inverse."""
+    w = free_reduce(word)
+    rotations = [
+        cand[i:] + cand[:i] for cand in (w, invert_word(w)) for i in range(len(w))
+    ]
+    return min(rotations, default=())
+
+
+def test_canonical_key_matches_brute_force_oracle():
+    import random
+
+    rng = random.Random(20240617)
+    fixed = [(), (1,), (-1,), (1, 2, -1), (2, -1, 3, 1, -2), (1, 1, -1, 2), (3, 3, 3)]
+    words = fixed + [
+        tuple(rng.choice((-1, 1)) * rng.randint(1, gens) for _ in range(length))
+        for gens in (1, 2, 3, 5)
+        for length in range(1, 13)
+        for _ in range(25)
+    ]
+    for w in words:
+        assert canonical_key(w) == _brute_force_key(w), w
+    # freely reduced but not cyclically reduced words keep their own key
+    assert canonical_key((1, 2, -1)) == (-2, -1, 1)
+    assert canonical_key((1, 2, -1)) != canonical_key((2,))
 
 
 # ---------------------------------------------------------------------------
