@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 from dataclasses import dataclass, field
@@ -286,9 +287,11 @@ def analyze(
 
     cox_verdict = None
     if route in ("coxeter", "both"):
-        cox_verdict = _coxeter_route(
-            report, pres_noproj, pres, proj, complex_, table, max_cosets, timed
-        )
+        # under "both" the table is the enumeration route's, or None after
+        # its overflow: enumerating again at the same bound would overflow too
+        if route == "coxeter":
+            table = timed("enumerate", _full_table_for_route, pres, max_cosets)
+        cox_verdict = _coxeter_route(report, pres_noproj, proj, table, timed)
 
     if route == "both" and enum_verdict is not None:
         if report.coxeter_route and report.coxeter_route.get("supported"):
@@ -317,9 +320,7 @@ def _enumeration_route(report, complex_, pres, assignment, table, max_cosets, ti
             "kernel", f"plane transpositions do not satisfy relators {hom.failures}"
         )
     image_order = report.symmetric_image_order
-    nfact = 1
-    for k in range(2, assignment.degree + 1):
-        nfact *= k
+    nfact = math.factorial(assignment.degree)
     if image_order != nfact:
         raise AnalysisError(
             "kernel",
@@ -373,13 +374,11 @@ def _enumeration_route(report, complex_, pres, assignment, table, max_cosets, ti
     return verdict
 
 
-def _coxeter_route(report, pres_noproj, pres, proj, complex_, table, max_cosets, timed):
+def _coxeter_route(report, pres_noproj, proj, table, timed):
     """Coxeter-quotient route; returns its verdict or None."""
     plan = None
     if report.source.startswith("builtin:"):
         plan = coxeter_plan_for(report.source.split(":", 1)[1])
-    if table is None:
-        table = timed("enumerate", _full_table_for_route, pres, max_cosets)
     route = timed("coxeter", coxeter_route, pres_noproj, proj, plan, table)
     if not route.supported:
         report.coxeter_route = {"supported": False, "reason": route.reason}

@@ -3,16 +3,22 @@
 Classic relator-scanning (HLT) enumeration with immediate coincidence
 processing through a union-find table:
 
+* a generator with a square relator ``g^2`` is an involution: it gets one
+  self-inverse column and its square relator is not scanned, because the
+  column enforces it; other generators keep columns for ``g`` and ``g^-1``;
 * cosets are created in scan order, at the first undefined entry of the
   relator being traced, so two runs on the same input build identical
   tables;
 * every live coset scans every relator; gaps of width one become
   deductions, wider gaps trigger definitions, mismatched closures merge
-  cosets;
+  cosets.  A relator that a plain forward trace already closes is not
+  scanned, since the scan would change nothing;
 * after the queue of coincidences drains, all entries of live rows point
-  at live cosets again, so the scanning loops need no find() calls;
+  at live cosets again, so neither the scans nor the final compression
+  need find() calls;
 * once all scans close, remaining undefined entries are filled with fresh
-  definitions, and the final table is compressed to consecutive numbering.
+  definitions, and the final table is compressed to consecutive numbering
+  in the public layout of :class:`CosetTable`, two columns per generator.
 
 Enumerations that would allocate more than ``max_cosets`` cosets raise
 :class:`EnumerationOverflow`: the answer is undecided at that bound, not
@@ -29,8 +35,9 @@ from .permutations import Permutation
 class EnumerationOverflow(RuntimeError):
     """Coset allocation hit the bound before the table closed."""
 
-    def __init__(self, max_cosets):
+    def __init__(self, max_cosets, stats=None):
         self.max_cosets = max_cosets
+        self.stats = dict(stats or {})  # counters when the bound was hit
         super().__init__(
             f"coset enumeration exceeded {max_cosets} cosets (undecided at this bound)"
         )
@@ -38,10 +45,6 @@ class EnumerationOverflow(RuntimeError):
 
 def _column(letter: int) -> int:
     return 2 * letter - 2 if letter > 0 else -2 * letter - 1
-
-
-def _inverse_column(col: int) -> int:
-    return col ^ 1
 
 
 @dataclass(frozen=True)
@@ -71,22 +74,48 @@ class CosetTable:
         return coset
 
 
-def coset_enumeration(pres, subgroup_words=(), max_cosets=1_000_000) -> CosetTable:
+def coset_enumeration(
+    pres, subgroup_words=(), max_cosets=1_000_000, stats=None
+) -> CosetTable:
     """Enumerate the cosets of the subgroup generated by ``subgroup_words``
-    in the group of ``pres``.  Deterministic for fixed input."""
+    in the group of ``pres``.  Deterministic for fixed input.
+
+    A ``stats`` dict receives the counters ``cosets_defined``,
+    ``coincidences`` (scans that closed on two different cosets) and
+    ``peak_live`` (most cosets alive at once), also when the bound is hit.
+    """
     if max_cosets < 1:
         raise ValueError("max_cosets must be at least 1")
     ngens = pres.generator_count
-    ncols = 2 * ngens
-    relator_cols = [tuple(_column(x) for x in w) for w in pres.relators if w]
-    subgroup_cols = [tuple(_column(x) for x in w) for w in subgroup_words]
     for w in subgroup_words:
         for x in w:
             if not 1 <= abs(x) <= ngens:
                 raise ValueError(f"subgroup word references generator {abs(x)}")
+    involutions = pres.involutions()
+    # internal columns: one per involution, two for any other generator
+    icol, inv, public = {}, [], []
+    for k in range(1, ngens + 1):
+        c = len(inv)
+        d = c if k in involutions else c + 1
+        icol[k], icol[-k] = c, d
+        inv += (c,) if c == d else (d, c)
+        public += (c, d)
+    ncols = len(inv)
 
-    table = [[-1] * ncols]
-    p = [0]
+    def columns(w):
+        fwd = tuple(icol[x] for x in w)
+        return fwd, tuple(inv[c] for c in fwd)
+
+    squares = {(k, k) for k in involutions} | {(-k, -k) for k in involutions}
+    relator_cols = [columns(w) for w in pres.relators if w and w not in squares]
+
+    # cosets are numbered from 1; row 0 is all zeros and stands for an
+    # undefined entry, so a trace that meets one stays at 0
+    table = [[0] * ncols, [0] * ncols]
+    p = [0, 1]
+    counts = {} if stats is None else stats
+    counts.update(cosets_defined=0, coincidences=0, peak_live=1)
+    live = 1
 
     def rep(k):
         r = k
@@ -97,17 +126,23 @@ def coset_enumeration(pres, subgroup_words=(), max_cosets=1_000_000) -> CosetTab
         return r
 
     def define(alpha, col):
-        if len(table) >= max_cosets:
-            raise EnumerationOverflow(max_cosets)
+        nonlocal live
+        if len(table) > max_cosets:
+            raise EnumerationOverflow(max_cosets, counts)
         beta = len(table)
-        table.append([-1] * ncols)
+        table.append([0] * ncols)
         p.append(beta)
         table[alpha][col] = beta
-        table[beta][col ^ 1] = alpha
-        return beta
+        table[beta][inv[col]] = alpha
+        counts["cosets_defined"] += 1
+        live += 1
+        if live > counts["peak_live"]:
+            counts["peak_live"] = live
 
     def coincidence(a, b):
+        nonlocal live
         queue = []
+        counts["coincidences"] += 1
 
         def merge(x, y):
             x, y = rep(x), rep(y)
@@ -126,27 +161,29 @@ def coset_enumeration(pres, subgroup_words=(), max_cosets=1_000_000) -> CosetTab
             table[gamma] = None
             for col in range(ncols):
                 delta = row[col]
-                if delta < 0:
+                if not delta:
                     continue
+                back = inv[col]
                 drow = table[delta]
-                if drow is not None and drow[col ^ 1] == gamma:
-                    drow[col ^ 1] = -1
+                if drow is not None and drow[back] == gamma:
+                    drow[back] = 0
                 mu, nu = rep(gamma), rep(delta)
                 mrow, nrow = table[mu], table[nu]
-                if mrow[col] >= 0:
+                if mrow[col]:
                     merge(nu, mrow[col])
-                elif nrow[col ^ 1] >= 0:
-                    merge(mu, nrow[col ^ 1])
+                elif nrow[back]:
+                    merge(mu, nrow[back])
                 else:
                     mrow[col] = nu
-                    nrow[col ^ 1] = mu
+                    nrow[back] = mu
+        live -= len(queue)
 
-    def scan_and_fill(alpha, cols):
+    def scan_and_fill(alpha, cols, bcols):
         f, b = alpha, alpha
         i, j = 0, len(cols) - 1
         while True:
             frow = table[f]
-            while i <= j and frow[cols[i]] >= 0:
+            while i <= j and frow[cols[i]]:
                 f = frow[cols[i]]
                 frow = table[f]
                 i += 1
@@ -155,8 +192,8 @@ def coset_enumeration(pres, subgroup_words=(), max_cosets=1_000_000) -> CosetTab
                     coincidence(f, b)
                 return
             brow = table[b]
-            while j >= i and brow[cols[j] ^ 1] >= 0:
-                b = brow[cols[j] ^ 1]
+            while j >= i and brow[bcols[j]]:
+                b = brow[bcols[j]]
                 brow = table[b]
                 j -= 1
             if j < i:
@@ -164,35 +201,42 @@ def coset_enumeration(pres, subgroup_words=(), max_cosets=1_000_000) -> CosetTab
                 return
             if j == i:
                 frow[cols[i]] = b
-                brow[cols[i] ^ 1] = f
+                brow[bcols[i]] = f
                 return
             define(f, cols[i])
 
-    for cols in subgroup_cols:
-        if cols:
-            scan_and_fill(0, cols)
+    for w in subgroup_words:
+        if w:
+            scan_and_fill(1, *columns(w))
 
-    alpha = 0
+    alpha = 1
     while alpha < len(table):
         if p[alpha] == alpha:
-            for cols in relator_cols:
-                scan_and_fill(alpha, cols)
-                if p[alpha] != alpha:
-                    break
+            for cols, bcols in relator_cols:
+                # a relator that already closes from alpha needs no scan
+                f = alpha
+                for c in cols:
+                    f = table[f][c]
+                if f != alpha:
+                    scan_and_fill(alpha, cols, bcols)
+                    if p[alpha] != alpha:
+                        break
             if p[alpha] == alpha:
                 row = table[alpha]
                 for col in range(ncols):
-                    if row[col] < 0:
+                    if not row[col]:
                         define(alpha, col)
-                        row = table[alpha]
         alpha += 1
 
-    # compress to consecutive numbering, preserving definition order
-    live = [i for i in range(len(table)) if p[i] == i]
-    renumber = {old: new for new, old in enumerate(live)}
-    rows = tuple(
-        tuple(renumber[rep(x)] for x in table[old]) for old in live
-    )
+    # compress to consecutive numbering, preserving definition order; live
+    # rows point only at live cosets, and each involution column is copied
+    # into both public columns of its generator
+    renumber, live_rows = [0] * len(table), []
+    for old, row in enumerate(table[1:], 1):
+        if row is not None:
+            renumber[old] = len(live_rows)
+            live_rows.append(row)
+    rows = tuple(tuple([renumber[row[c]] for c in public]) for row in live_rows)
     return CosetTable(
         generator_count=ngens,
         rows=rows,

@@ -24,6 +24,7 @@ computed in exact integer/rational arithmetic (no floating point).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -80,13 +81,6 @@ def singularity_counts(c: DegenerationComplex) -> InvariantCounts:
     )
 
 
-def _factorial(n):
-    out = 1
-    for k in range(2, n + 1):
-        out *= k
-    return out
-
-
 def _as_int(x: Fraction):
     return int(x) if x.denominator == 1 else x
 
@@ -99,7 +93,7 @@ def chern_numbers(k: InvariantCounts):
         )
     if min(k.as_tuple()) < 0:
         raise InvariantError("counts must be nonnegative")
-    nfact = _factorial(k.n)
+    nfact = math.factorial(k.n)
     c1sq = Fraction(nfact, 4) * (k.m - 6) ** 2
     c2 = nfact * (
         3 - k.m + Fraction(k.d, 4) + Fraction(k.mu, 2) + Fraction(k.rho, 6)

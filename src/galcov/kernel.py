@@ -11,6 +11,7 @@ structure verdict.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 from .enumeration import CosetTable, _column
@@ -42,7 +43,7 @@ def kernel_coset_table(pres: GroupPresentation, a: SymmetricAssignment) -> Coset
         )
     n = a.degree
     image_order = permutation_group_order(a.images[: pres.generator_count])
-    full = _factorial(n)
+    full = math.factorial(n)
     if image_order != full:
         raise KernelError(
             f"assignment is not surjective: image order {image_order} != {n}! = {full}"
@@ -62,13 +63,6 @@ def kernel_coset_table(pres: GroupPresentation, a: SymmetricAssignment) -> Coset
             row.append(index[(sigma * ginv).images])
         rows.append(tuple(row))
     return CosetTable(generator_count=pres.generator_count, rows=tuple(rows))
-
-
-def _factorial(n):
-    out = 1
-    for k in range(2, n + 1):
-        out *= k
-    return out
 
 
 def schreier_transversal(table: CosetTable):

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+import galcov.cli
 from galcov.cli import AnalysisError, analyze, emit_report, main
 from galcov.complexes import serialize_complex
 from galcov.presentation import parse_relation
@@ -128,6 +129,27 @@ def test_undecided_pipeline_reports_overflow():
     assert report.tilde_order is None
     assert report.pi1["kind"] == "Undetermined"
     assert any("undecided at bound" in w for w in report.warnings)
+
+
+def test_both_routes_enumerate_once_after_overflow(monkeypatch, capsys):
+    # the Coxeter route reuses the enumeration route's outcome: after an
+    # overflow it must not enumerate the same presentation at the same bound
+    calls = []
+    real = galcov.cli.coset_enumeration
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(galcov.cli, "coset_enumeration", counting)
+    report = analyze("t4", route="both", max_cosets=5)
+    assert len(calls) == 1
+    assert report.undecided
+    assert report.pi1["kind"] == "Undetermined"
+    assert report.coxeter_route["supported"] is False
+    assert main(["analyze", "t4", "--route", "both", "--max-cosets", "5"]) == 1
+    assert "undecided at bound" in capsys.readouterr().out
+    assert len(calls) == 2
 
 
 def test_analyze_dt4_both_routes():

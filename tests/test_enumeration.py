@@ -36,6 +36,18 @@ def symmetric(n):
     return GroupPresentation.make(names, relators)
 
 
+def dihedral_inverse_letters(n):
+    # the dihedral group again, written with s^-1 wherever s occurs
+    return GroupPresentation.make(
+        ("r", "s"), [(1,) * n, (-2, -2), (1, -2, 1, -2)]
+    )
+
+
+def s4_mixed():
+    # <a, b | a^4, b^2, (ab)^3> = S4: a 4-cycle and a transposition
+    return GroupPresentation.make(("a", "b"), [(1,) * 4, (2, 2), (1, 2) * 3])
+
+
 def rotation(n):
     return Permutation(tuple(list(range(2, n + 1)) + [1]))
 
@@ -195,3 +207,66 @@ def test_larger_coxeter_style_groups():
         [(1,) * 3, (2,) * 7, (1, 2) * 2, (1, -2, -2) * 4],
     )
     assert group_order(coset_enumeration(klein, (), 200_000)) == 168
+
+
+def word_permutation(model, word):
+    acc = Permutation.identity(model[0].degree)
+    for x in word:
+        g = model[abs(x) - 1]
+        acc = acc * (g if x > 0 else g.inverse())
+    return acc
+
+
+INVOLUTION_CORPUS = [
+    (dihedral(5), [rotation(5), reflection(5)], ()),
+    (dihedral_inverse_letters(6), [rotation(6), reflection(6)], ()),
+    (dihedral_inverse_letters(4), [rotation(4), reflection(4)], [(-2, 1, -2)]),
+    (dihedral(6), [rotation(6), reflection(6)], [(-2,)]),
+    (dihedral(6), [rotation(6), reflection(6)], [(1, -2), (1, 1, 1)]),
+    (s4_mixed(), [rotation(4), Permutation.transposition(4, 1, 2)], ()),
+    (s4_mixed(), [rotation(4), Permutation.transposition(4, 1, 2)], [(-2, 1, -2, -1)]),
+    (symmetric(4), ORACLE_CORPUS[-1][1], [(-1, -3)]),
+]
+
+
+@pytest.mark.parametrize("pres,model,subgroup", INVOLUTION_CORPUS)
+def test_involution_columns_match_cayley_oracle(pres, model, subgroup):
+    table = coset_enumeration(pres, subgroup, 10_000)
+    verify_table(pres, table)
+    identity = Permutation.identity(model[0].degree)
+    h = mulclose([identity] + [word_permutation(model, w) for w in subgroup])
+    assert table.coset_count * len(h) == len(mulclose(model))
+    # an involution's self-inverse column fills both of its public columns
+    for k in pres.involutions():
+        assert all(row[2 * k - 2] == row[2 * k - 1] for row in table.rows)
+
+
+@pytest.mark.parametrize("word", [(3,), (-3,), (1, 0), (2, -5)])
+def test_subgroup_word_out_of_range_raises(word):
+    with pytest.raises(ValueError):
+        coset_enumeration(dihedral(4), [word], 1000)
+
+
+def test_enumeration_counters(t4_presentation, dt4_presentation):
+    # HLT with one self-inverse column per involution; the two-column
+    # enumerator defined 116 (t4) and 85,376 (dt4) cosets here
+    for pres, order, expected in (
+        (t4_presentation, 24, (113, 20, 58)),
+        (dt4_presentation, 11520, (46785, 10157, 19271)),
+    ):
+        stats = {}
+        table = coset_enumeration(pres, (), 1_000_000, stats=stats)
+        assert table.coset_count == order
+        assert stats == dict(
+            zip(("cosets_defined", "coincidences", "peak_live"), expected)
+        )
+
+
+def test_overflow_carries_counters():
+    stats = {}
+    with pytest.raises(EnumerationOverflow) as info:
+        coset_enumeration(symmetric(4), (), 5, stats=stats)
+    assert info.value.stats == stats
+    # coset 0 plus four definitions fill the bound of 5
+    assert stats["cosets_defined"] == 4
+    assert 1 <= stats["peak_live"] <= 5
