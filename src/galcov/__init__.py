@@ -14,7 +14,6 @@ from .complexes import (
     ComplexError,
     ComplexParseError,
     DegenerationComplex,
-    DualGraph,
     Edge,
     Inner3,
     Inner4,
@@ -22,9 +21,7 @@ from .complexes import (
     UnsupportedMultiplicity,
     ValidationReport,
     Vertex,
-    betti,
     classify_vertex,
-    dual_graph,
     parasitic_pairs,
     parse_complex,
     serialize_complex,
@@ -37,8 +34,6 @@ from .coxeter import (
     coxeter_route,
     eval_word,
     lattice_quotient,
-    sd_inverse,
-    sd_multiply,
     standard_assignment,
 )
 from .datasets import builtin_names, load_builtin
@@ -46,7 +41,6 @@ from .enumeration import (
     CosetTable,
     EnumerationOverflow,
     coset_enumeration,
-    generator_permutations,
     group_order,
 )
 from .invariants import (
@@ -73,7 +67,6 @@ from .permutations import (
     verify_homomorphism,
 )
 from .presentation import (
-    BraidDescriptor,
     GroupPresentation,
     MissingFourPointData,
     PresentationError,
@@ -82,7 +75,6 @@ from .presentation import (
     eliminate_generator,
     free_reduce,
     parse_relation,
-    vk_relation,
 )
 from .tietze import simplify_presentation
 

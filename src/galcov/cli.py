@@ -167,7 +167,7 @@ def load_source(source: str) -> tuple[str, DegenerationComplex]:
         )
     try:
         text = path.read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise AnalysisError("parse", f"cannot read {source}: {exc}") from exc
     return str(path), parse_complex(text)
 
@@ -181,6 +181,8 @@ def analyze(
     """Run the full pipeline on a builtin name or degeneration file."""
     if route not in ("enumerate", "coxeter", "both"):
         raise AnalysisError("options", f"unknown route {route!r}")
+    if max_cosets < 1:
+        raise AnalysisError("options", f"max_cosets must be at least 1, got {max_cosets}")
     timings = {}
 
     def timed(stage, fn, *args, **kwargs):
@@ -265,32 +267,30 @@ def analyze(
         "image_order", permutation_group_order, assignment.images
     )
 
+    # one enumeration serves both routes: the kernel analysis reads the
+    # table, and the Coxeter route verifies its elimination plan on it
     table = None
+    try:
+        table = timed("enumerate", coset_enumeration, pres, (), max_cosets)
+    except EnumerationOverflow as exc:
+        report.undecided = True
+        report.warnings.append(
+            f"undecided at bound: enumeration overflow at {exc.max_cosets} cosets"
+        )
+        report.pi1 = {
+            "kind": "Undetermined",
+            "note": f"undecided at bound {exc.max_cosets}",
+        }
+
     enum_verdict = None
-    if route in ("enumerate", "both"):
-        try:
-            table = timed("enumerate", coset_enumeration, pres, (), max_cosets)
-        except EnumerationOverflow as exc:
-            report.undecided = True
-            report.warnings.append(
-                f"undecided at bound: enumeration overflow at {exc.max_cosets} cosets"
-            )
-            report.pi1 = {
-                "kind": "Undetermined",
-                "note": f"undecided at bound {exc.max_cosets}",
-            }
-        if table is not None:
-            report.tilde_order = group_order(table)
-            enum_verdict = _enumeration_route(
-                report, complex_, pres, assignment, table, max_cosets, timed
-            )
+    if route in ("enumerate", "both") and table is not None:
+        report.tilde_order = group_order(table)
+        enum_verdict = _enumeration_route(
+            report, complex_, pres, assignment, table, max_cosets, timed
+        )
 
     cox_verdict = None
     if route in ("coxeter", "both"):
-        # under "both" the table is the enumeration route's, or None after
-        # its overflow: enumerating again at the same bound would overflow too
-        if route == "coxeter":
-            table = timed("enumerate", _full_table_for_route, pres, max_cosets)
         cox_verdict = _coxeter_route(report, pres_noproj, proj, table, timed)
 
     if route == "both" and enum_verdict is not None:
@@ -404,13 +404,6 @@ def _coxeter_route(report, pres_noproj, proj, table, timed):
         if report.tilde_order is None:
             report.tilde_order = route.quotient.order * report.symmetric_image_order
     return verdict
-
-
-def _full_table_for_route(pres, max_cosets):
-    try:
-        return coset_enumeration(pres, (), max_cosets)
-    except EnumerationOverflow:
-        return None
 
 
 # ---------------------------------------------------------------------------

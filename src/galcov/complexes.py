@@ -3,9 +3,9 @@
 A degeneration is recorded purely combinatorially: numbered planes, edges
 (each the intersection line of two planes), and vertices (points where
 three or four edges meet).  This module parses and validates such data,
-classifies vertices into inner 3-points and inner 4-points, finds the
-parasitic edge pairs (pairs of lines that meet only after projecting to
-the plane), and builds the dual graph whose vertices are the planes.
+classifies vertices into inner 3-points and inner 4-points, and finds
+the parasitic edge pairs (pairs of lines that meet only after projecting
+to the plane).
 
 All types are immutable values; every operation is a pure function.
 """
@@ -115,14 +115,6 @@ class Inner4:
 
 
 VertexClass = Inner3 | Inner4
-
-
-@dataclass(frozen=True)
-class DualGraph:
-    """Graph with one vertex per plane and one edge per intersection line."""
-
-    vertex_count: int
-    edges: tuple[tuple[int, int, int], ...]  # (plane, plane, edge label)
 
 
 @dataclass(frozen=True)
@@ -363,11 +355,6 @@ def classify_vertex(c: DegenerationComplex, v: Vertex) -> VertexClass:
     return Inner4(cycle=cycle)
 
 
-def classify_all(c: DegenerationComplex) -> dict[int, VertexClass]:
-    """Classify every vertex, keyed by vertex id."""
-    return {v.id: classify_vertex(c, v) for v in c.vertices}
-
-
 def adjacent_pairs(c: DegenerationComplex) -> list[tuple[int, int]]:
     """Unordered edge-id pairs that occur together in at least one vertex."""
     seen = set()
@@ -393,28 +380,3 @@ def parasitic_pairs(c: DegenerationComplex) -> list[tuple[int, int]]:
         if (a, b) not in together
     ]
 
-
-def dual_graph(c: DegenerationComplex) -> DualGraph:
-    """Dual graph: one vertex per plane, one edge per intersection line."""
-    edges = tuple(
-        (min(e.planes), max(e.planes), e.id) for e in c.edges
-    )
-    return DualGraph(vertex_count=c.plane_count, edges=edges)
-
-
-def betti(g: DualGraph) -> int:
-    """First Betti number: edges - vertices + connected components."""
-    parent = list(range(g.vertex_count + 1))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for a, b, _ in g.edges:
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[rb] = ra
-    components = len({find(x) for x in range(1, g.vertex_count + 1)})
-    return len(g.edges) - g.vertex_count + components

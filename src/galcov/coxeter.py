@@ -31,6 +31,7 @@ from .presentation import (
     free_reduce,
     invert_word,
     parse_word,
+    relation_holds,
     triple_word,
 )
 
@@ -110,14 +111,6 @@ def _act(perm: Permutation, vec):
     return tuple(out)
 
 
-def sd_multiply(x: SemidirectElement, y: SemidirectElement) -> SemidirectElement:
-    return x * y
-
-
-def sd_inverse(x: SemidirectElement) -> SemidirectElement:
-    return x.inverse()
-
-
 def eval_word(images, word) -> SemidirectElement:
     """Left-to-right product of the images of a word's letters."""
     images = list(images)
@@ -146,7 +139,8 @@ class CoxeterGraph:
     edges: tuple[tuple[str, tuple[int, int]], ...]  # (label, (i, j)), i < j
     tree: frozenset[str]
 
-    def betti(self) -> int:
+    def _component_count(self) -> int:
+        """Connected components, by union-find over the edges."""
         parent = list(range(self.vertex_count + 1))
 
         def find(x):
@@ -156,28 +150,15 @@ class CoxeterGraph:
             return x
 
         for _, (a, b) in self.edges:
-            ra, rb = find(a), find(b)
-            if ra != rb:
-                parent[rb] = ra
-        components = len({find(x) for x in range(1, self.vertex_count + 1)})
-        return len(self.edges) - self.vertex_count + components
+            parent[find(b)] = find(a)
+        return len({find(x) for x in range(1, self.vertex_count + 1)})
+
+    def betti(self) -> int:
+        """First Betti number: edges - vertices + connected components."""
+        return len(self.edges) - self.vertex_count + self._component_count()
 
     def is_connected(self) -> bool:
-        if self.vertex_count == 0:
-            return True
-        parent = list(range(self.vertex_count + 1))
-
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        for _, (a, b) in self.edges:
-            ra, rb = find(a), find(b)
-            if ra != rb:
-                parent[rb] = ra
-        return len({find(x) for x in range(1, self.vertex_count + 1)}) == 1
+        return self._component_count() <= 1
 
 
 def standard_assignment(graph: CoxeterGraph) -> dict[str, SemidirectElement]:
@@ -365,8 +346,6 @@ def reduce_presentation(pres, proj: Word | None, plan=None, table=None):
     present are verified by tracing through ``table`` (a closed coset
     table of the presentation together with the projective relator).
     """
-    from .presentation import _defining_relator_present, _holds_in_regular_representation
-
     companions = (proj,) if proj is not None else ()
 
     if plan:
@@ -377,17 +356,16 @@ def reduce_presentation(pres, proj: Word | None, plan=None, table=None):
             w = parse_word(word_text, pres.names)
             if any(abs(x) == gen for x in w):
                 raise CoxeterError(f"plan word for {name} mentions {name}")
-            if not _defining_relator_present(pres, gen, w):
-                if table is None:
-                    raise CoxeterError(
-                        f"plan relation {name} = {word_text} is not a stated relator "
-                        "and no coset table was supplied to verify it"
-                    )
-                check = free_reduce((-gen,) + w)
-                if not _holds_in_regular_representation(pres, check, table):
-                    raise CoxeterError(
-                        f"plan relation {name} = {word_text} does not hold in the group"
-                    )
+            holds = relation_holds(pres, gen, w, table)
+            if holds is None:
+                raise CoxeterError(
+                    f"plan relation {name} = {word_text} is not a stated relator "
+                    "and no coset table is available to verify it"
+                )
+            if not holds:
+                raise CoxeterError(
+                    f"plan relation {name} = {word_text} does not hold in the group"
+                )
         for name, word_text in plan:
             w = parse_word(word_text, pres.names)
             pres, companions = eliminate_and_rewrite(pres, name, w, companions)

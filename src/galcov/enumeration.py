@@ -29,8 +29,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .permutations import Permutation
-
 
 class EnumerationOverflow(RuntimeError):
     """Coset allocation hit the bound before the table closed."""
@@ -249,15 +247,6 @@ def group_order(table: CosetTable) -> int:
     if table.subgroup_words:
         raise ValueError("table was built over a non-trivial subgroup")
     return table.coset_count
-
-
-def generator_permutations(table: CosetTable) -> tuple[Permutation, ...]:
-    """Action of each generator on the cosets, as permutations of 1..N."""
-    perms = []
-    for k in range(1, table.generator_count + 1):
-        col = _column(k)
-        perms.append(Permutation(tuple(row[col] + 1 for row in table.rows)))
-    return tuple(perms)
 
 
 def verify_table(pres, table: CosetTable) -> None:

@@ -38,6 +38,7 @@ from .complexes import (
     classify_vertex,
     parasitic_pairs,
 )
+from .enumeration import coset_enumeration
 
 Word = tuple[int, ...]
 
@@ -233,29 +234,6 @@ class GroupPresentation:
 # braid relation templates
 
 
-@dataclass(frozen=True)
-class BraidDescriptor:
-    """One singular point of the branch curve, by braid type.
-
-    kind 'branch' records the line j; 'node' and 'cusp' record the two
-    lines i, j involved.
-    """
-
-    kind: str
-    i: int
-    j: int | None = None
-
-    def __post_init__(self):
-        if self.kind not in ("branch", "node", "cusp"):
-            raise ValueError(f"unknown braid kind {self.kind!r}")
-        if self.kind == "branch":
-            if self.j is not None:
-                raise ValueError("branch braids involve a single line")
-        else:
-            if self.j is None or self.i == self.j:
-                raise ValueError(f"{self.kind} braid needs two distinct lines")
-
-
 def triple_word(i: int, j: int) -> Word:
     """Cusp relation <g_i, g_j>: g_i g_j g_i = g_j g_i g_j as a relator."""
     return (i, j, i, -j, -i, -j)
@@ -263,22 +241,6 @@ def triple_word(i: int, j: int) -> Word:
 
 def commutator_word(i: int, j: int) -> Word:
     return (i, j, -i, -j)
-
-
-def vk_relation(b: BraidDescriptor, prime_offset: int | None = None) -> Word:
-    """Relator induced by a braid under the standard dictionary.
-
-    Branch point -> g_j = g_{j'}; node -> commutator; cusp -> triple.
-    Branch relators involve the primed partner, addressed as generator
-    ``j + prime_offset``; nodes and cusps ignore the offset.
-    """
-    if b.kind == "node":
-        return commutator_word(b.i, b.j)
-    if b.kind == "cusp":
-        return triple_word(b.i, b.j)
-    if prime_offset is None:
-        raise ValueError("branch relators need prime_offset to address g_{j'}")
-    return free_reduce((b.i, -(b.i + prime_offset)))
 
 
 # ---------------------------------------------------------------------------
@@ -462,31 +424,27 @@ def projective_relator(c: DegenerationComplex) -> Word | None:
 # Tietze transformations
 
 
-def _defining_relator_present(pres, gen, replacement):
-    """Is g = w recorded as a relator, up to rotation, inversion, and the
-    sign of involution generators?"""
+def relation_holds(pres, gen, replacement, table) -> bool | None:
+    """Does gen = replacement hold in the group of ``pres``?
+
+    True when the equation is a stated relator, up to rotation, inversion
+    and the sign of involution generators, or when ``gen^-1 replacement``
+    traces from coset 0 back to itself through ``table``, a closed coset
+    table over the trivial subgroup: the action there is regular, so a
+    word fixing one coset is the identity.  False when that trace fails;
+    None when the equation is not stated and ``table`` is None.
+    """
     inv = pres.involutions()
     target = canonical_key(
         involution_reduce(free_reduce((gen,) + invert_word(replacement)), inv)
     )
-    for r in pres.relators:
-        if canonical_key(involution_reduce(r, inv)) == target:
-            return True
-    return False
-
-
-def _holds_in_regular_representation(pres, word, table) -> bool:
-    rows = table.rows
-    cols = [2 * x - 2 if x > 0 else -2 * x - 1 for x in word]
-    return all(
-        _trace_row(rows, c, cols) == c for c in range(len(rows))
-    )
-
-
-def _trace_row(rows, c, cols):
-    for col in cols:
-        c = rows[c][col]
-    return c
+    if any(canonical_key(involution_reduce(r, inv)) == target for r in pres.relators):
+        return True
+    if table is None:
+        return None
+    if table.subgroup_words:
+        raise ValueError("relation check needs a table over the trivial subgroup")
+    return table.trace(0, free_reduce((-gen,) + replacement)) == 0
 
 
 def eliminate_generator(pres, gen, replacement, *, table=None, max_cosets=200_000):
@@ -499,8 +457,6 @@ def eliminate_generator(pres, gen, replacement, *, table=None, max_cosets=200_00
     ``table`` or enumerated on demand.  Returns a presentation on the
     remaining generators defining the same group.
     """
-    from .enumeration import coset_enumeration  # cycle-free: enumeration has no presentation imports at module top
-
     if isinstance(gen, str):
         gen = pres.id_of(gen)
     if not 1 <= gen <= pres.generator_count:
@@ -513,20 +469,20 @@ def eliminate_generator(pres, gen, replacement, *, table=None, max_cosets=200_00
             f"replacement word for {pres.names[gen - 1]} mentions the generator itself"
         )
 
-    if not _defining_relator_present(pres, gen, replacement):
-        if table is None:
-            table = coset_enumeration(pres, (), max_cosets=max_cosets)
-        elif table.generator_count != pres.generator_count:
-            raise PresentationError(
-                "verification table does not match the presentation "
-                f"({table.generator_count} generators vs {pres.generator_count})"
-            )
-        check = free_reduce((-gen,) + replacement)
-        if not _holds_in_regular_representation(pres, check, table):
-            raise PresentationError(
-                f"relation {pres.names[gen - 1]} = {format_word(replacement, pres.names)}"
-                " does not hold; elimination refused"
-            )
+    if table is not None and table.generator_count != pres.generator_count:
+        raise PresentationError(
+            "verification table does not match the presentation "
+            f"({table.generator_count} generators vs {pres.generator_count})"
+        )
+    holds = relation_holds(pres, gen, replacement, table)
+    if holds is None:
+        table = coset_enumeration(pres, (), max_cosets=max_cosets)
+        holds = relation_holds(pres, gen, replacement, table)
+    if not holds:
+        raise PresentationError(
+            f"relation {pres.names[gen - 1]} = {format_word(replacement, pres.names)}"
+            " does not hold; elimination refused"
+        )
 
     new_pres, _ = eliminate_and_rewrite(pres, gen, replacement, ())
     return new_pres

@@ -181,3 +181,36 @@ def test_coxeter_route_times_its_fallback_enumeration():
     report = analyze("t4", route="coxeter")
     assert report.enumeration_route is None
     assert {"presentation", "enumerate", "coxeter"} <= set(report.timings)
+
+
+def test_coxeter_route_overflow_is_undecided_at_bound(capsys):
+    # --route coxeter enumerates like the other routes, so an overflow is
+    # reported the same way, not as a route that produced no verdict
+    report = analyze("dt4", route="coxeter", max_cosets=100)
+    assert report.undecided
+    assert report.tilde_order is None
+    assert report.pi1 == {"kind": "Undetermined", "note": "undecided at bound 100"}
+    assert "undecided at bound: enumeration overflow at 100 cosets" in report.warnings
+    assert report.coxeter_route["supported"] is False
+    assert "no coset table is available" in report.coxeter_route["reason"]
+    assert main(["analyze", "dt4", "--route", "coxeter", "--max-cosets", "100"]) == 1
+    assert "undecided at bound" in capsys.readouterr().out
+
+
+def test_main_rejects_max_cosets_below_one(capsys):
+    assert main(["analyze", "t4", "--max-cosets", "0"]) == 2
+    err = capsys.readouterr().err
+    assert "[options]" in err
+    assert "Traceback" not in err
+    with pytest.raises(AnalysisError) as info:
+        analyze("t4", max_cosets=-3)
+    assert info.value.stage == "options"
+
+
+def test_non_utf8_file_is_parse_error(tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    path.write_bytes(b"\xff\xfe")
+    assert main(["analyze", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert "[parse]" in err
+    assert "Traceback" not in err

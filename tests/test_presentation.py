@@ -3,7 +3,6 @@ import pytest
 from galcov.complexes import DegenerationComplex, PresentationOverrides
 from galcov.enumeration import coset_enumeration, group_order
 from galcov.presentation import (
-    BraidDescriptor,
     GroupPresentation,
     MissingFourPointData,
     PresentationError,
@@ -19,8 +18,8 @@ from galcov.presentation import (
     parse_relation,
     parse_word,
     projective_relator,
+    relation_holds,
     triple_word,
-    vk_relation,
 )
 from galcov.tietze import simplify_presentation
 
@@ -108,26 +107,10 @@ def test_canonical_key_matches_brute_force_oracle():
 # braid templates
 
 
-def test_vk_relation_branch():
-    w = vk_relation(BraidDescriptor("branch", 3), prime_offset=9)
-    assert w == (3, -12)
-
-
 def test_vk_relation_node_and_cusp():
-    assert vk_relation(BraidDescriptor("node", 1, 3)) == (1, 3, -1, -3)
-    assert vk_relation(BraidDescriptor("cusp", 1, 2)) == (1, 2, 1, -2, -1, -2)
-
-
-def test_vk_relation_branch_needs_offset():
-    with pytest.raises(ValueError):
-        vk_relation(BraidDescriptor("branch", 3))
-
-
-def test_braid_descriptor_validation():
-    with pytest.raises(ValueError):
-        BraidDescriptor("cusp", 2, 2)
-    with pytest.raises(ValueError):
-        BraidDescriptor("twist", 1, 2)
+    # van Kampen relators: a node gives a commutator, a cusp a triple relation
+    assert commutator_word(1, 3) == (1, 3, -1, -3)
+    assert triple_word(1, 2) == (1, 2, 1, -2, -1, -2)
 
 
 # ---------------------------------------------------------------------------
@@ -296,6 +279,25 @@ def test_eliminate_semantic_relation_via_table(dt4_presentation, dt4_table):
     assert q.generator_count == 8
 
 
+def test_relation_holds_stated_traced_or_unknown(t4_presentation):
+    pres = t4_presentation
+    table = coset_enumeration(pres, (), 10_000)
+    # g4 = g1^-1 g2^-1 g1^-1 restates the branch relator g4 g1 g2 g1
+    assert relation_holds(pres, 4, (-1, -2, -1), None) is True
+    # g4 = g2 g1 g2 is not stated; it follows through the braid relation
+    assert relation_holds(pres, 4, (2, 1, 2), None) is None
+    assert relation_holds(pres, 4, (2, 1, 2), table) is True
+    assert relation_holds(pres, 1, (2,), table) is False
+    # no involutions: in <a, b | a^3, a b a>, b = a^-2 = a, and b != a^-1
+    cyc = GroupPresentation.make(("a", "b"), [(1, 1, 1), (1, 2, 1)])
+    cyc_table = coset_enumeration(cyc, (), 100)
+    assert relation_holds(cyc, 2, (1,), cyc_table) is True
+    assert relation_holds(cyc, 2, (-1,), cyc_table) is False
+    sub = coset_enumeration(pres, ((1,),), 10_000)
+    with pytest.raises(ValueError, match="trivial subgroup"):
+        relation_holds(pres, 1, (2,), sub)
+
+
 def test_simplify_presentation_trivializes():
     # <a, b | a b^-1, b^4, a^4> collapses to a single generator of order 4
     p = GroupPresentation.make(("a", "b"), [(1, -2), (2, 2, 2, 2)])
@@ -323,7 +325,7 @@ def test_vk_node_template_vanishes_under_commuting_images():
         degree=4,
         images=(Permutation.transposition(4, 1, 2), Permutation.transposition(4, 3, 4)),
     )
-    node = vk_relation(BraidDescriptor("node", 1, 2))
+    node = commutator_word(1, 2)
     assert word_image(a, node).is_identity()
 
 
@@ -336,7 +338,7 @@ def test_vk_cusp_template_vanishes_under_braiding_images():
         degree=3,
         images=(Permutation.transposition(3, 1, 2), Permutation.transposition(3, 2, 3)),
     )
-    cusp = vk_relation(BraidDescriptor("cusp", 1, 2))
+    cusp = triple_word(1, 2)
     assert word_image(a, cusp).is_identity()
     # and on any pair of braiding semidirect images
     from galcov.coxeter import SemidirectElement, eval_word
