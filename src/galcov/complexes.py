@@ -138,6 +138,11 @@ def _require(cond, message, location=None):
         raise ComplexParseError(message, location)
 
 
+def _is_int(x):
+    """A JSON integer; ``true`` and ``false`` are not, though bool is int."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def parse_complex(text: str) -> DegenerationComplex:
     """Parse a degeneration file (JSON) into a :class:`DegenerationComplex`.
 
@@ -157,7 +162,7 @@ def parse_complex(text: str) -> DegenerationComplex:
     _require(isinstance(name, str), "'name' must be a string", "field name")
     planes = data.get("planes")
     _require(
-        isinstance(planes, int) and not isinstance(planes, bool) and planes >= 1,
+        _is_int(planes) and planes >= 1,
         "'planes' must be a positive integer",
         "field planes",
     )
@@ -170,12 +175,12 @@ def parse_complex(text: str) -> DegenerationComplex:
         loc = f"edges[{pos}]"
         _require(isinstance(item, dict), "edge must be an object", loc)
         eid = item.get("id")
-        _require(isinstance(eid, int) and eid >= 1, "edge id must be an integer >= 1", loc)
+        _require(_is_int(eid) and eid >= 1, "edge id must be an integer >= 1", loc)
         _require(eid not in seen_edge_ids, f"duplicate edge id {eid}", loc)
         seen_edge_ids.add(eid)
         pl = item.get("planes")
         _require(
-            isinstance(pl, list) and len(pl) == 2 and all(isinstance(p, int) for p in pl),
+            isinstance(pl, list) and len(pl) == 2 and all(map(_is_int, pl)),
             "edge planes must be a pair of integers",
             loc,
         )
@@ -191,12 +196,12 @@ def parse_complex(text: str) -> DegenerationComplex:
         loc = f"vertices[{pos}]"
         _require(isinstance(item, dict), "vertex must be an object", loc)
         vid = item.get("id")
-        _require(isinstance(vid, int) and vid >= 1, "vertex id must be an integer >= 1", loc)
+        _require(_is_int(vid) and vid >= 1, "vertex id must be an integer >= 1", loc)
         _require(vid not in seen_vertex_ids, f"duplicate vertex id {vid}", loc)
         seen_vertex_ids.add(vid)
         ve = item.get("edges")
         _require(
-            isinstance(ve, list) and all(isinstance(x, int) for x in ve),
+            isinstance(ve, list) and all(map(_is_int, ve)),
             "vertex edges must be a list of integers",
             loc,
         )

@@ -72,6 +72,21 @@ class CosetTable:
         return coset
 
 
+def _internal_columns(ngens, involutions):
+    """Column layout with one self-inverse column per involution and two
+    for any other generator.  Returns ``icol`` (signed letter -> column),
+    ``inv`` (column -> inverse column) and ``public`` (public column of
+    :class:`CosetTable` -> column)."""
+    icol, inv, public = {}, [], []
+    for k in range(1, ngens + 1):
+        c = len(inv)
+        d = c if k in involutions else c + 1
+        icol[k], icol[-k] = c, d
+        inv += (c,) if c == d else (d, c)
+        public += (c, d)
+    return icol, inv, public
+
+
 def coset_enumeration(
     pres, subgroup_words=(), max_cosets=1_000_000, stats=None
 ) -> CosetTable:
@@ -90,14 +105,7 @@ def coset_enumeration(
             if not 1 <= abs(x) <= ngens:
                 raise ValueError(f"subgroup word references generator {abs(x)}")
     involutions = pres.involutions()
-    # internal columns: one per involution, two for any other generator
-    icol, inv, public = {}, [], []
-    for k in range(1, ngens + 1):
-        c = len(inv)
-        d = c if k in involutions else c + 1
-        icol[k], icol[-k] = c, d
-        inv += (c,) if c == d else (d, c)
-        public += (c, d)
+    icol, inv, public = _internal_columns(ngens, involutions)
     ncols = len(inv)
 
     def columns(w):

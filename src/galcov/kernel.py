@@ -6,6 +6,10 @@ everything here is about that kernel: its coset table (indexed by the n!
 permutations), a presentation via Reidemeister-Schreier rewriting, its
 abelian invariants via Smith normal form or GF(2) rank, and the final
 structure verdict.
+
+The rewrite knows the involution generators: an involution k gives one
+Schreier generator per orbit {c, c.k} rather than one per coset, and each
+closed path a relator traces is traced from one of its cosets only.
 """
 
 from __future__ import annotations
@@ -14,14 +18,14 @@ import itertools
 import math
 from dataclasses import dataclass
 
-from .enumeration import CosetTable, _column
+from .enumeration import CosetTable, _internal_columns
 from .permutations import (
     Permutation,
     SymmetricAssignment,
     permutation_group_order,
     verify_homomorphism,
 )
-from .presentation import GroupPresentation, free_reduce
+from .presentation import GroupPresentation, _dedupe
 
 
 class KernelError(Exception):
@@ -65,81 +69,137 @@ def kernel_coset_table(pres: GroupPresentation, a: SymmetricAssignment) -> Coset
     return CosetTable(generator_count=pres.generator_count, rows=tuple(rows))
 
 
-def schreier_transversal(table: CosetTable):
-    """Breadth-first spanning tree of the coset table.
-
-    Columns are tried in generator order (g1..gm, then inverses), giving
-    shortest representatives deterministically.  Returns the set of tree
-    edges as (coset, generator) pairs oriented along positive letters.
-    """
-    m = table.generator_count
-    order = [_column(k) for k in range(1, m + 1)] + [
-        _column(-k) for k in range(1, m + 1)
-    ]
-    seen = {0}
-    tree_edges = set()
-    frontier = [0]
-    while frontier:
-        nxt = []
-        for c in frontier:
-            row = table.rows[c]
-            for col in order:
-                d = row[col]
-                if d not in seen:
-                    seen.add(d)
-                    nxt.append(d)
-                    # orient the edge along the positive generator
-                    if col % 2 == 0:
-                        tree_edges.add((c, col // 2 + 1))
-                    else:
-                        tree_edges.add((d, col // 2 + 1))
-        frontier = nxt
-    if len(seen) != table.coset_count:
-        raise KernelError("coset table is not connected")
-    return tree_edges
+def _cycle_starts(word, involutions):
+    """Offsets t in 1..len(word)-1 such that the relator, traced from the
+    t-th coset of a closed path it traces, goes round the same path again,
+    forwards (a rotation of the word equals it) or backwards (a rotation of
+    its inverse does).  Involution letters count as self-inverse."""
+    u = tuple(abs(x) if abs(x) in involutions else x for x in word)
+    back = tuple(x if x in involutions else -x for x in reversed(u))
+    n = len(u)
+    return tuple(
+        t
+        for t in range(1, n)
+        if u[t:] + u[:t] == u or back[n - t :] + back[: n - t] == u
+    )
 
 
-def reidemeister_schreier(pres: GroupPresentation, table: CosetTable) -> GroupPresentation:
+def reidemeister_schreier(
+    pres: GroupPresentation, table: CosetTable, stats=None
+) -> GroupPresentation:
     """Presentation of the subgroup whose coset table is given.
 
-    Generators are the Schreier generators of the non-tree edges of a
-    breadth-first transversal (index*m - (index-1) of them); relators are
-    the rewrites of every relator of ``pres`` traced from every coset.
+    Schreier generators sit on the table edges off a breadth-first
+    spanning tree (columns tried g1..gm, then inverses).  An involution k
+    (a generator with relator k^2) gets one per pair {c, c.k} off the
+    tree, since x_{c.k,k} = x_{c,k}^-1, and one x with relator x^2 per
+    fixed point c = c.k; k^2 is traced nowhere else.  Any other generator
+    gets one per coset off the tree.
+
+    Every other relator is traced once per closed path: a coset from which
+    it would go round a path already traced, forwards or backwards, is
+    skipped, as it would give a cyclic conjugate of a kept word or of its
+    inverse.
+
+    A ``stats`` dict receives ``schreier_generators``, ``relators_traced``,
+    ``cycles_skipped``, ``relators_out`` and ``letters_out`` (the last two
+    after deduplication).
     """
     m = pres.generator_count
     n = table.coset_count
-    tree = schreier_transversal(table)
+    involutions = pres.involutions()
+    icol, inv, public = _internal_columns(m, involutions)
+    ncols = len(inv)
+    size = n * ncols
 
-    gen_id = {}
+    # flat tables over (coset, column), indexed by coset * ncols + column:
+    # the target coset, premultiplied by ncols, and the Schreier letter
+    # (0 on tree edges); ``step`` pairs them for the trace loop
+    target = [0] * size
+    for c, row in enumerate(table.rows):
+        base = c * ncols
+        for pc, col in enumerate(public):
+            target[base + col] = row[pc] * ncols
+
+    letter = [None] * size
+    order = [icol[k] for k in range(1, m + 1)] + [icol[-k] for k in range(1, m + 1)]
+    seen = bytearray(n)
+    seen[0] = 1
+    frontier = [0]
+    while frontier:
+        grown = []
+        for base in frontier:
+            for col in order:
+                d = target[base + col]
+                if not seen[d // ncols]:
+                    seen[d // ncols] = 1
+                    grown.append(d)
+                    letter[base + col] = letter[d + inv[col]] = 0
+        frontier = grown
+    if not all(seen):
+        raise KernelError("coset table is not connected")
+
     names = []
     for c in range(n):
+        base = c * ncols
         for k in range(1, m + 1):
-            if (c, k) not in tree:
-                gen_id[(c, k)] = len(names) + 1
+            col = base + icol[k]
+            if letter[col] is None:
                 names.append(f"x{c}_{k}" if n > 1 else f"x{k}")
+                letter[col] = len(names)
+                back = target[col] + inv[icol[k]]
+                if letter[back] is None:
+                    letter[back] = -len(names)
 
-    rows = table.rows
+    step = list(zip(letter, target))
     relators = []
+    traced = skipped = 0
     for w in pres.relators:
-        for c in range(n):
-            d = c
-            word = []
-            for x in w:
-                if x > 0:
-                    sid = gen_id.get((d, x))
-                    if sid is not None:
-                        word.append(sid)
-                    d = rows[d][_column(x)]
-                else:
-                    d2 = rows[d][_column(x)]
-                    sid = gen_id.get((d2, -x))
-                    if sid is not None:
-                        word.append(-sid)
-                    d = d2
-            if d != c:
+        cols = [icol[x] for x in w]
+        if len(w) == 2 and w[0] == w[1] and abs(w[0]) in involutions:
+            col = cols[0]
+            for base in range(0, size, ncols):
+                s, d = step[base + col]
+                if target[d + col] != base:
+                    raise KernelError("relator does not close; table is inconsistent")
+                if d == base:
+                    relators.append((s, s))
+                    traced += 1
+            continue
+        starts = _cycle_starts(w, involutions)
+        done = bytearray(size)  # indexed like ``step``, at column 0
+        for base in range(0, size, ncols):
+            if done[base]:
+                skipped += 1
+                continue
+            d = base
+            word, path = [], []
+            for col in cols:
+                path.append(d)
+                s, d = step[d + col]
+                if s:
+                    if word and word[-1] == -s:
+                        word.pop()
+                    else:
+                        word.append(s)
+            if d != base:
                 raise KernelError("relator does not close; table is inconsistent")
-            relators.append(free_reduce(word))
-    return GroupPresentation.make(names, relators)
+            for t in starts:
+                done[path[t]] = 1
+            relators.append(tuple(word))
+            traced += 1
+    # the words are freely reduced and their letters are in range, so of
+    # what make does only the deduplication is left to do
+    sub = GroupPresentation(tuple(names), tuple(_dedupe(relators)))
+    if stats is not None:
+        stats.update(
+            schreier_generators=len(names),
+            relators_traced=traced,
+            cycles_skipped=skipped,
+            relators_out=len(sub.relators),
+            letters_out=sub.total_relator_length(),
+        )
+    return sub
 
 
 # ---------------------------------------------------------------------------

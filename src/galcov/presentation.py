@@ -119,14 +119,17 @@ def _reduced_key(w) -> Word:
     # the key starts with the least letter of the word or of its inverse
     least, inverse_least = min(w), -max(w)
     if least < inverse_least:
-        return _least_rotation(w)
+        return _least_rotation(w, least)
     if inverse_least < least:
-        return _least_rotation(invert_word(w))
-    return min(_least_rotation(w), _least_rotation(invert_word(w)))
+        return _least_rotation(invert_word(w), inverse_least)
+    return min(_least_rotation(w, least), _least_rotation(invert_word(w), least))
 
 
-def _least_rotation(w) -> Word:
-    least = min(w)
+def _least_rotation(w, least) -> Word:
+    """The least rotation of ``w``, whose least letter is ``least``."""
+    if w.count(least) == 1:
+        i = w.index(least)
+        return w[i:] + w[:i]
     best = None
     i = -1
     for _ in range(w.count(least)):

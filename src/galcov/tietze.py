@@ -243,10 +243,9 @@ class _TietzeState:
                 continue
             for t, x in enumerate(w):
                 g = abs(x)
-                if w.count(g) + w.count(-g) != 1:
-                    continue
                 cost = (len(w) - 1) * max(occurrences[g] - 1, 0)
-                if best is None or cost < best[0]:
+                # the cost test comes first because it is the cheaper one
+                if (best is None or cost < best[0]) and w.count(g) + w.count(-g) == 1:
                     rot = w[t:] + w[:t]
                     repl = invert_word(rot[1:]) if rot[0] > 0 else rot[1:]
                     best = (cost, g, repl)

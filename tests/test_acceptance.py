@@ -303,7 +303,8 @@ def test_criterion_8_property_suites():
         if smith_normal_form(a) != snf_oracle(a):
             failures.append(f"snf mismatch on {a}")
 
-    # --- Reidemeister-Schreier generator count before reduction
+    # --- Reidemeister-Schreier generator count before reduction: one per
+    # orbit of each involution generator, less the index - 1 tree edges
     for name in ("t4", "dt4"):
         c = load_builtin(name)
         pres = build_tilde_presentation(c)
@@ -311,8 +312,12 @@ def test_criterion_8_property_suites():
         table = kernel_coset_table(pres, a)
         sub = reidemeister_schreier(pres, table)
         index = table.coset_count
-        expected = index * pres.generator_count - (index - 1)
-        if sub.generator_count != expected:
+        orbits = sum(
+            (index + sum(1 for i in range(index) if table.target(i, k) == i)) // 2
+            for k in range(1, pres.generator_count + 1)
+        )
+        expected = orbits - (index - 1)
+        if sub.generator_count != expected or expected != {"t4": 49, "dt4": 2521}[name]:
             failures.append(
                 f"{name}: schreier count {sub.generator_count} != {expected}"
             )

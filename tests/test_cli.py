@@ -214,3 +214,17 @@ def test_non_utf8_file_is_parse_error(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "[parse]" in err
     assert "Traceback" not in err
+
+
+def test_boolean_plane_is_parse_error(tmp_path, capsys):
+    from galcov.datasets import T4_JSON
+
+    path = tmp_path / "bool.json"
+    path.write_text(
+        T4_JSON.replace('{"id": 1, "planes": [1, 3]}', '{"id": 1, "planes": [1, true]}'),
+        encoding="utf-8",
+    )
+    assert main(["analyze", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert "[parse]" in err
+    assert "edges[0]: edge planes must be a pair of integers" in err

@@ -58,6 +58,23 @@ def test_parse_plane_out_of_range():
         parse_complex(text)
 
 
+@pytest.mark.parametrize(
+    "old, new, message",
+    [
+        ('{"id": 1, "planes": [1, 3]}', '{"id": 1, "planes": [1, true]}', "edge planes"),
+        ('{"id": 1, "planes": [1, 3]}', '{"id": true, "planes": [1, 3]}', "edge id"),
+        ('{"id": 1, "edges": [1, 2, 4]}', '{"id": true, "edges": [1, 2, 4]}', "vertex id"),
+        ('{"id": 1, "edges": [1, 2, 4]}', '{"id": 1, "edges": [true, 2, 4]}', "vertex edges"),
+    ],
+    ids=["edge-planes", "edge-id", "vertex-id", "vertex-edges"],
+)
+def test_parse_rejects_booleans_as_integers(old, new, message):
+    # bool is a subclass of int, but JSON true is not an integer
+    assert old in T4_JSON
+    with pytest.raises(ComplexParseError, match=message):
+        parse_complex(T4_JSON.replace(old, new))
+
+
 @pytest.mark.parametrize("source", [T4_JSON, DT4_JSON])
 def test_roundtrip_identity(source):
     c = parse_complex(source)

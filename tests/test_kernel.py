@@ -77,13 +77,223 @@ def test_free_group_index_two_has_rank_three():
     assert sub.relators == ()
 
 
+def orbit_count(pres, table):
+    """Schreier generators of the involution-aware rewrite: one per orbit
+    of each involution, one per coset of any other generator, less the
+    index - 1 tree edges."""
+    index = table.coset_count
+    total = 0
+    for k in range(1, pres.generator_count + 1):
+        if k in pres.involutions():
+            fixed = sum(1 for c in range(index) if table.target(c, k) == c)
+            total += (index + fixed) // 2
+        else:
+            total += index
+    return total - (index - 1)
+
+
 def test_schreier_generator_count_formula(t4, t4_presentation, dt4, dt4_presentation):
-    for c, pres in ((t4, t4_presentation), (dt4, dt4_presentation)):
+    # every generator is an involution acting on the cosets (permutations)
+    # as a transposition does by right multiplication, without fixed
+    # points: 6 * 12 - 23 = 49 and 9 * 360 - 719 = 2521
+    for c, pres, expected in ((t4, t4_presentation, 49), (dt4, dt4_presentation, 2521)):
         a = plane_transposition_map(c)
         table = kernel_coset_table(pres, a)
         sub = reidemeister_schreier(pres, table)
+        assert sub.generator_count == orbit_count(pres, table) == expected
+
+
+@pytest.mark.parametrize(
+    "name, expected",
+    [
+        ("t4", (49, 114, 342, 114, 383)),
+        ("dt4", (2521, 8280, 24840, 8280, 42111)),
+    ],
+)
+def test_rewrite_counters(name, expected, request):
+    pres = request.getfixturevalue(f"{name}_presentation")
+    table = kernel_coset_table(pres, plane_transposition_map(request.getfixturevalue(name)))
+    stats = {}
+    sub = reidemeister_schreier(pres, table, stats=stats)
+    keys = (
+        "schreier_generators",
+        "relators_traced",
+        "cycles_skipped",
+        "relators_out",
+        "letters_out",
+    )
+    assert tuple(stats[k] for k in keys) == expected
+    assert stats["relators_out"] == len(sub.relators)
+    assert stats["letters_out"] == sub.total_relator_length()
+    # squares trace nowhere (no fixed points); every other relator is
+    # traced or skipped once from each coset
+    assert stats["relators_traced"] + stats["cycles_skipped"] == table.coset_count * (
+        len(pres.relators) - len(pres.involutions())
+    )
+
+
+def plain_reidemeister_schreier(pres, table):
+    """Reference rewrite: one Schreier generator per (coset, generator)
+    off the same breadth-first tree, every relator traced from every
+    coset."""
+    m, n = pres.generator_count, table.coset_count
+    letters = list(range(1, m + 1)) + [-k for k in range(1, m + 1)]
+    tree, seen, frontier = set(), {0}, [0]
+    while frontier:
+        grown = []
+        for c in frontier:
+            for x in letters:
+                d = table.target(c, x)
+                if d not in seen:
+                    seen.add(d)
+                    grown.append(d)
+                    tree.add((c, x) if x > 0 else (d, -x))
+        frontier = grown
+    gen_id, names = {}, []
+    for c in range(n):
+        for k in range(1, m + 1):
+            if (c, k) not in tree:
+                names.append(f"x{c}_{k}" if n > 1 else f"x{k}")
+                gen_id[(c, k)] = len(names)
+    relators = []
+    for w in pres.relators:
+        for c in range(n):
+            d, word = c, []
+            for x in w:
+                if x > 0:
+                    word.append(gen_id.get((d, x), 0))
+                    d = table.target(d, x)
+                else:
+                    d = table.target(d, x)
+                    word.append(-gen_id.get((d, -x), 0))
+            assert d == c
+            relators.append([s for s in word if s])
+    return GroupPresentation.make(names, relators)
+
+
+def s4_coxeter():
+    # <a, b, c | a^2, b^2, c^2, (ab)^3, (bc)^3, (ac)^2> = S4
+    return GroupPresentation.make(
+        ("a", "b", "c"), [(1, 1), (2, 2), (3, 3), (1, 2) * 3, (2, 3) * 3, (1, 3) * 2]
+    )
+
+
+def dihedral_involutions(n):
+    # <a, b | a^2, b^2, (ab)^n>: for n = 2 and 3 the commutator and the
+    # braid triple of two involutions
+    return GroupPresentation.make(("a", "b"), [(1, 1), (2, 2), (1, 2) * n])
+
+
+def dihedral_rotation(n):
+    # <r, s | r^n, s^2, s r s^-1 r>: r is not an involution
+    return GroupPresentation.make(("r", "s"), [(1,) * n, (2, 2), (2, 1, -2, 1)])
+
+
+def s4_mixed():
+    # <a, b | a^4, b^2, (a b^-1)^3>: a 4-cycle and a transposition
+    return GroupPresentation.make(("a", "b"), [(1,) * 4, (2, 2), (1, -2) * 3])
+
+
+def quaternion():
+    # <i, j | i^4, i^2 j^-2, j^-1 i j i>: no involution generator
+    return GroupPresentation.make(("i", "j"), [(1,) * 4, (1, 1, -2, -2), (-2, 1, 2, 1)])
+
+
+def klein_repeated():
+    # (a b^-1)^2 is (ab)^2 again once b^-1 = b: the rewrite repeats words
+    return GroupPresentation.make(("a", "b"), [(1, 1), (2, 2), (1, 2) * 2, (1, -2) * 2])
+
+
+ORACLE_CASES = [
+    (dihedral_involutions(2), [(), (1,), (1, 2)]),
+    (klein_repeated(), [(), (1,), (1, 2)]),
+    (dihedral_involutions(3), [(), (1,), (2,), (1, 2)]),
+    (dihedral_involutions(4), [(1,), (1, 2), (1, 2, 1, 2), (2, 1, 2)]),
+    (dihedral_involutions(6), [(1,), (1, 2, 1, 2), (2, 1, 2, 1, 2)]),
+    (s4_coxeter(), [(), (1,), (2,), (1, 2), (1, 3), (2, 3, 2)]),
+    (dihedral_rotation(5), [(), (2,), (1,), (1, 2)]),
+    (dihedral_rotation(6), [(1, 1), (2,), (1, 2)]),
+    (s4_mixed(), [(), (2,), (1,), (1, 1), (1, 2)]),
+    (quaternion(), [(), (1,), (1, 1), (2,)]),
+]
+
+
+def random_rewrite(pres, rng):
+    """The same group with each relator rotated, maybe inverted, and some
+    involution letters written as inverses; squares flip both letters."""
+    inv = pres.involutions()
+    relators = []
+    for w in pres.relators:
+        if len(w) == 2 and abs(w[0]) in inv and w[0] == w[1]:
+            relators.append(rng.choice((w, (-w[0], -w[0]))))
+            continue
+        t = rng.randrange(len(w))
+        w = w[t:] + w[:t]
+        if rng.random() < 0.5:
+            w = tuple(-x for x in reversed(w))
+        relators.append(
+            tuple(-x if abs(x) in inv and rng.random() < 0.5 else x for x in w)
+        )
+    rng.shuffle(relators)
+    return GroupPresentation.make(pres.names, relators)
+
+
+def seeded_cases(seed, count):
+    rng = random.Random(seed)
+    for _ in range(count):
+        pres, _ = rng.choice(ORACLE_CASES)
+        m = pres.generator_count
+        subgroup = [
+            tuple(rng.choice((-1, 1)) * rng.randint(1, m) for _ in range(rng.randint(1, 3)))
+            for _ in range(rng.randint(0, 2))
+        ]
+        yield random_rewrite(pres, rng), subgroup
+
+
+def oracle_inputs():
+    for pres, subgroups in ORACLE_CASES:
+        for words in subgroups:
+            yield pres, [words] if words else []
+    yield from seeded_cases(2026, 40)
+
+
+def trivial_in(table, word):
+    # a table over the trivial subgroup is regular: fixing coset 0 suffices
+    return table.trace(0, word) == 0
+
+
+def test_rewrite_matches_plain_oracle():
+    for pres, subgroup in oracle_inputs():
+        order = group_order(coset_enumeration(pres, (), 10_000))
+        table = coset_enumeration(pres, subgroup, 10_000)
         index = table.coset_count
-        assert sub.generator_count == index * pres.generator_count - (index - 1)
+        sub = reidemeister_schreier(pres, table)
+        ref = plain_reidemeister_schreier(pres, table)
+        assert sub == GroupPresentation.make(sub.names, sub.relators)  # normalized
+        assert sub.generator_count == orbit_count(pres, table)
+        h = group_order(coset_enumeration(simplify_presentation(sub), (), 10_000))
+        h_ref = group_order(coset_enumeration(simplify_presentation(ref), (), 10_000))
+        assert h == h_ref and h * index == order
+        assert abelian_invariants(sub) == abelian_invariants(ref)
+
+        # the rewrite holds in the subgroup as the oracle presents it: every
+        # relator is trivial, a dropped generator of an involution is the
+        # inverse of its partner's, or trivial when the pair is a tree edge
+        ref_table = coset_enumeration(ref, (), 10_000)
+        ids = [ref.id_of(name) for name in sub.names]
+        for w in sub.relators:
+            word = [ids[x - 1] if x > 0 else -ids[-x - 1] for x in w]
+            assert trivial_in(ref_table, word)
+        if index == 1:
+            assert sub.names == ref.names
+            continue
+        kept = set(sub.names)
+        for name in set(ref.names) - kept:
+            c, k = map(int, name[1:].split("_"))
+            assert k in pres.involutions()
+            partner = f"x{table.target(c, k)}_{k}"
+            word = [ref.id_of(name)] + ([ref.id_of(partner)] if partner in kept else [])
+            assert trivial_in(ref_table, word)
 
 
 def test_t4_kernel_is_trivial(t4, t4_presentation):

@@ -4,7 +4,10 @@
 move touches.  Its output must equal, relator for relator, what the
 per-move rebuild of the whole presentation returned.  The fingerprints
 below are sha256 digests of ``repr((names, relators))`` of that rebuild's
-output, taken before the incremental version replaced it.
+output, taken before the incremental version replaced it.  The dt4 kernel
+fingerprint was taken again, by that same rebuild, when Reidemeister-Schreier
+began to give one Schreier generator per involution orbit: its input changed,
+its size (4 generators, 817 relators, 10,918 letters) did not.
 """
 
 import hashlib
@@ -40,7 +43,7 @@ TRIVIAL = "56546d2909af60407f1b144ea7574bf0cb4c48af72e18baac6c9da2036df2a88"
 KERNEL_FINGERPRINTS = {
     "t4": (TRIVIAL, 0, 0, 0),
     "dt4": (
-        "3d087e9c2525b4c8b0f7768eaae5ae8175077c8c560fb934d77c01f611d8815d",
+        "586b21c7c90c9ecec72ae4ed709c301fa9a95f043f97942ec7316b79d702b760",
         4,
         817,
         10918,
