@@ -2,13 +2,19 @@
 
 ``analyze`` drives the full computation for one degeneration: validate,
 classify, count singularities, Chern numbers and signature, generate the
-group presentation, enumerate its order, split off the symmetric-group
-image, and identify the kernel (= the fundamental group of the Galois
-cover).  Optionally the independent Coxeter-quotient route runs as well
-and the two verdicts are compared.
+group presentation, map it onto the symmetric group S_n, and identify the
+kernel K (= the fundamental group of the Galois cover) from a presentation
+of it: the kernel coset table (n! rows), Reidemeister-Schreier, Tietze
+simplification and an enumeration of K give |K|, and |G~| = n!|K|.
+Todd-Coxeter on G~ itself runs only for the Coxeter-quotient route
+(``coxeter`` or ``both``); under ``both`` its order must equal n!|K|, and
+the two routes' verdicts are compared.
 
-Exit codes: 0 definite verdict, 1 undecided (enumeration overflow or an
-unsupported route), 2 input errors.
+``max_cosets`` bounds every table: the full enumeration, the n!-row
+kernel table (checked before a row is built) and the kernel enumeration.
+
+Exit codes: 0 definite verdict, 1 undecided (a table hit ``max_cosets``,
+or no requested route could decide), 2 input errors.
 """
 
 from __future__ import annotations
@@ -267,30 +273,23 @@ def analyze(
         "image_order", permutation_group_order, assignment.images
     )
 
-    # one enumeration serves both routes: the kernel analysis reads the
-    # table, and the Coxeter route verifies its elimination plan on it
-    table = None
-    try:
-        table = timed("enumerate", coset_enumeration, pres, (), max_cosets)
-    except EnumerationOverflow as exc:
-        report.undecided = True
-        report.warnings.append(
-            f"undecided at bound: enumeration overflow at {exc.max_cosets} cosets"
-        )
-        report.pi1 = {
-            "kind": "Undetermined",
-            "note": f"undecided at bound {exc.max_cosets}",
-        }
-
+    # the kernel route gives |K| from a presentation of the kernel, and
+    # with it |G~| = n!|K|; only the Coxeter route needs the full table
     enum_verdict = None
-    if route in ("enumerate", "both") and table is not None:
-        report.tilde_order = group_order(table)
-        enum_verdict = _enumeration_route(
-            report, complex_, pres, assignment, table, max_cosets, timed
-        )
+    if route in ("enumerate", "both"):
+        enum_verdict = _enumeration_route(report, pres, assignment, max_cosets, timed)
 
     cox_verdict = None
     if route in ("coxeter", "both"):
+        table = None
+        try:
+            table = timed("enumerate", coset_enumeration, pres, (), max_cosets)
+        except EnumerationOverflow:
+            _undecided_at_bound(
+                report, max_cosets, f"enumeration overflow at {max_cosets} cosets"
+            )
+        if route == "both" and table is not None:
+            _index_cross_check(report, group_order(table))
         cox_verdict = _coxeter_route(report, pres_noproj, proj, table, timed)
 
     if route == "both" and enum_verdict is not None:
@@ -305,15 +304,21 @@ def analyze(
     if final is not None:
         report.pi1 = _verdict_dict(final)
     if report.pi1 is None:
-        report.undecided = True
         report.pi1 = {"kind": "Undetermined", "note": "no route produced a verdict"}
-    if report.pi1.get("kind") == "Undetermined":
-        report.undecided = True
+    report.undecided = report.pi1.get("kind") == "Undetermined"
     return report
 
 
-def _enumeration_route(report, complex_, pres, assignment, table, max_cosets, timed):
-    """Kernel analysis along the enumeration route; returns the verdict."""
+def _undecided_at_bound(report, max_cosets, what):
+    """A table hit ``max_cosets``: warn where, and leave pi1 undetermined
+    unless another route decides."""
+    report.warnings.append(f"undecided at bound: {what}")
+    report.pi1 = {"kind": "Undetermined", "note": f"undecided at bound {max_cosets}"}
+
+
+def _enumeration_route(report, pres, assignment, max_cosets, timed):
+    """Kernel route: |K| from a presentation of K = ker(G~ -> S_n), then
+    |G~| = n!|K|.  Returns the verdict, or None when a bound stops it."""
     hom = verify_homomorphism(pres, assignment)
     if not hom.holds:
         raise AnalysisError(
@@ -327,30 +332,28 @@ def _enumeration_route(report, complex_, pres, assignment, table, max_cosets, ti
             f"transposition image has order {image_order}, not the full "
             f"symmetric group of order {nfact}",
         )
-    tilde = report.tilde_order
-    if tilde % image_order != 0:
-        raise AnalysisError(
-            "kernel", f"group order {tilde} not divisible by image order {image_order}"
-        )
-    kernel_order = tilde // image_order
-    report.kernel_order = kernel_order
+    # the kernel table has one row per permutation: bound it before building
+    if nfact > max_cosets:
+        _undecided_at_bound(report, max_cosets, f"kernel table needs {nfact} rows")
+        return None
 
     ktable = timed("kernel_table", kernel_coset_table, pres, assignment)
     sub = timed("reidemeister_schreier", reidemeister_schreier, pres, ktable)
     simplified = timed("simplify", simplify_presentation, sub)
-
-    rs_order = None
     try:
         rs_table = timed("kernel_enumerate", coset_enumeration, simplified, (), max_cosets)
-        rs_order = group_order(rs_table)
-    except EnumerationOverflow as exc:
-        report.warnings.append(
-            f"kernel presentation enumeration undecided at bound {exc.max_cosets}"
+    except EnumerationOverflow:
+        _undecided_at_bound(
+            report, max_cosets, f"kernel enumeration overflow at {max_cosets} cosets"
         )
+        return None
+    kernel_order = group_order(rs_table)
+    report.kernel_order = kernel_order
+    report.tilde_order = nfact * kernel_order
     report.kernel_cross_check = {
-        "from_index": kernel_order,
-        "from_subgroup_presentation": rs_order,
-        "agree": (rs_order == kernel_order) if rs_order is not None else None,
+        "from_index": None,
+        "from_subgroup_presentation": kernel_order,
+        "agree": None,
     }
 
     corank = timed("mod2", abelianization, simplified, "mod2")
@@ -361,9 +364,9 @@ def _enumeration_route(report, complex_, pres, assignment, table, max_cosets, ti
         kernel_order, mod2_corank=corank, invariant_factors=factors
     )
     report.enumeration_route = {
-        "tilde_order": tilde,
+        "tilde_order": report.tilde_order,
         "kernel_order": kernel_order,
-        "kernel_order_from_presentation": rs_order,
+        "kernel_order_from_presentation": kernel_order,
         "subgroup_generators": sub.generator_count,
         "simplified_generators": simplified.generator_count,
         "mod2_corank": corank,
@@ -372,6 +375,28 @@ def _enumeration_route(report, complex_, pres, assignment, table, max_cosets, ti
         "pi1": verdict.describe(),
     }
     return verdict
+
+
+def _index_cross_check(report, tilde):
+    """Under ``--route both``: the full table's order over n! is a second,
+    independent |K|, and must equal the kernel presentation's."""
+    nfact = report.symmetric_image_order
+    if tilde % nfact:
+        raise AnalysisError(
+            "kernel", f"group order {tilde} not divisible by image order {nfact}"
+        )
+    kernel = report.kernel_order
+    if kernel is not None and tilde != nfact * kernel:
+        raise AnalysisError(
+            "kernel",
+            f"the full coset table has {tilde} rows, but the kernel presentation "
+            f"gives n!|K| = {nfact}*{kernel} = {nfact * kernel}",
+        )
+    report.kernel_cross_check = {
+        "from_index": tilde // nfact,
+        "from_subgroup_presentation": kernel,
+        "agree": True if kernel is not None else None,
+    }
 
 
 def _coxeter_route(report, pres_noproj, proj, table, timed):
@@ -447,9 +472,10 @@ def emit_report(report: AnalysisReport, fmt: str = "text") -> bytes:
     lines.append(f"pi1(X_Gal) verdict: {desc}")
     if report.enumeration_route:
         er = report.enumeration_route
+        from_index = report.kernel_cross_check["from_index"]
+        check = "" if from_index is None else f" (full table: {from_index})"
         lines.append(
-            f"  enumeration route: kernel {er['kernel_order']}"
-            f" (cross-check {er['kernel_order_from_presentation']}),"
+            f"  enumeration route: kernel {er['kernel_order']}{check},"
             f" mod-2 co-rank {er['mod2_corank']}"
         )
     if report.coxeter_route:
@@ -508,7 +534,10 @@ def _build_parser():
         "--max-cosets",
         type=int,
         default=DEFAULT_MAX_COSETS,
-        help=f"coset allocation bound for enumeration (default {DEFAULT_MAX_COSETS})",
+        help=(
+            "bound on the cosets of each enumeration and on the n! rows of the "
+            f"kernel table (default {DEFAULT_MAX_COSETS})"
+        ),
     )
     a.add_argument(
         "--format", choices=("text", "json"), default="text", help="report format"

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from galcov.complexes import DegenerationComplex, Edge, Vertex
+from galcov.complexes import DegenerationComplex, Edge, PresentationOverrides, Vertex
 from galcov.datasets import load_builtin
 from galcov.enumeration import coset_enumeration
 from galcov.permutations import Permutation
@@ -188,12 +188,41 @@ def relabel_complex(c, rng):
             key=lambda v: v.id,
         )
     )
+    overrides = c.overrides
+    if overrides is not None:
+        proj = overrides.projective_relator
+        overrides = PresentationOverrides(
+            tuple(_relabel_relation(line, edge_map) for line in overrides.extra_relators),
+            None if proj is None else _relabel_relation(proj, edge_map),
+        )
     return DegenerationComplex(
         name=c.name + "-relabeled",
         plane_count=c.plane_count,
         edges=edges,
         vertices=vertices,
+        overrides=overrides,
     )
+
+
+# leading generator indices of each relation form (``ccomm K : W``, ...)
+_INDEX_ARGS = {"sq": 1, "triple": 2, "comm": 2, "ccomm": 1}
+
+
+def _relabel_relation(line, edge_map):
+    """A relation-grammar line with every generator index and ``gK`` token
+    mapped through the edge relabeling, so it states the same relation."""
+    tokens = line.split()
+    indices = _INDEX_ARGS.get(tokens[0], 0)
+    out = tokens[:1]
+    for tok in tokens[1:]:
+        if len(out) <= indices:
+            out.append(str(edge_map[int(tok)]))
+        elif tok.startswith("g"):
+            k, _, power = tok[1:].partition("^")
+            out.append(f"g{edge_map[int(k)]}" + (f"^{power}" if power else ""))
+        else:
+            out.append(tok)
+    return " ".join(out)
 
 
 def random_valid_complex(rng):

@@ -1,11 +1,16 @@
 import json
+import random
 
 import pytest
 
 import galcov.cli
 from galcov.cli import AnalysisError, analyze, emit_report, main
 from galcov.complexes import serialize_complex
-from galcov.presentation import parse_relation
+from galcov.datasets import load_builtin
+from galcov.enumeration import group_order
+from galcov.presentation import GroupPresentation, parse_relation
+
+from .conftest import relabel_complex
 
 
 def test_analyze_t4_report():
@@ -16,7 +21,14 @@ def test_analyze_t4_report():
     assert report.pi1 == {"kind": "Trivial"}
     assert report.chern["chi"] == -24
     assert not report.undecided
-    assert report.kernel_cross_check["agree"] is True
+    # the enumerate route builds no full table, so there is no index to check
+    assert report.kernel_cross_check == {
+        "from_index": None,
+        "from_subgroup_presentation": 1,
+        "agree": None,
+    }
+    both = analyze("t4", route="both")
+    assert both.kernel_cross_check["agree"] is True
 
 
 def test_analyze_rejects_unknown_route():
@@ -228,3 +240,111 @@ def test_boolean_plane_is_parse_error(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "[parse]" in err
     assert "edges[0]: edge planes must be a pair of integers" in err
+
+
+def _recording(monkeypatch):
+    """Record every table ``analyze`` enumerates, in call order; a call
+    that overflows leaves None."""
+    tables = []
+    real = galcov.cli.coset_enumeration
+
+    def recording(*args, **kwargs):
+        tables.append(None)
+        tables[-1] = real(*args, **kwargs)
+        return tables[-1]
+
+    monkeypatch.setattr(galcov.cli, "coset_enumeration", recording)
+    return tables
+
+
+@pytest.mark.parametrize("name,kernel_order", [("t4", 1), ("dt4", 16)])
+def test_enumerate_route_enumerates_only_the_kernel(monkeypatch, name, kernel_order):
+    # |G~| comes from n!|K|: the one enumeration is of the kernel presentation
+    tables = _recording(monkeypatch)
+    report = analyze(name, route="enumerate")
+    assert [group_order(t) for t in tables] == [kernel_order]
+    assert report.tilde_order == report.symmetric_image_order * kernel_order
+    assert "enumerate" not in report.timings
+
+
+@pytest.mark.parametrize("name,seed", [("t4", None), ("t4", 1), ("t4", 2),
+                                       ("dt4", None), ("dt4", 1)])
+def test_enumerate_route_order_equals_full_table(monkeypatch, tmp_path, name, seed):
+    source = name
+    if seed is not None:
+        source = tmp_path / f"{name}-{seed}.json"
+        complex_ = relabel_complex(load_builtin(name), random.Random(seed))
+        source.write_text(serialize_complex(complex_), encoding="utf-8")
+        source = str(source)
+    tables = _recording(monkeypatch)
+    both = analyze(source, route="both")
+    full = group_order(tables[-1])  # the kernel route enumerates first
+    assert len(tables) == 2
+    assert full == {"t4": 24, "dt4": 11_520}[name]
+    assert both.kernel_cross_check["from_index"] * both.symmetric_image_order == full
+    assert analyze(source, route="enumerate").tilde_order == full == both.tilde_order
+
+
+def test_both_routes_raise_when_the_orders_disagree(monkeypatch):
+    # a kernel presentation of Z2 for t4 claims |G~| = 24 * 2, but the full
+    # table has 24 rows
+    z2 = GroupPresentation.make(("x",), [(1, 1)])
+    monkeypatch.setattr(galcov.cli, "simplify_presentation", lambda pres: z2)
+    assert analyze("t4", route="enumerate").tilde_order == 48
+    with pytest.raises(AnalysisError) as info:
+        analyze("t4", route="both")
+    assert info.value.stage == "kernel"
+    assert "24 rows" in str(info.value)
+
+
+@pytest.mark.parametrize(
+    "name,bound,decides",
+    [("t4", 23, False), ("t4", 24, True), ("dt4", 719, False), ("dt4", 720, True),
+     ("dt4", 11_519, True)],
+)
+def test_kernel_table_is_bounded(capsys, name, bound, decides):
+    # the n!-row kernel table is checked against the bound before it is built
+    argv = ["analyze", name, "--max-cosets", str(bound), "--format", "json"]
+    assert main(argv) == (0 if decides else 1)
+    out, err = capsys.readouterr()
+    assert "Traceback" not in err
+    report = json.loads(out)
+    rows = report["symmetric_image_order"]
+    if decides:
+        assert not report["undecided"]
+        assert report["tilde_order"] == {"t4": 24, "dt4": 11_520}[name]
+    else:
+        assert report["undecided"]
+        assert report["tilde_order"] is None and report["kernel_order"] is None
+        assert f"undecided at bound: kernel table needs {rows} rows" in report["warnings"]
+        assert report["pi1"] == {"kind": "Undetermined", "note": f"undecided at bound {bound}"}
+
+
+def test_kernel_enumeration_overflow_is_undecided(monkeypatch, capsys):
+    # a kernel presentation of Z100 needs 100 cosets, over the bound of 50
+    z100 = GroupPresentation.make(("x",), [(1,) * 100])
+    monkeypatch.setattr(galcov.cli, "simplify_presentation", lambda pres: z100)
+    report = analyze("t4", max_cosets=50)
+    assert report.undecided
+    assert report.tilde_order is None and report.kernel_order is None
+    assert "undecided at bound: kernel enumeration overflow at 50 cosets" in report.warnings
+    assert report.pi1 == {"kind": "Undetermined", "note": "undecided at bound 50"}
+    assert main(["analyze", "t4", "--max-cosets", "50"]) == 1
+    assert "undecided at bound" in capsys.readouterr().out
+
+
+def test_kernel_route_decides_both_after_full_overflow(monkeypatch, capsys):
+    # dt4's kernel enumeration defines 340 cosets, its full one 46,785: at
+    # 720 the kernel route decides and the Coxeter route has no table
+    tables = _recording(monkeypatch)
+    report = analyze("dt4", route="both", max_cosets=720)
+    assert len(tables) == 2 and tables[-1] is None  # the full call overflowed
+    assert report.pi1 == {"kind": "ElementaryAbelian2", "rank": 4}
+    assert report.tilde_order == 11_520 and report.kernel_order == 16
+    assert not report.undecided
+    assert "undecided at bound: enumeration overflow at 720 cosets" in report.warnings
+    assert report.kernel_cross_check["from_index"] is None
+    assert report.coxeter_route["supported"] is False
+    assert report.route_agreement is None
+    assert main(["analyze", "dt4", "--route", "both", "--max-cosets", "720"]) == 0
+    assert "undecided at bound: enumeration overflow" in capsys.readouterr().out
