@@ -41,7 +41,7 @@ from .complexes import (
 from .coxeter import coxeter_route
 from .datasets import BUILTIN_SOURCES, builtin_names, coxeter_plan_for, load_builtin
 from .enumeration import EnumerationOverflow, coset_enumeration, group_order
-from .invariants import chern_signature, singularity_counts
+from .invariants import InvariantError, chern_signature, singularity_counts
 from .kernel import (
     StructureVerdict,
     abelianization,
@@ -220,7 +220,10 @@ def analyze(
     inner4 = sum(1 for c in classes.values() if isinstance(c, Inner4))
 
     counts = timed("counts", singularity_counts, complex_)
-    chern = timed("chern", chern_signature, counts)
+    try:
+        chern = timed("chern", chern_signature, counts)
+    except InvariantError as exc:
+        raise AnalysisError("chern", str(exc)) from exc
     warnings.extend(chern.warnings)
 
     try:

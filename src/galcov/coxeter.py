@@ -11,13 +11,13 @@ The projective relator then lands inside the lattice, and the kernel of
 the map onto S_n becomes the quotient of the lattice by the sublattice
 generated by the S_n-orbit of that one vector -- conjugation by lattice
 elements is trivial on an abelian normal subgroup, so the orbit generates
-the whole normal closure.  Smith normal form of the orbit matrix finishes
-the computation.
+the whole normal closure.  Smith normal form of n rows spanning the
+orbit's lattice (see ``lattice_quotient``) finishes the computation.
 """
 
 from __future__ import annotations
 
-import itertools
+import math
 from dataclasses import dataclass
 
 from .kernel import StructureVerdict, smith_normal_form
@@ -272,14 +272,21 @@ def lattice_quotient(proj_vec_u, n: int) -> LatticeQuotient:
     """Quotient of the sum-zero lattice by the S_n-orbit of one vector.
 
     ``proj_vec_u`` is given in the u-basis (u_{1,2}, ..., u_{n-1,n}).
-    The orbit under coordinate permutations generates the sublattice cut
-    out by the normal closure; its Smith normal form gives the quotient.
+    The orbit of v under coordinate permutations generates Z.v + g.L,
+    where L is the sum-zero lattice and g the gcd of the differences
+    v_a - v_b: each sigma.v - v lies in g.L, and for w in the orbit
+    w - (a b).w = (w_a - w_b) u_{a,b}, where w_a - w_b runs over every
+    difference.  So v with g times the u-basis spans the sublattice cut
+    out by the normal closure, without listing the n! orbit; its Smith
+    normal form gives the quotient.
     """
     vec = vector_from_u_coords(proj_vec_u, n)
     if not any(vec):
         return LatticeQuotient(invariants=(0,) * (n - 1), order=None)
-    orbit = sorted(set(itertools.permutations(vec)))
-    rows = [u_basis_coords(w) for w in orbit]
+    g = math.gcd(*(x - vec[0] for x in vec))
+    rows = [tuple(proj_vec_u)] + [
+        tuple(g if j == i else 0 for j in range(n - 1)) for i in range(n - 1)
+    ]
     diag = smith_normal_form(rows)
     invariants = tuple(diag[: n - 1]) + (0,) * max(0, n - 1 - len(diag))
     order = None

@@ -20,7 +20,6 @@ from dataclasses import dataclass
 
 from .enumeration import CosetTable, _internal_columns
 from .permutations import (
-    Permutation,
     SymmetricAssignment,
     permutation_group_order,
     verify_homomorphism,
@@ -37,8 +36,9 @@ def kernel_coset_table(pres: GroupPresentation, a: SymmetricAssignment) -> Coset
 
     Cosets are indexed by the n! permutations in lexicographic image
     order, so coset 0 is the kernel itself; generator g acts by
-    sigma -> sigma * a(g).  Requires the assignment to be a relator-
-    preserving map onto the full symmetric group.
+    sigma -> sigma * a(g), looked up by image tuple.  Requires the
+    assignment to be a relator-preserving map onto the full symmetric
+    group by transpositions.
     """
     report = verify_homomorphism(pres, a)
     if not report.holds:
@@ -46,26 +46,23 @@ def kernel_coset_table(pres: GroupPresentation, a: SymmetricAssignment) -> Coset
             f"assignment is not a homomorphism; failing relators {report.failures}"
         )
     n = a.degree
-    image_order = permutation_group_order(a.images[: pres.generator_count])
+    gens = a.images[: pres.generator_count]
+    image_order = permutation_group_order(gens)
     full = math.factorial(n)
     if image_order != full:
         raise KernelError(
             f"assignment is not surjective: image order {image_order} != {n}! = {full}"
         )
 
-    elements = [
-        Permutation(images) for images in itertools.permutations(range(1, n + 1))
+    elements = list(itertools.permutations(range(1, n + 1)))
+    index = {sigma: i for i, sigma in enumerate(elements)}
+    columns = []
+    for g in gens:
+        columns += [g.images, g.inverse().images]
+    rows = [
+        tuple(index[tuple(h[x - 1] for x in sigma)] for h in columns)
+        for sigma in elements
     ]
-    index = {perm.images: i for i, perm in enumerate(elements)}
-    gens = a.images[: pres.generator_count]
-    inverses = [g.inverse() for g in gens]
-    rows = []
-    for sigma in elements:
-        row = []
-        for g, ginv in zip(gens, inverses):
-            row.append(index[(sigma * g).images])
-            row.append(index[(sigma * ginv).images])
-        rows.append(tuple(row))
     return CosetTable(generator_count=pres.generator_count, rows=tuple(rows))
 
 

@@ -1,11 +1,17 @@
 """Permutations of {1..n}, the plane-transposition map, and group orders.
 
+Each edge generator maps to the transposition of its two planes, so the
+image in S_n is generated by transpositions; its order comes from the
+connected components of the plane graph those transpositions span.
+
 Composition convention, fixed once and used everywhere: (p * q)(x) =
 q(p(x)), i.e. the left factor acts first.
 """
 
 from __future__ import annotations
 
+import math
+from collections import Counter
 from dataclasses import dataclass
 
 
@@ -119,98 +125,27 @@ def verify_homomorphism(pres, a: SymmetricAssignment) -> HomomorphismReport:
 
 
 def permutation_group_order(gens) -> int:
-    """Order of the group generated by ``gens`` via a stabilizer chain.
+    """Order of the group generated by transpositions (identities allowed).
 
-    Deterministic Schreier-Sims: base points are the smallest moved
-    points, transversals grow breadth-first, and Schreier generators are
-    sifted until none leaves a residue.  The order is the product of the
-    orbit sizes along the chain.
+    Transpositions generate the full symmetric group on each connected
+    component of the graph whose edges they are, so the order is the
+    product of the factorials of the component sizes.  Any other
+    permutation raises ``ValueError``.
     """
-    strong = [g for g in gens if not g.is_identity()]
-    if not strong:
-        return 1
-    degree = strong[0].degree
-    if any(g.degree != degree for g in strong):
-        raise ValueError("generators must share a degree")
+    parent: dict[int, int] = {}
 
-    base: list[int] = []
-    transversals: list[dict[int, Permutation]] = []
+    def root(x):
+        while parent.setdefault(x, x) != x:
+            x = parent[x]
+        return x
 
-    def first_moved_base(g):
-        for i, b in enumerate(base):
-            if g(b) != b:
-                return i
-        return len(base)
-
-    def level_gens(level):
-        return [g for g in strong if first_moved_base(g) >= level]
-
-    def extend_base_for(g):
-        for x in range(1, degree + 1):
-            if g(x) != x:
-                base.append(x)
-                transversals.append({})
-                return
-        raise AssertionError("identity cannot extend the base")
-
-    def rebuild(level):
-        point = base[level]
-        transversal = {point: Permutation.identity(degree)}
-        frontier = [point]
-        here = level_gens(level)
-        while frontier:
-            nxt = []
-            for a in frontier:
-                t = transversal[a]
-                for g in here:
-                    b = g(a)
-                    if b not in transversal:
-                        transversal[b] = t * g
-                        nxt.append(b)
-            frontier = nxt
-        transversals[level] = transversal
-
-    def sift(g):
-        for level in range(len(base)):
-            b = g(base[level])
-            if b not in transversals[level]:
-                return g
-            g = g * transversals[level][b].inverse()
-        return g
-
-    def add(g):
-        residue = sift(g)
-        if residue.is_identity():
-            return False
-        if first_moved_base(residue) == len(base):
-            extend_base_for(residue)
-        strong.append(residue)
-        for level in range(len(base)):
-            rebuild(level)
-        return True
-
-    extend_base_for(strong[0])
-    for level in range(len(base)):
-        rebuild(level)
-    for g in list(strong):
-        add(g)
-
-    # fixpoint: every Schreier generator must sift to the identity
-    done = False
-    while not done:
-        done = True
-        for level in range(len(base) - 1, -1, -1):
-            transversal = transversals[level]
-            for a in sorted(transversal):
-                t = transversal[a]
-                for g in level_gens(level):
-                    schreier = t * g * transversal[g(a)].inverse()
-                    if add(schreier):
-                        done = False
-            if not done:
-                break
-
-    order = 1
-    for t in transversals:
-        order *= len(t)
-    return order
+    for g in gens:
+        moved = [x for x, y in enumerate(g.images, 1) if x != y]
+        if not moved:
+            continue
+        if len(moved) != 2:
+            raise ValueError(f"not a transposition: {g}")
+        a, b = moved
+        parent[root(a)] = root(b)
+    sizes = Counter(root(x) for x in parent)
+    return math.prod(math.factorial(s) for s in sizes.values())

@@ -242,6 +242,17 @@ def test_boolean_plane_is_parse_error(tmp_path, capsys):
     assert "edges[0]: edge planes must be a pair of integers" in err
 
 
+def test_degree_over_the_factorial_guard_is_chern_error(tmp_path, capsys):
+    from galcov.datasets import T4_JSON
+
+    path = tmp_path / "eleven.json"
+    path.write_text(T4_JSON.replace('"planes": 4,', '"planes": 11,'), encoding="utf-8")
+    assert main(["analyze", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert "[chern] degree 11 exceeds the supported bound 10" in err
+    assert "Traceback" not in err
+
+
 def _recording(monkeypatch):
     """Record every table ``analyze`` enumerates, in call order; a call
     that overflows leaves None."""

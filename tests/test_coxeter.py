@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -16,6 +17,7 @@ from galcov.coxeter import (
     vector_from_u_coords,
 )
 from galcov.datasets import coxeter_plan_for
+from galcov.kernel import smith_normal_form
 from galcov.permutations import Permutation
 from galcov.presentation import build_tilde_presentation, parse_word, projective_relator
 
@@ -280,6 +282,34 @@ def test_lattice_quotient_single_root():
     assert q.invariants == (1, 1, 1, 1, 1)
     assert q.order == 1
     assert q.verdict().kind == "Trivial"
+
+
+def orbit_invariants(vec):
+    """Invariant factors of the sum-zero lattice modulo the span of the
+    whole S_n-orbit of ``vec``: the oracle for ``lattice_quotient``."""
+    n = len(vec)
+    rows = [u_basis_coords(w) for w in set(itertools.permutations(vec))]
+    diag = smith_normal_form(rows)
+    return tuple(diag[: n - 1]) + (0,) * (n - 1 - len(diag))
+
+
+def test_lattice_quotient_matches_orbit_oracle():
+    rng = random.Random(29)
+    for _ in range(2000):
+        n = rng.randint(2, 7)
+        scale = rng.choice((1, 2, 3))
+        vec = [scale * rng.randint(-1, 1) for _ in range(n - 1)]
+        vec.append(-sum(vec))
+        q = lattice_quotient(u_basis_coords(vec), n)
+        assert q.invariants == orbit_invariants(vec)
+
+
+def test_lattice_quotient_does_not_list_the_orbit():
+    # vec = (1, ..., 1, -11) and g = 12; listing its orbit by
+    # permutations would walk all 12! = 479,001,600 orderings
+    q = lattice_quotient(tuple(range(1, 12)), 12)
+    assert q.invariants == (1,) + (12,) * 10
+    assert q.order == 12**10
 
 
 def test_u_coordinate_conversions():

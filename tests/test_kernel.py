@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -36,14 +37,30 @@ def test_kernel_table_index_two():
     assert group_order(coset_enumeration(simplify_presentation(sub), (), 100)) == 1
 
 
+def product_table_rows(pres, a):
+    """Kernel table rows from ``Permutation`` products: the oracle for the
+    image-tuple rows of ``kernel_coset_table``."""
+    elements = [Permutation(p) for p in itertools.permutations(range(1, a.degree + 1))]
+    index = {sigma: i for i, sigma in enumerate(elements)}
+    gens = a.images[: pres.generator_count]
+    return tuple(
+        tuple(index[sigma * h] for g in gens for h in (g, g.inverse()))
+        for sigma in elements
+    )
+
+
 def test_kernel_table_t4(t4, t4_presentation):
-    t = kernel_coset_table(t4_presentation, plane_transposition_map(t4))
+    a = plane_transposition_map(t4)
+    t = kernel_coset_table(t4_presentation, a)
     assert t.coset_count == 24
+    assert t.rows == product_table_rows(t4_presentation, a)
 
 
 def test_kernel_table_dt4(dt4, dt4_presentation):
-    t = kernel_coset_table(dt4_presentation, plane_transposition_map(dt4))
+    a = plane_transposition_map(dt4)
+    t = kernel_coset_table(dt4_presentation, a)
     assert t.coset_count == 720
+    assert t.rows == product_table_rows(dt4_presentation, a)
 
 
 def test_kernel_table_rejects_non_homomorphism():

@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -99,21 +100,32 @@ def test_permutation_group_orders(t4, dt4):
     assert permutation_group_order([]) == 1
 
 
-def test_permutation_group_order_matches_closure_oracle():
+def test_transposition_group_order_matches_closure_oracle():
+    # random edge sets on few points repeat transpositions and leave
+    # several components, some of them single points
     rng = random.Random(17)
-    for _ in range(25):
-        n = rng.randint(2, 6)
-        gens = [random_permutation(rng, n) for _ in range(rng.randint(1, 3))]
-        assert permutation_group_order(gens) == len(mulclose(gens))
+    seen = set()
+    for _ in range(200):
+        n = rng.randint(2, 7)
+        gens = [Permutation.identity(n)] * rng.randint(0, 1)
+        for _ in range(rng.randint(1, n + 1)):
+            i, j = rng.sample(range(1, n + 1), 2)
+            gens.append(Permutation.transposition(n, i, j))
+        rng.shuffle(gens)
+        order = len(mulclose(gens))
+        assert permutation_group_order(gens) == order
+        if Permutation.identity(n) in gens:
+            seen.add("identity")
+        if len(set(gens)) < len(gens):
+            seen.add("repeated")
+        if order < math.factorial(n):
+            seen.add("disconnected")
+    assert seen == {"identity", "repeated", "disconnected"}
 
 
-def test_alternating_group_order():
-    a5 = [
-        Permutation((2, 3, 1, 4, 5)),
-        Permutation((1, 2, 4, 5, 3)),
-        Permutation((3, 4, 5, 1, 2)),
-    ]
-    assert permutation_group_order(a5) == len(mulclose(a5))
+def test_permutation_group_order_rejects_a_three_cycle():
+    with pytest.raises(ValueError, match="not a transposition"):
+        permutation_group_order([Permutation.transposition(3, 1, 2), Permutation((2, 3, 1))])
 
 
 def test_transpositions_generate_full_symmetric_group_on_random_complexes():
