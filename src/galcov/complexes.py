@@ -12,6 +12,7 @@ All types are immutable values; every operation is a pure function.
 
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import dataclass
 
@@ -297,6 +298,38 @@ def validate(c: DegenerationComplex) -> ValidationReport:
                 )
             else:
                 pairs[key] = x
+
+    # the edge transpositions generate S_n only when the edges join all n
+    # planes; a plane on no edge is a component of its own
+    root = {}
+
+    def find(p):
+        while root.setdefault(p, p) != p:
+            p = root[p]
+        return p
+
+    for e in c.edges:
+        a, b = e.planes
+        if 1 <= a <= c.plane_count and 1 <= b <= c.plane_count:
+            root[find(a)] = find(b)
+    components = {}
+    for p in sorted(root):
+        components.setdefault(find(p), []).append(p)
+    untouched = c.plane_count - len(root)
+    if len(components) + untouched > 1:
+        parts = []
+        if components:
+            parts.append("edges join " + ", ".join(
+                "{" + ", ".join(map(str, ps)) + "}" for ps in components.values()
+            ))
+        if untouched:
+            # at most 2 * edges planes are touched, so this stops early
+            bare = list(itertools.islice(
+                (p for p in itertools.count(1) if p not in root), min(untouched, 5)
+            ))
+            more = f" and {untouched - len(bare)} more" if untouched > len(bare) else ""
+            parts.append("planes on no edge: " + ", ".join(map(str, bare)) + more)
+        violations.append("plane graph is not connected: " + "; ".join(parts))
 
     counts = {e.id: 0 for e in c.edges}
     for v in c.vertices:

@@ -3,28 +3,38 @@
 Reidemeister-Schreier rewriting yields subgroup presentations with
 thousands of generators and tens of thousands of relators, most of them
 short.  :func:`simplify_presentation` shrinks them with the cheap Tietze
-moves (kill, merge, eliminate), applied in place over an occurrence index.
-Single eliminations that must first be checked against the group, as the
-Coxeter route makes them, are :func:`galcov.presentation.eliminate_generator`.
-"""
+moves (kill, merge, eliminate), applied in place in the manner of Havas,
+Kenne, Richardson and Robertson, *A Tietze transformation program* (1984).
+
+The merge rounds that open a simplification rewrite nearly every relator,
+so each of them is one pass over the relator list.  The first search for
+an elimination builds an occurrence index; from then on a move rewrites
+only the relators that contain its generators, and the index keeps the
+occurrence counts and the elimination candidates up to date, so no move
+rescans the presentation.  Relators are deduplicated up to rotation and
+inversion after every move, as :meth:`GroupPresentation.make` does: a
+duplicate dropped later can differ from the relator it duplicated once
+later moves rewrite both, so deduplication cannot wait for the end of the
+merge rounds.  Single eliminations that must first be checked against the
+group, as the Coxeter route makes them, are
+:func:`galcov.presentation.eliminate_generator`."""
 
 from __future__ import annotations
 
 import itertools
 from collections import Counter
+from heapq import heappop, heappush
 
 from .presentation import (
     GroupPresentation,
+    _class_key,
     _dedupe,
-    _reduced_key,
     free_reduce,
     invert_word,
-    renumber_word,
-    substitute,
 )
 
 
-def simplify_presentation(pres, eliminate_up_to=4):
+def simplify_presentation(pres, eliminate_up_to=4, stats=None):
     """Cheap Tietze reduction for machine-generated presentations.
 
     Repeatedly (a) kills generators with a length-1 relator, (b) merges
@@ -35,29 +45,68 @@ def simplify_presentation(pres, eliminate_up_to=4):
     is unchanged.  Rewritten subgroup presentations shrink from thousands
     of generators to a handful this way.
 
-    Moves are applied in place (Havas, Kenne, Richardson and Robertson,
-    *A Tietze transformation program*, 1984): an occurrence index finds the
-    relators that contain a generator, so the work of a move is
-    proportional to the relators it touches (a move that touches a quarter
-    of all letters or more is one pass over every relator), and the
-    presentation is renumbered and built once, at the end.  The output
-    equals that of rebuilding the whole presentation through
-    :meth:`GroupPresentation.make` after every move: same generator names,
-    same relators, same order.
-    ``pres`` is returned itself when no move applies.
+    An elimination is the cheapest one, (length - 1) * (occurrences - 1)
+    new letters, first in relator order and then in letter order among
+    equals.  The output equals that of rebuilding the whole presentation
+    through :meth:`GroupPresentation.make` after every move: same generator
+    names, same relators, same order.  ``pres`` is returned itself when no
+    move applies.
+
+    A ``stats`` dict receives ``generators_in``, ``relators_in``,
+    ``letters_in``, their ``_out`` counterparts, ``merge_rounds`` (rounds
+    that changed the presentation), ``full_passes`` (those of them that
+    rewrote every relator) and ``eliminations``.
     """
-    state = _TietzeState(pres, max(eliminate_up_to, 2))
-    moved = False
+    state = _TietzeState(pres, eliminate_up_to)
     while True:
         if state.merge_round():
-            moved = True
             continue
-        step = state.cheapest_elimination(eliminate_up_to)
+        step = state.cheapest_elimination()
         if step is None:
             break
         state.eliminate(*step)
-        moved = True
-    return state.presentation() if moved else pres
+    out = state.presentation() if state.merge_rounds or state.eliminations else pres
+    if stats is not None:
+        stats.update(
+            generators_in=pres.generator_count,
+            relators_in=len(pres.relators),
+            letters_in=pres.total_relator_length(),
+            generators_out=out.generator_count,
+            relators_out=len(out.relators),
+            letters_out=out.total_relator_length(),
+            merge_rounds=state.merge_rounds,
+            full_passes=state.full_passes,
+            eliminations=state.eliminations,
+        )
+    return out
+
+
+def _apply(words, image, moved, cancelled):
+    """``words`` with each letter of ``image`` replaced by its image word,
+    freely reduced as they are written.  Appends each replaced letter to
+    ``moved`` and each letter that cancels the one before it to
+    ``cancelled``."""
+    rewritten = []
+    for word in words:
+        out = []
+        for x in word:
+            piece = image.get(x)
+            if piece is None:
+                if out and out[-1] == -x:
+                    out.pop()
+                    cancelled.append(x)
+                else:
+                    out.append(x)
+                continue
+            moved.append(x)
+            for y in piece:
+                if out and out[-1] == -y:
+                    out.pop()
+                    cancelled.append(y)
+                else:
+                    out.append(y)
+        rewritten.append(tuple(out))
+    return rewritten
 
 
 class _TietzeState:
@@ -70,118 +119,151 @@ class _TietzeState:
     relator order and occurrence counts, so numbering once at the end gives
     the presentation that renumbering after every move gives.
 
-    A move that touches a large share of the letters (the first merge
-    rounds on a Reidemeister-Schreier presentation touch most of them) is
-    one pass over every relator, deduplicated as
-    :meth:`GroupPresentation.make` does.  Any other move rewrites only the
-    relators that contain its generators, found through an index built
-    when first needed: generator -> slots (possibly stale) and canonical
-    key -> slot.
+    Until the first elimination is looked for, a move is a pass over every
+    relator (see :func:`_dedupe`).  From then on moves go through an index,
+    in which each relator keeps its slot:
+
+    * ``keys``: slot -> class key (see :func:`_class_key`), and
+      ``slot_of``: key -> slot;
+    * ``slots_with``: generator -> slots, a superset of those whose relator
+      contains it: a move hands the slots of each generator it removes to
+      the generators of its image;
+    * ``occurrences``: generator -> letters of it in all relators;
+    * ``pairs``: slots of relators of length <= 2, which merge rounds read;
+    * ``candidates``: generator -> heap of (length - 1, slot, position,
+      word) over the relators of length <= max_len in which it occurs once;
+      ``best``: heap of (cost, slot, position, word), which holds the top
+      candidate of each generator at its current cost.  Entries whose word
+      has left its slot, or whose cost has changed, are dropped when met.
     """
 
-    # a move whose generators hold at least this share of all relator
-    # letters is applied as a pass over every relator
-    FULL_PASS_SHARE = 0.25
-
-    def __init__(self, pres, short_len):
+    def __init__(self, pres, max_len):
         self.names = pres.names
+        self.max_len = max_len
         # 1 once a generator is eliminated, merged into another or killed
         self.gone = bytearray(pres.generator_count + 1)
         # a merged class takes the place of its first member in the
         # generator order; every other generator keeps its own
         self.place = {}
-        self.short_len = short_len
-        self._reset(list(pres.relators))
-
-    def _reset(self, words):
-        """Take freely reduced, deduplicated ``words`` as the relators, one
-        slot each; the index is built again when a move next needs it."""
-        self.words = words  # slot -> relator, None once deleted
-        self.keys = None  # slot -> canonical key
-        self.slot_of = None  # canonical key -> slot holding it
-        self.slots_with = None  # generator -> slots; may list stale slots
-        self.short = None  # slots of relators of length <= short_len
-        self.occurrences = Counter(map(abs, itertools.chain.from_iterable(words)))
-        self.letters = sum(map(len, words))
+        self.words = list(pres.relators)  # slot -> relator, None once deleted
+        self.slots_with = None  # None until the index is built
+        self.merge_rounds = self.full_passes = self.eliminations = 0
 
     def _build_index(self):
-        self.keys = [_reduced_key(w) for w in self.words]
+        words = self.words
+        self.keys = [_class_key(w) for w in words]
         self.slot_of = {k: s for s, k in enumerate(self.keys)}
         self.slots_with = {}
-        for s, w in enumerate(self.words):
+        for s, w in enumerate(words):
             for g in set(map(abs, w)):
-                self.slots_with.setdefault(g, []).append(s)
-        self.short = {
-            s for s, w in enumerate(self.words) if len(w) <= self.short_len
-        }
+                self.slots_with.setdefault(g, set()).add(s)
+        self.occurrences = Counter(map(abs, itertools.chain.from_iterable(words)))
+        self.pairs = {s for s, w in enumerate(words) if len(w) <= 2}
+        self.candidates = {}
+        self.best = []
+        for s, w in enumerate(words):
+            if len(w) <= self.max_len:
+                self._add_candidates(s, w)
+        self._push_best(self.candidates)
 
-    def _short_relators(self):
-        """The relators of length <= short_len, in order.  Without an index
-        the scan is over every relator, as is the full pass that follows."""
-        if self.short is None:
-            return [w for w in self.words if len(w) <= self.short_len]
-        return [self.words[s] for s in sorted(self.short)]
+    def _add_candidates(self, slot, w):
+        gens = list(map(abs, w))
+        for t, g in enumerate(gens):
+            if gens.count(g) == 1:
+                heappush(self.candidates.setdefault(g, []), (len(w) - 1, slot, t, w))
 
-    def _drop(self, slot):
-        """Delete the relator in ``slot``; its key is the caller's to unmap."""
-        occurrences = self.occurrences
-        w = self.words[slot]
-        for x in w:
-            occurrences[x if x > 0 else -x] -= 1
-        self.letters -= len(w)
-        self.words[slot] = None
-        self.short.discard(slot)
-
-    def _put(self, slot, w, key):
-        occurrences = self.occurrences
-        for x in w:
-            occurrences[x if x > 0 else -x] += 1
-        self.letters += len(w)
-        for g in set(map(abs, w)):
-            self.slots_with.setdefault(g, []).append(slot)
-        self.words[slot] = w
-        self.keys[slot] = key
-        self.slot_of[key] = slot
-        if len(w) <= self.short_len:
-            self.short.add(slot)
-
-    def _rewrite(self, gens, rewrite):
-        """Apply ``rewrite`` (freely reducing) to the relators that contain
-        one of ``gens``, then drop empty relators and keep the first
-        relator of each canonical key, as make does."""
-        touched = sum(self.occurrences[g] for g in gens)
-        if touched >= self.FULL_PASS_SHARE * self.letters:
-            self._reset(_dedupe(rewrite(w) for w in self.words if w is not None))
-            return
-        if self.slots_with is None:
-            self._build_index()
-        slots = set()
+    def _push_best(self, gens):
+        """Push the top candidate of each of ``gens`` at its current cost."""
+        words, occurrences = self.words, self.occurrences
         for g in gens:
-            slots.update(self.slots_with.pop(g, ()))
-        changes = {}
-        for slot in slots:
-            w = self.words[slot]
-            if w is not None:
-                new = rewrite(w)
-                if new != w:
-                    changes[slot] = new
+            heap = self.candidates.get(g)
+            while heap and words[heap[0][1]] is not heap[0][3]:
+                heappop(heap)
+            if heap:
+                n, slot, t, w = heap[0]
+                heappush(self.best, (n * (occurrences[g] - 1), slot, t, w))
+
+    def _rewrite(self, image):
+        """Replace each letter of ``image`` by its image word in every
+        relator, freely reducing, then drop empty relators and keep the
+        first relator of each class, as make does."""
+        moved, cancelled = [], []
+        if self.slots_with is None:
+            self.words = _dedupe(_apply(self.words, image, moved, cancelled))
+            self.full_passes += 1
+            return
+        words, keys, slot_of, pairs = self.words, self.keys, self.slot_of, self.pairs
+        old_slots = {g: self.slots_with.pop(g, set()) for g in image if g > 0}
+        for g, slots in old_slots.items():
+            for heir in set(map(abs, image[g])):
+                self.slots_with.setdefault(heir, set()).update(slots)
+        untouched = image.keys().isdisjoint
+        slots = [
+            s
+            for s in set().union(*old_slots.values())
+            if words[s] is not None and not untouched(words[s])
+        ]
+        changes = dict(zip(slots, _apply([words[s] for s in slots], image, moved, cancelled)))
+        # relators that left whole, and short ones that left or came
+        left, short = [], []
         for slot in changes:
-            del self.slot_of[self.keys[slot]]
-            self._drop(slot)
-        # a key's first holder in slot order keeps it; every changed slot
+            w = words[slot]
+            words[slot] = None
+            del slot_of[keys[slot]]
+            if len(w) <= self.max_len:
+                short.append(w)
+        pairs.difference_update(changes)
+        # a class's first holder in slot order keeps it; every changed slot
         # below ``slot`` has been placed already, so a later holder is an
         # unchanged relator
         for slot in sorted(changes):
             w = changes[slot]
             if not w:
                 continue
-            key = _reduced_key(w)
-            other = self.slot_of.get(key)
+            key = _class_key(w)
+            other = slot_of.get(key)
             if other is not None:
                 if other < slot:
+                    left.append(w)
                     continue
-                self._drop(other)
-            self._put(slot, w, key)
+                left.append(words[other])
+                if len(words[other]) <= self.max_len:
+                    short.append(words[other])
+                words[other] = None
+                pairs.discard(other)
+            words[slot] = w
+            keys[slot] = key
+            slot_of[key] = slot
+            if len(w) <= 2:
+                pairs.add(slot)
+            if len(w) <= self.max_len:
+                short.append(w)
+                self._add_candidates(slot, w)
+        self._recount(image, moved, cancelled, left, short)
+
+    def _recount(self, image, moved, cancelled, left, short):
+        """Update the occurrence counts after a move that replaced the
+        letters ``moved`` by their images, cancelled the letters
+        ``cancelled`` against their predecessors and dropped the words
+        ``left``, and push the top candidate of every generator whose count
+        changed or which occurs in a ``short`` relator that came or left."""
+        delta = Counter()
+        for x, k in Counter(moved).items():
+            delta[abs(x)] -= k
+            for y in image[x]:
+                delta[abs(y)] += k
+        for x, k in Counter(cancelled).items():
+            delta[abs(x)] -= 2 * k
+        for x, k in Counter(itertools.chain.from_iterable(left)).items():
+            delta[abs(x)] -= k
+        changed = set()
+        for g, d in delta.items():
+            if d:
+                self.occurrences[g] += d
+                changed.add(g)
+        for w in short:
+            changed.update(map(abs, w))
+        self._push_best(changed)
 
     def merge_round(self):
         """One batched round over all length-1 and length-2 relators;
@@ -195,14 +277,18 @@ class _TietzeState:
                 g = parent[g]
             return g, s
 
+        if self.slots_with is None:
+            short = [w for w in self.words if len(w) <= 2]
+        else:
+            short = [self.words[s] for s in sorted(self.pairs)]
         changed = False
-        for w in self._short_relators():
+        for w in short:
             if len(w) == 1:
                 r, _ = find(abs(w[0]))
                 if r not in dead:
                     dead.add(r)
                     changed = True
-            elif len(w) == 2:
+            else:
                 (ra, sa), (rb, sb) = find(abs(w[0])), find(abs(w[1]))
                 pa = sa * (1 if w[0] > 0 else -1)
                 pb = sb * (1 if w[1] > 0 else -1)
@@ -218,52 +304,50 @@ class _TietzeState:
         if not changed:
             return False
 
-        gens = set(parent) | dead
-        image = {}  # signed letter -> signed survivor, 0 when killed
-        for g in gens:
+        self.merge_rounds += 1
+        image = {}  # signed letter -> its survivor as a word, () when killed
+        for g in set(parent) | dead:
             r, s = find(g)
             if r in dead:
-                image[g] = image[-g] = 0
+                image[g] = image[-g] = ()
             else:
-                image[g], image[-g] = s * r, -s * r
+                image[g], image[-g] = (s * r,), (-s * r,)
                 self.place[r] = min(self.place.get(r, r), self.place.get(g, g))
             self.gone[g] = 1
-        get = image.get
-        self._rewrite(gens, lambda w: free_reduce(filter(None, map(get, w, w))))
+        self._rewrite(image)
         return True
 
-    def cheapest_elimination(self, max_len):
+    def cheapest_elimination(self):
         """A generator occurring exactly once in some relator of length <=
         ``max_len``, with its replacement word: the cheapest such
         elimination, first in relator order among equals, or None."""
-        occurrences = self.occurrences
-        best = None
-        for w in self._short_relators():
-            if len(w) > max_len:
-                continue
-            for t, x in enumerate(w):
-                g = abs(x)
-                cost = (len(w) - 1) * max(occurrences[g] - 1, 0)
-                # the cost test comes first because it is the cheaper one
-                if (best is None or cost < best[0]) and w.count(g) + w.count(-g) == 1:
-                    rot = w[t:] + w[:t]
-                    repl = invert_word(rot[1:]) if rot[0] > 0 else rot[1:]
-                    best = (cost, g, repl)
-            if best is not None and best[0] == 0:
-                break
-        if best is None:
-            return None
-        return best[1], free_reduce(best[2])
+        if self.slots_with is None:
+            self._build_index()
+        words, occurrences, best = self.words, self.occurrences, self.best
+        while best:
+            cost, slot, t, w = best[0]
+            g = abs(w[t])
+            if words[slot] is w and cost == (len(w) - 1) * (occurrences[g] - 1):
+                rot = w[t:] + w[:t]
+                repl = invert_word(rot[1:]) if rot[0] > 0 else rot[1:]
+                return g, free_reduce(repl)
+            heappop(best)
+        return None
 
     def eliminate(self, gen, replacement):
+        self.eliminations += 1
         self.gone[gen] = 1
-        self._rewrite((gen,), lambda w: substitute(w, gen, replacement))
+        self._rewrite({gen: replacement, -gen: invert_word(replacement)})
 
     def presentation(self):
+        """The relators, renumbered, as a presentation.  They are freely
+        reduced and deduplicated already, which is all make would do."""
         live = (g for g in range(1, len(self.gone)) if not self.gone[g])
         order = sorted(live, key=lambda g: self.place.get(g, g))
-        number = {g: i for i, g in enumerate(order, 1)}
-        return GroupPresentation.make(
-            (self.names[g - 1] for g in order),
-            (renumber_word(w, number) for w in self.words if w is not None),
+        number = {}
+        for i, g in enumerate(order, 1):
+            number[g], number[-g] = i, -i
+        return GroupPresentation(
+            tuple(self.names[g - 1] for g in order),
+            tuple(tuple(map(number.__getitem__, w)) for w in self.words if w is not None),
         )

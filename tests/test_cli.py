@@ -10,7 +10,7 @@ from galcov.datasets import load_builtin
 from galcov.enumeration import group_order
 from galcov.presentation import GroupPresentation, parse_relation
 
-from .conftest import relabel_complex
+from .conftest import prism_complex, relabel_complex
 
 
 def test_analyze_t4_report():
@@ -243,13 +243,33 @@ def test_boolean_plane_is_parse_error(tmp_path, capsys):
 
 
 def test_degree_over_the_factorial_guard_is_chern_error(tmp_path, capsys):
-    from galcov.datasets import T4_JSON
-
+    # the prism over a 9-gon is a valid complex on 11 planes
     path = tmp_path / "eleven.json"
-    path.write_text(T4_JSON.replace('"planes": 4,', '"planes": 11,'), encoding="utf-8")
+    path.write_text(serialize_complex(prism_complex(9)), encoding="utf-8")
     assert main(["analyze", str(path)]) == 2
     err = capsys.readouterr().err
     assert "[chern] degree 11 exceeds the supported bound 10" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("route", ["enumerate", "coxeter", "both"])
+@pytest.mark.parametrize(
+    "planes, named",
+    [
+        (5, "edges join {1, 2, 3, 4}; planes on no edge: 5"),
+        (11, "edges join {1, 2, 3, 4}; planes on no edge: 5, 6, 7, 8, 9 and 2 more"),
+    ],
+    ids=["planes5", "planes11"],
+)
+def test_disconnected_plane_graph_is_validate_error(tmp_path, capsys, route, planes, named):
+    # t4 with planes no edge touches: the transpositions cannot generate S_n
+    from galcov.datasets import T4_JSON
+
+    path = tmp_path / "loose.json"
+    path.write_text(T4_JSON.replace('"planes": 4,', f'"planes": {planes},'), encoding="utf-8")
+    assert main(["analyze", str(path), "--route", route]) == 2
+    err = capsys.readouterr().err
+    assert f"[validate] plane graph is not connected: {named}" in err
     assert "Traceback" not in err
 
 

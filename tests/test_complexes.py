@@ -119,6 +119,27 @@ def test_validate_unsupported_multiplicity(t4):
     assert any("multiplicity 5" in v for v in report.violations)
 
 
+def test_validate_disconnected_plane_graph(t4):
+    # two disjoint tetrahedra, on planes 1-4 and 5-8
+    shifted_edges = tuple(
+        Edge(id=e.id + 6, planes=(e.planes[0] + 4, e.planes[1] + 4)) for e in t4.edges
+    )
+    shifted_vertices = tuple(
+        Vertex(id=v.id + 4, edges=frozenset(x + 6 for x in v.edges)) for v in t4.vertices
+    )
+    two = DegenerationComplex(
+        "two", 8, t4.edges + shifted_edges, t4.vertices + shifted_vertices
+    )
+    assert validate(two).violations == (
+        "plane graph is not connected: edges join {1, 2, 3, 4}, {5, 6, 7, 8}",
+    )
+    # a plane that no edge touches is a component of its own
+    loose = DegenerationComplex("loose", 6, t4.edges, t4.vertices)
+    assert validate(loose).violations == (
+        "plane graph is not connected: edges join {1, 2, 3, 4}; planes on no edge: 5, 6",
+    )
+
+
 def test_classify_t4_vertices(t4):
     classes = {v.id: classify_vertex(t4, v) for v in t4.vertices}
     assert classes[1] == Inner3(edges=(1, 2, 4))

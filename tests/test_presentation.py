@@ -103,6 +103,62 @@ def test_canonical_key_matches_brute_force_oracle():
     assert canonical_key((1, 2, -1)) != canonical_key((2,))
 
 
+def _random_words(rng, count):
+    """Freely reduced words over few generators, so least letters repeat and
+    rotations of one word meet each other."""
+    words = []
+    for _ in range(count):
+        gens = rng.choice((1, 2, 3, 5))
+        w = free_reduce(
+            rng.choice((-1, 1)) * rng.randint(1, gens) for _ in range(rng.randint(0, 12))
+        )
+        words.append(w)
+        if w and rng.random() < 0.5:
+            # a rotation of it, or of its inverse
+            v = invert_word(w) if rng.random() < 0.5 else w
+            i = rng.randrange(len(v))
+            words.append(free_reduce(v[i:] + v[:i]))
+    return words
+
+
+def test_class_key_tells_the_same_classes_apart_as_the_canonical_key():
+    import random
+
+    from galcov.presentation import _class_key
+
+    rng = random.Random(8)
+    words = _random_words(rng, 1500)
+    # zero letter sums need both orientations; repeated least letters need
+    # more than one rotation compared
+    assert sum(1 for w in words if w and sum(w) == 0) > 50
+    assert sum(1 for w in words if w and w.count(min(w)) > 1) > 100
+    for w in words:
+        i = rng.randrange(len(w) + 1)
+        # every rotation and the inverse share the key
+        assert _class_key(w[i:] + w[:i]) == _class_key(invert_word(w)) == _class_key(w)
+    by_class = {}
+    for w in words:
+        by_class.setdefault(_class_key(w), set()).add(canonical_key(w))
+    assert all(len(keys) == 1 for keys in by_class.values())
+    assert len(by_class) == len({canonical_key(w) for w in words})
+
+
+def test_dedupe_matches_first_of_each_canonical_key():
+    import random
+
+    from galcov.presentation import _dedupe
+
+    rng = random.Random(9)
+    for _ in range(200):
+        words = _random_words(rng, rng.randint(0, 30))
+        kept, seen = [], set()
+        for w in words:
+            if w and canonical_key(w) not in seen:
+                seen.add(canonical_key(w))
+                kept.append(w)
+        assert _dedupe(words) == kept
+
+
 # ---------------------------------------------------------------------------
 # braid templates
 

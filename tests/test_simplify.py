@@ -1,14 +1,16 @@
 """Identity tests for Tietze simplification.
 
 ``simplify_presentation`` applies its moves in place, to the relators a
-move touches.  Its output must equal, relator for relator, what the
-per-move rebuild of the whole presentation returned.  The fingerprints
-below are sha256 digests of ``repr((names, relators))`` of that rebuild's
-output, taken before the incremental version replaced it.  The dt4 kernel
-fingerprint was taken again, by that same rebuild, when Reidemeister-Schreier
-began to give one Schreier generator per involution orbit: its input changed,
-its size (4 generators, 817 relators, 10,918 letters) did not.
-"""
+move touches.  Its output must equal, relator for relator, what rebuilding
+the whole presentation through ``GroupPresentation.make`` after every move
+returns.  ``reference_simplify`` below is that rebuild, and the oracle tests
+compare the two on seeded random presentations and relabeled t4 kernels.
+The fingerprints are sha256 digests of ``repr((names, relators))`` of the
+rebuild's output, taken before the incremental version replaced it.  The
+dt4 kernel fingerprint was taken again, by that same rebuild, when
+Reidemeister-Schreier began to give one Schreier generator per involution
+orbit: its input changed, its size (4 generators, 817 relators, 10,918
+letters) did not."""
 
 import hashlib
 import random
@@ -131,32 +133,232 @@ def test_simplify_without_moves_returns_input():
     assert simplify_presentation(p) is p
 
 
-def random_presentations(seed, count):
+def random_presentations(
+    seed, count, generators=(1, 6), relators=(0, 10), lengths=(1, 2, 2, 3, 4, 4, 5, 6)
+):
     rng = random.Random(seed)
     for _ in range(count):
-        m = rng.randint(1, 6)
-        relators = [
-            tuple(
-                rng.choice((-1, 1)) * rng.randint(1, m)
-                for _ in range(rng.choice((1, 2, 2, 3, 4, 4, 5, 6)))
+        m = rng.randint(*generators)
+        words = [
+            tuple(rng.choice((-1, 1)) * rng.randint(1, m) for _ in range(rng.choice(lengths)))
+            for _ in range(rng.randint(*relators))
+        ]
+        yield GroupPresentation.make([f"x{i}" for i in range(1, m + 1)], words)
+
+
+def test_apply_matches_expand_then_reduce():
+    # the in-place rewrite substitutes and reduces in one sweep, and reports
+    # the letters it replaced and those that cancelled, from which the
+    # occurrence counts are updated
+    from collections import Counter
+
+    from galcov.presentation import free_reduce, invert_word
+
+    rng = random.Random(11)
+    seams = 0
+    for _ in range(3000):
+        gens = rng.randint(1, 4)
+        word = free_reduce(
+            rng.choice((-1, 1)) * rng.randint(1, gens) for _ in range(rng.randint(0, 10))
+        )
+        gen = rng.randint(1, gens)
+        if rng.random() < 0.5:
+            # an elimination: gen becomes a word that often starts or ends
+            # with the inverse of a neighbour of gen
+            repl = free_reduce(
+                rng.choice((-1, 1)) * rng.randint(1, gens) for _ in range(rng.randint(0, 4))
             )
-            for _ in range(rng.randint(0, 10))
-        ]
-        yield GroupPresentation.make([f"x{i}" for i in range(1, m + 1)], relators)
+            image = {gen: repl, -gen: invert_word(repl)}
+        else:
+            # a merge or a kill: gen becomes another letter or nothing
+            y = rng.choice((-1, 1)) * rng.randint(1, gens)
+            image = {gen: (y,), -gen: (-y,)} if abs(y) != gen else {gen: (), -gen: ()}
+        expanded = [y for x in word for y in image.get(x, (x,))]
+        moved, cancelled = [], []
+        (new,) = tietze._apply([word], image, moved, cancelled)
+        assert new == free_reduce(expanded), (word, image)
+        assert moved == [x for x in word if x in image]
+        counts = Counter(map(abs, word))
+        for x in moved:
+            counts[abs(x)] -= 1
+            counts.update(map(abs, image[x]))
+        for x in cancelled:
+            counts[abs(x)] -= 2
+        assert {g: c for g, c in counts.items() if c} == Counter(map(abs, new))
+        seams += bool(cancelled)
+    assert seams > 300
 
 
-def test_in_place_moves_agree_with_full_passes(monkeypatch):
-    # a move touching at least FULL_PASS_SHARE of the letters is one pass
-    # over every relator, which is the per-move rebuild itself; forcing
-    # either strategy for every move must give the same presentation
-    cases = list(random_presentations(2024, 400))
-    outputs = {}
-    for share in (0.0, float("inf")):
-        monkeypatch.setattr(tietze._TietzeState, "FULL_PASS_SHARE", share)
-        outputs[share] = [
-            simplify_presentation(p, eliminate_up_to=i % 5 + 1)
-            for i, p in enumerate(cases)
-        ]
-    assert outputs[0.0] == outputs[float("inf")]
-    for p, q in zip(cases, outputs[0.0]):
+# ---------------------------------------------------------------------------
+# reference: every move rebuilds the whole presentation through make
+
+
+def naive_reduce(word):
+    word = list(word)
+    i = 0
+    while i + 1 < len(word):
+        if word[i] == -word[i + 1]:
+            del word[i : i + 2]
+            i = max(i - 1, 0)
+        else:
+            i += 1
+    return tuple(word)
+
+
+def reference_merge_round(pres):
+    """One union-find round over the length-1 and length-2 relators, in
+    relator order, then the rebuilt presentation; None when nothing merges."""
+    parent, sign, dead = {}, {}, set()
+
+    def find(g):
+        s = 1
+        while g in parent:
+            s *= sign[g]
+            g = parent[g]
+        return g, s
+
+    changed = False
+    for w in pres.relators:
+        if len(w) == 1:
+            r, _ = find(abs(w[0]))
+            if r not in dead:
+                dead.add(r)
+                changed = True
+        elif len(w) == 2:
+            (ra, sa), (rb, sb) = find(abs(w[0])), find(abs(w[1]))
+            if ra == rb:
+                continue
+            parent[ra] = rb
+            sign[ra] = -sa * sb * (1 if w[0] > 0 else -1) * (1 if w[1] > 0 else -1)
+            if ra in dead:
+                dead.discard(ra)
+                dead.add(rb)
+            changed = True
+    if not changed:
+        return None
+    # a surviving root takes the place of the first member of its class
+    first = {}
+    image = {}
+    for g in range(1, pres.generator_count + 1):
+        r, s = find(g)
+        image[g] = 0 if r in dead else s * r
+        if r not in dead:
+            first.setdefault(r, g)
+    order = sorted(first, key=first.get)
+    number = {r: i for i, r in enumerate(order, 1)}
+
+    def letter(x):
+        y = image[x] if x > 0 else -image[-x]
+        return 0 if y == 0 else (number[y] if y > 0 else -number[-y])
+
+    return GroupPresentation.make(
+        [pres.names[r - 1] for r in order],
+        [tuple(y for y in map(letter, w) if y) for w in pres.relators],
+    )
+
+
+def reference_elimination(pres, max_len):
+    """The cheapest elimination by a scan of every relator, or None."""
+    occurrences = {}
+    for w in pres.relators:
+        for x in w:
+            occurrences[abs(x)] = occurrences.get(abs(x), 0) + 1
+    best = None
+    for i, w in enumerate(pres.relators):
+        if len(w) > max_len:
+            continue
+        for t, x in enumerate(w):
+            g = abs(x)
+            if w.count(g) + w.count(-g) != 1:
+                continue
+            cost = (len(w) - 1) * (occurrences[g] - 1)
+            if best is None or (cost, i, t) < best[0]:
+                rot = w[t:] + w[:t]
+                rest = rot[1:] if rot[0] < 0 else tuple(-y for y in reversed(rot[1:]))
+                best = ((cost, i, t), g, naive_reduce(rest))
+    return None if best is None else best[1:]
+
+
+def reference_simplify(pres, eliminate_up_to=4):
+    start = pres
+    while True:
+        merged = reference_merge_round(pres)
+        if merged is not None:
+            pres = merged
+            continue
+        step = reference_elimination(pres, eliminate_up_to)
+        if step is None:
+            return pres
+        gen, repl = step
+        inverse = tuple(-y for y in reversed(repl))
+        keep = [g for g in range(1, pres.generator_count + 1) if g != gen]
+        number = {g: i for i, g in enumerate(keep, 1)}
+
+        def expand(w):
+            out = []
+            for x in w:
+                out.extend(repl if x == gen else inverse if x == -gen else (x,))
+            return [number[y] if y > 0 else -number[-y] for y in naive_reduce(out)]
+
+        pres = GroupPresentation.make(
+            [pres.names[g - 1] for g in keep], map(expand, pres.relators)
+        )
+        assert pres is not start
+
+
+def test_simplify_matches_per_move_rebuild():
+    for i, p in enumerate(random_presentations(2024, 400)):
+        q = simplify_presentation(p, eliminate_up_to=i % 5 + 1)
+        assert q == reference_simplify(p, eliminate_up_to=i % 5 + 1), p
         assert abelian_invariants(p) == abelian_invariants(q)
+
+
+def test_simplify_matches_per_move_rebuild_on_larger_presentations():
+    # enough relators per generator that occurrence counts, and so the
+    # costs of waiting candidates, change between eliminations
+    cases = random_presentations(
+        7, 1000, generators=(4, 10), relators=(10, 40), lengths=range(1, 9)
+    )
+    for i, p in enumerate(cases):
+        q = simplify_presentation(p, eliminate_up_to=i % 5 + 2)
+        assert q == reference_simplify(p, eliminate_up_to=i % 5 + 2), p
+
+
+@pytest.mark.parametrize("seed", sorted(RELABELED_T4_FINGERPRINTS))
+def test_relabeled_t4_kernel_matches_per_move_rebuild(seed):
+    pres = kernel_presentation(relabel_complex(load_builtin("t4"), random.Random(seed)))
+    for eliminate_up_to in (2, 4, 6):
+        assert simplify_presentation(pres, eliminate_up_to) == reference_simplify(
+            pres, eliminate_up_to
+        )
+
+
+def test_rotated_duplicate_is_dropped_where_it_arises():
+    # the first merge round makes c d a e a rotation of a b c d, which make
+    # drops; the second (c = b^-1) would give them different keys, a d and
+    # b^-1 d a b, so deduplicating only once the merges are done keeps both
+    p = GroupPresentation.make(
+        "a b c d e y z f".split(),
+        [(1, 2, 3, 4, 8), (3, 4, 8, 1, 5), (2, -5), (3, 2, 6, -7), (6, -7)],
+    )
+    stats = {}
+    q = simplify_presentation(p, eliminate_up_to=2, stats=stats)
+    assert q == reference_simplify(p, eliminate_up_to=2)
+    assert (q.names, q.relators) == (("a", "e", "d", "z", "f"), ((1, 3, 5),))
+    assert stats["merge_rounds"] == stats["full_passes"] == 2
+
+
+def test_simplify_stats_dt4_kernel():
+    stats = {}
+    simplify_presentation(kernel_presentation(load_builtin("dt4")), stats=stats)
+    assert stats == {
+        "generators_in": 2521,
+        "relators_in": 8280,
+        "letters_in": 42111,
+        "generators_out": 4,
+        "relators_out": 817,
+        "letters_out": 10918,
+        "merge_rounds": 5,
+        "full_passes": 5,
+        "eliminations": 51,
+    }
