@@ -365,7 +365,7 @@ def test_kernel_enumeration_overflow_is_undecided(monkeypatch, capsys):
 
 
 def test_kernel_route_decides_both_after_full_overflow(monkeypatch, capsys):
-    # dt4's kernel enumeration defines 340 cosets, its full one 46,785: at
+    # dt4's kernel enumeration defines 41 cosets, its full one 15,008: at
     # 720 the kernel route decides and the Coxeter route has no table
     tables = _recording(monkeypatch)
     report = analyze("dt4", route="both", max_cosets=720)

@@ -1,15 +1,21 @@
+import math
+import random
+
 import pytest
 
+from galcov.datasets import load_builtin
 from galcov.enumeration import (
     EnumerationOverflow,
     coset_enumeration,
     group_order,
     verify_table,
 )
-from galcov.permutations import Permutation
-from galcov.presentation import GroupPresentation
+from galcov.kernel import kernel_coset_table, reidemeister_schreier
+from galcov.permutations import Permutation, plane_transposition_map
+from galcov.presentation import GroupPresentation, build_tilde_presentation
+from galcov.tietze import simplify_presentation
 
-from .conftest import mulclose
+from .conftest import mulclose, prism_complex, relabel_complex
 
 
 def cyclic(n):
@@ -226,7 +232,68 @@ INVOLUTION_CORPUS = [
 ]
 
 
-@pytest.mark.parametrize("pres,model,subgroup", INVOLUTION_CORPUS)
+def cycles(n, *cs):
+    images = list(range(1, n + 1))
+    for c in cs:
+        for i, x in enumerate(c):
+            images[x - 1] = c[(i + 1) % len(c)]
+    return Permutation(tuple(images))
+
+
+def quaternion():
+    # Q8 = <a, b | a^4, a^2 b^-2, b^-1 a b a>: short relators that are not
+    # commutators, on columns that are not involutions
+    return GroupPresentation.make(
+        ("a", "b"), [(1,) * 4, (1, 1, -2, -2), (-2, 1, 2, 1)]
+    )
+
+
+Q8_MODEL = [cycles(8, (1, 2, 3, 4), (5, 6, 7, 8)), cycles(8, (1, 5, 3, 7), (2, 8, 4, 6))]
+
+# every relator here has at most four letters, so the deduction stack
+# alone enforces it
+DEDUCTION_CORPUS = [
+    (quaternion(), Q8_MODEL, ()),
+    (quaternion(), Q8_MODEL, [(1,)]),
+    (quaternion(), Q8_MODEL, [(-1, -1)]),
+    (quaternion(), Q8_MODEL, [(1, -2)]),
+    # A4 = <a, b | a^3, b^3, (ab)^2>: length-3 relators
+    (
+        GroupPresentation.make(("a", "b"), [(1,) * 3, (2,) * 3, (1, 2) * 2]),
+        [cycles(4, (1, 2, 3)), cycles(4, (2, 3, 4))],
+        [(2, -1)],
+    ),
+    # Z6 = <a, b | a^2 b^-1, b^3>: a length-3 relator with an inverse letter
+    (
+        GroupPresentation.make(("a", "b"), [(1, 1, -2), (2,) * 3]),
+        [rotation(6), cycles(6, (1, 3, 5), (2, 4, 6))],
+        (),
+    ),
+    # Z5 = <a, b | a^5, a b^-1>: a length-2 relator that is not a square
+    (
+        GroupPresentation.make(("a", "b"), [(1,) * 5, (1, -2)]),
+        [rotation(5), rotation(5)],
+        [(2,)],
+    ),
+    # Z3 = <a, b | a, b^3>: a length-1 relator
+    (
+        GroupPresentation.make(("a", "b"), [(1,), (2,) * 3]),
+        [Permutation.identity(3), rotation(3)],
+        (),
+    ),
+    # Z6 = <a, b | a^2, b^3, [a, b]>: a commutator of an involution and a
+    # generator with two columns
+    (
+        GroupPresentation.make(("a", "b"), [(1, 1), (2,) * 3, (1, 2, -1, -2)]),
+        [cycles(5, (1, 2)), cycles(5, (3, 4, 5))],
+        [(2,)],
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "pres,model,subgroup", INVOLUTION_CORPUS + DEDUCTION_CORPUS
+)
 def test_involution_columns_match_cayley_oracle(pres, model, subgroup):
     table = coset_enumeration(pres, subgroup, 10_000)
     verify_table(pres, table)
@@ -245,17 +312,26 @@ def test_subgroup_word_out_of_range_raises(word):
 
 
 def test_enumeration_counters(t4_presentation, dt4_presentation):
-    # HLT with one self-inverse column per involution; the two-column
-    # enumerator defined 116 (t4) and 85,376 (dt4) cosets here
+    # HLT scans the relators of more than four letters, the deduction stack
+    # enforces the rest.  HLT scanning every relator defined 113 (t4) and
+    # 46,785 (dt4) cosets here, with 20 and 10,157 coincidences and 58 and
+    # 19,271 live at peak; the two-column enumerator defined 116 and 85,376.
+    # In <a, b, c | b^2, c^2, b a^-1 c^-1, a b a a> a deduction's 4-letter
+    # scan stops after its first letter and closes backwards on another
+    # coset
+    small = GroupPresentation.make(
+        ("a", "b", "c"), [(2, 2), (3, 3), (2, -1, -3), (1, 2, 1, 1)]
+    )
     for pres, order, expected in (
-        (t4_presentation, 24, (113, 20, 58)),
-        (dt4_presentation, 11520, (46785, 10157, 19271)),
+        (t4_presentation, 24, (27, 4, 24, 78)),
+        (dt4_presentation, 11520, (15008, 1158, 11520, 57043)),
+        (small, 2, (4, 2, 5, 11)),
     ):
         stats = {}
         table = coset_enumeration(pres, (), 1_000_000, stats=stats)
         assert table.coset_count == order
         assert stats == dict(
-            zip(("cosets_defined", "coincidences", "peak_live"), expected)
+            zip(("cosets_defined", "coincidences", "peak_live", "deductions"), expected)
         )
 
 
@@ -267,3 +343,69 @@ def test_overflow_carries_counters():
     # coset 0 plus four definitions fill the bound of 5
     assert stats["cosets_defined"] == 4
     assert 1 <= stats["peak_live"] <= 5
+    # the first scan hit the bound, before any deduction was taken
+    assert stats["deductions"] == 0
+    with pytest.raises(EnumerationOverflow) as info:
+        coset_enumeration(symmetric(4), (), 20)
+    assert info.value.stats == dict(
+        cosets_defined=19, coincidences=0, peak_live=20, deductions=27
+    )
+
+
+def _order_through_subgroup(pres, table):
+    """[G:H] |H|, with |H| enumerated from the simplified
+    Reidemeister-Schreier presentation of the subgroup H that ``table``
+    lists the cosets of."""
+    sub = simplify_presentation(reidemeister_schreier(pres, table))
+    return table.coset_count * coset_enumeration(sub, (), 100_000).coset_count
+
+
+@pytest.mark.parametrize("seed", [1, 2, None], ids=["dt4-seed1", "dt4-seed2", "prism3"])
+def test_full_enumeration_agrees_with_subgroup_order(seed):
+    if seed is None:
+        # its plane transpositions break the commutators of parasitic pairs
+        # that share a side plane, so there is no kernel route: count the
+        # cosets of <g1 g2> instead
+        c = prism_complex(3)
+        pres = build_tilde_presentation(c)
+        sub_table = coset_enumeration(pres, [(1, 2)], 1000)
+    else:
+        c = relabel_complex(load_builtin("dt4"), random.Random(seed))
+        pres = build_tilde_presentation(c)
+        # n!|K| from the kernel route
+        sub_table = kernel_coset_table(pres, plane_transposition_map(c))
+    stats = {}
+    table = coset_enumeration(pres, (), 1_000_000, stats=stats)
+    verify_table(pres, table)
+    assert table.coset_count == _order_through_subgroup(pres, sub_table)
+    assert coset_enumeration(pres, (), 1_000_000).rows == table.rows
+    if seed is not None:
+        assert table.coset_count == math.factorial(6) * 16
+        assert stats["cosets_defined"] <= 2 * table.coset_count
+
+
+def random_word(rng, ngens, length):
+    return tuple(rng.choice((1, -1)) * rng.randint(1, ngens) for _ in range(length))
+
+
+def test_random_short_relators_close():
+    # seeded presentations whose relators are mostly short: the deduction
+    # path must leave every relator closed at every coset and every
+    # subgroup word fixing coset 0
+    rng = random.Random(9)
+    closed = 0
+    for _ in range(1000):
+        ngens = rng.randint(1, 3)
+        relators = [(k, k) for k in range(1, ngens + 1) if rng.random() < 0.5]
+        for _ in range(rng.randint(1, 4)):
+            relators.append(random_word(rng, ngens, rng.choice((1, 2, 3, 4, 4, 4, 5, 6))))
+        subgroup = [random_word(rng, ngens, rng.randint(1, 3)) for _ in range(rng.randint(0, 2))]
+        pres = GroupPresentation.make(tuple(f"g{k}" for k in range(1, ngens + 1)), relators)
+        try:
+            table = coset_enumeration(pres, subgroup, 2000)
+        except EnumerationOverflow:
+            continue
+        verify_table(pres, table)
+        assert all(table.trace(0, w) == 0 for w in subgroup)
+        closed += 1
+    assert closed >= 800
