@@ -39,7 +39,7 @@ from .complexes import (
     validate,
 )
 from .coxeter import coxeter_route
-from .datasets import BUILTIN_SOURCES, builtin_names, coxeter_plan_for, load_builtin
+from .datasets import BUILTIN_SOURCES, COXETER_PLANS, builtin_names, load_builtin
 from .enumeration import EnumerationOverflow, coset_enumeration, group_order
 from .invariants import InvariantError, chern_signature, singularity_counts
 from .kernel import (
@@ -275,6 +275,13 @@ def analyze(
     report.symmetric_image_order = timed(
         "image_order", permutation_group_order, assignment.images
     )
+    # both routes read G~ as an extension of S_n by K: the plane
+    # transpositions must satisfy every relator
+    hom = verify_homomorphism(pres, assignment)
+    if not hom.holds:
+        raise AnalysisError(
+            "kernel", f"plane transpositions do not satisfy relators {hom.failures}"
+        )
 
     # the kernel route gives |K| from a presentation of the kernel, and
     # with it |G~| = n!|K|; only the Coxeter route needs the full table
@@ -322,11 +329,6 @@ def _undecided_at_bound(report, max_cosets, what):
 def _enumeration_route(report, pres, assignment, max_cosets, timed):
     """Kernel route: |K| from a presentation of K = ker(G~ -> S_n), then
     |G~| = n!|K|.  Returns the verdict, or None when a bound stops it."""
-    hom = verify_homomorphism(pres, assignment)
-    if not hom.holds:
-        raise AnalysisError(
-            "kernel", f"plane transpositions do not satisfy relators {hom.failures}"
-        )
     image_order = report.symmetric_image_order
     nfact = math.factorial(assignment.degree)
     if image_order != nfact:
@@ -406,7 +408,7 @@ def _coxeter_route(report, pres_noproj, proj, table, timed):
     """Coxeter-quotient route; returns its verdict or None."""
     plan = None
     if report.source.startswith("builtin:"):
-        plan = coxeter_plan_for(report.source.split(":", 1)[1])
+        plan = COXETER_PLANS.get(report.source.split(":", 1)[1])
     route = timed("coxeter", coxeter_route, pres_noproj, proj, plan, table)
     if not route.supported:
         report.coxeter_route = {"supported": False, "reason": route.reason}

@@ -20,7 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .kernel import StructureVerdict, smith_normal_form
+from .kernel import StructureVerdict, identify_structure, smith_normal_form
 from .permutations import Permutation
 from .presentation import (
     GroupPresentation,
@@ -132,67 +132,27 @@ def eval_word(images, word) -> SemidirectElement:
 
 @dataclass(frozen=True)
 class CoxeterGraph:
-    """Labeled graph whose edges are group generators, with a chosen
-    spanning tree."""
+    """The m-cycle that ``recognize_cycle`` reads off a presentation: edge
+    k is (k, k+1) for k < m and edge m is (1, m); the tree is the first
+    m-1 edges."""
 
     vertex_count: int
     edges: tuple[tuple[str, tuple[int, int]], ...]  # (label, (i, j)), i < j
     tree: frozenset[str]
 
-    def _component_count(self) -> int:
-        """Connected components, by union-find over the edges."""
-        parent = list(range(self.vertex_count + 1))
-
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        for _, (a, b) in self.edges:
-            parent[find(b)] = find(a)
-        return len({find(x) for x in range(1, self.vertex_count + 1)})
-
-    def betti(self) -> int:
-        """First Betti number: edges - vertices + connected components."""
-        return len(self.edges) - self.vertex_count + self._component_count()
-
-    def is_connected(self) -> bool:
-        return self._component_count() <= 1
-
 
 def standard_assignment(graph: CoxeterGraph) -> dict[str, SemidirectElement]:
     """Images of the edge generators in the semidirect product.
 
-    Spanning-tree edges map to the transposition of their endpoints; the
-    single non-tree edge (i, j) maps to that transposition times u_{i,j}.
-    Only the one-cycle case (first Betti number 1) is supported.
+    Tree edge (i, j) maps to the transposition (i j); the one non-tree
+    edge (i, j) maps to (i j) times u_{i,j}.  ``graph`` is a cycle as
+    ``recognize_cycle`` builds it.
     """
     n = graph.vertex_count
-    for _, (a, b) in graph.edges:
-        if not (1 <= a <= n and 1 <= b <= n) or a == b:
-            raise CoxeterError(f"edge ({a},{b}) is not a pair of distinct vertices")
-    if not graph.is_connected():
-        raise CoxeterError("graph is disconnected")
-    t = graph.betti()
-    if t != 1:
-        raise CoxeterError(f"graph has first Betti number {t}; only t=1 is implemented")
-    labels = [label for label, _ in graph.edges]
-    if len(set(labels)) != len(labels):
-        raise CoxeterError("duplicate edge labels")
-    non_tree = [e for e in graph.edges if e[0] not in graph.tree]
-    tree_edges = [e for e in graph.edges if e[0] in graph.tree]
-    if len(non_tree) != 1 or len(tree_edges) != n - 1:
-        raise CoxeterError("tree must be a spanning tree missing exactly one edge")
-
     out = {}
-    for label, (a, b) in tree_edges:
-        out[label] = SemidirectElement.from_perm(Permutation.transposition(n, a, b))
-    label, (a, b) = non_tree[0]
-    i, j = min(a, b), max(a, b)
-    out[label] = SemidirectElement(
-        Permutation.transposition(n, i, j), SemidirectElement.u(n, i, j).vec
-    )
+    for label, (i, j) in graph.edges:
+        vec = (0,) * n if label in graph.tree else SemidirectElement.u(n, i, j).vec
+        out[label] = SemidirectElement(Permutation.transposition(n, i, j), vec)
     return out
 
 
@@ -247,25 +207,14 @@ class LatticeQuotient:
 
     def verdict(self) -> StructureVerdict:
         nontrivial = tuple(d for d in self.invariants if d > 1)
-        free = sum(1 for d in self.invariants if d == 0)
-        if free:
+        if self.order is None:
+            free = sum(1 for d in self.invariants if d == 0)
             return StructureVerdict(
                 kind="AbelianInvariantFactors",
                 factors=nontrivial + (0,) * free,
                 order=None,
             )
-        if not nontrivial:
-            return StructureVerdict(kind="Trivial", order=1)
-        if all(d == 2 for d in nontrivial):
-            return StructureVerdict(
-                kind="ElementaryAbelian2",
-                rank=len(nontrivial),
-                order=self.order,
-                factors=nontrivial,
-            )
-        return StructureVerdict(
-            kind="AbelianInvariantFactors", factors=nontrivial, order=self.order
-        )
+        return identify_structure(self.order, invariant_factors=nontrivial)
 
 
 def lattice_quotient(proj_vec_u, n: int) -> LatticeQuotient:
@@ -310,7 +259,6 @@ class CoxeterRoute:
     reduced: GroupPresentation | None = None
     graph: CoxeterGraph | None = None
     assignment: dict[str, SemidirectElement] | None = None
-    relator_failures: tuple[int, ...] = ()
     proj_element: SemidirectElement | None = None
     proj_u_coords: tuple[int, ...] | None = None
     quotient: LatticeQuotient | None = None
@@ -358,6 +306,7 @@ def reduce_presentation(pres, proj: Word | None, plan=None, table=None):
     if plan:
         # plan words refer to the original generator names; verify all
         # relations against the original table before any renumbering
+        words = []
         for name, word_text in plan:
             gen = pres.id_of(name)
             w = parse_word(word_text, pres.names)
@@ -373,9 +322,13 @@ def reduce_presentation(pres, proj: Word | None, plan=None, table=None):
                 raise CoxeterError(
                     f"plan relation {name} = {word_text} does not hold in the group"
                 )
-        for name, word_text in plan:
-            w = parse_word(word_text, pres.names)
-            pres, companions = eliminate_and_rewrite(pres, name, w, companions)
+            words.append(w)
+        # the words still to use ride along, renumbered by each elimination
+        companions = tuple(words) + companions
+        for name, _ in plan:
+            pres, companions = eliminate_and_rewrite(
+                pres, name, companions[0], companions[1:]
+            )
     else:
         while True:
             step = _auto_plan_step(pres)
@@ -461,43 +414,20 @@ def coxeter_route(pres, proj: Word | None, plan=None, table=None) -> CoxeterRout
         reduced, proj_reduced = reduce_presentation(pres, proj, plan=plan, table=table)
         graph = recognize_cycle(reduced)
         assignment = standard_assignment(graph)
+        images = [assignment[name] for name in reduced.names]
+        if not all(eval_word(images, r).is_identity() for r in reduced.relators):
+            raise CoxeterError("assignment fails to satisfy the reduced relators")
+        if proj_reduced is None:
+            raise CoxeterError("no projective relator to quotient by")
+        element = eval_word(images, proj_reduced)
+        if not element.perm.is_identity():
+            raise CoxeterError(
+                "projective relator has a non-identity permutation part; "
+                "its normal closure is not a lattice"
+            )
     except CoxeterError as exc:
         return CoxeterRoute(supported=False, reason=str(exc))
-
-    images = [assignment[name] for name in reduced.names]
-    failures = tuple(
-        i for i, r in enumerate(reduced.relators) if not eval_word(images, r).is_identity()
-    )
-    if failures:
-        return CoxeterRoute(
-            supported=False,
-            reason="assignment fails to satisfy the reduced relators",
-            reduced=reduced,
-            graph=graph,
-            assignment=assignment,
-            relator_failures=failures,
-        )
-    if proj_reduced is None:
-        return CoxeterRoute(
-            supported=False,
-            reason="no projective relator to quotient by",
-            reduced=reduced,
-            graph=graph,
-            assignment=assignment,
-        )
-    element = eval_word(images, proj_reduced)
-    if not element.perm.is_identity():
-        return CoxeterRoute(
-            supported=False,
-            reason="projective relator has a non-identity permutation part; "
-            "its normal closure is not a lattice",
-            reduced=reduced,
-            graph=graph,
-            assignment=assignment,
-            proj_element=element,
-        )
     coords = u_basis_coords(element.vec)
-    quotient = lattice_quotient(coords, graph.vertex_count)
     return CoxeterRoute(
         supported=True,
         reduced=reduced,
@@ -505,5 +435,5 @@ def coxeter_route(pres, proj: Word | None, plan=None, table=None) -> CoxeterRout
         assignment=assignment,
         proj_element=element,
         proj_u_coords=coords,
-        quotient=quotient,
+        quotient=lattice_quotient(coords, graph.vertex_count),
     )

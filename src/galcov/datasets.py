@@ -104,8 +104,3 @@ def load_builtin(name: str) -> DegenerationComplex:
             f"unknown builtin dataset {name!r}; available: {', '.join(builtin_names())}"
         ) from None
     return parse_complex(text)
-
-
-def coxeter_plan_for(name: str):
-    """Elimination plan for the Coxeter route, if any."""
-    return COXETER_PLANS.get(name)

@@ -11,7 +11,7 @@ import time
 import pytest
 
 from galcov.coxeter import SemidirectElement, coxeter_route, eval_word
-from galcov.datasets import coxeter_plan_for, load_builtin
+from galcov.datasets import COXETER_PLANS, load_builtin
 from galcov.enumeration import coset_enumeration, group_order
 from galcov.invariants import chern_numbers, signature, singularity_counts
 from galcov.kernel import (
@@ -180,7 +180,7 @@ def dt4_coxeter_results(dt4_enumeration_results):
     route = coxeter_route(
         pres,
         projective_relator(dt4),
-        plan=coxeter_plan_for("dt4"),
+        plan=COXETER_PLANS["dt4"],
         table=dt4_enumeration_results["table"],
     )
     elapsed = time.perf_counter() - t0

@@ -253,6 +253,22 @@ def test_degree_over_the_factorial_guard_is_chern_error(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("route", ["enumerate", "coxeter", "both"])
+def test_relators_the_transpositions_break_are_kernel_error(tmp_path, capsys, route):
+    # prism_complex(3) passes validate, but the commutators of parasitic
+    # pairs sharing a plane fail under the plane transpositions
+    path = tmp_path / "prism3.json"
+    path.write_text(serialize_complex(prism_complex(3)), encoding="utf-8")
+    assert main(["analyze", str(path), "--route", route]) == 2
+    captured = capsys.readouterr()
+    assert (
+        "[kernel] plane transpositions do not satisfy relators (27, 32, 37, 42, 43, 44)"
+        in captured.err
+    )
+    assert "Traceback" not in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("route", ["enumerate", "coxeter", "both"])
 @pytest.mark.parametrize(
     "planes, named",
     [

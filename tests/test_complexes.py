@@ -18,7 +18,6 @@ from galcov.complexes import (
     serialize_complex,
     validate,
 )
-from galcov.coxeter import CoxeterGraph
 from galcov.datasets import DT4_JSON, T4_JSON
 
 from .conftest import random_valid_complex
@@ -222,43 +221,6 @@ def test_pair_complement_identity_random():
         assert validate(c).valid
         e = c.edge_count
         assert len(parasitic_pairs(c)) + len(adjacent_pairs(c)) == e * (e - 1) // 2
-
-
-def dual_graph(c):
-    """One vertex per plane and one edge per intersection line, as the
-    graph type whose Betti number the Coxeter route reads."""
-    edges = tuple((f"g{e.id}", tuple(sorted(e.planes))) for e in c.edges)
-    return CoxeterGraph(vertex_count=c.plane_count, edges=edges, tree=frozenset())
-
-
-def test_dual_graph_t4(t4):
-    g = dual_graph(t4)
-    assert g.vertex_count == 4
-    pairs = {pair for _, pair in g.edges}
-    assert pairs == {(1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4)}
-    assert g.betti() == 3
-    assert g.is_connected()
-
-
-def test_dual_graph_hexagon_betti():
-    # the six-edge cycle left after reducing the double tetrahedron
-    g = CoxeterGraph(
-        vertex_count=6,
-        edges=(
-            ("g1", (1, 2)), ("g2", (3, 6)), ("g4", (2, 3)),
-            ("g5", (5, 6)), ("g8", (1, 4)), ("g9", (4, 5)),
-        ),
-        tree=frozenset(),
-    )
-    assert g.betti() == 1
-    assert g.is_connected()
-
-
-def test_dual_graph_no_edges():
-    g = CoxeterGraph(vertex_count=5, edges=(), tree=frozenset())
-    assert g.betti() == 0
-    assert not g.is_connected()
-    assert CoxeterGraph(vertex_count=0, edges=(), tree=frozenset()).is_connected()
 
 
 def test_classification_invariant_under_relabeling(dt4):

@@ -16,10 +16,16 @@ from galcov.coxeter import (
     u_basis_coords,
     vector_from_u_coords,
 )
-from galcov.datasets import coxeter_plan_for
+from galcov.datasets import COXETER_PLANS
 from galcov.kernel import smith_normal_form
 from galcov.permutations import Permutation
-from galcov.presentation import build_tilde_presentation, parse_word, projective_relator
+from galcov.presentation import (
+    GroupPresentation,
+    build_tilde_presentation,
+    parse_word,
+    projective_relator,
+    triple_word,
+)
 
 from .conftest import random_permutation
 
@@ -152,26 +158,6 @@ def test_standard_assignment_triangle():
         assert lhs == rhs
 
 
-def test_standard_assignment_rejects_disconnected():
-    g = CoxeterGraph(
-        vertex_count=4,
-        edges=(("a", (1, 2)), ("b", (1, 2)), ("c", (3, 4)), ("d", (3, 4))),
-        tree=frozenset({"a", "c"}),
-    )
-    with pytest.raises(CoxeterError, match="disconnected"):
-        standard_assignment(g)
-
-
-def test_standard_assignment_rejects_higher_betti():
-    g = CoxeterGraph(
-        vertex_count=3,
-        edges=(("a", (1, 2)), ("b", (2, 3)), ("c", (1, 3)), ("d", (1, 2))),
-        tree=frozenset({"a", "b"}),
-    )
-    with pytest.raises(CoxeterError, match="Betti number 2"):
-        standard_assignment(g)
-
-
 # ---------------------------------------------------------------------------
 # word evaluation against the expected images
 
@@ -182,7 +168,7 @@ def dt4_route(dt4, dt4_presentation, dt4_table):
     return coxeter_route(
         pres_noproj,
         projective_relator(dt4),
-        plan=coxeter_plan_for("dt4"),
+        plan=COXETER_PLANS["dt4"],
         table=dt4_table,
     )
 
@@ -233,8 +219,12 @@ def test_route_graph_matches_expected_labeling(dt4_route):
 
 
 def test_route_assignment_satisfies_reduced_relators(dt4_route):
-    assert dt4_route.relator_failures == ()
-    assert dt4_route.reduced.names == ("g1", "g2", "g4", "g5", "g8", "g9")
+    reduced = dt4_route.reduced
+    assert reduced.names == ("g1", "g2", "g4", "g5", "g8", "g9")
+    images = [dt4_route.assignment[name] for name in reduced.names]
+    assert reduced.relators
+    for r in reduced.relators:
+        assert eval_word(images, r).is_identity(), r
 
 
 def test_route_quotient(dt4_route):
@@ -333,6 +323,46 @@ def test_t4_route_unsupported(t4):
     assert "cycle" in route.reason
 
 
+def triangle_presentation(*extra):
+    """Squares and three braids: the cycle quotient of a triangle."""
+    relators = [(g, g) for g in (1, 2, 3)]
+    relators += [triple_word(1, 2), triple_word(2, 3), triple_word(1, 3)]
+    return GroupPresentation.make(("g1", "g2", "g3"), relators + list(extra))
+
+
+def test_triangle_route_without_projective_relator_is_unsupported():
+    route = coxeter_route(triangle_presentation(), None)
+    assert not route.supported
+    assert route.reason == "no projective relator to quotient by"
+    assert route.reduced is None and route.quotient is None
+
+
+def test_triangle_route_quotients_by_a_root():
+    # the walk starts at g3, so g1 is the non-tree edge (1, 3): g1 maps to
+    # (1 3)u_{1,3} and g3 g2 g3 to (1 3), leaving the root -u_{1,3}
+    route = coxeter_route(triangle_presentation(), (1, 3, 2, 3))
+    assert route.supported
+    assert route.graph.edges == (("g3", (1, 2)), ("g2", (2, 3)), ("g1", (1, 3)))
+    assert route.proj_element == u(3, 3, 1)
+    assert route.quotient.order == 1
+    assert route.verdict().kind == "Trivial"
+
+
+def test_route_with_a_relator_the_cycle_breaks_is_unsupported():
+    # g1 g2 maps onto the 3-cycle (1 3)(2 3), so (g1 g2)^2 does not; each
+    # generator occurs twice in it, so no syntactic elimination removes it
+    route = coxeter_route(triangle_presentation((1, 2, 1, 2)), (1, 3, 2, 3))
+    assert not route.supported
+    assert route.reason == "assignment fails to satisfy the reduced relators"
+
+
+def test_projective_relator_off_the_lattice_is_unsupported():
+    route = coxeter_route(triangle_presentation(), (1,))
+    assert not route.supported
+    assert route.reason.startswith("projective relator has a non-identity permutation part")
+    assert route.proj_element is None
+
+
 def test_reduce_presentation_auto_on_t4(t4):
     pres = build_tilde_presentation(t4, include_projective=False)
     reduced, proj = reduce_presentation(pres, None)
@@ -346,7 +376,7 @@ def test_reduce_presentation_plan_requires_evidence(dt4):
     pres = build_tilde_presentation(dt4, include_projective=False)
     with pytest.raises(CoxeterError, match="no coset table"):
         reduce_presentation(
-            pres, projective_relator(dt4), plan=coxeter_plan_for("dt4"), table=None
+            pres, projective_relator(dt4), plan=COXETER_PLANS["dt4"], table=None
         )
 
 

@@ -1,5 +1,6 @@
 """The benchmark tracer rebinds names inside galcov modules; each one it
-names must exist, or only the traced benchmark runs would notice."""
+names must exist and be looked up there, or only the traced benchmark
+runs would notice."""
 
 import ast
 import importlib
@@ -31,3 +32,18 @@ def test_every_tracer_hook_resolves():
         if not hasattr(importlib.import_module(module), attr)
     ]
     assert missing == []
+
+
+def test_every_tracer_hook_is_read_in_its_module():
+    # a name imported but never looked up in the module would count 0
+    # calls under the tracer instead of failing
+    unread = []
+    for module, attr in tracer_hook_targets():
+        source = Path(importlib.import_module(module).__file__)
+        tree = ast.parse(source.read_text(encoding="utf-8"))
+        if not any(
+            isinstance(node, ast.Name) and node.id == attr and isinstance(node.ctx, ast.Load)
+            for node in ast.walk(tree)
+        ):
+            unread.append(f"{module}.{attr}")
+    assert unread == []
