@@ -72,7 +72,6 @@ from .presentation import (
     PresentationError,
     Word,
     build_tilde_presentation,
-    eliminate_generator,
     free_reduce,
     parse_relation,
 )

@@ -6,12 +6,15 @@ group presentation, map it onto the symmetric group S_n, and identify the
 kernel K (= the fundamental group of the Galois cover) from a presentation
 of it: the kernel coset table (n! rows), Reidemeister-Schreier, Tietze
 simplification and an enumeration of K give |K|, and |G~| = n!|K|.
-Todd-Coxeter on G~ itself runs only for the Coxeter-quotient route
-(``coxeter`` or ``both``); under ``both`` its order must equal n!|K|, and
-the two routes' verdicts are compared.
+The Coxeter-quotient route (``coxeter`` or ``both``) checks its plan on a
+Todd-Coxeter table of G~ over an S_n complement H, with [G~:H] = |K|
+rows, or over the trivial subgroup when ``complement_path`` finds no H;
+under ``both`` the table's [G~:H]|H| must equal n!|K|, and the two
+routes' verdicts are compared.
 
-``max_cosets`` bounds every table: the full enumeration, the n!-row
-kernel table (checked before a row is built) and the kernel enumeration.
+``max_cosets`` bounds every table and search: the complement search, the
+enumeration over H, the n!-row kernel table (checked before a row is
+built) and the kernel enumeration.
 
 Exit codes: 0 definite verdict, 1 undecided (a table hit ``max_cosets``,
 or no requested route could decide), 2 input errors.
@@ -57,6 +60,7 @@ from .permutations import (
 from .presentation import (
     PresentationError,
     build_tilde_presentation,
+    complement_path,
     format_relation,
     projective_relator,
 )
@@ -284,23 +288,25 @@ def analyze(
         )
 
     # the kernel route gives |K| from a presentation of the kernel, and
-    # with it |G~| = n!|K|; only the Coxeter route needs the full table
+    # with it |G~| = n!|K|; only the Coxeter route needs a table of G~
     enum_verdict = None
     if route in ("enumerate", "both"):
         enum_verdict = _enumeration_route(report, pres, assignment, max_cosets, timed)
 
     cox_verdict = None
     if route in ("coxeter", "both"):
+        path = timed("complement", complement_path, pres, assignment, max_cosets)
         table = None
         try:
-            table = timed("enumerate", coset_enumeration, pres, (), max_cosets)
+            table = timed("enumerate", coset_enumeration, pres, [(g,) for g in path], max_cosets)
         except EnumerationOverflow:
             _undecided_at_bound(
                 report, max_cosets, f"enumeration overflow at {max_cosets} cosets"
             )
         if route == "both" and table is not None:
-            _index_cross_check(report, group_order(table))
-        cox_verdict = _coxeter_route(report, pres_noproj, proj, table, timed)
+            subgroup = math.factorial(assignment.degree) if path else 1
+            _index_cross_check(report, table.coset_count * subgroup)
+        cox_verdict = _coxeter_route(report, pres_noproj, proj, table, assignment, timed)
 
     if route == "both" and enum_verdict is not None:
         if report.coxeter_route and report.coxeter_route.get("supported"):
@@ -383,8 +389,9 @@ def _enumeration_route(report, pres, assignment, max_cosets, timed):
 
 
 def _index_cross_check(report, tilde):
-    """Under ``--route both``: the full table's order over n! is a second,
-    independent |K|, and must equal the kernel presentation's."""
+    """Under ``--route both``: |G~| = [G~:H]|H| from the table over H, over
+    n!, is a second, independent |K|, and must equal the kernel
+    presentation's."""
     nfact = report.symmetric_image_order
     if tilde % nfact:
         raise AnalysisError(
@@ -394,8 +401,8 @@ def _index_cross_check(report, tilde):
     if kernel is not None and tilde != nfact * kernel:
         raise AnalysisError(
             "kernel",
-            f"the full coset table has {tilde} rows, but the kernel presentation "
-            f"gives n!|K| = {nfact}*{kernel} = {nfact * kernel}",
+            f"the coset table gives |G~| = [G~:H]|H| = {tilde}, but the kernel "
+            f"presentation gives n!|K| = {nfact}*{kernel} = {nfact * kernel}",
         )
     report.kernel_cross_check = {
         "from_index": tilde // nfact,
@@ -404,12 +411,12 @@ def _index_cross_check(report, tilde):
     }
 
 
-def _coxeter_route(report, pres_noproj, proj, table, timed):
+def _coxeter_route(report, pres_noproj, proj, table, assignment, timed):
     """Coxeter-quotient route; returns its verdict or None."""
     plan = None
     if report.source.startswith("builtin:"):
         plan = COXETER_PLANS.get(report.source.split(":", 1)[1])
-    route = timed("coxeter", coxeter_route, pres_noproj, proj, plan, table)
+    route = timed("coxeter", coxeter_route, pres_noproj, proj, plan, table, assignment)
     if not route.supported:
         report.coxeter_route = {"supported": False, "reason": route.reason}
         return None
@@ -478,7 +485,7 @@ def emit_report(report: AnalysisReport, fmt: str = "text") -> bytes:
     if report.enumeration_route:
         er = report.enumeration_route
         from_index = report.kernel_cross_check["from_index"]
-        check = "" if from_index is None else f" (full table: {from_index})"
+        check = "" if from_index is None else f" (index check: {from_index})"
         lines.append(
             f"  enumeration route: kernel {er['kernel_order']}{check},"
             f" mod-2 co-rank {er['mod2_corank']}"
@@ -540,8 +547,9 @@ def _build_parser():
         type=int,
         default=DEFAULT_MAX_COSETS,
         help=(
-            "bound on the cosets of each enumeration and on the n! rows of the "
-            f"kernel table (default {DEFAULT_MAX_COSETS})"
+            "bound on the cosets of each enumeration, the partial paths of the "
+            "complement search and the n! rows of the kernel table "
+            f"(default {DEFAULT_MAX_COSETS})"
         ),
     )
     a.add_argument(

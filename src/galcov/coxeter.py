@@ -28,6 +28,7 @@ from .presentation import (
     canonical_key,
     commutator_word,
     eliminate_and_rewrite,
+    eliminate_in_turn,
     free_reduce,
     invert_word,
     parse_word,
@@ -111,18 +112,20 @@ def _act(perm: Permutation, vec):
     return tuple(out)
 
 
-def eval_word(images, word) -> SemidirectElement:
-    """Left-to-right product of the images of a word's letters."""
+def eval_word(images, word, inverses=None) -> SemidirectElement:
+    """Left-to-right product of the images of a word's letters;
+    ``inverses``, when given, lists the images' inverses in their order."""
     images = list(images)
     if not images:
         raise CoxeterError("empty assignment")
+    if inverses is None:
+        inverses = [g.inverse() for g in images]
     acc = SemidirectElement.identity(images[0].degree)
     for x in word:
         k = abs(x)
         if not 1 <= k <= len(images):
             raise CoxeterError(f"word references unassigned generator {k}")
-        g = images[k - 1]
-        acc = acc * (g if x > 0 else g.inverse())
+        acc = acc * (images[k - 1] if x > 0 else inverses[k - 1])
     return acc
 
 
@@ -293,13 +296,15 @@ def _auto_plan_step(pres):
     return best
 
 
-def reduce_presentation(pres, proj: Word | None, plan=None, table=None):
+def reduce_presentation(pres, proj: Word | None, plan=None, table=None, symmetric=None):
     """Apply the elimination plan (or auto-derived syntactic eliminations)
     to the presentation, rewriting the projective relator along.
 
     Planned eliminations whose defining relation is not syntactically
-    present are verified by tracing through ``table`` (a closed coset
-    table of the presentation together with the projective relator).
+    present are verified by :func:`relation_holds` against ``table`` (a
+    closed coset table of the presentation together with the projective
+    relator, over a subgroup that meets the kernel of ``symmetric``
+    trivially) and ``symmetric`` (the map onto S_n).
     """
     companions = (proj,) if proj is not None else ()
 
@@ -312,7 +317,7 @@ def reduce_presentation(pres, proj: Word | None, plan=None, table=None):
             w = parse_word(word_text, pres.names)
             if any(abs(x) == gen for x in w):
                 raise CoxeterError(f"plan word for {name} mentions {name}")
-            holds = relation_holds(pres, gen, w, table)
+            holds = relation_holds(pres, gen, w, table, symmetric)
             if holds is None:
                 raise CoxeterError(
                     f"plan relation {name} = {word_text} is not a stated relator "
@@ -323,12 +328,9 @@ def reduce_presentation(pres, proj: Word | None, plan=None, table=None):
                     f"plan relation {name} = {word_text} does not hold in the group"
                 )
             words.append(w)
-        # the words still to use ride along, renumbered by each elimination
-        companions = tuple(words) + companions
-        for name, _ in plan:
-            pres, companions = eliminate_and_rewrite(
-                pres, name, companions[0], companions[1:]
-            )
+        pres, companions = eliminate_in_turn(
+            pres, [name for name, _ in plan], words, companions
+        )
     else:
         while True:
             step = _auto_plan_step(pres)
@@ -404,22 +406,27 @@ def recognize_cycle(pres) -> CoxeterGraph:
     return CoxeterGraph(vertex_count=m, edges=tuple(edges), tree=tree)
 
 
-def coxeter_route(pres, proj: Word | None, plan=None, table=None) -> CoxeterRoute:
+def coxeter_route(
+    pres, proj: Word | None, plan=None, table=None, symmetric=None
+) -> CoxeterRoute:
     """Run the whole route on a presentation (projective relator separate).
 
-    Returns an unsupported result, with a reason, whenever the input falls
-    outside the implemented one-cycle construction.
+    ``table`` and ``symmetric`` (the map onto S_n) check the plan, as
+    :func:`reduce_presentation` describes.  Returns an unsupported result,
+    with a reason, whenever the input falls outside the implemented
+    one-cycle construction.
     """
     try:
-        reduced, proj_reduced = reduce_presentation(pres, proj, plan=plan, table=table)
+        reduced, proj_reduced = reduce_presentation(pres, proj, plan, table, symmetric)
         graph = recognize_cycle(reduced)
         assignment = standard_assignment(graph)
         images = [assignment[name] for name in reduced.names]
-        if not all(eval_word(images, r).is_identity() for r in reduced.relators):
+        inverses = [g.inverse() for g in images]
+        if not all(eval_word(images, r, inverses).is_identity() for r in reduced.relators):
             raise CoxeterError("assignment fails to satisfy the reduced relators")
         if proj_reduced is None:
             raise CoxeterError("no projective relator to quotient by")
-        element = eval_word(images, proj_reduced)
+        element = eval_word(images, proj_reduced, inverses)
         if not element.perm.is_identity():
             raise CoxeterError(
                 "projective relator has a non-identity permutation part; "

@@ -38,7 +38,7 @@ from .complexes import (
     classify_vertex,
     parasitic_pairs,
 )
-from .enumeration import coset_enumeration
+from .permutations import word_image
 
 Word = tuple[int, ...]
 
@@ -461,15 +461,17 @@ def projective_relator(c: DegenerationComplex) -> Word | None:
 # Tietze transformations
 
 
-def relation_holds(pres, gen, replacement, table) -> bool | None:
-    """Does gen = replacement hold in the group of ``pres``?
+def relation_holds(pres, gen, replacement, table, assignment) -> bool | None:
+    """Does gen = replacement hold in the group G of ``pres``?
 
     True when the equation is a stated relator, up to rotation, inversion
-    and the sign of involution generators, or when ``gen^-1 replacement``
-    traces from coset 0 back to itself through ``table``, a closed coset
-    table over the trivial subgroup: the action there is regular, so a
-    word fixing one coset is the identity.  False when that trace fails;
-    None when the equation is not stated and ``table`` is None.
+    and the sign of involution generators.  Otherwise ``table`` decides
+    it: a closed coset table of ``pres`` over a subgroup H that meets the
+    kernel K of ``assignment``, a homomorphism G -> S_n, trivially (the
+    trivial subgroup, or the complement of :func:`complement_path`).  A
+    word is 1 in G exactly when its image is the identity and it fixes
+    coset 0, which is H itself: then it lies in H and in K, and H meets K
+    only in 1.  None when the equation is not stated and ``table`` is None.
     """
     inv = pres.involutions()
     target = canonical_key(
@@ -479,58 +481,71 @@ def relation_holds(pres, gen, replacement, table) -> bool | None:
         return True
     if table is None:
         return None
-    if table.subgroup_words:
-        raise ValueError("relation check needs a table over the trivial subgroup")
-    return table.trace(0, free_reduce((-gen,) + replacement)) == 0
+    word = free_reduce((-gen,) + tuple(replacement))
+    return word_image(assignment, word).is_identity() and table.trace(0, word) == 0
 
 
-def eliminate_generator(pres, gen, replacement, *, table=None, max_cosets=200_000):
-    """Tietze-eliminate ``gen``, substituting ``replacement`` everywhere.
+def complement_path(pres, assignment, bound) -> tuple[int, ...]:
+    """Generators along a Hamiltonian path of the plane graph that state
+    the Coxeter presentation of S_n, or () when the search finds none
+    within ``bound`` partial paths.
 
-    The equality gen = replacement must hold in the group.  It is accepted
-    when a defining relator is present (up to rotation/inversion, with
-    involution signs normalized), and otherwise verified by tracing the
-    word through a closed coset table of the presentation -- supplied via
-    ``table`` or enumerated on demand.  Returns a presentation on the
-    remaining generators defining the same group.
+    ``assignment`` must be a homomorphism onto S_n.  Each path generator
+    has a stated square and a transposition image; path neighbours
+    carry a stated braid relator, every other pair a stated commutator
+    (Coxeter and Moser, 1957).  Their subgroup H is then a quotient of
+    S_n, and maps onto S_n because its transpositions join all n planes:
+    H is S_n, meets the kernel K trivially, and [G:H] = |K|.  The search
+    is depth first, from the lowest plane, along edges in generator order,
+    and prunes a partial path as soon as a pair misses its relator.
     """
-    if isinstance(gen, str):
-        gen = pres.id_of(gen)
-    if not 1 <= gen <= pres.generator_count:
-        raise PresentationError(f"no generator {gen}")
-    if isinstance(replacement, str):
-        replacement = parse_word(replacement, pres.names)
-    replacement = free_reduce(replacement)
-    if any(abs(x) == gen for x in replacement):
-        raise PresentationError(
-            f"replacement word for {pres.names[gen - 1]} mentions the generator itself"
+    n = assignment.degree
+    keys = {canonical_key(r) for r in pres.relators}
+    edges = {plane: [] for plane in range(1, n + 1)}
+    for g in sorted(pres.involutions()):
+        moved = [x for x in range(1, n + 1) if assignment.image(g)(x) != x]
+        if len(moved) == 2:
+            a, b = moved
+            edges[a].append((g, b))
+            edges[b].append((g, a))
+
+    def fits(path, g):
+        last = len(path) - 1
+        return all(
+            canonical_key((triple_word if k == last else commutator_word)(h, g)) in keys
+            for k, h in enumerate(path)
         )
 
-    if table is not None and table.generator_count != pres.generator_count:
-        raise PresentationError(
-            "verification table does not match the presentation "
-            f"({table.generator_count} generators vs {pres.generator_count})"
+    stack = [((), (plane,)) for plane in range(n, 0, -1)]
+    for _ in range(bound):
+        if not stack:
+            break
+        path, planes = stack.pop()
+        if len(planes) == n:
+            return path
+        stack.extend(
+            (path + (g,), planes + (b,))
+            for g, b in reversed(edges[planes[-1]])
+            if b not in planes and fits(path, g)
         )
-    holds = relation_holds(pres, gen, replacement, table)
-    if holds is None:
-        table = coset_enumeration(pres, (), max_cosets=max_cosets)
-        holds = relation_holds(pres, gen, replacement, table)
-    if not holds:
-        raise PresentationError(
-            f"relation {pres.names[gen - 1]} = {format_word(replacement, pres.names)}"
-            " does not hold; elimination refused"
-        )
+    return ()
 
-    new_pres, _ = eliminate_and_rewrite(pres, gen, replacement, ())
-    return new_pres
+
+def eliminate_in_turn(pres, gens, words, companions=()):
+    """:func:`eliminate_and_rewrite` each of ``gens`` by its word in turn;
+    the words still to use are renumbered by each elimination, along with
+    ``companions``, which are returned rewritten."""
+    rest = tuple(words) + tuple(companions)
+    for gen in gens:
+        pres, rest = eliminate_and_rewrite(pres, gen, rest[0], rest[1:])
+    return pres, rest
 
 
 def eliminate_and_rewrite(pres, gen, replacement, companions):
     """Substitute and drop ``gen`` (no validity check) and rewrite the
     companion words through the same substitution and renumbering.
 
-    Internal workhorse behind :func:`eliminate_generator`; callers are
-    responsible for having established gen = replacement.
+    Callers are responsible for having established gen = replacement.
     """
     if isinstance(gen, str):
         gen = pres.id_of(gen)

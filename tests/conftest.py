@@ -7,8 +7,8 @@ import pytest
 from galcov.complexes import DegenerationComplex, Edge, PresentationOverrides, Vertex
 from galcov.datasets import load_builtin
 from galcov.enumeration import coset_enumeration
-from galcov.permutations import Permutation
-from galcov.presentation import build_tilde_presentation
+from galcov.permutations import Permutation, plane_transposition_map
+from galcov.presentation import build_tilde_presentation, complement_path
 
 
 @pytest.fixture(scope="session")
@@ -35,6 +35,18 @@ def dt4_presentation(dt4):
 def dt4_table(dt4_presentation):
     """Closed coset table of the dt4 group; shared, it is the slow step."""
     return coset_enumeration(dt4_presentation, (), 1_000_000)
+
+
+@pytest.fixture(scope="session")
+def dt4_assignment(dt4):
+    return plane_transposition_map(dt4)
+
+
+@pytest.fixture(scope="session")
+def dt4_complement_table(dt4_presentation, dt4_assignment):
+    """Coset table of the dt4 group over its S_6 complement: 16 rows."""
+    path = complement_path(dt4_presentation, dt4_assignment, 1_000_000)
+    return coset_enumeration(dt4_presentation, [(g,) for g in path], 1_000_000)
 
 
 # ---------------------------------------------------------------------------

@@ -29,9 +29,10 @@ from galcov.permutations import (
 )
 from galcov.presentation import (
     build_tilde_presentation,
-    eliminate_generator,
+    eliminate_in_turn,
     parse_word,
     projective_relator,
+    relation_holds,
 )
 from galcov.tietze import simplify_presentation
 
@@ -142,16 +143,19 @@ def test_criterion_3_double_tetrahedron_enumeration(dt4_enumeration_results):
 
 def test_criterion_4_tietze_cross_check(dt4_enumeration_results):
     r = dt4_enumeration_results
-    reduced = r["pres"]
+    pres = r["pres"]
     # g7's defining relator is stated; the g3 and g6 relations are
-    # consequences, so those eliminations verify themselves by
-    # enumerating the current presentation before substituting
-    for name, text in (("g7", "g1 g4 g1"), ("g3", "g5 g9 g5"), ("g6", "g9 g8 g1 g8 g9")):
-        reduced = eliminate_generator(
-            reduced, name, parse_word(text, reduced.names), max_cosets=1_000_000
-        )
+    # consequences, checked against the regular table before substituting
+    plan = (("g7", "g1 g4 g1"), ("g3", "g5 g9 g5"), ("g6", "g9 g8 g1 g8 g9"))
+    words = [parse_word(text, pres.names) for _, text in plan]
+    assignment = plane_transposition_map(r["dt4"])
+    holds = all(
+        relation_holds(pres, pres.id_of(name), w, r["table"], assignment)
+        for (name, _), w in zip(plan, words)
+    )
+    reduced, _ = eliminate_in_turn(pres, [name for name, _ in plan], words)
     order = group_order(coset_enumeration(reduced, (), 1_000_000))
-    ok = reduced.names == ("g1", "g2", "g4", "g5", "g8", "g9") and order == 11520
+    ok = holds and reduced.names == ("g1", "g2", "g4", "g5", "g8", "g9") and order == 11520
     report(
         4,
         ok,
@@ -182,6 +186,7 @@ def dt4_coxeter_results(dt4_enumeration_results):
         projective_relator(dt4),
         plan=COXETER_PLANS["dt4"],
         table=dt4_enumeration_results["table"],
+        symmetric=plane_transposition_map(dt4),
     )
     elapsed = time.perf_counter() - t0
     return route, elapsed

@@ -7,8 +7,8 @@ import galcov.cli
 from galcov.cli import AnalysisError, analyze, emit_report, main
 from galcov.complexes import serialize_complex
 from galcov.datasets import load_builtin
-from galcov.enumeration import group_order
-from galcov.presentation import GroupPresentation, parse_relation
+from galcov.enumeration import coset_enumeration, group_order
+from galcov.presentation import GroupPresentation, build_tilde_presentation, parse_relation
 
 from .conftest import prism_complex, relabel_complex
 
@@ -21,7 +21,7 @@ def test_analyze_t4_report():
     assert report.pi1 == {"kind": "Trivial"}
     assert report.chern["chi"] == -24
     assert not report.undecided
-    # the enumerate route builds no full table, so there is no index to check
+    # the enumerate route builds no table of G~, so there is no index to check
     assert report.kernel_cross_check == {
         "from_index": None,
         "from_subgroup_presentation": 1,
@@ -189,24 +189,40 @@ def test_analyze_file_without_plan_reports_coxeter_unsupported(tmp_path, dt4):
 
 def test_coxeter_route_times_its_fallback_enumeration():
     # --route coxeter has no enumeration-route table, so the Coxeter route
-    # enumerates the group itself; that work is reported as "enumerate"
+    # enumerates the group over its complement itself; the search is
+    # reported as "complement", the enumeration as "enumerate"
     report = analyze("t4", route="coxeter")
     assert report.enumeration_route is None
-    assert {"presentation", "enumerate", "coxeter"} <= set(report.timings)
+    assert {"presentation", "complement", "enumerate", "coxeter"} <= set(report.timings)
 
 
 def test_coxeter_route_overflow_is_undecided_at_bound(capsys):
     # --route coxeter enumerates like the other routes, so an overflow is
-    # reported the same way, not as a route that produced no verdict
-    report = analyze("dt4", route="coxeter", max_cosets=100)
+    # reported the same way, not as a route that produced no verdict; dt4's
+    # enumeration over its complement defines 52 cosets
+    report = analyze("dt4", route="coxeter", max_cosets=30)
     assert report.undecided
     assert report.tilde_order is None
-    assert report.pi1 == {"kind": "Undetermined", "note": "undecided at bound 100"}
-    assert "undecided at bound: enumeration overflow at 100 cosets" in report.warnings
+    assert report.pi1 == {"kind": "Undetermined", "note": "undecided at bound 30"}
+    assert "undecided at bound: enumeration overflow at 30 cosets" in report.warnings
     assert report.coxeter_route["supported"] is False
     assert "no coset table is available" in report.coxeter_route["reason"]
-    assert main(["analyze", "dt4", "--route", "coxeter", "--max-cosets", "100"]) == 1
+    assert main(["analyze", "dt4", "--route", "coxeter", "--max-cosets", "30"]) == 1
     assert "undecided at bound" in capsys.readouterr().out
+
+
+def test_coxeter_route_enumerates_once_over_the_complement(monkeypatch):
+    calls = []
+    real = galcov.cli.coset_enumeration
+
+    def recording(pres, subgroup_words, max_cosets):
+        calls.append(subgroup_words)
+        return real(pres, subgroup_words, max_cosets)
+
+    monkeypatch.setattr(galcov.cli, "coset_enumeration", recording)
+    report = analyze("dt4", route="coxeter")
+    assert calls == [[(1,), (4,), (2,), (3,), (9,)]]
+    assert report.coxeter_route["order"] == 16 and report.tilde_order == 11_520
 
 
 def test_main_rejects_max_cosets_below_one(capsys):
@@ -314,34 +330,50 @@ def test_enumerate_route_enumerates_only_the_kernel(monkeypatch, name, kernel_or
     assert "enumerate" not in report.timings
 
 
-@pytest.mark.parametrize("name,seed", [("t4", None), ("t4", 1), ("t4", 2),
-                                       ("dt4", None), ("dt4", 1)])
+@pytest.mark.parametrize("name,seed", [("t4", None), ("t4", 1), ("t4", 2), ("t4", 3),
+                                       ("dt4", None), ("dt4", 1), ("dt4", 2), ("dt4", 3)])
 def test_enumerate_route_order_equals_full_table(monkeypatch, tmp_path, name, seed):
+    complex_ = load_builtin(name)
     source = name
     if seed is not None:
         source = tmp_path / f"{name}-{seed}.json"
-        complex_ = relabel_complex(load_builtin(name), random.Random(seed))
+        complex_ = relabel_complex(complex_, random.Random(seed))
         source.write_text(serialize_complex(complex_), encoding="utf-8")
         source = str(source)
     tables = _recording(monkeypatch)
     both = analyze(source, route="both")
-    full = group_order(tables[-1])  # the kernel route enumerates first
-    assert len(tables) == 2
+    # the kernel route enumerates first, then G~ over an S_n complement H
+    assert len(tables) == 2 and len(tables[-1].subgroup_words) == both.symmetric_degree - 1
+    index = tables[-1].coset_count
+    full = group_order(coset_enumeration(build_tilde_presentation(complex_), (), 1_000_000))
     assert full == {"t4": 24, "dt4": 11_520}[name]
-    assert both.kernel_cross_check["from_index"] * both.symmetric_image_order == full
+    assert index * both.symmetric_image_order == full
+    assert both.kernel_cross_check["from_index"] == index
     assert analyze(source, route="enumerate").tilde_order == full == both.tilde_order
 
 
+def test_both_routes_without_a_complement_enumerate_g_in_full(monkeypatch):
+    # with no path, H is trivial: |H| = 1 and the table is regular
+    monkeypatch.setattr(galcov.cli, "complement_path", lambda *args: ())
+    tables = _recording(monkeypatch)
+    report = analyze("dt4", route="both")
+    assert tables[-1].subgroup_words == () and tables[-1].coset_count == 11_520
+    assert report.kernel_cross_check == {
+        "from_index": 16, "from_subgroup_presentation": 16, "agree": True
+    }
+    assert report.route_agreement is True
+
+
 def test_both_routes_raise_when_the_orders_disagree(monkeypatch):
-    # a kernel presentation of Z2 for t4 claims |G~| = 24 * 2, but the full
-    # table has 24 rows
+    # a kernel presentation of Z2 for t4 claims |G~| = 24 * 2, but the
+    # table over t4's complement S_4 has one row: |G~| = 1 * 24
     z2 = GroupPresentation.make(("x",), [(1, 1)])
     monkeypatch.setattr(galcov.cli, "simplify_presentation", lambda pres: z2)
     assert analyze("t4", route="enumerate").tilde_order == 48
     with pytest.raises(AnalysisError) as info:
         analyze("t4", route="both")
     assert info.value.stage == "kernel"
-    assert "24 rows" in str(info.value)
+    assert "[G~:H]|H| = 24," in str(info.value)
 
 
 @pytest.mark.parametrize(
@@ -381,13 +413,26 @@ def test_kernel_enumeration_overflow_is_undecided(monkeypatch, capsys):
 
 
 def test_kernel_route_decides_both_after_full_overflow(monkeypatch, capsys):
-    # dt4's kernel enumeration defines 41 cosets, its full one 15,008: at
-    # 720 the kernel route decides and the Coxeter route has no table
+    # dt4's kernel enumeration defines 41 cosets and the one over its
+    # complement 52, so at 720, the kernel table's rows, both routes decide
     tables = _recording(monkeypatch)
+    report = analyze("dt4", route="both", max_cosets=720)
+    assert [t.coset_count for t in tables] == [16, 16]
+    assert report.pi1 == {"kind": "ElementaryAbelian2", "rank": 4}
+    assert report.tilde_order == 11_520 and report.kernel_order == 16
+    assert not report.undecided
+    assert not any("undecided at bound" in w for w in report.warnings)
+    assert report.kernel_cross_check == {
+        "from_index": 16, "from_subgroup_presentation": 16, "agree": True
+    }
+    assert report.route_agreement is True
+    # with no complement found, G~ is enumerated in full (15,008 cosets
+    # defined): that overflows at 720, and the kernel route still decides
+    monkeypatch.setattr(galcov.cli, "complement_path", lambda *args: ())
+    tables.clear()
     report = analyze("dt4", route="both", max_cosets=720)
     assert len(tables) == 2 and tables[-1] is None  # the full call overflowed
     assert report.pi1 == {"kind": "ElementaryAbelian2", "rank": 4}
-    assert report.tilde_order == 11_520 and report.kernel_order == 16
     assert not report.undecided
     assert "undecided at bound: enumeration overflow at 720 cosets" in report.warnings
     assert report.kernel_cross_check["from_index"] is None
@@ -395,3 +440,8 @@ def test_kernel_route_decides_both_after_full_overflow(monkeypatch, capsys):
     assert report.route_agreement is None
     assert main(["analyze", "dt4", "--route", "both", "--max-cosets", "720"]) == 0
     assert "undecided at bound: enumeration overflow" in capsys.readouterr().out
+    # below the complement's count both routes stop at their bounds
+    assert main(["analyze", "dt4", "--route", "both", "--max-cosets", "30"]) == 1
+    out = capsys.readouterr().out
+    assert "undecided at bound: kernel table needs 720 rows" in out
+    assert "undecided at bound: enumeration overflow at 30 cosets" in out

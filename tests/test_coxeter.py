@@ -163,13 +163,14 @@ def test_standard_assignment_triangle():
 
 
 @pytest.fixture(scope="module")
-def dt4_route(dt4, dt4_presentation, dt4_table):
+def dt4_route(dt4, dt4_assignment, dt4_complement_table):
     pres_noproj = build_tilde_presentation(dt4, include_projective=False)
     return coxeter_route(
         pres_noproj,
         projective_relator(dt4),
         plan=COXETER_PLANS["dt4"],
-        table=dt4_table,
+        table=dt4_complement_table,
+        symmetric=dt4_assignment,
     )
 
 
@@ -380,12 +381,26 @@ def test_reduce_presentation_plan_requires_evidence(dt4):
         )
 
 
-def test_reduce_presentation_plan_rejects_false_relation(dt4, dt4_table):
+def test_reduce_presentation_plan_rejects_false_relation(
+    dt4, dt4_assignment, dt4_table, dt4_complement_table
+):
     pres = build_tilde_presentation(dt4, include_projective=False)
-    with pytest.raises(CoxeterError, match="does not hold"):
+    # g3 = g5 g9 holds nowhere; g7 = g2 g3 g8 g3 g2 holds in S_6 but not in G~
+    for table in (dt4_table, dt4_complement_table):
+        for gen, word in (("g3", "g5 g9"), ("g7", "g2 g3 g8 g3 g2")):
+            with pytest.raises(CoxeterError, match="does not hold"):
+                reduce_presentation(
+                    pres,
+                    projective_relator(dt4),
+                    plan=(("g3", "g5 g9 g5"), (gen, word)),
+                    table=table,
+                    symmetric=dt4_assignment,
+                )
+
+
+def test_reduce_presentation_plan_rejects_self_reference(dt4, dt4_assignment):
+    pres = build_tilde_presentation(dt4, include_projective=False)
+    with pytest.raises(CoxeterError, match="mentions"):
         reduce_presentation(
-            pres,
-            projective_relator(dt4),
-            plan=(("g3", "g1"),),
-            table=dt4_table,
+            pres, projective_relator(dt4), plan=(("g7", "g7 g1 g1"),), symmetric=dt4_assignment
         )

@@ -12,10 +12,11 @@ field must match exactly.  Since Reidemeister-Schreier gives one Schreier
 generator per orbit of an involution, ``routes.enumeration.subgroup_generators``
 reads 49 (t4) and 2521 (dt4) where the files first held 121 and 5761.
 Since the enumerate route takes |G~| = n!|K| from the kernel presentation
-and enumerates no full coset table, ``kernel_cross_check.from_index`` and
+and enumerates no coset table of G~, ``kernel_cross_check.from_index`` and
 ``agree`` read null in the ``*-enumerate.json`` files (they held 1 and 16,
-and true): there is no table to read the index from.  Under ``both`` the
-full table is still enumerated, and its order must equal n!|K|.
+and true): there is no table to read the index from.  Under ``both``, G~
+is enumerated over an S_n complement H instead of the trivial subgroup;
+[G~:H]|H| must equal n!|K|, and ``from_index`` keeps its value, |K|.
 """
 
 import json

@@ -1,7 +1,14 @@
 import pytest
 
 from galcov.complexes import DegenerationComplex, PresentationOverrides
+from galcov.datasets import COXETER_PLANS
 from galcov.enumeration import coset_enumeration, group_order
+from galcov.permutations import (
+    Permutation,
+    SymmetricAssignment,
+    plane_transposition_map,
+    word_image,
+)
 from galcov.presentation import (
     GroupPresentation,
     MissingFourPointData,
@@ -10,8 +17,11 @@ from galcov.presentation import (
     build_tilde_presentation,
     canonical_key,
     commutator_word,
-    eliminate_generator,
+    complement_path,
+    eliminate_and_rewrite,
+    eliminate_in_turn,
     format_relation,
+    format_word,
     free_reduce,
     invert_word,
     involution_reduce,
@@ -22,6 +32,8 @@ from galcov.presentation import (
     triple_word,
 )
 from galcov.tietze import simplify_presentation
+
+from .conftest import mulclose
 
 T4_TRIPLE_PAIRS = {
     (1, 2), (1, 4), (1, 5), (1, 6), (2, 3), (2, 4),
@@ -293,65 +305,164 @@ def test_build_four_point_without_overrides_fails(dt4):
 # Tietze elimination
 
 
+def trivial_map(pres):
+    """The homomorphism of any group onto S_1."""
+    return SymmetricAssignment(1, (Permutation.identity(1),) * pres.generator_count)
+
+
 def test_eliminate_with_stated_relator():
     # <a, b | a, b^3>: eliminating a via the length-1 relator a = e
     p = GroupPresentation.make(("a", "b"), [(1,), (2, 2, 2)])
-    q = eliminate_generator(p, "a", ())
+    assert relation_holds(p, 1, (), None, None) is True
+    q, _ = eliminate_and_rewrite(p, "a", (), ())
     assert q.names == ("b",)
     assert q.relators == ((1, 1, 1),)
 
 
 def test_eliminate_branch_generator(t4_presentation):
-    q = eliminate_generator(t4_presentation, "g4", (-1, -2, -1))
+    assert relation_holds(t4_presentation, 4, (-1, -2, -1), None, None) is True
+    q, _ = eliminate_and_rewrite(t4_presentation, "g4", (-1, -2, -1), ())
     assert q.names == ("g1", "g2", "g3", "g5", "g6")
     assert all(all(abs(x) <= 5 for x in w) for w in q.relators)
 
 
 def test_eliminate_preserves_group_order(t4_presentation):
     before = group_order(coset_enumeration(t4_presentation, (), 10_000))
-    q = eliminate_generator(t4_presentation, "g4", (-1, -2, -1))
+    q, _ = eliminate_and_rewrite(t4_presentation, "g4", (-1, -2, -1), ())
     after = group_order(coset_enumeration(q, (), 10_000))
     assert before == after == 24
 
 
-def test_eliminate_rejects_self_reference(t4_presentation):
-    with pytest.raises(PresentationError, match="mentions"):
-        eliminate_generator(t4_presentation, "g4", (4, 1))
-
-
-def test_eliminate_rejects_false_relation(t4_presentation):
+def test_eliminate_rejects_false_relation(t4, t4_presentation):
     # g1 = g2 does not hold in the tetrahedron group
-    with pytest.raises(PresentationError, match="does not hold"):
-        eliminate_generator(t4_presentation, "g1", (2,))
+    table = coset_enumeration(t4_presentation, (), 10_000)
+    assignment = plane_transposition_map(t4)
+    assert relation_holds(t4_presentation, 1, (2,), table, assignment) is False
 
 
-def test_eliminate_semantic_relation_via_table(dt4_presentation, dt4_table):
+def test_eliminate_semantic_relation_via_table(
+    dt4_presentation, dt4_assignment, dt4_complement_table
+):
     # g3 = g5 g9 g5 is a consequence, not a stated relator
-    q = eliminate_generator(
-        dt4_presentation, "g3", parse_word("g5 g9 g5", dt4_presentation.names),
-        table=dt4_table,
-    )
+    w = parse_word("g5 g9 g5", dt4_presentation.names)
+    assert relation_holds(dt4_presentation, 3, w, None, None) is None
+    assert relation_holds(dt4_presentation, 3, w, dt4_complement_table, dt4_assignment)
+    q, (proj,) = eliminate_and_rewrite(dt4_presentation, "g3", w, ((3, 8),))
     assert "g3" not in q.names
     assert q.generator_count == 8
+    assert format_word(proj, q.names) == "g5 g9 g5 g8"
 
 
-def test_relation_holds_stated_traced_or_unknown(t4_presentation):
+def test_eliminate_in_turn_renumbers_the_words_still_to_use(dt4_presentation):
+    plan = COXETER_PLANS["dt4"]
+    words = [parse_word(text, dt4_presentation.names) for _, text in plan]
+    q, (proj,) = eliminate_in_turn(
+        dt4_presentation, [name for name, _ in plan], words, ((7, 3, 6),)
+    )
+    assert q.names == ("g1", "g2", "g4", "g5", "g8", "g9")
+    assert format_word(proj, q.names) == "g1 g4 g1 g5 g9 g5 g9 g8 g1 g8 g9"
+
+
+def test_relation_holds_stated_traced_or_unknown(t4, t4_presentation):
     pres = t4_presentation
+    assignment = plane_transposition_map(t4)
     table = coset_enumeration(pres, (), 10_000)
     # g4 = g1^-1 g2^-1 g1^-1 restates the branch relator g4 g1 g2 g1
-    assert relation_holds(pres, 4, (-1, -2, -1), None) is True
+    assert relation_holds(pres, 4, (-1, -2, -1), None, None) is True
     # g4 = g2 g1 g2 is not stated; it follows through the braid relation
-    assert relation_holds(pres, 4, (2, 1, 2), None) is None
-    assert relation_holds(pres, 4, (2, 1, 2), table) is True
-    assert relation_holds(pres, 1, (2,), table) is False
+    assert relation_holds(pres, 4, (2, 1, 2), None, None) is None
+    assert relation_holds(pres, 4, (2, 1, 2), table, assignment) is True
+    assert relation_holds(pres, 1, (2,), table, assignment) is False
+    # over t4's complement, H = G~: one coset, the image decides
+    path = complement_path(pres, assignment, 100)
+    assert path == (1, 4, 3)
+    over_h = coset_enumeration(pres, [(g,) for g in path], 10_000)
+    assert over_h.coset_count == 1
+    assert relation_holds(pres, 4, (2, 1, 2), over_h, assignment) is True
+    assert relation_holds(pres, 1, (2,), over_h, assignment) is False
     # no involutions: in <a, b | a^3, a b a>, b = a^-2 = a, and b != a^-1
     cyc = GroupPresentation.make(("a", "b"), [(1, 1, 1), (1, 2, 1)])
     cyc_table = coset_enumeration(cyc, (), 100)
-    assert relation_holds(cyc, 2, (1,), cyc_table) is True
-    assert relation_holds(cyc, 2, (-1,), cyc_table) is False
-    sub = coset_enumeration(pres, ((1,),), 10_000)
-    with pytest.raises(ValueError, match="trivial subgroup"):
-        relation_holds(pres, 1, (2,), sub)
+    assert relation_holds(cyc, 2, (1,), cyc_table, trivial_map(cyc)) is True
+    assert relation_holds(cyc, 2, (-1,), cyc_table, trivial_map(cyc)) is False
+
+
+# g7 = g2 g3 g8 g3 g2 has the image of g7 but is not g7: g7^-1 g2 g3 g8 g3 g2
+# is a kernel element other than 1, found against the regular table
+DT4_RELATIONS = COXETER_PLANS["dt4"] + (
+    ("g7", "g1 g4"),
+    ("g7", "g1 g9 g1"),
+    ("g3", "g5 g9"),
+    ("g6", "g9 g8 g1 g8"),
+    ("g7", "g2 g3 g8 g3 g2"),
+)
+
+
+@pytest.mark.parametrize("name,text", DT4_RELATIONS)
+def test_relation_holds_over_the_complement_agrees_with_the_regular_table(
+    dt4_presentation, dt4_assignment, dt4_table, dt4_complement_table, name, text
+):
+    pres = dt4_presentation
+    gen, word = pres.id_of(name), parse_word(text, pres.names)
+    regular = relation_holds(pres, gen, word, dt4_table, dt4_assignment)
+    assert relation_holds(pres, gen, word, dt4_complement_table, dt4_assignment) is regular
+    assert regular is ((name, text) in COXETER_PLANS["dt4"])
+
+
+def test_the_kernel_word_passes_the_image_check_only(dt4_presentation, dt4_assignment):
+    word = (-7,) + parse_word("g2 g3 g8 g3 g2", dt4_presentation.names)
+    assert word_image(dt4_assignment, word).is_identity()
+    assert relation_holds(dt4_presentation, 7, word[1:], None, None) is None
+
+
+def test_complement_path_of_dt4_is_a_coxeter_path(
+    dt4_presentation, dt4_assignment, dt4_table, dt4_complement_table
+):
+    path = complement_path(dt4_presentation, dt4_assignment, 1_000_000)
+    assert path == (1, 4, 2, 3, 9)  # planes 1-2-3-6-4-5
+    assert dt4_complement_table.coset_count == 16
+    assert dt4_complement_table.coset_count * 720 == group_order(dt4_table)
+    # the 16-point action is faithful: G~ is 11,520 permutations of the cosets
+    gens = [
+        Permutation(tuple(row[2 * k - 2] + 1 for row in dt4_complement_table.rows))
+        for k in range(1, dt4_presentation.generator_count + 1)
+    ]
+    assert len(mulclose(gens)) == 11_520
+
+
+@pytest.mark.parametrize("dropped", [triple_word(1, 4), commutator_word(1, 2)])
+def test_complement_path_skips_a_pair_without_its_relator(
+    dt4_presentation, dt4_assignment, dropped
+):
+    # without the braid g1 g4 (or the commutator g1 g2), no path may hold
+    # both; another path is found and the index still gives the regular order
+    key = canonical_key(dropped)
+    mutant = GroupPresentation.make(
+        dt4_presentation.names, [r for r in dt4_presentation.relators if canonical_key(r) != key]
+    )
+    assert len(mutant.relators) == len(dt4_presentation.relators) - 1
+    path = complement_path(mutant, dt4_assignment, 1_000_000)
+    assert path and not {abs(x) for x in dropped} <= set(path)
+    over_h = coset_enumeration(mutant, [(g,) for g in path], 1_000_000)
+    regular = coset_enumeration(mutant, (), 1_000_000)
+    assert over_h.coset_count * 720 == group_order(regular) == 11_520
+
+
+def test_complement_path_falls_back_at_its_bound(dt4_presentation, dt4_assignment):
+    # the search pops 6 partial paths on dt4: the start plane and 5 edges
+    path = (1, 4, 2, 3, 9)
+    assert complement_path(dt4_presentation, dt4_assignment, 6) == path
+    assert complement_path(dt4_presentation, dt4_assignment, 5) == ()
+    assert complement_path(dt4_presentation, dt4_assignment, 1) == ()
+
+
+def test_complement_path_needs_stated_squares(t4, t4_presentation):
+    # a generator without its square relator is no involution of H
+    no_square = GroupPresentation.make(
+        t4_presentation.names, [r for r in t4_presentation.relators if r != (4, 4)]
+    )
+    path = complement_path(no_square, plane_transposition_map(t4), 1_000)
+    assert 4 not in path
 
 
 def test_simplify_presentation_trivializes():
