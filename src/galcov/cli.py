@@ -6,11 +6,12 @@ group presentation, map it onto the symmetric group S_n, and identify the
 kernel K (= the fundamental group of the Galois cover) from a presentation
 of it: the kernel coset table (n! rows), Reidemeister-Schreier, Tietze
 simplification and an enumeration of K give |K|, and |G~| = n!|K|.
-The Coxeter-quotient route (``coxeter`` or ``both``) checks its plan on a
-Todd-Coxeter table of G~ over an S_n complement H, with [G~:H] = |K|
-rows, or over the trivial subgroup when ``complement_path`` finds no H;
-under ``both`` the table's [G~:H]|H| must equal n!|K|, and the two
-routes' verdicts are compared.
+The Coxeter-quotient route (``coxeter`` or ``both``) needs a projective
+relator, and without one reports itself unsupported before it reduces
+the presentation.  It checks its plan on a Todd-Coxeter table of G~ over
+an S_n complement H, with [G~:H] = |K| rows, or over the trivial
+subgroup when ``complement_path`` finds no H; under ``both`` the table's
+[G~:H]|H| must equal n!|K|, and the two routes' verdicts are compared.
 
 ``max_cosets`` bounds every table and search: the complement search, the
 enumeration over H, the n!-row kernel table (checked before a row is
@@ -335,14 +336,9 @@ def _undecided_at_bound(report, max_cosets, what):
 def _enumeration_route(report, pres, assignment, max_cosets, timed):
     """Kernel route: |K| from a presentation of K = ker(G~ -> S_n), then
     |G~| = n!|K|.  Returns the verdict, or None when a bound stops it."""
-    image_order = report.symmetric_image_order
+    # validate rejects a plane graph that is not connected, so the plane
+    # transpositions generate all of S_n
     nfact = math.factorial(assignment.degree)
-    if image_order != nfact:
-        raise AnalysisError(
-            "kernel",
-            f"transposition image has order {image_order}, not the full "
-            f"symmetric group of order {nfact}",
-        )
     # the kernel table has one row per permutation: bound it before building
     if nfact > max_cosets:
         _undecided_at_bound(report, max_cosets, f"kernel table needs {nfact} rows")
@@ -412,7 +408,9 @@ def _index_cross_check(report, tilde):
 
 
 def _coxeter_route(report, pres_noproj, proj, table, assignment, timed):
-    """Coxeter-quotient route; returns its verdict or None."""
+    """Coxeter-quotient route, with a builtin dataset's elimination plan
+    checked on ``table`` (None after an overflow); returns its verdict or
+    None."""
     plan = None
     if report.source.startswith("builtin:"):
         plan = COXETER_PLANS.get(report.source.split(":", 1)[1])
@@ -427,9 +425,7 @@ def _coxeter_route(report, pres_noproj, proj, table, assignment, timed):
         "graph": [
             {"generator": name, "vertices": list(pair)} for name, pair in route.graph.edges
         ],
-        "non_tree_edge": next(
-            name for name, _ in route.graph.edges if name not in route.graph.tree
-        ),
+        "non_tree_edge": route.graph.edges[-1][0],
         "projective_vector_u": list(route.proj_u_coords),
         "invariants": list(route.quotient.invariants),
         "order": route.quotient.order,

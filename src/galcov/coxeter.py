@@ -13,6 +13,11 @@ generated by the S_n-orbit of that one vector -- conjugation by lattice
 elements is trivial on an abelian normal subgroup, so the orbit generates
 the whole normal closure.  Smith normal form of n rows spanning the
 orbit's lattice (see ``lattice_quotient``) finishes the computation.
+
+So the route needs a projective relator, and refuses a presentation
+without one before it reduces anything.  The Tietze reduction follows a
+stated plan, each of whose relations is checked against a coset table of
+the group first, or else makes the eliminations the relators state.
 """
 
 from __future__ import annotations
@@ -136,26 +141,27 @@ def eval_word(images, word, inverses=None) -> SemidirectElement:
 @dataclass(frozen=True)
 class CoxeterGraph:
     """The m-cycle that ``recognize_cycle`` reads off a presentation: edge
-    k is (k, k+1) for k < m and edge m is (1, m); the tree is the first
-    m-1 edges."""
+    k is (k, k+1) for k < m and edge m is (1, m); the first m-1 edges
+    form the tree, and the last one is the non-tree edge."""
 
     vertex_count: int
     edges: tuple[tuple[str, tuple[int, int]], ...]  # (label, (i, j)), i < j
-    tree: frozenset[str]
 
 
 def standard_assignment(graph: CoxeterGraph) -> dict[str, SemidirectElement]:
     """Images of the edge generators in the semidirect product.
 
-    Tree edge (i, j) maps to the transposition (i j); the one non-tree
-    edge (i, j) maps to (i j) times u_{i,j}.  ``graph`` is a cycle as
-    ``recognize_cycle`` builds it.
+    Tree edge (i, j) maps to the transposition (i j); the last edge, the
+    non-tree edge (i, j), maps to (i j) times u_{i,j}.  ``graph`` is a
+    cycle as ``recognize_cycle`` builds it.
     """
     n = graph.vertex_count
-    out = {}
-    for label, (i, j) in graph.edges:
-        vec = (0,) * n if label in graph.tree else SemidirectElement.u(n, i, j).vec
-        out[label] = SemidirectElement(Permutation.transposition(n, i, j), vec)
+    out = {
+        label: SemidirectElement.from_perm(Permutation.transposition(n, i, j))
+        for label, (i, j) in graph.edges
+    }
+    label, (i, j) = graph.edges[-1]
+    out[label] = out[label] * SemidirectElement.u(n, i, j)
     return out
 
 
@@ -173,19 +179,6 @@ def u_basis_coords(vec) -> tuple[int, ...]:
         acc += v
         coords.append(acc)
     return tuple(coords)
-
-
-def vector_from_u_coords(coords, n: int) -> tuple[int, ...]:
-    coords = list(coords)
-    if len(coords) != n - 1:
-        raise CoxeterError(f"expected {n - 1} coordinates, got {len(coords)}")
-    vec = []
-    prev = 0
-    for c in coords:
-        vec.append(c - prev)
-        prev = c
-    vec.append(-prev)
-    return tuple(vec)
 
 
 @dataclass(frozen=True)
@@ -220,23 +213,23 @@ class LatticeQuotient:
         return identify_structure(self.order, invariant_factors=nontrivial)
 
 
-def lattice_quotient(proj_vec_u, n: int) -> LatticeQuotient:
+def lattice_quotient(vec) -> LatticeQuotient:
     """Quotient of the sum-zero lattice by the S_n-orbit of one vector.
 
-    ``proj_vec_u`` is given in the u-basis (u_{1,2}, ..., u_{n-1,n}).
-    The orbit of v under coordinate permutations generates Z.v + g.L,
-    where L is the sum-zero lattice and g the gcd of the differences
-    v_a - v_b: each sigma.v - v lies in g.L, and for w in the orbit
-    w - (a b).w = (w_a - w_b) u_{a,b}, where w_a - w_b runs over every
-    difference.  So v with g times the u-basis spans the sublattice cut
-    out by the normal closure, without listing the n! orbit; its Smith
-    normal form gives the quotient.
+    ``vec`` is v in e-coordinates, n of them summing to zero.  The orbit
+    of v under coordinate permutations generates Z.v + g.L, where L is
+    the sum-zero lattice and g the gcd of the differences v_a - v_b: each
+    sigma.v - v lies in g.L, and for w in the orbit w - (a b).w =
+    (w_a - w_b) u_{a,b}, where w_a - w_b runs over every difference.  So
+    v with g times the u-basis (u_{1,2}, ..., u_{n-1,n}) spans the
+    sublattice cut out by the normal closure, without listing the n!
+    orbit; its Smith normal form gives the quotient.
     """
-    vec = vector_from_u_coords(proj_vec_u, n)
+    n = len(vec)
     if not any(vec):
         return LatticeQuotient(invariants=(0,) * (n - 1), order=None)
     g = math.gcd(*(x - vec[0] for x in vec))
-    rows = [tuple(proj_vec_u)] + [
+    rows = [u_basis_coords(vec)] + [
         tuple(g if j == i else 0 for j in range(n - 1)) for i in range(n - 1)
     ]
     diag = smith_normal_form(rows)
@@ -300,15 +293,17 @@ def reduce_presentation(pres, proj: Word | None, plan=None, table=None, symmetri
     """Apply the elimination plan (or auto-derived syntactic eliminations)
     to the presentation, rewriting the projective relator along.
 
-    Planned eliminations whose defining relation is not syntactically
-    present are verified by :func:`relation_holds` against ``table`` (a
-    closed coset table of the presentation together with the projective
-    relator, over a subgroup that meets the kernel of ``symmetric``
-    trivially) and ``symmetric`` (the map onto S_n).
+    Every planned relation is checked by :func:`relation_holds` against
+    ``table`` (a closed coset table of the presentation together with the
+    projective relator, over a subgroup that meets the kernel of
+    ``symmetric`` trivially) and ``symmetric`` (the map onto S_n), before
+    the first elimination; a plan without a table is refused.
     """
     companions = (proj,) if proj is not None else ()
 
     if plan:
+        if table is None:
+            raise CoxeterError("no coset table is available to verify the plan relations")
         # plan words refer to the original generator names; verify all
         # relations against the original table before any renumbering
         words = []
@@ -317,13 +312,7 @@ def reduce_presentation(pres, proj: Word | None, plan=None, table=None, symmetri
             w = parse_word(word_text, pres.names)
             if any(abs(x) == gen for x in w):
                 raise CoxeterError(f"plan word for {name} mentions {name}")
-            holds = relation_holds(pres, gen, w, table, symmetric)
-            if holds is None:
-                raise CoxeterError(
-                    f"plan relation {name} = {word_text} is not a stated relator "
-                    "and no coset table is available to verify it"
-                )
-            if not holds:
+            if not relation_holds(gen, w, table, symmetric):
                 raise CoxeterError(
                     f"plan relation {name} = {word_text} does not hold in the group"
                 )
@@ -402,8 +391,7 @@ def recognize_cycle(pres) -> CoxeterGraph:
         else:
             pair = (1, m)
         edges.append((pres.names[g - 1], pair))
-    tree = frozenset(name for name, _ in edges[:-1])
-    return CoxeterGraph(vertex_count=m, edges=tuple(edges), tree=tree)
+    return CoxeterGraph(vertex_count=m, edges=tuple(edges))
 
 
 def coxeter_route(
@@ -411,12 +399,15 @@ def coxeter_route(
 ) -> CoxeterRoute:
     """Run the whole route on a presentation (projective relator separate).
 
-    ``table`` and ``symmetric`` (the map onto S_n) check the plan, as
-    :func:`reduce_presentation` describes.  Returns an unsupported result,
-    with a reason, whenever the input falls outside the implemented
-    one-cycle construction.
+    Without a projective relator there is nothing to quotient by, and the
+    route stops before it reduces anything.  ``table`` and ``symmetric``
+    (the map onto S_n) check the plan, as :func:`reduce_presentation`
+    describes.  Returns an unsupported result, with a reason, whenever the
+    input falls outside the implemented one-cycle construction.
     """
     try:
+        if proj is None:
+            raise CoxeterError("no projective relator to quotient by")
         reduced, proj_reduced = reduce_presentation(pres, proj, plan, table, symmetric)
         graph = recognize_cycle(reduced)
         assignment = standard_assignment(graph)
@@ -424,8 +415,6 @@ def coxeter_route(
         inverses = [g.inverse() for g in images]
         if not all(eval_word(images, r, inverses).is_identity() for r in reduced.relators):
             raise CoxeterError("assignment fails to satisfy the reduced relators")
-        if proj_reduced is None:
-            raise CoxeterError("no projective relator to quotient by")
         element = eval_word(images, proj_reduced, inverses)
         if not element.perm.is_identity():
             raise CoxeterError(
@@ -434,13 +423,12 @@ def coxeter_route(
             )
     except CoxeterError as exc:
         return CoxeterRoute(supported=False, reason=str(exc))
-    coords = u_basis_coords(element.vec)
     return CoxeterRoute(
         supported=True,
         reduced=reduced,
         graph=graph,
         assignment=assignment,
         proj_element=element,
-        proj_u_coords=coords,
-        quotient=lattice_quotient(coords, graph.vertex_count),
+        proj_u_coords=u_basis_coords(element.vec),
+        quotient=lattice_quotient(element.vec),
     )

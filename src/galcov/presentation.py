@@ -190,24 +190,6 @@ def _dedupe(words):
     return kept
 
 
-def involution_reduce(word, involutions) -> Word:
-    """Reduce a word modulo free cancellation plus g*g = e for the listed
-    involution generators (their exponents are forced positive first).
-
-    Not a free-group operation: it uses the square relators, e.g. the
-    adjacent g8 g8 inside the double tetrahedron's projective word cancels
-    here but not under :func:`free_reduce`.
-    """
-    out = []
-    for x in word:
-        y = abs(x) if abs(x) in involutions else x
-        if out and ((y in involutions and out[-1] == y) or out[-1] == -y):
-            out.pop()
-        else:
-            out.append(y)
-    return tuple(out)
-
-
 # ---------------------------------------------------------------------------
 # presentations
 
@@ -461,26 +443,16 @@ def projective_relator(c: DegenerationComplex) -> Word | None:
 # Tietze transformations
 
 
-def relation_holds(pres, gen, replacement, table, assignment) -> bool | None:
-    """Does gen = replacement hold in the group G of ``pres``?
+def relation_holds(gen, replacement, table, assignment) -> bool:
+    """Does gen = replacement hold in the group G?
 
-    True when the equation is a stated relator, up to rotation, inversion
-    and the sign of involution generators.  Otherwise ``table`` decides
-    it: a closed coset table of ``pres`` over a subgroup H that meets the
-    kernel K of ``assignment``, a homomorphism G -> S_n, trivially (the
-    trivial subgroup, or the complement of :func:`complement_path`).  A
-    word is 1 in G exactly when its image is the identity and it fixes
+    ``table`` is a closed coset table of G over a subgroup H that meets
+    the kernel K of ``assignment``, a homomorphism G -> S_n, trivially
+    (the trivial subgroup, or the complement of :func:`complement_path`).
+    A word is 1 in G exactly when its image is the identity and it fixes
     coset 0, which is H itself: then it lies in H and in K, and H meets K
-    only in 1.  None when the equation is not stated and ``table`` is None.
+    only in 1.  So a stated relation passes, as every consequence does.
     """
-    inv = pres.involutions()
-    target = canonical_key(
-        involution_reduce(free_reduce((gen,) + invert_word(replacement)), inv)
-    )
-    if any(canonical_key(involution_reduce(r, inv)) == target for r in pres.relators):
-        return True
-    if table is None:
-        return None
     word = free_reduce((-gen,) + tuple(replacement))
     return word_image(assignment, word).is_identity() and table.trace(0, word) == 0
 

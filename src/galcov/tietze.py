@@ -15,9 +15,9 @@ rescans the presentation.  Relators are deduplicated up to rotation and
 inversion after every move, as :meth:`GroupPresentation.make` does: a
 duplicate dropped later can differ from the relator it duplicated once
 later moves rewrite both, so deduplication cannot wait for the end of the
-merge rounds.  The Coxeter route makes single eliminations that must
-first be checked against the group: it checks each with
-:func:`galcov.presentation.relation_holds` and applies it with
+merge rounds.  The Coxeter route makes single planned eliminations that
+must first be checked against a coset table of the group: it checks each
+with :func:`galcov.presentation.relation_holds` and applies it with
 :func:`galcov.presentation.eliminate_and_rewrite`."""
 
 from __future__ import annotations

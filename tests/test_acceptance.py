@@ -150,7 +150,7 @@ def test_criterion_4_tietze_cross_check(dt4_enumeration_results):
     words = [parse_word(text, pres.names) for _, text in plan]
     assignment = plane_transposition_map(r["dt4"])
     holds = all(
-        relation_holds(pres, pres.id_of(name), w, r["table"], assignment)
+        relation_holds(pres.id_of(name), w, r["table"], assignment)
         for (name, _), w in zip(plan, words)
     )
     reduced, _ = eliminate_in_turn(pres, [name for name, _ in plan], words)

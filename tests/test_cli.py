@@ -187,10 +187,9 @@ def test_analyze_file_without_plan_reports_coxeter_unsupported(tmp_path, dt4):
     assert report.route_agreement is None
 
 
-def test_coxeter_route_times_its_fallback_enumeration():
-    # --route coxeter has no enumeration-route table, so the Coxeter route
-    # enumerates the group over its complement itself; the search is
-    # reported as "complement", the enumeration as "enumerate"
+def test_coxeter_route_times_its_complement_search_and_enumeration():
+    # --route coxeter enumerates the group over its complement; the search
+    # is reported as "complement", the enumeration as "enumerate"
     report = analyze("t4", route="coxeter")
     assert report.enumeration_route is None
     assert {"presentation", "complement", "enumerate", "coxeter"} <= set(report.timings)

@@ -3,6 +3,8 @@ import random
 
 import pytest
 
+import galcov.coxeter
+import galcov.presentation
 from galcov.coxeter import (
     CoxeterError,
     CoxeterGraph,
@@ -14,7 +16,6 @@ from galcov.coxeter import (
     reduce_presentation,
     standard_assignment,
     u_basis_coords,
-    vector_from_u_coords,
 )
 from galcov.datasets import COXETER_PLANS
 from galcov.kernel import smith_normal_form
@@ -27,7 +28,7 @@ from galcov.presentation import (
     triple_word,
 )
 
-from .conftest import random_permutation
+from .conftest import random_permutation, relabel_complex
 
 
 def random_sd(rng, n):
@@ -121,7 +122,6 @@ def hexagon_graph():
             ("g2", (5, 6)),
             ("g5", (1, 6)),
         ),
-        tree=frozenset({"g9", "g8", "g1", "g4", "g2"}),
     )
 
 
@@ -141,7 +141,6 @@ def test_standard_assignment_triangle():
     g = CoxeterGraph(
         vertex_count=3,
         edges=(("a", (1, 2)), ("b", (2, 3)), ("c", (1, 3))),
-        tree=frozenset({"a", "b"}),
     )
     a = standard_assignment(g)
     assert a["a"] == t(3, 1, 2)
@@ -216,7 +215,6 @@ def test_route_projective_vector(dt4_route):
 
 def test_route_graph_matches_expected_labeling(dt4_route):
     assert dt4_route.graph.edges == hexagon_graph().edges
-    assert dt4_route.graph.tree == hexagon_graph().tree
 
 
 def test_route_assignment_satisfies_reduced_relators(dt4_route):
@@ -254,14 +252,15 @@ def test_conjugation_checks_mod_two(dt4_route):
 
 
 def test_lattice_quotient_projective_vector():
-    q = lattice_quotient((1, 2, 1, 0, -1), 6)
+    # u-coordinates (1, 2, 1, 0, -1)
+    q = lattice_quotient((1, 1, -1, -1, -1, 1))
     assert q.invariants == (1, 2, 2, 2, 2)
     assert q.order == 16
     assert q.verdict().kind == "ElementaryAbelian2"
 
 
 def test_lattice_quotient_zero_vector():
-    q = lattice_quotient((0, 0, 0, 0, 0), 6)
+    q = lattice_quotient((0,) * 6)
     assert q.invariants == (0, 0, 0, 0, 0)
     assert q.order is None
     assert q.describe() == "Z^5"
@@ -269,7 +268,7 @@ def test_lattice_quotient_zero_vector():
 
 def test_lattice_quotient_single_root():
     # the orbit of u_{1,2} spans the whole sum-zero lattice
-    q = lattice_quotient((1, 0, 0, 0, 0), 6)
+    q = lattice_quotient((1, -1, 0, 0, 0, 0))
     assert q.invariants == (1, 1, 1, 1, 1)
     assert q.order == 1
     assert q.verdict().kind == "Trivial"
@@ -291,37 +290,46 @@ def test_lattice_quotient_matches_orbit_oracle():
         scale = rng.choice((1, 2, 3))
         vec = [scale * rng.randint(-1, 1) for _ in range(n - 1)]
         vec.append(-sum(vec))
-        q = lattice_quotient(u_basis_coords(vec), n)
+        q = lattice_quotient(vec)
         assert q.invariants == orbit_invariants(vec)
 
 
 def test_lattice_quotient_does_not_list_the_orbit():
-    # vec = (1, ..., 1, -11) and g = 12; listing its orbit by
-    # permutations would walk all 12! = 479,001,600 orderings
-    q = lattice_quotient(tuple(range(1, 12)), 12)
+    # g = 12; listing the orbit by permutations would walk all
+    # 12! = 479,001,600 orderings
+    q = lattice_quotient((1,) * 11 + (-11,))
     assert q.invariants == (1,) + (12,) * 10
     assert q.order == 12**10
-
-
-def test_u_coordinate_conversions():
-    rng = random.Random(3)
-    for _ in range(100):
-        n = rng.randint(2, 7)
-        coords = tuple(rng.randint(-4, 4) for _ in range(n - 1))
-        vec = vector_from_u_coords(coords, n)
-        assert sum(vec) == 0
-        assert u_basis_coords(vec) == coords
 
 
 # ---------------------------------------------------------------------------
 # reduction and recognition on the tetrahedron (unsupported case)
 
 
-def test_t4_route_unsupported(t4):
-    pres = build_tilde_presentation(t4, include_projective=False)
-    route = coxeter_route(pres, None)
-    assert not route.supported
-    assert "cycle" in route.reason
+def count_calls(monkeypatch, module, name):
+    """Count the calls of ``module.name`` that pass through that module."""
+    calls = []
+    real = getattr(module, name)
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counting)
+    return calls
+
+
+def test_t4_route_unsupported(monkeypatch, t4):
+    # t4 has no projective relator: the route stops before it reduces
+    eliminations = count_calls(monkeypatch, galcov.coxeter, "eliminate_and_rewrite")
+    evaluations = count_calls(monkeypatch, galcov.coxeter, "eval_word")
+    rng = random.Random(12)
+    for c in [t4] + [relabel_complex(t4, rng) for _ in range(4)]:
+        pres = build_tilde_presentation(c, include_projective=False)
+        route = coxeter_route(pres, projective_relator(c))
+        assert not route.supported
+        assert route.reason == "no projective relator to quotient by"
+    assert eliminations == [] and evaluations == []
 
 
 def triangle_presentation(*extra):
@@ -373,12 +381,15 @@ def test_reduce_presentation_auto_on_t4(t4):
         recognize_cycle(reduced)
 
 
-def test_reduce_presentation_plan_requires_evidence(dt4):
+def test_reduce_presentation_plan_requires_evidence(monkeypatch, dt4):
+    # refused before the first elimination
+    eliminations = count_calls(monkeypatch, galcov.presentation, "eliminate_and_rewrite")
     pres = build_tilde_presentation(dt4, include_projective=False)
-    with pytest.raises(CoxeterError, match="no coset table"):
+    with pytest.raises(CoxeterError, match="no coset table is available"):
         reduce_presentation(
             pres, projective_relator(dt4), plan=COXETER_PLANS["dt4"], table=None
         )
+    assert eliminations == []
 
 
 def test_reduce_presentation_plan_rejects_false_relation(
@@ -398,9 +409,16 @@ def test_reduce_presentation_plan_rejects_false_relation(
                 )
 
 
-def test_reduce_presentation_plan_rejects_self_reference(dt4, dt4_assignment):
+def test_reduce_presentation_plan_rejects_self_reference(
+    dt4, dt4_assignment, dt4_complement_table
+):
+    # g7 = g7 g1 g1 holds, but substituting it does not eliminate g7
     pres = build_tilde_presentation(dt4, include_projective=False)
     with pytest.raises(CoxeterError, match="mentions"):
         reduce_presentation(
-            pres, projective_relator(dt4), plan=(("g7", "g7 g1 g1"),), symmetric=dt4_assignment
+            pres,
+            projective_relator(dt4),
+            plan=(("g7", "g7 g1 g1"),),
+            table=dt4_complement_table,
+            symmetric=dt4_assignment,
         )

@@ -17,6 +17,10 @@ and enumerates no coset table of G~, ``kernel_cross_check.from_index`` and
 and true): there is no table to read the index from.  Under ``both``, G~
 is enumerated over an S_n complement H instead of the trivial subgroup;
 [G~:H]|H| must equal n!|K|, and ``from_index`` keeps its value, |K|.
+Since the Coxeter route checks for a projective relator before it
+reduces anything, ``routes.coxeter.reason`` in ``t4-coxeter.json`` and
+``t4-both.json`` reads "no projective relator to quotient by" (it held
+the braid-cycle failure that recognition used to report first).
 """
 
 import json
