@@ -5,9 +5,10 @@ planes, this package generates the quotient group of the branch-curve
 complement (one involution per intersection line), enumerates its order,
 identifies the kernel of the map onto the symmetric group -- which is the
 fundamental group of the Galois cover -- and computes the Chern numbers
-and signature of the cover.  Two independent computation routes are
-provided for cross-checking: coset enumeration with Reidemeister-Schreier
-rewriting, and a Coxeter-type quotient acting on a root lattice.
+and signature of the cover.  The kernel is read from its regular action
+on a coset table over an S_n complement; two independent routes are
+provided for cross-checking: Reidemeister-Schreier rewriting, and a
+Coxeter-type quotient acting on a root lattice.
 """
 
 from .complexes import (
@@ -56,6 +57,7 @@ from .kernel import (
     abelianization,
     identify_structure,
     kernel_coset_table,
+    regular_kernel,
     reidemeister_schreier,
     smith_normal_form,
 )

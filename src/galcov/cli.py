@@ -3,19 +3,21 @@
 ``analyze`` drives the full computation for one degeneration: validate,
 classify, count singularities, Chern numbers and signature, generate the
 group presentation, map it onto the symmetric group S_n, and identify the
-kernel K (= the fundamental group of the Galois cover) from a presentation
-of it: the kernel coset table (n! rows), Reidemeister-Schreier, Tietze
-simplification and an enumeration of K give |K|, and |G~| = n!|K|.
-The Coxeter-quotient route (``coxeter`` or ``both``) needs a projective
-relator, and without one reports itself unsupported before it reduces
-the presentation.  It checks its plan on a Todd-Coxeter table of G~ over
-an S_n complement H, with [G~:H] = |K| rows, or over the trivial
-subgroup when ``complement_path`` finds no H; under ``both`` the table's
-[G~:H]|H| must equal n!|K|, and the two routes' verdicts are compared.
+kernel K (= the fundamental group of the Galois cover) from one
+Todd-Coxeter table of G~ over an S_n complement H, with [G~:H] = |K| rows
+(over the trivial subgroup when ``complement_path`` finds no H): |G~| =
+[G~:H]|H| = n!|K|, and the verdict comes from K's regular action on the
+table.  ``both`` adds an independent presentation of K (the n!-row kernel
+table, Reidemeister-Schreier, Tietze simplification, an enumeration of K,
+SNF); its |K| and invariants must match, and it decides alone when the
+table does not.  The Coxeter-quotient route (``coxeter`` or ``both``)
+needs a projective relator and checks its plan on the table; without one
+it reports itself unsupported, and ``coxeter`` alone builds no table.
 
 ``max_cosets`` bounds every table and search: the complement search, the
-enumeration over H, the n!-row kernel table (checked before a row is
-built) and the kernel enumeration.
+enumeration over H, the |K|^2 table lookups of the regular action (checked
+before the first), the n!-row kernel table (checked before a row is built)
+and the kernel enumeration.
 
 Exit codes: 0 definite verdict, 1 undecided (a table hit ``max_cosets``,
 or no requested route could decide), 2 input errors.
@@ -47,10 +49,12 @@ from .datasets import BUILTIN_SOURCES, COXETER_PLANS, builtin_names, load_builti
 from .enumeration import EnumerationOverflow, coset_enumeration, group_order
 from .invariants import InvariantError, chern_signature, singularity_counts
 from .kernel import (
+    KernelError,
     StructureVerdict,
     abelianization,
     identify_structure,
     kernel_coset_table,
+    regular_kernel,
     reidemeister_schreier,
 )
 from .permutations import (
@@ -67,7 +71,7 @@ from .presentation import (
 )
 from .tietze import simplify_presentation
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 DEFAULT_MAX_COSETS = 1_000_000
 _SNF_GENERATOR_LIMIT = 64
 
@@ -144,6 +148,8 @@ def _verdict_dict(v: StructureVerdict) -> dict:
         out["rank"] = v.rank
     if v.kind == "AbelianInvariantFactors":
         out["factors"] = list(v.factors)
+    if v.kind == "NonAbelian":
+        out.update(order=v.order, centre_order=v.centre_order, derived_order=v.derived_order)
     if v.kind == "Undetermined":
         out["order"] = v.order
         if v.mod2_corank is not None:
@@ -162,6 +168,8 @@ def _verdicts_equal(a: StructureVerdict, b: StructureVerdict) -> bool:
         return a.rank == b.rank
     if a.kind == "AbelianInvariantFactors":
         return tuple(a.factors) == tuple(b.factors)
+    if a.kind == "NonAbelian":
+        return _verdict_dict(a) == _verdict_dict(b)
     return a.kind == "Trivial" and b.kind == "Trivial"
 
 
@@ -232,16 +240,17 @@ def analyze(
     warnings.extend(chern.warnings)
 
     try:
-        pres, pres_noproj, proj = timed(
+        pres_noproj, proj = timed(
             "presentation",
             lambda: (
-                build_tilde_presentation(complex_),
                 build_tilde_presentation(complex_, include_projective=False),
                 projective_relator(complex_),
             ),
         )
     except (PresentationError, ComplexError) as exc:
         raise AnalysisError("presentation", str(exc)) from exc
+    # the projective relator comes last: appending it builds the rest once
+    pres = pres_noproj if proj is None else pres_noproj.with_relator(proj)
 
     report = AnalysisReport(
         source=origin,
@@ -288,25 +297,33 @@ def analyze(
             "kernel", f"plane transpositions do not satisfy relators {hom.failures}"
         )
 
-    # the kernel route gives |K| from a presentation of the kernel, and
-    # with it |G~| = n!|K|; only the Coxeter route needs a table of G~
-    enum_verdict = None
-    if route in ("enumerate", "both"):
-        enum_verdict = _enumeration_route(report, pres, assignment, max_cosets, timed)
-
-    cox_verdict = None
-    if route in ("coxeter", "both"):
+    # one table of G~ for every route; the Coxeter route declines at once
+    # without a projective relator, so alone it needs no table then
+    path, table, tilde = (), None, None
+    if route != "coxeter" or proj is not None:
         path = timed("complement", complement_path, pres, assignment, max_cosets)
-        table = None
         try:
             table = timed("enumerate", coset_enumeration, pres, [(g,) for g in path], max_cosets)
         except EnumerationOverflow:
             _undecided_at_bound(
                 report, max_cosets, f"enumeration overflow at {max_cosets} cosets"
             )
-        if route == "both" and table is not None:
-            subgroup = math.factorial(assignment.degree) if path else 1
-            _index_cross_check(report, table.coset_count * subgroup)
+        else:
+            # |G~| = [G~:H]|H|, with |H| = n! on a path and 1 without
+            tilde = table.coset_count * (math.factorial(assignment.degree) if path else 1)
+
+    enum_verdict = None
+    if route != "coxeter" and table is not None:
+        enum_verdict = _enumeration_route(
+            report, pres, table, path, tilde, assignment, max_cosets, timed
+        )
+    if route == "both":
+        enum_verdict = _presentation_route(
+            report, pres, assignment, tilde, enum_verdict, max_cosets, timed
+        )
+
+    cox_verdict = None
+    if route in ("coxeter", "both"):
         cox_verdict = _coxeter_route(report, pres_noproj, proj, table, assignment, timed)
 
     if route == "both" and enum_verdict is not None:
@@ -333,77 +350,101 @@ def _undecided_at_bound(report, max_cosets, what):
     report.pi1 = {"kind": "Undetermined", "note": f"undecided at bound {max_cosets}"}
 
 
-def _enumeration_route(report, pres, assignment, max_cosets, timed):
-    """Kernel route: |K| from a presentation of K = ker(G~ -> S_n), then
-    |G~| = n!|K|.  Returns the verdict, or None when a bound stops it."""
-    # validate rejects a plane graph that is not connected, so the plane
-    # transpositions generate all of S_n
-    nfact = math.factorial(assignment.degree)
-    # the kernel table has one row per permutation: bound it before building
-    if nfact > max_cosets:
-        _undecided_at_bound(report, max_cosets, f"kernel table needs {nfact} rows")
-        return None
-
-    ktable = timed("kernel_table", kernel_coset_table, pres, assignment)
-    sub = timed("reidemeister_schreier", reidemeister_schreier, pres, ktable)
-    simplified = timed("simplify", simplify_presentation, sub)
-    try:
-        rs_table = timed("kernel_enumerate", coset_enumeration, simplified, (), max_cosets)
-    except EnumerationOverflow:
+def _enumeration_route(report, pres, table, path, tilde, assignment, max_cosets, timed):
+    """Regular-action route: |K| = [G~:H]|H|/n! from the table over H, and
+    the verdict from K's regular action on it.  Returns the verdict, or
+    None when the bound on its |K|^2 table lookups stops it."""
+    kernel_order = tilde // report.symmetric_image_order
+    if kernel_order**2 > max_cosets:
         _undecided_at_bound(
-            report, max_cosets, f"kernel enumeration overflow at {max_cosets} cosets"
+            report,
+            max_cosets,
+            f"the regular action of K, of order {kernel_order}, "
+            f"needs {kernel_order**2} table lookups",
         )
         return None
-    kernel_order = group_order(rs_table)
-    report.kernel_order = kernel_order
-    report.tilde_order = nfact * kernel_order
-    report.kernel_cross_check = {
-        "from_index": None,
-        "from_subgroup_presentation": kernel_order,
-        "agree": None,
-    }
-
-    corank = timed("mod2", abelianization, simplified, "mod2")
-    factors = None
-    if simplified.generator_count <= _SNF_GENERATOR_LIMIT:
-        factors = timed("snf", abelianization, simplified, "integers")
-    verdict = identify_structure(
-        kernel_order, mod2_corank=corank, invariant_factors=factors
-    )
+    try:
+        verdict = timed("regular_kernel", regular_kernel, table, assignment, path)
+    except KernelError as exc:
+        raise AnalysisError("kernel", str(exc)) from exc
+    report.kernel_order = verdict.order
+    report.tilde_order = tilde
     report.enumeration_route = {
         "tilde_order": report.tilde_order,
-        "kernel_order": kernel_order,
-        "kernel_order_from_presentation": kernel_order,
-        "subgroup_generators": sub.generator_count,
-        "simplified_generators": simplified.generator_count,
-        "mod2_corank": corank,
-        "invariant_factors": list(factors) if factors is not None else None,
+        "kernel_order": verdict.order,
+        "complement_generators": [pres.names[g - 1] for g in path],
+        "index": table.coset_count,
+        "invariants": list(verdict.factors or ()),
         "verdict": _verdict_dict(verdict),
         "pi1": verdict.describe(),
     }
     return verdict
 
 
-def _index_cross_check(report, tilde):
-    """Under ``--route both``: |G~| = [G~:H]|H| from the table over H, over
-    n!, is a second, independent |K|, and must equal the kernel
-    presentation's."""
+def _presentation_route(report, pres, assignment, tilde, verdict, max_cosets, timed):
+    """Under ``--route both``: |K| and the abelian invariants again, from a
+    presentation of K = ker(G~ -> S_n), independent of the table of G~.
+    They must equal the table's and the regular action's ``verdict``
+    (its invariants are those of K/K'); without that verdict, this
+    route's decides.  Returns the verdict that stands, if any."""
+    # validate rejects a plane graph that is not connected, so the plane
+    # transpositions generate all of S_n
     nfact = report.symmetric_image_order
-    if tilde % nfact:
+    kernel = corank = factors = None
+    # the kernel table has one row per permutation: bound it before building
+    if nfact > max_cosets:
+        _undecided_at_bound(report, max_cosets, f"kernel table needs {nfact} rows")
+    else:
+        ktable = timed("kernel_table", kernel_coset_table, pres, assignment)
+        sub = timed("reidemeister_schreier", reidemeister_schreier, pres, ktable)
+        simplified = timed("simplify", simplify_presentation, sub)
+        try:
+            rs_table = timed("kernel_enumerate", coset_enumeration, simplified, (), max_cosets)
+        except EnumerationOverflow:
+            _undecided_at_bound(
+                report, max_cosets, f"kernel enumeration overflow at {max_cosets} cosets"
+            )
+        else:
+            kernel = group_order(rs_table)
+            corank = timed("mod2", abelianization, simplified, "mod2")
+            if simplified.generator_count <= _SNF_GENERATOR_LIMIT:
+                factors = timed("snf", abelianization, simplified, "integers")
+    _index_cross_check(report, tilde, kernel)
+    if kernel is None:
+        return verdict
+    if verdict is None:
+        report.kernel_order = kernel
+        report.tilde_order = nfact * kernel
+        return identify_structure(kernel, mod2_corank=corank, invariant_factors=factors)
+    expected = verdict.factors or ()
+    if factors not in (None, expected) or corank != sum(d % 2 == 0 for d in expected):
+        raise AnalysisError(
+            "kernel",
+            f"the regular action gives invariants {expected}, but the kernel "
+            f"presentation gives invariant factors {factors} (mod-2 co-rank {corank})",
+        )
+    return verdict
+
+
+def _index_cross_check(report, tilde, kernel):
+    """Under ``--route both``: |G~| = [G~:H]|H| from the table over H (None
+    after an overflow), over n!, must equal the kernel presentation's |K|
+    (None when a bound stopped it)."""
+    nfact = report.symmetric_image_order
+    if tilde is not None and tilde % nfact:
         raise AnalysisError(
             "kernel", f"group order {tilde} not divisible by image order {nfact}"
         )
-    kernel = report.kernel_order
-    if kernel is not None and tilde != nfact * kernel:
+    if None not in (tilde, kernel) and tilde != nfact * kernel:
         raise AnalysisError(
             "kernel",
             f"the coset table gives |G~| = [G~:H]|H| = {tilde}, but the kernel "
             f"presentation gives n!|K| = {nfact}*{kernel} = {nfact * kernel}",
         )
     report.kernel_cross_check = {
-        "from_index": tilde // nfact,
+        "from_index": None if tilde is None else tilde // nfact,
         "from_subgroup_presentation": kernel,
-        "agree": True if kernel is not None else None,
+        "agree": True if None not in (tilde, kernel) else None,
     }
 
 
@@ -480,12 +521,13 @@ def emit_report(report: AnalysisReport, fmt: str = "text") -> bytes:
     lines.append(f"pi1(X_Gal) verdict: {desc}")
     if report.enumeration_route:
         er = report.enumeration_route
-        from_index = report.kernel_cross_check["from_index"]
-        check = "" if from_index is None else f" (index check: {from_index})"
         lines.append(
-            f"  enumeration route: kernel {er['kernel_order']}{check},"
-            f" mod-2 co-rank {er['mod2_corank']}"
+            f"  enumeration route: index {er['index']} over"
+            f" <{', '.join(er['complement_generators'])}> -> {er['pi1']}"
         )
+    if report.kernel_cross_check:
+        kc = report.kernel_cross_check
+        lines.append(f"  kernel presentation: kernel {kc['from_subgroup_presentation']}")
     if report.coxeter_route:
         cr = report.coxeter_route
         if cr.get("supported"):
@@ -544,7 +586,8 @@ def _build_parser():
         default=DEFAULT_MAX_COSETS,
         help=(
             "bound on the cosets of each enumeration, the partial paths of the "
-            "complement search and the n! rows of the kernel table "
+            "complement search, the |K|^2 lookups of the regular action and the "
+            "n! rows of the kernel table "
             f"(default {DEFAULT_MAX_COSETS})"
         ),
     )

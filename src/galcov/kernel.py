@@ -2,10 +2,11 @@
 
 The exact sequence 0 -> pi1 -> G -> S_n -> 0 identifies the fundamental
 group of the Galois cover with the kernel of the symmetric-group map, so
-everything here is about that kernel: its coset table (indexed by the n!
-permutations), a presentation via Reidemeister-Schreier rewriting, its
-abelian invariants via Smith normal form or GF(2) rank, and the final
-structure verdict.
+everything here is about that kernel.  :func:`regular_kernel` decides it
+from its regular action on a coset table of G over a complement of K.
+The second, independent route builds a presentation of K: its coset
+table (indexed by the n! permutations), Reidemeister-Schreier rewriting,
+and abelian invariants via Smith normal form or GF(2) rank.
 
 The rewrite knows the involution generators: an involution k gives one
 Schreier generator per orbit {c, c.k} rather than one per coset, and each
@@ -18,7 +19,7 @@ import itertools
 import math
 from dataclasses import dataclass
 
-from .enumeration import CosetTable, _internal_columns
+from .enumeration import CosetTable, _column, _internal_columns
 from .permutations import (
     SymmetricAssignment,
     permutation_group_order,
@@ -329,7 +330,8 @@ class StructureVerdict:
     """What the kernel is, as far as the collected evidence decides it.
 
     kind is one of 'Trivial', 'ElementaryAbelian2',
-    'AbelianInvariantFactors', 'Undetermined'.
+    'AbelianInvariantFactors', 'NonAbelian' (with the orders of the
+    group, its centre and its derived subgroup), 'Undetermined'.
     """
 
     kind: str
@@ -338,6 +340,8 @@ class StructureVerdict:
     order: int | None = None
     mod2_corank: int | None = None
     note: str | None = None
+    centre_order: int | None = None
+    derived_order: int | None = None
 
     def describe(self) -> str:
         if self.kind == "Trivial":
@@ -346,6 +350,11 @@ class StructureVerdict:
             return f"Z2^{self.rank}"
         if self.kind == "AbelianInvariantFactors":
             return " x ".join(f"Z{d}" if d else "Z" for d in self.factors)
+        if self.kind == "NonAbelian":
+            return (
+                f"non-abelian of order {self.order} (centre {self.centre_order},"
+                f" derived subgroup {self.derived_order})"
+            )
         detail = f"order {self.order}"
         if self.mod2_corank is not None:
             detail += f", mod-2 co-rank {self.mod2_corank}"
@@ -425,4 +434,190 @@ def identify_structure(order, mod2_corank=None, invariant_factors=None) -> Struc
         order=order,
         mod2_corank=mod2_corank,
         factors=tuple(invariant_factors) if invariant_factors is not None else None,
+    )
+
+
+# ---------------------------------------------------------------------------
+# the kernel from its regular action
+
+
+def regular_kernel(table: CosetTable, a: SymmetricAssignment, path=()) -> StructureVerdict:
+    """The kernel K of ``a`` from its regular action on a coset table.
+
+    ``table`` is a closed coset table of G over H: the S_n complement
+    that :func:`~galcov.presentation.complement_path` found along
+    ``path``, or the trivial subgroup when ``path`` is empty.  H meets K
+    trivially, so K acts regularly on the orbit of coset 0: every coset
+    over the complement, and over the trivial subgroup the cosets whose
+    breadth-first representative words map to the identity.
+
+    The kernel element of coset c is u_c w_c: w_c is the representative
+    word of c, and u_c the bubble-sort word along the path whose image is
+    the inverse of w_c's (empty over the trivial subgroup).  It sends
+    coset 0 to c.  Traced from every kernel coset, the |K| kernel
+    elements give permutations, which must be distinct and closed under
+    product, or :class:`KernelError` is raised; then they are K.  The
+    invariants of K/K' follow from how many of its elements have each
+    prime-power order.  About |K|^2 table lookups.
+    """
+    n = a.degree
+    rows = table.rows
+    letters = [x for g in range(1, table.generator_count + 1) for x in (g, -g)]
+    step = {x: (_column(x), a.image(abs(x)) if x > 0 else a.image(-x).inverse()) for x in letters}
+    # breadth-first spanning tree: the parent coset and letter of each
+    # coset, and the image of its representative word
+    parent = [None] * len(rows)
+    image = [None] * len(rows)
+    image[0] = tuple(range(1, n + 1))
+    reached = [0]
+    for c in reached:
+        for x in letters:
+            col, g = step[x]
+            d = rows[c][col]
+            if image[d] is None:
+                image[d] = tuple(g.images[y - 1] for y in image[c])
+                parent[d] = (c, x)
+                reached.append(d)
+    if len(reached) != len(rows):
+        raise KernelError("coset table is not connected")
+
+    def word(c):
+        w = []
+        while c:
+            c, x = parent[c]
+            w.append(x)
+        return w[::-1]
+
+    if path:
+        planes = _path_planes(path, a)
+        pos = {p: i for i, p in enumerate(planes)}
+        cosets = range(len(rows))
+    else:
+        cosets = [c for c in range(len(rows)) if image[c] == image[0]]
+        if len(cosets) * math.factorial(n) != len(rows):
+            raise KernelError(
+                f"{len(cosets)} of the {len(rows)} cosets lie in the kernel, not 1 in {n}!"
+            )
+    index = {c: i for i, c in enumerate(cosets)}
+    perms = []
+    for c in cosets:
+        w = word(c)
+        if path:
+            # bubble-sort the path positions that the image moves back
+            b = [pos[image[c][p - 1]] for p in planes]
+            swaps = []
+            for end in range(n - 1, 0, -1):
+                for i in range(end):
+                    if b[i + 1] < b[i]:
+                        b[i], b[i + 1] = b[i + 1], b[i]
+                        swaps.append(path[i])
+            w = swaps[::-1] + w
+        cols = [step[x][0] for x in w]
+        perm = []
+        for d in cosets:
+            for col in cols:
+                d = rows[d][col]
+            perm.append(index.get(d))
+        if perm[0] != len(perms) or None in perm:
+            raise KernelError(f"the kernel element of coset {c} does not act on the kernel")
+        perms.append(tuple(perm))
+    _check_closed(perms)
+    return _structure(perms)
+
+
+def _path_planes(path, a):
+    """The planes along ``path`` in order, from the transpositions of its
+    generators."""
+    moved = [[x for x, y in enumerate(a.image(g).images, 1) if x != y] for g in path]
+    planes = moved[0] if len(path) == 1 or moved[0][1] in moved[1] else moved[0][::-1]
+    for pair in moved[1:]:
+        planes.append(pair[0] if pair[1] == planes[-1] else pair[1])
+    return planes
+
+
+def _check_closed(perms):
+    """Raise unless ``perms``, whose i-th entry sends 0 to i and whose
+    0th is the identity, is a group.  For t in a set T whose group moves 0
+    to every point, each p t must be in the set: then the set times <T>
+    stays in it, so <T> is in it, and <T>, transitive, has as many
+    elements."""
+    reached, gens = {0}, []
+    for t in range(len(perms)):
+        if t in reached:
+            continue
+        for p in perms:
+            q = tuple(perms[t][x] for x in p)
+            if q != perms[q[0]]:
+                raise KernelError("the kernel permutations are not closed under product")
+        gens.append(perms[t])
+        reached, frontier = {0}, [0]
+        while frontier:
+            frontier = [y for y in {g[x] for x in frontier for g in gens} if y not in reached]
+            reached.update(frontier)
+
+
+def _structure(perms):
+    """Verdict on the group of ``perms``, the regular representation: the
+    product of elements i and j is perms[j][i]."""
+    size = len(perms)
+    elements = range(size)
+    inverse = [p.index(0) for p in perms]
+    centre = [z for z in elements if all(perms[y][z] == perms[z][y] for y in elements)]
+    commutators = {
+        perms[y][perms[x][perms[inverse[y]][inverse[x]]]] for x in elements for y in elements
+    }
+    derived, frontier = {0}, [0]
+    while frontier:
+        frontier = [y for y in {perms[c][d] for d in frontier for c in commutators}
+                    if y not in derived]
+        derived.update(frontier)
+    # the order of each element's coset of the derived subgroup
+    orders = []
+    for x in elements:
+        y, k = x, 1
+        while y not in derived:
+            y, k = perms[x][y], k + 1
+        orders.append(k)
+    factors = _invariants_from_orders(orders, len(derived))
+    if len(centre) < size:
+        return StructureVerdict(
+            kind="NonAbelian",
+            order=size,
+            factors=factors,
+            centre_order=len(centre),
+            derived_order=len(derived),
+        )
+    return identify_structure(size, invariant_factors=factors)
+
+
+def _invariants_from_orders(orders, repeat):
+    """Invariant factors d1 | d2 | ..., all above 1, of the finite abelian
+    group whose element orders are ``orders``, each listed ``repeat``
+    times.  Of its p-power cyclic factors, r_j have order at least p^j
+    exactly when p^(r_1 + ... + r_j) elements have order dividing p^j."""
+    size = len(orders) // repeat
+    columns = []  # per prime, its prime-power factors, largest first
+    rest, p = size, 2
+    while rest > 1:
+        if rest % p:
+            p += 1
+            continue
+        while rest % p == 0:
+            rest //= p
+        at_least, prev, k = [], 0, 0
+        while True:
+            k += 1
+            count, e = sum(1 for o in orders if p**k % o == 0) // repeat, 0
+            while count % p == 0:
+                count, e = count // p, e + 1
+            if count != 1:
+                raise KernelError(f"{p}-power orders do not count as in an abelian group")
+            if e == prev:
+                break
+            at_least.append(e - prev)
+            prev = e
+        columns.append([p ** sum(1 for r in at_least if r > j) for j in range(at_least[0])])
+    width = max(map(len, columns), default=0)
+    return tuple(
+        math.prod(col[j] for col in columns if j < len(col)) for j in reversed(range(width))
     )

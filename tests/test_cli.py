@@ -21,14 +21,23 @@ def test_analyze_t4_report():
     assert report.pi1 == {"kind": "Trivial"}
     assert report.chern["chi"] == -24
     assert not report.undecided
-    # the enumerate route builds no table of G~, so there is no index to check
-    assert report.kernel_cross_check == {
-        "from_index": None,
-        "from_subgroup_presentation": 1,
-        "agree": None,
+    # only --route both has a kernel presentation to check the index against
+    assert report.kernel_cross_check is None
+    assert report.enumeration_route == {
+        "tilde_order": 24,
+        "kernel_order": 1,
+        "complement_generators": ["g1", "g4", "g3"],
+        "index": 1,
+        "invariants": [],
+        "verdict": {"kind": "Trivial"},
+        "pi1": "trivial",
     }
     both = analyze("t4", route="both")
-    assert both.kernel_cross_check["agree"] is True
+    assert both.kernel_cross_check == {
+        "from_index": 1,
+        "from_subgroup_presentation": 1,
+        "agree": True,
+    }
 
 
 def test_analyze_rejects_unknown_route():
@@ -74,7 +83,7 @@ def test_json_report_shape_and_determinism():
     blob2 = emit_report(report, "json")
     assert blob1 == blob2
     data = json.loads(blob1)
-    assert data["schema"] == 1
+    assert data["schema"] == 2
     assert data["pi1"] == {"kind": "Trivial"}
     assert data["counts"] == {"n": 4, "m": 12, "mu": 16, "d": 12, "rho": 24}
     assert data["chern"] == {"c1sq": 216, "c2": 144, "chi": -24}
@@ -112,8 +121,8 @@ def test_main_exit_codes(tmp_path, capsys):
     capsys.readouterr()
     assert main(["analyze", "missing.json"]) == 2
     capsys.readouterr()
-    # overflow: undecided
-    assert main(["analyze", "t4", "--max-cosets", "5"]) == 1
+    # overflow: undecided (t4 decides from 4 cosets on)
+    assert main(["analyze", "t4", "--max-cosets", "3"]) == 1
     out = capsys.readouterr()
     assert "undecided at bound" in out.out
 
@@ -154,12 +163,14 @@ def test_both_routes_enumerate_once_after_overflow(monkeypatch, capsys):
         return real(*args, **kwargs)
 
     monkeypatch.setattr(galcov.cli, "coset_enumeration", counting)
-    report = analyze("t4", route="both", max_cosets=5)
+    # at 3 the complement search stops before its 4th partial path, and
+    # t4's enumeration over the trivial subgroup overflows
+    report = analyze("t4", route="both", max_cosets=3)
     assert len(calls) == 1
     assert report.undecided
     assert report.pi1["kind"] == "Undetermined"
     assert report.coxeter_route["supported"] is False
-    assert main(["analyze", "t4", "--route", "both", "--max-cosets", "5"]) == 1
+    assert main(["analyze", "t4", "--route", "both", "--max-cosets", "3"]) == 1
     assert "undecided at bound" in capsys.readouterr().out
     assert len(calls) == 2
 
@@ -190,9 +201,15 @@ def test_analyze_file_without_plan_reports_coxeter_unsupported(tmp_path, dt4):
 def test_coxeter_route_times_its_complement_search_and_enumeration():
     # --route coxeter enumerates the group over its complement; the search
     # is reported as "complement", the enumeration as "enumerate"
-    report = analyze("t4", route="coxeter")
+    report = analyze("dt4", route="coxeter")
     assert report.enumeration_route is None
     assert {"presentation", "complement", "enumerate", "coxeter"} <= set(report.timings)
+    # without a projective relator the route declines before either runs
+    report = analyze("t4", route="coxeter")
+    assert report.coxeter_route == {
+        "supported": False, "reason": "no projective relator to quotient by"
+    }
+    assert not {"complement", "enumerate"} & set(report.timings)
 
 
 def test_coxeter_route_overflow_is_undecided_at_bound(capsys):
@@ -321,12 +338,17 @@ def _recording(monkeypatch):
 
 @pytest.mark.parametrize("name,kernel_order", [("t4", 1), ("dt4", 16)])
 def test_enumerate_route_enumerates_only_the_kernel(monkeypatch, name, kernel_order):
-    # |G~| comes from n!|K|: the one enumeration is of the kernel presentation
+    # the one enumeration is of G~ over an S_n complement H, one coset per
+    # kernel element, and |G~| = n!|K|; no presentation of K is built
     tables = _recording(monkeypatch)
+    for stage in ("kernel_coset_table", "reidemeister_schreier", "simplify_presentation"):
+        monkeypatch.setattr(galcov.cli, stage, None)
     report = analyze(name, route="enumerate")
-    assert [group_order(t) for t in tables] == [kernel_order]
+    assert [t.coset_count for t in tables] == [kernel_order]
+    assert len(tables[0].subgroup_words) == report.symmetric_degree - 1
     assert report.tilde_order == report.symmetric_image_order * kernel_order
-    assert "enumerate" not in report.timings
+    assert {"complement", "enumerate", "regular_kernel"} <= set(report.timings)
+    assert not {"kernel_table", "reidemeister_schreier", "simplify"} & set(report.timings)
 
 
 @pytest.mark.parametrize("name,seed", [("t4", None), ("t4", 1), ("t4", 2), ("t4", 3),
@@ -341,14 +363,23 @@ def test_enumerate_route_order_equals_full_table(monkeypatch, tmp_path, name, se
         source = str(source)
     tables = _recording(monkeypatch)
     both = analyze(source, route="both")
-    # the kernel route enumerates first, then G~ over an S_n complement H
-    assert len(tables) == 2 and len(tables[-1].subgroup_words) == both.symmetric_degree - 1
-    index = tables[-1].coset_count
+    # G~ is enumerated over an S_n complement H first, then the kernel
+    # presentation, whose |K| and invariants must match the regular action's
+    assert len(tables) == 2 and len(tables[0].subgroup_words) == both.symmetric_degree - 1
+    index = tables[0].coset_count
     full = group_order(coset_enumeration(build_tilde_presentation(complex_), (), 1_000_000))
     assert full == {"t4": 24, "dt4": 11_520}[name]
     assert index * both.symmetric_image_order == full
-    assert both.kernel_cross_check["from_index"] == index
-    assert analyze(source, route="enumerate").tilde_order == full == both.tilde_order
+    assert both.kernel_cross_check == {
+        "from_index": index, "from_subgroup_presentation": index, "agree": True
+    }
+    enumerate_only = analyze(source, route="enumerate")
+    assert enumerate_only.tilde_order == full == both.tilde_order
+    assert enumerate_only.pi1 == both.pi1 == {
+        "t4": {"kind": "Trivial"}, "dt4": {"kind": "ElementaryAbelian2", "rank": 4}
+    }[name]
+    # the Coxeter route's plan is attached to the builtin dataset only
+    assert both.route_agreement is (True if source == "dt4" else None)
 
 
 def test_both_routes_without_a_complement_enumerate_g_in_full(monkeypatch):
@@ -356,11 +387,46 @@ def test_both_routes_without_a_complement_enumerate_g_in_full(monkeypatch):
     monkeypatch.setattr(galcov.cli, "complement_path", lambda *args: ())
     tables = _recording(monkeypatch)
     report = analyze("dt4", route="both")
-    assert tables[-1].subgroup_words == () and tables[-1].coset_count == 11_520
+    assert tables[0].subgroup_words == () and tables[0].coset_count == 11_520
+    assert report.enumeration_route["complement_generators"] == []
+    assert report.enumeration_route["index"] == 11_520
     assert report.kernel_cross_check == {
         "from_index": 16, "from_subgroup_presentation": 16, "agree": True
     }
     assert report.route_agreement is True
+
+
+def test_enumerate_route_without_a_complement_reads_the_regular_table(monkeypatch):
+    # with H trivial the table has |G~| = 11,520 rows; K acts regularly on
+    # the 16 whose representative words map to the identity
+    monkeypatch.setattr(galcov.cli, "complement_path", lambda *args: ())
+    tables = _recording(monkeypatch)
+    report = analyze("dt4", route="enumerate")
+    assert [t.coset_count for t in tables] == [11_520]
+    assert report.pi1 == {"kind": "ElementaryAbelian2", "rank": 4}
+    assert report.tilde_order == 11_520 and report.kernel_order == 16
+    assert report.enumeration_route["complement_generators"] == []
+    assert report.enumeration_route["invariants"] == [2, 2, 2, 2]
+
+
+def test_non_abelian_verdict_is_reported_exactly():
+    from galcov.cli import _verdict_dict, _verdicts_equal
+    from galcov.kernel import StructureVerdict
+
+    s3 = StructureVerdict(
+        kind="NonAbelian", order=6, factors=(2,), centre_order=1, derived_order=3
+    )
+    assert _verdict_dict(s3) == {
+        "kind": "NonAbelian", "order": 6, "centre_order": 1, "derived_order": 3
+    }
+    assert s3.describe() == "non-abelian of order 6 (centre 1, derived subgroup 3)"
+    assert _verdicts_equal(s3, s3)
+    z6 = StructureVerdict(kind="AbelianInvariantFactors", order=6, factors=(6,))
+    assert not _verdicts_equal(s3, z6) and not _verdicts_equal(z6, s3)
+    q8 = StructureVerdict(
+        kind="NonAbelian", order=8, factors=(2, 2), centre_order=2, derived_order=2
+    )
+    assert not _verdicts_equal(s3, q8)
 
 
 def test_both_routes_raise_when_the_orders_disagree(monkeypatch):
@@ -368,11 +434,26 @@ def test_both_routes_raise_when_the_orders_disagree(monkeypatch):
     # table over t4's complement S_4 has one row: |G~| = 1 * 24
     z2 = GroupPresentation.make(("x",), [(1, 1)])
     monkeypatch.setattr(galcov.cli, "simplify_presentation", lambda pres: z2)
-    assert analyze("t4", route="enumerate").tilde_order == 48
+    # the enumerate route builds no kernel presentation
+    assert analyze("t4", route="enumerate").tilde_order == 24
     with pytest.raises(AnalysisError) as info:
         analyze("t4", route="both")
     assert info.value.stage == "kernel"
     assert "[G~:H]|H| = 24," in str(info.value)
+
+
+def test_both_routes_raise_when_the_invariants_disagree(monkeypatch, capsys):
+    # a kernel presentation of Z4 x Z4 has dt4's order 16, so the index
+    # check passes, but the regular action gives Z2^4
+    z4z4 = GroupPresentation.make(("x", "y"), [(1,) * 4, (2,) * 4, (1, 2, -1, -2)])
+    monkeypatch.setattr(galcov.cli, "simplify_presentation", lambda pres: z4z4)
+    assert main(["analyze", "dt4", "--route", "both"]) == 2
+    err = capsys.readouterr().err
+    assert (
+        "[kernel] the regular action gives invariants (2, 2, 2, 2), but the kernel "
+        "presentation gives invariant factors (4, 4) (mod-2 co-rank 2)"
+    ) in err
+    assert "Traceback" not in err
 
 
 @pytest.mark.parametrize(
@@ -381,34 +462,76 @@ def test_both_routes_raise_when_the_orders_disagree(monkeypatch):
      ("dt4", 11_519, True)],
 )
 def test_kernel_table_is_bounded(capsys, name, bound, decides):
-    # the n!-row kernel table is checked against the bound before it is built
+    # under --route both the n!-row kernel table is checked against the
+    # bound before it is built; below it only the kernel presentation is
+    # undecided, and the regular action still decides
+    argv = ["analyze", name, "--route", "both", "--max-cosets", str(bound), "--format", "json"]
+    assert main(argv) == 0
+    out, err = capsys.readouterr()
+    assert "Traceback" not in err
+    report = json.loads(out)
+    rows = report["symmetric_image_order"]
+    assert not report["undecided"]
+    assert report["tilde_order"] == {"t4": 24, "dt4": 11_520}[name]
+    warning = f"undecided at bound: kernel table needs {rows} rows"
+    check = report["kernel_cross_check"]
+    if decides:
+        assert warning not in report["warnings"]
+        assert check["from_subgroup_presentation"] == report["kernel_order"]
+    else:
+        assert warning in report["warnings"]
+        assert check["from_subgroup_presentation"] is None and check["agree"] is None
+
+
+@pytest.mark.parametrize(
+    "name,bound,decides,warning",
+    [
+        ("t4", 3, False, "enumeration overflow at 3 cosets"),
+        ("t4", 4, True, None),
+        ("dt4", 52, False, "enumeration overflow at 52 cosets"),
+        ("dt4", 53, False, "the regular action of K, of order 16, needs 256 table lookups"),
+        ("dt4", 255, False, "the regular action of K, of order 16, needs 256 table lookups"),
+        ("dt4", 256, True, None),
+    ],
+)
+def test_regular_action_is_bounded(capsys, name, bound, decides, warning):
+    # the enumerate route decides once the complement search reaches its
+    # path (the 4th partial path on t4), the enumeration over H closes (53
+    # cosets allocated on dt4) and |K|^2 <= --max-cosets
     argv = ["analyze", name, "--max-cosets", str(bound), "--format", "json"]
     assert main(argv) == (0 if decides else 1)
     out, err = capsys.readouterr()
     assert "Traceback" not in err
     report = json.loads(out)
-    rows = report["symmetric_image_order"]
     if decides:
-        assert not report["undecided"]
+        assert not report["undecided"] and not report["warnings"][2:]
         assert report["tilde_order"] == {"t4": 24, "dt4": 11_520}[name]
     else:
         assert report["undecided"]
         assert report["tilde_order"] is None and report["kernel_order"] is None
-        assert f"undecided at bound: kernel table needs {rows} rows" in report["warnings"]
+        assert report["warnings"][2:] == [f"undecided at bound: {warning}"]
         assert report["pi1"] == {"kind": "Undetermined", "note": f"undecided at bound {bound}"}
 
 
 def test_kernel_enumeration_overflow_is_undecided(monkeypatch, capsys):
-    # a kernel presentation of Z100 needs 100 cosets, over the bound of 50
+    # under --route both, a kernel presentation of Z100 needs 100 cosets,
+    # over the bound of 50: that route is undecided, the regular action
+    # decides alone
     z100 = GroupPresentation.make(("x",), [(1,) * 100])
     monkeypatch.setattr(galcov.cli, "simplify_presentation", lambda pres: z100)
-    report = analyze("t4", max_cosets=50)
-    assert report.undecided
-    assert report.tilde_order is None and report.kernel_order is None
+    report = analyze("t4", route="both", max_cosets=50)
     assert "undecided at bound: kernel enumeration overflow at 50 cosets" in report.warnings
-    assert report.pi1 == {"kind": "Undetermined", "note": "undecided at bound 50"}
-    assert main(["analyze", "t4", "--max-cosets", "50"]) == 1
-    assert "undecided at bound" in capsys.readouterr().out
+    assert report.kernel_cross_check == {
+        "from_index": 1, "from_subgroup_presentation": None, "agree": None
+    }
+    assert report.pi1 == {"kind": "Trivial"} and not report.undecided
+    assert main(["analyze", "t4", "--route", "both", "--max-cosets", "50"]) == 0
+    assert "undecided at bound: kernel enumeration" in capsys.readouterr().out
+    # with no table either, nothing decides
+    monkeypatch.setattr(galcov.cli, "complement_path", lambda *args: ())
+    report = analyze("t4", route="both", max_cosets=20)
+    assert report.undecided
+    assert report.pi1 == {"kind": "Undetermined", "note": "undecided at bound 20"}
 
 
 def test_kernel_route_decides_both_after_full_overflow(monkeypatch, capsys):
@@ -426,11 +549,12 @@ def test_kernel_route_decides_both_after_full_overflow(monkeypatch, capsys):
     }
     assert report.route_agreement is True
     # with no complement found, G~ is enumerated in full (15,008 cosets
-    # defined): that overflows at 720, and the kernel route still decides
+    # defined): that overflows at 720, and the kernel presentation decides
+    # alone
     monkeypatch.setattr(galcov.cli, "complement_path", lambda *args: ())
     tables.clear()
     report = analyze("dt4", route="both", max_cosets=720)
-    assert len(tables) == 2 and tables[-1] is None  # the full call overflowed
+    assert len(tables) == 2 and tables[0] is None  # the full call overflowed
     assert report.pi1 == {"kind": "ElementaryAbelian2", "rank": 4}
     assert not report.undecided
     assert "undecided at bound: enumeration overflow at 720 cosets" in report.warnings

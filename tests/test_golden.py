@@ -21,6 +21,21 @@ Since the Coxeter route checks for a projective relator before it
 reduces anything, ``routes.coxeter.reason`` in ``t4-coxeter.json`` and
 ``t4-both.json`` reads "no projective relator to quotient by" (it held
 the braid-cycle failure that recognition used to report first).
+
+Schema 2 (the enumerate route decides K from its regular action on the
+table of G~ over H; the kernel presentation is built only under ``both``):
+
+* ``schema`` reads 2 in all six files;
+* ``routes.enumeration`` drops ``kernel_order_from_presentation``,
+  ``subgroup_generators``, ``simplified_generators``, ``mod2_corank`` and
+  ``invariant_factors``, and gains what the verdict is read from:
+  ``complement_generators`` (the names of the path generators spanning
+  H, empty when H is trivial), ``index`` ([G~:H], the table's rows) and
+  ``invariants`` (of K/K', here K itself: [] on t4, [2, 2, 2, 2] on dt4);
+* in the ``*-enumerate.json`` files ``kernel_cross_check`` is null: only
+  ``both`` has a kernel presentation to check the index against.
+
+The ``*-coxeter.json`` files change in ``schema`` only.
 """
 
 import json

@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 
 import pytest
@@ -11,6 +12,7 @@ from galcov.kernel import (
     identify_structure,
     kernel_coset_table,
     mod2_corank,
+    regular_kernel,
     reidemeister_schreier,
     smith_normal_form,
 )
@@ -22,7 +24,7 @@ from galcov.presentation import (
 )
 from galcov.tietze import simplify_presentation
 
-from .conftest import snf_oracle
+from .conftest import mulclose, snf_oracle
 
 
 # ---------------------------------------------------------------------------
@@ -484,3 +486,142 @@ def test_rewritten_relators_trace_identity_in_subgroup_table():
     for w in sub.relators:
         for c in range(sub_table.coset_count):
             assert sub_table.trace(c, w) == c
+
+
+# ---------------------------------------------------------------------------
+# the kernel from its regular action, against brute-force closure
+
+# K as a presentation (generators, relators) and as permutations
+_S3 = (("x", "y"), [(1, 1, 1), (2, 2), (1, 2, 1, 2)],
+       [Permutation((2, 3, 1)), Permutation((2, 1, 3))])
+_Q8 = (("i", "j"), [(1,) * 4, (1, 1, -2, -2), (-2, 1, 2, 1)],
+       [Permutation((2, 5, 8, 3, 6, 1, 4, 7)), Permutation((3, 4, 5, 6, 7, 8, 1, 2))])
+_Z4Z2 = (("a", "b"), [(1,) * 4, (2, 2), (1, 2, -1, -2)],
+         [Permutation((2, 3, 4, 1, 5, 6)), Permutation((1, 2, 3, 4, 6, 5))])
+
+
+def _with_s2_complement(names, relators):
+    """K x <t>, with t an involution commuting with K, mapped onto S_2 by
+    t -> (1 2) and K -> 1: its complement path is (t,)."""
+    t = len(names) + 1
+    pres = GroupPresentation.make(
+        names + ("t",),
+        relators + [(t, t)] + [(t, k, -t, -k) for k in range(1, t)],
+    )
+    identity = Permutation.identity(2)
+    a = SymmetricAssignment(2, (identity,) * len(names) + (Permutation.transposition(2, 1, 2),))
+    return pres, a, (t,)
+
+
+def _brute_force(model):
+    """Order, centre order, derived subgroup order and element orders of
+    the group the permutations generate."""
+    elements = mulclose(model)
+
+    def mul(p, q):
+        return tuple(q[x - 1] for x in p)
+
+    def inv(p):
+        return Permutation(p).inverse().images
+
+    def order(p):
+        k, q = 1, p
+        while q != tuple(sorted(p)):
+            q, k = mul(q, p), k + 1
+        return k
+
+    centre = [z for z in elements if all(mul(z, y) == mul(y, z) for y in elements)]
+    commutators = {mul(mul(inv(x), inv(y)), mul(x, y)) for x in elements for y in elements}
+    derived = mulclose([Permutation(c) for c in commutators])
+    return len(elements), len(centre), len(derived), sorted(map(order, elements))
+
+
+def _cyclic_product_orders(factors):
+    return sorted(
+        math.lcm(*(d // math.gcd(d, x) for d, x in zip(factors, xs)))
+        for xs in itertools.product(*(range(d) for d in factors))
+    )
+
+
+@pytest.mark.parametrize(
+    "k,expected",
+    [
+        (_S3, {"kind": "NonAbelian", "order": 6, "centre": 1, "derived": 3, "factors": (2,)}),
+        (_Q8, {"kind": "NonAbelian", "order": 8, "centre": 2, "derived": 2, "factors": (2, 2)}),
+        (_Z4Z2, {"kind": "AbelianInvariantFactors", "order": 8, "centre": 8, "derived": 1,
+                 "factors": (2, 4)}),
+    ],
+    ids=["S3", "Q8", "Z4xZ2"],
+)
+def test_regular_kernel_matches_brute_force_closure(k, expected):
+    names, relators, model = k
+    pres, a, path = _with_s2_complement(names, relators)
+    order, centre, derived, orders = _brute_force(model)
+    assert (order, centre, derived) == (expected["order"], expected["centre"], expected["derived"])
+    over_h = coset_enumeration(pres, [path], 1000)
+    over_1 = coset_enumeration(pres, (), 1000)
+    assert over_h.coset_count == order and over_1.coset_count == 2 * order
+    for table, p in ((over_h, path), (over_1, ())):
+        v = regular_kernel(table, a, p)
+        assert v.kind == expected["kind"] and v.order == order
+        # the invariants of K/K' are those of the presentation's SNF
+        assert v.factors == expected["factors"]
+        assert v.factors == abelian_invariants(GroupPresentation.make(names, relators))
+        if v.kind == "NonAbelian":
+            assert (v.centre_order, v.derived_order) == (centre, derived)
+        else:
+            assert orders == _cyclic_product_orders(v.factors)
+
+
+def test_regular_kernel_over_a_longer_path():
+    # S_3 x Z3, with K = Z3 = <z> and the complement S_3 = <s1, s2> along
+    # the path s1 s2; z commutes with both and maps to the identity
+    pres = GroupPresentation.make(
+        ("z", "s1", "s2"),
+        [(1, 1, 1), (2, 2), (3, 3), (2, 3) * 3, (1, 2, -1, -2), (1, 3, -1, -3)],
+    )
+    a = SymmetricAssignment(3, (
+        Permutation.identity(3), Permutation.transposition(3, 1, 2),
+        Permutation.transposition(3, 2, 3),
+    ))
+    table = coset_enumeration(pres, [(2,), (3,)], 1000)
+    assert table.coset_count == 3
+    v = regular_kernel(table, a, (2, 3))
+    assert (v.kind, v.factors, v.order) == ("AbelianInvariantFactors", (3,), 3)
+    # the path read from its other end gives the same kernel
+    assert regular_kernel(table, a, (3, 2)) == v
+
+
+def test_regular_kernel_rejects_a_set_that_is_not_closed():
+    # S_3 = <a, b> on the 3 cosets of <aba>, read as if that subgroup were
+    # trivial: the kernel words 1, a, b act as the identity and two
+    # transpositions, whose product is a 3-cycle
+    pres = GroupPresentation.make(("a", "b"), [(1, 1), (2, 2), (1, 2) * 3])
+    table = coset_enumeration(pres, [(1, 2, 1)], 100)
+    trivial = SymmetricAssignment(1, (Permutation.identity(1),) * 2)
+    with pytest.raises(KernelError, match="not closed under product"):
+        regular_kernel(table, trivial, ())
+
+
+def test_regular_kernel_rejects_a_kernel_of_the_wrong_size():
+    # every coset of S_3 maps to the identity of S_2: six kernel cosets,
+    # not 6 / 2!
+    pres = GroupPresentation.make(("a", "b"), [(1, 1), (2, 2), (1, 2) * 3])
+    table = coset_enumeration(pres, (), 100)
+    trivial = SymmetricAssignment(2, (Permutation.identity(2),) * 2)
+    with pytest.raises(KernelError, match="6 of the 6 cosets lie in the kernel"):
+        regular_kernel(table, trivial, ())
+
+
+def test_invariants_from_element_orders_match_snf():
+    from galcov.kernel import _invariants_from_orders
+
+    rng = random.Random(20261018)
+    for _ in range(40):
+        cyclic = [rng.choice((2, 3, 4, 6, 8, 9)) for _ in range(rng.randint(0, 3))]
+        orders = _cyclic_product_orders(cyclic) if cyclic else [1]
+        repeat = rng.randint(1, 3)
+        expected = tuple(d for d in snf_oracle([
+            [d if i == j else 0 for j in range(len(cyclic))] for i, d in enumerate(cyclic)
+        ]) if d > 1) if cyclic else ()
+        assert _invariants_from_orders(orders * repeat, repeat) == expected
