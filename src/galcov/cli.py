@@ -240,17 +240,16 @@ def analyze(
     warnings.extend(chern.warnings)
 
     try:
-        pres_noproj, proj = timed(
+        pres, pres_noproj, proj = timed(
             "presentation",
             lambda: (
+                build_tilde_presentation(complex_),
                 build_tilde_presentation(complex_, include_projective=False),
                 projective_relator(complex_),
             ),
         )
     except (PresentationError, ComplexError) as exc:
         raise AnalysisError("presentation", str(exc)) from exc
-    # the projective relator comes last: appending it builds the rest once
-    pres = pres_noproj if proj is None else pres_noproj.with_relator(proj)
 
     report = AnalysisReport(
         source=origin,
@@ -370,8 +369,6 @@ def _enumeration_route(report, pres, table, path, tilde, assignment, max_cosets,
     report.kernel_order = verdict.order
     report.tilde_order = tilde
     report.enumeration_route = {
-        "tilde_order": report.tilde_order,
-        "kernel_order": verdict.order,
         "complement_generators": [pres.names[g - 1] for g in path],
         "index": table.coset_count,
         "invariants": list(verdict.factors or ()),
@@ -527,7 +524,11 @@ def emit_report(report: AnalysisReport, fmt: str = "text") -> bytes:
         )
     if report.kernel_cross_check:
         kc = report.kernel_cross_check
-        lines.append(f"  kernel presentation: kernel {kc['from_subgroup_presentation']}")
+        kernel = kc["from_subgroup_presentation"]
+        lines.append(
+            "  kernel presentation: "
+            + ("undecided at bound" if kernel is None else f"kernel {kernel}")
+        )
     if report.coxeter_route:
         cr = report.coxeter_route
         if cr.get("supported"):

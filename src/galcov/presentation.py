@@ -233,15 +233,6 @@ class GroupPresentation:
         except ValueError:
             raise PresentationError(f"unknown generator {name!r}") from None
 
-    def with_relator(self, word) -> "GroupPresentation":
-        """What :meth:`make` builds from these relators and ``word``, a
-        word in these generators, without normalizing the rest again."""
-        w = free_reduce(word)
-        key = _reduced_key(w)
-        if not w or any(len(r) == len(w) and _reduced_key(r) == key for r in self.relators):
-            return self
-        return GroupPresentation(self.names, self.relators + (w,))
-
     def involutions(self) -> frozenset[int]:
         """Generators g with an explicit relator g^2."""
         out = set()

@@ -24,8 +24,6 @@ def test_analyze_t4_report():
     # only --route both has a kernel presentation to check the index against
     assert report.kernel_cross_check is None
     assert report.enumeration_route == {
-        "tilde_order": 24,
-        "kernel_order": 1,
         "complement_generators": ["g1", "g4", "g3"],
         "index": 1,
         "invariants": [],
@@ -526,7 +524,10 @@ def test_kernel_enumeration_overflow_is_undecided(monkeypatch, capsys):
     }
     assert report.pi1 == {"kind": "Trivial"} and not report.undecided
     assert main(["analyze", "t4", "--route", "both", "--max-cosets", "50"]) == 0
-    assert "undecided at bound: kernel enumeration" in capsys.readouterr().out
+    out = capsys.readouterr().out
+    assert "undecided at bound: kernel enumeration" in out
+    assert "  kernel presentation: undecided at bound\n" in out
+    assert "kernel None" not in out
     # with no table either, nothing decides
     monkeypatch.setattr(galcov.cli, "complement_path", lambda *args: ())
     report = analyze("t4", route="both", max_cosets=20)

@@ -26,7 +26,8 @@ Schema 2 (the enumerate route decides K from its regular action on the
 table of G~ over H; the kernel presentation is built only under ``both``):
 
 * ``schema`` reads 2 in all six files;
-* ``routes.enumeration`` drops ``kernel_order_from_presentation``,
+* ``routes.enumeration`` drops ``tilde_order`` and ``kernel_order``
+  (they repeated the top-level fields), ``kernel_order_from_presentation``,
   ``subgroup_generators``, ``simplified_generators``, ``mod2_corank`` and
   ``invariant_factors``, and gains what the verdict is read from:
   ``complement_generators`` (the names of the path generators spanning

@@ -275,37 +275,6 @@ def test_build_without_projective(dt4):
     assert len(with_proj.relators) == len(without.relators) + 1
 
 
-@pytest.mark.parametrize("seed", [None, 1, 2, 3, 4, 5, 6])
-@pytest.mark.parametrize("name", ["t4", "dt4"])
-def test_with_relator_builds_what_make_builds(name, seed):
-    # analyze builds the presentation once, without the projective
-    # relator, and appends it: the same names and relators, in order
-    import random
-
-    from galcov.datasets import load_builtin
-
-    from .conftest import relabel_complex
-
-    c = load_builtin(name)
-    if seed is not None:
-        c = relabel_complex(c, random.Random(seed))
-    without = build_tilde_presentation(c, include_projective=False)
-    proj = projective_relator(c)
-    assert (proj is None) == (name == "t4")
-    if proj is not None:
-        assert without.with_relator(proj) == build_tilde_presentation(c)
-        assert without.with_relator(proj).relators[-1] == free_reduce(proj)
-
-
-def test_with_relator_keeps_one_word_per_class():
-    p = GroupPresentation.make(("a", "b"), [(1, 1), (1, 2, -1, -2)])
-    # an empty word, a rotation and an inverse add nothing
-    for word in [(1, -1), (2, -1, -2, 1), (2, 1, -2, -1)]:
-        assert p.with_relator(word) is p
-        assert GroupPresentation.make(p.names, p.relators + (word,)) == p
-    assert p.with_relator((2, 2, 1, -1)).relators == ((1, 1), (1, 2, -1, -2), (2, 2))
-
-
 def test_build_four_point_without_overrides_fails(dt4):
     stripped = DegenerationComplex(
         name=dt4.name,
