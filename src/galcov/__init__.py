@@ -31,7 +31,6 @@ from .complexes import (
 from .coxeter import (
     CoxeterGraph,
     CoxeterRoute,
-    SemidirectElement,
     coxeter_route,
     eval_word,
     lattice_quotient,

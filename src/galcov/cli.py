@@ -162,15 +162,7 @@ def _verdict_dict(v: StructureVerdict) -> dict:
 
 
 def _verdicts_equal(a: StructureVerdict, b: StructureVerdict) -> bool:
-    if a.kind != b.kind:
-        return False
-    if a.kind == "ElementaryAbelian2":
-        return a.rank == b.rank
-    if a.kind == "AbelianInvariantFactors":
-        return tuple(a.factors) == tuple(b.factors)
-    if a.kind == "NonAbelian":
-        return _verdict_dict(a) == _verdict_dict(b)
-    return a.kind == "Trivial" and b.kind == "Trivial"
+    return a.kind != "Undetermined" and _verdict_dict(a) == _verdict_dict(b)
 
 
 def load_source(source: str) -> tuple[str, DegenerationComplex]:

@@ -5,7 +5,15 @@ projective relator) is the quotient group of a cycle graph: generators
 are the graph edges, adjacent edges braid, disjoint edges commute.  For a
 graph with one independent cycle that quotient is S_n acting on the
 rank-(n-1) lattice spanned by the differences u_{i,j} = e_i - e_j, with
-sigma carrying u_{i,j} to u_{sigma(i),sigma(j)}.
+sigma carrying u_{i,j} to u_{sigma(i),sigma(j)} (Rowen, Teicher and
+Vishne, "Coxeter covers of the symmetric groups", J. Group Theory, 2005).
+
+That semidirect product is the affine symmetric group, so its elements
+are computed as affine permutations of Z in window notation (Bjorner
+and Brenti, *Combinatorics of Coxeter Groups*, 2005, section 8.3): the
+window (w_1, ..., w_n) of sigma * u(vec) has w_i = sigma(i) +
+n*vec[sigma(i)], a product is one composition of windows, and a pure
+translation reads vec_i = (w_i - i)/n.
 
 The projective relator then lands inside the lattice, and the kernel of
 the map onto S_n becomes the quotient of the lattice by the sublattice
@@ -26,7 +34,6 @@ import math
 from dataclasses import dataclass
 
 from .kernel import StructureVerdict, identify_structure, smith_normal_form
-from .permutations import Permutation
 from .presentation import (
     GroupPresentation,
     Word,
@@ -47,90 +54,28 @@ class CoxeterError(Exception):
 
 
 # ---------------------------------------------------------------------------
-# semidirect product elements
+# windows of affine permutations
 
 
-@dataclass(frozen=True)
-class SemidirectElement:
-    """Element sigma * u(vec) of the semidirect product of S_n with the
-    sum-zero integer lattice; vec lives in e-coordinates."""
+def eval_word(images, word) -> tuple[int, ...]:
+    """Window of the left-to-right product of a word's letter images.
 
-    perm: Permutation
-    vec: tuple[int, ...]
-
-    def __post_init__(self):
-        if len(self.vec) != self.perm.degree:
-            raise ValueError("vector length must match permutation degree")
-        if sum(self.vec) != 0:
-            raise ValueError("vector must have coordinate sum zero")
-
-    @staticmethod
-    def identity(n: int) -> "SemidirectElement":
-        return SemidirectElement(Permutation.identity(n), (0,) * n)
-
-    @staticmethod
-    def from_perm(perm: Permutation) -> "SemidirectElement":
-        return SemidirectElement(perm, (0,) * perm.degree)
-
-    @staticmethod
-    def u(n: int, i: int, j: int) -> "SemidirectElement":
-        """The lattice generator u_{i,j} = e_i - e_j."""
-        if i == j or not (1 <= i <= n and 1 <= j <= n):
-            raise ValueError(f"bad lattice generator u_{i},{j} on 1..{n}")
-        vec = [0] * n
-        vec[i - 1] += 1
-        vec[j - 1] -= 1
-        return SemidirectElement(Permutation.identity(n), tuple(vec))
-
-    @property
-    def degree(self):
-        return self.perm.degree
-
-    def is_identity(self) -> bool:
-        return self.perm.is_identity() and not any(self.vec)
-
-    def __mul__(self, other: "SemidirectElement") -> "SemidirectElement":
-        if self.degree != other.degree:
-            raise ValueError("degree mismatch")
-        moved = _act(other.perm, self.vec)
-        vec = tuple(a + b for a, b in zip(moved, other.vec))
-        return SemidirectElement(self.perm * other.perm, vec)
-
-    def inverse(self) -> "SemidirectElement":
-        pinv = self.perm.inverse()
-        moved = _act(pinv, self.vec)
-        return SemidirectElement(pinv, tuple(-a for a in moved))
-
-    def __str__(self):
-        parts = [self.perm.cycle_string()]
-        for i, c in enumerate(self.vec):
-            if c:
-                parts.append(f"{c:+d}*e{i + 1}")
-        return " ".join(parts)
-
-
-def _act(perm: Permutation, vec):
-    """Coordinate action sending u_{i,j} to u_{perm(i),perm(j)}."""
-    out = [0] * len(vec)
-    for i, c in enumerate(vec):
-        out[perm(i + 1) - 1] = c
-    return tuple(out)
-
-
-def eval_word(images, word, inverses=None) -> SemidirectElement:
-    """Left-to-right product of the images of a word's letters;
-    ``inverses``, when given, lists the images' inverses in their order."""
+    Each image is a window, the affine permutation of Z sending i + m*t
+    to w_i + m*t.  Every image of the standard assignment is an
+    involution, so a letter and its inverse share one window.
+    """
     images = list(images)
     if not images:
         raise CoxeterError("empty assignment")
-    if inverses is None:
-        inverses = [g.inverse() for g in images]
-    acc = SemidirectElement.identity(images[0].degree)
+    m = len(images[0])
+    acc = tuple(range(1, m + 1))
     for x in word:
         k = abs(x)
         if not 1 <= k <= len(images):
             raise CoxeterError(f"word references unassigned generator {k}")
-        acc = acc * (images[k - 1] if x > 0 else inverses[k - 1])
+        w = images[k - 1]
+        # the entry y = j + m*t goes to w_j + m*t
+        acc = tuple(w[(y - 1) % m] + (y - 1) // m * m for y in acc)
     return acc
 
 
@@ -148,20 +93,21 @@ class CoxeterGraph:
     edges: tuple[tuple[str, tuple[int, int]], ...]  # (label, (i, j)), i < j
 
 
-def standard_assignment(graph: CoxeterGraph) -> dict[str, SemidirectElement]:
-    """Images of the edge generators in the semidirect product.
+def standard_assignment(graph: CoxeterGraph) -> dict[str, tuple[int, ...]]:
+    """Windows of the edge generators' images in the semidirect product.
 
     Tree edge (i, j) maps to the transposition (i j); the last edge, the
-    non-tree edge (i, j), maps to (i j) times u_{i,j}.  ``graph`` is a
-    cycle as ``recognize_cycle`` builds it.
+    non-tree edge (i, j), maps to (i j) times u_{i,j}, whose window
+    sends i to j - m and j to i + m.  ``graph`` is a cycle as
+    ``recognize_cycle`` builds it.
     """
-    n = graph.vertex_count
-    out = {
-        label: SemidirectElement.from_perm(Permutation.transposition(n, i, j))
-        for label, (i, j) in graph.edges
-    }
-    label, (i, j) = graph.edges[-1]
-    out[label] = out[label] * SemidirectElement.u(n, i, j)
+    m = graph.vertex_count
+    out = {}
+    for label, (i, j) in graph.edges:
+        shift = m if label == graph.edges[-1][0] else 0
+        w = list(range(1, m + 1))
+        w[i - 1], w[j - 1] = j - shift, i + shift
+        out[label] = tuple(w)
     return out
 
 
@@ -254,8 +200,8 @@ class CoxeterRoute:
     reason: str | None = None
     reduced: GroupPresentation | None = None
     graph: CoxeterGraph | None = None
-    assignment: dict[str, SemidirectElement] | None = None
-    proj_element: SemidirectElement | None = None
+    assignment: dict[str, tuple[int, ...]] | None = None
+    proj_vector: tuple[int, ...] | None = None
     proj_u_coords: tuple[int, ...] | None = None
     quotient: LatticeQuotient | None = None
 
@@ -412,23 +358,25 @@ def coxeter_route(
         graph = recognize_cycle(reduced)
         assignment = standard_assignment(graph)
         images = [assignment[name] for name in reduced.names]
-        inverses = [g.inverse() for g in images]
-        if not all(eval_word(images, r, inverses).is_identity() for r in reduced.relators):
+        m = graph.vertex_count
+        if any(eval_word(images, r) != tuple(range(1, m + 1)) for r in reduced.relators):
             raise CoxeterError("assignment fails to satisfy the reduced relators")
-        element = eval_word(images, proj_reduced, inverses)
-        if not element.perm.is_identity():
+        element = eval_word(images, proj_reduced)
+        if any((x - i) % m for i, x in enumerate(element, 1)):
             raise CoxeterError(
                 "projective relator has a non-identity permutation part; "
                 "its normal closure is not a lattice"
             )
     except CoxeterError as exc:
         return CoxeterRoute(supported=False, reason=str(exc))
+    # a pure translation: its window reads vec_i = (w_i - i)/m
+    vec = tuple((x - i) // m for i, x in enumerate(element, 1))
     return CoxeterRoute(
         supported=True,
         reduced=reduced,
         graph=graph,
         assignment=assignment,
-        proj_element=element,
-        proj_u_coords=u_basis_coords(element.vec),
-        quotient=lattice_quotient(element.vec),
+        proj_vector=vec,
+        proj_u_coords=u_basis_coords(vec),
+        quotient=lattice_quotient(vec),
     )

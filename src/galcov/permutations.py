@@ -59,24 +59,6 @@ class Permutation:
     def is_identity(self) -> bool:
         return all(x == i + 1 for i, x in enumerate(self.images))
 
-    def cycle_string(self) -> str:
-        seen = set()
-        parts = []
-        for i in range(1, self.degree + 1):
-            if i in seen or self(i) == i:
-                continue
-            cyc = [i]
-            j = self(i)
-            while j != i:
-                seen.add(j)
-                cyc.append(j)
-                j = self(j)
-            parts.append("(" + " ".join(map(str, cyc)) + ")")
-        return "".join(parts) or "()"
-
-    def __str__(self):
-        return self.cycle_string()
-
 
 @dataclass(frozen=True)
 class SymmetricAssignment:
@@ -144,7 +126,7 @@ def permutation_group_order(gens) -> int:
         if not moved:
             continue
         if len(moved) != 2:
-            raise ValueError(f"not a transposition: {g}")
+            raise ValueError(f"not a transposition: {g.images}")
         a, b = moved
         parent[root(a)] = root(b)
     sizes = Counter(root(x) for x in parent)

@@ -249,3 +249,53 @@ def random_permutation(rng, n):
     images = list(range(1, n + 1))
     rng.shuffle(images)
     return Permutation(tuple(images))
+
+
+# ---------------------------------------------------------------------------
+# the semidirect product of S_m with the sum-zero lattice, written out as
+# pairs (sigma, vec) to check the windows that galcov.coxeter computes with
+
+
+def window(perm, vec):
+    """Window of sigma * u(vec): w_i = sigma(i) + m*vec[sigma(i)]."""
+    m = perm.degree
+    return tuple(perm(i) + m * vec[perm(i) - 1] for i in range(1, m + 1))
+
+
+def decode_window(w):
+    """The pair (sigma, vec) whose window is ``w``."""
+    m = len(w)
+    sigma = Permutation(tuple((x - 1) % m + 1 for x in w))
+    vec = [0] * m
+    for x, s in zip(w, sigma.images):
+        vec[s - 1] = (x - s) // m
+    return sigma, tuple(vec)
+
+
+def _moved(perm, vec):
+    """vec with coordinate i carried to perm(i), so u_{i,j} goes to
+    u_{perm(i),perm(j)}."""
+    out = [0] * len(vec)
+    for i, c in enumerate(vec, 1):
+        out[perm(i) - 1] = c
+    return tuple(out)
+
+
+def sd_product(a, b):
+    """(sigma_a, v_a)(sigma_b, v_b) = (sigma_a sigma_b, v_a.sigma_b + v_b)."""
+    (sa, va), (sb, vb) = a, b
+    return sa * sb, tuple(x + y for x, y in zip(_moved(sb, va), vb))
+
+
+def sd_inverse(a):
+    sigma, vec = a
+    inverse = sigma.inverse()
+    return inverse, tuple(-x for x in _moved(inverse, vec))
+
+
+def u_vector(n, i, j):
+    """e-coordinates of the lattice generator u_{i,j} = e_i - e_j."""
+    vec = [0] * n
+    vec[i - 1] += 1
+    vec[j - 1] -= 1
+    return tuple(vec)

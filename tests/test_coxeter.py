@@ -8,7 +8,6 @@ import galcov.presentation
 from galcov.coxeter import (
     CoxeterError,
     CoxeterGraph,
-    SemidirectElement,
     coxeter_route,
     eval_word,
     lattice_quotient,
@@ -28,30 +27,46 @@ from galcov.presentation import (
     triple_word,
 )
 
-from .conftest import random_permutation, relabel_complex
+from .conftest import (
+    decode_window,
+    random_permutation,
+    relabel_complex,
+    sd_inverse,
+    sd_product,
+    u_vector,
+    window,
+)
 
 
 def random_sd(rng, n):
     vec = [rng.randint(-3, 3) for _ in range(n - 1)]
     vec.append(-sum(vec))
-    return SemidirectElement(random_permutation(rng, n), tuple(vec))
+    return window(random_permutation(rng, n), vec)
+
+
+def identity(n):
+    return tuple(range(1, n + 1))
 
 
 def u(n, i, j):
-    return SemidirectElement.u(n, i, j)
+    return window(Permutation.identity(n), u_vector(n, i, j))
 
 
-def t(n, i, j):
-    return SemidirectElement.from_perm(Permutation.transposition(n, i, j))
+def t(n, i, j, vec=None):
+    """Window of the transposition (i j), times u(vec) when given."""
+    return window(Permutation.transposition(n, i, j), vec or (0,) * n)
+
+
+def mul(*factors):
+    return eval_word(factors, range(1, len(factors) + 1))
+
+
+def inverse(w):
+    return window(*sd_inverse(decode_window(w)))
 
 
 # ---------------------------------------------------------------------------
 # arithmetic laws
-
-
-def test_sum_zero_enforced():
-    with pytest.raises(ValueError):
-        SemidirectElement(Permutation.identity(3), (1, 0, 0))
 
 
 def test_sd_arithmetic_laws_1000_triples():
@@ -59,12 +74,13 @@ def test_sd_arithmetic_laws_1000_triples():
     for _ in range(1000):
         n = rng.randint(2, 7)
         x, y, z = (random_sd(rng, n) for _ in range(3))
-        assert (x * y) * z == x * (y * z)
-        e = SemidirectElement.identity(n)
-        assert e * x == x and x * e == x
-        assert (x * x.inverse()).is_identity()
-        assert (x.inverse() * x).is_identity()
-        assert (x * y).inverse() == y.inverse() * x.inverse()
+        assert mul(mul(x, y), z) == mul(x, mul(y, z)) == mul(x, y, z)
+        e = identity(n)
+        assert mul(e, x) == x and mul(x, e) == x
+        assert mul(x, inverse(x)) == e
+        assert mul(inverse(x), x) == e
+        assert inverse(mul(x, y)) == mul(inverse(y), inverse(x))
+        assert decode_window(mul(x, y)) == sd_product(decode_window(x), decode_window(y))
 
 
 def test_conjugation_action_on_lattice():
@@ -75,13 +91,13 @@ def test_conjugation_action_on_lattice():
         n = rng.randint(2, 7)
         i, j = rng.sample(range(1, n + 1), 2)
         sigma = random_permutation(rng, n)
-        s = SemidirectElement.from_perm(sigma)
-        assert s.inverse() * u(n, i, j) * s == u(n, sigma(i), sigma(j))
-        # for involutions the two conjugation directions agree verbatim
+        s = window(sigma, (0,) * n)
+        assert mul(inverse(s), u(n, i, j), s) == u(n, sigma(i), sigma(j))
+        # an involution is its own inverse letter: tr u tr^-1 shares tr's window
         a, b = rng.sample(range(1, n + 1), 2)
-        tr = t(n, a, b)
-        lhs = tr * u(n, i, j) * tr.inverse()
-        assert lhs == u(n, tr.perm(i), tr.perm(j))
+        tr = Permutation.transposition(n, a, b)
+        lhs = eval_word([t(n, a, b), u(n, i, j)], (1, 2, -1))
+        assert lhs == u(n, tr(i), tr(j))
 
 
 def test_u_relations_in_vector_model():
@@ -90,21 +106,57 @@ def test_u_relations_in_vector_model():
         for j in range(1, n + 1):
             if i == j:
                 continue
-            assert u(n, i, j) * u(n, j, i) == SemidirectElement.identity(n)
+            assert mul(u(n, i, j), u(n, j, i)) == identity(n)
             for k in range(1, n + 1):
                 if k in (i, j):
                     continue
-                assert u(n, i, k) * u(n, k, j) == u(n, i, j)
+                assert mul(u(n, i, k), u(n, k, j)) == u(n, i, j)
 
 
 def test_worked_product_from_assignment():
     # (1 2) * (1 6)u_{1,6} * (1 2) = (2 6)u_{2,6}
     n = 6
     g9 = t(n, 1, 2)
-    g5 = SemidirectElement(Permutation.transposition(n, 1, 6), u(n, 1, 6).vec)
-    prod = g9 * g5 * g9
-    assert prod.perm == Permutation.transposition(n, 2, 6)
-    assert prod.vec == u(n, 2, 6).vec
+    g5 = t(n, 1, 6, u_vector(n, 1, 6))
+    assert decode_window(mul(g9, g5, g9)) == (
+        Permutation.transposition(n, 2, 6),
+        u_vector(n, 2, 6),
+    )
+
+
+def cycle_graph(m):
+    return CoxeterGraph(
+        vertex_count=m,
+        edges=tuple((f"a{k}", (k, k + 1)) for k in range(1, m)) + ((f"a{m}", (1, m)),),
+    )
+
+
+def test_eval_word_matches_the_semidirect_product():
+    # oracle: the product written out on pairs (sigma, vec), with inverse
+    # letters inverted there rather than taken as the letter itself
+    rng = random.Random(8128)
+    for m in range(3, 8):
+        graph = cycle_graph(m)
+        windows = standard_assignment(graph)
+        images = [windows[label] for label, _ in graph.edges]
+        pairs = [
+            (Permutation.transposition(m, i, j), (0,) * m) for _, (i, j) in graph.edges[:-1]
+        ]
+        pairs.append((Permutation.transposition(m, 1, m), u_vector(m, 1, m)))
+        for _ in range(200):
+            word = [rng.choice((1, -1)) * rng.randint(1, m) for _ in range(rng.randint(0, 12))]
+            expected = (Permutation.identity(m), (0,) * m)
+            for x in word:
+                pair = pairs[abs(x) - 1]
+                expected = sd_product(expected, pair if x > 0 else sd_inverse(pair))
+            assert decode_window(eval_word(images, word)) == expected, (m, word)
+
+
+def test_eval_word_refuses_a_word_off_the_assignment():
+    with pytest.raises(CoxeterError, match="empty assignment"):
+        eval_word([], (1,))
+    with pytest.raises(CoxeterError, match="unassigned generator 3"):
+        eval_word([(2, 1, 3), (1, 3, 2)], (1, -3))
 
 
 # ---------------------------------------------------------------------------
@@ -133,8 +185,12 @@ def test_standard_assignment_hexagon():
     assert a["g4"] == t(n, 4, 5)
     assert a["g8"] == t(n, 2, 3)
     assert a["g9"] == t(n, 1, 2)
-    assert a["g5"].perm == Permutation.transposition(n, 1, 6)
-    assert a["g5"].vec == u(n, 1, 6).vec
+    # the affine reflection (1 6)u_{1,6}
+    assert a["g5"] == (0, 2, 3, 4, 5, 7)
+    assert decode_window(a["g5"]) == (
+        Permutation.transposition(n, 1, 6),
+        u_vector(n, 1, 6),
+    )
 
 
 def test_standard_assignment_triangle():
@@ -145,16 +201,16 @@ def test_standard_assignment_triangle():
     a = standard_assignment(g)
     assert a["a"] == t(3, 1, 2)
     assert a["b"] == t(3, 2, 3)
-    assert a["c"].perm == Permutation.transposition(3, 1, 3)
-    assert a["c"].vec == u(3, 1, 3).vec
+    assert decode_window(a["c"]) == (
+        Permutation.transposition(3, 1, 3),
+        u_vector(3, 1, 3),
+    )
     # the cycle-quotient relations hold under the images: adjacent edges
     # braid, and every image squares to the identity
     for img in a.values():
-        assert (img * img).is_identity()
+        assert mul(img, img) == identity(3)
     for x, y in (("a", "b"), ("b", "c"), ("a", "c")):
-        lhs = a[x] * a[y] * a[x]
-        rhs = a[y] * a[x] * a[y]
-        assert lhs == rhs
+        assert mul(a[x], a[y], a[x]) == mul(a[y], a[x], a[y])
 
 
 # ---------------------------------------------------------------------------
@@ -183,9 +239,7 @@ def test_route_reproduces_expected_images(dt4_route):
         return eval_word(images, parse_word(text, names))
 
     n = 6
-    assert ev("g9 g5 g9") == SemidirectElement(
-        Permutation.transposition(n, 2, 6), u(n, 2, 6).vec
-    )
+    assert ev("g9 g5 g9") == t(n, 2, 6, u_vector(n, 2, 6))
     assert ev("g1 g4 g1") == t(n, 3, 5)
     assert ev("g9 g8 g1 g8 g9") == t(n, 1, 4)
     # primed generators, with the eliminated letters expanded
@@ -193,24 +247,17 @@ def test_route_reproduces_expected_images(dt4_route):
     g7 = "g1 g4 g1"
     g6 = "g9 g8 g1 g8 g9"
     prime2 = ev(f"{g3} g8 {g7} g8 {g3}")
-    assert prime2 == SemidirectElement(
-        Permutation.transposition(n, 5, 6), u(n, 5, 6).vec
-    )
+    assert prime2 == t(n, 5, 6, u_vector(n, 5, 6))
     prime6 = ev(f"{g6} g5 g2 g4 g2 g5 {g6}")
-    assert prime6 == SemidirectElement(
-        Permutation.transposition(n, 1, 4), u(n, 1, 4).inverse().vec
-    )
+    assert prime6 == t(n, 1, 4, u_vector(n, 4, 1))
     prime8 = ev(f"g8 {g7} g2 {g3} g2 {g7} g8")
-    assert prime8 == SemidirectElement(
-        Permutation.transposition(n, 2, 3), u(n, 2, 3).inverse().vec
-    )
+    assert prime8 == t(n, 2, 3, u_vector(n, 3, 2))
 
 
 def test_route_projective_vector(dt4_route):
-    assert dt4_route.proj_element.perm.is_identity()
     assert dt4_route.proj_u_coords == (1, 2, 1, 0, -1)
     # e-coordinates: e1 + e2 - e3 - e4 - e5 + e6
-    assert dt4_route.proj_element.vec == (1, 1, -1, -1, -1, 1)
+    assert dt4_route.proj_vector == (1, 1, -1, -1, -1, 1)
 
 
 def test_route_graph_matches_expected_labeling(dt4_route):
@@ -223,7 +270,7 @@ def test_route_assignment_satisfies_reduced_relators(dt4_route):
     images = [dt4_route.assignment[name] for name in reduced.names]
     assert reduced.relators
     for r in reduced.relators:
-        assert eval_word(images, r).is_identity(), r
+        assert eval_word(images, r) == identity(6), r
 
 
 def test_route_quotient(dt4_route):
@@ -238,7 +285,7 @@ def test_conjugation_checks_mod_two(dt4_route):
     # the residual vector u12 + u34 + u56 is fixed, mod 2, by every
     # adjacent transposition
     n = 6
-    residual = [u(n, 1, 2).vec[i] + u(n, 3, 4).vec[i] + u(n, 5, 6).vec[i] for i in range(n)]
+    residual = [sum(c) for c in zip(u_vector(n, 1, 2), u_vector(n, 3, 4), u_vector(n, 5, 6))]
     for k in range(1, n):
         sigma = Permutation.transposition(n, k, k + 1)
         moved = [0] * n
@@ -352,7 +399,7 @@ def test_triangle_route_quotients_by_a_root():
     route = coxeter_route(triangle_presentation(), (1, 3, 2, 3))
     assert route.supported
     assert route.graph.edges == (("g3", (1, 2)), ("g2", (2, 3)), ("g1", (1, 3)))
-    assert route.proj_element == u(3, 3, 1)
+    assert route.proj_vector == (-1, 0, 1)
     assert route.quotient.order == 1
     assert route.verdict().kind == "Trivial"
 
@@ -369,7 +416,7 @@ def test_projective_relator_off_the_lattice_is_unsupported():
     route = coxeter_route(triangle_presentation(), (1,))
     assert not route.supported
     assert route.reason.startswith("projective relator has a non-identity permutation part")
-    assert route.proj_element is None
+    assert route.proj_vector is None
 
 
 def test_reduce_presentation_auto_on_t4(t4):
@@ -422,3 +469,4 @@ def test_reduce_presentation_plan_rejects_self_reference(
             table=dt4_complement_table,
             symmetric=dt4_assignment,
         )
+

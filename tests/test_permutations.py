@@ -37,12 +37,6 @@ def test_inverse_and_identity():
         assert (p.inverse() * p).is_identity()
 
 
-def test_transposition_cycle_string():
-    t = Permutation.transposition(4, 2, 4)
-    assert t.cycle_string() == "(2 4)"
-    assert Permutation.identity(3).cycle_string() == "()"
-
-
 def test_plane_transposition_map_t4(t4):
     a = plane_transposition_map(t4)
     assert a.degree == 4

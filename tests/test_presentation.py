@@ -500,11 +500,8 @@ def test_vk_cusp_template_vanishes_under_braiding_images():
     )
     cusp = triple_word(1, 2)
     assert word_image(a, cusp).is_identity()
-    # and on any pair of braiding semidirect images
-    from galcov.coxeter import SemidirectElement, eval_word
+    # and on any pair of braiding semidirect images: (1 2), and the
+    # affine reflection (1 3)u_{1,3}, in window notation
+    from galcov.coxeter import eval_word
 
-    x = SemidirectElement.from_perm(Permutation.transposition(3, 1, 2))
-    y = SemidirectElement(
-        Permutation.transposition(3, 1, 3), SemidirectElement.u(3, 1, 3).vec
-    )
-    assert eval_word([x, y], cusp).is_identity()
+    assert eval_word([(2, 1, 3), (0, 2, 4)], cusp) == (1, 2, 3)
