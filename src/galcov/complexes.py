@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import itertools
 import json
+from collections import Counter
 from dataclasses import dataclass
 
 
@@ -206,6 +207,8 @@ def parse_complex(text: str) -> DegenerationComplex:
             "vertex edges must be a list of integers",
             loc,
         )
+        repeated = sorted(x for x, k in Counter(ve).items() if k > 1)
+        _require(not repeated, f"repeated edge id {', '.join(map(str, repeated))}", loc)
         vertices.append(Vertex(id=vid, edges=frozenset(ve)))
 
     overrides = None
@@ -298,6 +301,18 @@ def validate(c: DegenerationComplex) -> ValidationReport:
                 )
             else:
                 pairs[key] = x
+
+    # two lines in one plane meet in a point of it: two edges that share a
+    # plane must share a vertex
+    together = set(adjacent_pairs(c))
+    in_plane = {}
+    for e in c.edges:
+        for p in e.plane_set():
+            in_plane.setdefault(p, []).append(e.id)
+    for p in sorted(in_plane):
+        for a, b in itertools.combinations(sorted(in_plane[p]), 2):
+            if (a, b) not in together:
+                violations.append(f"plane {p}: edges {a} and {b} share no vertex")
 
     # the edge transpositions generate S_n only when the edges join all n
     # planes; a plane on no edge is a component of its own

@@ -1,44 +1,31 @@
 """Coset enumeration for finitely presented groups.
 
-Relator-scanning (HLT) enumeration for the long relators, a Felsch-style
-deduction stack for the short ones, and immediate coincidence processing
-through a union-find table:
+Classic relator-scanning (HLT) enumeration with immediate coincidence
+processing through a union-find table:
 
 * a generator with a square relator ``g^2`` is an involution: it gets one
   self-inverse column and its square relator is not scanned, because the
   column enforces it; other generators keep columns for ``g`` and ``g^-1``;
-* relators of at most ``SHORT_RELATOR`` letters go to the deduction
-  stack.  Every entry the enumerator sets (a definition, a one-gap
-  deduction, or an entry moved to the surviving coset of a coincidence)
-  pushes ``(coset, column)``.  Popping it scans, from that coset, every
-  distinct cyclic conjugate of a short relator or of its inverse that
-  starts with that column: a single gap becomes a deduction, pushed in
-  turn, and a mismatched closure a coincidence.  The stack is drained
-  after every HLT scan and every row-fill definition;
-* HLT scans only the longer relators.  Cosets are created in scan order,
-  at the first undefined entry of the relator being traced, so two runs on
-  the same input build identical tables.  Every live coset scans every
-  long relator: gaps of width one become deductions, wider gaps trigger
-  definitions, mismatched closures merge cosets.  A relator that a plain
-  forward trace already closes is not scanned, since the scan would change
-  nothing;
-* after the queue of coincidences drains, all entries of live rows point
+* cosets are created in scan order, at the first undefined entry of the
+  relator being traced, so two runs on the same input build identical
+  tables;
+* every live coset scans every relator; a gap of width one is filled
+  from both ends, wider gaps trigger definitions, mismatched closures merge
+  cosets.  A relator that a plain forward trace already closes is not
+  scanned, since the scan would change nothing;
+* once the queue of coincidences is empty, all entries of live rows point
   at live cosets again, so neither the scans nor the final compression
   need find() calls;
 * once all scans close, remaining undefined entries are filled with fresh
   definitions, and the final table is compressed to consecutive numbering
   in the public layout of :class:`CosetTable`, two columns per generator.
 
-The returned table is closed.  Every entry is defined after the row fill.
-A long relator closes at every coset, because each surviving coset
-scanned it to closure and a coincidence only identifies cosets, which
-keeps a closed trace closed.  A short relator closes at every coset,
-because the entry of its trace that was set last was scanned once the
-others were in place, and the stack is empty before compression.
-
 Enumerations that would allocate more than ``max_cosets`` cosets raise
 :class:`EnumerationOverflow`: the answer is undecided at that bound, not
-proven infinite.
+proven infinite.  A returned table is closed: every entry is defined
+after the row fill, and every relator closes at every coset, because each
+surviving coset scanned it to closure and a coincidence only identifies
+cosets, which keeps a closed trace closed.
 """
 
 from __future__ import annotations
@@ -55,13 +42,6 @@ class EnumerationOverflow(RuntimeError):
         super().__init__(
             f"coset enumeration exceeded {max_cosets} cosets (undecided at this bound)"
         )
-
-
-# relators of at most this many letters are enforced by deductions, not
-# by HLT scans.  On dt4 the short relators are the commutators (ab)^2;
-# a cut-off of 6 or 8 letters, which sends the braids (ab)^3 to the
-# deductions too, made its enumeration slower
-SHORT_RELATOR = 4
 
 
 def _column(letter: int) -> int:
@@ -110,23 +90,6 @@ def _internal_columns(ngens, involutions):
     return icol, inv, public
 
 
-def _short_conjugates(relators, columns, ncols):
-    """Cyclic conjugates of ``relators`` and of their inverses, as
-    ``columns`` pairs (forward columns, inverse columns), without repeats
-    and grouped by first column: entry ``col`` lists the conjugates that a
-    deduction in column ``col`` scans."""
-    by_column = [[] for _ in range(ncols)]
-    seen = set()
-    for w in relators:
-        for v in (w, tuple(-x for x in reversed(w))):
-            for k in range(len(v)):
-                cols, bcols = columns(v[k:] + v[:k])
-                if cols not in seen:
-                    seen.add(cols)
-                    by_column[cols[0]].append((cols, bcols))
-    return by_column
-
-
 def coset_enumeration(
     pres, subgroup_words=(), max_cosets=1_000_000, stats=None
 ) -> CosetTable:
@@ -134,10 +97,8 @@ def coset_enumeration(
     in the group of ``pres``.  Deterministic for fixed input.
 
     A ``stats`` dict receives the counters ``cosets_defined``,
-    ``coincidences`` (scans that closed on two different cosets),
-    ``peak_live`` (most cosets alive at once) and ``deductions`` (entries
-    taken from the deduction stack and scanned), also when the bound is
-    hit.
+    ``coincidences`` (scans that closed on two different cosets) and
+    ``peak_live`` (most cosets alive at once), also when the bound is hit.
     """
     if max_cosets < 1:
         raise ValueError("max_cosets must be at least 1")
@@ -155,27 +116,15 @@ def coset_enumeration(
         return fwd, tuple(inv[c] for c in fwd)
 
     squares = {(k, k) for k in involutions} | {(-k, -k) for k in involutions}
-    relators = [w for w in pres.relators if w and w not in squares]
-    relator_cols = [columns(w) for w in relators if len(w) > SHORT_RELATOR]
-    # per column, the 4-letter conjugates unpacked for the written-out scan
-    # (columns and inverse columns after the first) and the others
-    quads, others = [], []
-    for conjugates in _short_conjugates(
-        [w for w in relators if len(w) <= SHORT_RELATOR], columns, ncols
-    ):
-        quads.append([c[1:] + b[1:] for c, b in conjugates if len(c) == 4])
-        others.append([(c, b) for c, b in conjugates if len(c) != 4])
+    relator_cols = [columns(w) for w in pres.relators if w and w not in squares]
 
     # cosets are numbered from 1; row 0 is all zeros and stands for an
     # undefined entry, so a trace that meets one stays at 0
     table = [[0] * ncols, [0] * ncols]
     p = [0, 1]
     counts = {} if stats is None else stats
-    counts.update(cosets_defined=0, coincidences=0, peak_live=1, deductions=0)
+    counts.update(cosets_defined=0, coincidences=0, peak_live=1)
     live = 1
-    # (coset, column) of every entry set and not yet scanned by drain()
-    stack = []
-    push = stack.append
 
     def rep(k):
         r = k
@@ -194,7 +143,6 @@ def coset_enumeration(
         p.append(beta)
         table[alpha][col] = beta
         table[beta][inv[col]] = alpha
-        push((alpha, col))
         counts["cosets_defined"] += 1
         live += 1
         if live > counts["peak_live"]:
@@ -237,13 +185,9 @@ def coset_enumeration(
                 else:
                     mrow[col] = nu
                     nrow[back] = mu
-                    push((mu, col))
         live -= len(queue)
 
-    def scan(alpha, cols, bcols, fill):
-        """Trace ``cols`` from ``alpha`` forwards and backwards.  A single
-        gap becomes a deduction and a mismatched closure a coincidence;
-        with ``fill``, wider gaps get definitions until the trace closes."""
+    def scan_and_fill(alpha, cols, bcols):
         f, b = alpha, alpha
         i, j = 0, len(cols) - 1
         while True:
@@ -267,87 +211,12 @@ def coset_enumeration(
             if j == i:
                 frow[cols[i]] = b
                 brow[bcols[i]] = f
-                push((f, cols[i]))
-                return
-            if not fill:
                 return
             define(f, cols[i])
 
-    def drain():
-        """Scan the short conjugates through every stacked entry, and
-        through the entries those scans set, until the stack is empty."""
-        done = 0
-        while stack:
-            alpha, col = stack.pop()
-            row = table[alpha]
-            if row is None:
-                continue  # its entries moved to a surviving coset, which pushed them
-            done += 1
-            # alpha -col-> x1 -c1-> x2 -c2-> x3 -c3-> alpha, written out:
-            # forwards as far as the entries go, then backwards from alpha
-            # through y3 = alpha.c3^-1, y2 = y3.c2^-1 and y1 = y2.c1^-1
-            for c1, c2, c3, b1, b2, b3 in quads[col]:
-                x1 = row[col]
-                r1 = table[x1]
-                x2 = r1[c1]
-                if x2:
-                    r2 = table[x2]
-                    x3 = r2[c2]
-                    if x3:
-                        r3 = table[x3]
-                        x4 = r3[c3]
-                        if x4 == alpha:
-                            continue
-                        if x4:
-                            coincidence(x4, alpha)
-                        else:
-                            y3 = row[b3]
-                            if not y3:
-                                r3[c3] = alpha
-                                row[b3] = x3
-                                push((x3, c3))
-                                continue
-                            coincidence(x3, y3)
-                    else:
-                        y3 = row[b3]
-                        if not y3:
-                            continue
-                        s3 = table[y3]
-                        y2 = s3[b2]
-                        if not y2:
-                            r2[c2] = y3
-                            s3[b2] = x2
-                            push((x2, c2))
-                            continue
-                        coincidence(x2, y2)
-                else:
-                    y3 = row[b3]
-                    if not y3:
-                        continue
-                    y2 = table[y3][b2]
-                    if not y2:
-                        continue
-                    s2 = table[y2]
-                    y1 = s2[b1]
-                    if not y1:
-                        r1[c1] = y2
-                        s2[b1] = x1
-                        push((x1, c1))
-                        continue
-                    coincidence(x1, y1)
-                if p[alpha] != alpha:
-                    break
-            else:
-                for cols, bcols in others[col]:
-                    scan(alpha, cols, bcols, False)
-                    if p[alpha] != alpha:
-                        break
-        counts["deductions"] += done
-
     for w in subgroup_words:
         if w:
-            scan(1, *columns(w), True)
-            drain()
+            scan_and_fill(1, *columns(w))
 
     alpha = 1
     while alpha < len(table):
@@ -358,16 +227,14 @@ def coset_enumeration(
                 for c in cols:
                     f = table[f][c]
                 if f != alpha:
-                    scan(alpha, cols, bcols, True)
-                    drain()
+                    scan_and_fill(alpha, cols, bcols)
                     if p[alpha] != alpha:
                         break
-            for col in range(ncols):
-                if p[alpha] != alpha:
-                    break
-                if not table[alpha][col]:
-                    define(alpha, col)
-                    drain()
+            if p[alpha] == alpha:
+                row = table[alpha]
+                for col in range(ncols):
+                    if not row[col]:
+                        define(alpha, col)
         alpha += 1
 
     # compress to consecutive numbering, preserving definition order; live

@@ -1,3 +1,4 @@
+import itertools
 import json
 import random
 
@@ -8,9 +9,15 @@ from galcov.cli import AnalysisError, analyze, emit_report, main
 from galcov.complexes import serialize_complex
 from galcov.datasets import load_builtin
 from galcov.enumeration import coset_enumeration, group_order
-from galcov.presentation import GroupPresentation, build_tilde_presentation, parse_relation
+from galcov.permutations import plane_transposition_map
+from galcov.presentation import (
+    GroupPresentation,
+    build_tilde_presentation,
+    complement_path,
+    parse_relation,
+)
 
-from .conftest import prism_complex, relabel_complex
+from .conftest import plane_cycle_complex, prism_complex, relabel_complex
 
 
 def test_analyze_t4_report():
@@ -273,27 +280,69 @@ def test_boolean_plane_is_parse_error(tmp_path, capsys):
 
 
 def test_degree_over_the_factorial_guard_is_chern_error(tmp_path, capsys):
-    # the prism over a 9-gon is a valid complex on 11 planes
-    path = tmp_path / "eleven.json"
-    path.write_text(serialize_complex(prism_complex(9)), encoding="utf-8")
+    # a cycle of 12 planes, 3-points only, passes validate
+    path = tmp_path / "twelve.json"
+    path.write_text(serialize_complex(plane_cycle_complex()), encoding="utf-8")
     assert main(["analyze", str(path)]) == 2
     err = capsys.readouterr().err
-    assert "[chern] degree 11 exceeds the supported bound 10" in err
+    assert "[chern] degree 12 exceeds the supported bound 10" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "name,old,new,named",
+    [
+        ("t4", '"edges": [1, 2, 4]}', '"edges": [1, 2, 4, 4]}', "vertices[0]: repeated edge id 4"),
+        ("dt4", '"edges": [1, 6, 8, 9]}', '"edges": [1, 6, 8, 9, 9]}', "vertices[2]: repeated edge id 9"),
+    ],
+)
+def test_repeated_vertex_edge_is_parse_error(tmp_path, capsys, name, old, new, named):
+    # a set of edge ids would drop the repeat: t4 would pass as a 3-point,
+    # dt4's 5-entry vertex as a 4-point
+    from galcov.datasets import DT4_JSON, T4_JSON
+
+    text = {"t4": T4_JSON, "dt4": DT4_JSON}[name]
+    assert text.count(old) == 1
+    path = tmp_path / f"{name}.json"
+    path.write_text(text.replace(old, new), encoding="utf-8")
+    assert main(["analyze", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert f"[parse] {named}" in captured.err
+    assert "Traceback" not in captured.err and captured.out == ""
+
+
+@pytest.mark.parametrize(
+    "n,first",
+    [(3, "plane 3: edges 1 and 4"), (4, "plane 1: edges 1 and 3"), (5, "plane 1: edges 1 and 3")],
+)
+def test_plane_edges_sharing_no_vertex_are_validate_error(tmp_path, capsys, n, first):
+    # two lines in one plane meet: in a prism, each side face's top and
+    # bottom edges share no vertex, nor do its two vertical edges, and
+    # once n > 3 neither do the cap edges of non-adjacent sides
+    path = tmp_path / "prism.json"
+    path.write_text(serialize_complex(prism_complex(n)), encoding="utf-8")
+    assert main(["analyze", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert f"[validate] {first} share no vertex" in err
+    assert err.count("share no vertex") == {3: 6, 4: 12, 5: 20}[n]
     assert "Traceback" not in err
 
 
 @pytest.mark.parametrize("route", ["enumerate", "coxeter", "both"])
-def test_relators_the_transpositions_break_are_kernel_error(tmp_path, capsys, route):
-    # prism_complex(3) passes validate, but the commutators of parasitic
-    # pairs sharing a plane fail under the plane transpositions
-    path = tmp_path / "prism3.json"
-    path.write_text(serialize_complex(prism_complex(3)), encoding="utf-8")
-    assert main(["analyze", str(path), "--route", route]) == 2
+def test_relators_the_transpositions_break_are_kernel_error(monkeypatch, capsys, route):
+    # t4's presentation with two relators that its plane transpositions
+    # break, appended as relators 25 and 26: the commutator of g1 and g2,
+    # which share a plane, and g1 g2 itself
+    build = galcov.cli.build_tilde_presentation
+
+    def broken(c, include_projective=True):
+        pres = build(c, include_projective)
+        return GroupPresentation.make(pres.names, pres.relators + ((1, 2, -1, -2), (1, 2)))
+
+    monkeypatch.setattr(galcov.cli, "build_tilde_presentation", broken)
+    assert main(["analyze", "t4", "--route", route]) == 2
     captured = capsys.readouterr()
-    assert (
-        "[kernel] plane transpositions do not satisfy relators (27, 32, 37, 42, 43, 44)"
-        in captured.err
-    )
+    assert "[kernel] plane transpositions do not satisfy relators (25, 26)" in captured.err
     assert "Traceback" not in captured.err
     assert captured.out == ""
 
@@ -481,21 +530,42 @@ def test_kernel_table_is_bounded(capsys, name, bound, decides):
         assert check["from_subgroup_presentation"] is None and check["agree"] is None
 
 
+def _enumerate_route_needs(name):
+    """What ``--max-cosets`` must cover before the enumerate route decides,
+    in the order it meets them: the partial paths the complement search
+    pops, the cosets the enumeration over H allocates (row 0 and one per
+    definition) and the |K|^2 lookups of K's regular action."""
+    complex_ = load_builtin(name)
+    pres = build_tilde_presentation(complex_)
+    assignment = plane_transposition_map(complex_)
+    search = next(b for b in itertools.count(1) if complement_path(pres, assignment, b))
+    stats = {}
+    path = complement_path(pres, assignment, search)
+    table = coset_enumeration(pres, [(g,) for g in path], stats=stats)
+    return search, stats["cosets_defined"] + 1, table.coset_count**2
+
+
 @pytest.mark.parametrize(
     "name,bound,decides,warning",
     [
-        ("t4", 3, False, "enumeration overflow at 3 cosets"),
-        ("t4", 4, True, None),
-        ("dt4", 52, False, "enumeration overflow at 52 cosets"),
-        ("dt4", 53, False, "the regular action of K, of order 16, needs 256 table lookups"),
+        ("t4", 18, False, "enumeration overflow at 18 cosets"),
+        ("t4", 19, True, None),
+        ("dt4", 173, False, "enumeration overflow at 173 cosets"),
+        ("dt4", 174, False, "the regular action of K, of order 16, needs 256 table lookups"),
         ("dt4", 255, False, "the regular action of K, of order 16, needs 256 table lookups"),
         ("dt4", 256, True, None),
     ],
 )
 def test_regular_action_is_bounded(capsys, name, bound, decides, warning):
-    # the enumerate route decides once the complement search reaches its
-    # path (the 4th partial path on t4), the enumeration over H closes (53
-    # cosets allocated on dt4) and |K|^2 <= --max-cosets
+    # the enumerate route decides once --max-cosets covers all it needs;
+    # each case sits on one side of one need, and the first need left
+    # uncovered names the warning
+    needs = _enumerate_route_needs(name)
+    assert bound in needs or bound + 1 in needs
+    assert decides == (bound >= max(needs))
+    if not decides:
+        _, allocation, _ = needs
+        assert warning.startswith("enumeration" if bound < allocation else "the regular action")
     argv = ["analyze", name, "--max-cosets", str(bound), "--format", "json"]
     assert main(argv) == (0 if decides else 1)
     out, err = capsys.readouterr()
@@ -549,7 +619,7 @@ def test_kernel_route_decides_both_after_full_overflow(monkeypatch, capsys):
         "from_index": 16, "from_subgroup_presentation": 16, "agree": True
     }
     assert report.route_agreement is True
-    # with no complement found, G~ is enumerated in full (15,008 cosets
+    # with no complement found, G~ is enumerated in full (46,785 cosets
     # defined): that overflows at 720, and the kernel presentation decides
     # alone
     monkeypatch.setattr(galcov.cli, "complement_path", lambda *args: ())
