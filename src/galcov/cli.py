@@ -282,7 +282,7 @@ def analyze(
     )
     # both routes read G~ as an extension of S_n by K: the plane
     # transpositions must satisfy every relator
-    hom = verify_homomorphism(pres, assignment)
+    hom = timed("homomorphism", verify_homomorphism, pres, assignment)
     if not hom.holds:
         raise AnalysisError(
             "kernel", f"plane transpositions do not satisfy relators {hom.failures}"

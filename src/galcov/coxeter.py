@@ -41,10 +41,9 @@ from .presentation import (
     commutator_word,
     eliminate_and_rewrite,
     eliminate_in_turn,
-    free_reduce,
-    invert_word,
     parse_word,
     relation_holds,
+    solve_relator,
     triple_word,
 )
 
@@ -214,25 +213,15 @@ def _generator_number(name: str):
 
 
 def _auto_plan_step(pres):
-    """Largest generator having a relator in which it occurs exactly once,
-    with the derived replacement word; None when no such generator exists."""
-    best = None
+    """The elimination of the largest generator having a relator in which
+    it occurs exactly once, as :func:`solve_relator` maps it; None when no
+    such generator exists."""
     for gen in range(pres.generator_count, 0, -1):
         for r in pres.relators:
             positions = [t for t, x in enumerate(r) if abs(x) == gen]
-            if len(positions) != 1:
-                continue
-            t = positions[0]
-            rot = r[t:] + r[:t]
-            if rot[0] == gen:
-                w = invert_word(rot[1:])
-            else:
-                w = rot[1:]
-            best = (gen, free_reduce(w))
-            break
-        if best:
-            break
-    return best
+            if len(positions) == 1:
+                return solve_relator(r, positions[0])
+    return None
 
 
 def reduce_presentation(pres, proj: Word | None, plan=None, table=None, symmetric=None):
@@ -267,12 +256,8 @@ def reduce_presentation(pres, proj: Word | None, plan=None, table=None, symmetri
             pres, [name for name, _ in plan], words, companions
         )
     else:
-        while True:
-            step = _auto_plan_step(pres)
-            if step is None:
-                break
-            gen, w = step
-            pres, companions = eliminate_and_rewrite(pres, gen, w, companions)
+        while (image := _auto_plan_step(pres)) is not None:
+            pres, companions = eliminate_and_rewrite(pres, image, companions)
 
     proj_out = companions[0] if companions else None
     return pres, proj_out

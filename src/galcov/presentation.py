@@ -82,23 +82,43 @@ def invert_word(word) -> Word:
     return tuple(map(neg, reversed(word)))
 
 
-def substitute(word, gen: int, replacement) -> Word:
-    """Replace every occurrence of ``gen``^(+-1) by ``replacement``^(+-1)."""
-    repl = tuple(replacement)
-    repl_inv = invert_word(repl)
-    out = []
-    for x in word:
-        if x == gen:
-            out.extend(repl)
-        elif x == -gen:
-            out.extend(repl_inv)
-        else:
-            out.append(x)
-    return free_reduce(out)
+def _apply(words, image, moved, cancelled):
+    """``words`` with each letter of ``image`` replaced by its image word,
+    freely reduced as they are written.  Appends each replaced letter to
+    ``moved`` and each letter that cancels the one before it to
+    ``cancelled``.  Every Tietze move and elimination rewrites through
+    this one routine."""
+    rewritten = []
+    for word in words:
+        out = []
+        for x in word:
+            piece = image.get(x)
+            if piece is None:
+                if out and out[-1] == -x:
+                    out.pop()
+                    cancelled.append(x)
+                else:
+                    out.append(x)
+                continue
+            moved.append(x)
+            for y in piece:
+                if out and out[-1] == -y:
+                    out.pop()
+                    cancelled.append(y)
+                else:
+                    out.append(y)
+        rewritten.append(tuple(out))
+    return rewritten
 
 
-def renumber_word(word, mapping) -> Word:
-    return tuple(mapping[x] if x > 0 else -mapping[-x] for x in word)
+def solve_relator(word, t) -> dict[int, Word]:
+    """Solve the relator ``word`` = 1 for its ``t``-th letter x, whose
+    generator occurs nowhere else in it: x times the rest of the rotation
+    starting at x is 1, so x is the inverse of that rest.  Returns the map
+    of x and its inverse to their words, as the eliminations read it."""
+    x = word[t]
+    rest = free_reduce(word[t + 1 :] + word[:t])
+    return {x: invert_word(rest), -x: rest}
 
 
 def canonical_key(word) -> Word:
@@ -504,37 +524,42 @@ def complement_path(pres, assignment, bound) -> tuple[int, ...]:
 
 
 def eliminate_in_turn(pres, gens, words, companions=()):
-    """:func:`eliminate_and_rewrite` each of ``gens`` by its word in turn;
-    the words still to use are renumbered by each elimination, along with
-    ``companions``, which are returned rewritten."""
-    rest = tuple(words) + tuple(companions)
-    for gen in gens:
-        pres, rest = eliminate_and_rewrite(pres, gen, rest[0], rest[1:])
-    return pres, rest
+    """Eliminate the generators named ``gens`` in turn, each by its word
+    of ``words``, and rewrite ``companions`` along; returns the
+    presentation and the rewritten companions.
 
-
-def eliminate_and_rewrite(pres, gen, replacement, companions):
-    """Substitute and drop ``gen`` (no validity check) and rewrite the
-    companion words through the same substitution and renumbering.
-
-    Callers are responsible for having established gen = replacement.
+    A word may name a generator eliminated before it, and an earlier word
+    may name a generator eliminated after it; so the eliminations compose
+    into one map, which one :func:`eliminate_and_rewrite` pass applies.
     """
-    if isinstance(gen, str):
-        gen = pres.id_of(gen)
-    mapping = {}
-    new_names = []
-    for old in range(1, pres.generator_count + 1):
-        if old == gen:
-            continue
-        new_names.append(pres.names[old - 1])
-        mapping[old] = len(new_names)
+    image = {}
+    for name, word in zip(gens, words):
+        g = pres.id_of(name)
+        (w,) = _apply([word], image, [], [])
+        step = {g: w, -g: invert_word(w)}
+        image = dict(zip(image, _apply(image.values(), step, [], [])))
+        image.update(step)
+    return eliminate_and_rewrite(pres, image, companions)
 
-    def rewrite(word):
-        return renumber_word(substitute(word, gen, replacement), mapping)
 
-    new_relators = [rewrite(r) for r in pres.relators]
-    new_pres = GroupPresentation.make(new_names, new_relators)
-    return new_pres, tuple(rewrite(w) for w in companions)
+def eliminate_and_rewrite(pres, image, companions):
+    """Drop every generator that ``image`` maps to a word over the
+    generators that stay, and rewrite the relators and the companion
+    words through that map and the renumbering in one pass.
+
+    Callers are responsible for having established that each generator
+    equals its word (no validity check).
+    """
+    names, number = [], {}
+    for g, name in enumerate(pres.names, 1):
+        if g not in image:
+            names.append(name)
+            number[g], number[-g] = len(names), -len(names)
+    renumbered = {x: tuple(map(number.__getitem__, w)) for x, w in image.items()}
+    renumbered.update((x, (y,)) for x, y in number.items())
+    words = _apply(pres.relators + tuple(companions), renumbered, [], [])
+    k = len(pres.relators)
+    return GroupPresentation.make(names, words[:k]), tuple(words[k:])
 
 
 def parse_word(text: str, names) -> Word:

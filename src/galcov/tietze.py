@@ -15,10 +15,12 @@ rescans the presentation.  Relators are deduplicated up to rotation and
 inversion after every move, as :meth:`GroupPresentation.make` does: a
 duplicate dropped later can differ from the relator it duplicated once
 later moves rewrite both, so deduplication cannot wait for the end of the
-merge rounds.  The Coxeter route makes single planned eliminations that
-must first be checked against a coset table of the group: it checks each
-with :func:`galcov.presentation.relation_holds` and applies it with
-:func:`galcov.presentation.eliminate_and_rewrite`."""
+merge rounds.  Every move rewrites through
+:func:`galcov.presentation._apply`, the one rewrite routine, which the
+Coxeter route's eliminations share: that route checks each planned
+elimination against a coset table of the group with
+:func:`galcov.presentation.relation_holds` and applies them all in one
+pass with :func:`galcov.presentation.eliminate_and_rewrite`."""
 
 from __future__ import annotations
 
@@ -28,10 +30,10 @@ from heapq import heappop, heappush
 
 from .presentation import (
     GroupPresentation,
+    _apply,
     _class_key,
     _dedupe,
-    free_reduce,
-    invert_word,
+    solve_relator,
 )
 
 
@@ -65,7 +67,7 @@ def simplify_presentation(pres, eliminate_up_to=4, stats=None):
         step = state.cheapest_elimination()
         if step is None:
             break
-        state.eliminate(*step)
+        state.eliminate(step)
     out = state.presentation() if state.merge_rounds or state.eliminations else pres
     if stats is not None:
         stats.update(
@@ -80,34 +82,6 @@ def simplify_presentation(pres, eliminate_up_to=4, stats=None):
             eliminations=state.eliminations,
         )
     return out
-
-
-def _apply(words, image, moved, cancelled):
-    """``words`` with each letter of ``image`` replaced by its image word,
-    freely reduced as they are written.  Appends each replaced letter to
-    ``moved`` and each letter that cancels the one before it to
-    ``cancelled``."""
-    rewritten = []
-    for word in words:
-        out = []
-        for x in word:
-            piece = image.get(x)
-            if piece is None:
-                if out and out[-1] == -x:
-                    out.pop()
-                    cancelled.append(x)
-                else:
-                    out.append(x)
-                continue
-            moved.append(x)
-            for y in piece:
-                if out and out[-1] == -y:
-                    out.pop()
-                    cancelled.append(y)
-                else:
-                    out.append(y)
-        rewritten.append(tuple(out))
-    return rewritten
 
 
 class _TietzeState:
@@ -319,9 +293,9 @@ class _TietzeState:
         return True
 
     def cheapest_elimination(self):
-        """A generator occurring exactly once in some relator of length <=
-        ``max_len``, with its replacement word: the cheapest such
-        elimination, first in relator order among equals, or None."""
+        """The cheapest elimination of a generator occurring exactly once
+        in some relator of length <= ``max_len``, first in relator order
+        among equals, as :func:`solve_relator` maps it; or None."""
         if self.slots_with is None:
             self._build_index()
         words, occurrences, best = self.words, self.occurrences, self.best
@@ -329,16 +303,16 @@ class _TietzeState:
             cost, slot, t, w = best[0]
             g = abs(w[t])
             if words[slot] is w and cost == (len(w) - 1) * (occurrences[g] - 1):
-                rot = w[t:] + w[:t]
-                repl = invert_word(rot[1:]) if rot[0] > 0 else rot[1:]
-                return g, free_reduce(repl)
+                return solve_relator(w, t)
             heappop(best)
         return None
 
-    def eliminate(self, gen, replacement):
+    def eliminate(self, image):
+        """Replace the generator that ``image`` maps, its one positive
+        key, by its word."""
         self.eliminations += 1
-        self.gone[gen] = 1
-        self._rewrite({gen: replacement, -gen: invert_word(replacement)})
+        self.gone[max(image)] = 1
+        self._rewrite(image)
 
     def presentation(self):
         """The relators, renumbered, as a presentation.  They are freely

@@ -143,8 +143,8 @@ def plane_cycle_complex():
     """Twelve planes in a cycle, edge i joining planes i and i+1 (mod 12),
     on eight 3-points: each odd edge meets its two neighbours at one
     vertex each, and the even edges also meet in two triples.  Every two
-    edges that share a plane share a vertex, so it passes validate, with
-    a plane graph of more than ten planes."""
+    edges that share a plane share a vertex, but validate rejects it: the
+    three edges of each vertex do not pairwise share a plane."""
     n = 12
     edges = tuple(Edge(id=i, planes=(i, i % n + 1)) for i in range(1, n + 1))
     triples = [(i, i + 1, (i + 1) % n + 1) for i in range(1, n, 2)] + [(2, 4, 6), (8, 10, 12)]

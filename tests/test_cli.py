@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import json
 import random
@@ -9,6 +10,7 @@ from galcov.cli import AnalysisError, analyze, emit_report, main
 from galcov.complexes import serialize_complex
 from galcov.datasets import load_builtin
 from galcov.enumeration import coset_enumeration, group_order
+from galcov.invariants import InvariantError, chern_signature, singularity_counts
 from galcov.permutations import plane_transposition_map
 from galcov.presentation import (
     GroupPresentation,
@@ -279,13 +281,30 @@ def test_boolean_plane_is_parse_error(tmp_path, capsys):
     assert "edges[0]: edge planes must be a pair of integers" in err
 
 
-def test_degree_over_the_factorial_guard_is_chern_error(tmp_path, capsys):
-    # a cycle of 12 planes, 3-points only, passes validate
+def test_degree_over_the_factorial_guard_is_chern_error(monkeypatch, capsys):
+    # the plane cycle has 12 planes but fails validate (see below), so the
+    # guard is met by a direct call, and through analyze by t4's counts
+    # given degree 12
+    with pytest.raises(InvariantError, match="degree 12 exceeds the supported bound 10"):
+        chern_signature(singularity_counts(plane_cycle_complex()))
+    counts = galcov.cli.singularity_counts
+    monkeypatch.setattr(
+        galcov.cli, "singularity_counts", lambda c: dataclasses.replace(counts(c), n=12)
+    )
+    assert main(["analyze", "t4"]) == 2
+    err = capsys.readouterr().err
+    assert "[chern] degree 12 exceeds the supported bound 10" in err
+    assert "Traceback" not in err
+
+
+def test_three_point_whose_edges_share_no_plane_is_validate_error(tmp_path, capsys):
+    # vertex 1 of the plane cycle joins edge 1 (planes 1, 2) and edge 3
+    # (planes 3, 4): its three edges are not three planes meeting pairwise
     path = tmp_path / "twelve.json"
     path.write_text(serialize_complex(plane_cycle_complex()), encoding="utf-8")
     assert main(["analyze", str(path)]) == 2
     err = capsys.readouterr().err
-    assert "[chern] degree 12 exceeds the supported bound 10" in err
+    assert "[validate] vertex 1: edges 1 and 3 share no plane" in err
     assert "Traceback" not in err
 
 

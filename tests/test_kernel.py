@@ -421,7 +421,7 @@ def test_abelianization_invariant_under_elimination(t4, t4_presentation):
     # g4 = g1^-1 g2^-1 g1^-1 restates the branch relator g4 g1 g2 g1
     table = coset_enumeration(t4_presentation, (), 10_000)
     assert relation_holds(4, (-1, -2, -1), table, plane_transposition_map(t4))
-    q, _ = eliminate_and_rewrite(t4_presentation, "g4", (-1, -2, -1), ())
+    q, _ = eliminate_and_rewrite(t4_presentation, {4: (-1, -2, -1), -4: (1, 2, 1)}, ())
     assert abelian_invariants(t4_presentation) == abelian_invariants(q)
     assert mod2_corank(t4_presentation) == mod2_corank(q)
 

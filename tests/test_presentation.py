@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from galcov.complexes import DegenerationComplex, PresentationOverrides
@@ -14,6 +16,7 @@ from galcov.presentation import (
     MissingFourPointData,
     PresentationError,
     RelationSyntaxError,
+    _dedupe,
     build_tilde_presentation,
     canonical_key,
     commutator_word,
@@ -309,20 +312,20 @@ def test_eliminate_with_stated_relator():
     # <a, b | a, b^3>: eliminating a via the length-1 relator a = e
     p = GroupPresentation.make(("a", "b"), [(1,), (2, 2, 2)])
     assert relation_holds(1, (), coset_enumeration(p, (), 100), trivial_map(p)) is True
-    q, _ = eliminate_and_rewrite(p, "a", (), ())
+    q, _ = eliminate_and_rewrite(p, {1: (), -1: ()}, ())
     assert q.names == ("b",)
     assert q.relators == ((1, 1, 1),)
 
 
 def test_eliminate_branch_generator(t4_presentation):
-    q, _ = eliminate_and_rewrite(t4_presentation, "g4", (-1, -2, -1), ())
+    q, _ = eliminate_and_rewrite(t4_presentation, {4: (-1, -2, -1), -4: (1, 2, 1)}, ())
     assert q.names == ("g1", "g2", "g3", "g5", "g6")
     assert all(all(abs(x) <= 5 for x in w) for w in q.relators)
 
 
 def test_eliminate_preserves_group_order(t4_presentation):
     before = group_order(coset_enumeration(t4_presentation, (), 10_000))
-    q, _ = eliminate_and_rewrite(t4_presentation, "g4", (-1, -2, -1), ())
+    q, _ = eliminate_and_rewrite(t4_presentation, {4: (-1, -2, -1), -4: (1, 2, 1)}, ())
     after = group_order(coset_enumeration(q, (), 10_000))
     assert before == after == 24
 
@@ -340,7 +343,7 @@ def test_eliminate_semantic_relation_via_table(
     # g3 = g5 g9 g5 is a consequence, not a stated relator
     w = parse_word("g5 g9 g5", dt4_presentation.names)
     assert relation_holds(3, w, dt4_complement_table, dt4_assignment)
-    q, (proj,) = eliminate_and_rewrite(dt4_presentation, "g3", w, ((3, 8),))
+    q, (proj,) = eliminate_and_rewrite(dt4_presentation, {3: w, -3: invert_word(w)}, ((3, 8),))
     assert "g3" not in q.names
     assert q.generator_count == 8
     assert format_word(proj, q.names) == "g5 g9 g5 g8"
@@ -354,6 +357,70 @@ def test_eliminate_in_turn_renumbers_the_words_still_to_use(dt4_presentation):
     )
     assert q.names == ("g1", "g2", "g4", "g5", "g8", "g9")
     assert format_word(proj, q.names) == "g1 g4 g1 g5 g9 g5 g9 g8 g1 g8 g9"
+
+
+def eliminate_one_at_a_time(pres, gens, words, companions):
+    """Reference for :func:`eliminate_in_turn`: substitute each generator
+    of ``gens`` in turn into the relators, the companions and the words
+    still to use, freely reducing after every step, then renumber."""
+    relators, words, companions = list(pres.relators), list(words), list(companions)
+    for i, name in enumerate(gens):
+        g = pres.id_of(name)
+        word = words[i]
+
+        def step(w):
+            out = []
+            for x in w:
+                out.extend(word if x == g else invert_word(word) if x == -g else (x,))
+            return free_reduce(out)
+
+        relators, words, companions = (list(map(step, ws)) for ws in (relators, words, companions))
+    gone = {pres.id_of(name) for name in gens}
+    stay = [g for g in range(1, pres.generator_count + 1) if g not in gone]
+    number = {g: i for i, g in enumerate(stay, 1)}
+
+    def renumber(w):
+        return tuple(number[x] if x > 0 else -number[-x] for x in w)
+
+    names = tuple(pres.names[g - 1] for g in stay)
+    return names, _dedupe(map(renumber, relators)), tuple(map(renumber, companions))
+
+
+def test_eliminate_in_turn_matches_one_generator_at_a_time():
+    # each plan word may name generators eliminated before or after it,
+    # without a cycle: a generator's word names only generators that stay
+    # or come earlier in a random definition order
+    rng = random.Random(16)
+    named_earlier = named_later = 0
+    for _ in range(300):
+        m = rng.randint(2, 7)
+        names = [f"x{i}" for i in range(1, m + 1)]
+
+        def word(letters, length):
+            return free_reduce(rng.choice((-1, 1)) * rng.choice(letters) for _ in range(length))
+
+        pres = GroupPresentation.make(
+            names, [word(range(1, m + 1), rng.randint(1, 8)) for _ in range(rng.randint(1, 8))]
+        )
+        defined = rng.sample(range(1, m + 1), rng.randint(1, m - 1))
+        stay = [g for g in range(1, m + 1) if g not in defined]
+        plan = {
+            g: word(stay + defined[:i], rng.randint(0, 5)) for i, g in enumerate(defined)
+        }
+        order = rng.sample(defined, len(defined))
+        for i, g in enumerate(order):
+            named = {abs(x) for x in plan[g]}
+            named_earlier += bool(named & set(order[:i]))
+            named_later += bool(named & set(order[i + 1 :]))
+        gens = [names[g - 1] for g in order]
+        words = [plan[g] for g in order]
+        companions = [word(range(1, m + 1), rng.randint(0, 6)) for _ in range(2)]
+        q, rewritten = eliminate_in_turn(pres, gens, words, companions)
+        names_out, relators, expected = eliminate_one_at_a_time(pres, gens, words, companions)
+        assert q.names == names_out
+        assert q.relators == tuple(relators)
+        assert rewritten == expected
+    assert named_earlier > 50 and named_later > 50
 
 
 def test_relation_holds_on_the_regular_and_the_complement_table(t4, t4_presentation):
