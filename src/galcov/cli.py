@@ -11,13 +11,15 @@ table.  ``both`` adds an independent presentation of K (the n!-row kernel
 table, Reidemeister-Schreier, Tietze simplification, an enumeration of K,
 SNF); its |K| and invariants must match, and it decides alone when the
 table does not.  The Coxeter-quotient route (``coxeter`` or ``both``)
-needs a projective relator and checks its plan on the table; without one
-it reports itself unsupported, and ``coxeter`` alone builds no table.
+needs a projective relator, derives its elimination plan from a
+Hamiltonian cycle of the plane graph and checks it on the table; without
+a projective relator it reports itself unsupported, and ``coxeter`` alone
+builds no table.
 
 ``max_cosets`` bounds every table and search: the complement search, the
-enumeration over H, the |K|^2 table lookups of the regular action (checked
-before the first), the n!-row kernel table (checked before a row is built)
-and the kernel enumeration.
+Coxeter route's cycle walk, the enumeration over H, the |K|^2 table
+lookups of the regular action (checked before the first), the n!-row
+kernel table (checked before a row is built) and the kernel enumeration.
 
 Exit codes: 0 definite verdict, 1 undecided (a table hit ``max_cosets``,
 or no requested route could decide), 2 input errors.
@@ -45,7 +47,7 @@ from .complexes import (
     validate,
 )
 from .coxeter import coxeter_route
-from .datasets import BUILTIN_SOURCES, COXETER_PLANS, builtin_names, load_builtin
+from .datasets import BUILTIN_SOURCES, builtin_names, load_builtin
 from .enumeration import EnumerationOverflow, coset_enumeration, group_order
 from .invariants import InvariantError, chern_signature, singularity_counts
 from .kernel import (
@@ -315,7 +317,9 @@ def analyze(
 
     cox_verdict = None
     if route in ("coxeter", "both"):
-        cox_verdict = _coxeter_route(report, pres_noproj, proj, table, assignment, timed)
+        cox_verdict = _coxeter_route(
+            report, pres_noproj, proj, table, assignment, max_cosets, timed
+        )
 
     if route == "both" and enum_verdict is not None:
         if report.coxeter_route and report.coxeter_route.get("supported"):
@@ -437,14 +441,12 @@ def _index_cross_check(report, tilde, kernel):
     }
 
 
-def _coxeter_route(report, pres_noproj, proj, table, assignment, timed):
-    """Coxeter-quotient route, with a builtin dataset's elimination plan
-    checked on ``table`` (None after an overflow); returns its verdict or
-    None."""
-    plan = None
-    if report.source.startswith("builtin:"):
-        plan = COXETER_PLANS.get(report.source.split(":", 1)[1])
-    route = timed("coxeter", coxeter_route, pres_noproj, proj, plan, table, assignment)
+def _coxeter_route(report, pres_noproj, proj, table, assignment, max_cosets, timed):
+    """Coxeter-quotient route, its elimination plan derived from a
+    Hamiltonian cycle of the plane graph within ``max_cosets`` partial
+    paths and checked on ``table`` (None after an overflow); returns its
+    verdict or None."""
+    route = timed("coxeter", coxeter_route, pres_noproj, proj, table, assignment, max_cosets)
     if not route.supported:
         report.coxeter_route = {"supported": False, "reason": route.reason}
         return None
@@ -579,8 +581,8 @@ def _build_parser():
         default=DEFAULT_MAX_COSETS,
         help=(
             "bound on the cosets of each enumeration, the partial paths of the "
-            "complement search, the |K|^2 lookups of the regular action and the "
-            "n! rows of the kernel table "
+            "complement search and the cycle walk, the |K|^2 lookups of the "
+            "regular action and the n! rows of the kernel table "
             f"(default {DEFAULT_MAX_COSETS})"
         ),
     )

@@ -302,11 +302,14 @@ def validate(c: DegenerationComplex) -> ValidationReport:
             else:
                 pairs[key] = x
         # an inner 3-point is three planes meeting pairwise: its three
-        # edges pairwise share a plane
+        # edges pairwise share a plane, and span three planes
         if k == 3 and not missing:
             for a, b in itertools.combinations(sorted(v.edges), 2):
                 if not by_id[a].plane_set() & by_id[b].plane_set():
                     violations.append(f"vertex {v.id}: edges {a} and {b} share no plane")
+            span = set().union(*(by_id[x].plane_set() for x in v.edges))
+            if len(span) != 3:
+                violations.append(f"vertex {v.id}: its three edges span {len(span)} planes")
 
     # two lines in one plane meet in a point of it: two edges that share a
     # plane must share a vertex

@@ -23,9 +23,11 @@ the whole normal closure.  Smith normal form of n rows spanning the
 orbit's lattice (see ``lattice_quotient``) finishes the computation.
 
 So the route needs a projective relator, and refuses a presentation
-without one before it reduces anything.  The Tietze reduction follows a
-stated plan, each of whose relations is checked against a coset table of
-the group first, or else makes the eliminations the relators state.
+without one before it reduces anything.  The generators it keeps are the
+lines of a Hamiltonian cycle of the plane graph: every other line (a
+chord) is eliminated by a conjugate word along one arc of the cycle,
+each relation checked on a coset table of the group first (see
+``derive_plan``).
 """
 
 from __future__ import annotations
@@ -40,10 +42,9 @@ from .presentation import (
     canonical_key,
     commutator_word,
     eliminate_and_rewrite,
-    eliminate_in_turn,
-    parse_word,
+    hamiltonian_paths,
+    invert_word,
     relation_holds,
-    solve_relator,
     triple_word,
 )
 
@@ -208,59 +209,54 @@ class CoxeterRoute:
         return self.quotient.verdict() if self.quotient is not None else None
 
 
-def _generator_number(name: str):
-    return int(name[1:]) if name.startswith("g") and name[1:].isdigit() else None
+def _chord_word(g, cycle, ends, table, symmetric) -> Word | None:
+    """The first word over ``cycle`` that equals the chord g in the group,
+    or None.  ``ends`` are the cycle positions i < j of the planes that
+    g's image moves; None also when it moves other than two."""
+    if len(ends) != 2:
+        return None
+    i, j = ends
+    arcs = sorted((cycle[i:j], cycle[j:] + cycle[:i]), key=len)
+    words = (w for arc in arcs for w in (arc + arc[-2::-1], arc[::-1] + arc[1:]))
+    return next((w for w in words if relation_holds(g, w, table, symmetric)), None)
 
 
-def _auto_plan_step(pres):
-    """The elimination of the largest generator having a relator in which
-    it occurs exactly once, as :func:`solve_relator` maps it; None when no
-    such generator exists."""
-    for gen in range(pres.generator_count, 0, -1):
-        for r in pres.relators:
-            positions = [t for t, x in enumerate(r) if abs(x) == gen]
-            if len(positions) == 1:
-                return solve_relator(r, positions[0])
-    return None
+def derive_plan(pres, table, symmetric, bound) -> dict[int, Word]:
+    """Each generator off a Hamiltonian cycle of the plane graph (a chord),
+    mapped to a word over the cycle that equals it in the group.
 
-
-def reduce_presentation(pres, proj: Word | None, plan=None, table=None, symmetric=None):
-    """Apply the elimination plan (or auto-derived syntactic eliminations)
-    to the presentation, rewriting the projective relator along.
-
-    Every planned relation is checked by :func:`relation_holds` against
-    ``table`` (a closed coset table of the presentation together with the
-    projective relator, over a subgroup that meets the kernel of
-    ``symmetric`` trivially) and ``symmetric`` (the map onto S_n), before
-    the first elimination; a plan without a table is refused.
+    The cycles close the paths of :func:`hamiltonian_paths` from plane 1,
+    within ``bound`` partial paths.  A chord's image transposes two planes
+    a and b of the cycle, which splits into two arcs e1..ek from a to b;
+    the shorter arc comes first, on a tie the one the walk reaches first,
+    and each gives the positive words e1..ek..e1, then ek..e1..ek.  A word
+    is accepted when :func:`relation_holds` proves it on ``table`` (a
+    closed coset table of the group with its projective relator, over a
+    subgroup that meets the kernel of ``symmetric``, the map onto S_n,
+    trivially).  The plan is that of the first cycle whose every chord
+    has a word.
     """
-    companions = (proj,) if proj is not None else ()
-
-    if plan:
-        if table is None:
-            raise CoxeterError("no coset table is available to verify the plan relations")
-        # plan words refer to the original generator names; verify all
-        # relations against the original table before any renumbering
-        words = []
-        for name, word_text in plan:
-            gen = pres.id_of(name)
-            w = parse_word(word_text, pres.names)
-            if any(abs(x) == gen for x in w):
-                raise CoxeterError(f"plan word for {name} mentions {name}")
-            if not relation_holds(gen, w, table, symmetric):
-                raise CoxeterError(
-                    f"plan relation {name} = {word_text} does not hold in the group"
-                )
-            words.append(w)
-        pres, companions = eliminate_in_turn(
-            pres, [name for name, _ in plan], words, companions
-        )
-    else:
-        while (image := _auto_plan_step(pres)) is not None:
-            pres, companions = eliminate_and_rewrite(pres, image, companions)
-
-    proj_out = companions[0] if companions else None
-    return pres, proj_out
+    if table is None:
+        raise CoxeterError("no coset table is available to verify the plan relations")
+    gens = range(1, pres.generator_count + 1)
+    all_planes = range(1, symmetric.degree + 1)
+    moved = {g: [p for p in all_planes if symmetric.image(g)(p) != p] for g in gens}
+    for path, planes in hamiltonian_paths(pres, symmetric, (1,), bound):
+        at = {p: k for k, p in enumerate(planes)}
+        for last in gens:
+            if last not in path and moved[last] == [1, planes[-1]]:
+                cycle = path + (last,)
+                plan = {
+                    g: _chord_word(g, cycle, sorted(map(at.get, moved[g])), table, symmetric)
+                    for g in gens
+                    if g not in cycle
+                }
+                if None not in plan.values():
+                    return plan
+    raise CoxeterError(
+        f"no Hamiltonian cycle of the plane graph within {bound} partial paths "
+        "writes every other generator as a word over the cycle"
+    )
 
 
 def recognize_cycle(pres) -> CoxeterGraph:
@@ -281,12 +277,10 @@ def recognize_cycle(pres) -> CoxeterGraph:
         if canonical_key((i, i)) not in keys:
             raise CoxeterError(f"generator {pres.names[i - 1]} has no square relator")
         for j in range(i + 1, m + 1):
-            has_triple = canonical_key(triple_word(i, j)) in keys
-            has_comm = canonical_key(commutator_word(i, j)) in keys
-            if has_triple:
+            if canonical_key(triple_word(i, j)) in keys:
                 braid[i].add(j)
                 braid[j].add(i)
-            elif not has_comm:
+            elif canonical_key(commutator_word(i, j)) not in keys:
                 raise CoxeterError(
                     f"pair ({pres.names[i - 1]}, {pres.names[j - 1]}) neither "
                     "braids nor commutes; not a cycle quotient presentation"
@@ -298,13 +292,12 @@ def recognize_cycle(pres) -> CoxeterGraph:
                 "the braid structure is not a single cycle (t=1 required)"
             )
 
-    numbers = {}
-    for g in range(1, m + 1):
-        num = _generator_number(pres.names[g - 1])
-        numbers[g] = num if num is not None else g
+    def number(g):
+        name = pres.names[g - 1]
+        return int(name[1:]) if name.startswith("g") and name[1:].isdigit() else g
 
-    start = max(range(1, m + 1), key=lambda g: numbers[g])
-    nxt = max(braid[start], key=lambda g: numbers[g])
+    start = max(range(1, m + 1), key=number)
+    nxt = max(braid[start], key=number)
     sequence = [start, nxt]
     while True:
         prev, cur = sequence[-2], sequence[-1]
@@ -315,31 +308,30 @@ def recognize_cycle(pres) -> CoxeterGraph:
     if len(sequence) != m:
         raise CoxeterError("braid cycle does not pass through every generator")
 
-    edges = []
-    for pos, g in enumerate(sequence):
-        if pos < m - 1:
-            pair = (pos + 1, pos + 2)
-        else:
-            pair = (1, m)
-        edges.append((pres.names[g - 1], pair))
-    return CoxeterGraph(vertex_count=m, edges=tuple(edges))
+    edges = tuple(
+        (pres.names[g - 1], (pos + 1, pos + 2) if pos < m - 1 else (1, m))
+        for pos, g in enumerate(sequence)
+    )
+    return CoxeterGraph(vertex_count=m, edges=edges)
 
 
 def coxeter_route(
-    pres, proj: Word | None, plan=None, table=None, symmetric=None
+    pres, proj: Word | None, table=None, symmetric=None, bound=1_000_000
 ) -> CoxeterRoute:
     """Run the whole route on a presentation (projective relator separate).
 
     Without a projective relator there is nothing to quotient by, and the
-    route stops before it reduces anything.  ``table`` and ``symmetric``
-    (the map onto S_n) check the plan, as :func:`reduce_presentation`
-    describes.  Returns an unsupported result, with a reason, whenever the
-    input falls outside the implemented one-cycle construction.
+    route stops before it reduces anything.  ``table``, ``symmetric`` (the
+    map onto S_n) and ``bound`` derive and check the plan, as
+    :func:`derive_plan` describes.  Returns an unsupported result, with a
+    reason, whenever the input falls outside the one-cycle construction.
     """
     try:
         if proj is None:
             raise CoxeterError("no projective relator to quotient by")
-        reduced, proj_reduced = reduce_presentation(pres, proj, plan, table, symmetric)
+        plan = derive_plan(pres, table, symmetric, bound)
+        image = {**plan, **{-g: invert_word(w) for g, w in plan.items()}}
+        reduced, (proj_reduced,) = eliminate_and_rewrite(pres, image, (proj,))
         graph = recognize_cycle(reduced)
         assignment = standard_assignment(graph)
         images = [assignment[name] for name in reduced.names]

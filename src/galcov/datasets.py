@@ -7,10 +7,9 @@ Two non-planar degenerations are shipped:
   (removed) bases; six planes, nine edges, two inner 3-points and three
   inner 4-points.
 
-The dt4 entry carries relation overrides (the 4-point relations and the
-projective relator) plus the reduction data used by the
-Coxeter-quotient route; 4-point relations are dataset-supplied because
-they cannot be derived from incidence data alone.
+The dt4 entry carries relation overrides: the 4-point relations and the
+projective relator.  They are dataset-supplied because they cannot be
+derived from incidence data alone.
 """
 
 from __future__ import annotations
@@ -76,20 +75,6 @@ DT4_JSON = """\
 """
 
 BUILTIN_SOURCES = {"t4": T4_JSON, "dt4": DT4_JSON}
-
-# Tietze eliminations that bring the dt4 group presentation down to the six
-# generators carrying its Coxeter-cycle structure.  Each pair (name, word)
-# eliminates `name` by substituting `word`; the equalities hold in the
-# group (the branch relation for g7, derived consequences for g3 and g6)
-# and are re-verified against a coset table before use.
-DT4_COXETER_PLAN = (
-    ("g7", "g1 g4 g1"),
-    ("g3", "g5 g9 g5"),
-    ("g6", "g9 g8 g1 g8 g9"),
-)
-
-COXETER_PLANS = {"dt4": DT4_COXETER_PLAN}
-
 
 def builtin_names() -> tuple[str, ...]:
     return tuple(sorted(BUILTIN_SOURCES))

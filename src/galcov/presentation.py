@@ -474,7 +474,38 @@ def relation_holds(gen, replacement, table, assignment) -> bool:
     only in 1.  So a stated relation passes, as every consequence does.
     """
     word = free_reduce((-gen,) + tuple(replacement))
-    return word_image(assignment, word).is_identity() and table.trace(0, word) == 0
+    return table.trace(0, word) == 0 and word_image(assignment, word).is_identity()
+
+
+def hamiltonian_paths(pres, assignment, starts, bound, fits=None):
+    """Yield the generators and the planes of each Hamiltonian path of the
+    plane graph that starts at a plane of ``starts``.
+
+    The plane graph joins the two planes that an involution's image
+    transposes.  The walk is depth first, from the starts in order, along
+    edges in generator order, and stops after ``bound`` partial paths;
+    ``fits(path, g)``, when given, prunes the extension of a path by g.
+    """
+    n = assignment.degree
+    edges = {plane: [] for plane in range(1, n + 1)}
+    for g in sorted(pres.involutions()):
+        moved = [x for x in range(1, n + 1) if assignment.image(g)(x) != x]
+        if len(moved) == 2:
+            a, b = moved
+            edges[a].append((g, b))
+            edges[b].append((g, a))
+    stack = [((), (plane,)) for plane in reversed(starts)]
+    for _ in range(bound):
+        if not stack:
+            return
+        path, planes = stack.pop()
+        if len(planes) == n:
+            yield path, planes
+        stack.extend(
+            (path + (g,), planes + (b,))
+            for g, b in reversed(edges[planes[-1]])
+            if b not in planes and (fits is None or fits(path, g))
+        )
 
 
 def complement_path(pres, assignment, bound) -> tuple[int, ...]:
@@ -488,18 +519,10 @@ def complement_path(pres, assignment, bound) -> tuple[int, ...]:
     (Coxeter and Moser, 1957).  Their subgroup H is then a quotient of
     S_n, and maps onto S_n because its transpositions join all n planes:
     H is S_n, meets the kernel K trivially, and [G:H] = |K|.  The search
-    is depth first, from the lowest plane, along edges in generator order,
-    and prunes a partial path as soon as a pair misses its relator.
+    is :func:`hamiltonian_paths` from every plane, lowest first, pruning a
+    partial path as soon as a pair misses its relator.
     """
-    n = assignment.degree
     keys = {canonical_key(r) for r in pres.relators}
-    edges = {plane: [] for plane in range(1, n + 1)}
-    for g in sorted(pres.involutions()):
-        moved = [x for x in range(1, n + 1) if assignment.image(g)(x) != x]
-        if len(moved) == 2:
-            a, b = moved
-            edges[a].append((g, b))
-            edges[b].append((g, a))
 
     def fits(path, g):
         last = len(path) - 1
@@ -508,19 +531,9 @@ def complement_path(pres, assignment, bound) -> tuple[int, ...]:
             for k, h in enumerate(path)
         )
 
-    stack = [((), (plane,)) for plane in range(n, 0, -1)]
-    for _ in range(bound):
-        if not stack:
-            break
-        path, planes = stack.pop()
-        if len(planes) == n:
-            return path
-        stack.extend(
-            (path + (g,), planes + (b,))
-            for g, b in reversed(edges[planes[-1]])
-            if b not in planes and fits(path, g)
-        )
-    return ()
+    starts = range(1, assignment.degree + 1)
+    paths = hamiltonian_paths(pres, assignment, starts, bound, fits)
+    return next((path for path, _ in paths), ())
 
 
 def eliminate_in_turn(pres, gens, words, companions=()):
@@ -548,20 +561,22 @@ def eliminate_and_rewrite(pres, image, companions):
     words through that map and the renumbering in one pass.
 
     Callers are responsible for having established that each generator
-    equals its word (no validity check).
+    equals its word (no validity check).  A word that names a generator
+    the map also drops raises :class:`PresentationError`.
     """
     names, number = [], {}
     for g, name in enumerate(pres.names, 1):
         if g not in image:
             names.append(name)
             number[g], number[-g] = len(names), -len(names)
+    for x, w in image.items():
+        if dropped := [abs(y) for y in w if y not in number]:
+            raise PresentationError(
+                f"the word for {pres.names[abs(x) - 1]} names "
+                f"{pres.names[dropped[0] - 1]}, which is eliminated too"
+            )
     renumbered = {x: tuple(map(number.__getitem__, w)) for x, w in image.items()}
     renumbered.update((x, (y,)) for x, y in number.items())
     words = _apply(pres.relators + tuple(companions), renumbered, [], [])
     k = len(pres.relators)
     return GroupPresentation.make(names, words[:k]), tuple(words[k:])
-
-
-def parse_word(text: str, names) -> Word:
-    """Parse a bare whitespace-separated word of gK / gK^-1 tokens."""
-    return _parse_tokens(text.split(), tuple(names), text, 0)

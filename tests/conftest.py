@@ -8,7 +8,17 @@ from galcov.complexes import DegenerationComplex, Edge, PresentationOverrides, V
 from galcov.datasets import load_builtin
 from galcov.enumeration import coset_enumeration
 from galcov.permutations import Permutation, plane_transposition_map
-from galcov.presentation import build_tilde_presentation, complement_path
+from galcov.presentation import build_tilde_presentation, complement_path, parse_relation
+
+# The eliminations that bring dt4's presentation down to the six generators
+# of its Coxeter cycle, as the paper states them: each generator equals its
+# word over the generators that stay.
+DT4_PAPER_PLAN = (("g7", "g1 g4 g1"), ("g3", "g5 g9 g5"), ("g6", "g9 g8 g1 g8 g9"))
+
+
+def word_of(text, names):
+    """A whitespace-separated word of gK / gK^-1 tokens over ``names``."""
+    return parse_relation("word: " + text, names)
 
 
 @pytest.fixture(scope="session")

@@ -11,7 +11,7 @@ import time
 import pytest
 
 from galcov.coxeter import coxeter_route, eval_word
-from galcov.datasets import COXETER_PLANS, load_builtin
+from galcov.datasets import load_builtin
 from galcov.enumeration import coset_enumeration, group_order
 from galcov.invariants import chern_numbers, signature, singularity_counts
 from galcov.kernel import (
@@ -30,13 +30,13 @@ from galcov.permutations import (
 from galcov.presentation import (
     build_tilde_presentation,
     eliminate_in_turn,
-    parse_word,
     projective_relator,
     relation_holds,
 )
 from galcov.tietze import simplify_presentation
 
 from .conftest import (
+    DT4_PAPER_PLAN,
     decode_window,
     mulclose,
     random_valid_complex,
@@ -44,6 +44,7 @@ from .conftest import (
     snf_oracle,
     u_vector,
     window,
+    word_of,
 )
 
 
@@ -154,8 +155,8 @@ def test_criterion_4_tietze_cross_check(dt4_enumeration_results):
     pres = r["pres"]
     # g7's defining relator is stated; the g3 and g6 relations are
     # consequences, checked against the regular table before substituting
-    plan = (("g7", "g1 g4 g1"), ("g3", "g5 g9 g5"), ("g6", "g9 g8 g1 g8 g9"))
-    words = [parse_word(text, pres.names) for _, text in plan]
+    plan = DT4_PAPER_PLAN
+    words = [word_of(text, pres.names) for _, text in plan]
     assignment = plane_transposition_map(r["dt4"])
     holds = all(
         relation_holds(pres.id_of(name), w, r["table"], assignment)
@@ -192,7 +193,6 @@ def dt4_coxeter_results(dt4_enumeration_results):
     route = coxeter_route(
         pres,
         projective_relator(dt4),
-        plan=COXETER_PLANS["dt4"],
         table=dt4_enumeration_results["table"],
         symmetric=plane_transposition_map(dt4),
     )
@@ -208,7 +208,7 @@ def test_criterion_6_coxeter_route(dt4_coxeter_results):
 
     def ev(text):
         # decoded to the pair (transposition, vector)
-        return decode_window(eval_word(images, parse_word(text, names)))
+        return decode_window(eval_word(images, word_of(text, names)))
 
     n = 6
 

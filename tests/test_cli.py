@@ -194,15 +194,20 @@ def test_analyze_dt4_both_routes():
 
 
 def test_analyze_file_without_plan_reports_coxeter_unsupported(tmp_path, dt4):
-    # the elimination plan is attached to the builtin dataset;
-    # the same complex loaded from a file analyzes fine by enumeration,
-    # with the coxeter route declining honestly
+    # the elimination plan is derived from the complex, not attached to the
+    # builtin dataset: the same complex read from a file reports the same
     path = tmp_path / "dt4.json"
     path.write_text(serialize_complex(dt4), encoding="utf-8")
-    report = analyze(str(path), route="both")
-    assert report.pi1 == {"kind": "ElementaryAbelian2", "rank": 4}
-    assert report.coxeter_route["supported"] is False
-    assert report.route_agreement is None
+    for route in ("enumerate", "coxeter", "both"):
+        reports = [
+            json.loads(emit_report(analyze(source, route=route), "json"))
+            for source in ("dt4", str(path))
+        ]
+        for data in reports:
+            del data["timings"], data["source"]
+        assert reports[0] == reports[1]
+        if route != "enumerate":
+            assert reports[1]["routes"]["coxeter"]["supported"] is True
 
 
 def test_coxeter_route_times_its_complement_search_and_enumeration():
@@ -306,6 +311,26 @@ def test_three_point_whose_edges_share_no_plane_is_validate_error(tmp_path, caps
     err = capsys.readouterr().err
     assert "[validate] vertex 1: edges 1 and 3 share no plane" in err
     assert "Traceback" not in err
+
+
+def test_three_point_whose_edges_share_one_plane_is_validate_error(tmp_path, capsys):
+    # edges (1, 2), (1, 3) and (1, 4) pairwise share plane 1, so they pass
+    # the pairwise check, but they span four planes: not three planes
+    # meeting pairwise.  Past validate, the plane transpositions would
+    # break a branch relator at [kernel]
+    complex_ = {
+        "name": "one-plane star",
+        "planes": 4,
+        "edges": [{"id": k, "planes": [1, k + 1]} for k in (1, 2, 3)],
+        "vertices": [{"id": v, "edges": [1, 2, 3]} for v in (1, 2)],
+    }
+    path = tmp_path / "star.json"
+    path.write_text(json.dumps(complex_), encoding="utf-8")
+    assert main(["analyze", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert "[validate] vertex 1: its three edges span 4 planes" in err
+    assert "vertex 2: its three edges span 4 planes" in err
+    assert "share no plane" not in err and "Traceback" not in err
 
 
 @pytest.mark.parametrize(
@@ -444,8 +469,15 @@ def test_enumerate_route_order_equals_full_table(monkeypatch, tmp_path, name, se
     assert enumerate_only.pi1 == both.pi1 == {
         "t4": {"kind": "Trivial"}, "dt4": {"kind": "ElementaryAbelian2", "rank": 4}
     }[name]
-    # the Coxeter route's plan is attached to the builtin dataset only
-    assert both.route_agreement is (True if source == "dt4" else None)
+    # the Coxeter route derives its plan on every relabeling of dt4, and
+    # declines on t4, which has no projective relator
+    if name == "dt4":
+        assert both.route_agreement is True
+        assert both.coxeter_route["order"] == index
+    else:
+        assert both.route_agreement is None
+        assert both.coxeter_route["supported"] is False
+        assert "no projective relator" in both.coxeter_route["reason"]
 
 
 def test_both_routes_without_a_complement_enumerate_g_in_full(monkeypatch):

@@ -9,32 +9,38 @@ from galcov.coxeter import (
     CoxeterError,
     CoxeterGraph,
     coxeter_route,
+    derive_plan,
     eval_word,
     lattice_quotient,
     recognize_cycle,
-    reduce_presentation,
     standard_assignment,
     u_basis_coords,
 )
-from galcov.datasets import COXETER_PLANS
+from galcov.datasets import load_builtin
+from galcov.enumeration import coset_enumeration
 from galcov.kernel import smith_normal_form
-from galcov.permutations import Permutation
+from galcov.permutations import Permutation, SymmetricAssignment, plane_transposition_map
 from galcov.presentation import (
     GroupPresentation,
     build_tilde_presentation,
-    parse_word,
+    complement_path,
+    eliminate_in_turn,
+    format_word,
     projective_relator,
     triple_word,
 )
 
 from .conftest import (
+    DT4_PAPER_PLAN,
     decode_window,
+    mulclose,
     random_permutation,
     relabel_complex,
     sd_inverse,
     sd_product,
     u_vector,
     window,
+    word_of,
 )
 
 
@@ -223,7 +229,6 @@ def dt4_route(dt4, dt4_assignment, dt4_complement_table):
     return coxeter_route(
         pres_noproj,
         projective_relator(dt4),
-        plan=COXETER_PLANS["dt4"],
         table=dt4_complement_table,
         symmetric=dt4_assignment,
     )
@@ -236,7 +241,7 @@ def test_route_reproduces_expected_images(dt4_route):
     images = [a[name] for name in names]
 
     def ev(text):
-        return eval_word(images, parse_word(text, names))
+        return eval_word(images, word_of(text, names))
 
     n = 6
     assert ev("g9 g5 g9") == t(n, 2, 6, u_vector(n, 2, 6))
@@ -386,8 +391,24 @@ def triangle_presentation(*extra):
     return GroupPresentation.make(("g1", "g2", "g3"), relators + list(extra))
 
 
+def triangle_route(proj, *extra):
+    """The route on the triangle, whose generators transpose the planes
+    (1 2), (2 3) and (1 3), with a table of the group and ``proj`` over
+    the complement."""
+    pres = triangle_presentation(*extra)
+    symmetric = SymmetricAssignment(
+        3, tuple(Permutation.transposition(3, *ab) for ab in ((1, 2), (2, 3), (1, 3)))
+    )
+    table = None
+    if proj is not None:
+        full = GroupPresentation.make(pres.names, pres.relators + (proj,))
+        path = complement_path(full, symmetric, 100)
+        table = coset_enumeration(full, [(g,) for g in path], 100)
+    return coxeter_route(pres, proj, table, symmetric)
+
+
 def test_triangle_route_without_projective_relator_is_unsupported():
-    route = coxeter_route(triangle_presentation(), None)
+    route = triangle_route(None)
     assert not route.supported
     assert route.reason == "no projective relator to quotient by"
     assert route.reduced is None and route.quotient is None
@@ -396,7 +417,7 @@ def test_triangle_route_without_projective_relator_is_unsupported():
 def test_triangle_route_quotients_by_a_root():
     # the walk starts at g3, so g1 is the non-tree edge (1, 3): g1 maps to
     # (1 3)u_{1,3} and g3 g2 g3 to (1 3), leaving the root -u_{1,3}
-    route = coxeter_route(triangle_presentation(), (1, 3, 2, 3))
+    route = triangle_route((1, 3, 2, 3))
     assert route.supported
     assert route.graph.edges == (("g3", (1, 2)), ("g2", (2, 3)), ("g1", (1, 3)))
     assert route.proj_vector == (-1, 0, 1)
@@ -405,68 +426,112 @@ def test_triangle_route_quotients_by_a_root():
 
 
 def test_route_with_a_relator_the_cycle_breaks_is_unsupported():
-    # g1 g2 maps onto the 3-cycle (1 3)(2 3), so (g1 g2)^2 does not; each
-    # generator occurs twice in it, so no syntactic elimination removes it
-    route = coxeter_route(triangle_presentation((1, 2, 1, 2)), (1, 3, 2, 3))
+    # g1 g2 maps onto the 3-cycle (1 3)(2 3), so (g1 g2)^2 does not; the
+    # plane graph is the cycle itself, so no chord is eliminated
+    route = triangle_route((1, 3, 2, 3), (1, 2, 1, 2))
     assert not route.supported
     assert route.reason == "assignment fails to satisfy the reduced relators"
 
 
 def test_projective_relator_off_the_lattice_is_unsupported():
-    route = coxeter_route(triangle_presentation(), (1,))
+    route = triangle_route((1,))
     assert not route.supported
     assert route.reason.startswith("projective relator has a non-identity permutation part")
     assert route.proj_vector is None
 
 
-def test_reduce_presentation_auto_on_t4(t4):
-    pres = build_tilde_presentation(t4, include_projective=False)
-    reduced, proj = reduce_presentation(pres, None)
-    assert proj is None
-    assert reduced.names == ("g1", "g2", "g3")
-    with pytest.raises(CoxeterError, match="cycle"):
-        recognize_cycle(reduced)
+def test_recognize_cycle_rejects_an_unreduced_presentation(t4, dt4):
+    # before any elimination, g1 braids with four generators in both groups
+    for c in (t4, dt4):
+        pres = build_tilde_presentation(c, include_projective=False)
+        with pytest.raises(CoxeterError, match="g1 braids with 4 others"):
+            recognize_cycle(pres)
 
 
-def test_reduce_presentation_plan_requires_evidence(monkeypatch, dt4):
-    # refused before the first elimination
-    eliminations = count_calls(monkeypatch, galcov.presentation, "eliminate_and_rewrite")
+def test_reduce_presentation_plan_requires_evidence(monkeypatch, dt4, dt4_assignment):
+    # without a table the route is unsupported before any elimination
+    eliminations = count_calls(monkeypatch, galcov.coxeter, "eliminate_and_rewrite")
+    checks = count_calls(monkeypatch, galcov.coxeter, "relation_holds")
     pres = build_tilde_presentation(dt4, include_projective=False)
-    with pytest.raises(CoxeterError, match="no coset table is available"):
-        reduce_presentation(
-            pres, projective_relator(dt4), plan=COXETER_PLANS["dt4"], table=None
-        )
-    assert eliminations == []
+    route = coxeter_route(pres, projective_relator(dt4), None, dt4_assignment)
+    assert not route.supported
+    assert route.reason == "no coset table is available to verify the plan relations"
+    assert eliminations == [] and checks == []
 
 
 def test_reduce_presentation_plan_rejects_false_relation(
-    dt4, dt4_assignment, dt4_table, dt4_complement_table
+    monkeypatch, dt4, dt4_assignment, dt4_table, dt4_complement_table
 ):
+    # g6 transposes planes 2 and 5 of the first cycle, g1 g4 g2 g5 g9 g8
+    # through planes 1 2 3 6 5 4; both arcs have three edges.  g4 g2 g5 g2 g4
+    # and g5 g2 g4 g2 g5 have g6's image but are not g6, so they are skipped
     pres = build_tilde_presentation(dt4, include_projective=False)
-    # g3 = g5 g9 holds nowhere; g7 = g2 g3 g8 g3 g2 holds in S_6 but not in G~
     for table in (dt4_table, dt4_complement_table):
-        for gen, word in (("g3", "g5 g9"), ("g7", "g2 g3 g8 g3 g2")):
-            with pytest.raises(CoxeterError, match="does not hold"):
-                reduce_presentation(
-                    pres,
-                    projective_relator(dt4),
-                    plan=(("g3", "g5 g9 g5"), (gen, word)),
-                    table=table,
-                    symmetric=dt4_assignment,
-                )
+        calls = count_calls(monkeypatch, galcov.coxeter, "relation_holds")
+        plan = derive_plan(pres, table, dt4_assignment, 1_000_000)
+        tried = [(pres.names[g - 1], format_word(w, pres.names)) for g, w, *_ in calls]
+        assert tried == [
+            ("g3", "g5 g9 g5"),
+            ("g6", "g4 g2 g5 g2 g4"),
+            ("g6", "g5 g2 g4 g2 g5"),
+            ("g6", "g9 g8 g1 g8 g9"),
+            ("g7", "g1 g4 g1"),
+        ]
+        assert format_word(plan[6], pres.names) == "g9 g8 g1 g8 g9"
 
 
-def test_reduce_presentation_plan_rejects_self_reference(
-    dt4, dt4_assignment, dt4_complement_table
-):
-    # g7 = g7 g1 g1 holds, but substituting it does not eliminate g7
+def test_derived_plan_of_dt4_is_the_papers(dt4, dt4_assignment, dt4_complement_table, dt4_route):
+    # the first cycle of the walk gives the paper's eliminations, so the
+    # reduced presentation is the paper's too
     pres = build_tilde_presentation(dt4, include_projective=False)
-    with pytest.raises(CoxeterError, match="mentions"):
-        reduce_presentation(
-            pres,
-            projective_relator(dt4),
-            plan=(("g7", "g7 g1 g1"),),
-            table=dt4_complement_table,
-            symmetric=dt4_assignment,
-        )
+    plan = derive_plan(pres, dt4_complement_table, dt4_assignment, 1_000_000)
+    named = {pres.names[g - 1]: format_word(w, pres.names) for g, w in plan.items()}
+    assert named == dict(DT4_PAPER_PLAN)
+    words = [word_of(text, pres.names) for _, text in DT4_PAPER_PLAN]
+    gens = [name for name, _ in DT4_PAPER_PLAN]
+    reduced, _ = eliminate_in_turn(pres, gens, words)
+    assert dt4_route.reduced == reduced
 
+
+def test_derived_plan_without_a_verified_cycle_is_unsupported(
+    monkeypatch, dt4, dt4_assignment, dt4_complement_table
+):
+    monkeypatch.setattr(galcov.coxeter, "relation_holds", lambda *args: False)
+    pres = build_tilde_presentation(dt4, include_projective=False)
+    route = coxeter_route(pres, projective_relator(dt4), dt4_complement_table, dt4_assignment)
+    assert not route.supported
+    assert route.reason.startswith("no Hamiltonian cycle of the plane graph within 1000000")
+
+
+def pair_action(table, symmetric, g):
+    """Generator g acting on the cosets of the table and, beside them, on
+    the planes: a permutation of the pair."""
+    k = table.coset_count
+    cosets = tuple(table.target(c, g) + 1 for c in range(k))
+    return Permutation(cosets + tuple(k + p for p in symmetric.image(g).images))
+
+
+@pytest.mark.parametrize("seed", [None, 3, 7])
+def test_derived_relations_hold_on_the_faithful_pair(seed):
+    # G~ acts faithfully on the pair (cosets over an S_n complement H, the
+    # planes): the kernel of the first action lies in H, which meets that
+    # of the second, K, trivially.  Each derived relation g = w holds as
+    # permutations of the pair, checked without relation_holds
+    dt4 = load_builtin("dt4")
+    if seed is not None:
+        dt4 = relabel_complex(dt4, random.Random(seed))
+    pres = build_tilde_presentation(dt4)
+    symmetric = plane_transposition_map(dt4)
+    path = complement_path(pres, symmetric, 1_000_000)
+    table = coset_enumeration(pres, [(g,) for g in path], 1_000_000)
+    pair = {g: pair_action(table, symmetric, g) for g in range(1, pres.generator_count + 1)}
+    assert len(mulclose(pair.values())) == 11_520
+    plan = derive_plan(
+        build_tilde_presentation(dt4, include_projective=False), table, symmetric, 1_000_000
+    )
+    assert len(plan) == 3
+    for g, w in plan.items():
+        product = pair[w[0]]
+        for x in w[1:]:
+            product = product * pair[x]
+        assert product == pair[g]

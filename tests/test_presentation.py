@@ -3,7 +3,6 @@ import random
 import pytest
 
 from galcov.complexes import DegenerationComplex, PresentationOverrides
-from galcov.datasets import COXETER_PLANS
 from galcov.enumeration import coset_enumeration, group_order
 from galcov.permutations import (
     Permutation,
@@ -28,14 +27,13 @@ from galcov.presentation import (
     free_reduce,
     invert_word,
     parse_relation,
-    parse_word,
     projective_relator,
     relation_holds,
     triple_word,
 )
 from galcov.tietze import simplify_presentation
 
-from .conftest import mulclose
+from .conftest import DT4_PAPER_PLAN, mulclose, word_of
 
 T4_TRIPLE_PAIRS = {
     (1, 2), (1, 4), (1, 5), (1, 6), (2, 3), (2, 4),
@@ -341,7 +339,7 @@ def test_eliminate_semantic_relation_via_table(
     dt4_presentation, dt4_assignment, dt4_complement_table
 ):
     # g3 = g5 g9 g5 is a consequence, not a stated relator
-    w = parse_word("g5 g9 g5", dt4_presentation.names)
+    w = word_of("g5 g9 g5", dt4_presentation.names)
     assert relation_holds(3, w, dt4_complement_table, dt4_assignment)
     q, (proj,) = eliminate_and_rewrite(dt4_presentation, {3: w, -3: invert_word(w)}, ((3, 8),))
     assert "g3" not in q.names
@@ -350,13 +348,22 @@ def test_eliminate_semantic_relation_via_table(
 
 
 def test_eliminate_in_turn_renumbers_the_words_still_to_use(dt4_presentation):
-    plan = COXETER_PLANS["dt4"]
-    words = [parse_word(text, dt4_presentation.names) for _, text in plan]
+    plan = DT4_PAPER_PLAN
+    words = [word_of(text, dt4_presentation.names) for _, text in plan]
     q, (proj,) = eliminate_in_turn(
         dt4_presentation, [name for name, _ in plan], words, ((7, 3, 6),)
     )
     assert q.names == ("g1", "g2", "g4", "g5", "g8", "g9")
     assert format_word(proj, q.names) == "g1 g4 g1 g5 g9 g5 g9 g8 g1 g8 g9"
+
+
+def test_eliminate_rejects_a_word_naming_an_eliminated_generator():
+    # a = b, then b = a: composed, a's word names b, which goes too
+    pres = GroupPresentation.make(("a", "b", "c"), [(1, 2, 3)])
+    with pytest.raises(PresentationError, match="the word for a names b, which is eliminated too"):
+        eliminate_in_turn(pres, ["a", "b"], [(2,), (1,)])
+    with pytest.raises(PresentationError, match="the word for b names a"):
+        eliminate_and_rewrite(pres, {2: (1, 3), -2: (-3, -1), 1: (3,), -1: (-3,)}, ())
 
 
 def eliminate_one_at_a_time(pres, gens, words, companions):
@@ -447,7 +454,7 @@ def test_relation_holds_on_the_regular_and_the_complement_table(t4, t4_presentat
 
 # g7 = g2 g3 g8 g3 g2 has the image of g7 but is not g7: g7^-1 g2 g3 g8 g3 g2
 # is a kernel element other than 1, found against the regular table
-DT4_RELATIONS = COXETER_PLANS["dt4"] + (
+DT4_RELATIONS = DT4_PAPER_PLAN + (
     ("g7", "g1 g4"),
     ("g7", "g1 g9 g1"),
     ("g3", "g5 g9"),
@@ -461,16 +468,16 @@ def test_relation_holds_over_the_complement_agrees_with_the_regular_table(
     dt4_presentation, dt4_assignment, dt4_table, dt4_complement_table, name, text
 ):
     pres = dt4_presentation
-    gen, word = pres.id_of(name), parse_word(text, pres.names)
+    gen, word = pres.id_of(name), word_of(text, pres.names)
     regular = relation_holds(gen, word, dt4_table, dt4_assignment)
     assert relation_holds(gen, word, dt4_complement_table, dt4_assignment) is regular
-    assert regular is ((name, text) in COXETER_PLANS["dt4"])
+    assert regular is ((name, text) in DT4_PAPER_PLAN)
 
 
 def test_the_kernel_word_passes_the_image_check_only(
     dt4_presentation, dt4_assignment, dt4_complement_table
 ):
-    word = (-7,) + parse_word("g2 g3 g8 g3 g2", dt4_presentation.names)
+    word = (-7,) + word_of("g2 g3 g8 g3 g2", dt4_presentation.names)
     assert word_image(dt4_assignment, word).is_identity()
     assert relation_holds(7, word[1:], dt4_complement_table, dt4_assignment) is False
 
