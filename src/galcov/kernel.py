@@ -22,6 +22,7 @@ from dataclasses import dataclass
 from .enumeration import CosetTable, _column, _internal_columns
 from .permutations import (
     SymmetricAssignment,
+    _letter_images,
     permutation_group_order,
     verify_homomorphism,
 )
@@ -57,11 +58,10 @@ def kernel_coset_table(pres: GroupPresentation, a: SymmetricAssignment) -> Coset
 
     elements = list(itertools.permutations(range(1, n + 1)))
     index = {sigma: i for i, sigma in enumerate(elements)}
-    columns = []
-    for g in gens:
-        columns += [g.images, g.inverse().images]
+    images = _letter_images(a)
+    columns = [images[x] for k in range(1, pres.generator_count + 1) for x in (k, -k)]
     rows = [
-        tuple(index[tuple(h[x - 1] for x in sigma)] for h in columns)
+        tuple(index[tuple(h[x] for x in sigma)] for h in columns)
         for sigma in elements
     ]
     return CosetTable(generator_count=pres.generator_count, rows=tuple(rows))
@@ -463,7 +463,8 @@ def regular_kernel(table: CosetTable, a: SymmetricAssignment, path=()) -> Struct
     n = a.degree
     rows = table.rows
     letters = [x for g in range(1, table.generator_count + 1) for x in (g, -g)]
-    step = {x: (_column(x), a.image(abs(x)) if x > 0 else a.image(-x).inverse()) for x in letters}
+    images = _letter_images(a)
+    step = {x: (_column(x), images[x]) for x in letters}
     # breadth-first spanning tree: the parent coset and letter of each
     # coset, and the image of its representative word
     parent = [None] * len(rows)
@@ -475,7 +476,7 @@ def regular_kernel(table: CosetTable, a: SymmetricAssignment, path=()) -> Struct
             col, g = step[x]
             d = rows[c][col]
             if image[d] is None:
-                image[d] = tuple(g.images[y - 1] for y in image[c])
+                image[d] = tuple(g[y] for y in image[c])
                 parent[d] = (c, x)
                 reached.append(d)
     if len(reached) != len(rows):

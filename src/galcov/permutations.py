@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
+from operator import itemgetter
 
 
 @dataclass(frozen=True)
@@ -81,13 +82,31 @@ def plane_transposition_map(c) -> SymmetricAssignment:
     return SymmetricAssignment(degree=n, images=tuple(images))
 
 
+def _letter_images(a: SymmetricAssignment) -> dict[int, tuple[int, ...]]:
+    """Image tuple s of each signed generator +-k under ``a``: s[x] is the
+    image of x, and the pad s[0] = 0 lets :func:`_evaluate` run on tuples."""
+    letters = {}
+    for k, g in enumerate(a.images, 1):
+        s = (0,) + g.images
+        inverse = [0] * len(s)
+        for x, y in enumerate(s):
+            inverse[y] = x
+        letters[k], letters[-k] = s, tuple(inverse)
+    return letters
+
+
+def _evaluate(letters, word, degree) -> tuple[int, ...]:
+    """(0, w(1), ..., w(n)) for the word w, its left letter acting first.
+    itemgetter(*acc)(s) is tuple(s[y] for y in acc), a tuple as acc is padded."""
+    acc = tuple(range(degree + 1))
+    for x in word:
+        acc = itemgetter(*acc)(letters[x])
+    return acc
+
+
 def word_image(a: SymmetricAssignment, word) -> Permutation:
     """Evaluate a word left-to-right under the assignment."""
-    acc = Permutation.identity(a.degree)
-    for x in word:
-        g = a.images[abs(x) - 1]
-        acc = acc * (g if x > 0 else g.inverse())
-    return acc
+    return Permutation(_evaluate(_letter_images(a), word, a.degree)[1:])
 
 
 @dataclass(frozen=True)
@@ -100,8 +119,10 @@ def verify_homomorphism(pres, a: SymmetricAssignment) -> HomomorphismReport:
     """Check that every relator maps to the identity permutation."""
     if len(a.images) < pres.generator_count:
         raise ValueError("assignment does not cover all generators")
+    letters = _letter_images(a)
+    identity = tuple(range(a.degree + 1))
     failures = tuple(
-        i for i, w in enumerate(pres.relators) if not word_image(a, w).is_identity()
+        i for i, w in enumerate(pres.relators) if _evaluate(letters, w, a.degree) != identity
     )
     return HomomorphismReport(holds=not failures, failures=failures)
 

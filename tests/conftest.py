@@ -273,6 +273,24 @@ def random_permutation(rng, n):
     return Permutation(tuple(images))
 
 
+def cycles(n, *cs):
+    images = list(range(1, n + 1))
+    for c in cs:
+        for i, x in enumerate(c):
+            images[x - 1] = c[(i + 1) % len(c)]
+    return Permutation(tuple(images))
+
+
+def word_permutation(model, word):
+    """The word's image, letter k sent to model[k-1], as a left-to-right
+    product of ``Permutation``s: the oracle for word evaluation."""
+    acc = Permutation.identity(model[0].degree)
+    for x in word:
+        g = model[abs(x) - 1]
+        acc = acc * (g if x > 0 else g.inverse())
+    return acc
+
+
 # ---------------------------------------------------------------------------
 # the semidirect product of S_m with the sum-zero lattice, written out as
 # pairs (sigma, vec) to check the windows that galcov.coxeter computes with

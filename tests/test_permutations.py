@@ -11,8 +11,9 @@ from galcov.permutations import (
     verify_homomorphism,
     word_image,
 )
+from galcov.presentation import GroupPresentation
 
-from .conftest import mulclose, random_permutation
+from .conftest import cycles, mulclose, random_permutation, word_permutation
 
 
 def test_not_a_permutation_rejected():
@@ -85,6 +86,35 @@ def test_identity_assignment_satisfies_all_relators(t4_presentation):
         degree=4, images=(Permutation.identity(4),) * 6
     )
     assert verify_homomorphism(t4_presentation, trivial).holds
+
+
+def test_word_evaluation_matches_the_permutation_product():
+    # every builtin image is a transposition, its own inverse, so only
+    # images of higher order tell a wrong inverse or a reversed product
+    rng = random.Random(29)
+    letters = [x for k in range(1, 5) for x in (k, -k)]
+    holding = failing = 0
+    for n in range(3, 7):
+        for _ in range(15):
+            images = [cycles(n, rng.sample(range(1, n + 1), k)) for k in (3, min(4, n))]
+            images += [random_permutation(rng, n) for _ in range(2)]
+            a = SymmetricAssignment(degree=n, images=tuple(images))
+            words = [tuple(rng.choices(letters, k=rng.randint(1, 9))) for _ in range(12)]
+            # a word to the power of its image's order holds; one power short
+            # of it fails, unless the image is the identity
+            for w in words[:6]:
+                order = len(mulclose([word_permutation(a.images, w)]))
+                words.append(w * rng.choice((order, order, max(1, order - 1))))
+            for w in words:
+                assert word_image(a, w) == word_permutation(a.images, w)
+            pres = GroupPresentation(tuple(f"g{k}" for k in range(1, 5)), tuple(words))
+            expected = tuple(
+                i for i, w in enumerate(words) if not word_permutation(a.images, w).is_identity()
+            )
+            assert verify_homomorphism(pres, a).failures == expected
+            holding += len(words) - len(expected)
+            failing += len(expected)
+    assert holding > 100 and failing > 100
 
 
 def test_permutation_group_orders(t4, dt4):
