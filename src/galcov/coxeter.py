@@ -36,6 +36,7 @@ import math
 from dataclasses import dataclass
 
 from .kernel import StructureVerdict, identify_structure, smith_normal_form
+from .permutations import _evaluate
 from .presentation import (
     GroupPresentation,
     Word,
@@ -45,6 +46,7 @@ from .presentation import (
     hamiltonian_paths,
     invert_word,
     relation_holds,
+    short_keys,
     triple_word,
 )
 
@@ -57,26 +59,37 @@ class CoxeterError(Exception):
 # windows of affine permutations
 
 
-def eval_word(images, word) -> tuple[int, ...]:
-    """Window of the left-to-right product of a word's letter images.
+def eval_words(images, words) -> list[tuple[int, ...]]:
+    """Windows of the left-to-right products of the words' letter images.
 
-    Each image is a window, the affine permutation of Z sending i + m*t
-    to w_i + m*t.  Every image of the standard assignment is an
-    involution, so a letter and its inverse share one window.
+    Each image is a window, the affine permutation f of Z sending i + m*t
+    to w_i + m*t, which moves no integer by more than d = max|w_i - i|.
+    So L letters keep the entries 0, 1, ..., m inside [-L*d, m + L*d],
+    each image becomes the tuple s of f on that interval (s[y] = f(y), a
+    negative y read from the end), and a letter is one lookup of
+    :func:`permutations._evaluate`, where entry 0 is the pad.
     """
     images = list(images)
     if not images:
         raise CoxeterError("empty assignment")
     m = len(images[0])
-    acc = tuple(range(1, m + 1))
-    for x in word:
-        k = abs(x)
-        if not 1 <= k <= len(images):
-            raise CoxeterError(f"word references unassigned generator {k}")
-        w = images[k - 1]
-        # the entry y = j + m*t goes to w_j + m*t
-        acc = tuple(w[(y - 1) % m] + (y - 1) // m * m for y in acc)
-    return acc
+    shift = max(abs(x - i) for w in images for i, x in enumerate(w, 1))
+    t = max(map(len, words), default=0) * shift // m + 1
+    letters = {}
+    for k, w in enumerate(images, 1):
+        # f(1 - t*m), ..., f(m + t*m), rotated to start at f(0)
+        line = [x + m * s for s in range(-t, t + 1) for x in w]
+        letters[k] = letters[-k] = tuple(line[t * m - 1 :] + line[: t * m - 1])
+    try:
+        return [_evaluate(letters, w, m)[1:] for w in words]
+    except KeyError as exc:
+        raise CoxeterError(f"word references unassigned generator {abs(exc.args[0])}") from None
+
+
+def eval_word(images, word) -> tuple[int, ...]:
+    """Window of one word, by :func:`eval_words`.  Every image of the standard
+    assignment is an involution, so a letter and its inverse share one window."""
+    return eval_words(images, [word])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -271,7 +284,7 @@ def recognize_cycle(pres) -> CoxeterGraph:
     m = pres.generator_count
     if m < 3:
         raise CoxeterError("fewer than three generators; no cycle structure")
-    keys = {canonical_key(r) for r in pres.relators}
+    keys = short_keys(pres)
     braid = {g: set() for g in range(1, m + 1)}
     for i in range(1, m + 1):
         if canonical_key((i, i)) not in keys:
@@ -336,9 +349,9 @@ def coxeter_route(
         assignment = standard_assignment(graph)
         images = [assignment[name] for name in reduced.names]
         m = graph.vertex_count
-        if any(eval_word(images, r) != tuple(range(1, m + 1)) for r in reduced.relators):
+        *values, element = eval_words(images, reduced.relators + (proj_reduced,))
+        if any(v != tuple(range(1, m + 1)) for v in values):
             raise CoxeterError("assignment fails to satisfy the reduced relators")
-        element = eval_word(images, proj_reduced)
         if any((x - i) % m for i, x in enumerate(element, 1)):
             raise CoxeterError(
                 "projective relator has a non-identity permutation part; "

@@ -9,10 +9,11 @@ processing through a union-find table:
 * cosets are created in scan order, at the first undefined entry of the
   relator being traced, so two runs on the same input build identical
   tables;
-* every live coset scans every relator; a gap of width one is filled
-  from both ends, wider gaps trigger definitions, mismatched closures merge
-  cosets.  A relator that a plain forward trace already closes is not
-  scanned, since the scan would change nothing;
+* every live coset scans every relator, shortest first (a stable sort by
+  length); a gap of width one is filled from both ends, wider gaps
+  trigger definitions, mismatched closures merge cosets.  A relator that
+  a plain forward trace already closes is not scanned, since the scan
+  would change nothing;
 * once the queue of coincidences is empty, all entries of live rows point
   at live cosets again, so neither the scans nor the final compression
   need find() calls;
@@ -116,7 +117,7 @@ def coset_enumeration(
         return fwd, tuple(inv[c] for c in fwd)
 
     squares = {(k, k) for k in involutions} | {(-k, -k) for k in involutions}
-    relator_cols = [columns(w) for w in pres.relators if w and w not in squares]
+    relator_cols = [columns(w) for w in sorted(pres.relators, key=len) if w and w not in squares]
 
     # cosets are numbered from 1; row 0 is all zeros and stands for an
     # undefined entry, so a trace that meets one stays at 0

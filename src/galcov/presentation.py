@@ -132,6 +132,12 @@ def canonical_key(word) -> Word:
     return _reduced_key(free_reduce(word))
 
 
+def short_keys(pres) -> set[Word]:
+    """:func:`canonical_key` of the relators of at most 6 letters (squares,
+    commutators, braids); a relator is freely reduced, so its key has its length."""
+    return {_reduced_key(r) for r in pres.relators if len(r) <= 6}
+
+
 def _reduced_key(w) -> Word:
     """:func:`canonical_key` of an already freely reduced word."""
     if not w:
@@ -522,7 +528,7 @@ def complement_path(pres, assignment, bound) -> tuple[int, ...]:
     is :func:`hamiltonian_paths` from every plane, lowest first, pruning a
     partial path as soon as a pair misses its relator.
     """
-    keys = {canonical_key(r) for r in pres.relators}
+    keys = short_keys(pres)
 
     def fits(path, g):
         last = len(path) - 1

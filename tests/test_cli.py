@@ -227,7 +227,7 @@ def test_coxeter_route_times_its_complement_search_and_enumeration():
 def test_coxeter_route_overflow_is_undecided_at_bound(capsys):
     # --route coxeter enumerates like the other routes, so an overflow is
     # reported the same way, not as a route that produced no verdict; dt4's
-    # enumeration over its complement defines 52 cosets
+    # enumeration over its complement defines 100 cosets
     report = analyze("dt4", route="coxeter", max_cosets=30)
     assert report.undecided
     assert report.tilde_order is None
@@ -599,10 +599,10 @@ def _enumerate_route_needs(name):
 @pytest.mark.parametrize(
     "name,bound,decides,warning",
     [
-        ("t4", 18, False, "enumeration overflow at 18 cosets"),
-        ("t4", 19, True, None),
-        ("dt4", 173, False, "enumeration overflow at 173 cosets"),
-        ("dt4", 174, False, "the regular action of K, of order 16, needs 256 table lookups"),
+        ("t4", 4, False, "enumeration overflow at 4 cosets"),
+        ("t4", 5, True, None),
+        ("dt4", 100, False, "enumeration overflow at 100 cosets"),
+        ("dt4", 101, False, "the regular action of K, of order 16, needs 256 table lookups"),
         ("dt4", 255, False, "the regular action of K, of order 16, needs 256 table lookups"),
         ("dt4", 256, True, None),
     ],
@@ -657,8 +657,8 @@ def test_kernel_enumeration_overflow_is_undecided(monkeypatch, capsys):
 
 
 def test_kernel_route_decides_both_after_full_overflow(monkeypatch, capsys):
-    # dt4's kernel enumeration defines 41 cosets and the one over its
-    # complement 52, so at 720, the kernel table's rows, both routes decide
+    # dt4's kernel enumeration defines 50 cosets and the one over its
+    # complement 100, so at 720, the kernel table's rows, both routes decide
     tables = _recording(monkeypatch)
     report = analyze("dt4", route="both", max_cosets=720)
     assert [t.coset_count for t in tables] == [16, 16]
@@ -670,7 +670,7 @@ def test_kernel_route_decides_both_after_full_overflow(monkeypatch, capsys):
         "from_index": 16, "from_subgroup_presentation": 16, "agree": True
     }
     assert report.route_agreement is True
-    # with no complement found, G~ is enumerated in full (46,785 cosets
+    # with no complement found, G~ is enumerated in full (43,933 cosets
     # defined): that overflows at 720, and the kernel presentation decides
     # alone
     monkeypatch.setattr(galcov.cli, "complement_path", lambda *args: ())

@@ -11,6 +11,7 @@ from galcov.coxeter import (
     coxeter_route,
     derive_plan,
     eval_word,
+    eval_words,
     lattice_quotient,
     recognize_cycle,
     standard_assignment,
@@ -158,11 +159,53 @@ def test_eval_word_matches_the_semidirect_product():
             assert decode_window(eval_word(images, word)) == expected, (m, word)
 
 
+def per_entry(images, word):
+    """The product's window entry by entry: y = j + m*t goes to w_j + m*t
+    under each letter's window, a letter and its inverse sharing one."""
+    m = len(images[0])
+    acc = identity(m)
+    for x in word:
+        w = images[abs(x) - 1]
+        acc = tuple(w[(y - 1) % m] + (y - 1) // m * m for y in acc)
+    return acc
+
+
+def test_eval_words_matches_the_per_entry_formula():
+    # random windows move entries by several multiples of m, so a
+    # batch's interval reaches well past one window either side of 1..m
+    rng = random.Random(2718)
+    wide = 0
+    for _ in range(300):
+        m = rng.randint(2, 7)
+        images = [random_sd(rng, m) for _ in range(rng.randint(1, 4))]
+        wide += max(abs(x - i) for w in images for i, x in enumerate(w, 1)) > 1
+        words = [()] + [
+            tuple(
+                rng.choice((1, -1)) * rng.randint(1, len(images))
+                for _ in range(rng.randint(1, 15))
+            )
+            for _ in range(rng.randint(0, 6))
+        ]
+        rng.shuffle(words)
+        assert eval_words(images, words) == [per_entry(images, w) for w in words]
+        assert eval_words(images, []) == []
+    assert wide > 250
+
+
 def test_eval_word_refuses_a_word_off_the_assignment():
     with pytest.raises(CoxeterError, match="empty assignment"):
         eval_word([], (1,))
     with pytest.raises(CoxeterError, match="unassigned generator 3"):
         eval_word([(2, 1, 3), (1, 3, 2)], (1, -3))
+    # in a batch, whichever word holds the letter
+    rng = random.Random(99)
+    images = [random_sd(rng, 4) for _ in range(2)]
+    for bad in (3, -3, 0):
+        for at in range(4):
+            words = [(1, 2), (), (2, -1, 1), (1,)]
+            words[at] += (bad,)
+            with pytest.raises(CoxeterError, match=f"unassigned generator {abs(bad)}"):
+                eval_words(images, words)
 
 
 # ---------------------------------------------------------------------------
@@ -374,7 +417,7 @@ def count_calls(monkeypatch, module, name):
 def test_t4_route_unsupported(monkeypatch, t4):
     # t4 has no projective relator: the route stops before it reduces
     eliminations = count_calls(monkeypatch, galcov.coxeter, "eliminate_and_rewrite")
-    evaluations = count_calls(monkeypatch, galcov.coxeter, "eval_word")
+    evaluations = count_calls(monkeypatch, galcov.coxeter, "eval_words")
     rng = random.Random(12)
     for c in [t4] + [relabel_complex(t4, rng) for _ in range(4)]:
         pres = build_tilde_presentation(c, include_projective=False)
@@ -382,6 +425,9 @@ def test_t4_route_unsupported(monkeypatch, t4):
         assert not route.supported
         assert route.reason == "no projective relator to quotient by"
     assert eliminations == [] and evaluations == []
+    # the counter sees a route that runs: one batch for all its words
+    assert triangle_route((1, 3, 2, 3)).supported
+    assert len(evaluations) == 1
 
 
 def triangle_presentation(*extra):

@@ -29,6 +29,7 @@ from galcov.presentation import (
     parse_relation,
     projective_relator,
     relation_holds,
+    short_keys,
     triple_word,
 )
 from galcov.tietze import simplify_presentation
@@ -91,6 +92,25 @@ def _brute_force_key(word):
         cand[i:] + cand[:i] for cand in (w, invert_word(w)) for i in range(len(w))
     ]
     return min(rotations, default=())
+
+
+def test_short_keys_are_the_canonical_keys_of_short_relators():
+    # seeded presentations of random words, squares, commutators and
+    # braids: the helper's keys are the full key set cut to 6 letters
+    rng = random.Random(606)
+    for _ in range(300):
+        n = rng.randint(1, 4)
+        relators = [
+            tuple(rng.choice((1, -1)) * rng.randint(1, n) for _ in range(rng.randint(0, 10)))
+            for _ in range(rng.randint(0, 8))
+        ]
+        for _ in range(rng.randint(0, 3)):
+            i, j = rng.randint(1, n), rng.randint(1, n)
+            relators.append(rng.choice(((i, i), commutator_word(i, j), triple_word(i, j))))
+        rng.shuffle(relators)
+        pres = GroupPresentation.make([f"g{k}" for k in range(1, n + 1)], relators)
+        full = {canonical_key(r) for r in pres.relators}
+        assert short_keys(pres) == {k for k in full if len(k) <= 6}
 
 
 def test_canonical_key_matches_brute_force_oracle():
