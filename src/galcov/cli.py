@@ -233,15 +233,20 @@ def analyze(
         raise AnalysisError("chern", str(exc)) from exc
     warnings.extend(chern.warnings)
 
-    try:
-        pres, pres_noproj, proj = timed(
-            "presentation",
-            lambda: (
-                build_tilde_presentation(complex_),
-                build_tilde_presentation(complex_, include_projective=False),
-                projective_relator(complex_),
-            ),
+    def presentations():
+        # only the Coxeter route reads the presentation without the projective
+        # relator; the first build parses that relator, so bad input fails here
+        pres = build_tilde_presentation(complex_)
+        if route == "enumerate":
+            return pres, None, None
+        return (
+            pres,
+            build_tilde_presentation(complex_, include_projective=False),
+            projective_relator(complex_),
         )
+
+    try:
+        pres, pres_noproj, proj = timed("presentation", presentations)
     except (PresentationError, ComplexError) as exc:
         raise AnalysisError("presentation", str(exc)) from exc
 

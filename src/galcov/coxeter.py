@@ -40,13 +40,12 @@ from .permutations import _evaluate
 from .presentation import (
     GroupPresentation,
     Word,
-    canonical_key,
     commutator_word,
     eliminate_and_rewrite,
     hamiltonian_paths,
     invert_word,
+    is_stated,
     relation_holds,
-    short_keys,
     triple_word,
 )
 
@@ -284,16 +283,16 @@ def recognize_cycle(pres) -> CoxeterGraph:
     m = pres.generator_count
     if m < 3:
         raise CoxeterError("fewer than three generators; no cycle structure")
-    keys = short_keys(pres)
+    relators = set(pres.relators)
     braid = {g: set() for g in range(1, m + 1)}
     for i in range(1, m + 1):
-        if canonical_key((i, i)) not in keys:
+        if not is_stated(relators, (i, i)):
             raise CoxeterError(f"generator {pres.names[i - 1]} has no square relator")
         for j in range(i + 1, m + 1):
-            if canonical_key(triple_word(i, j)) in keys:
+            if is_stated(relators, triple_word(i, j)):
                 braid[i].add(j)
                 braid[j].add(i)
-            elif canonical_key(commutator_word(i, j)) not in keys:
+            elif not is_stated(relators, commutator_word(i, j)):
                 raise CoxeterError(
                     f"pair ({pres.names[i - 1]}, {pres.names[j - 1]}) neither "
                     "braids nor commutes; not a cycle quotient presentation"

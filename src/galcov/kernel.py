@@ -18,8 +18,9 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from operator import itemgetter
 
-from .enumeration import CosetTable, _column, _internal_columns
+from .enumeration import CosetTable, _internal_columns
 from .permutations import (
     SymmetricAssignment,
     _letter_images,
@@ -462,9 +463,11 @@ def regular_kernel(table: CosetTable, a: SymmetricAssignment, path=()) -> Struct
     """
     n = a.degree
     rows = table.rows
+    # letters in column order, and each letter's column: the permutation
+    # of the cosets that it acts as
     letters = [x for g in range(1, table.generator_count + 1) for x in (g, -g)]
+    columns = dict(zip(letters, zip(*rows)))
     images = _letter_images(a)
-    step = {x: (_column(x), images[x]) for x in letters}
     # breadth-first spanning tree: the parent coset and letter of each
     # coset, and the image of its representative word
     parent = [None] * len(rows)
@@ -473,10 +476,9 @@ def regular_kernel(table: CosetTable, a: SymmetricAssignment, path=()) -> Struct
     reached = [0]
     for c in reached:
         for x in letters:
-            col, g = step[x]
-            d = rows[c][col]
+            d = columns[x][c]
             if image[d] is None:
-                image[d] = tuple(g[y] for y in image[c])
+                image[d] = tuple(images[x][y] for y in image[c])
                 parent[d] = (c, x)
                 reached.append(d)
     if len(reached) != len(rows):
@@ -513,15 +515,16 @@ def regular_kernel(table: CosetTable, a: SymmetricAssignment, path=()) -> Struct
                         b[i], b[i + 1] = b[i + 1], b[i]
                         swaps.append(path[i])
             w = swaps[::-1] + w
-        cols = [step[x][0] for x in w]
-        perm = []
-        for d in cosets:
-            for col in cols:
-                d = rows[d][col]
-            perm.append(index.get(d))
+        # w from every kernel coset at once, one column per letter, as
+        # permutations._evaluate does; itemgetter of one index returns no
+        # tuple, but a kernel of one coset is coset 0, whose w is empty
+        acc = tuple(cosets)
+        for x in w:
+            acc = itemgetter(*acc)(columns[x])
+        perm = tuple(map(index.get, acc))
         if perm[0] != len(perms) or None in perm:
             raise KernelError(f"the kernel element of coset {c} does not act on the kernel")
-        perms.append(tuple(perm))
+        perms.append(perm)
     _check_closed(perms)
     return _structure(perms)
 
@@ -547,7 +550,7 @@ def _check_closed(perms):
         if t in reached:
             continue
         for p in perms:
-            q = tuple(perms[t][x] for x in p)
+            q = itemgetter(*p)(perms[t])
             if q != perms[q[0]]:
                 raise KernelError("the kernel permutations are not closed under product")
         gens.append(perms[t])
@@ -563,7 +566,8 @@ def _structure(perms):
     size = len(perms)
     elements = range(size)
     inverse = [p.index(0) for p in perms]
-    centre = [z for z in elements if all(perms[y][z] == perms[z][y] for y in elements)]
+    # z is central when its row, the products y z, equals its column, z y
+    centre = [z for z, column in enumerate(zip(*perms)) if perms[z] == column]
     commutators = {
         perms[y][perms[x][perms[inverse[y]][inverse[x]]]] for x in elements for y in elements
     }

@@ -132,10 +132,13 @@ def canonical_key(word) -> Word:
     return _reduced_key(free_reduce(word))
 
 
-def short_keys(pres) -> set[Word]:
-    """:func:`canonical_key` of the relators of at most 6 letters (squares,
-    commutators, braids); a relator is freely reduced, so its key has its length."""
-    return {_reduced_key(r) for r in pres.relators if len(r) <= 6}
+def is_stated(relators, word) -> bool:
+    """Is a rotation of ``word`` or of its inverse in the set ``relators``?
+    For a cyclically reduced word, such as a square, commutator or braid
+    template, that is ``canonical_key(word)`` among the relators' keys."""
+    return any(
+        w[i:] + w[:i] in relators for w in (word, invert_word(word)) for i in range(len(w))
+    )
 
 
 def _reduced_key(w) -> Word:
@@ -528,12 +531,12 @@ def complement_path(pres, assignment, bound) -> tuple[int, ...]:
     is :func:`hamiltonian_paths` from every plane, lowest first, pruning a
     partial path as soon as a pair misses its relator.
     """
-    keys = short_keys(pres)
+    relators = set(pres.relators)
 
     def fits(path, g):
         last = len(path) - 1
         return all(
-            canonical_key((triple_word if k == last else commutator_word)(h, g)) in keys
+            is_stated(relators, (triple_word if k == last else commutator_word)(h, g))
             for k, h in enumerate(path)
         )
 

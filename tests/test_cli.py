@@ -391,6 +391,40 @@ def test_relators_the_transpositions_break_are_kernel_error(monkeypatch, capsys,
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("name", ["t4", "dt4"])
+@pytest.mark.parametrize(
+    "route,builds,projective", [("enumerate", 1, 0), ("coxeter", 2, 1), ("both", 2, 1)]
+)
+def test_presentation_builds_per_route(monkeypatch, name, route, builds, projective):
+    # only the Coxeter route reads the presentation without the projective
+    # relator, and that relator on its own
+    calls = {"build_tilde_presentation": 0, "projective_relator": 0}
+    for attr in calls:
+        real = getattr(galcov.cli, attr)
+
+        def counting(*args, _real=real, _attr=attr, **kwargs):
+            calls[_attr] += 1
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(galcov.cli, attr, counting)
+    analyze(name, route=route)
+    assert calls == {"build_tilde_presentation": builds, "projective_relator": projective}
+
+
+@pytest.mark.parametrize("route", ["enumerate", "coxeter", "both"])
+def test_unknown_generator_in_the_projective_relator_is_presentation_error(tmp_path, route):
+    # the one build under --route enumerate still parses the projective relator
+    from galcov.datasets import T4_JSON
+
+    data = json.loads(T4_JSON)
+    data["overrides"] = {"projective_relator": "word: g1 g99"}
+    path = tmp_path / "t4-g99.json"
+    path.write_text(json.dumps(data), encoding="utf-8")
+    with pytest.raises(AnalysisError, match=r"^\[presentation\] unknown generator 'g99'") as info:
+        analyze(str(path), route=route)
+    assert (info.value.stage, info.value.exit_code) == ("presentation", 2)
+
+
 @pytest.mark.parametrize("route", ["enumerate", "coxeter", "both"])
 @pytest.mark.parametrize(
     "planes, named",

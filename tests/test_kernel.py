@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+import galcov.kernel
 from galcov.enumeration import coset_enumeration, group_order
 from galcov.kernel import (
     KernelError,
@@ -16,15 +17,22 @@ from galcov.kernel import (
     reidemeister_schreier,
     smith_normal_form,
 )
-from galcov.permutations import Permutation, SymmetricAssignment, plane_transposition_map
+from galcov.permutations import (
+    Permutation,
+    SymmetricAssignment,
+    plane_transposition_map,
+    word_image,
+)
 from galcov.presentation import (
     GroupPresentation,
+    build_tilde_presentation,
+    complement_path,
     eliminate_and_rewrite,
     relation_holds,
 )
 from galcov.tietze import simplify_presentation
 
-from .conftest import mulclose, snf_oracle
+from .conftest import mulclose, relabel_complex, snf_oracle
 
 
 # ---------------------------------------------------------------------------
@@ -611,6 +619,81 @@ def test_regular_kernel_rejects_a_kernel_of_the_wrong_size():
     trivial = SymmetricAssignment(2, (Permutation.identity(2),) * 2)
     with pytest.raises(KernelError, match="6 of the 6 cosets lie in the kernel"):
         regular_kernel(table, trivial, ())
+
+
+def _breadth_first(start, letters, step):
+    """A shortest word to each state reachable from ``start``."""
+    words, frontier = {start: ()}, [start]
+    while frontier:
+        reached = []
+        for s in frontier:
+            for x in letters:
+                t = step(s, x)
+                if t not in words:
+                    words[t] = words[s] + (x,)
+                    reached.append(t)
+        frontier = reached
+    return words
+
+
+def _kernel_words(table, a, path):
+    """For each coset c that a kernel element sends coset 0 to, a word for
+    that element: h w, with w a shortest word from coset 0 to c and h a
+    shortest word over ``path``, whose involutions fix coset 0, with the
+    inverse image."""
+    over_h = _breadth_first(Permutation.identity(a.degree), path, lambda p, g: p * a.image(g))
+    letters = [x for g in range(1, table.generator_count + 1) for x in (g, -g)]
+    to = _breadth_first(0, letters, lambda c, x: table.trace(c, (x,)))
+    words = {}
+    for c, w in to.items():
+        h = over_h.get(word_image(a, w).inverse())
+        if h is not None:
+            words[c] = h + w
+    return words
+
+
+def _tables(dt4, case):
+    """(table, assignment, path) of each table a case reads: dt4 or its
+    relabeling over the S_n complement; K x <t> over <t> and over 1."""
+    if case.startswith("dt4"):
+        c = dt4 if case == "dt4" else relabel_complex(dt4, random.Random(int(case[4:])))
+        pres, a = build_tilde_presentation(c), plane_transposition_map(c)
+        path = complement_path(pres, a, 10**6)
+        return [(coset_enumeration(pres, [(g,) for g in path], 10**6), a, path)]
+    pres, a, path = _with_s2_complement(*{"S3": _S3, "Q8": _Q8}[case][:2])
+    return [(coset_enumeration(pres, [path], 1000), a, path),
+            (coset_enumeration(pres, (), 1000), a, ())]
+
+
+@pytest.mark.parametrize("case", ["dt4", "dt4-1", "dt4-2", "dt4-3", "S3", "Q8"])
+def test_regular_kernel_permutations_match_row_by_row_traces(monkeypatch, dt4, case):
+    # each kernel element acts on the kernel cosets as any word for it does,
+    # traced one letter at a time from every kernel coset
+    real = galcov.kernel._check_closed
+    for table, a, path in _tables(dt4, case):
+        seen = []
+        monkeypatch.setattr(galcov.kernel, "_check_closed", lambda p: real(seen.append(p) or p))
+        regular_kernel(table, a, path)
+        (perms,) = seen
+        words = _kernel_words(table, a, path)
+        cosets = sorted(words)
+        # over the trivial subgroup, 1 in 2! cosets: the fixtures map onto S_2
+        assert len(perms) == len(cosets) == table.coset_count // (1 if path else 2)
+        index = {c: i for i, c in enumerate(cosets)}
+        for c, perm in zip(cosets, perms):
+            assert perm == tuple(index[table.trace(d, words[c])] for d in cosets)
+
+
+def test_regular_kernel_rejects_a_word_that_leaves_the_kernel_orbit():
+    # S_3 = <a, b> over the trivial subgroup, mapped to S_2 by a -> (1 2)
+    # and b -> 1, which breaks (ab)^3: the breadth-first tree reaches 3 of
+    # the 6 cosets with image 1, as a kernel of index 2! would, but a word
+    # that one of them reads sends another outside those 3
+    pres = GroupPresentation.make(("a", "b"), [(1, 1), (2, 2), (1, 2) * 3])
+    table = coset_enumeration(pres, (), 100)
+    a = SymmetricAssignment(2, (Permutation.transposition(2, 1, 2), Permutation.identity(2)))
+    with pytest.raises(KernelError, match="does not act on the kernel"):
+        regular_kernel(table, a, ())
 
 
 def test_invariants_from_element_orders_match_snf():

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -26,10 +27,10 @@ from galcov.presentation import (
     format_word,
     free_reduce,
     invert_word,
+    is_stated,
     parse_relation,
     projective_relator,
     relation_holds,
-    short_keys,
     triple_word,
 )
 from galcov.tietze import simplify_presentation
@@ -94,23 +95,45 @@ def _brute_force_key(word):
     return min(rotations, default=())
 
 
-def test_short_keys_are_the_canonical_keys_of_short_relators():
-    # seeded presentations of random words, squares, commutators and
-    # braids: the helper's keys are the full key set cut to 6 letters
+def test_is_stated_agrees_with_the_canonical_keys_of_the_relators():
+    # seeded presentations of random words and of squares, commutators and
+    # braids stated rotated, inverted, with the pair in either order, or
+    # conjugated, which leaves them not cyclically reduced, like (1, 2, -1):
+    # every template is stated exactly when its key is a relator's
     rng = random.Random(606)
+    outcomes = {True: 0, False: 0}
     for _ in range(300):
-        n = rng.randint(1, 4)
+        n = rng.randint(2, 4)
         relators = [
             tuple(rng.choice((1, -1)) * rng.randint(1, n) for _ in range(rng.randint(0, 10)))
-            for _ in range(rng.randint(0, 8))
+            for _ in range(rng.randint(0, 6))
         ]
-        for _ in range(rng.randint(0, 3)):
-            i, j = rng.randint(1, n), rng.randint(1, n)
-            relators.append(rng.choice(((i, i), commutator_word(i, j), triple_word(i, j))))
+        relators.append((1, 2, -1))
+        for _ in range(rng.randint(0, 6)):
+            i, j = rng.sample(range(1, n + 1), 2)
+            t = rng.choice(((i, i), commutator_word(i, j), triple_word(i, j)))
+            k = rng.randrange(len(t))
+            t = t[k:] + t[:k]
+            if rng.random() < 0.5:
+                t = invert_word(t)
+            if rng.random() < 0.25:
+                x = rng.choice((1, -1)) * rng.randint(1, n)
+                t = (x,) + t + (-x,)
+            relators.append(t)
         rng.shuffle(relators)
         pres = GroupPresentation.make([f"g{k}" for k in range(1, n + 1)], relators)
-        full = {canonical_key(r) for r in pres.relators}
-        assert short_keys(pres) == {k for k in full if len(k) <= 6}
+        keys = {canonical_key(r) for r in pres.relators}
+        stated = set(pres.relators)
+        templates = [(i, i) for i in range(1, n + 1)] + [
+            f(i, j)
+            for i, j in itertools.permutations(range(1, n + 1), 2)
+            for f in (commutator_word, triple_word)
+        ]
+        for t in templates:
+            expected = canonical_key(t) in keys
+            assert is_stated(stated, t) == expected, (pres.relators, t)
+            outcomes[expected] += 1
+    assert min(outcomes.values()) > 500
 
 
 def test_canonical_key_matches_brute_force_oracle():
