@@ -32,7 +32,6 @@ from .coxeter import (
     CoxeterGraph,
     CoxeterRoute,
     coxeter_route,
-    eval_word,
     lattice_quotient,
     standard_assignment,
 )

@@ -467,7 +467,7 @@ def _coxeter_route(report, pres_noproj, proj, table, assignment, max_cosets, tim
         "invariants": list(route.quotient.invariants),
         "order": route.quotient.order,
         "verdict": _verdict_dict(verdict),
-        "pi1": route.quotient.describe(),
+        "pi1": verdict.describe(),
     }
     if report.kernel_order is None and route.quotient.order is not None:
         report.kernel_order = route.quotient.order
@@ -565,14 +565,7 @@ def _build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
     a = sub.add_parser("analyze", help="run the full pipeline on one degeneration")
     a.add_argument(
-        "source",
-        nargs="?",
-        help=f"degeneration file, or builtin name ({', '.join(builtin_names())})",
-    )
-    a.add_argument(
-        "--dataset",
-        choices=builtin_names(),
-        help="analyze a builtin dataset (alternative to the positional source)",
+        "source", help=f"degeneration file, or builtin name ({', '.join(builtin_names())})"
     )
     a.add_argument(
         "--route",
@@ -607,12 +600,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.command != "analyze":  # pragma: no cover - argparse enforces this
         parser.error("unknown command")
-    source = args.dataset or args.source
-    if not source:
-        parser.error("a source file or --dataset is required")
     try:
         report = analyze(
-            source,
+            args.source,
             route=args.route,
             max_cosets=args.max_cosets,
             emit_presentation=args.emit_presentation,

@@ -86,12 +86,6 @@ class DegenerationComplex:
     def edge_count(self):
         return len(self.edges)
 
-    def edge(self, edge_id: int) -> Edge:
-        for e in self.edges:
-            if e.id == edge_id:
-                return e
-        raise KeyError(f"no edge with id {edge_id}")
-
 
 @dataclass(frozen=True)
 class Inner3:
@@ -109,11 +103,6 @@ class Inner4:
     """
 
     cycle: tuple[int, int, int, int]
-
-    @property
-    def diagonals(self):
-        a, b, c, d = self.cycle
-        return (tuple(sorted((a, c))), tuple(sorted((b, d))))
 
 
 VertexClass = Inner3 | Inner4
@@ -254,6 +243,25 @@ def serialize_complex(c: DegenerationComplex) -> str:
     return json.dumps(data, indent=2)
 
 
+def plane_components(pairs) -> list[list[int]]:
+    """Connected components of the graph whose edges are ``pairs``: each a
+    sorted list of the points it joins, in order of their least points.
+    A self-pair (a, a) makes a a point of the graph."""
+    root = {}
+
+    def find(p):
+        while root.setdefault(p, p) != p:
+            p = root[p]
+        return p
+
+    for a, b in pairs:
+        root[find(a)] = find(b)
+    components = {}
+    for p in sorted(root):
+        components.setdefault(find(p), []).append(p)
+    return list(components.values())
+
+
 def validate(c: DegenerationComplex) -> ValidationReport:
     """Check the structural invariants of a complex.
 
@@ -325,31 +333,21 @@ def validate(c: DegenerationComplex) -> ValidationReport:
 
     # the edge transpositions generate S_n only when the edges join all n
     # planes; a plane on no edge is a component of its own
-    root = {}
-
-    def find(p):
-        while root.setdefault(p, p) != p:
-            p = root[p]
-        return p
-
-    for e in c.edges:
-        a, b = e.planes
-        if 1 <= a <= c.plane_count and 1 <= b <= c.plane_count:
-            root[find(a)] = find(b)
-    components = {}
-    for p in sorted(root):
-        components.setdefault(find(p), []).append(p)
-    untouched = c.plane_count - len(root)
+    components = plane_components(
+        e.planes for e in c.edges if all(1 <= p <= c.plane_count for p in e.planes)
+    )
+    touched = {p for ps in components for p in ps}
+    untouched = c.plane_count - len(touched)
     if len(components) + untouched > 1:
         parts = []
         if components:
             parts.append("edges join " + ", ".join(
-                "{" + ", ".join(map(str, ps)) + "}" for ps in components.values()
+                "{" + ", ".join(map(str, ps)) + "}" for ps in components
             ))
         if untouched:
             # at most 2 * edges planes are touched, so this stops early
             bare = list(itertools.islice(
-                (p for p in itertools.count(1) if p not in root), min(untouched, 5)
+                (p for p in itertools.count(1) if p not in touched), min(untouched, 5)
             ))
             more = f" and {untouched - len(bare)} more" if untouched > len(bare) else ""
             parts.append("planes on no edge: " + ", ".join(map(str, bare)) + more)

@@ -13,14 +13,17 @@ are computed as affine permutations of Z in window notation (Bjorner
 and Brenti, *Combinatorics of Coxeter Groups*, 2005, section 8.3): the
 window (w_1, ..., w_n) of sigma * u(vec) has w_i = sigma(i) +
 n*vec[sigma(i)], a product is one composition of windows, and a pure
-translation reads vec_i = (w_i - i)/n.
+translation reads vec_i = (w_i - i)/n.  ``eval_words`` evaluates every
+word of the route in one batch.
 
 The projective relator then lands inside the lattice, and the kernel of
 the map onto S_n becomes the quotient of the lattice by the sublattice
 generated by the S_n-orbit of that one vector -- conjugation by lattice
 elements is trivial on an abelian normal subgroup, so the orbit generates
 the whole normal closure.  Smith normal form of n rows spanning the
-orbit's lattice (see ``lattice_quotient``) finishes the computation.
+orbit's lattice (see ``lattice_quotient``) finishes the computation,
+and the quotient is described by its :class:`~galcov.kernel.StructureVerdict`,
+as the regular action's kernel is.
 
 So the route needs a projective relator, and refuses a presentation
 without one before it reduces anything.  The generators it keeps are the
@@ -85,12 +88,6 @@ def eval_words(images, words) -> list[tuple[int, ...]]:
         raise CoxeterError(f"word references unassigned generator {abs(exc.args[0])}") from None
 
 
-def eval_word(images, word) -> tuple[int, ...]:
-    """Window of one word, by :func:`eval_words`.  Every image of the standard
-    assignment is an involution, so a letter and its inverse share one window."""
-    return eval_words(images, [word])[0]
-
-
 # ---------------------------------------------------------------------------
 # graphs and the standard assignment
 
@@ -145,19 +142,6 @@ class LatticeQuotient:
 
     invariants: tuple[int, ...]
     order: int | None  # None when the quotient is infinite
-
-    def describe(self) -> str:
-        nontrivial = [d for d in self.invariants if d > 1]
-        free = sum(1 for d in self.invariants if d == 0)
-        parts = []
-        if nontrivial:
-            if all(d == 2 for d in nontrivial):
-                parts.append(f"Z2^{len(nontrivial)}" if len(nontrivial) > 1 else "Z2")
-            else:
-                parts.append(" x ".join(f"Z{d}" for d in nontrivial))
-        if free:
-            parts.append(f"Z^{free}" if free > 1 else "Z")
-        return " x ".join(parts) if parts else "trivial"
 
     def verdict(self) -> StructureVerdict:
         nontrivial = tuple(d for d in self.invariants if d > 1)

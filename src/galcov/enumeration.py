@@ -66,9 +66,6 @@ class CosetTable:
     def coset_count(self):
         return len(self.rows)
 
-    def target(self, coset: int, letter: int) -> int:
-        return self.rows[coset][_column(letter)]
-
     def trace(self, coset: int, word) -> int:
         rows = self.rows
         for x in word:

@@ -23,7 +23,6 @@ from operator import itemgetter
 from .enumeration import CosetTable, _internal_columns
 from .permutations import (
     SymmetricAssignment,
-    _letter_images,
     permutation_group_order,
     verify_homomorphism,
 )
@@ -59,8 +58,7 @@ def kernel_coset_table(pres: GroupPresentation, a: SymmetricAssignment) -> Coset
 
     elements = list(itertools.permutations(range(1, n + 1)))
     index = {sigma: i for i, sigma in enumerate(elements)}
-    images = _letter_images(a)
-    columns = [images[x] for k in range(1, pres.generator_count + 1) for x in (k, -k)]
+    columns = [a.letters[x] for k in range(1, pres.generator_count + 1) for x in (k, -k)]
     rows = [
         tuple(index[tuple(h[x] for x in sigma)] for h in columns)
         for sigma in elements
@@ -467,7 +465,7 @@ def regular_kernel(table: CosetTable, a: SymmetricAssignment, path=()) -> Struct
     # of the cosets that it acts as
     letters = [x for g in range(1, table.generator_count + 1) for x in (g, -g)]
     columns = dict(zip(letters, zip(*rows)))
-    images = _letter_images(a)
+    images = a.letters
     # breadth-first spanning tree: the parent coset and letter of each
     # coset, and the image of its representative word
     parent = [None] * len(rows)

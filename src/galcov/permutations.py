@@ -2,7 +2,11 @@
 
 Each edge generator maps to the transposition of its two planes, so the
 image in S_n is generated by transpositions; its order comes from the
-connected components of the plane graph those transpositions span.
+connected components of the plane graph those transpositions span, as
+:func:`galcov.complexes.plane_components` finds them.  An assignment
+builds the image tuple of each signed generator once
+(:attr:`SymmetricAssignment.letters`), and every word evaluation in S_n
+reads them: one ``itemgetter`` lookup per letter.
 
 Composition convention, fixed once and used everywhere: (p * q)(x) =
 q(p(x)), i.e. the left factor acts first.
@@ -11,9 +15,11 @@ q(p(x)), i.e. the left factor acts first.
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass
+from functools import cached_property
 from operator import itemgetter
+
+from .complexes import plane_components
 
 
 @dataclass(frozen=True)
@@ -71,6 +77,19 @@ class SymmetricAssignment:
     def image(self, generator: int) -> Permutation:
         return self.images[generator - 1]
 
+    @cached_property
+    def letters(self) -> dict[int, tuple[int, ...]]:
+        """Image tuple s of each signed generator +-k: s[x] is the image of
+        x, and the pad s[0] = 0 lets :func:`_evaluate` run on tuples."""
+        letters = {}
+        for k, g in enumerate(self.images, 1):
+            s = (0,) + g.images
+            inverse = [0] * len(s)
+            for x, y in enumerate(s):
+                inverse[y] = x
+            letters[k], letters[-k] = s, tuple(inverse)
+        return letters
+
 
 def plane_transposition_map(c) -> SymmetricAssignment:
     """Send the generator of each edge to the transposition of its planes."""
@@ -80,19 +99,6 @@ def plane_transposition_map(c) -> SymmetricAssignment:
         a, b = e.planes
         images.append(Permutation.transposition(n, a, b))
     return SymmetricAssignment(degree=n, images=tuple(images))
-
-
-def _letter_images(a: SymmetricAssignment) -> dict[int, tuple[int, ...]]:
-    """Image tuple s of each signed generator +-k under ``a``: s[x] is the
-    image of x, and the pad s[0] = 0 lets :func:`_evaluate` run on tuples."""
-    letters = {}
-    for k, g in enumerate(a.images, 1):
-        s = (0,) + g.images
-        inverse = [0] * len(s)
-        for x, y in enumerate(s):
-            inverse[y] = x
-        letters[k], letters[-k] = s, tuple(inverse)
-    return letters
 
 
 def _evaluate(letters, word, degree) -> tuple[int, ...]:
@@ -106,7 +112,7 @@ def _evaluate(letters, word, degree) -> tuple[int, ...]:
 
 def word_image(a: SymmetricAssignment, word) -> Permutation:
     """Evaluate a word left-to-right under the assignment."""
-    return Permutation(_evaluate(_letter_images(a), word, a.degree)[1:])
+    return Permutation(_evaluate(a.letters, word, a.degree)[1:])
 
 
 @dataclass(frozen=True)
@@ -119,10 +125,9 @@ def verify_homomorphism(pres, a: SymmetricAssignment) -> HomomorphismReport:
     """Check that every relator maps to the identity permutation."""
     if len(a.images) < pres.generator_count:
         raise ValueError("assignment does not cover all generators")
-    letters = _letter_images(a)
     identity = tuple(range(a.degree + 1))
     failures = tuple(
-        i for i, w in enumerate(pres.relators) if _evaluate(letters, w, a.degree) != identity
+        i for i, w in enumerate(pres.relators) if _evaluate(a.letters, w, a.degree) != identity
     )
     return HomomorphismReport(holds=not failures, failures=failures)
 
@@ -135,20 +140,11 @@ def permutation_group_order(gens) -> int:
     product of the factorials of the component sizes.  Any other
     permutation raises ``ValueError``.
     """
-    parent: dict[int, int] = {}
-
-    def root(x):
-        while parent.setdefault(x, x) != x:
-            x = parent[x]
-        return x
-
+    pairs = []
     for g in gens:
         moved = [x for x, y in enumerate(g.images, 1) if x != y]
-        if not moved:
-            continue
-        if len(moved) != 2:
+        if len(moved) > 2:
             raise ValueError(f"not a transposition: {g.images}")
-        a, b = moved
-        parent[root(a)] = root(b)
-    sizes = Counter(root(x) for x in parent)
-    return math.prod(math.factorial(s) for s in sizes.values())
+        if moved:
+            pairs.append(moved)
+    return math.prod(math.factorial(len(ps)) for ps in plane_components(pairs))

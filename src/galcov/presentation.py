@@ -169,33 +169,13 @@ def _least_rotation(w, least) -> Word:
     return best
 
 
-def _class_key(w) -> Word:
-    """A key of a freely reduced word that its rotations and its inverse
-    share and no other word has, like :func:`_reduced_key` but cheaper:
-    the sign of the letter sum picks one of the two orientations, whose
-    least rotation is the key; only a word with letter sum 0 needs both.
-    Keys of words with nonzero sum have positive sum and the others zero
-    sum, so the two kinds never meet.  It is not :func:`canonical_key`.
-    """
-    s = sum(w)
-    if s < 0:
-        w = invert_word(w)
-    elif not s:
-        return _reduced_key(w)
-    least = min(w)
-    if w.count(least) == 1:
-        i = w.index(least)
-        return w[i:] + w[:i]
-    return _least_rotation(w, least)
-
-
 def _dedupe(words):
     """Drop empty words and keep the first word of each class under
     rotation and inversion.
 
     The words must be freely reduced.  Length, letter sum up to sign and
     absolute letter sum do not change under rotation or inversion, so two
-    words of one class share them; a word's :func:`_class_key` is computed
+    words of one class share them; a word's :func:`_reduced_key` is computed
     only when another kept word shares them too.
     """
     kept = []
@@ -210,8 +190,8 @@ def _dedupe(words):
         if i != n:
             seen = keys.get(f)
             if seen is None:
-                seen = keys[f] = {_class_key(kept[i])}
-            key = _class_key(w)
+                seen = keys[f] = {_reduced_key(kept[i])}
+            key = _reduced_key(w)
             if key in seen:
                 continue
             seen.add(key)
@@ -272,10 +252,6 @@ class GroupPresentation:
 
     def total_relator_length(self):
         return sum(len(w) for w in self.relators)
-
-    def __str__(self):
-        rels = ", ".join(format_word(w, self.names) for w in self.relators)
-        return f"< {', '.join(self.names)} | {rels} >"
 
 
 # ---------------------------------------------------------------------------

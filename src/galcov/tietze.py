@@ -31,8 +31,8 @@ from heapq import heappop, heappush
 from .presentation import (
     GroupPresentation,
     _apply,
-    _class_key,
     _dedupe,
+    _reduced_key,
     solve_relator,
 )
 
@@ -98,7 +98,7 @@ class _TietzeState:
     relator (see :func:`_dedupe`).  From then on moves go through an index,
     in which each relator keeps its slot:
 
-    * ``keys``: slot -> class key (see :func:`_class_key`), and
+    * ``keys``: slot -> class key (see :func:`_reduced_key`), and
       ``slot_of``: key -> slot;
     * ``slots_with``: generator -> slots, a superset of those whose relator
       contains it: a move hands the slots of each generator it removes to
@@ -126,7 +126,7 @@ class _TietzeState:
 
     def _build_index(self):
         words = self.words
-        self.keys = [_class_key(w) for w in words]
+        self.keys = [_reduced_key(w) for w in words]
         self.slot_of = {k: s for s, k in enumerate(self.keys)}
         self.slots_with = {}
         for s, w in enumerate(words):
@@ -195,7 +195,7 @@ class _TietzeState:
             w = changes[slot]
             if not w:
                 continue
-            key = _class_key(w)
+            key = _reduced_key(w)
             other = slot_of.get(key)
             if other is not None:
                 if other < slot:

@@ -7,8 +7,15 @@ import pytest
 from galcov.complexes import DegenerationComplex, Edge, PresentationOverrides, Vertex
 from galcov.datasets import load_builtin
 from galcov.enumeration import coset_enumeration
-from galcov.permutations import Permutation, plane_transposition_map
-from galcov.presentation import build_tilde_presentation, complement_path, parse_relation
+from galcov.permutations import Permutation, SymmetricAssignment, plane_transposition_map
+from galcov.presentation import (
+    GroupPresentation,
+    build_tilde_presentation,
+    commutator_word,
+    complement_path,
+    parse_relation,
+    triple_word,
+)
 
 # The eliminations that bring dt4's presentation down to the six generators
 # of its Coxeter cycle, as the paper states them: each generator equals its
@@ -195,6 +202,29 @@ def octahedron_complex():
     return DegenerationComplex(
         name="octahedron", plane_count=8, edges=tuple(edges), vertices=tuple(vertices)
     )
+
+
+def coxeter_cover(m, k):
+    """The Coxeter cover of the m-cycle with projective relator
+    (g_m g_1 ... g_{m-1} ... g_1)^k: returns the presentation without
+    that relator, the relator, and the map onto S_m.
+
+    g_i transposes planes i and i+1 for i < m, and g_m planes 1 and m.
+    Each generator is an involution, cycle neighbours braid and every
+    other pair commutes.  g_1 ... g_{m-1} ... g_1 maps to (1 m), so the
+    relator's image is a k-fold lattice translation, and K = Z_k^{m-1}."""
+    names = tuple(f"g{i}" for i in range(1, m + 1))
+    relators = [(g, g) for g in range(1, m + 1)]
+    for i, j in itertools.combinations(range(1, m + 1), 2):
+        adjacent = j == i + 1 or (i, j) == (1, m)
+        relators.append((triple_word if adjacent else commutator_word)(i, j))
+    arc = tuple(range(1, m)) + tuple(range(m - 2, 0, -1))
+    proj = ((m,) + arc) * k
+    planes = [(i, i + 1) for i in range(1, m)] + [(1, m)]
+    symmetric = SymmetricAssignment(
+        m, tuple(Permutation.transposition(m, a, b) for a, b in planes)
+    )
+    return GroupPresentation.make(names, relators), proj, symmetric
 
 
 def relabel_complex(c, rng):

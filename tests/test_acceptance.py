@@ -10,7 +10,7 @@ import time
 
 import pytest
 
-from galcov.coxeter import coxeter_route, eval_word
+from galcov.coxeter import coxeter_route, eval_words
 from galcov.datasets import load_builtin
 from galcov.enumeration import coset_enumeration, group_order
 from galcov.invariants import chern_numbers, signature, singularity_counts
@@ -208,7 +208,7 @@ def test_criterion_6_coxeter_route(dt4_coxeter_results):
 
     def ev(text):
         # decoded to the pair (transposition, vector)
-        return decode_window(eval_word(images, word_of(text, names)))
+        return decode_window(eval_words(images, [word_of(text, names)])[0])
 
     n = 6
 
@@ -228,7 +228,7 @@ def test_criterion_6_coxeter_route(dt4_coxeter_results):
         "proj translation": route.proj_vector == (1, 1, -1, -1, -1, 1),
         "proj vector": route.proj_u_coords == (1, 2, 1, 0, -1),
         "invariants": route.quotient.invariants == (1, 2, 2, 2, 2),
-        "quotient": route.quotient.describe() == "Z2^4",
+        "quotient": route.verdict().describe() == "Z2^4",
         "runtime": elapsed < 1.0,
     }
     ok = all(checks.values())
@@ -324,7 +324,7 @@ def test_criterion_8_property_suites():
         sub = reidemeister_schreier(pres, table)
         index = table.coset_count
         orbits = sum(
-            (index + sum(1 for i in range(index) if table.target(i, k) == i)) // 2
+            (index + sum(1 for i in range(index) if table.trace(i, (k,)) == i)) // 2
             for k in range(1, pres.generator_count + 1)
         )
         expected = orbits - (index - 1)
@@ -355,7 +355,7 @@ def test_criterion_8_property_suites():
         return Permutation(tuple(images)), tuple(vec)
 
     def mul(*factors):
-        return eval_word(factors, range(1, len(factors) + 1))
+        return eval_words(factors, [range(1, len(factors) + 1)])[0]
 
     def u(n_, i, j):
         return window(Permutation.identity(n_), u_vector(n_, i, j))

@@ -134,10 +134,13 @@ def test_main_exit_codes(tmp_path, capsys):
     assert "undecided at bound" in out.out
 
 
-def test_main_dataset_flag(capsys):
-    assert main(["analyze", "--dataset", "t4", "--format", "json"]) == 0
+def test_main_builtin_name_as_source(capsys):
+    assert main(["analyze", "t4", "--format", "json"]) == 0
     data = json.loads(capsys.readouterr().out)
     assert data["source"] == "builtin:t4"
+    with pytest.raises(SystemExit) as info:
+        main(["analyze", "--dataset", "t4"])
+    assert info.value.code == 2
 
 
 def test_main_requires_source():

@@ -15,6 +15,7 @@ from galcov.complexes import (
     classify_vertex,
     parasitic_pairs,
     parse_complex,
+    plane_components,
     serialize_complex,
     validate,
 )
@@ -27,7 +28,7 @@ def test_parse_t4(t4):
     assert t4.plane_count == 4
     assert t4.edge_count == 6
     assert len(t4.vertices) == 4
-    assert t4.edge(1).planes == (1, 3)
+    assert t4.edges[0].id == 1 and t4.edges[0].planes == (1, 3)
     assert t4.overrides is None
 
 
@@ -139,6 +140,41 @@ def test_validate_disconnected_plane_graph(t4):
     )
 
 
+def brute_force_components(pairs):
+    """Grow each point's component by sweeps over all pairs until a sweep
+    adds nothing; the oracle for plane_components."""
+    components = set()
+    for p in {x for pair in pairs for x in pair}:
+        grown = {p}
+        while True:
+            more = {b for a, b in pairs if a in grown} | {a for a, b in pairs if b in grown}
+            if more <= grown:
+                break
+            grown |= more
+        components.add(tuple(sorted(grown)))
+    return sorted(map(list, components))
+
+
+def test_plane_components_match_a_brute_force_search():
+    rng = random.Random(21)
+    self_paired = repeated = 0
+    for _ in range(400):
+        points = rng.randint(1, 12)
+        pairs = [
+            (rng.randint(1, points), rng.randint(1, points)) for _ in range(rng.randint(0, 14))
+        ]
+        # isolated points, on a self-pair only, and repeated pairs
+        pairs += [(p, p) for p in rng.sample(range(20, 25), rng.randint(0, 2))]
+        pairs += rng.sample(pairs, min(len(pairs), rng.randint(0, 3)))
+        rng.shuffle(pairs)
+        assert plane_components(pairs) == brute_force_components(pairs), pairs
+        self_paired += any(a == b for a, b in pairs)
+        repeated += len(set(pairs)) < len(pairs)
+    assert self_paired > 100 and repeated > 100
+    assert plane_components([]) == []
+    assert plane_components(iter([(3, 1), (5, 5), (2, 1)])) == [[1, 2, 3], [5]]
+
+
 def test_classify_t4_vertices(t4):
     classes = {v.id: classify_vertex(t4, v) for v in t4.vertices}
     assert classes[1] == Inner3(edges=(1, 2, 4))
@@ -154,7 +190,7 @@ def test_classify_dt4_four_points(dt4):
     v3 = classes[3]
     assert isinstance(v3, Inner4)
     assert v3.cycle == (1, 6, 9, 8)
-    assert set(v3.diagonals) == {(1, 9), (6, 8)}
+    assert (v3.cycle[0], v3.cycle[2]) == (1, 9) and (v3.cycle[1], v3.cycle[3]) == (6, 8)
     assert classes[4].cycle == (2, 3, 8, 7)
     assert classes[5].cycle == (2, 4, 6, 5)
 
@@ -169,7 +205,7 @@ def test_classify_inner4_diagonals_share_no_plane(dt4):
         for i in range(4):
             a, b = by_id[ring[i]], by_id[ring[(i + 1) % 4]]
             assert len(a.plane_set() & b.plane_set()) == 1
-        for a, b in cls.diagonals:
+        for a, b in ((ring[0], ring[2]), (ring[1], ring[3])):
             assert not (by_id[a].plane_set() & by_id[b].plane_set())
 
 

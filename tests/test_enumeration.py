@@ -12,7 +12,12 @@ from galcov.enumeration import (
 )
 from galcov.kernel import kernel_coset_table, reidemeister_schreier
 from galcov.permutations import Permutation, plane_transposition_map
-from galcov.presentation import GroupPresentation, build_tilde_presentation, complement_path
+from galcov.presentation import (
+    GroupPresentation,
+    build_tilde_presentation,
+    complement_path,
+    format_word,
+)
 from galcov.tietze import simplify_presentation
 
 from .conftest import cycles, mulclose, prism_complex, relabel_complex, word_permutation
@@ -86,11 +91,11 @@ def test_cyclic_three():
     table = coset_enumeration(cyclic(3), (), 1000)
     assert group_order(table) == 3
     # a single 3-cycle on the cosets
-    images = [table.target(c, 1) for c in range(3)]
+    images = [table.trace(c, (1,)) for c in range(3)]
     assert sorted(images) == [0, 1, 2]
     assert all(img != c for c, img in enumerate(images))
     assert all(table.trace(c, (1, 1, 1)) == c for c in range(3))
-    assert all(table.target(images[c], -1) == c for c in range(3))
+    assert all(table.trace(images[c], (-1,)) == c for c in range(3))
 
 
 def test_s3_presentation():
@@ -103,7 +108,15 @@ def test_s3_presentation():
     assert group_order(table) == len(oracle) == 6
 
 
-@pytest.mark.parametrize("pres,model", ORACLE_CORPUS, ids=lambda x: str(x)[:24])
+def _oracle_id(x):
+    """A presentation as < a, b | a a, ... >, a model as its list."""
+    if isinstance(x, GroupPresentation):
+        relators = ", ".join(format_word(w, x.names) for w in x.relators)
+        x = f"< {', '.join(x.names)} | {relators} >"
+    return str(x)[:24]
+
+
+@pytest.mark.parametrize("pres,model", ORACLE_CORPUS, ids=_oracle_id)
 def test_todd_coxeter_matches_cayley_oracle(pres, model):
     if isinstance(pres, GroupPresentation):
         table = coset_enumeration(pres, (), 100_000)
@@ -122,7 +135,7 @@ def test_generator_squares_act_trivially(t4_presentation):
     for k in range(1, table.generator_count + 1):
         for c in range(table.coset_count):
             assert table.trace(c, (k, k)) == c
-            assert table.target(c, k) == table.target(c, -k)
+            assert table.trace(c, (k,)) == table.trace(c, (-k,))
 
 
 def test_dt4_projective_relator_traces_identity(dt4, dt4_presentation, dt4_table):

@@ -113,7 +113,7 @@ def orbit_count(pres, table):
     total = 0
     for k in range(1, pres.generator_count + 1):
         if k in pres.involutions():
-            fixed = sum(1 for c in range(index) if table.target(c, k) == c)
+            fixed = sum(1 for c in range(index) if table.trace(c, (k,)) == c)
             total += (index + fixed) // 2
         else:
             total += index
@@ -171,7 +171,7 @@ def plain_reidemeister_schreier(pres, table):
         grown = []
         for c in frontier:
             for x in letters:
-                d = table.target(c, x)
+                d = table.trace(c, (x,))
                 if d not in seen:
                     seen.add(d)
                     grown.append(d)
@@ -190,9 +190,9 @@ def plain_reidemeister_schreier(pres, table):
             for x in w:
                 if x > 0:
                     word.append(gen_id.get((d, x), 0))
-                    d = table.target(d, x)
+                    d = table.trace(d, (x,))
                 else:
-                    d = table.target(d, x)
+                    d = table.trace(d, (x,))
                     word.append(-gen_id.get((d, -x), 0))
             assert d == c
             relators.append([s for s in word if s])
@@ -319,7 +319,7 @@ def test_rewrite_matches_plain_oracle():
         for name in set(ref.names) - kept:
             c, k = map(int, name[1:].split("_"))
             assert k in pres.involutions()
-            partner = f"x{table.target(c, k)}_{k}"
+            partner = f"x{table.trace(c, (k,))}_{k}"
             word = [ref.id_of(name)] + ([ref.id_of(partner)] if partner in kept else [])
             assert trivial_in(ref_table, word)
 
