@@ -46,7 +46,6 @@ from .complexes import (
     parse_complex,
     validate,
 )
-from .coxeter import coxeter_route
 from .datasets import BUILTIN_SOURCES, builtin_names, load_builtin
 from .enumeration import EnumerationOverflow, coset_enumeration, group_order
 from .invariants import InvariantError, chern_signature, singularity_counts
@@ -71,7 +70,25 @@ from .presentation import (
     format_relation,
     projective_relator,
 )
-from .tietze import simplify_presentation
+
+
+# The Coxeter route and Tietze simplification run on only some routes, so
+# their modules are imported on the first call, not with this one.  Both
+# names stay module-level: a profiler may rebind them here.
+def coxeter_route(pres, proj, table, symmetric, bound):
+    """:func:`galcov.coxeter.coxeter_route`, importing its module on call."""
+    from .coxeter import coxeter_route as route
+
+    return route(pres, proj, table, symmetric, bound)
+
+
+def simplify_presentation(pres):
+    """:func:`galcov.tietze.simplify_presentation`, importing its module on
+    call."""
+    from .tietze import simplify_presentation as simplify
+
+    return simplify(pres)
+
 
 SCHEMA_VERSION = 2
 DEFAULT_MAX_COSETS = 1_000_000

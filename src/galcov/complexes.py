@@ -227,22 +227,6 @@ def parse_complex(text: str) -> DegenerationComplex:
     )
 
 
-def serialize_complex(c: DegenerationComplex) -> str:
-    """Inverse of :func:`parse_complex` on the data model."""
-    data = {
-        "name": c.name,
-        "planes": c.plane_count,
-        "edges": [{"id": e.id, "planes": list(e.planes)} for e in c.edges],
-        "vertices": [{"id": v.id, "edges": sorted(v.edges)} for v in c.vertices],
-    }
-    if c.overrides is not None:
-        ov = {"extra_relators": list(c.overrides.extra_relators)}
-        if c.overrides.projective_relator is not None:
-            ov["projective_relator"] = c.overrides.projective_relator
-        data["overrides"] = ov
-    return json.dumps(data, indent=2)
-
-
 def plane_components(pairs) -> list[list[int]]:
     """Connected components of the graph whose edges are ``pairs``: each a
     sorted list of the points it joins, in order of their least points.
@@ -250,8 +234,10 @@ def plane_components(pairs) -> list[list[int]]:
     root = {}
 
     def find(p):
+        # path halving: each step points p at its grandparent, so a long
+        # chain of unions stays near linear instead of quadratic
         while root.setdefault(p, p) != p:
-            p = root[p]
+            root[p] = p = root[root[p]]
         return p
 
     for a, b in pairs:

@@ -256,30 +256,3 @@ def group_order(table: CosetTable) -> int:
     if table.subgroup_words:
         raise ValueError("table was built over a non-trivial subgroup")
     return table.coset_count
-
-
-def verify_table(pres, table: CosetTable) -> None:
-    """Exhaustive closure check, independent of the enumeration strategy.
-
-    Every generator column must be a permutation of the cosets and every
-    relator must trace back to its starting coset from every coset.
-    """
-    n = table.coset_count
-    for k in range(1, table.generator_count + 1):
-        col = _column(k)
-        images = [row[col] for row in table.rows]
-        if sorted(images) != list(range(n)):
-            raise AssertionError(f"generator {k} does not act as a permutation")
-        for c, img in enumerate(images):
-            if table.rows[img][col ^ 1] != c:
-                raise AssertionError(f"inverse column of generator {k} inconsistent")
-    for w in pres.relators:
-        cols = [_column(x) for x in w]
-        for c in range(n):
-            d = c
-            for col in cols:
-                d = table.rows[d][col]
-            if d != c:
-                raise AssertionError(
-                    f"relator {w} does not trace to identity from coset {c}"
-                )

@@ -1,4 +1,5 @@
 import itertools
+import json
 import math
 import random
 
@@ -6,7 +7,7 @@ import pytest
 
 from galcov.complexes import DegenerationComplex, Edge, PresentationOverrides, Vertex
 from galcov.datasets import load_builtin
-from galcov.enumeration import coset_enumeration
+from galcov.enumeration import _column, coset_enumeration
 from galcov.permutations import Permutation, SymmetricAssignment, plane_transposition_map
 from galcov.presentation import (
     GroupPresentation,
@@ -87,6 +88,33 @@ def mulclose(gens):
                     new.append(prod)
         frontier = new
     return elements
+
+
+def verify_table(pres, table):
+    """Exhaustive closure check, independent of the enumeration strategy.
+
+    Every generator column must be a permutation of the cosets and every
+    relator must trace back to its starting coset from every coset.
+    """
+    n = table.coset_count
+    for k in range(1, table.generator_count + 1):
+        col = _column(k)
+        images = [row[col] for row in table.rows]
+        if sorted(images) != list(range(n)):
+            raise AssertionError(f"generator {k} does not act as a permutation")
+        for c, img in enumerate(images):
+            if table.rows[img][col ^ 1] != c:
+                raise AssertionError(f"inverse column of generator {k} inconsistent")
+    for w in pres.relators:
+        cols = [_column(x) for x in w]
+        for c in range(n):
+            d = c
+            for col in cols:
+                d = table.rows[d][col]
+            if d != c:
+                raise AssertionError(
+                    f"relator {w} does not trace to identity from coset {c}"
+                )
 
 
 def _det(matrix):
@@ -225,6 +253,22 @@ def coxeter_cover(m, k):
         m, tuple(Permutation.transposition(m, a, b) for a, b in planes)
     )
     return GroupPresentation.make(names, relators), proj, symmetric
+
+
+def serialize_complex(c):
+    """Inverse of :func:`galcov.complexes.parse_complex` on the data model."""
+    data = {
+        "name": c.name,
+        "planes": c.plane_count,
+        "edges": [{"id": e.id, "planes": list(e.planes)} for e in c.edges],
+        "vertices": [{"id": v.id, "edges": sorted(v.edges)} for v in c.vertices],
+    }
+    if c.overrides is not None:
+        ov = {"extra_relators": list(c.overrides.extra_relators)}
+        if c.overrides.projective_relator is not None:
+            ov["projective_relator"] = c.overrides.projective_relator
+        data["overrides"] = ov
+    return json.dumps(data, indent=2)
 
 
 def relabel_complex(c, rng):

@@ -7,7 +7,6 @@ import pytest
 
 import galcov.cli
 from galcov.cli import AnalysisError, analyze, emit_report, main
-from galcov.complexes import serialize_complex
 from galcov.datasets import load_builtin
 from galcov.enumeration import coset_enumeration, group_order
 from galcov.invariants import InvariantError, chern_signature, singularity_counts
@@ -19,7 +18,7 @@ from galcov.presentation import (
     parse_relation,
 )
 
-from .conftest import plane_cycle_complex, prism_complex, relabel_complex
+from .conftest import plane_cycle_complex, prism_complex, relabel_complex, serialize_complex
 
 
 def test_analyze_t4_report():

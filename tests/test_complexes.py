@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 
@@ -16,12 +17,11 @@ from galcov.complexes import (
     parasitic_pairs,
     parse_complex,
     plane_components,
-    serialize_complex,
     validate,
 )
 from galcov.datasets import DT4_JSON, T4_JSON
 
-from .conftest import random_valid_complex
+from .conftest import random_valid_complex, serialize_complex
 
 
 def test_parse_t4(t4):
@@ -173,6 +173,40 @@ def test_plane_components_match_a_brute_force_search():
     assert self_paired > 100 and repeated > 100
     assert plane_components([]) == []
     assert plane_components(iter([(3, 1), (5, 5), (2, 1)])) == [[1, 2, 3], [5]]
+
+
+def test_plane_components_of_shuffled_chains():
+    # deep union trees: each component is a chain of points in random
+    # order, its links oriented at random and given in order, reversed or
+    # shuffled
+    rng = random.Random(22)
+    for _ in range(300):
+        points = list(range(1, rng.randint(2, 80)))
+        rng.shuffle(points)
+        cuts = sorted(rng.sample(range(1, len(points)), min(rng.randint(0, 4), len(points) - 1)))
+        chains = [points[a:b] for a, b in zip([0, *cuts], [*cuts, len(points)])]
+        pairs = [
+            (x, y) if rng.random() < 0.5 else (y, x)
+            for chain in chains
+            for x, y in zip(chain, chain[1:] or chain)
+        ]
+        order = rng.randrange(3)
+        if order == 1:
+            pairs.reverse()
+        elif order == 2:
+            rng.shuffle(pairs)
+        assert plane_components(pairs) == sorted(sorted(chain) for chain in chains), pairs
+
+
+def test_plane_components_of_a_long_chain_is_near_linear():
+    # without path compression a chain of 20,000 planes given in order
+    # takes about 10 s (quadratic); with it, tens of milliseconds
+    n = 20_000
+    pairs = [(i, i + 1) for i in range(1, n)]
+    for given in (pairs, pairs[::-1]):
+        t0 = time.perf_counter()
+        assert plane_components(given) == [list(range(1, n + 1))]
+        assert time.perf_counter() - t0 < 2.0
 
 
 def test_classify_t4_vertices(t4):

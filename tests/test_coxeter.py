@@ -1,10 +1,12 @@
 import itertools
+import math
 import random
 
 import pytest
 
 import galcov.coxeter
 import galcov.presentation
+from galcov.cli import DEFAULT_MAX_COSETS, AnalysisReport, _enumeration_route
 from galcov.coxeter import (
     CoxeterError,
     CoxeterGraph,
@@ -605,3 +607,36 @@ def test_coxeter_cover_routes_agree(m, k, cosets_defined):
     assert regular.order == lattice.order == route.quotient.order == k ** (m - 1)
     assert regular.factors == lattice.factors == (k,) * (m - 1)
     assert regular.describe() == lattice.describe()
+
+
+def test_coxeter_cover_6_4_is_decided_by_the_coxeter_route_alone():
+    # K = Z4^5: the table over the S_6 complement has 1,024 rows, so the
+    # regular action needs 1,024^2 lookups, above the default bound, and is
+    # undecided; the lattice quotient decides
+    pres, proj, symmetric = coxeter_cover(6, 4)
+    full = GroupPresentation.make(pres.names, pres.relators + (proj,))
+    path = complement_path(full, symmetric, DEFAULT_MAX_COSETS)
+    stats = {}
+    table = coset_enumeration(full, [(g,) for g in path], DEFAULT_MAX_COSETS, stats)
+    assert table.coset_count == 1024
+    assert stats["cosets_defined"] == 5586
+    report = AnalysisReport(
+        source="coxeter_cover(6, 4)", name="", complex_summary={}, counts={}, chern={},
+        routes_requested="enumerate", symmetric_image_order=math.factorial(6),
+    )
+    tilde = table.coset_count * math.factorial(6)
+    verdict = _enumeration_route(
+        report, full, table, path, tilde, symmetric, DEFAULT_MAX_COSETS,
+        lambda stage, fn, *args: fn(*args),
+    )
+    assert verdict is None
+    assert report.pi1["kind"] == "Undetermined"
+    assert report.warnings == [
+        "undecided at bound: the regular action of K, of order 1024, "
+        "needs 1048576 table lookups"
+    ]
+    route = coxeter_route(pres, proj, table, symmetric, DEFAULT_MAX_COSETS)
+    assert route.supported
+    lattice = route.verdict()
+    assert lattice.order == route.quotient.order == 1024
+    assert lattice.factors == (4,) * 5

@@ -4,12 +4,7 @@ import random
 import pytest
 
 from galcov.datasets import load_builtin
-from galcov.enumeration import (
-    EnumerationOverflow,
-    coset_enumeration,
-    group_order,
-    verify_table,
-)
+from galcov.enumeration import EnumerationOverflow, coset_enumeration, group_order
 from galcov.kernel import kernel_coset_table, reidemeister_schreier
 from galcov.permutations import Permutation, plane_transposition_map
 from galcov.presentation import (
@@ -20,7 +15,14 @@ from galcov.presentation import (
 )
 from galcov.tietze import simplify_presentation
 
-from .conftest import cycles, mulclose, prism_complex, relabel_complex, word_permutation
+from .conftest import (
+    cycles,
+    mulclose,
+    prism_complex,
+    relabel_complex,
+    verify_table,
+    word_permutation,
+)
 
 
 def cyclic(n):
