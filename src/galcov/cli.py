@@ -28,6 +28,7 @@ or no requested route could decide), 2 input errors.
 from __future__ import annotations
 
 import argparse
+import importlib
 import json
 import math
 import sys
@@ -278,13 +279,7 @@ def analyze(
             "inner4": inner4,
             "valid": True,
         },
-        counts={
-            "n": counts.n,
-            "m": counts.m,
-            "mu": counts.mu,
-            "d": counts.d,
-            "rho": counts.rho,
-        },
+        counts=counts._asdict(),
         chern={
             "c1sq": _json_value(chern.c1sq),
             "c2": _json_value(chern.c2),
@@ -304,6 +299,15 @@ def analyze(
     report.symmetric_image_order = timed(
         "image_order", permutation_group_order, assignment.images
     )
+    # compile the on-demand modules this run calls in a stage of their own,
+    # before the timers of the stages that call them start; Tietze
+    # simplification runs only when the n!-row kernel table is in bounds
+    modules = ["coxeter"] if route != "enumerate" else []
+    if route == "both" and report.symmetric_image_order <= max_cosets:
+        modules.append("tietze")
+    if modules:
+        timed("import", lambda: [importlib.import_module(f".{m}", __package__) for m in modules])
+
     # both routes read G~ as an extension of S_n by K: the plane
     # transpositions must satisfy every relator
     hom = timed("homomorphism", verify_homomorphism, pres, assignment)

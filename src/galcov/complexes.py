@@ -15,7 +15,7 @@ from __future__ import annotations
 import itertools
 import json
 from collections import Counter
-from dataclasses import dataclass
+from typing import NamedTuple
 
 
 class ComplexError(Exception):
@@ -40,8 +40,7 @@ class ClassificationError(ComplexError):
     """Vertex whose incidence structure is not an inner 3- or 4-point."""
 
 
-@dataclass(frozen=True)
-class Edge:
+class Edge(NamedTuple):
     """Intersection line of two planes."""
 
     id: int
@@ -51,16 +50,14 @@ class Edge:
         return frozenset(self.planes)
 
 
-@dataclass(frozen=True)
-class Vertex:
+class Vertex(NamedTuple):
     """Point of the degeneration where several edges meet."""
 
     id: int
     edges: frozenset[int]
 
 
-@dataclass(frozen=True)
-class PresentationOverrides:
+class PresentationOverrides(NamedTuple):
     """Extra relation-grammar lines attached to a dataset.
 
     Inner 4-points contribute relations that cannot be derived from the
@@ -72,8 +69,7 @@ class PresentationOverrides:
     projective_relator: str | None = None
 
 
-@dataclass(frozen=True)
-class DegenerationComplex:
+class DegenerationComplex(NamedTuple):
     """A degenerated surface: planes, intersection edges, and vertices."""
 
     name: str
@@ -87,15 +83,13 @@ class DegenerationComplex:
         return len(self.edges)
 
 
-@dataclass(frozen=True)
-class Inner3:
+class Inner3(NamedTuple):
     """Inner 3-point: three planes meeting pairwise in the three edges."""
 
     edges: tuple[int, int, int]
 
 
-@dataclass(frozen=True)
-class Inner4:
+class Inner4(NamedTuple):
     """Inner 4-point: four edges in cyclic order around the point.
 
     Consecutive edges of ``cycle`` share a plane; diagonally opposite
@@ -108,8 +102,7 @@ class Inner4:
 VertexClass = Inner3 | Inner4
 
 
-@dataclass(frozen=True)
-class ValidationReport:
+class ValidationReport(NamedTuple):
     """Result of :func:`validate`: violations are data, not exceptions."""
 
     violations: tuple[str, ...]

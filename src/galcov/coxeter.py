@@ -36,7 +36,7 @@ each relation checked on a coset table of the group first (see
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .kernel import StructureVerdict, identify_structure, smith_normal_form
 from .permutations import _evaluate
@@ -92,8 +92,7 @@ def eval_words(images, words) -> list[tuple[int, ...]]:
 # graphs and the standard assignment
 
 
-@dataclass(frozen=True)
-class CoxeterGraph:
+class CoxeterGraph(NamedTuple):
     """The m-cycle that ``recognize_cycle`` reads off a presentation: edge
     k is (k, k+1) for k < m and edge m is (1, m); the first m-1 edges
     form the tree, and the last one is the non-tree edge."""
@@ -136,8 +135,7 @@ def u_basis_coords(vec) -> tuple[int, ...]:
     return tuple(coords)
 
 
-@dataclass(frozen=True)
-class LatticeQuotient:
+class LatticeQuotient(NamedTuple):
     """Invariant factors of Z^{n-1} modulo the orbit lattice."""
 
     invariants: tuple[int, ...]
@@ -188,8 +186,7 @@ def lattice_quotient(vec) -> LatticeQuotient:
 # the full route: reduce, recognize the cycle, evaluate, quotient
 
 
-@dataclass(frozen=True)
-class CoxeterRoute:
+class CoxeterRoute(NamedTuple):
     """Everything the Coxeter-quotient route produced, or why it could not run."""
 
     supported: bool

@@ -31,7 +31,7 @@ cosets, which keeps a closed trace closed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 
 class EnumerationOverflow(RuntimeError):
@@ -49,8 +49,7 @@ def _column(letter: int) -> int:
     return 2 * letter - 2 if letter > 0 else -2 * letter - 1
 
 
-@dataclass(frozen=True)
-class CosetTable:
+class CosetTable(NamedTuple):
     """Closed coset table: rows[c][col] is the target coset, 0-based.
 
     Column ``2k-2`` is the action of generator k, column ``2k-1`` of its

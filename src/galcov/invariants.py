@@ -25,8 +25,8 @@ computed in exact integer/rational arithmetic (no floating point).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .complexes import DegenerationComplex, Inner3, Inner4, classify_vertex, parasitic_pairs
 
@@ -41,20 +41,15 @@ class InvariantError(Exception):
     pass
 
 
-@dataclass(frozen=True)
-class InvariantCounts:
+class InvariantCounts(NamedTuple):
     n: int    # degree of the projection
     m: int    # degree of the branch curve
     mu: int   # branch points
     d: int    # nodes
     rho: int  # cusps
 
-    def as_tuple(self):
-        return (self.n, self.m, self.mu, self.d, self.rho)
 
-
-@dataclass(frozen=True)
-class ChernSignature:
+class ChernSignature(NamedTuple):
     c1sq: int | Fraction
     c2: int | Fraction
     chi: int | Fraction
@@ -91,7 +86,7 @@ def chern_numbers(k: InvariantCounts):
         raise InvariantError(
             f"degree {k.n} exceeds the supported bound {_MAX_DEGREE} (factorial guard)"
         )
-    if min(k.as_tuple()) < 0:
+    if min(k) < 0:
         raise InvariantError("counts must be nonnegative")
     nfact = math.factorial(k.n)
     c1sq = Fraction(nfact, 4) * (k.m - 6) ** 2

@@ -17,8 +17,8 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from operator import itemgetter
+from typing import NamedTuple
 
 from .enumeration import CosetTable, _internal_columns
 from .permutations import (
@@ -324,8 +324,7 @@ def abelianization(pres: GroupPresentation, mode: str = "integers"):
 # structure verdicts
 
 
-@dataclass(frozen=True)
-class StructureVerdict:
+class StructureVerdict(NamedTuple):
     """What the kernel is, as far as the collected evidence decides it.
 
     kind is one of 'Trivial', 'ElementaryAbelian2',

@@ -8,30 +8,40 @@ builds the image tuple of each signed generator once
 (:attr:`SymmetricAssignment.letters`), and every word evaluation in S_n
 reads them: one ``itemgetter`` lookup per letter.
 
-Composition convention, fixed once and used everywhere: (p * q)(x) =
-q(p(x)), i.e. the left factor acts first.
+Composition convention, fixed once and used everywhere: the image of a
+word pq sends x to q(p(x)), i.e. the left factor acts first.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from functools import cached_property
 from operator import itemgetter
+from typing import NamedTuple
 
 from .complexes import plane_components
 
 
-@dataclass(frozen=True)
 class Permutation:
     """Bijection of {1..n}; images[i-1] is the image of i."""
 
-    images: tuple[int, ...]
+    __slots__ = ("images",)
 
-    def __post_init__(self):
-        n = len(self.images)
-        if sorted(self.images) != list(range(1, n + 1)):
-            raise ValueError(f"not a permutation of 1..{n}: {self.images}")
+    def __init__(self, images: tuple[int, ...]):
+        n = len(images)
+        if sorted(images) != list(range(1, n + 1)):
+            raise ValueError(f"not a permutation of 1..{n}: {images}")
+        self.images = images
+
+    def __eq__(self, other):
+        if not isinstance(other, Permutation):
+            return NotImplemented
+        return self.images == other.images
+
+    def __hash__(self):
+        return hash(self.images)
+
+    def __repr__(self):
+        return f"Permutation(images={self.images!r})"
 
     @staticmethod
     def identity(n: int) -> "Permutation":
@@ -52,43 +62,33 @@ class Permutation:
     def __call__(self, x: int) -> int:
         return self.images[x - 1]
 
-    def __mul__(self, other: "Permutation") -> "Permutation":
-        if self.degree != other.degree:
-            raise ValueError("degree mismatch")
-        return Permutation(tuple(other.images[x - 1] for x in self.images))
-
-    def inverse(self) -> "Permutation":
-        images = [0] * self.degree
-        for i, x in enumerate(self.images):
-            images[x - 1] = i + 1
-        return Permutation(tuple(images))
-
     def is_identity(self) -> bool:
         return all(x == i + 1 for i, x in enumerate(self.images))
 
 
-@dataclass(frozen=True)
 class SymmetricAssignment:
-    """Images of the presentation generators in a symmetric group."""
+    """Images of the presentation generators in a symmetric group.
 
-    degree: int
-    images: tuple[Permutation, ...]  # images[k-1] for generator k
+    ``letters`` holds the image tuple s of each signed generator +-k: s[x]
+    is the image of x, and the pad s[0] = 0 lets :func:`_evaluate` run on
+    tuples.
+    """
 
-    def image(self, generator: int) -> Permutation:
-        return self.images[generator - 1]
+    __slots__ = ("degree", "images", "letters")
 
-    @cached_property
-    def letters(self) -> dict[int, tuple[int, ...]]:
-        """Image tuple s of each signed generator +-k: s[x] is the image of
-        x, and the pad s[0] = 0 lets :func:`_evaluate` run on tuples."""
-        letters = {}
-        for k, g in enumerate(self.images, 1):
+    def __init__(self, degree: int, images: tuple[Permutation, ...]):
+        self.degree = degree
+        self.images = images  # images[k-1] for generator k
+        self.letters: dict[int, tuple[int, ...]] = {}
+        for k, g in enumerate(images, 1):
             s = (0,) + g.images
             inverse = [0] * len(s)
             for x, y in enumerate(s):
                 inverse[y] = x
-            letters[k], letters[-k] = s, tuple(inverse)
-        return letters
+            self.letters[k], self.letters[-k] = s, tuple(inverse)
+
+    def image(self, generator: int) -> Permutation:
+        return self.images[generator - 1]
 
 
 def plane_transposition_map(c) -> SymmetricAssignment:
@@ -115,8 +115,7 @@ def word_image(a: SymmetricAssignment, word) -> Permutation:
     return Permutation(_evaluate(a.letters, word, a.degree)[1:])
 
 
-@dataclass(frozen=True)
-class HomomorphismReport:
+class HomomorphismReport(NamedTuple):
     holds: bool
     failures: tuple[int, ...]  # indices into the relator list
 

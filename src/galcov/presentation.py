@@ -28,8 +28,8 @@ and omitted.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from operator import neg
+from typing import NamedTuple
 
 from .complexes import (
     DegenerationComplex,
@@ -203,8 +203,7 @@ def _dedupe(words):
 # presentations
 
 
-@dataclass(frozen=True)
-class GroupPresentation:
+class GroupPresentation(NamedTuple):
     """Generator names plus free-reduced relator words.
 
     Construct through :meth:`make`, which normalizes: free reduction,

@@ -341,6 +341,20 @@ def random_valid_complex(rng):
     return relabel_complex(base, rng)
 
 
+def compose(p, q):
+    """The product pq, its left factor acting first: x -> q(p(x))."""
+    if p.degree != q.degree:
+        raise ValueError("degree mismatch")
+    return Permutation(tuple(q.images[x - 1] for x in p.images))
+
+
+def invert(p):
+    images = [0] * p.degree
+    for i, x in enumerate(p.images, 1):
+        images[x - 1] = i
+    return Permutation(tuple(images))
+
+
 def random_permutation(rng, n):
     images = list(range(1, n + 1))
     rng.shuffle(images)
@@ -361,7 +375,7 @@ def word_permutation(model, word):
     acc = Permutation.identity(model[0].degree)
     for x in word:
         g = model[abs(x) - 1]
-        acc = acc * (g if x > 0 else g.inverse())
+        acc = compose(acc, g if x > 0 else invert(g))
     return acc
 
 
@@ -398,12 +412,12 @@ def _moved(perm, vec):
 def sd_product(a, b):
     """(sigma_a, v_a)(sigma_b, v_b) = (sigma_a sigma_b, v_a.sigma_b + v_b)."""
     (sa, va), (sb, vb) = a, b
-    return sa * sb, tuple(x + y for x, y in zip(_moved(sb, va), vb))
+    return compose(sa, sb), tuple(x + y for x, y in zip(_moved(sb, va), vb))
 
 
 def sd_inverse(a):
     sigma, vec = a
-    inverse = sigma.inverse()
+    inverse = invert(sigma)
     return inverse, tuple(-x for x in _moved(inverse, vec))
 
 

@@ -38,6 +38,7 @@ from galcov.tietze import simplify_presentation
 from .conftest import (
     DT4_PAPER_PLAN,
     decode_window,
+    invert,
     mulclose,
     random_valid_complex,
     sd_inverse,
@@ -90,11 +91,11 @@ def test_criterion_2_tetrahedron_invariants():
     counts = singularity_counts(t4)
     c1sq, c2 = chern_numbers(counts)
     chi = signature(c1sq, c2)
-    ok = counts.as_tuple() == (4, 12, 16, 12, 24) and (c1sq, c2, chi) == (216, 144, -24)
+    ok = counts == (4, 12, 16, 12, 24) and (c1sq, c2, chi) == (216, 144, -24)
     report(
         2,
         ok,
-        f"counts={counts.as_tuple()}, c1^2={c1sq}, c2={c2}, chi={chi}",
+        f"counts={tuple(counts)}, c1^2={c1sq}, c2={c2}, chi={chi}",
     )
 
 
@@ -177,11 +178,11 @@ def test_criterion_5_double_tetrahedron_invariants():
     counts = singularity_counts(dt4)
     c1sq, c2 = chern_numbers(counts)
     chi = signature(c1sq, c2)
-    ok = counts.as_tuple() == (6, 18, 20, 60, 48) and (c1sq, c2, chi) == (25920, 12960, 0)
+    ok = counts == (6, 18, 20, 60, 48) and (c1sq, c2, chi) == (25920, 12960, 0)
     report(
         5,
         ok,
-        f"counts={counts.as_tuple()}, c1^2={c1sq}, c2={c2}, chi={chi}",
+        f"counts={tuple(counts)}, c1^2={c1sq}, c2={c2}, chi={chi}",
     )
 
 
@@ -373,7 +374,7 @@ def test_criterion_8_property_suites():
         i, j = rng.sample(range(1, n + 1), 2)
         sigma = xp[0]
         s = window(sigma, (0,) * n)
-        s_inv = window(sigma.inverse(), (0,) * n)
+        s_inv = window(invert(sigma), (0,) * n)
         if mul(s_inv, u(n, i, j), s) != u(n, sigma(i), sigma(j)):
             failures.append("sd conjugation failure")
             break

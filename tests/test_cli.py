@@ -1,4 +1,3 @@
-import dataclasses
 import itertools
 import json
 import random
@@ -296,7 +295,7 @@ def test_degree_over_the_factorial_guard_is_chern_error(monkeypatch, capsys):
         chern_signature(singularity_counts(plane_cycle_complex()))
     counts = galcov.cli.singularity_counts
     monkeypatch.setattr(
-        galcov.cli, "singularity_counts", lambda c: dataclasses.replace(counts(c), n=12)
+        galcov.cli, "singularity_counts", lambda c: counts(c)._replace(n=12)
     )
     assert main(["analyze", "t4"]) == 2
     err = capsys.readouterr().err

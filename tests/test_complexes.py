@@ -82,6 +82,17 @@ def test_roundtrip_identity(source):
     assert again == c
 
 
+def test_records_are_immutable_tuples(t4):
+    edge = t4.edges[0]
+    assert repr(edge) == "Edge(id=1, planes=(1, 3))"
+    assert edge == Edge(id=1, planes=(1, 3)) == (1, (1, 3))
+    assert hash(edge) == hash((1, (1, 3)))
+    with pytest.raises(AttributeError):
+        edge.id = 2
+    with pytest.raises(AttributeError):
+        t4.extra = None
+
+
 def test_validate_builtin(t4, dt4):
     for c in (t4, dt4):
         report = validate(c)

@@ -34,6 +34,7 @@ from galcov.presentation import (
 
 from .conftest import (
     DT4_PAPER_PLAN,
+    compose,
     coxeter_cover,
     decode_window,
     mulclose,
@@ -582,7 +583,7 @@ def test_derived_relations_hold_on_the_faithful_pair(seed):
     for g, w in plan.items():
         product = pair[w[0]]
         for x in w[1:]:
-            product = product * pair[x]
+            product = compose(product, pair[x])
         assert product == pair[g]
 
 

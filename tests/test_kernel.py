@@ -32,7 +32,7 @@ from galcov.presentation import (
 )
 from galcov.tietze import simplify_presentation
 
-from .conftest import mulclose, relabel_complex, snf_oracle
+from .conftest import compose, invert, mulclose, relabel_complex, snf_oracle
 
 
 # ---------------------------------------------------------------------------
@@ -55,7 +55,7 @@ def product_table_rows(pres, a):
     index = {sigma: i for i, sigma in enumerate(elements)}
     gens = a.images[: pres.generator_count]
     return tuple(
-        tuple(index[sigma * h] for g in gens for h in (g, g.inverse()))
+        tuple(index[compose(sigma, h)] for g in gens for h in (g, invert(g)))
         for sigma in elements
     )
 
@@ -530,7 +530,7 @@ def _brute_force(model):
         return tuple(q[x - 1] for x in p)
 
     def inv(p):
-        return Permutation(p).inverse().images
+        return invert(Permutation(p)).images
 
     def order(p):
         k, q = 1, p
@@ -641,12 +641,14 @@ def _kernel_words(table, a, path):
     that element: h w, with w a shortest word from coset 0 to c and h a
     shortest word over ``path``, whose involutions fix coset 0, with the
     inverse image."""
-    over_h = _breadth_first(Permutation.identity(a.degree), path, lambda p, g: p * a.image(g))
+    over_h = _breadth_first(
+        Permutation.identity(a.degree), path, lambda p, g: compose(p, a.image(g))
+    )
     letters = [x for g in range(1, table.generator_count + 1) for x in (g, -g)]
     to = _breadth_first(0, letters, lambda c, x: table.trace(c, (x,)))
     words = {}
     for c, w in to.items():
-        h = over_h.get(word_image(a, w).inverse())
+        h = over_h.get(invert(word_image(a, w)))
         if h is not None:
             words[c] = h + w
     return words

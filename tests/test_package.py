@@ -24,8 +24,9 @@ import galcov
 steps["import galcov"] = sorted(m for m in sys.modules if m.startswith("galcov."))
 import galcov.cli
 steps["import galcov.cli"] = loaded()
-galcov.cli.analyze("dt4", route=sys.argv[1])
+report = galcov.cli.analyze("dt4", route=sys.argv[1])
 steps["analyze"] = loaded()
+steps["timings"] = sorted(report.timings)
 print(json.dumps(steps))
 """
 
@@ -52,6 +53,31 @@ def test_a_route_loads_only_the_modules_it_runs(route, modules):
     assert steps["import galcov"] == []
     assert steps["import galcov.cli"] == []
     assert steps["analyze"] == modules
+    # the modules compile in a stage of their own, outside the route's timers
+    assert ("import" in steps["timings"]) == bool(modules)
+
+
+# Every dataclass that a galcov module defines, after ``import galcov.cli``.
+DATACLASSES = """
+import dataclasses, sys
+import galcov.cli
+print(sorted(
+    f"{name}.{attr}"
+    for name, module in list(sys.modules.items()) if name.startswith("galcov")
+    for attr, value in vars(module).items()
+    if isinstance(value, type) and dataclasses.is_dataclass(value)
+    and value.__module__ == name
+))
+"""
+
+
+def test_the_only_dataclass_is_the_analysis_report():
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    proc = subprocess.run(
+        [sys.executable, "-c", DATACLASSES],
+        capture_output=True, text=True, env=env, timeout=120, check=True,
+    )
+    assert proc.stdout.strip() == "['galcov.cli.AnalysisReport']"
 
 
 def test_every_export_is_its_modules_object():

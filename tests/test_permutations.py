@@ -13,12 +13,36 @@ from galcov.permutations import (
 )
 from galcov.presentation import GroupPresentation
 
-from .conftest import cycles, mulclose, random_permutation, word_permutation
+from .conftest import (
+    compose,
+    cycles,
+    invert,
+    mulclose,
+    random_permutation,
+    word_permutation,
+)
 
 
 def test_not_a_permutation_rejected():
     with pytest.raises(ValueError):
         Permutation((1, 1, 3))
+
+
+def test_equal_permutations_hash_equal():
+    rng = random.Random(17)
+    for _ in range(50):
+        p = random_permutation(rng, 5)
+        q = Permutation(tuple(p.images))
+        assert p == q and hash(p) == hash(q) and len({p, q}) == 1
+        assert repr(p) == f"Permutation(images={p.images!r})"
+    assert Permutation.identity(3) != Permutation.transposition(3, 1, 2)
+    assert Permutation.identity(3) != (1, 2, 3)
+
+
+def test_assignment_letters_are_built_once(t4):
+    a = plane_transposition_map(t4)
+    assert a.letters is a.letters
+    assert a.letters[1] == (0,) + a.image(1).images
 
 
 def test_composition_convention_left_factor_first():
@@ -27,15 +51,15 @@ def test_composition_convention_left_factor_first():
         n = rng.randint(2, 8)
         p, q = random_permutation(rng, n), random_permutation(rng, n)
         x = rng.randint(1, n)
-        assert (p * q)(x) == q(p(x))
+        assert compose(p, q)(x) == q(p(x))
 
 
 def test_inverse_and_identity():
     rng = random.Random(13)
     for _ in range(50):
         p = random_permutation(rng, 6)
-        assert (p * p.inverse()).is_identity()
-        assert (p.inverse() * p).is_identity()
+        assert compose(p, invert(p)).is_identity()
+        assert compose(invert(p), p).is_identity()
 
 
 def test_plane_transposition_map_t4(t4):
@@ -44,7 +68,7 @@ def test_plane_transposition_map_t4(t4):
     assert a.image(1) == Permutation.transposition(4, 1, 3)
     assert a.image(2) == Permutation.transposition(4, 1, 2)
     for k in range(1, 7):
-        assert (a.image(k) * a.image(k)).is_identity()
+        assert compose(a.image(k), a.image(k)).is_identity()
 
 
 def test_plane_transposition_map_dt4(dt4):
