@@ -297,7 +297,7 @@ def analyze(
     assignment = plane_transposition_map(complex_)
     report.symmetric_degree = assignment.degree
     report.symmetric_image_order = timed(
-        "image_order", permutation_group_order, assignment.images
+        "image_order", permutation_group_order, assignment.moved
     )
     # compile the on-demand modules this run calls in a stage of their own,
     # before the timers of the stages that call them start; Tietze
@@ -318,9 +318,9 @@ def analyze(
 
     # one table of G~ for every route; the Coxeter route declines at once
     # without a projective relator, so alone it needs no table then
-    path, table, tilde = (), None, None
+    path, planes, table, tilde = (), (), None, None
     if route != "coxeter" or proj is not None:
-        path = timed("complement", complement_path, pres, assignment, max_cosets)
+        path, planes = timed("complement", complement_path, pres, assignment, max_cosets)
         try:
             table = timed("enumerate", coset_enumeration, pres, [(g,) for g in path], max_cosets)
         except EnumerationOverflow:
@@ -334,7 +334,7 @@ def analyze(
     enum_verdict = None
     if route != "coxeter" and table is not None:
         enum_verdict = _enumeration_route(
-            report, pres, table, path, tilde, assignment, max_cosets, timed
+            report, pres, table, path, planes, tilde, assignment, max_cosets, timed
         )
     if route == "both":
         enum_verdict = _presentation_route(
@@ -371,7 +371,7 @@ def _undecided_at_bound(report, max_cosets, what):
     report.pi1 = {"kind": "Undetermined", "note": f"undecided at bound {max_cosets}"}
 
 
-def _enumeration_route(report, pres, table, path, tilde, assignment, max_cosets, timed):
+def _enumeration_route(report, pres, table, path, planes, tilde, assignment, max_cosets, timed):
     """Regular-action route: |K| = [G~:H]|H|/n! from the table over H, and
     the verdict from K's regular action on it.  Returns the verdict, or
     None when the bound on its |K|^2 table lookups stops it."""
@@ -385,7 +385,7 @@ def _enumeration_route(report, pres, table, path, tilde, assignment, max_cosets,
         )
         return None
     try:
-        verdict = timed("regular_kernel", regular_kernel, table, assignment, path)
+        verdict = timed("regular_kernel", regular_kernel, table, assignment, path, planes)
     except KernelError as exc:
         raise AnalysisError("kernel", str(exc)) from exc
     report.kernel_order = verdict.order

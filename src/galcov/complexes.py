@@ -46,9 +46,6 @@ class Edge(NamedTuple):
     id: int
     planes: tuple[int, int]
 
-    def plane_set(self):
-        return frozenset(self.planes)
-
 
 class Vertex(NamedTuple):
     """Point of the degeneration where several edges meet."""
@@ -280,11 +277,11 @@ def validate(c: DegenerationComplex) -> ValidationReport:
         for x in sorted(v.edges):
             if x not in by_id:
                 continue
-            key = by_id[x].plane_set()
-            if key in pairs and len(key) == 2:
+            key = tuple(sorted(by_id[x].planes))
+            if key in pairs and key[0] != key[1]:
                 i = pairs[key]
                 violations.append(
-                    f"edges {i} and {x} repeat plane pair {tuple(sorted(key))} at vertex {v.id}"
+                    f"edges {i} and {x} repeat plane pair {key} at vertex {v.id}"
                 )
             else:
                 pairs[key] = x
@@ -292,9 +289,9 @@ def validate(c: DegenerationComplex) -> ValidationReport:
         # edges pairwise share a plane, and span three planes
         if k == 3 and not missing:
             for a, b in itertools.combinations(sorted(v.edges), 2):
-                if not by_id[a].plane_set() & by_id[b].plane_set():
+                if set(by_id[a].planes).isdisjoint(by_id[b].planes):
                     violations.append(f"vertex {v.id}: edges {a} and {b} share no plane")
-            span = set().union(*(by_id[x].plane_set() for x in v.edges))
+            span = set().union(*(by_id[x].planes for x in v.edges))
             if len(span) != 3:
                 violations.append(f"vertex {v.id}: its three edges span {len(span)} planes")
 
@@ -303,7 +300,7 @@ def validate(c: DegenerationComplex) -> ValidationReport:
     together = set(adjacent_pairs(c))
     in_plane = {}
     for e in c.edges:
-        for p in e.plane_set():
+        for p in set(e.planes):
             in_plane.setdefault(p, []).append(e.id)
     for p in sorted(in_plane):
         for a, b in itertools.combinations(sorted(in_plane[p]), 2):
@@ -367,11 +364,8 @@ def classify_vertex(c: DegenerationComplex, v: Vertex) -> VertexClass:
     if k == 3:
         return Inner3(edges=(ids[0], ids[1], ids[2]))
 
-    by_id = {e.id: e for e in c.edges}
-    shares = {
-        x: [y for y in ids if y != x and by_id[x].plane_set() & by_id[y].plane_set()]
-        for x in ids
-    }
+    planes = {e.id: set(e.planes) for e in c.edges if e.id in v.edges}
+    shares = {x: [y for y in ids if y != x and planes[x] & planes[y]] for x in ids}
     if any(len(nbrs) != 2 for nbrs in shares.values()):
         raise ClassificationError(
             f"vertex {v.id}: plane-sharing relation of its edges is not a 4-cycle"
@@ -387,7 +381,7 @@ def classify_vertex(c: DegenerationComplex, v: Vertex) -> VertexClass:
         )
     # diagonals must be plane-disjoint for an inner 4-point
     for a, b in ((cycle[0], cycle[2]), (cycle[1], cycle[3])):
-        if by_id[a].plane_set() & by_id[b].plane_set():
+        if planes[a] & planes[b]:
             raise ClassificationError(
                 f"vertex {v.id}: diagonal edges {a},{b} share a plane"
             )

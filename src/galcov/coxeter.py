@@ -232,15 +232,14 @@ def derive_plan(pres, table, symmetric, bound) -> dict[int, Word]:
     if table is None:
         raise CoxeterError("no coset table is available to verify the plan relations")
     gens = range(1, pres.generator_count + 1)
-    all_planes = range(1, symmetric.degree + 1)
-    moved = {g: [p for p in all_planes if symmetric.image(g)(p) != p] for g in gens}
+    moved = symmetric.moved
     for path, planes in hamiltonian_paths(pres, symmetric, (1,), bound):
         at = {p: k for k, p in enumerate(planes)}
         for last in gens:
-            if last not in path and moved[last] == [1, planes[-1]]:
+            if last not in path and moved[last - 1] == (1, planes[-1]):
                 cycle = path + (last,)
                 plan = {
-                    g: _chord_word(g, cycle, sorted(map(at.get, moved[g])), table, symmetric)
+                    g: _chord_word(g, cycle, sorted(map(at.get, moved[g - 1])), table, symmetric)
                     for g in gens
                     if g not in cycle
                 }

@@ -48,8 +48,7 @@ def kernel_coset_table(pres: GroupPresentation, a: SymmetricAssignment) -> Coset
             f"assignment is not a homomorphism; failing relators {report.failures}"
         )
     n = a.degree
-    gens = a.images[: pres.generator_count]
-    image_order = permutation_group_order(gens)
+    image_order = permutation_group_order(a.moved[: pres.generator_count])
     full = math.factorial(n)
     if image_order != full:
         raise KernelError(
@@ -439,15 +438,18 @@ def identify_structure(order, mod2_corank=None, invariant_factors=None) -> Struc
 # the kernel from its regular action
 
 
-def regular_kernel(table: CosetTable, a: SymmetricAssignment, path=()) -> StructureVerdict:
+def regular_kernel(
+    table: CosetTable, a: SymmetricAssignment, path=(), planes=()
+) -> StructureVerdict:
     """The kernel K of ``a`` from its regular action on a coset table.
 
     ``table`` is a closed coset table of G over H: the S_n complement
     that :func:`~galcov.presentation.complement_path` found along
-    ``path``, or the trivial subgroup when ``path`` is empty.  H meets K
-    trivially, so K acts regularly on the orbit of coset 0: every coset
-    over the complement, and over the trivial subgroup the cosets whose
-    breadth-first representative words map to the identity.
+    ``path`` through ``planes``, or the trivial subgroup when ``path`` is
+    empty.  H meets K trivially, so K acts regularly on the orbit of
+    coset 0: every coset over the complement, and over the trivial
+    subgroup the cosets whose breadth-first representative words map to
+    the identity.
 
     The kernel element of coset c is u_c w_c: w_c is the representative
     word of c, and u_c the bubble-sort word along the path whose image is
@@ -489,7 +491,8 @@ def regular_kernel(table: CosetTable, a: SymmetricAssignment, path=()) -> Struct
         return w[::-1]
 
     if path:
-        planes = _path_planes(path, a)
+        if len(planes) != len(path) + 1:
+            raise ValueError(f"a path of {len(path)} generators walks {len(path) + 1} planes")
         pos = {p: i for i, p in enumerate(planes)}
         cosets = range(len(rows))
     else:
@@ -524,16 +527,6 @@ def regular_kernel(table: CosetTable, a: SymmetricAssignment, path=()) -> Struct
         perms.append(perm)
     _check_closed(perms)
     return _structure(perms)
-
-
-def _path_planes(path, a):
-    """The planes along ``path`` in order, from the transpositions of its
-    generators."""
-    moved = [[x for x, y in enumerate(a.image(g).images, 1) if x != y] for g in path]
-    planes = moved[0] if len(path) == 1 or moved[0][1] in moved[1] else moved[0][::-1]
-    for pair in moved[1:]:
-        planes.append(pair[0] if pair[1] == planes[-1] else pair[1])
-    return planes
 
 
 def _check_closed(perms):

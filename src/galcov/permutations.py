@@ -6,7 +6,9 @@ connected components of the plane graph those transpositions span, as
 :func:`galcov.complexes.plane_components` finds them.  An assignment
 builds the image tuple of each signed generator once
 (:attr:`SymmetricAssignment.letters`), and every word evaluation in S_n
-reads them: one ``itemgetter`` lookup per letter.
+reads them: one ``itemgetter`` lookup per letter.  It also builds the
+plane pair of each generator once (:attr:`SymmetricAssignment.moved`),
+and the image order and the plane-graph walks read that.
 
 Composition convention, fixed once and used everywhere: the image of a
 word pq sends x to q(p(x)), i.e. the left factor acts first.
@@ -59,9 +61,6 @@ class Permutation:
     def degree(self):
         return len(self.images)
 
-    def __call__(self, x: int) -> int:
-        return self.images[x - 1]
-
     def is_identity(self) -> bool:
         return all(x == i + 1 for i, x in enumerate(self.images))
 
@@ -71,14 +70,16 @@ class SymmetricAssignment:
 
     ``letters`` holds the image tuple s of each signed generator +-k: s[x]
     is the image of x, and the pad s[0] = 0 lets :func:`_evaluate` run on
-    tuples.
+    tuples.  ``moved[k-1]`` holds the points that generator k's image
+    moves, ascending: a transposition's two planes, () for the identity.
     """
 
-    __slots__ = ("degree", "images", "letters")
+    __slots__ = ("degree", "images", "letters", "moved")
 
     def __init__(self, degree: int, images: tuple[Permutation, ...]):
         self.degree = degree
         self.images = images  # images[k-1] for generator k
+        self.moved = tuple(tuple(x for x, y in enumerate(g.images, 1) if x != y) for g in images)
         self.letters: dict[int, tuple[int, ...]] = {}
         for k, g in enumerate(images, 1):
             s = (0,) + g.images
@@ -86,9 +87,6 @@ class SymmetricAssignment:
             for x, y in enumerate(s):
                 inverse[y] = x
             self.letters[k], self.letters[-k] = s, tuple(inverse)
-
-    def image(self, generator: int) -> Permutation:
-        return self.images[generator - 1]
 
 
 def plane_transposition_map(c) -> SymmetricAssignment:
@@ -131,19 +129,16 @@ def verify_homomorphism(pres, a: SymmetricAssignment) -> HomomorphismReport:
     return HomomorphismReport(holds=not failures, failures=failures)
 
 
-def permutation_group_order(gens) -> int:
-    """Order of the group generated by transpositions (identities allowed).
+def permutation_group_order(moved) -> int:
+    """Order of the group generated by transpositions (identities allowed),
+    given as the points each one moves (:attr:`SymmetricAssignment.moved`).
 
     Transpositions generate the full symmetric group on each connected
     component of the graph whose edges they are, so the order is the
-    product of the factorials of the component sizes.  Any other
-    permutation raises ``ValueError``.
+    product of the factorials of the component sizes.  A permutation
+    moving more than two points raises ``ValueError``.
     """
-    pairs = []
-    for g in gens:
-        moved = [x for x, y in enumerate(g.images, 1) if x != y]
-        if len(moved) > 2:
-            raise ValueError(f"not a transposition: {g.images}")
-        if moved:
-            pairs.append(moved)
+    pairs = [ps for ps in moved if ps]
+    if bad := [ps for ps in pairs if len(ps) > 2]:
+        raise ValueError(f"not a transposition: it moves {bad[0]}")
     return math.prod(math.factorial(len(ps)) for ps in plane_components(pairs))

@@ -409,10 +409,10 @@ def build_tilde_presentation(
     for v in c.vertices:
         ids = sorted(v.edges)
         for a, b in itertools.combinations(ids, 2):
-            if by_id[a].plane_set() & by_id[b].plane_set():
-                braid_pairs.add((a, b))
-            else:
+            if set(by_id[a].planes).isdisjoint(by_id[b].planes):
                 commuting_pairs.add((a, b))
+            else:
+                braid_pairs.add((a, b))
     commuting_pairs.update(parasitic_pairs(c))
 
     relators.extend(triple_word(a, b) for a, b in sorted(braid_pairs))
@@ -473,7 +473,7 @@ def hamiltonian_paths(pres, assignment, starts, bound, fits=None):
     n = assignment.degree
     edges = {plane: [] for plane in range(1, n + 1)}
     for g in sorted(pres.involutions()):
-        moved = [x for x in range(1, n + 1) if assignment.image(g)(x) != x]
+        moved = assignment.moved[g - 1]
         if len(moved) == 2:
             a, b = moved
             edges[a].append((g, b))
@@ -492,10 +492,11 @@ def hamiltonian_paths(pres, assignment, starts, bound, fits=None):
         )
 
 
-def complement_path(pres, assignment, bound) -> tuple[int, ...]:
-    """Generators along a Hamiltonian path of the plane graph that state
-    the Coxeter presentation of S_n, or () when the search finds none
-    within ``bound`` partial paths.
+def complement_path(pres, assignment, bound):
+    """Generators and planes along a Hamiltonian path of the plane graph
+    whose generators state the Coxeter presentation of S_n, as
+    :func:`hamiltonian_paths` yields them, or ((), ()) when the search
+    finds none within ``bound`` partial paths.
 
     ``assignment`` must be a homomorphism onto S_n.  Each path generator
     has a stated square and a transposition image; path neighbours
@@ -517,7 +518,7 @@ def complement_path(pres, assignment, bound) -> tuple[int, ...]:
 
     starts = range(1, assignment.degree + 1)
     paths = hamiltonian_paths(pres, assignment, starts, bound, fits)
-    return next((path for path, _ in paths), ())
+    return next(paths, ((), ()))
 
 
 def eliminate_in_turn(pres, gens, words, companions=()):

@@ -63,7 +63,7 @@ def dt4_assignment(dt4):
 @pytest.fixture(scope="session")
 def dt4_complement_table(dt4_presentation, dt4_assignment):
     """Coset table of the dt4 group over its S_6 complement: 16 rows."""
-    path = complement_path(dt4_presentation, dt4_assignment, 1_000_000)
+    path, _ = complement_path(dt4_presentation, dt4_assignment, 1_000_000)
     return coset_enumeration(dt4_presentation, [(g,) for g in path], 1_000_000)
 
 
@@ -387,7 +387,7 @@ def word_permutation(model, word):
 def window(perm, vec):
     """Window of sigma * u(vec): w_i = sigma(i) + m*vec[sigma(i)]."""
     m = perm.degree
-    return tuple(perm(i) + m * vec[perm(i) - 1] for i in range(1, m + 1))
+    return tuple(s + m * vec[s - 1] for s in perm.images)
 
 
 def decode_window(w):
@@ -404,8 +404,8 @@ def _moved(perm, vec):
     """vec with coordinate i carried to perm(i), so u_{i,j} goes to
     u_{perm(i),perm(j)}."""
     out = [0] * len(vec)
-    for i, c in enumerate(vec, 1):
-        out[perm(i) - 1] = c
+    for s, c in zip(perm.images, vec):
+        out[s - 1] = c
     return tuple(out)
 
 

@@ -62,7 +62,7 @@ def test_criterion_1_tetrahedron_group():
     order = group_order(table)
     a = plane_transposition_map(t4)
     hom = verify_homomorphism(pres, a)
-    image = permutation_group_order(a.images)
+    image = permutation_group_order(a.moved)
     kernel_order = order // image
     sub = reidemeister_schreier(pres, kernel_coset_table(pres, a))
     rs_order = group_order(coset_enumeration(simplify_presentation(sub), (), 100_000))
@@ -109,7 +109,7 @@ def dt4_enumeration_results():
     table = coset_enumeration(pres, (), 1_000_000)
     order = group_order(table)
     a = plane_transposition_map(dt4)
-    kernel_order = order // permutation_group_order(a.images)
+    kernel_order = order // permutation_group_order(a.moved)
     sub = reidemeister_schreier(pres, kernel_coset_table(pres, a))
     simplified = simplify_presentation(sub)
     rs_order = group_order(coset_enumeration(simplified, (), 1_000_000))
@@ -375,7 +375,7 @@ def test_criterion_8_property_suites():
         sigma = xp[0]
         s = window(sigma, (0,) * n)
         s_inv = window(invert(sigma), (0,) * n)
-        if mul(s_inv, u(n, i, j), s) != u(n, sigma(i), sigma(j)):
+        if mul(s_inv, u(n, i, j), s) != u(n, sigma.images[i - 1], sigma.images[j - 1]):
             failures.append("sd conjugation failure")
             break
 

@@ -517,7 +517,7 @@ def test_enumerate_route_order_equals_full_table(monkeypatch, tmp_path, name, se
 
 def test_both_routes_without_a_complement_enumerate_g_in_full(monkeypatch):
     # with no path, H is trivial: |H| = 1 and the table is regular
-    monkeypatch.setattr(galcov.cli, "complement_path", lambda *args: ())
+    monkeypatch.setattr(galcov.cli, "complement_path", lambda *args: ((), ()))
     tables = _recording(monkeypatch)
     report = analyze("dt4", route="both")
     assert tables[0].subgroup_words == () and tables[0].coset_count == 11_520
@@ -532,7 +532,7 @@ def test_both_routes_without_a_complement_enumerate_g_in_full(monkeypatch):
 def test_enumerate_route_without_a_complement_reads_the_regular_table(monkeypatch):
     # with H trivial the table has |G~| = 11,520 rows; K acts regularly on
     # the 16 whose representative words map to the identity
-    monkeypatch.setattr(galcov.cli, "complement_path", lambda *args: ())
+    monkeypatch.setattr(galcov.cli, "complement_path", lambda *args: ((), ()))
     tables = _recording(monkeypatch)
     report = analyze("dt4", route="enumerate")
     assert [t.coset_count for t in tables] == [11_520]
@@ -624,9 +624,9 @@ def _enumerate_route_needs(name):
     complex_ = load_builtin(name)
     pres = build_tilde_presentation(complex_)
     assignment = plane_transposition_map(complex_)
-    search = next(b for b in itertools.count(1) if complement_path(pres, assignment, b))
+    search = next(b for b in itertools.count(1) if complement_path(pres, assignment, b)[0])
     stats = {}
-    path = complement_path(pres, assignment, search)
+    path, _ = complement_path(pres, assignment, search)
     table = coset_enumeration(pres, [(g,) for g in path], stats=stats)
     return search, stats["cosets_defined"] + 1, table.coset_count**2
 
@@ -685,7 +685,7 @@ def test_kernel_enumeration_overflow_is_undecided(monkeypatch, capsys):
     assert "  kernel presentation: undecided at bound\n" in out
     assert "kernel None" not in out
     # with no table either, nothing decides
-    monkeypatch.setattr(galcov.cli, "complement_path", lambda *args: ())
+    monkeypatch.setattr(galcov.cli, "complement_path", lambda *args: ((), ()))
     report = analyze("t4", route="both", max_cosets=20)
     assert report.undecided
     assert report.pi1 == {"kind": "Undetermined", "note": "undecided at bound 20"}
@@ -708,7 +708,7 @@ def test_kernel_route_decides_both_after_full_overflow(monkeypatch, capsys):
     # with no complement found, G~ is enumerated in full (43,933 cosets
     # defined): that overflows at 720, and the kernel presentation decides
     # alone
-    monkeypatch.setattr(galcov.cli, "complement_path", lambda *args: ())
+    monkeypatch.setattr(galcov.cli, "complement_path", lambda *args: ((), ()))
     tables.clear()
     report = analyze("dt4", route="both", max_cosets=720)
     assert len(tables) == 2 and tables[0] is None  # the full call overflowed

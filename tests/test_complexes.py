@@ -249,9 +249,9 @@ def test_classify_inner4_diagonals_share_no_plane(dt4):
         ring = cls.cycle
         for i in range(4):
             a, b = by_id[ring[i]], by_id[ring[(i + 1) % 4]]
-            assert len(a.plane_set() & b.plane_set()) == 1
+            assert len(set(a.planes) & set(b.planes)) == 1
         for a, b in ((ring[0], ring[2]), (ring[1], ring[3])):
-            assert not (by_id[a].plane_set() & by_id[b].plane_set())
+            assert set(by_id[a].planes).isdisjoint(by_id[b].planes)
 
 
 def test_classify_five_edges_rejected(t4):

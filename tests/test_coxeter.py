@@ -102,12 +102,12 @@ def test_conjugation_action_on_lattice():
         i, j = rng.sample(range(1, n + 1), 2)
         sigma = random_permutation(rng, n)
         s = window(sigma, (0,) * n)
-        assert mul(inverse(s), u(n, i, j), s) == u(n, sigma(i), sigma(j))
+        assert mul(inverse(s), u(n, i, j), s) == u(n, sigma.images[i - 1], sigma.images[j - 1])
         # an involution is its own inverse letter: tr u tr^-1 shares tr's window
         a, b = rng.sample(range(1, n + 1), 2)
         tr = Permutation.transposition(n, a, b)
         lhs = eval_words([t(n, a, b), u(n, i, j)], [(1, 2, -1)])[0]
-        assert lhs == u(n, tr(i), tr(j))
+        assert lhs == u(n, tr.images[i - 1], tr.images[j - 1])
 
 
 def test_u_relations_in_vector_model():
@@ -341,7 +341,7 @@ def test_conjugation_checks_mod_two(dt4_route):
         sigma = Permutation.transposition(n, k, k + 1)
         moved = [0] * n
         for i, c in enumerate(residual):
-            moved[sigma(i + 1) - 1] = c
+            moved[sigma.images[i] - 1] = c
         assert [(x - y) % 2 for x, y in zip(moved, residual)] == [0] * n
 
 
@@ -452,7 +452,7 @@ def triangle_route(proj, *extra):
     table = None
     if proj is not None:
         full = GroupPresentation.make(pres.names, pres.relators + (proj,))
-        path = complement_path(full, symmetric, 100)
+        path, _ = complement_path(full, symmetric, 100)
         table = coset_enumeration(full, [(g,) for g in path], 100)
     return coxeter_route(pres, proj, table, symmetric)
 
@@ -558,7 +558,7 @@ def pair_action(table, symmetric, g):
     the planes: a permutation of the pair."""
     k = table.coset_count
     cosets = tuple(table.trace(c, (g,)) + 1 for c in range(k))
-    return Permutation(cosets + tuple(k + p for p in symmetric.image(g).images))
+    return Permutation(cosets + tuple(k + p for p in symmetric.images[g - 1].images))
 
 
 @pytest.mark.parametrize("seed", [None, 3, 7])
@@ -572,7 +572,7 @@ def test_derived_relations_hold_on_the_faithful_pair(seed):
         dt4 = relabel_complex(dt4, random.Random(seed))
     pres = build_tilde_presentation(dt4)
     symmetric = plane_transposition_map(dt4)
-    path = complement_path(pres, symmetric, 1_000_000)
+    path, _ = complement_path(pres, symmetric, 1_000_000)
     table = coset_enumeration(pres, [(g,) for g in path], 1_000_000)
     pair = {g: pair_action(table, symmetric, g) for g in range(1, pres.generator_count + 1)}
     assert len(mulclose(pair.values())) == 11_520
@@ -595,13 +595,13 @@ def test_coxeter_cover_routes_agree(m, k, cosets_defined):
     # complement and the lattice quotient must both find it
     pres, proj, symmetric = coxeter_cover(m, k)
     full = GroupPresentation.make(pres.names, pres.relators + (proj,))
-    path = complement_path(full, symmetric, 1_000_000)
+    path, planes = complement_path(full, symmetric, 1_000_000)
     assert path == tuple(range(1, m))
     stats = {}
     table = coset_enumeration(full, [(g,) for g in path], 1_000_000, stats)
     assert table.coset_count == k ** (m - 1)
     assert stats["cosets_defined"] == cosets_defined
-    regular = regular_kernel(table, symmetric, path)
+    regular = regular_kernel(table, symmetric, path, planes)
     route = coxeter_route(pres, proj, table, symmetric, 1_000_000)
     assert route.supported
     lattice = route.verdict()
@@ -616,7 +616,7 @@ def test_coxeter_cover_6_4_is_decided_by_the_coxeter_route_alone():
     # undecided; the lattice quotient decides
     pres, proj, symmetric = coxeter_cover(6, 4)
     full = GroupPresentation.make(pres.names, pres.relators + (proj,))
-    path = complement_path(full, symmetric, DEFAULT_MAX_COSETS)
+    path, planes = complement_path(full, symmetric, DEFAULT_MAX_COSETS)
     stats = {}
     table = coset_enumeration(full, [(g,) for g in path], DEFAULT_MAX_COSETS, stats)
     assert table.coset_count == 1024
@@ -627,7 +627,7 @@ def test_coxeter_cover_6_4_is_decided_by_the_coxeter_route_alone():
     )
     tilde = table.coset_count * math.factorial(6)
     verdict = _enumeration_route(
-        report, full, table, path, tilde, symmetric, DEFAULT_MAX_COSETS,
+        report, full, table, path, planes, tilde, symmetric, DEFAULT_MAX_COSETS,
         lambda stage, fn, *args: fn(*args),
     )
     assert verdict is None

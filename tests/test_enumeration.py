@@ -406,7 +406,7 @@ def test_random_short_relators_close():
 def builtin_over(name, complement):
     c = load_builtin(name)
     pres = build_tilde_presentation(c)
-    path = complement_path(pres, plane_transposition_map(c), 1000) if complement else ()
+    path = complement_path(pres, plane_transposition_map(c), 1000)[0] if complement else ()
     return pres, [(g,) for g in path]
 
 

@@ -510,7 +510,8 @@ _Z4Z2 = (("a", "b"), [(1,) * 4, (2, 2), (1, 2, -1, -2)],
 
 def _with_s2_complement(names, relators):
     """K x <t>, with t an involution commuting with K, mapped onto S_2 by
-    t -> (1 2) and K -> 1: its complement path is (t,)."""
+    t -> (1 2) and K -> 1: its complement path is (t,), through planes 1
+    and 2, returned as the pair that complement_path returns."""
     t = len(names) + 1
     pres = GroupPresentation.make(
         names + ("t",),
@@ -518,7 +519,7 @@ def _with_s2_complement(names, relators):
     )
     identity = Permutation.identity(2)
     a = SymmetricAssignment(2, (identity,) * len(names) + (Permutation.transposition(2, 1, 2),))
-    return pres, a, (t,)
+    return pres, a, ((t,), (1, 2))
 
 
 def _brute_force(model):
@@ -563,14 +564,14 @@ def _cyclic_product_orders(factors):
 )
 def test_regular_kernel_matches_brute_force_closure(k, expected):
     names, relators, model = k
-    pres, a, path = _with_s2_complement(names, relators)
+    pres, a, walk = _with_s2_complement(names, relators)
     order, centre, derived, orders = _brute_force(model)
     assert (order, centre, derived) == (expected["order"], expected["centre"], expected["derived"])
-    over_h = coset_enumeration(pres, [path], 1000)
+    over_h = coset_enumeration(pres, [walk[0]], 1000)
     over_1 = coset_enumeration(pres, (), 1000)
     assert over_h.coset_count == order and over_1.coset_count == 2 * order
-    for table, p in ((over_h, path), (over_1, ())):
-        v = regular_kernel(table, a, p)
+    for table, w in ((over_h, walk), (over_1, ((), ()))):
+        v = regular_kernel(table, a, *w)
         assert v.kind == expected["kind"] and v.order == order
         # the invariants of K/K' are those of the presentation's SNF
         assert v.factors == expected["factors"]
@@ -594,10 +595,13 @@ def test_regular_kernel_over_a_longer_path():
     ))
     table = coset_enumeration(pres, [(2,), (3,)], 1000)
     assert table.coset_count == 3
-    v = regular_kernel(table, a, (2, 3))
+    v = regular_kernel(table, a, (2, 3), (1, 2, 3))
     assert (v.kind, v.factors, v.order) == ("AbelianInvariantFactors", (3,), 3)
     # the path read from its other end gives the same kernel
-    assert regular_kernel(table, a, (3, 2)) == v
+    assert regular_kernel(table, a, (3, 2), (3, 2, 1)) == v
+    # a path without the planes it walks is refused
+    with pytest.raises(ValueError, match="a path of 2 generators walks 3 planes"):
+        regular_kernel(table, a, (2, 3))
 
 
 def test_regular_kernel_rejects_a_set_that_is_not_closed():
@@ -642,7 +646,7 @@ def _kernel_words(table, a, path):
     shortest word over ``path``, whose involutions fix coset 0, with the
     inverse image."""
     over_h = _breadth_first(
-        Permutation.identity(a.degree), path, lambda p, g: compose(p, a.image(g))
+        Permutation.identity(a.degree), path, lambda p, g: compose(p, a.images[g - 1])
     )
     letters = [x for g in range(1, table.generator_count + 1) for x in (g, -g)]
     to = _breadth_first(0, letters, lambda c, x: table.trace(c, (x,)))
@@ -655,16 +659,16 @@ def _kernel_words(table, a, path):
 
 
 def _tables(dt4, case):
-    """(table, assignment, path) of each table a case reads: dt4 or its
-    relabeling over the S_n complement; K x <t> over <t> and over 1."""
+    """(table, assignment, path, planes) of each table a case reads: dt4 or
+    its relabeling over the S_n complement; K x <t> over <t> and over 1."""
     if case.startswith("dt4"):
         c = dt4 if case == "dt4" else relabel_complex(dt4, random.Random(int(case[4:])))
         pres, a = build_tilde_presentation(c), plane_transposition_map(c)
-        path = complement_path(pres, a, 10**6)
-        return [(coset_enumeration(pres, [(g,) for g in path], 10**6), a, path)]
-    pres, a, path = _with_s2_complement(*{"S3": _S3, "Q8": _Q8}[case][:2])
-    return [(coset_enumeration(pres, [path], 1000), a, path),
-            (coset_enumeration(pres, (), 1000), a, ())]
+        path, planes = complement_path(pres, a, 10**6)
+        return [(coset_enumeration(pres, [(g,) for g in path], 10**6), a, path, planes)]
+    pres, a, (path, planes) = _with_s2_complement(*{"S3": _S3, "Q8": _Q8}[case][:2])
+    return [(coset_enumeration(pres, [path], 1000), a, path, planes),
+            (coset_enumeration(pres, (), 1000), a, (), ())]
 
 
 @pytest.mark.parametrize("case", ["dt4", "dt4-1", "dt4-2", "dt4-3", "S3", "Q8"])
@@ -672,10 +676,10 @@ def test_regular_kernel_permutations_match_row_by_row_traces(monkeypatch, dt4, c
     # each kernel element acts on the kernel cosets as any word for it does,
     # traced one letter at a time from every kernel coset
     real = galcov.kernel._check_closed
-    for table, a, path in _tables(dt4, case):
+    for table, a, path, planes in _tables(dt4, case):
         seen = []
         monkeypatch.setattr(galcov.kernel, "_check_closed", lambda p: real(seen.append(p) or p))
-        regular_kernel(table, a, path)
+        regular_kernel(table, a, path, planes)
         (perms,) = seen
         words = _kernel_words(table, a, path)
         cosets = sorted(words)

@@ -42,7 +42,7 @@ def test_equal_permutations_hash_equal():
 def test_assignment_letters_are_built_once(t4):
     a = plane_transposition_map(t4)
     assert a.letters is a.letters
-    assert a.letters[1] == (0,) + a.image(1).images
+    assert a.letters[1] == (0,) + a.images[0].images
 
 
 def test_composition_convention_left_factor_first():
@@ -51,7 +51,7 @@ def test_composition_convention_left_factor_first():
         n = rng.randint(2, 8)
         p, q = random_permutation(rng, n), random_permutation(rng, n)
         x = rng.randint(1, n)
-        assert compose(p, q)(x) == q(p(x))
+        assert compose(p, q).images[x - 1] == q.images[p.images[x - 1] - 1]
 
 
 def test_inverse_and_identity():
@@ -65,15 +65,15 @@ def test_inverse_and_identity():
 def test_plane_transposition_map_t4(t4):
     a = plane_transposition_map(t4)
     assert a.degree == 4
-    assert a.image(1) == Permutation.transposition(4, 1, 3)
-    assert a.image(2) == Permutation.transposition(4, 1, 2)
-    for k in range(1, 7):
-        assert compose(a.image(k), a.image(k)).is_identity()
+    assert a.images[0] == Permutation.transposition(4, 1, 3)
+    assert a.images[1] == Permutation.transposition(4, 1, 2)
+    for g in a.images:
+        assert compose(g, g).is_identity()
 
 
 def test_plane_transposition_map_dt4(dt4):
     a = plane_transposition_map(dt4)
-    assert a.image(9) == Permutation.transposition(6, 4, 5)
+    assert a.images[8] == Permutation.transposition(6, 4, 5)
 
 
 def test_branch_relator_maps_to_identity(t4, t4_presentation):
@@ -142,9 +142,9 @@ def test_word_evaluation_matches_the_permutation_product():
 
 
 def test_permutation_group_orders(t4, dt4):
-    assert permutation_group_order(plane_transposition_map(t4).images) == 24
-    assert permutation_group_order(plane_transposition_map(dt4).images) == 720
-    assert permutation_group_order([Permutation.identity(5)]) == 1
+    assert permutation_group_order(plane_transposition_map(t4).moved) == 24
+    assert permutation_group_order(plane_transposition_map(dt4).moved) == 720
+    assert permutation_group_order([()]) == 1
     assert permutation_group_order([]) == 1
 
 
@@ -161,7 +161,7 @@ def test_transposition_group_order_matches_closure_oracle():
             gens.append(Permutation.transposition(n, i, j))
         rng.shuffle(gens)
         order = len(mulclose(gens))
-        assert permutation_group_order(gens) == order
+        assert permutation_group_order(SymmetricAssignment(n, tuple(gens)).moved) == order
         if Permutation.identity(n) in gens:
             seen.add("identity")
         if len(set(gens)) < len(gens):
@@ -172,8 +172,22 @@ def test_transposition_group_order_matches_closure_oracle():
 
 
 def test_permutation_group_order_rejects_a_three_cycle():
+    a = SymmetricAssignment(3, (Permutation.transposition(3, 1, 2), Permutation((2, 3, 1))))
     with pytest.raises(ValueError, match="not a transposition"):
-        permutation_group_order([Permutation.transposition(3, 1, 2), Permutation((2, 3, 1))])
+        permutation_group_order(a.moved)
+    with pytest.raises(ValueError, match=r"not a transposition: it moves \(1, 2, 3\)"):
+        permutation_group_order([(1, 2), (1, 2, 3)])
+
+
+def test_assignment_moved_points():
+    # moved[k-1] lists the points generator k's image moves, ascending
+    a = SymmetricAssignment(4, (
+        Permutation.identity(4),
+        Permutation.transposition(4, 3, 1),
+        Permutation((1, 4, 2, 3)),  # the 3-cycle 2 -> 4 -> 3 -> 2
+    ))
+    assert a.moved == ((), (1, 3), (2, 3, 4))
+    assert a.moved is a.moved
 
 
 def test_transpositions_generate_full_symmetric_group_on_random_complexes():
@@ -190,4 +204,4 @@ def test_transpositions_generate_full_symmetric_group_on_random_complexes():
         c = random_valid_complex(rng)
         assert validate(c).valid
         a = plane_transposition_map(c)
-        assert permutation_group_order(a.images) == math.factorial(c.plane_count)
+        assert permutation_group_order(a.moved) == math.factorial(c.plane_count)

@@ -35,7 +35,7 @@ from galcov.presentation import (
 )
 from galcov.tietze import simplify_presentation
 
-from .conftest import DT4_PAPER_PLAN, mulclose, word_of
+from .conftest import DT4_PAPER_PLAN, coxeter_cover, mulclose, relabel_complex, word_of
 
 T4_TRIPLE_PAIRS = {
     (1, 2), (1, 4), (1, 5), (1, 6), (2, 3), (2, 4),
@@ -456,7 +456,7 @@ def test_relation_holds_on_the_regular_and_the_complement_table(t4, t4_presentat
     assignment = plane_transposition_map(t4)
     table = coset_enumeration(pres, (), 10_000)
     # over t4's complement, H = G~: one coset, the image decides
-    path = complement_path(pres, assignment, 100)
+    path, _ = complement_path(pres, assignment, 100)
     assert path == (1, 4, 3)
     over_h = coset_enumeration(pres, [(g,) for g in path], 10_000)
     assert over_h.coset_count == 1
@@ -506,8 +506,9 @@ def test_the_kernel_word_passes_the_image_check_only(
 def test_complement_path_of_dt4_is_a_coxeter_path(
     dt4_presentation, dt4_assignment, dt4_table, dt4_complement_table
 ):
-    path = complement_path(dt4_presentation, dt4_assignment, 1_000_000)
-    assert path == (1, 4, 2, 3, 9)  # planes 1-2-3-6-4-5
+    path, planes = complement_path(dt4_presentation, dt4_assignment, 1_000_000)
+    assert path == (1, 4, 2, 3, 9)
+    assert planes == (1, 2, 3, 6, 4, 5)
     assert dt4_complement_table.coset_count == 16
     assert dt4_complement_table.coset_count * 720 == group_order(dt4_table)
     # the 16-point action is faithful: G~ is 11,520 permutations of the cosets
@@ -529,7 +530,7 @@ def test_complement_path_skips_a_pair_without_its_relator(
         dt4_presentation.names, [r for r in dt4_presentation.relators if canonical_key(r) != key]
     )
     assert len(mutant.relators) == len(dt4_presentation.relators) - 1
-    path = complement_path(mutant, dt4_assignment, 1_000_000)
+    path, _ = complement_path(mutant, dt4_assignment, 1_000_000)
     assert path and not {abs(x) for x in dropped} <= set(path)
     over_h = coset_enumeration(mutant, [(g,) for g in path], 1_000_000)
     regular = coset_enumeration(mutant, (), 1_000_000)
@@ -538,10 +539,36 @@ def test_complement_path_skips_a_pair_without_its_relator(
 
 def test_complement_path_falls_back_at_its_bound(dt4_presentation, dt4_assignment):
     # the search pops 6 partial paths on dt4: the start plane and 5 edges
-    path = (1, 4, 2, 3, 9)
-    assert complement_path(dt4_presentation, dt4_assignment, 6) == path
-    assert complement_path(dt4_presentation, dt4_assignment, 5) == ()
-    assert complement_path(dt4_presentation, dt4_assignment, 1) == ()
+    walk = (1, 4, 2, 3, 9), (1, 2, 3, 6, 4, 5)
+    assert complement_path(dt4_presentation, dt4_assignment, 6) == walk
+    assert complement_path(dt4_presentation, dt4_assignment, 5) == ((), ())
+    assert complement_path(dt4_presentation, dt4_assignment, 1) == ((), ())
+
+
+def _walk_inputs(t4, dt4):
+    """(presentation, assignment) of t4, dt4, their relabelings by seeds
+    0-5, and three Coxeter covers."""
+    for c in (t4, dt4):
+        for seed in (None, *range(6)):
+            d = c if seed is None else relabel_complex(c, random.Random(seed))
+            yield build_tilde_presentation(d), plane_transposition_map(d)
+    for m, k in ((3, 2), (4, 3), (5, 3)):
+        pres, _, symmetric = coxeter_cover(m, k)
+        yield pres, symmetric
+
+
+def test_complement_path_returns_the_planes_it_walked(t4, dt4):
+    # the i-th path generator transposes the i-th and (i+1)-th planes, and
+    # the planes visit each of 1..n once
+    walks = 0
+    for pres, a in _walk_inputs(t4, dt4):
+        path, planes = complement_path(pres, a, 1_000_000)
+        assert sorted(planes) == list(range(1, a.degree + 1))
+        assert len(path) == a.degree - 1
+        for i, g in enumerate(path):
+            assert a.moved[g - 1] == tuple(sorted(planes[i : i + 2]))
+        walks += 1
+    assert walks == 17
 
 
 def test_complement_path_needs_stated_squares(t4, t4_presentation):
@@ -549,7 +576,7 @@ def test_complement_path_needs_stated_squares(t4, t4_presentation):
     no_square = GroupPresentation.make(
         t4_presentation.names, [r for r in t4_presentation.relators if r != (4, 4)]
     )
-    path = complement_path(no_square, plane_transposition_map(t4), 1_000)
+    path, _ = complement_path(no_square, plane_transposition_map(t4), 1_000)
     assert 4 not in path
 
 
