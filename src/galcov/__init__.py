@@ -40,8 +40,8 @@ _MODULE_EXPORTS = {
         "regular_kernel", "reidemeister_schreier", "smith_normal_form",
     ),
     "permutations": (
-        "Permutation", "SymmetricAssignment", "permutation_group_order",
-        "plane_transposition_map", "verify_homomorphism",
+        "SymmetricAssignment", "permutation_group_order", "plane_transposition_map",
+        "verify_homomorphism",
     ),
     "presentation": (
         "GroupPresentation", "MissingFourPointData", "PresentationError", "Word",

@@ -294,7 +294,7 @@ def analyze(
             format_relation(w, pres.names) for w in pres.relators
         ]
 
-    assignment = plane_transposition_map(complex_)
+    assignment = timed("assignment", plane_transposition_map, complex_)
     report.symmetric_degree = assignment.degree
     report.symmetric_image_order = timed(
         "image_order", permutation_group_order, assignment.moved
@@ -310,11 +310,8 @@ def analyze(
 
     # both routes read G~ as an extension of S_n by K: the plane
     # transpositions must satisfy every relator
-    hom = timed("homomorphism", verify_homomorphism, pres, assignment)
-    if not hom.holds:
-        raise AnalysisError(
-            "kernel", f"plane transpositions do not satisfy relators {hom.failures}"
-        )
+    if failures := timed("homomorphism", verify_homomorphism, pres, assignment):
+        raise AnalysisError("kernel", f"plane transpositions do not satisfy relators {failures}")
 
     # one table of G~ for every route; the Coxeter route declines at once
     # without a projective relator, so alone it needs no table then

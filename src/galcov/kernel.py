@@ -42,11 +42,8 @@ def kernel_coset_table(pres: GroupPresentation, a: SymmetricAssignment) -> Coset
     assignment to be a relator-preserving map onto the full symmetric
     group by transpositions.
     """
-    report = verify_homomorphism(pres, a)
-    if not report.holds:
-        raise KernelError(
-            f"assignment is not a homomorphism; failing relators {report.failures}"
-        )
+    if failures := verify_homomorphism(pres, a):
+        raise KernelError(f"assignment is not a homomorphism; failing relators {failures}")
     n = a.degree
     image_order = permutation_group_order(a.moved[: pres.generator_count])
     full = math.factorial(n)

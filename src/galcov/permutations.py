@@ -1,4 +1,5 @@
-"""Permutations of {1..n}, the plane-transposition map, and group orders.
+"""Permutations of {1..n} as image tuples, the plane-transposition map, and
+group orders.
 
 Each edge generator maps to the transposition of its two planes, so the
 image in S_n is generated by transpositions; its order comes from the
@@ -18,56 +19,15 @@ from __future__ import annotations
 
 import math
 from operator import itemgetter
-from typing import NamedTuple
 
 from .complexes import plane_components
-
-
-class Permutation:
-    """Bijection of {1..n}; images[i-1] is the image of i."""
-
-    __slots__ = ("images",)
-
-    def __init__(self, images: tuple[int, ...]):
-        n = len(images)
-        if sorted(images) != list(range(1, n + 1)):
-            raise ValueError(f"not a permutation of 1..{n}: {images}")
-        self.images = images
-
-    def __eq__(self, other):
-        if not isinstance(other, Permutation):
-            return NotImplemented
-        return self.images == other.images
-
-    def __hash__(self):
-        return hash(self.images)
-
-    def __repr__(self):
-        return f"Permutation(images={self.images!r})"
-
-    @staticmethod
-    def identity(n: int) -> "Permutation":
-        return Permutation(tuple(range(1, n + 1)))
-
-    @staticmethod
-    def transposition(n: int, i: int, j: int) -> "Permutation":
-        if i == j or not (1 <= i <= n and 1 <= j <= n):
-            raise ValueError(f"bad transposition ({i} {j}) on 1..{n}")
-        images = list(range(1, n + 1))
-        images[i - 1], images[j - 1] = j, i
-        return Permutation(tuple(images))
-
-    @property
-    def degree(self):
-        return len(self.images)
-
-    def is_identity(self) -> bool:
-        return all(x == i + 1 for i, x in enumerate(self.images))
 
 
 class SymmetricAssignment:
     """Images of the presentation generators in a symmetric group.
 
+    ``images[k-1]`` is generator k's image as a tuple whose (x-1)-th entry
+    is the image of x; each must be a permutation of 1..degree.
     ``letters`` holds the image tuple s of each signed generator +-k: s[x]
     is the image of x, and the pad s[0] = 0 lets :func:`_evaluate` run on
     tuples.  ``moved[k-1]`` holds the points that generator k's image
@@ -76,13 +36,16 @@ class SymmetricAssignment:
 
     __slots__ = ("degree", "images", "letters", "moved")
 
-    def __init__(self, degree: int, images: tuple[Permutation, ...]):
+    def __init__(self, degree: int, images: tuple[tuple[int, ...], ...]):
+        points = list(range(1, degree + 1))
+        if bad := [g for g in images if sorted(g) != points]:
+            raise ValueError(f"not a permutation of 1..{degree}: {bad[0]}")
         self.degree = degree
-        self.images = images  # images[k-1] for generator k
-        self.moved = tuple(tuple(x for x, y in enumerate(g.images, 1) if x != y) for g in images)
+        self.images = images
+        self.moved = tuple(tuple(x for x, y in enumerate(g, 1) if x != y) for g in images)
         self.letters: dict[int, tuple[int, ...]] = {}
         for k, g in enumerate(images, 1):
-            s = (0,) + g.images
+            s = (0,) + g
             inverse = [0] * len(s)
             for x, y in enumerate(s):
                 inverse[y] = x
@@ -94,8 +57,12 @@ def plane_transposition_map(c) -> SymmetricAssignment:
     n = c.plane_count
     images = []
     for e in sorted(c.edges, key=lambda e: e.id):
-        a, b = e.planes
-        images.append(Permutation.transposition(n, a, b))
+        i, j = e.planes
+        if i == j or not (1 <= i <= n and 1 <= j <= n):
+            raise ValueError(f"bad transposition ({i} {j}) on 1..{n}")
+        image = list(range(1, n + 1))
+        image[i - 1], image[j - 1] = j, i
+        images.append(tuple(image))
     return SymmetricAssignment(degree=n, images=tuple(images))
 
 
@@ -108,25 +75,15 @@ def _evaluate(letters, word, degree) -> tuple[int, ...]:
     return acc
 
 
-def word_image(a: SymmetricAssignment, word) -> Permutation:
-    """Evaluate a word left-to-right under the assignment."""
-    return Permutation(_evaluate(a.letters, word, a.degree)[1:])
-
-
-class HomomorphismReport(NamedTuple):
-    holds: bool
-    failures: tuple[int, ...]  # indices into the relator list
-
-
-def verify_homomorphism(pres, a: SymmetricAssignment) -> HomomorphismReport:
-    """Check that every relator maps to the identity permutation."""
+def verify_homomorphism(pres, a: SymmetricAssignment) -> tuple[int, ...]:
+    """Indices of the relators that do not map to the identity permutation;
+    the assignment is a homomorphism when there are none."""
     if len(a.images) < pres.generator_count:
         raise ValueError("assignment does not cover all generators")
     identity = tuple(range(a.degree + 1))
-    failures = tuple(
+    return tuple(
         i for i, w in enumerate(pres.relators) if _evaluate(a.letters, w, a.degree) != identity
     )
-    return HomomorphismReport(holds=not failures, failures=failures)
 
 
 def permutation_group_order(moved) -> int:

@@ -38,7 +38,7 @@ from .complexes import (
     classify_vertex,
     parasitic_pairs,
 )
-from .permutations import word_image
+from .permutations import _evaluate
 
 Word = tuple[int, ...]
 
@@ -458,7 +458,10 @@ def relation_holds(gen, replacement, table, assignment) -> bool:
     only in 1.  So a stated relation passes, as every consequence does.
     """
     word = free_reduce((-gen,) + tuple(replacement))
-    return table.trace(0, word) == 0 and word_image(assignment, word).is_identity()
+    n = assignment.degree
+    return table.trace(0, word) == 0 and (
+        _evaluate(assignment.letters, word, n) == tuple(range(n + 1))
+    )
 
 
 def hamiltonian_paths(pres, assignment, starts, bound, fits=None):

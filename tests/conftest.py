@@ -8,7 +8,7 @@ import pytest
 from galcov.complexes import DegenerationComplex, Edge, PresentationOverrides, Vertex
 from galcov.datasets import load_builtin
 from galcov.enumeration import _column, coset_enumeration
-from galcov.permutations import Permutation, SymmetricAssignment, plane_transposition_map
+from galcov.permutations import SymmetricAssignment, plane_transposition_map
 from galcov.presentation import (
     GroupPresentation,
     build_tilde_presentation,
@@ -73,11 +73,9 @@ def dt4_complement_table(dt4_presentation, dt4_assignment):
 
 def mulclose(gens):
     """Brute-force closure of permutation generators; the Cayley oracle."""
-    gens = [g.images for g in gens]
-    n = len(gens[0])
-    identity = tuple(range(1, n + 1))
-    elements = {identity}
-    frontier = [identity]
+    gens = list(gens)
+    elements = {identity(len(gens[0]))}
+    frontier = list(elements)
     while frontier:
         new = []
         for el in frontier:
@@ -250,7 +248,7 @@ def coxeter_cover(m, k):
     proj = ((m,) + arc) * k
     planes = [(i, i + 1) for i in range(1, m)] + [(1, m)]
     symmetric = SymmetricAssignment(
-        m, tuple(Permutation.transposition(m, a, b) for a, b in planes)
+        m, tuple(transposition(m, a, b) for a, b in planes)
     )
     return GroupPresentation.make(names, relators), proj, symmetric
 
@@ -341,24 +339,37 @@ def random_valid_complex(rng):
     return relabel_complex(base, rng)
 
 
+# permutations of 1..n are image tuples: p[x-1] is the image of x
+
+
+def identity(n):
+    return tuple(range(1, n + 1))
+
+
+def transposition(n, i, j):
+    images = list(range(1, n + 1))
+    images[i - 1], images[j - 1] = j, i
+    return tuple(images)
+
+
 def compose(p, q):
     """The product pq, its left factor acting first: x -> q(p(x))."""
-    if p.degree != q.degree:
+    if len(p) != len(q):
         raise ValueError("degree mismatch")
-    return Permutation(tuple(q.images[x - 1] for x in p.images))
+    return tuple(q[x - 1] for x in p)
 
 
 def invert(p):
-    images = [0] * p.degree
-    for i, x in enumerate(p.images, 1):
+    images = [0] * len(p)
+    for i, x in enumerate(p, 1):
         images[x - 1] = i
-    return Permutation(tuple(images))
+    return tuple(images)
 
 
 def random_permutation(rng, n):
     images = list(range(1, n + 1))
     rng.shuffle(images)
-    return Permutation(tuple(images))
+    return tuple(images)
 
 
 def cycles(n, *cs):
@@ -366,13 +377,13 @@ def cycles(n, *cs):
     for c in cs:
         for i, x in enumerate(c):
             images[x - 1] = c[(i + 1) % len(c)]
-    return Permutation(tuple(images))
+    return tuple(images)
 
 
 def word_permutation(model, word):
     """The word's image, letter k sent to model[k-1], as a left-to-right
-    product of ``Permutation``s: the oracle for word evaluation."""
-    acc = Permutation.identity(model[0].degree)
+    product of image tuples: the oracle for word evaluation."""
+    acc = identity(len(model[0]))
     for x in word:
         g = model[abs(x) - 1]
         acc = compose(acc, g if x > 0 else invert(g))
@@ -386,16 +397,16 @@ def word_permutation(model, word):
 
 def window(perm, vec):
     """Window of sigma * u(vec): w_i = sigma(i) + m*vec[sigma(i)]."""
-    m = perm.degree
-    return tuple(s + m * vec[s - 1] for s in perm.images)
+    m = len(perm)
+    return tuple(s + m * vec[s - 1] for s in perm)
 
 
 def decode_window(w):
     """The pair (sigma, vec) whose window is ``w``."""
     m = len(w)
-    sigma = Permutation(tuple((x - 1) % m + 1 for x in w))
+    sigma = tuple((x - 1) % m + 1 for x in w)
     vec = [0] * m
-    for x, s in zip(w, sigma.images):
+    for x, s in zip(w, sigma):
         vec[s - 1] = (x - s) // m
     return sigma, tuple(vec)
 
@@ -404,7 +415,7 @@ def _moved(perm, vec):
     """vec with coordinate i carried to perm(i), so u_{i,j} goes to
     u_{perm(i),perm(j)}."""
     out = [0] * len(vec)
-    for s, c in zip(perm.images, vec):
+    for s, c in zip(perm, vec):
         out[s - 1] = c
     return tuple(out)
 

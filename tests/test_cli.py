@@ -211,6 +211,14 @@ def test_analyze_file_without_plan_reports_coxeter_unsupported(tmp_path, dt4):
             assert reports[1]["routes"]["coxeter"]["supported"] is True
 
 
+@pytest.mark.parametrize("route", ["enumerate", "coxeter", "both"])
+def test_every_route_times_the_assignment_build(route):
+    # the plane-transposition map is a stage of its own, timed before the
+    # image order and the homomorphism check that read it
+    stages = list(analyze("dt4", route=route).timings)
+    assert stages.index("assignment") < stages.index("image_order") < stages.index("homomorphism")
+
+
 def test_coxeter_route_times_its_complement_search_and_enumeration():
     # --route coxeter enumerates the group over its complement; the search
     # is reported as "complement", the enumeration as "enumerate"

@@ -6,7 +6,7 @@ import pytest
 from galcov.datasets import load_builtin
 from galcov.enumeration import EnumerationOverflow, coset_enumeration, group_order
 from galcov.kernel import kernel_coset_table, reidemeister_schreier
-from galcov.permutations import Permutation, plane_transposition_map
+from galcov.permutations import plane_transposition_map
 from galcov.presentation import (
     GroupPresentation,
     build_tilde_presentation,
@@ -17,9 +17,11 @@ from galcov.tietze import simplify_presentation
 
 from .conftest import (
     cycles,
+    identity,
     mulclose,
     prism_complex,
     relabel_complex,
+    transposition,
     verify_table,
     word_permutation,
 )
@@ -61,15 +63,15 @@ def s4_mixed():
 
 
 def rotation(n):
-    return Permutation(tuple(list(range(2, n + 1)) + [1]))
+    return tuple(range(2, n + 1)) + (1,)
 
 
 def reflection(n):
-    return Permutation(tuple(range(n, 0, -1)))
+    return tuple(range(n, 0, -1))
 
 
 ORACLE_CORPUS = [
-    (cyclic(1), [Permutation.identity(1)]),
+    (cyclic(1), [identity(1)]),
     (cyclic(2), [rotation(2)]),
     (cyclic(3), [rotation(3)]),
     (cyclic(6), [rotation(6)]),
@@ -77,15 +79,8 @@ ORACLE_CORPUS = [
     (dihedral(4), [rotation(4), reflection(4)]),
     (dihedral(5), [rotation(5), reflection(5)]),
     (dihedral(6), [rotation(6), reflection(6)]),
-    (symmetric(3), [Permutation.transposition(3, 1, 2), Permutation.transposition(3, 2, 3)]),
-    (
-        symmetric(4),
-        [
-            Permutation.transposition(4, 1, 2),
-            Permutation.transposition(4, 2, 3),
-            Permutation.transposition(4, 3, 4),
-        ],
-    ),
+    (symmetric(3), [transposition(3, 1, 2), transposition(3, 2, 3)]),
+    (symmetric(4), [transposition(4, 1, 2), transposition(4, 2, 3), transposition(4, 3, 4)]),
 ]
 
 
@@ -104,18 +99,20 @@ def test_s3_presentation():
     p = GroupPresentation.make(("a", "b"), [(1, 1), (2, 2), (1, 2) * 3])
     table = coset_enumeration(p, (), 1000)
     # oracle: closure of the two transpositions generating S3
-    oracle = mulclose(
-        [Permutation.transposition(3, 1, 2), Permutation.transposition(3, 2, 3)]
-    )
+    oracle = mulclose([transposition(3, 1, 2), transposition(3, 2, 3)])
     assert group_order(table) == len(oracle) == 6
 
 
 def _oracle_id(x):
-    """A presentation as < a, b | a a, ... >, a model as its list."""
+    """A presentation as < a, b | a a, ... >, a model as the list of its
+    permutations, each labelled Permutation(images=...): the ids these
+    tests have always had, so their names stay stable."""
     if isinstance(x, GroupPresentation):
         relators = ", ".join(format_word(w, x.names) for w in x.relators)
         x = f"< {', '.join(x.names)} | {relators} >"
-    return str(x)[:24]
+    else:
+        x = "[" + ", ".join(f"Permutation(images={p})" for p in x) + "]"
+    return x[:24]
 
 
 @pytest.mark.parametrize("pres,model", ORACLE_CORPUS, ids=_oracle_id)
@@ -233,8 +230,8 @@ INVOLUTION_CORPUS = [
     (dihedral_inverse_letters(4), [rotation(4), reflection(4)], [(-2, 1, -2)]),
     (dihedral(6), [rotation(6), reflection(6)], [(-2,)]),
     (dihedral(6), [rotation(6), reflection(6)], [(1, -2), (1, 1, 1)]),
-    (s4_mixed(), [rotation(4), Permutation.transposition(4, 1, 2)], ()),
-    (s4_mixed(), [rotation(4), Permutation.transposition(4, 1, 2)], [(-2, 1, -2, -1)]),
+    (s4_mixed(), [rotation(4), transposition(4, 1, 2)], ()),
+    (s4_mixed(), [rotation(4), transposition(4, 1, 2)], [(-2, 1, -2, -1)]),
     (symmetric(4), ORACLE_CORPUS[-1][1], [(-1, -3)]),
 ]
 
@@ -277,7 +274,7 @@ SHORT_CORPUS = [
     # Z3 = <a, b | a, b^3>: a length-1 relator
     (
         GroupPresentation.make(("a", "b"), [(1,), (2,) * 3]),
-        [Permutation.identity(3), rotation(3)],
+        [identity(3), rotation(3)],
         (),
     ),
     # Z6 = <a, b | a^2, b^3, [a, b]>: a commutator of an involution and a
@@ -296,8 +293,7 @@ SHORT_CORPUS = [
 def test_involution_columns_match_cayley_oracle(pres, model, subgroup):
     table = coset_enumeration(pres, subgroup, 10_000)
     verify_table(pres, table)
-    identity = Permutation.identity(model[0].degree)
-    h = mulclose([identity] + [word_permutation(model, w) for w in subgroup])
+    h = mulclose([identity(len(model[0]))] + [word_permutation(model, w) for w in subgroup])
     assert table.coset_count * len(h) == len(mulclose(model))
     # an involution's self-inverse column fills both of its public columns
     for k in pres.involutions():

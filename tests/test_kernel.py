@@ -17,12 +17,7 @@ from galcov.kernel import (
     reidemeister_schreier,
     smith_normal_form,
 )
-from galcov.permutations import (
-    Permutation,
-    SymmetricAssignment,
-    plane_transposition_map,
-    word_image,
-)
+from galcov.permutations import SymmetricAssignment, plane_transposition_map
 from galcov.presentation import (
     GroupPresentation,
     build_tilde_presentation,
@@ -32,7 +27,16 @@ from galcov.presentation import (
 )
 from galcov.tietze import simplify_presentation
 
-from .conftest import compose, invert, mulclose, relabel_complex, snf_oracle
+from .conftest import (
+    compose,
+    identity,
+    invert,
+    mulclose,
+    relabel_complex,
+    snf_oracle,
+    transposition,
+    word_permutation,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -41,7 +45,7 @@ from .conftest import compose, invert, mulclose, relabel_complex, snf_oracle
 
 def test_kernel_table_index_two():
     p = GroupPresentation.make(("a",), [(1, 1)])
-    a = SymmetricAssignment(degree=2, images=(Permutation.transposition(2, 1, 2),))
+    a = SymmetricAssignment(degree=2, images=(transposition(2, 1, 2),))
     t = kernel_coset_table(p, a)
     assert t.coset_count == 2
     sub = reidemeister_schreier(p, t)
@@ -49,9 +53,9 @@ def test_kernel_table_index_two():
 
 
 def product_table_rows(pres, a):
-    """Kernel table rows from ``Permutation`` products: the oracle for the
-    image-tuple rows of ``kernel_coset_table``."""
-    elements = [Permutation(p) for p in itertools.permutations(range(1, a.degree + 1))]
+    """Kernel table rows from permutation products: the oracle for the
+    rows ``kernel_coset_table`` looks up by image tuple."""
+    elements = list(itertools.permutations(range(1, a.degree + 1)))
     index = {sigma: i for i, sigma in enumerate(elements)}
     gens = a.images[: pres.generator_count]
     return tuple(
@@ -76,14 +80,14 @@ def test_kernel_table_dt4(dt4, dt4_presentation):
 
 def test_kernel_table_rejects_non_homomorphism():
     p = GroupPresentation.make(("a",), [(1, 1, 1)])
-    a = SymmetricAssignment(degree=2, images=(Permutation.transposition(2, 1, 2),))
+    a = SymmetricAssignment(degree=2, images=(transposition(2, 1, 2),))
     with pytest.raises(KernelError, match="homomorphism"):
         kernel_coset_table(p, a)
 
 
 def test_kernel_table_rejects_non_surjective():
     p = GroupPresentation.make(("a", "b"), [(1, 1), (2, 2)])
-    t = Permutation.transposition(3, 1, 2)
+    t = transposition(3, 1, 2)
     a = SymmetricAssignment(degree=3, images=(t, t))
     with pytest.raises(KernelError, match="surjective"):
         kernel_coset_table(p, a)
@@ -96,7 +100,7 @@ def test_kernel_table_rejects_non_surjective():
 def test_free_group_index_two_has_rank_three():
     # free group on a, b; both mapped to the transposition
     p = GroupPresentation.make(("a", "b"), [])
-    t = Permutation.transposition(2, 1, 2)
+    t = transposition(2, 1, 2)
     a = SymmetricAssignment(degree=2, images=(t, t))
     table = kernel_coset_table(p, a)
     sub = reidemeister_schreier(p, table)
@@ -485,7 +489,7 @@ def test_rewritten_relators_trace_identity_in_subgroup_table():
     # the kernel has order 4, and every rewritten relator must trace to
     # identity from every coset of the kernel presentation's own table
     p = GroupPresentation.make(("a", "b"), [(1, 1), (2, 2), (1, 2) * 4])
-    t = Permutation.transposition(2, 1, 2)
+    t = transposition(2, 1, 2)
     a = SymmetricAssignment(degree=2, images=(t, t))
     table = kernel_coset_table(p, a)
     sub = reidemeister_schreier(p, table)
@@ -501,11 +505,11 @@ def test_rewritten_relators_trace_identity_in_subgroup_table():
 
 # K as a presentation (generators, relators) and as permutations
 _S3 = (("x", "y"), [(1, 1, 1), (2, 2), (1, 2, 1, 2)],
-       [Permutation((2, 3, 1)), Permutation((2, 1, 3))])
+       [(2, 3, 1), (2, 1, 3)])
 _Q8 = (("i", "j"), [(1,) * 4, (1, 1, -2, -2), (-2, 1, 2, 1)],
-       [Permutation((2, 5, 8, 3, 6, 1, 4, 7)), Permutation((3, 4, 5, 6, 7, 8, 1, 2))])
+       [(2, 5, 8, 3, 6, 1, 4, 7), (3, 4, 5, 6, 7, 8, 1, 2)])
 _Z4Z2 = (("a", "b"), [(1,) * 4, (2, 2), (1, 2, -1, -2)],
-         [Permutation((2, 3, 4, 1, 5, 6)), Permutation((1, 2, 3, 4, 6, 5))])
+         [(2, 3, 4, 1, 5, 6), (1, 2, 3, 4, 6, 5)])
 
 
 def _with_s2_complement(names, relators):
@@ -517,8 +521,7 @@ def _with_s2_complement(names, relators):
         names + ("t",),
         relators + [(t, t)] + [(t, k, -t, -k) for k in range(1, t)],
     )
-    identity = Permutation.identity(2)
-    a = SymmetricAssignment(2, (identity,) * len(names) + (Permutation.transposition(2, 1, 2),))
+    a = SymmetricAssignment(2, (identity(2),) * len(names) + (transposition(2, 1, 2),))
     return pres, a, ((t,), (1, 2))
 
 
@@ -527,21 +530,17 @@ def _brute_force(model):
     the group the permutations generate."""
     elements = mulclose(model)
 
-    def mul(p, q):
-        return tuple(q[x - 1] for x in p)
-
-    def inv(p):
-        return invert(Permutation(p)).images
-
     def order(p):
         k, q = 1, p
-        while q != tuple(sorted(p)):
-            q, k = mul(q, p), k + 1
+        while q != identity(len(p)):
+            q, k = compose(q, p), k + 1
         return k
 
-    centre = [z for z in elements if all(mul(z, y) == mul(y, z) for y in elements)]
-    commutators = {mul(mul(inv(x), inv(y)), mul(x, y)) for x in elements for y in elements}
-    derived = mulclose([Permutation(c) for c in commutators])
+    centre = [z for z in elements if all(compose(z, y) == compose(y, z) for y in elements)]
+    commutators = {
+        compose(compose(invert(x), invert(y)), compose(x, y)) for x in elements for y in elements
+    }
+    derived = mulclose(commutators)
     return len(elements), len(centre), len(derived), sorted(map(order, elements))
 
 
@@ -589,10 +588,7 @@ def test_regular_kernel_over_a_longer_path():
         ("z", "s1", "s2"),
         [(1, 1, 1), (2, 2), (3, 3), (2, 3) * 3, (1, 2, -1, -2), (1, 3, -1, -3)],
     )
-    a = SymmetricAssignment(3, (
-        Permutation.identity(3), Permutation.transposition(3, 1, 2),
-        Permutation.transposition(3, 2, 3),
-    ))
+    a = SymmetricAssignment(3, (identity(3), transposition(3, 1, 2), transposition(3, 2, 3)))
     table = coset_enumeration(pres, [(2,), (3,)], 1000)
     assert table.coset_count == 3
     v = regular_kernel(table, a, (2, 3), (1, 2, 3))
@@ -610,7 +606,7 @@ def test_regular_kernel_rejects_a_set_that_is_not_closed():
     # transpositions, whose product is a 3-cycle
     pres = GroupPresentation.make(("a", "b"), [(1, 1), (2, 2), (1, 2) * 3])
     table = coset_enumeration(pres, [(1, 2, 1)], 100)
-    trivial = SymmetricAssignment(1, (Permutation.identity(1),) * 2)
+    trivial = SymmetricAssignment(1, (identity(1),) * 2)
     with pytest.raises(KernelError, match="not closed under product"):
         regular_kernel(table, trivial, ())
 
@@ -620,7 +616,7 @@ def test_regular_kernel_rejects_a_kernel_of_the_wrong_size():
     # not 6 / 2!
     pres = GroupPresentation.make(("a", "b"), [(1, 1), (2, 2), (1, 2) * 3])
     table = coset_enumeration(pres, (), 100)
-    trivial = SymmetricAssignment(2, (Permutation.identity(2),) * 2)
+    trivial = SymmetricAssignment(2, (identity(2),) * 2)
     with pytest.raises(KernelError, match="6 of the 6 cosets lie in the kernel"):
         regular_kernel(table, trivial, ())
 
@@ -645,14 +641,12 @@ def _kernel_words(table, a, path):
     that element: h w, with w a shortest word from coset 0 to c and h a
     shortest word over ``path``, whose involutions fix coset 0, with the
     inverse image."""
-    over_h = _breadth_first(
-        Permutation.identity(a.degree), path, lambda p, g: compose(p, a.images[g - 1])
-    )
+    over_h = _breadth_first(identity(a.degree), path, lambda p, g: compose(p, a.images[g - 1]))
     letters = [x for g in range(1, table.generator_count + 1) for x in (g, -g)]
     to = _breadth_first(0, letters, lambda c, x: table.trace(c, (x,)))
     words = {}
     for c, w in to.items():
-        h = over_h.get(invert(word_image(a, w)))
+        h = over_h.get(invert(word_permutation(a.images, w)))
         if h is not None:
             words[c] = h + w
     return words
@@ -697,7 +691,7 @@ def test_regular_kernel_rejects_a_word_that_leaves_the_kernel_orbit():
     # that one of them reads sends another outside those 3
     pres = GroupPresentation.make(("a", "b"), [(1, 1), (2, 2), (1, 2) * 3])
     table = coset_enumeration(pres, (), 100)
-    a = SymmetricAssignment(2, (Permutation.transposition(2, 1, 2), Permutation.identity(2)))
+    a = SymmetricAssignment(2, (transposition(2, 1, 2), identity(2)))
     with pytest.raises(KernelError, match="does not act on the kernel"):
         regular_kernel(table, a, ())
 

@@ -5,12 +5,7 @@ import pytest
 
 from galcov.complexes import DegenerationComplex, PresentationOverrides
 from galcov.enumeration import coset_enumeration, group_order
-from galcov.permutations import (
-    Permutation,
-    SymmetricAssignment,
-    plane_transposition_map,
-    word_image,
-)
+from galcov.permutations import SymmetricAssignment, plane_transposition_map
 from galcov.presentation import (
     GroupPresentation,
     MissingFourPointData,
@@ -35,7 +30,16 @@ from galcov.presentation import (
 )
 from galcov.tietze import simplify_presentation
 
-from .conftest import DT4_PAPER_PLAN, coxeter_cover, mulclose, relabel_complex, word_of
+from .conftest import (
+    DT4_PAPER_PLAN,
+    coxeter_cover,
+    identity,
+    mulclose,
+    relabel_complex,
+    transposition,
+    word_of,
+    word_permutation,
+)
 
 T4_TRIPLE_PAIRS = {
     (1, 2), (1, 4), (1, 5), (1, 6), (2, 3), (2, 4),
@@ -324,7 +328,7 @@ def test_build_four_point_without_overrides_fails(dt4):
 
 def trivial_map(pres):
     """The homomorphism of any group onto S_1."""
-    return SymmetricAssignment(1, (Permutation.identity(1),) * pres.generator_count)
+    return SymmetricAssignment(1, (identity(1),) * pres.generator_count)
 
 
 def test_eliminate_with_stated_relator():
@@ -499,7 +503,7 @@ def test_the_kernel_word_passes_the_image_check_only(
     dt4_presentation, dt4_assignment, dt4_complement_table
 ):
     word = (-7,) + word_of("g2 g3 g8 g3 g2", dt4_presentation.names)
-    assert word_image(dt4_assignment, word).is_identity()
+    assert word_permutation(dt4_assignment.images, word) == identity(6)
     assert relation_holds(7, word[1:], dt4_complement_table, dt4_assignment) is False
 
 
@@ -513,7 +517,7 @@ def test_complement_path_of_dt4_is_a_coxeter_path(
     assert dt4_complement_table.coset_count * 720 == group_order(dt4_table)
     # the 16-point action is faithful: G~ is 11,520 permutations of the cosets
     gens = [
-        Permutation(tuple(row[2 * k - 2] + 1 for row in dt4_complement_table.rows))
+        tuple(row[2 * k - 2] + 1 for row in dt4_complement_table.rows)
         for k in range(1, dt4_presentation.generator_count + 1)
     ]
     assert len(mulclose(gens)) == 11_520
@@ -599,29 +603,15 @@ def test_simplify_preserves_abelianization():
 
 
 def test_vk_node_template_vanishes_under_commuting_images():
-    from galcov.permutations import SymmetricAssignment, word_image
-    from galcov.permutations import Permutation
-
     # disjoint transpositions commute; the node relator must die on them
-    a = SymmetricAssignment(
-        degree=4,
-        images=(Permutation.transposition(4, 1, 2), Permutation.transposition(4, 3, 4)),
-    )
-    node = commutator_word(1, 2)
-    assert word_image(a, node).is_identity()
+    images = (transposition(4, 1, 2), transposition(4, 3, 4))
+    assert word_permutation(images, commutator_word(1, 2)) == identity(4)
 
 
 def test_vk_cusp_template_vanishes_under_braiding_images():
-    from galcov.permutations import SymmetricAssignment, word_image
-    from galcov.permutations import Permutation
-
     # transpositions sharing one point braid; the cusp relator dies on them
-    a = SymmetricAssignment(
-        degree=3,
-        images=(Permutation.transposition(3, 1, 2), Permutation.transposition(3, 2, 3)),
-    )
     cusp = triple_word(1, 2)
-    assert word_image(a, cusp).is_identity()
+    assert word_permutation((transposition(3, 1, 2), transposition(3, 2, 3)), cusp) == identity(3)
     # and on any pair of braiding semidirect images: (1 2), and the
     # affine reflection (1 3)u_{1,3}, in window notation
     from galcov.coxeter import eval_words
