@@ -7,7 +7,8 @@ kernel K (= the fundamental group of the Galois cover) from one
 Todd-Coxeter table of G~ over an S_n complement H, with [G~:H] = |K| rows
 (over the trivial subgroup when ``complement_path`` finds no H): |G~| =
 [G~:H]|H| = n!|K|, and the verdict comes from K's regular action on the
-table.  ``both`` adds an independent presentation of K (the n!-row kernel
+table, read from at most log2 |K| generators, one Schreier graph and
+SNF.  ``both`` adds an independent presentation of K (the n!-row kernel
 table, Reidemeister-Schreier, Tietze simplification, an enumeration of K,
 SNF); its |K| and invariants must match, and it decides alone when the
 table does not.  The Coxeter-quotient route (``coxeter`` or ``both``)
@@ -17,9 +18,10 @@ a projective relator it reports itself unsupported, and ``coxeter`` alone
 builds no table.
 
 ``max_cosets`` bounds every table and search: the complement search, the
-Coxeter route's cycle walk, the enumeration over H, the |K|^2 table
-lookups of the regular action (checked before the first), the n!-row
-kernel table (checked before a row is built) and the kernel enumeration.
+Coxeter route's cycle walk, the enumeration over H, the
+|K|(floor(log2 |K|) + 1) table lookups of the regular action (checked
+before the first), the n!-row kernel table (checked before a row is
+built) and the kernel enumeration.
 
 Exit codes: 0 definite verdict, 1 undecided (a table hit ``max_cosets``,
 or no requested route could decide), 2 input errors.
@@ -371,14 +373,15 @@ def _undecided_at_bound(report, max_cosets, what):
 def _enumeration_route(report, pres, table, path, planes, tilde, assignment, max_cosets, timed):
     """Regular-action route: |K| = [G~:H]|H|/n! from the table over H, and
     the verdict from K's regular action on it.  Returns the verdict, or
-    None when the bound on its |K|^2 table lookups stops it."""
+    None when the bound on its |K|(floor(log2 |K|) + 1) table lookups
+    stops it."""
     kernel_order = tilde // report.symmetric_image_order
-    if kernel_order**2 > max_cosets:
+    lookups = kernel_order * kernel_order.bit_length()
+    if lookups > max_cosets:
         _undecided_at_bound(
             report,
             max_cosets,
-            f"the regular action of K, of order {kernel_order}, "
-            f"needs {kernel_order**2} table lookups",
+            f"the regular action of K, of order {kernel_order}, needs {lookups} table lookups",
         )
         return None
     try:
@@ -597,8 +600,8 @@ def _build_parser():
         default=DEFAULT_MAX_COSETS,
         help=(
             "bound on the cosets of each enumeration, the partial paths of the "
-            "complement search and the cycle walk, the |K|^2 lookups of the "
-            "regular action and the n! rows of the kernel table "
+            "complement search and the cycle walk, the |K|(floor(log2 |K|) + 1) "
+            "lookups of the regular action and the n! rows of the kernel table "
             f"(default {DEFAULT_MAX_COSETS})"
         ),
     )

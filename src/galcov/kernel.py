@@ -3,7 +3,9 @@
 The exact sequence 0 -> pi1 -> G -> S_n -> 0 identifies the fundamental
 group of the Galois cover with the kernel of the symmetric-group map, so
 everything here is about that kernel.  :func:`regular_kernel` decides it
-from its regular action on a coset table of G over a complement of K.
+from its regular action on a coset table of G over a complement of K:
+at most log2 |K| generators, their Schreier graph, and the Smith normal
+form of the relators that the graph's edges off a spanning tree close.
 The second, independent route builds a presentation of K: its coset
 table (indexed by the n! permutations), Reidemeister-Schreier rewriting,
 and abelian invariants via Smith normal form or GF(2) rank.
@@ -17,7 +19,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from operator import itemgetter
+from operator import eq, itemgetter, sub
 from typing import NamedTuple
 
 from .enumeration import CosetTable, _internal_columns
@@ -451,11 +453,18 @@ def regular_kernel(
     The kernel element of coset c is u_c w_c: w_c is the representative
     word of c, and u_c the bubble-sort word along the path whose image is
     the inverse of w_c's (empty over the trivial subgroup).  It sends
-    coset 0 to c.  Traced from every kernel coset, the |K| kernel
-    elements give permutations, which must be distinct and closed under
-    product, or :class:`KernelError` is raised; then they are K.  The
-    invariants of K/K' follow from how many of its elements have each
-    prime-power order.  About |K|^2 table lookups.
+    coset 0 to c.  Walking the kernel cosets in order, c's element is
+    traced over them, as a permutation, whenever c lies outside the orbit
+    of coset 0 under the elements taken so far; each one must at least
+    double that orbit, so at most log2 |K| are taken.  Along the orbit's
+    Schreier tree, left multiplication by each taken element must commute
+    with every taken element, or :class:`KernelError` is raised; then
+    their group has a transitive centralizer, so it is regular and is K.
+    The centre is where left and right multiplication by every taken
+    element agree.  Each edge off the tree closes a relator of K over the
+    taken elements (Reidemeister-Schreier over the trivial subgroup), and
+    the Smith normal form of the abelianized relators gives the
+    invariants of K/K'.
     """
     n = a.degree
     rows = table.rows
@@ -499,117 +508,91 @@ def regular_kernel(
                 f"{len(cosets)} of the {len(rows)} cosets lie in the kernel, not 1 in {n}!"
             )
     index = {c: i for i, c in enumerate(cosets)}
-    perms = []
-    for c in cosets:
+    # the taken elements, as permutations of the kernel cosets, and the
+    # Schreier tree of the orbit of coset 0 under them
+    gens, tree = [], {0: None}
+    for i, c in enumerate(cosets):
+        if i in tree:
+            continue
         w = word(c)
         if path:
             # bubble-sort the path positions that the image moves back
             b = [pos[image[c][p - 1]] for p in planes]
             swaps = []
             for end in range(n - 1, 0, -1):
-                for i in range(end):
-                    if b[i + 1] < b[i]:
-                        b[i], b[i + 1] = b[i + 1], b[i]
-                        swaps.append(path[i])
+                for j in range(end):
+                    if b[j + 1] < b[j]:
+                        b[j], b[j + 1] = b[j + 1], b[j]
+                        swaps.append(path[j])
             w = swaps[::-1] + w
         # w from every kernel coset at once, one column per letter, as
         # permutations._evaluate does; itemgetter of one index returns no
-        # tuple, but a kernel of one coset is coset 0, whose w is empty
+        # tuple, but a kernel of one coset has no element to take
         acc = tuple(cosets)
         for x in w:
             acc = itemgetter(*acc)(columns[x])
         perm = tuple(map(index.get, acc))
-        if perm[0] != len(perms) or None in perm:
+        if perm[0] != i or None in perm:
             raise KernelError(f"the kernel element of coset {c} does not act on the kernel")
-        perms.append(perm)
-    _check_closed(perms)
-    return _structure(perms)
+        gens.append(perm)
+        before, tree = len(tree), _schreier_tree(gens)
+        # in a regular group the orbit is as large as the subgroup that the
+        # taken elements generate, and the new one lies outside it
+        if len(tree) < 2 * before:
+            raise KernelError("the kernel permutations are not closed under product")
+    return _regular_verdict(gens, tree)
 
 
-def _check_closed(perms):
-    """Raise unless ``perms``, whose i-th entry sends 0 to i and whose
-    0th is the identity, is a group.  For t in a set T whose group moves 0
-    to every point, each p t must be in the set: then the set times <T>
-    stays in it, so <T> is in it, and <T>, transitive, has as many
-    elements."""
-    reached, gens = {0}, []
-    for t in range(len(perms)):
-        if t in reached:
-            continue
-        for p in perms:
-            q = itemgetter(*p)(perms[t])
-            if q != perms[q[0]]:
+def _schreier_tree(gens):
+    """The breadth-first Schreier tree of the orbit of 0 under the
+    permutations ``gens``: each point's parent point and generator index
+    (None at 0), in the order reached."""
+    tree, orbit = {0: None}, [0]
+    for x in orbit:
+        for s, g in enumerate(gens):
+            if g[x] not in tree:
+                tree[g[x]] = (x, s)
+                orbit.append(g[x])
+    return tree
+
+
+def _regular_verdict(gens, tree):
+    """Verdict on the group of the permutations ``gens``, whose orbit of
+    0 has the Schreier ``tree`` and holds all their points.  Raises
+    :class:`KernelError` unless the group is regular."""
+    size = len(tree)
+    edges = list(tree.items())[1:]
+    # left multiplication by t, read along the tree: lam(0) = t(0) and
+    # lam(x s) = lam(x) s
+    lams = []
+    for t in gens:
+        lam = [t[0]] * size
+        for y, (x, s) in edges:
+            lam[y] = gens[s][lam[x]]
+        for s in gens:
+            if itemgetter(*s)(lam) != itemgetter(*lam)(s):
                 raise KernelError("the kernel permutations are not closed under product")
-        gens.append(perms[t])
-        reached, frontier = {0}, [0]
-        while frontier:
-            frontier = [y for y in {g[x] for x in frontier for g in gens} if y not in reached]
-            reached.update(frontier)
+        lams.append(lam)
+    # z is central when left and right multiplication by each t agree on it
+    centre = sum(map(eq, zip(*lams), zip(*gens))) if gens else 1
 
-
-def _structure(perms):
-    """Verdict on the group of ``perms``, the regular representation: the
-    product of elements i and j is perms[j][i]."""
-    size = len(perms)
-    elements = range(size)
-    inverse = [p.index(0) for p in perms]
-    # z is central when its row, the products y z, equals its column, z y
-    centre = [z for z, column in enumerate(zip(*perms)) if perms[z] == column]
-    commutators = {
-        perms[y][perms[x][perms[inverse[y]][inverse[x]]]] for x in elements for y in elements
-    }
-    derived, frontier = {0}, [0]
-    while frontier:
-        frontier = [y for y in {perms[c][d] for d in frontier for c in commutators}
-                    if y not in derived]
-        derived.update(frontier)
-    # the order of each element's coset of the derived subgroup
-    orders = []
-    for x in elements:
-        y, k = x, 1
-        while y not in derived:
-            y, k = perms[x][y], k + 1
-        orders.append(k)
-    factors = _invariants_from_orders(orders, len(derived))
-    if len(centre) < size:
+    # each point's word along the tree, abelianized, and the relator that
+    # each edge x --s--> y closes: vec(x) + e_s - vec(y), zero on the tree
+    vec = [(0,) * len(gens)] * size
+    for y, (x, s) in edges:
+        vec[y] = vec[x][:s] + (vec[x][s] + 1,) + vec[x][s + 1 :]
+    relators = set()
+    for s, g in enumerate(gens):
+        for v, y in zip(vec, g):
+            relators.add(tuple(map(sub, v[:s] + (v[s] + 1,) + v[s + 1 :], vec[y])))
+    relators.discard((0,) * len(gens))
+    factors = tuple(f for f in smith_normal_form(relators) if f > 1)
+    if centre < size:
         return StructureVerdict(
             kind="NonAbelian",
             order=size,
             factors=factors,
-            centre_order=len(centre),
-            derived_order=len(derived),
+            centre_order=centre,
+            derived_order=size // math.prod(factors),
         )
     return identify_structure(size, invariant_factors=factors)
-
-
-def _invariants_from_orders(orders, repeat):
-    """Invariant factors d1 | d2 | ..., all above 1, of the finite abelian
-    group whose element orders are ``orders``, each listed ``repeat``
-    times.  Of its p-power cyclic factors, r_j have order at least p^j
-    exactly when p^(r_1 + ... + r_j) elements have order dividing p^j."""
-    size = len(orders) // repeat
-    columns = []  # per prime, its prime-power factors, largest first
-    rest, p = size, 2
-    while rest > 1:
-        if rest % p:
-            p += 1
-            continue
-        while rest % p == 0:
-            rest //= p
-        at_least, prev, k = [], 0, 0
-        while True:
-            k += 1
-            count, e = sum(1 for o in orders if p**k % o == 0) // repeat, 0
-            while count % p == 0:
-                count, e = count // p, e + 1
-            if count != 1:
-                raise KernelError(f"{p}-power orders do not count as in an abelian group")
-            if e == prev:
-                break
-            at_least.append(e - prev)
-            prev = e
-        columns.append([p ** sum(1 for r in at_least if r > j) for j in range(at_least[0])])
-    width = max(map(len, columns), default=0)
-    return tuple(
-        math.prod(col[j] for col in columns if j < len(col)) for j in reversed(range(width))
-    )

@@ -121,28 +121,24 @@ def solve_relator(word, t) -> dict[int, Word]:
     return {x: invert_word(rest), -x: rest}
 
 
-def canonical_key(word) -> Word:
-    """Smallest rotation of the word or its inverse; dedup key for relators.
-
-    The word is freely reduced first (not cyclically: ``(1, 2, -1)`` keeps
-    its own key).  A least rotation starts at an occurrence of the least
-    letter, so only those rotations are compared; on relators, where the
-    least letter is rare, that is about linear in the word length.
-    """
-    return _reduced_key(free_reduce(word))
-
-
 def is_stated(relators, word) -> bool:
     """Is a rotation of ``word`` or of its inverse in the set ``relators``?
     For a cyclically reduced word, such as a square, commutator or braid
-    template, that is ``canonical_key(word)`` among the relators' keys."""
+    template, that is its :func:`_reduced_key` among the relators' keys."""
     return any(
         w[i:] + w[:i] in relators for w in (word, invert_word(word)) for i in range(len(w))
     )
 
 
 def _reduced_key(w) -> Word:
-    """:func:`canonical_key` of an already freely reduced word."""
+    """Smallest rotation of the freely reduced word ``w`` or of its
+    inverse; the dedup key for relators.
+
+    ``w`` is not cyclically reduced first: ``(1, 2, -1)`` keeps its own
+    key.  A least rotation starts at an occurrence of the least letter,
+    so only those rotations are compared; on relators, where the least
+    letter is rare, that is about linear in the word length.
+    """
     if not w:
         return w
     # the key starts with the least letter of the word or of its inverse

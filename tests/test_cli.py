@@ -628,15 +628,16 @@ def _enumerate_route_needs(name):
     """What ``--max-cosets`` must cover before the enumerate route decides,
     in the order it meets them: the partial paths the complement search
     pops, the cosets the enumeration over H allocates (row 0 and one per
-    definition) and the |K|^2 lookups of K's regular action."""
+    definition) and the |K|(floor(log2 |K|) + 1) lookups of K's regular
+    action."""
     complex_ = load_builtin(name)
     pres = build_tilde_presentation(complex_)
     assignment = plane_transposition_map(complex_)
     search = next(b for b in itertools.count(1) if complement_path(pres, assignment, b)[0])
     stats = {}
     path, _ = complement_path(pres, assignment, search)
-    table = coset_enumeration(pres, [(g,) for g in path], stats=stats)
-    return search, stats["cosets_defined"] + 1, table.coset_count**2
+    k = coset_enumeration(pres, [(g,) for g in path], stats=stats).coset_count
+    return search, stats["cosets_defined"] + 1, k * k.bit_length()
 
 
 @pytest.mark.parametrize(
@@ -645,17 +646,20 @@ def _enumerate_route_needs(name):
         ("t4", 4, False, "enumeration overflow at 4 cosets"),
         ("t4", 5, True, None),
         ("dt4", 100, False, "enumeration overflow at 100 cosets"),
-        ("dt4", 101, False, "the regular action of K, of order 16, needs 256 table lookups"),
-        ("dt4", 255, False, "the regular action of K, of order 16, needs 256 table lookups"),
+        ("dt4", 101, True, None),
+        ("dt4", 255, True, None),
         ("dt4", 256, True, None),
     ],
 )
 def test_regular_action_is_bounded(capsys, name, bound, decides, warning):
     # the enumerate route decides once --max-cosets covers all it needs;
     # each case sits on one side of one need, and the first need left
-    # uncovered names the warning
+    # uncovered names the warning.  dt4's regular action needs 16 * 5 = 80
+    # lookups, under the 101 cosets of its enumeration; 255 and 256 sit on
+    # either side of the 16^2 that multiplying every pair of K would need
     needs = _enumerate_route_needs(name)
-    assert bound in needs or bound + 1 in needs
+    assert needs == {"t4": (4, 5, 1), "dt4": (6, 101, 80)}[name]
+    assert bound in needs or bound + 1 in needs or bound in (255, 256)
     assert decides == (bound >= max(needs))
     if not decides:
         _, allocation, _ = needs

@@ -575,7 +575,8 @@ def test_derived_relations_hold_on_the_faithful_pair(seed):
 
 
 @pytest.mark.parametrize(
-    "m, k, cosets_defined", [(3, 2, 3), (4, 3, 39), (5, 3, 213), (6, 3, 951), (7, 3, 3757)]
+    "m, k, cosets_defined",
+    [(3, 2, 3), (4, 3, 39), (5, 3, 213), (6, 3, 951), (7, 3, 3757), (6, 4, 5586), (7, 4, 27746)],
 )
 def test_coxeter_cover_routes_agree(m, k, cosets_defined):
     # K = Z_k^(m-1): the regular action on the table over the S_m
@@ -597,34 +598,37 @@ def test_coxeter_cover_routes_agree(m, k, cosets_defined):
     assert regular.describe() == lattice.describe()
 
 
-def test_coxeter_cover_6_4_is_decided_by_the_coxeter_route_alone():
+def test_coxeter_cover_6_4_regular_action_decides_from_11264_lookups():
     # K = Z4^5: the table over the S_6 complement has 1,024 rows, so the
-    # regular action needs 1,024^2 lookups, above the default bound, and is
-    # undecided; the lattice quotient decides
+    # regular action needs 1,024 * 11 = 11,264 lookups; one fewer leaves
+    # it undecided, and from there on it agrees with the lattice quotient
     pres, proj, symmetric = coxeter_cover(6, 4)
     full = GroupPresentation.make(pres.names, pres.relators + (proj,))
     path, planes = complement_path(full, symmetric, DEFAULT_MAX_COSETS)
-    stats = {}
-    table = coset_enumeration(full, [(g,) for g in path], DEFAULT_MAX_COSETS, stats)
+    table = coset_enumeration(full, [(g,) for g in path], DEFAULT_MAX_COSETS)
     assert table.coset_count == 1024
-    assert stats["cosets_defined"] == 5586
-    report = AnalysisReport(
-        source="coxeter_cover(6, 4)", name="", complex_summary={}, counts={}, chern={},
-        routes_requested="enumerate", symmetric_image_order=math.factorial(6),
-    )
-    tilde = table.coset_count * math.factorial(6)
-    verdict = _enumeration_route(
-        report, full, table, path, planes, tilde, symmetric, DEFAULT_MAX_COSETS,
-        lambda stage, fn, *args: fn(*args),
-    )
-    assert verdict is None
-    assert report.pi1["kind"] == "Undetermined"
-    assert report.warnings == [
-        "undecided at bound: the regular action of K, of order 1024, "
-        "needs 1048576 table lookups"
-    ]
     route = coxeter_route(pres, proj, table, symmetric, DEFAULT_MAX_COSETS)
     assert route.supported
     lattice = route.verdict()
     assert lattice.order == route.quotient.order == 1024
     assert lattice.factors == (4,) * 5
+    tilde = table.coset_count * math.factorial(6)
+    for bound in (11_263, 11_264, DEFAULT_MAX_COSETS):
+        report = AnalysisReport(
+            source="coxeter_cover(6, 4)", name="", complex_summary={}, counts={}, chern={},
+            routes_requested="enumerate", symmetric_image_order=math.factorial(6),
+        )
+        verdict = _enumeration_route(
+            report, full, table, path, planes, tilde, symmetric, bound,
+            lambda stage, fn, *args: fn(*args),
+        )
+        if bound < 11_264:
+            assert verdict is None
+            assert report.pi1["kind"] == "Undetermined"
+            assert report.warnings == [
+                "undecided at bound: the regular action of K, of order 1024, "
+                "needs 11264 table lookups"
+            ]
+        else:
+            assert verdict == lattice and not report.warnings
+            assert report.enumeration_route["pi1"] == "Z4 x Z4 x Z4 x Z4 x Z4"

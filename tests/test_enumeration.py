@@ -16,6 +16,7 @@ from galcov.presentation import (
 from galcov.tietze import simplify_presentation
 
 from .conftest import (
+    coxeter_cover,
     cycles,
     identity,
     mulclose,
@@ -406,6 +407,12 @@ def builtin_over(name, complement):
     return pres, [(g,) for g in path]
 
 
+def cover_over_complement(m, k):
+    pres, proj, symmetric = coxeter_cover(m, k)
+    full = GroupPresentation.make(pres.names, pres.relators + (proj,))
+    return full, [(g,) for g in complement_path(full, symmetric, 1000)[0]]
+
+
 # dt4 over the trivial subgroup is left out: sympy's HLT did not close its
 # 11520 cosets within 100 s
 @pytest.mark.parametrize(
@@ -418,8 +425,11 @@ def builtin_over(name, complement):
         lambda: (s4_mixed(), [(1,)]),
         lambda: (quaternion(), ()),
         lambda: (quaternion(), [(1, -2)]),
+        lambda: cover_over_complement(4, 3),
+        lambda: cover_over_complement(5, 3),
     ],
-    ids=["t4", "t4-complement", "dt4-complement", "S4", "S4-over-a", "Q8", "Q8-over-ab^-1"],
+    ids=["t4", "t4-complement", "dt4-complement", "S4", "S4-over-a", "Q8", "Q8-over-ab^-1",
+         "cover-4-3-complement", "cover-5-3-complement"],
 )
 def test_index_matches_sympy_coset_enumeration(case, monkeypatch):
     pytest.importorskip("sympy")

@@ -510,6 +510,17 @@ _Q8 = (("i", "j"), [(1,) * 4, (1, 1, -2, -2), (-2, 1, 2, 1)],
        [(2, 5, 8, 3, 6, 1, 4, 7), (3, 4, 5, 6, 7, 8, 1, 2)])
 _Z4Z2 = (("a", "b"), [(1,) * 4, (2, 2), (1, 2, -1, -2)],
          [(2, 3, 4, 1, 5, 6), (1, 2, 3, 4, 6, 5)])
+_S4 = (("a", "b"), [(1, 1), (2,) * 4, (1, 2) * 3],
+       [(2, 1, 3, 4), (2, 3, 4, 1)])
+# Z3 = <x>, S3 = <y, z> and Z4 = <w>, on 3 + 3 + 4 points
+_Z3S3Z4 = (("x", "y", "z", "w"),
+           [(1,) * 3, (2,) * 3, (3, 3), (2, 3) * 2, (4,) * 4]
+           + [(i, j, -i, -j) for i, j in ((1, 2), (1, 3), (1, 4), (4, 2), (4, 3))],
+           [(2, 3, 1, 4, 5, 6, 7, 8, 9, 10), (1, 2, 3, 5, 6, 4, 7, 8, 9, 10),
+            (1, 2, 3, 5, 4, 6, 7, 8, 9, 10), (1, 2, 3, 4, 5, 6, 8, 9, 10, 7)])
+# the dihedral group of order 100: a rotation and a reflection of 50 points
+_D50 = (("r", "s"), [(1,) * 50, (2, 2), (2, 1) * 2],
+        [tuple(range(2, 51)) + (1,), (1,) + tuple(range(50, 1, -1))])
 
 
 def _with_s2_complement(names, relators):
@@ -558,8 +569,13 @@ def _cyclic_product_orders(factors):
         (_Q8, {"kind": "NonAbelian", "order": 8, "centre": 2, "derived": 2, "factors": (2, 2)}),
         (_Z4Z2, {"kind": "AbelianInvariantFactors", "order": 8, "centre": 8, "derived": 1,
                  "factors": (2, 4)}),
+        (_S4, {"kind": "NonAbelian", "order": 24, "centre": 1, "derived": 12, "factors": (2,)}),
+        (_Z3S3Z4, {"kind": "NonAbelian", "order": 72, "centre": 12, "derived": 3,
+                   "factors": (2, 12)}),
+        (_D50, {"kind": "NonAbelian", "order": 100, "centre": 2, "derived": 25,
+                "factors": (2, 2)}),
     ],
-    ids=["S3", "Q8", "Z4xZ2"],
+    ids=["S3", "Q8", "Z4xZ2", "S4", "Z3xS3xZ4", "D50"],
 )
 def test_regular_kernel_matches_brute_force_closure(k, expected):
     names, relators, model = k
@@ -606,6 +622,18 @@ def test_regular_kernel_rejects_a_set_that_is_not_closed():
     # transpositions, whose product is a 3-cycle
     pres = GroupPresentation.make(("a", "b"), [(1, 1), (2, 2), (1, 2) * 3])
     table = coset_enumeration(pres, [(1, 2, 1)], 100)
+    trivial = SymmetricAssignment(1, (identity(1),) * 2)
+    with pytest.raises(KernelError, match="not closed under product"):
+        regular_kernel(table, trivial, ())
+
+
+def test_regular_kernel_rejects_a_transitive_group_that_is_not_regular():
+    # the dihedral group of order 8 = <a, b> on the 4 cosets of <a>, read
+    # as if that subgroup were trivial: the kernel words b and b a double
+    # the orbit of coset 0 twice, but generate a group of order 8 on 4
+    # points, and left multiplication along the tree does not commute
+    pres = GroupPresentation.make(("a", "b"), [(1, 1), (2, 2), (1, 2) * 4])
+    table = coset_enumeration(pres, [(1,)], 100)
     trivial = SymmetricAssignment(1, (identity(1),) * 2)
     with pytest.raises(KernelError, match="not closed under product"):
         regular_kernel(table, trivial, ())
@@ -669,18 +697,23 @@ def _tables(dt4, case):
 def test_regular_kernel_permutations_match_row_by_row_traces(monkeypatch, dt4, case):
     # each kernel element acts on the kernel cosets as any word for it does,
     # traced one letter at a time from every kernel coset
-    real = galcov.kernel._check_closed
+    real = galcov.kernel._regular_verdict
     for table, a, path, planes in _tables(dt4, case):
         seen = []
-        monkeypatch.setattr(galcov.kernel, "_check_closed", lambda p: real(seen.append(p) or p))
+        monkeypatch.setattr(galcov.kernel, "_regular_verdict",
+                            lambda gens, tree: real(seen.append(gens) or gens, tree))
         regular_kernel(table, a, path, planes)
-        (perms,) = seen
+        (gens,) = seen
         words = _kernel_words(table, a, path)
         cosets = sorted(words)
         # over the trivial subgroup, 1 in 2! cosets: the fixtures map onto S_2
-        assert len(perms) == len(cosets) == table.coset_count // (1 if path else 2)
+        assert len(cosets) == table.coset_count // (1 if path else 2)
+        # at most log2 |K| generators, taken in coset order
+        assert 0 < len(gens) <= math.log2(len(cosets))
+        assert [g[0] for g in gens] == sorted(g[0] for g in gens)
         index = {c: i for i, c in enumerate(cosets)}
-        for c, perm in zip(cosets, perms):
+        for perm in gens:
+            c = cosets[perm[0]]
             assert perm == tuple(index[table.trace(d, words[c])] for d in cosets)
 
 
@@ -694,17 +727,3 @@ def test_regular_kernel_rejects_a_word_that_leaves_the_kernel_orbit():
     a = SymmetricAssignment(2, (transposition(2, 1, 2), identity(2)))
     with pytest.raises(KernelError, match="does not act on the kernel"):
         regular_kernel(table, a, ())
-
-
-def test_invariants_from_element_orders_match_snf():
-    from galcov.kernel import _invariants_from_orders
-
-    rng = random.Random(20261018)
-    for _ in range(40):
-        cyclic = [rng.choice((2, 3, 4, 6, 8, 9)) for _ in range(rng.randint(0, 3))]
-        orders = _cyclic_product_orders(cyclic) if cyclic else [1]
-        repeat = rng.randint(1, 3)
-        expected = tuple(d for d in snf_oracle([
-            [d if i == j else 0 for j in range(len(cyclic))] for i, d in enumerate(cyclic)
-        ]) if d > 1) if cyclic else ()
-        assert _invariants_from_orders(orders * repeat, repeat) == expected
