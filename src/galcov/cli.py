@@ -99,11 +99,12 @@ _SNF_GENERATOR_LIMIT = 64
 
 
 class AnalysisError(Exception):
-    """Pipeline failure with the stage where it happened."""
+    """Pipeline failure with the stage where it happened: an input error."""
 
-    def __init__(self, stage, message, exit_code=2):
+    exit_code = 2
+
+    def __init__(self, stage, message):
         self.stage = stage
-        self.exit_code = exit_code
         super().__init__(f"[{stage}] {message}")
 
 

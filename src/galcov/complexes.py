@@ -103,7 +103,6 @@ class ValidationReport(NamedTuple):
     """Result of :func:`validate`: violations are data, not exceptions."""
 
     violations: tuple[str, ...]
-    edges_in_two_vertices: bool
     notes: tuple[str, ...] = ()
 
     @property
@@ -334,15 +333,12 @@ def validate(c: DegenerationComplex) -> ValidationReport:
         for x in v.edges:
             if x in counts:
                 counts[x] += 1
-    two_endpoints = True
     for eid in sorted(counts):
         if counts[eid] != 2:
-            two_endpoints = False
             violations.append(f"edge {eid} has {counts[eid]} endpoints")
 
     return ValidationReport(
         violations=tuple(violations),
-        edges_in_two_vertices=two_endpoints,
         notes=(_SPHERE_NOTE,),
     )
 

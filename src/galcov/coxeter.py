@@ -20,17 +20,18 @@ The projective relator then lands inside the lattice, and the kernel of
 the map onto S_n becomes the quotient of the lattice by the sublattice
 generated by the S_n-orbit of that one vector -- conjugation by lattice
 elements is trivial on an abelian normal subgroup, so the orbit generates
-the whole normal closure.  Smith normal form of n rows spanning the
-orbit's lattice (see ``lattice_quotient``) finishes the computation,
-and the quotient is described by its :class:`~galcov.kernel.StructureVerdict`,
-as the regular action's kernel is.
+the whole normal closure.  Two gcds of that vector's coordinates give
+the quotient (see ``lattice_quotient``), and it is described by its
+:class:`~galcov.kernel.StructureVerdict`, as the regular action's kernel
+is.
 
 So the route needs a projective relator, and refuses a presentation
 without one before it reduces anything.  The generators it keeps are the
 lines of a Hamiltonian cycle of the plane graph: every other line (a
 chord) is eliminated by a conjugate word along one arc of the cycle,
 each relation checked on a coset table of the group first (see
-``derive_plan``).
+``derive_plan``).  The reduced relators must then state that cycle's
+quotient (see ``recognize_cycle``).
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ from __future__ import annotations
 import math
 from typing import NamedTuple
 
-from .kernel import StructureVerdict, identify_structure, smith_normal_form
+from .kernel import StructureVerdict, identify_structure
 from .permutations import _evaluate
 from .presentation import (
     GroupPresentation,
@@ -93,9 +94,10 @@ def eval_words(images, words) -> list[tuple[int, ...]]:
 
 
 class CoxeterGraph(NamedTuple):
-    """The m-cycle that ``recognize_cycle`` reads off a presentation: edge
-    k is (k, k+1) for k < m and edge m is (1, m); the first m-1 edges
-    form the tree, and the last one is the non-tree edge."""
+    """The m-cycle of generators that ``derive_plan`` walks, as
+    ``recognize_cycle`` labels it: edge k is (k, k+1) for k < m and edge
+    m is (1, m); the first m-1 edges form the tree, and the last one is
+    the non-tree edge."""
 
     vertex_count: int
     edges: tuple[tuple[str, tuple[int, int]], ...]  # (label, (i, j)), i < j
@@ -161,25 +163,17 @@ def lattice_quotient(vec) -> LatticeQuotient:
     the sum-zero lattice and g the gcd of the differences v_a - v_b: each
     sigma.v - v lies in g.L, and for w in the orbit w - (a b).w =
     (w_a - w_b) u_{a,b}, where w_a - w_b runs over every difference.  So
-    v with g times the u-basis (u_{1,2}, ..., u_{n-1,n}) spans the
-    sublattice cut out by the normal closure, without listing the n!
-    orbit; its Smith normal form gives the quotient.
+    the quotient is (Z/g)^(n-1), in the u-basis (u_{1,2}, ...,
+    u_{n-1,n}), modulo v, without listing the n! orbit.  Every v_k is v_1
+    mod g, so v is v_1.(1, 2, ..., n-1) there, a multiple of a basis
+    vector, and the quotient is Z/d x (Z/g)^(n-2) with d = gcd(g, v_1).
     """
     n = len(vec)
     if not any(vec):
         return LatticeQuotient(invariants=(0,) * (n - 1), order=None)
     g = math.gcd(*(x - vec[0] for x in vec))
-    rows = [u_basis_coords(vec)] + [
-        tuple(g if j == i else 0 for j in range(n - 1)) for i in range(n - 1)
-    ]
-    diag = smith_normal_form(rows)
-    invariants = tuple(diag[: n - 1]) + (0,) * max(0, n - 1 - len(diag))
-    order = None
-    if all(d > 0 for d in invariants):
-        order = 1
-        for d in invariants:
-            order *= d
-    return LatticeQuotient(invariants=invariants, order=order)
+    d = math.gcd(g, u_basis_coords(vec)[0])  # the first u-coordinate is v_1
+    return LatticeQuotient(invariants=(d,) + (g,) * (n - 2), order=d * g ** (n - 2))
 
 
 # ---------------------------------------------------------------------------
@@ -214,9 +208,10 @@ def _chord_word(g, cycle, ends, table, symmetric) -> Word | None:
     return next((w for w in words if relation_holds(g, w, table, symmetric)), None)
 
 
-def derive_plan(pres, table, symmetric, bound) -> dict[int, Word]:
-    """Each generator off a Hamiltonian cycle of the plane graph (a chord),
-    mapped to a word over the cycle that equals it in the group.
+def derive_plan(pres, table, symmetric, bound) -> tuple[tuple[int, ...], dict[int, Word]]:
+    """A Hamiltonian cycle of the plane graph, as its generators in walk
+    order, and each generator off it (a chord) mapped to a word over the
+    cycle that equals it in the group.
 
     The cycles close the paths of :func:`hamiltonian_paths` from plane 1,
     within ``bound`` partial paths.  A chord's image transposes two planes
@@ -226,8 +221,7 @@ def derive_plan(pres, table, symmetric, bound) -> dict[int, Word]:
     is accepted when :func:`relation_holds` proves it on ``table`` (a
     closed coset table of the group with its projective relator, over a
     subgroup that meets the kernel of ``symmetric``, the map onto S_n,
-    trivially).  The plan is that of the first cycle whose every chord
-    has a word.
+    trivially).  The cycle is the first whose every chord has a word.
     """
     if table is None:
         raise CoxeterError("no coset table is available to verify the plan relations")
@@ -244,65 +238,52 @@ def derive_plan(pres, table, symmetric, bound) -> dict[int, Word]:
                     if g not in cycle
                 }
                 if None not in plan.values():
-                    return plan
+                    return cycle, plan
     raise CoxeterError(
         f"no Hamiltonian cycle of the plane graph within {bound} partial paths "
         "writes every other generator as a word over the cycle"
     )
 
 
-def recognize_cycle(pres) -> CoxeterGraph:
-    """Read the braid/commutator structure off the relators and build the
-    cycle graph with its canonical labeling.
+def recognize_cycle(pres, cycle) -> CoxeterGraph:
+    """Check that the relators state the quotient of ``cycle``, a cycle
+    through every generator, and label it.
 
-    Every generator must braid with exactly two others, the braid pairs
-    must close into a single cycle through all generators, and every
-    remaining pair must commute.  Vertex labels start the walk at the
-    highest-numbered generator, toward its higher-numbered braid partner.
+    Every generator must have a stated square, each pair of cycle
+    neighbours (the last and the first too) a stated braid, and every
+    other pair a stated commutator.  Vertex labels start the cycle at the
+    highest-numbered generator, toward its higher-numbered neighbour.
     """
     m = pres.generator_count
     if m < 3:
         raise CoxeterError("fewer than three generators; no cycle structure")
+    if len(cycle) != m:
+        raise CoxeterError(f"the cycle passes through {len(cycle)} of the {m} generators")
     relators = set(pres.relators)
-    braid = {g: set() for g in range(1, m + 1)}
+    names = pres.names
+    at = {g: k for k, g in enumerate(cycle)}
     for i in range(1, m + 1):
         if not is_stated(relators, (i, i)):
-            raise CoxeterError(f"generator {pres.names[i - 1]} has no square relator")
+            raise CoxeterError(f"generator {names[i - 1]} has no square relator")
         for j in range(i + 1, m + 1):
-            if is_stated(relators, triple_word(i, j)):
-                braid[i].add(j)
-                braid[j].add(i)
+            pair = f"({names[i - 1]}, {names[j - 1]})"
+            if (at[i] - at[j]) % m in (1, m - 1):
+                if not is_stated(relators, triple_word(i, j)):
+                    raise CoxeterError(f"cycle neighbours {pair} have no braid relator")
             elif not is_stated(relators, commutator_word(i, j)):
-                raise CoxeterError(
-                    f"pair ({pres.names[i - 1]}, {pres.names[j - 1]}) neither "
-                    "braids nor commutes; not a cycle quotient presentation"
-                )
-    for g, partners in braid.items():
-        if len(partners) != 2:
-            raise CoxeterError(
-                f"generator {pres.names[g - 1]} braids with {len(partners)} others; "
-                "the braid structure is not a single cycle (t=1 required)"
-            )
+                raise CoxeterError(f"pair {pair} off the cycle has no commutator relator")
 
     def number(g):
-        name = pres.names[g - 1]
+        name = names[g - 1]
         return int(name[1:]) if name.startswith("g") and name[1:].isdigit() else g
 
-    start = max(range(1, m + 1), key=number)
-    nxt = max(braid[start], key=number)
-    sequence = [start, nxt]
-    while True:
-        prev, cur = sequence[-2], sequence[-1]
-        following = next(x for x in braid[cur] if x != prev)
-        if following == start:
-            break
-        sequence.append(following)
-    if len(sequence) != m:
-        raise CoxeterError("braid cycle does not pass through every generator")
-
+    k = cycle.index(max(cycle, key=number))
+    ring = cycle[k:] + cycle[:k]
+    if number(ring[-1]) > number(ring[1]):
+        ring = ring[:1] + ring[:0:-1]
     edges = tuple(
-        (pres.names[g - 1], (pos + 1, pos + 2) if pos < m - 1 else (1, m))
-        for pos, g in enumerate(sequence)
+        (names[g - 1], (pos + 1, pos + 2) if pos < m - 1 else (1, m))
+        for pos, g in enumerate(ring)
     )
     return CoxeterGraph(vertex_count=m, edges=edges)
 
@@ -321,10 +302,12 @@ def coxeter_route(
     try:
         if proj is None:
             raise CoxeterError("no projective relator to quotient by")
-        plan = derive_plan(pres, table, symmetric, bound)
+        cycle, plan = derive_plan(pres, table, symmetric, bound)
         image = {**plan, **{-g: invert_word(w) for g, w in plan.items()}}
         reduced, (proj_reduced,) = eliminate_and_rewrite(pres, image, (proj,))
-        graph = recognize_cycle(reduced)
+        # the generators that stay keep their order
+        renumber = {g: k for k, g in enumerate(sorted(cycle), 1)}
+        graph = recognize_cycle(reduced, tuple(map(renumber.get, cycle)))
         assignment = standard_assignment(graph)
         images = [assignment[name] for name in reduced.names]
         m = graph.vertex_count

@@ -1,12 +1,14 @@
+import importlib.util
 import itertools
 import math
 import random
+from pathlib import Path
 
 import pytest
 
 import galcov.coxeter
 import galcov.presentation
-from galcov.cli import DEFAULT_MAX_COSETS, AnalysisReport, _enumeration_route
+from galcov.cli import DEFAULT_MAX_COSETS, AnalysisReport, _enumeration_route, analyze
 from galcov.coxeter import (
     CoxeterError,
     CoxeterGraph,
@@ -18,13 +20,14 @@ from galcov.coxeter import (
     standard_assignment,
     u_basis_coords,
 )
-from galcov.datasets import load_builtin
+from galcov.datasets import DT4_JSON, load_builtin
 from galcov.enumeration import coset_enumeration
 from galcov.kernel import regular_kernel, smith_normal_form
 from galcov.permutations import SymmetricAssignment, plane_transposition_map
 from galcov.presentation import (
     GroupPresentation,
     build_tilde_presentation,
+    commutator_word,
     complement_path,
     eliminate_in_turn,
     format_word,
@@ -378,6 +381,15 @@ def test_lattice_quotient_matches_orbit_oracle():
         vec.append(-sum(vec))
         q = lattice_quotient(vec)
         assert q.invariants == orbit_invariants(vec)
+    # arbitrary entries, where gcd(g, v_1) and g differ; n <= 6 keeps the
+    # orbit at most 720 vectors
+    for _ in range(300):
+        n = rng.randint(2, 6)
+        vec = [rng.randint(-20, 20) for _ in range(n - 1)]
+        vec.append(-sum(vec))
+        q = lattice_quotient(vec)
+        assert q.invariants == orbit_invariants(vec)
+        assert q.order == (math.prod(q.invariants) if any(vec) else None)
 
 
 def test_lattice_quotient_does_not_list_the_orbit():
@@ -478,11 +490,52 @@ def test_projective_relator_off_the_lattice_is_unsupported():
 
 
 def test_recognize_cycle_rejects_an_unreduced_presentation(t4, dt4):
-    # before any elimination, g1 braids with four generators in both groups
-    for c in (t4, dt4):
+    # before any elimination, the chords are generators off the cycle
+    for c, cycle in ((t4, (1, 2, 3, 4)), (dt4, (1, 4, 2, 5, 9, 8))):
         pres = build_tilde_presentation(c, include_projective=False)
-        with pytest.raises(CoxeterError, match="g1 braids with 4 others"):
-            recognize_cycle(pres)
+        with pytest.raises(CoxeterError, match=f"passes through {len(cycle)} of the "):
+            recognize_cycle(pres, cycle)
+
+
+def square_presentation(missing=None):
+    """Squares, the braids of the 4-cycle g1 g2 g3 g4 and the commutators
+    of its two opposite pairs, less the relator ``missing``."""
+    relators = [(g, g) for g in (1, 2, 3, 4)]
+    relators += [triple_word(g, g % 4 + 1) for g in (1, 2, 3, 4)]
+    relators += [commutator_word(1, 3), commutator_word(2, 4)]
+    if missing is not None:
+        relators.remove(missing)
+    return GroupPresentation.make(("g1", "g2", "g3", "g4"), relators)
+
+
+@pytest.mark.parametrize(
+    "missing, reason",
+    [
+        ((3, 3), "generator g3 has no square relator"),
+        (triple_word(4, 1), "cycle neighbours (g1, g4) have no braid relator"),
+        (commutator_word(2, 4), "pair (g2, g4) off the cycle has no commutator relator"),
+    ],
+    ids=["square", "neighbour-braid", "commutator"],
+)
+def test_recognize_cycle_names_the_missing_relator(monkeypatch, missing, reason):
+    pres = square_presentation(missing)
+    with pytest.raises(CoxeterError) as info:
+        recognize_cycle(pres, (1, 2, 3, 4))
+    assert str(info.value) == reason
+    # the route, handed that cycle with no chords, reports the same reason
+    monkeypatch.setattr(galcov.coxeter, "derive_plan", lambda *args: ((1, 2, 3, 4), {}))
+    route = coxeter_route(pres, (1, 2, 3, 4))
+    assert not route.supported
+    assert route.reason == reason
+
+
+def test_recognize_cycle_labels_from_the_highest_generator():
+    # the cycle g4 g1 g2 g3, walked either way, starts at g4 and goes to
+    # g3, its higher-numbered neighbour
+    pres = square_presentation()
+    expected = (("g4", (1, 2)), ("g3", (2, 3)), ("g2", (3, 4)), ("g1", (1, 4)))
+    for cycle in ((1, 2, 3, 4), (4, 1, 2, 3), (3, 2, 1, 4)):
+        assert recognize_cycle(pres, cycle).edges == expected
 
 
 def test_reduce_presentation_plan_requires_evidence(monkeypatch, dt4, dt4_assignment):
@@ -505,7 +558,8 @@ def test_reduce_presentation_plan_rejects_false_relation(
     pres = build_tilde_presentation(dt4, include_projective=False)
     for table in (dt4_table, dt4_complement_table):
         calls = count_calls(monkeypatch, galcov.coxeter, "relation_holds")
-        plan = derive_plan(pres, table, dt4_assignment, 1_000_000)
+        cycle, plan = derive_plan(pres, table, dt4_assignment, 1_000_000)
+        assert format_word(cycle, pres.names) == "g1 g4 g2 g5 g9 g8"
         tried = [(pres.names[g - 1], format_word(w, pres.names)) for g, w, *_ in calls]
         assert tried == [
             ("g3", "g5 g9 g5"),
@@ -521,7 +575,8 @@ def test_derived_plan_of_dt4_is_the_papers(dt4, dt4_assignment, dt4_complement_t
     # the first cycle of the walk gives the paper's eliminations, so the
     # reduced presentation is the paper's too
     pres = build_tilde_presentation(dt4, include_projective=False)
-    plan = derive_plan(pres, dt4_complement_table, dt4_assignment, 1_000_000)
+    cycle, plan = derive_plan(pres, dt4_complement_table, dt4_assignment, 1_000_000)
+    assert format_word(cycle, pres.names) == "g1 g4 g2 g5 g9 g8"
     named = {pres.names[g - 1]: format_word(w, pres.names) for g, w in plan.items()}
     assert named == dict(DT4_PAPER_PLAN)
     words = [word_of(text, pres.names) for _, text in DT4_PAPER_PLAN]
@@ -548,6 +603,42 @@ def pair_action(table, symmetric, g):
     return cosets + tuple(k + p for p in symmetric.images[g - 1])
 
 
+def load_relabel_json():
+    """``relabel_json`` of the benchmark's ``perfbench/relabel.py``, loaded
+    from its file."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "relabel.py"
+    spec = importlib.util.spec_from_file_location("relabel", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.relabel_json
+
+
+# written from the reports of the braid-pair search that the plan walk's
+# cycle replaced: the graph's generators from vertex 1 on, the last one
+# the non-tree edge
+@pytest.mark.parametrize(
+    "seed, generators",
+    [
+        (0, "g9 g5 g7 g8 g1 g2"),
+        (1, "g8 g6 g3 g4 g5 g1"),
+        (2, "g8 g6 g2 g5 g3 g4"),
+        (3, "g9 g6 g3 g2 g1 g5"),
+        (4, "g8 g6 g2 g4 g5 g3"),
+        (5, "g9 g6 g3 g5 g8 g1"),
+    ],
+)
+def test_relabeled_dt4_coxeter_graph(tmp_path, seed, generators):
+    path = tmp_path / "dt4.json"
+    path.write_text(load_relabel_json()(DT4_JSON, random.Random(seed)), encoding="utf-8")
+    route = analyze(str(path), route="coxeter").coxeter_route
+    assert route["supported"] and route["pi1"] == "Z2^4"
+    assert [e["generator"] for e in route["graph"]] == generators.split()
+    assert [e["vertices"] for e in route["graph"]] == [
+        [1, 2], [2, 3], [3, 4], [4, 5], [5, 6], [1, 6]
+    ]
+    assert route["non_tree_edge"] == generators.split()[-1]
+
+
 @pytest.mark.parametrize("seed", [None, 3, 7])
 def test_derived_relations_hold_on_the_faithful_pair(seed):
     # G~ acts faithfully on the pair (cosets over an S_n complement H, the
@@ -563,10 +654,11 @@ def test_derived_relations_hold_on_the_faithful_pair(seed):
     table = coset_enumeration(pres, [(g,) for g in path], 1_000_000)
     pair = {g: pair_action(table, symmetric, g) for g in range(1, pres.generator_count + 1)}
     assert len(mulclose(pair.values())) == 11_520
-    plan = derive_plan(
+    cycle, plan = derive_plan(
         build_tilde_presentation(dt4, include_projective=False), table, symmetric, 1_000_000
     )
-    assert len(plan) == 3
+    assert len(cycle) == 6 and len(plan) == 3
+    assert sorted(cycle + tuple(plan)) == list(range(1, 10))
     for g, w in plan.items():
         product = pair[w[0]]
         for x in w[1:]:

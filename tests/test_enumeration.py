@@ -427,9 +427,10 @@ def cover_over_complement(m, k):
         lambda: (quaternion(), [(1, -2)]),
         lambda: cover_over_complement(4, 3),
         lambda: cover_over_complement(5, 3),
+        lambda: cover_over_complement(6, 3),
     ],
     ids=["t4", "t4-complement", "dt4-complement", "S4", "S4-over-a", "Q8", "Q8-over-ab^-1",
-         "cover-4-3-complement", "cover-5-3-complement"],
+         "cover-4-3-complement", "cover-5-3-complement", "cover-6-3-complement"],
 )
 def test_index_matches_sympy_coset_enumeration(case, monkeypatch):
     pytest.importorskip("sympy")
