@@ -110,6 +110,8 @@ class ValidationReport(NamedTuple):
         return not self.violations
 
 
+_MAX_VIOLATIONS = 20
+
 _SPHERE_NOTE = "surface (sphere) condition: local incidence checks only, not verified"
 
 
@@ -136,6 +138,8 @@ def parse_complex(text: str) -> DegenerationComplex:
         raise ComplexParseError(
             f"invalid JSON: {exc.msg}", f"line {exc.lineno}, column {exc.colno}"
         ) from exc
+    except ValueError as exc:  # an integer past the interpreter's digit limit
+        raise ComplexParseError(f"invalid JSON: {exc}") from exc
     _require(isinstance(data, dict), "top-level value must be an object")
 
     name = data.get("name", "")
@@ -237,12 +241,23 @@ def plane_components(pairs) -> list[list[int]]:
     return list(components.values())
 
 
+def _first(items, count):
+    """The first five of the ``count`` strings ``items``, joined by
+    commas, and how many more there are."""
+    shown = list(itertools.islice(items, min(count, 5)))
+    more = f" and {count - len(shown)} more" if count > len(shown) else ""
+    return ", ".join(shown) + more
+
+
 def validate(c: DegenerationComplex) -> ValidationReport:
     """Check the structural invariants of a complex.
 
-    Returns a report listing every violated invariant; a valid complex
+    Returns a report listing the violated invariants; a valid complex
     yields an empty list.  Also reports whether every edge lies in exactly
-    two vertices (each intersection line has two endpoints).
+    two vertices (each intersection line has two endpoints).  Each plane
+    states its edge pairs that share no vertex once, by the first pair and
+    a count, so the work and the message stay linear in the edges; past
+    the first ``_MAX_VIOLATIONS`` violations the list ends in "and N more".
     """
     violations = []
     edge_ids = [e.id for e in c.edges]
@@ -251,13 +266,18 @@ def validate(c: DegenerationComplex) -> ValidationReport:
     if sorted(edge_ids) != list(range(1, len(edge_ids) + 1)):
         violations.append(f"edge ids are not consecutive 1..{len(edge_ids)}")
 
+    n = c.plane_count
+    spans = []  # plane pairs of the edges inside 1..n
     for e in c.edges:
         a, b = e.planes
         if a == b:
             violations.append(f"edge {e.id}: degenerate edge (planes {a},{b})")
+        if 1 <= a <= n and 1 <= b <= n:
+            spans.append(e.planes)
+            continue
         for p in e.planes:
-            if not 1 <= p <= c.plane_count:
-                violations.append(f"edge {e.id}: plane {p} out of range 1..{c.plane_count}")
+            if not 1 <= p <= n:
+                violations.append(f"edge {e.id}: plane {p} out of range 1..{n}")
 
     for v in c.vertices:
         missing = sorted(x for x in v.edges if x not in by_id)
@@ -276,7 +296,8 @@ def validate(c: DegenerationComplex) -> ValidationReport:
         for x in sorted(v.edges):
             if x not in by_id:
                 continue
-            key = tuple(sorted(by_id[x].planes))
+            a, b = by_id[x].planes
+            key = (a, b) if a <= b else (b, a)
             if key in pairs and key[0] != key[1]:
                 i = pairs[key]
                 violations.append(
@@ -295,37 +316,49 @@ def validate(c: DegenerationComplex) -> ValidationReport:
                 violations.append(f"vertex {v.id}: its three edges span {len(span)} planes")
 
     # two lines in one plane meet in a point of it: two edges that share a
-    # plane must share a vertex
-    together = set(adjacent_pairs(c))
-    in_plane = {}
+    # plane must share a vertex.  Of the C(k, 2) pairs of a plane's k edges,
+    # those that share none are the ones not met at a vertex; each plane
+    # names its first such pair and counts the rest
+    together = _together(c)
+    in_plane, planes_of = {}, {}
     for e in c.edges:
-        for p in set(e.planes):
-            in_plane.setdefault(p, []).append(e.id)
+        for p in e.planes:
+            ids = in_plane.setdefault(p, set())
+            if e.id not in ids:
+                ids.add(e.id)
+                planes_of.setdefault(e.id, []).append(p)
+    met = dict.fromkeys(in_plane, 0)
+    for a, b in together:
+        for p in planes_of.get(a, ()):
+            if b in in_plane[p]:
+                met[p] += 1
     for p in sorted(in_plane):
-        for a, b in itertools.combinations(sorted(in_plane[p]), 2):
-            if (a, b) not in together:
-                violations.append(f"plane {p}: edges {a} and {b} share no vertex")
+        ids = sorted(in_plane[p])
+        pairs = len(ids) * (len(ids) - 1) // 2
+        apart = pairs - met[p]
+        if apart:
+            a, b = next(ab for ab in itertools.combinations(ids, 2) if ab not in together)
+            message = f"plane {p}: edges {a} and {b} share no vertex"
+            if apart > 1:
+                message += f"; {apart} of the {pairs} pairs of its {len(ids)} edges share none"
+            violations.append(message)
 
     # the edge transpositions generate S_n only when the edges join all n
     # planes; a plane on no edge is a component of its own
-    components = plane_components(
-        e.planes for e in c.edges if all(1 <= p <= c.plane_count for p in e.planes)
-    )
+    components = plane_components(spans)
     touched = {p for ps in components for p in ps}
-    untouched = c.plane_count - len(touched)
+    untouched = n - len(touched)
     if len(components) + untouched > 1:
         parts = []
         if components:
-            parts.append("edges join " + ", ".join(
-                "{" + ", ".join(map(str, ps)) + "}" for ps in components
+            parts.append("edges join " + _first(
+                ("{" + _first(map(str, ps), len(ps)) + "}" for ps in components),
+                len(components),
             ))
         if untouched:
             # at most 2 * edges planes are touched, so this stops early
-            bare = list(itertools.islice(
-                (p for p in itertools.count(1) if p not in touched), min(untouched, 5)
-            ))
-            more = f" and {untouched - len(bare)} more" if untouched > len(bare) else ""
-            parts.append("planes on no edge: " + ", ".join(map(str, bare)) + more)
+            bare = (str(p) for p in itertools.count(1) if p not in touched)
+            parts.append("planes on no edge: " + _first(bare, untouched))
         violations.append("plane graph is not connected: " + "; ".join(parts))
 
     counts = {e.id: 0 for e in c.edges}
@@ -337,6 +370,8 @@ def validate(c: DegenerationComplex) -> ValidationReport:
         if counts[eid] != 2:
             violations.append(f"edge {eid} has {counts[eid]} endpoints")
 
+    if len(violations) > _MAX_VIOLATIONS:
+        violations[_MAX_VIOLATIONS:] = [f"and {len(violations) - _MAX_VIOLATIONS} more"]
     return ValidationReport(
         violations=tuple(violations),
         notes=(_SPHERE_NOTE,),
@@ -384,15 +419,17 @@ def classify_vertex(c: DegenerationComplex, v: Vertex) -> VertexClass:
     return Inner4(cycle=cycle)
 
 
-def adjacent_pairs(c: DegenerationComplex) -> list[tuple[int, int]]:
-    """Unordered edge-id pairs that occur together in at least one vertex."""
+def _together(c: DegenerationComplex) -> set[tuple[int, int]]:
+    """The set of :func:`adjacent_pairs`."""
     seen = set()
     for v in c.vertices:
-        ids = sorted(v.edges)
-        for i, a in enumerate(ids):
-            for b in ids[i + 1 :]:
-                seen.add((a, b))
-    return sorted(seen)
+        seen.update(itertools.combinations(sorted(v.edges), 2))
+    return seen
+
+
+def adjacent_pairs(c: DegenerationComplex) -> list[tuple[int, int]]:
+    """Unordered edge-id pairs that occur together in at least one vertex."""
+    return sorted(_together(c))
 
 
 def parasitic_pairs(c: DegenerationComplex) -> list[tuple[int, int]]:
@@ -400,7 +437,7 @@ def parasitic_pairs(c: DegenerationComplex) -> list[tuple[int, int]]:
 
     These are the line pairs that intersect only after projection.
     """
-    together = set(adjacent_pairs(c))
+    together = _together(c)
     ids = sorted(e.id for e in c.edges)
     return [
         (a, b)

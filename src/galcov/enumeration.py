@@ -109,11 +109,14 @@ def coset_enumeration(
     ncols = len(inv)
 
     def columns(w):
-        fwd = tuple(icol[x] for x in w)
-        return fwd, tuple(inv[c] for c in fwd)
+        fwd = tuple(map(icol.__getitem__, w))
+        return fwd, tuple(map(inv.__getitem__, fwd))
 
-    squares = {(k, k) for k in involutions} | {(-k, -k) for k in involutions}
-    relator_cols = [columns(w) for w in sorted(pres.relators, key=len) if w and w not in squares]
+    relator_cols = [
+        columns(w)
+        for w in sorted(pres.relators, key=len)
+        if w and not (len(w) == 2 and w[0] == w[1] and abs(w[0]) in involutions)
+    ]
 
     # cosets are numbered from 1; row 0 is all zeros and stands for an
     # undefined entry, so a trace that meets one stays at 0
@@ -173,7 +176,12 @@ def coset_enumeration(
                 drow = table[delta]
                 if drow is not None and drow[back] == gamma:
                     drow[back] = 0
-                mu, nu = rep(gamma), rep(delta)
+                # rep() only when the parent is not a root already
+                mu, nu = p[gamma], p[delta]
+                if p[mu] != mu:
+                    mu = rep(mu)
+                if p[nu] != nu:
+                    nu = rep(nu)
                 mrow, nrow = table[mu], table[nu]
                 if mrow[col]:
                     merge(nu, mrow[col])

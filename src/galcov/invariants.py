@@ -20,6 +20,8 @@ only.  From the counts,
     chi  = (c1^2 - 2*c2) / 3
 
 computed in exact integer/rational arithmetic (no floating point).
+Noether's formula makes c1^2 + c2 divisible by 12 on a smooth surface; a
+count that breaks it gets a warning, not a rejection.
 """
 
 from __future__ import annotations
@@ -102,12 +104,16 @@ def signature(c1sq, c2):
 
 
 def chern_signature(k: InvariantCounts) -> ChernSignature:
-    """Chern numbers plus signature, with divisibility warnings."""
+    """Chern numbers plus signature, with integrality and Noether warnings."""
     c1sq, c2 = chern_numbers(k)
     warnings = [COUNTING_RULE_WARNING]
     for label, value in (("c1^2", c1sq), ("c2", c2)):
         if isinstance(value, Fraction):
             warnings.append(f"{label} is not an integer; kept as an exact rational")
+    if isinstance(c1sq, int) and isinstance(c2, int) and (c1sq + c2) % 12:
+        warnings.append(
+            f"c1^2 + c2 = {c1sq + c2} is not divisible by 12 (Noether's formula)"
+        )
     chi = signature(c1sq, c2)
     if isinstance(chi, Fraction):
         warnings.append("chi is not an integer; kept as an exact rational")

@@ -4,7 +4,10 @@ Words are tuples of nonzero signed integers: ``k`` is generator number
 ``k`` (1-based), ``-k`` its inverse.  A presentation stores generator
 names together with free-reduced relator words, deduplicated up to cyclic
 rotation and inversion so the enumerator never scans the same relation
-twice.
+twice.  Each word is reduced once, by the code that writes it: the
+builders here, Reidemeister-Schreier and the Tietze moves pass reduced
+words over their own generators straight to :func:`_dedupe`, and
+:meth:`GroupPresentation.make` normalizes words from anywhere else.
 
 The quotient group of interest is the branch-curve complement group
 modulo the squares of all standard generators.  With those squares in
@@ -28,7 +31,7 @@ and omitted.
 from __future__ import annotations
 
 import itertools
-from operator import neg
+from operator import mul, neg
 from typing import NamedTuple
 
 from .complexes import (
@@ -170,17 +173,19 @@ def _dedupe(words):
     rotation and inversion.
 
     The words must be freely reduced.  Length, letter sum up to sign and
-    absolute letter sum do not change under rotation or inversion, so two
-    words of one class share them; a word's :func:`_reduced_key` is computed
-    only when another kept word shares them too.
+    the sum of the squared letters do not change under rotation or
+    inversion, so two words of one class share them; a word's
+    :func:`_reduced_key` is computed only when another kept word shares
+    them too.  Distinct commutators and braids, such as [g1, g4] and
+    [g2, g3], differ in the squared sum.
     """
     kept = []
-    first = {}  # (length, |sum|, sum of |letters|) -> position of its first word
+    first = {}  # (length, |sum|, sum of squares) -> position of its first word
     keys = {}  # the same -> class keys of its words, once a second word has it
     for w in words:
         if not w:
             continue
-        f = len(w), abs(sum(w)), sum(map(abs, w))
+        f = len(w), abs(sum(w)), sum(map(mul, w, w))
         n = len(kept)
         i = first.setdefault(f, n)
         if i != n:
@@ -202,9 +207,12 @@ def _dedupe(words):
 class GroupPresentation(NamedTuple):
     """Generator names plus free-reduced relator words.
 
-    Construct through :meth:`make`, which normalizes: free reduction,
-    removal of empty relators, deduplication up to cyclic rotation and
-    inversion (first occurrence kept, order preserved).
+    Construct words from outside the package through :meth:`make`, which
+    normalizes: free reduction, removal of empty relators, deduplication
+    up to cyclic rotation and inversion (first occurrence kept, order
+    preserved) and a check that every letter names a generator.  Code
+    that writes its words reduced and in range calls the constructor
+    with the words :func:`_dedupe` keeps.
     """
 
     names: tuple[str, ...]
@@ -381,7 +389,9 @@ def build_tilde_presentation(
     """Generate the quotient-group presentation of a degeneration complex.
 
     One generator per edge; relators in the order squares, triples,
-    commutators, branch relations, overrides, projective relator.
+    commutators, branch relations, overrides, projective relator, with
+    duplicates up to rotation and inversion dropped.  The templates are
+    reduced as written, so only the override lines are free-reduced.
     Raises :class:`MissingFourPointData` when the complex has an inner
     4-point but no override relations.
     """
@@ -422,13 +432,13 @@ def build_tilde_presentation(
     projective = None
     if c.overrides is not None:
         for line in c.overrides.extra_relators:
-            relators.append(parse_relation(line, names))
+            relators.append(free_reduce(parse_relation(line, names)))
         if c.overrides.projective_relator is not None:
-            projective = parse_relation(c.overrides.projective_relator, names)
+            projective = free_reduce(parse_relation(c.overrides.projective_relator, names))
     if include_projective and projective is not None:
         relators.append(projective)
 
-    return GroupPresentation.make(names, relators)
+    return GroupPresentation(names, tuple(_dedupe(relators)))
 
 
 def projective_relator(c: DegenerationComplex) -> Word | None:
@@ -563,4 +573,4 @@ def eliminate_and_rewrite(pres, image, companions):
     renumbered.update((x, (y,)) for x, y in number.items())
     words = _apply(pres.relators + tuple(companions), renumbered, [], [])
     k = len(pres.relators)
-    return GroupPresentation.make(names, words[:k]), tuple(words[k:])
+    return GroupPresentation(tuple(names), tuple(_dedupe(words[:k]))), tuple(words[k:])

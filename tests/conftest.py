@@ -1,7 +1,9 @@
+import importlib.util
 import itertools
 import json
 import math
 import random
+from pathlib import Path
 
 import pytest
 
@@ -267,6 +269,16 @@ def serialize_complex(c):
             ov["projective_relator"] = c.overrides.projective_relator
         data["overrides"] = ov
     return json.dumps(data, indent=2)
+
+
+def load_relabel_json():
+    """``relabel_json`` of the benchmark's ``perfbench/relabel.py``, loaded
+    from its file."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "relabel.py"
+    spec = importlib.util.spec_from_file_location("relabel", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.relabel_json
 
 
 def relabel_complex(c, rng):

@@ -1,6 +1,8 @@
 import itertools
 import json
 import random
+import re
+import time
 
 import pytest
 
@@ -281,6 +283,15 @@ def test_non_utf8_file_is_parse_error(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+def test_integer_past_the_digit_limit_is_parse_error(tmp_path, capsys):
+    path = tmp_path / "long.json"
+    path.write_text('{"planes": 1' + "0" * 5000 + "}", encoding="utf-8")
+    assert main(["analyze", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert "[parse] invalid JSON: Exceeds the limit" in err
+    assert "Traceback" not in err
+
+
 def test_boolean_plane_is_parse_error(tmp_path, capsys):
     from galcov.datasets import T4_JSON
 
@@ -371,14 +382,45 @@ def test_repeated_vertex_edge_is_parse_error(tmp_path, capsys, name, old, new, n
 def test_plane_edges_sharing_no_vertex_are_validate_error(tmp_path, capsys, n, first):
     # two lines in one plane meet: in a prism, each side face's top and
     # bottom edges share no vertex, nor do its two vertical edges, and
-    # once n > 3 neither do the cap edges of non-adjacent sides
+    # once n > 3 neither do the cap edges of non-adjacent sides; each
+    # plane states its first such pair and how many pairs share none
     path = tmp_path / "prism.json"
     path.write_text(serialize_complex(prism_complex(n)), encoding="utf-8")
     assert main(["analyze", str(path)]) == 2
     err = capsys.readouterr().err
-    assert f"[validate] {first} share no vertex" in err
-    assert err.count("share no vertex") == {3: 6, 4: 12, 5: 20}[n]
+    assert f"[validate] {first} share no vertex; " in err
+    apart = [int(k) for k in re.findall(r"share no vertex; (\d+) of the", err)]
+    assert len(apart) == err.count("share no vertex") == {3: 3, 4: 6, 5: 7}[n]
+    assert sum(apart) == {3: 6, 4: 12, 5: 20}[n]
     assert "Traceback" not in err
+
+
+def star_json(edges):
+    """Plane 1 on every edge, plane i + 1 on edge i alone, and one 3-point:
+    all but three of the C(edges, 2) pairs in plane 1 share no vertex."""
+    return json.dumps({
+        "planes": edges + 1,
+        "edges": [{"id": i, "planes": [1, i + 1]} for i in range(1, edges + 1)],
+        "vertices": [{"id": 1, "edges": [1, 2, 3]}],
+    })
+
+
+def test_star_is_a_short_validate_error(tmp_path, capsys):
+    path = tmp_path / "star.json"
+    path.write_text(star_json(10_000), encoding="utf-8")
+    start = time.perf_counter()
+    assert main(["analyze", str(path)]) == 2
+    assert time.perf_counter() - start < 5
+    err = capsys.readouterr().err
+    assert len(err) < 2_000 and "Traceback" not in err
+    assert "[validate] vertex 1: its three edges span 4 planes" in err
+    pairs = 10_000 * 9_999 // 2
+    assert (
+        f"plane 1: edges 1 and 4 share no vertex; {pairs - 3} of the {pairs} pairs "
+        "of its 10000 edges share none" in err
+    )
+    # 9,999 edges with fewer than two endpoints: 20 violations, then a count
+    assert err.count("; edge ") == 18 and err.endswith("; and 9982 more\n")
 
 
 @pytest.mark.parametrize("route", ["enumerate", "coxeter", "both"])

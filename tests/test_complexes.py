@@ -1,3 +1,4 @@
+import itertools
 import random
 import time
 
@@ -21,7 +22,8 @@ from galcov.complexes import (
 )
 from galcov.datasets import DT4_JSON, T4_JSON
 
-from .conftest import random_valid_complex, serialize_complex
+from .conftest import prism_complex, random_valid_complex, serialize_complex
+from .test_fuzz import mutate
 
 
 def test_parse_t4(t4):
@@ -148,6 +150,70 @@ def test_validate_disconnected_plane_graph(t4):
     assert validate(loose).violations == (
         "plane graph is not connected: edges join {1, 2, 3, 4}; planes on no edge: 5, 6",
     )
+    # past five, components and the planes of one are counted, not listed
+    edges = tuple(Edge(id=i, planes=(2 * i - 1, 2 * i)) for i in range(1, 8))
+    rule = validate(DegenerationComplex("pairs", 14, edges, ())).violations[0]
+    assert rule == (
+        "plane graph is not connected: edges join "
+        "{1, 2}, {3, 4}, {5, 6}, {7, 8}, {9, 10} and 2 more"
+    )
+    edges = tuple(Edge(id=i, planes=(i, i + 1)) for i in range(1, 7))
+    violations = validate(DegenerationComplex("chain", 8, edges, ())).violations
+    rule = next(v for v in violations if v.startswith("plane graph"))
+    assert rule == (
+        "plane graph is not connected: edges join {1, 2, 3, 4, 5 and 2 more}; planes on no edge: 8"
+    )
+
+
+def plane_pair_oracle(c):
+    """The plane rule's violations, from every pair of edges in each plane
+    that no vertex holds together: the first such pair and their count."""
+    out = []
+    for p in sorted({p for e in c.edges for p in e.planes}):
+        ids = sorted({e.id for e in c.edges if p in e.planes})
+        pairs = list(itertools.combinations(ids, 2))
+        apart = [ab for ab in pairs if not any(set(ab) <= v.edges for v in c.vertices)]
+        if apart:
+            (a, b), k = apart[0], len(apart)
+            message = f"plane {p}: edges {a} and {b} share no vertex"
+            if k > 1:
+                message += f"; {k} of the {len(pairs)} pairs of its {len(ids)} edges share none"
+            out.append(message)
+    return out
+
+
+def test_plane_rule_matches_a_pairwise_oracle():
+    # mutated t4 and dt4 documents, and the prisms, whose side faces'
+    # edges do not all meet; a report past the cap keeps a prefix
+    rng = random.Random(28)
+    complexes = [prism_complex(n) for n in range(3, 8)]
+    t4 = parse_complex(T4_JSON)  # and a library complex that repeats edge id 1
+    complexes.append(t4._replace(edges=t4.edges + (Edge(id=1, planes=(2, 4)),)))
+    for _ in range(300):
+        try:
+            complexes.append(parse_complex(mutate(rng.choice((T4_JSON, DT4_JSON)), rng)))
+        except ComplexParseError:
+            pass
+    seen = 0
+    for c in complexes:
+        violations = validate(c).violations
+        rule = [v for v in violations if v.startswith("plane ") and "share no vertex" in v]
+        expected = plane_pair_oracle(c)
+        if violations and violations[-1].startswith("and "):
+            expected = expected[: len(rule)]
+        assert rule == expected, c
+        seen += bool(rule)
+    assert seen > 50
+
+
+def test_validate_caps_its_violations(t4):
+    # 30 missing edges and a multiplicity of 30: 31 violations, 20 listed
+    vertices = t4.vertices + (Vertex(id=5, edges=frozenset(range(100, 130))),)
+    violations = validate(DegenerationComplex("many", 4, t4.edges, vertices)).violations
+    assert len(violations) == 21
+    missing = tuple(f"vertex 5 references missing edge {x}" for x in range(100, 120))
+    assert violations[:20] == missing
+    assert violations[20] == "and 11 more"
 
 
 def brute_force_components(pairs):

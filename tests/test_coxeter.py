@@ -1,8 +1,6 @@
-import importlib.util
 import itertools
 import math
 import random
-from pathlib import Path
 
 import pytest
 
@@ -41,6 +39,7 @@ from .conftest import (
     coxeter_cover,
     decode_window,
     identity,
+    load_relabel_json,
     mulclose,
     random_permutation,
     relabel_complex,
@@ -601,16 +600,6 @@ def pair_action(table, symmetric, g):
     k = table.coset_count
     cosets = tuple(table.trace(c, (g,)) + 1 for c in range(k))
     return cosets + tuple(k + p for p in symmetric.images[g - 1])
-
-
-def load_relabel_json():
-    """``relabel_json`` of the benchmark's ``perfbench/relabel.py``, loaded
-    from its file."""
-    path = Path(__file__).resolve().parents[1] / "perfbench" / "relabel.py"
-    spec = importlib.util.spec_from_file_location("relabel", path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module.relabel_json
 
 
 # written from the reports of the braid-pair search that the plan walk's

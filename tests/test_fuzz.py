@@ -3,10 +3,12 @@
 Each case mutates the t4 or dt4 document: it drops, duplicates and
 rewires edges and vertices, sets ``planes`` anywhere up to 12, and
 appends relation-grammar overrides and a random projective relator.
-``galcov analyze`` then runs it in this process on a random route under
-a small coset bound.  Whatever the input, the run must end in exit 0, 1
-or 2 with a short message: no traceback, no uncaught exception and no
-long run.
+The scale cases raise one count to 10^4 instead: a star of edges on
+one plane, copies of an edge or a vertex, or planes far past the
+document's own.  ``galcov analyze`` then runs each case in this process
+on a random route under a small coset bound.  Whatever the input, the
+run must end in exit 0, 1 or 2 with a short message: no traceback, no
+uncaught exception and no long run.
 """
 
 import json
@@ -20,6 +22,7 @@ CASES = 300
 MAX_COSETS = 20_000
 STDERR_LIMIT = 2_000  # characters
 SECONDS_PER_CASE = 10
+SCALE = 10_000
 
 
 def random_word(rng, ids):
@@ -74,22 +77,63 @@ def mutate(text, rng):
     return json.dumps(data)
 
 
+def scale_up(text, op, rng):
+    """``text`` with one count raised to ``SCALE`` by the mutation ``op``:
+    0 a star (plane 1 on every edge, each edge's other plane its own),
+    1 copies of one edge and 2 copies of one vertex under fresh ids, 3
+    ``planes`` at ``SCALE`` with edges rewired to planes anywhere in it."""
+    data = json.loads(text)
+    edges, vertices = data["edges"], data["vertices"]
+    if op == 0:
+        data["planes"] = SCALE + 1
+        data["edges"] = [{"id": i, "planes": [1, i + 1]} for i in range(1, SCALE + 1)]
+    elif op == 1:
+        planes = rng.choice(edges)["planes"]
+        edges += [{"id": i, "planes": planes} for i in range(len(edges) + 1, SCALE + 1)]
+    elif op == 2:
+        ids = rng.choice(vertices)["edges"]
+        vertices += [{"id": i, "edges": ids} for i in range(len(vertices) + 1, SCALE + 1)]
+    else:
+        data["planes"] = SCALE
+        for edge in rng.sample(edges, rng.randint(1, len(edges))):
+            edge["planes"][rng.randrange(2)] = rng.randint(1, SCALE)
+    return json.dumps(data)
+
+
+def check_case(path, text, route, capsys, name):
+    """Run ``text`` from ``path`` through ``main`` on ``route``; it must
+    end in exit 0, 1 or 2 with a short stderr, no traceback and in time.
+    Returns the exit code."""
+    path.write_text(text, encoding="utf-8")
+    args = ["analyze", str(path), "--route", route, "--max-cosets", str(MAX_COSETS)]
+    start = time.perf_counter()
+    code = main(args)
+    seconds = time.perf_counter() - start
+    err = capsys.readouterr().err
+    where = f"{name} (--route {route}): {text[:10_000]}"
+    assert code in (0, 1, 2), where
+    assert "Traceback" not in err and len(err) <= STDERR_LIMIT, where
+    assert seconds < SECONDS_PER_CASE, where
+    return code
+
+
 def test_mutated_documents_end_in_an_exit_code(tmp_path, capsys):
     rng = random.Random(0)
     path = tmp_path / "case.json"
     codes = {}
     for case in range(CASES):
-        path.write_text(mutate(rng.choice((T4_JSON, DT4_JSON)), rng), encoding="utf-8")
+        text = mutate(rng.choice((T4_JSON, DT4_JSON)), rng)
         route = rng.choice(("enumerate", "coxeter", "both"))
-        args = ["analyze", str(path), "--route", route, "--max-cosets", str(MAX_COSETS)]
-        start = time.perf_counter()
-        code = main(args)
-        seconds = time.perf_counter() - start
-        err = capsys.readouterr().err
-        where = f"case {case} (--route {route}): {path.read_text(encoding='utf-8')}"
-        assert code in (0, 1, 2), where
-        assert "Traceback" not in err and len(err) <= STDERR_LIMIT, where
-        assert seconds < SECONDS_PER_CASE, where
+        code = check_case(path, text, route, capsys, f"case {case}")
         codes[code] = codes.get(code, 0) + 1
     # the mutations reach every outcome, not only the parser's rejections
     assert set(codes) == {0, 1, 2}, codes
+
+
+def test_documents_at_scale_end_in_an_exit_code(tmp_path, capsys):
+    rng = random.Random(1)
+    path = tmp_path / "case.json"
+    for op in range(4):
+        for name, text in (("t4", T4_JSON), ("dt4", DT4_JSON)):
+            route = rng.choice(("enumerate", "coxeter", "both"))
+            check_case(path, scale_up(text, op, rng), route, capsys, f"{name} scale op {op}")

@@ -105,3 +105,37 @@ def test_counts_invariant_under_relabeling(dt4, t4):
         expected = singularity_counts(base)
         for _ in range(20):
             assert singularity_counts(relabel_complex(base, rng)) == expected
+
+
+def noether_warnings(report):
+    return [w for w in report.warnings if "Noether" in w]
+
+
+@pytest.mark.parametrize(
+    "counts, total",
+    [
+        (InvariantCounts(n=3, m=6, mu=7, d=0, rho=0), 3),  # c1^2 = 0, c2 = 3
+        (InvariantCounts(n=3, m=8, mu=8, d=4, rho=0), 6),  # c1^2 = 6, c2 = 0
+    ],
+)
+def test_noether_failure_warns_and_keeps_the_numbers(counts, total):
+    report = chern_signature(counts)
+    assert report.c1sq + report.c2 == total
+    assert noether_warnings(report) == [
+        f"c1^2 + c2 = {total} is not divisible by 12 (Noether's formula)"
+    ]
+    assert chern_numbers(counts) == (report.c1sq, report.c2)
+
+
+def test_noether_holds_on_the_builtins_and_random_valid_complexes(t4, dt4):
+    # (c1^2 + c2) / 12 is 30 on t4 and 3,240 on dt4
+    assert [sum(chern_numbers(singularity_counts(c))) // 12 for c in (t4, dt4)] == [30, 3240]
+    rng = random.Random(12)
+    for c in [t4, dt4] + [random_valid_complex(rng) for _ in range(50)]:
+        assert noether_warnings(chern_signature(singularity_counts(c))) == []
+
+
+def test_noether_is_not_checked_on_rational_numbers():
+    # c2 is fractional here, so the integrality warning stands alone
+    report = chern_signature(InvariantCounts(n=3, m=6, mu=7, d=1, rho=1))
+    assert isinstance(report.c2, Fraction) and noether_warnings(report) == []

@@ -1,9 +1,13 @@
 import itertools
+import json
 import random
 
 import pytest
 
-from galcov.complexes import DegenerationComplex, PresentationOverrides
+import galcov.coxeter
+from galcov.cli import analyze
+from galcov.complexes import ComplexError, DegenerationComplex, PresentationOverrides, parse_complex
+from galcov.datasets import DT4_JSON, T4_JSON
 from galcov.enumeration import coset_enumeration, group_order
 from galcov.permutations import SymmetricAssignment, plane_transposition_map
 from galcov.presentation import (
@@ -34,12 +38,15 @@ from .conftest import (
     DT4_PAPER_PLAN,
     coxeter_cover,
     identity,
+    load_relabel_json,
     mulclose,
     relabel_complex,
     transposition,
     word_of,
     word_permutation,
 )
+from .test_fuzz import CASES as FUZZ_CASES
+from .test_fuzz import mutate
 
 T4_TRIPLE_PAIRS = {
     (1, 2), (1, 4), (1, 5), (1, 6), (2, 3), (2, 4),
@@ -326,6 +333,87 @@ def test_build_four_point_without_overrides_fails(dt4):
     )
     with pytest.raises(MissingFourPointData):
         build_tilde_presentation(empty)
+
+
+# Override lines whose words need reducing or restate a template: empty
+# after reduction (comm 1 1, word: g1 g1^-1, eq: g3 = g3, ccomm 3 : g1 g1^-1),
+# a braid of a generator with itself (triple 2 2), restated templates
+# (triple 2 1 and comm 3 1 are the inverses of t4's triple 1 2 and
+# comm 1 3, and g4 g5 g5^-1 g4 is sq 4) and one new relator.
+T4_OVERRIDE_LINES = [
+    "comm 1 1", "triple 2 2", "word: g1 g1^-1", "eq: g3 = g3", "triple 2 1",
+    "comm 3 1", "word: g4 g5 g5^-1 g4", "ccomm 3 : g1 g1^-1",
+    "word: g2 g6 g6^-1 g3^-1 g3 g1",
+]
+
+
+def test_build_reduces_and_dedupes_override_lines(t4_presentation):
+    data = json.loads(T4_JSON)
+    data["overrides"] = {
+        "extra_relators": T4_OVERRIDE_LINES,
+        "projective_relator": "word: g6 g1 g1^-1 g2 g3",
+    }
+    c = parse_complex(json.dumps(data))
+    # written from the builds of the version that normalized through make:
+    # the override lines add g2 g1, the projective relator g6 g2 g3
+    for include_projective, tail in ((True, ((2, 1), (6, 2, 3))), (False, ((2, 1),))):
+        p = build_tilde_presentation(c, include_projective)
+        assert p.relators == t4_presentation.relators + tail
+        assert GroupPresentation.make(p.names, p.relators) == p
+
+
+def build_corpus():
+    """t4, dt4, ``relabel_json`` seeds 0-5 of each, and the documents of
+    the fuzz corpus that parse."""
+    relabel_json = load_relabel_json()
+    texts = [T4_JSON, DT4_JSON]
+    texts += [relabel_json(t, random.Random(k)) for t in (T4_JSON, DT4_JSON) for k in range(6)]
+    rng = random.Random(0)  # the stream of test_mutated_documents_end_in_an_exit_code
+    for _ in range(FUZZ_CASES):
+        texts.append(mutate(rng.choice((T4_JSON, DT4_JSON)), rng))
+        rng.choice(("enumerate", "coxeter", "both"))
+    for text in texts:
+        try:
+            yield parse_complex(text)
+        except ComplexError:
+            pass
+
+
+def test_built_presentations_are_normalized():
+    # the builder skips make: its words must already be what make keeps
+    built = 0
+    for c in build_corpus():
+        for include_projective in (True, False):
+            try:
+                p = build_tilde_presentation(c, include_projective)
+            except (ComplexError, PresentationError, KeyError):
+                continue  # KeyError: a vertex names a missing edge
+            assert GroupPresentation.make(p.names, p.relators) == p, c
+            built += 1
+    assert built > 100
+
+
+def test_eliminated_presentations_are_normalized(monkeypatch, tmp_path):
+    # the Coxeter route's reduced presentation on dt4 and its relabelings
+    reduced = []
+    real = galcov.coxeter.eliminate_and_rewrite
+
+    def recording(*args):
+        out = real(*args)
+        reduced.append(out[0])
+        return out
+
+    monkeypatch.setattr(galcov.coxeter, "eliminate_and_rewrite", recording)
+    relabel_json = load_relabel_json()
+    path = tmp_path / "dt4.json"
+    assert analyze("dt4", route="coxeter").coxeter_route["supported"]
+    for seed in range(6):
+        path.write_text(relabel_json(DT4_JSON, random.Random(seed)), encoding="utf-8")
+        assert analyze(str(path), route="coxeter").coxeter_route["supported"]
+    assert len(reduced) == 7
+    for p in reduced:
+        assert p.generator_count == 6
+        assert GroupPresentation.make(p.names, p.relators) == p
 
 
 # ---------------------------------------------------------------------------
