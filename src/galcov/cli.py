@@ -350,13 +350,17 @@ def analyze(
     if route == "both" and enum_verdict is not None:
         if report.coxeter_route and report.coxeter_route.get("supported"):
             report.route_agreement = (
-                report.kernel_order == report.coxeter_route["order"]
+                enum_verdict.order == report.coxeter_route["order"]
                 and cox_verdict is not None
                 and _verdicts_equal(enum_verdict, cox_verdict)
             )
 
+    # |K| and |G~| = n!|K| come from the verdict that stands
     final = enum_verdict if enum_verdict is not None else cox_verdict
     if final is not None:
+        report.kernel_order = final.order
+        if final.order is not None:
+            report.tilde_order = final.order * report.symmetric_image_order
         report.pi1 = _verdict_dict(final)
     if report.pi1 is None:
         report.pi1 = {"kind": "Undetermined", "note": "no route produced a verdict"}
@@ -389,8 +393,6 @@ def _enumeration_route(report, pres, table, path, planes, tilde, assignment, max
         verdict = timed("regular_kernel", regular_kernel, table, assignment, path, planes)
     except KernelError as exc:
         raise AnalysisError("kernel", str(exc)) from exc
-    report.kernel_order = verdict.order
-    report.tilde_order = tilde
     report.enumeration_route = {
         "complement_generators": [pres.names[g - 1] for g in path],
         "index": table.coset_count,
@@ -433,8 +435,6 @@ def _presentation_route(report, pres, assignment, tilde, verdict, max_cosets, ti
     if kernel is None:
         return verdict
     if verdict is None:
-        report.kernel_order = kernel
-        report.tilde_order = nfact * kernel
         return identify_structure(kernel, mod2_corank=corank, invariant_factors=factors)
     expected = verdict.factors or ()
     if factors not in (None, expected) or corank != sum(d % 2 == 0 for d in expected):
@@ -491,10 +491,6 @@ def _coxeter_route(report, pres_noproj, proj, table, assignment, max_cosets, tim
         "verdict": _verdict_dict(verdict),
         "pi1": verdict.describe(),
     }
-    if report.kernel_order is None and route.quotient.order is not None:
-        report.kernel_order = route.quotient.order
-        if report.tilde_order is None:
-            report.tilde_order = route.quotient.order * report.symmetric_image_order
     return verdict
 
 

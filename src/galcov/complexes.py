@@ -256,8 +256,10 @@ def validate(c: DegenerationComplex) -> ValidationReport:
     yields an empty list.  Also reports whether every edge lies in exactly
     two vertices (each intersection line has two endpoints).  Each plane
     states its edge pairs that share no vertex once, by the first pair and
-    a count, so the work and the message stay linear in the edges; past
-    the first ``_MAX_VIOLATIONS`` violations the list ends in "and N more".
+    a count.  Only vertices of at most four edges meet pairs, so the work
+    and the message stay linear in the edges, also when one vertex names
+    all of them; past the first ``_MAX_VIOLATIONS`` violations the list
+    ends in "and N more".
     """
     violations = []
     edge_ids = [e.id for e in c.edges]
@@ -279,17 +281,21 @@ def validate(c: DegenerationComplex) -> ValidationReport:
             if not 1 <= p <= n:
                 violations.append(f"edge {e.id}: plane {p} out of range 1..{n}")
 
+    together = set()  # edge pairs met at a vertex of at most four edges
     for v in c.vertices:
         missing = sorted(x for x in v.edges if x not in by_id)
         for x in missing:
             violations.append(f"vertex {v.id} references missing edge {x}")
         k = len(v.edges)
-        if k < 3:
-            violations.append(f"vertex {v.id} has {k} edges (at least 3 required)")
-        elif k > 4:
+        if k > 4:
+            # rejected here: its C(k, 2) pairs stay out of the plane rule
             violations.append(
                 f"vertex {v.id} has multiplicity {k}: unsupported (only 3- and 4-points)"
             )
+        else:
+            together.update(itertools.combinations(sorted(v.edges), 2))
+            if k < 3:
+                violations.append(f"vertex {v.id} has {k} edges (at least 3 required)")
         # two edges with the same plane pair through one vertex would mean
         # two intersection lines of the same pair of planes meeting there
         pairs = {}
@@ -319,7 +325,6 @@ def validate(c: DegenerationComplex) -> ValidationReport:
     # plane must share a vertex.  Of the C(k, 2) pairs of a plane's k edges,
     # those that share none are the ones not met at a vertex; each plane
     # names its first such pair and counts the rest
-    together = _together(c)
     in_plane, planes_of = {}, {}
     for e in c.edges:
         for p in e.planes:
@@ -381,10 +386,12 @@ def validate(c: DegenerationComplex) -> ValidationReport:
 def classify_vertex(c: DegenerationComplex, v: Vertex) -> VertexClass:
     """Classify a vertex as an inner 3-point or inner 4-point.
 
-    Inner 3-points are returned with ascending edge ids.  Inner 4-points
-    are returned in cyclic order (consecutive edges share a plane,
-    diagonal edges share none), normalized to start at the smallest edge
-    id and proceed toward its smaller-id neighbor.
+    Inner 3-points are returned with ascending edge ids.  A 4-point is
+    inner when each of its edges shares a plane with exactly two of the
+    others: the only such graph on four edges is a 4-cycle, whose
+    consecutive edges share a plane and whose diagonals share none.  It
+    is returned in that cyclic order, from the smallest edge id toward
+    its smaller-id neighbor.
     """
     k = len(v.edges)
     if k not in (3, 4):
@@ -402,21 +409,9 @@ def classify_vertex(c: DegenerationComplex, v: Vertex) -> VertexClass:
             f"vertex {v.id}: plane-sharing relation of its edges is not a 4-cycle"
         )
     start = ids[0]
-    second = min(shares[start])
-    third = next(y for y in shares[second] if y != start)
-    fourth = next(y for y in shares[start] if y != second)
-    cycle = (start, second, third, fourth)
-    if third == fourth or len(set(cycle)) != 4:
-        raise ClassificationError(
-            f"vertex {v.id}: plane-sharing relation of its edges is not a 4-cycle"
-        )
-    # diagonals must be plane-disjoint for an inner 4-point
-    for a, b in ((cycle[0], cycle[2]), (cycle[1], cycle[3])):
-        if planes[a] & planes[b]:
-            raise ClassificationError(
-                f"vertex {v.id}: diagonal edges {a},{b} share a plane"
-            )
-    return Inner4(cycle=cycle)
+    low, high = shares[start]  # ascending, as ids are
+    opposite = next(y for y in ids if y not in (start, low, high))
+    return Inner4(cycle=(start, low, opposite, high))
 
 
 def _together(c: DegenerationComplex) -> set[tuple[int, int]]:

@@ -172,7 +172,7 @@ def lattice_quotient(vec) -> LatticeQuotient:
     if not any(vec):
         return LatticeQuotient(invariants=(0,) * (n - 1), order=None)
     g = math.gcd(*(x - vec[0] for x in vec))
-    d = math.gcd(g, u_basis_coords(vec)[0])  # the first u-coordinate is v_1
+    d = math.gcd(g, vec[0])
     return LatticeQuotient(invariants=(d,) + (g,) * (n - 2), order=d * g ** (n - 2))
 
 

@@ -17,9 +17,9 @@ edge of the complex.  :func:`build_tilde_presentation` emits, per the
 relation templates of the half-twist dictionary:
 
 * a square for every generator,
-* a triple (braid) relation for every vertex-sharing edge pair with a
-  common plane,
-* a commutator for every parasitic pair and every 4-point diagonal pair,
+* a triple (braid) relation for every edge pair with a common plane,
+* a commutator for every other edge pair: the parasitic pairs and the
+  4-point diagonals,
 * a branch relation ``g_k g_i g_j g_i`` for every 3-point ``i < j < k``,
 * any dataset-supplied override relations, the projective relator last.
 
@@ -34,13 +34,7 @@ import itertools
 from operator import mul, neg
 from typing import NamedTuple
 
-from .complexes import (
-    DegenerationComplex,
-    Inner3,
-    Inner4,
-    classify_vertex,
-    parasitic_pairs,
-)
+from .complexes import DegenerationComplex, Inner3, Inner4, classify_vertex
 from .permutations import _evaluate
 
 Word = tuple[int, ...]
@@ -388,18 +382,26 @@ def build_tilde_presentation(
 ) -> GroupPresentation:
     """Generate the quotient-group presentation of a degeneration complex.
 
+    Expects a complex that :func:`~galcov.complexes.validate` accepts.
     One generator per edge; relators in the order squares, triples,
     commutators, branch relations, overrides, projective relator, with
-    duplicates up to rotation and inversion dropped.  The templates are
-    reduced as written, so only the override lines are free-reduced.
-    Raises :class:`MissingFourPointData` when the complex has an inner
-    4-point but no override relations.
+    duplicates up to rotation and inversion dropped.  Each edge pair gets
+    a triple when the two edges share a plane and a commutator otherwise:
+    by the plane rule, edges that share a plane share a vertex, so these
+    are the braids at the vertices, and the commutators are the parasitic
+    pairs and the 4-point diagonals.  The templates are reduced as
+    written, so only the override lines are free-reduced.  Raises
+    :class:`PresentationError` when a vertex names an edge the complex
+    lacks, and :class:`MissingFourPointData` when the complex has an
+    inner 4-point but no override relations.
     """
     edge_ids = sorted(e.id for e in c.edges)
     if edge_ids != list(range(1, len(edge_ids) + 1)):
         raise PresentationError("complex edge ids must be consecutive 1..E")
     names = tuple(f"g{i}" for i in edge_ids)
-    by_id = {e.id: e for e in c.edges}
+    for v in c.vertices:
+        if missing := [x for x in sorted(v.edges) if not 1 <= x <= len(edge_ids)]:
+            raise PresentationError(f"vertex {v.id} references missing edge {missing[0]}")
 
     classes = [classify_vertex(c, v) for v in c.vertices]
     has_four_point = any(isinstance(cl, Inner4) for cl in classes)
@@ -409,20 +411,14 @@ def build_tilde_presentation(
         )
 
     relators = [(i, i) for i in edge_ids]
-
-    braid_pairs = set()
-    commuting_pairs = set()
-    for v in c.vertices:
-        ids = sorted(v.edges)
-        for a, b in itertools.combinations(ids, 2):
-            if set(by_id[a].planes).isdisjoint(by_id[b].planes):
-                commuting_pairs.add((a, b))
-            else:
-                braid_pairs.add((a, b))
-    commuting_pairs.update(parasitic_pairs(c))
-
-    relators.extend(triple_word(a, b) for a, b in sorted(braid_pairs))
-    relators.extend(commutator_word(a, b) for a, b in sorted(commuting_pairs))
+    planes = {e.id: set(e.planes) for e in c.edges}
+    commuting = []
+    for a, b in itertools.combinations(edge_ids, 2):
+        if planes[a].isdisjoint(planes[b]):
+            commuting.append(commutator_word(a, b))
+        else:
+            relators.append(triple_word(a, b))
+    relators += commuting
 
     for cl in classes:
         if isinstance(cl, Inner3):

@@ -7,7 +7,13 @@ from pathlib import Path
 
 import pytest
 
-from galcov.complexes import DegenerationComplex, Edge, PresentationOverrides, Vertex
+from galcov.complexes import (
+    DegenerationComplex,
+    Edge,
+    PresentationOverrides,
+    Vertex,
+    parasitic_pairs,
+)
 from galcov.datasets import load_builtin
 from galcov.enumeration import _column, coset_enumeration
 from galcov.permutations import SymmetricAssignment, plane_transposition_map
@@ -149,6 +155,22 @@ def snf_oracle(matrix):
         out.append(g // prev)
         prev = g
     return tuple(out)
+
+
+def vertex_pair_relators(c):
+    """The pair relators of :func:`build_tilde_presentation` as the
+    half-twist dictionary states them, vertex by vertex: a triple for each
+    pair of a vertex's edges that share a plane, a commutator for each
+    pair that shares none, and a commutator for each parasitic pair;
+    the triples first, each part in sorted order."""
+    planes = {e.id: set(e.planes) for e in c.edges}
+    braid, commuting = set(), set(parasitic_pairs(c))
+    for v in c.vertices:
+        for a, b in itertools.combinations(sorted(v.edges), 2):
+            (commuting if planes[a].isdisjoint(planes[b]) else braid).add((a, b))
+    return [triple_word(a, b) for a, b in sorted(braid)] + [
+        commutator_word(a, b) for a, b in sorted(commuting)
+    ]
 
 
 # ---------------------------------------------------------------------------

@@ -233,6 +233,7 @@ def test_coxeter_route_times_its_complement_search_and_enumeration():
         "supported": False, "reason": "no projective relator to quotient by"
     }
     assert not {"complement", "enumerate"} & set(report.timings)
+    assert report.kernel_order is None and report.tilde_order is None
 
 
 def test_coxeter_route_overflow_is_undecided_at_bound(capsys):
@@ -261,7 +262,8 @@ def test_coxeter_route_enumerates_once_over_the_complement(monkeypatch):
     monkeypatch.setattr(galcov.cli, "coset_enumeration", recording)
     report = analyze("dt4", route="coxeter")
     assert calls == [[(1,), (4,), (2,), (3,), (9,)]]
-    assert report.coxeter_route["order"] == 16 and report.tilde_order == 11_520
+    assert report.coxeter_route["order"] == 16
+    assert report.kernel_order == 16 and report.tilde_order == 11_520
 
 
 def test_main_rejects_max_cosets_below_one(capsys):
@@ -743,6 +745,39 @@ def test_kernel_enumeration_overflow_is_undecided(monkeypatch, capsys):
     report = analyze("t4", route="both", max_cosets=20)
     assert report.undecided
     assert report.pi1 == {"kind": "Undetermined", "note": "undecided at bound 20"}
+
+
+def test_kernel_presentation_decides_alone(monkeypatch):
+    # with no complement, the table over the trivial subgroup needs 11,520
+    # rows and overflows at 720, so the Coxeter route has no table and the
+    # kernel presentation's |K| is the report's
+    monkeypatch.setattr(galcov.cli, "complement_path", lambda *args: ((), ()))
+    report = analyze("dt4", route="both", max_cosets=720)
+    assert report.enumeration_route is None
+    assert report.coxeter_route["supported"] is False
+    assert report.kernel_cross_check == {
+        "from_index": None, "from_subgroup_presentation": 16, "agree": None
+    }
+    assert report.pi1 == {"kind": "ElementaryAbelian2", "rank": 4}
+    assert report.kernel_order == 16 and report.tilde_order == 11_520
+
+
+def test_regular_action_stopped_at_its_lookup_bound(monkeypatch):
+    # with the enumeration unbounded, 79 stops only dt4's regular action,
+    # which needs 16 * 5 = 80 lookups: alone it leaves |K| and |G~| unset,
+    # and under --route both the Coxeter route's verdict sets them
+    real = galcov.cli.coset_enumeration
+    monkeypatch.setattr(
+        galcov.cli, "coset_enumeration", lambda pres, words, bound: real(pres, words)
+    )
+    warning = "undecided at bound: the regular action of K, of order 16, needs 80 table lookups"
+    report = analyze("dt4", route="enumerate", max_cosets=79)
+    assert report.undecided and warning in report.warnings
+    assert report.kernel_order is None and report.tilde_order is None
+    report = analyze("dt4", route="both", max_cosets=79)
+    assert not report.undecided and warning in report.warnings
+    assert report.enumeration_route is None and report.coxeter_route["order"] == 16
+    assert report.kernel_order == 16 and report.tilde_order == 11_520
 
 
 def test_kernel_route_decides_both_after_full_overflow(monkeypatch, capsys):

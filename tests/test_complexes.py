@@ -332,6 +332,42 @@ def test_classify_bad_four_point(t4):
         classify_vertex(t4, v)
 
 
+def test_classify_sweeps_every_four_point_on_four_planes():
+    # all 16^4 assignments of plane pairs on planes 1..4 to the edges of a
+    # 4-point, degenerate and repeated pairs included.  The three cyclic
+    # orders of four edges are the oracle: a vertex is inner exactly when
+    # one of them has consecutive edges that share a plane and diagonals
+    # that share none, and then that is the cycle returned
+    pairs = list(itertools.product(range(1, 5), repeat=2))
+    v = Vertex(id=1, edges=frozenset({1, 2, 3, 4}))
+    orders = ((1, 2, 3, 4), (1, 2, 4, 3), (1, 3, 2, 4))
+    accepted = 0
+    for planes in itertools.product(pairs, repeat=4):
+        c = DegenerationComplex(
+            "sweep", 4, tuple(Edge(i, p) for i, p in enumerate(planes, 1)), (v,)
+        )
+
+        def shares(a, b):
+            return not set(planes[a - 1]).isdisjoint(planes[b - 1])
+
+        cycles = [
+            o for o in orders
+            if all(shares(o[i], o[i - 1]) for i in range(4))
+            and not shares(o[0], o[2]) and not shares(o[1], o[3])
+        ]
+        try:
+            cls = classify_vertex(c, v)
+        except ClassificationError as exc:
+            assert not cycles, planes
+            assert str(exc) == "vertex 1: plane-sharing relation of its edges is not a 4-cycle"
+            continue
+        accepted += 1
+        assert [cls] == [Inner4(cycle=o) for o in cycles], planes
+    # a 4-cycle of the six plane pairs (3 of them), dealt to the four edges
+    # (4!) with each pair in either order (2^4)
+    assert accepted == 3 * 24 * 16
+
+
 def test_parasitic_pairs_t4(t4):
     assert parasitic_pairs(t4) == [(1, 3), (2, 5), (4, 6)]
 

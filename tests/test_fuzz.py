@@ -4,11 +4,12 @@ Each case mutates the t4 or dt4 document: it drops, duplicates and
 rewires edges and vertices, sets ``planes`` anywhere up to 12, and
 appends relation-grammar overrides and a random projective relator.
 The scale cases raise one count to 10^4 instead: a star of edges on
-one plane, copies of an edge or a vertex, or planes far past the
-document's own.  ``galcov analyze`` then runs each case in this process
-on a random route under a small coset bound.  Whatever the input, the
-run must end in exit 0, 1 or 2 with a short message: no traceback, no
-uncaught exception and no long run.
+one plane, copies of an edge or a vertex, planes far past the
+document's own, or one vertex naming every edge.  ``galcov analyze``
+then runs each case in this process on a random route under a small
+coset bound.  Whatever the input, the run must end in exit 0, 1 or 2
+with a short message: no traceback, no uncaught exception and no long
+run.
 """
 
 import json
@@ -81,7 +82,8 @@ def scale_up(text, op, rng):
     """``text`` with one count raised to ``SCALE`` by the mutation ``op``:
     0 a star (plane 1 on every edge, each edge's other plane its own),
     1 copies of one edge and 2 copies of one vertex under fresh ids, 3
-    ``planes`` at ``SCALE`` with edges rewired to planes anywhere in it."""
+    ``planes`` at ``SCALE`` with edges rewired to planes anywhere in it,
+    4 one vertex naming all of ``SCALE`` edges on planes 1 and 2."""
     data = json.loads(text)
     edges, vertices = data["edges"], data["vertices"]
     if op == 0:
@@ -93,10 +95,13 @@ def scale_up(text, op, rng):
     elif op == 2:
         ids = rng.choice(vertices)["edges"]
         vertices += [{"id": i, "edges": ids} for i in range(len(vertices) + 1, SCALE + 1)]
-    else:
+    elif op == 3:
         data["planes"] = SCALE
         for edge in rng.sample(edges, rng.randint(1, len(edges))):
             edge["planes"][rng.randrange(2)] = rng.randint(1, SCALE)
+    else:
+        data["edges"] = [{"id": i, "planes": [1, 2]} for i in range(1, SCALE + 1)]
+        data["vertices"] = [{"id": 1, "edges": list(range(1, SCALE + 1))}]
     return json.dumps(data)
 
 
@@ -133,7 +138,7 @@ def test_mutated_documents_end_in_an_exit_code(tmp_path, capsys):
 def test_documents_at_scale_end_in_an_exit_code(tmp_path, capsys):
     rng = random.Random(1)
     path = tmp_path / "case.json"
-    for op in range(4):
+    for op in range(5):
         for name, text in (("t4", T4_JSON), ("dt4", DT4_JSON)):
             route = rng.choice(("enumerate", "coxeter", "both"))
             check_case(path, scale_up(text, op, rng), route, capsys, f"{name} scale op {op}")

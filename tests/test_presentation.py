@@ -6,7 +6,15 @@ import pytest
 
 import galcov.coxeter
 from galcov.cli import analyze
-from galcov.complexes import ComplexError, DegenerationComplex, PresentationOverrides, parse_complex
+from galcov.complexes import (
+    ComplexError,
+    DegenerationComplex,
+    PresentationOverrides,
+    Vertex,
+    classify_vertex,
+    parse_complex,
+    validate,
+)
 from galcov.datasets import DT4_JSON, T4_JSON
 from galcov.enumeration import coset_enumeration, group_order
 from galcov.permutations import SymmetricAssignment, plane_transposition_map
@@ -42,6 +50,7 @@ from .conftest import (
     mulclose,
     relabel_complex,
     transposition,
+    vertex_pair_relators,
     word_of,
     word_permutation,
 )
@@ -386,11 +395,44 @@ def test_built_presentations_are_normalized():
         for include_projective in (True, False):
             try:
                 p = build_tilde_presentation(c, include_projective)
-            except (ComplexError, PresentationError, KeyError):
-                continue  # KeyError: a vertex names a missing edge
+            except (ComplexError, PresentationError):
+                continue
             assert GroupPresentation.make(p.names, p.relators) == p, c
             built += 1
     assert built > 100
+
+
+def test_build_states_the_vertex_pair_relators():
+    # one rule, a triple when two edges share a plane and a commutator
+    # otherwise, states what the vertices and the parasitic pairs state,
+    # on every complex that validate and classify_vertex accept
+    accepted = 0
+    for c in build_corpus():
+        if not validate(c).valid:
+            continue
+        try:
+            [classify_vertex(c, v) for v in c.vertices]
+        except ComplexError:
+            continue
+        accepted += 1
+        squares = tuple((i, i) for i in range(1, c.edge_count + 1))
+        pairs = squares + tuple(vertex_pair_relators(c))
+        for include_projective in (True, False):
+            try:
+                p = build_tilde_presentation(c, include_projective)
+            except PresentationError:
+                continue  # a bad override line
+            assert p.relators[: len(pairs)] == pairs, c
+    assert accepted > 50
+
+
+def test_build_rejects_a_vertex_naming_a_missing_edge(t4, dt4):
+    # t4 has 6 edges and dt4 9: a 3-point and a 4-point naming an edge past
+    # them fail before either is classified
+    for c, edges, missing in ((t4, {1, 2, 7}, 7), (dt4, {1, 6, 8, 12}, 12)):
+        broken = c._replace(vertices=c.vertices + (Vertex(id=9, edges=frozenset(edges)),))
+        with pytest.raises(PresentationError, match=f"vertex 9 references missing edge {missing}$"):
+            build_tilde_presentation(broken)
 
 
 def test_eliminated_presentations_are_normalized(monkeypatch, tmp_path):
