@@ -5,7 +5,7 @@ classify, count singularities, Chern numbers and signature, generate the
 group presentation, map it onto the symmetric group S_n, and identify the
 kernel K (= the fundamental group of the Galois cover) from one
 Todd-Coxeter table of G~ over an S_n complement H, with [G~:H] = |K| rows
-(over the trivial subgroup when ``complement_path`` finds no H): |G~| =
+(undecided when ``complement_path`` finds no H within the bound): |G~| =
 [G~:H]|H| = n!|K|, and the verdict comes from K's regular action on the
 table, read from at most log2 |K| generators, one Schreier graph and
 SNF.  ``both`` adds an independent presentation of K (the n!-row kernel
@@ -32,7 +32,6 @@ from __future__ import annotations
 import argparse
 import importlib
 import json
-import math
 import sys
 import time
 from dataclasses import dataclass, field
@@ -316,29 +315,34 @@ def analyze(
     if failures := timed("homomorphism", verify_homomorphism, pres, assignment):
         raise AnalysisError("kernel", f"plane transpositions do not satisfy relators {failures}")
 
-    # one table of G~ for every route; the Coxeter route declines at once
-    # without a projective relator, so alone it needs no table then
-    path, planes, table, tilde = (), (), None, None
+    # one table of G~, over an S_n complement, for every route; the Coxeter
+    # route declines at once without a projective relator, so alone it
+    # needs no table then
+    path, planes, table = (), (), None
     if route != "coxeter" or proj is not None:
         path, planes = timed("complement", complement_path, pres, assignment, max_cosets)
-        try:
-            table = timed("enumerate", coset_enumeration, pres, [(g,) for g in path], max_cosets)
-        except EnumerationOverflow:
+        if not planes:
             _undecided_at_bound(
-                report, max_cosets, f"enumeration overflow at {max_cosets} cosets"
+                report, max_cosets, f"no S_n complement within {max_cosets} partial paths"
             )
         else:
-            # |G~| = [G~:H]|H|, with |H| = n! on a path and 1 without
-            tilde = table.coset_count * (math.factorial(assignment.degree) if path else 1)
+            try:
+                table = timed(
+                    "enumerate", coset_enumeration, pres, [(g,) for g in path], max_cosets
+                )
+            except EnumerationOverflow:
+                _undecided_at_bound(
+                    report, max_cosets, f"enumeration overflow at {max_cosets} cosets"
+                )
 
     enum_verdict = None
     if route != "coxeter" and table is not None:
         enum_verdict = _enumeration_route(
-            report, pres, table, path, planes, tilde, assignment, max_cosets, timed
+            report, pres, table, path, planes, assignment, max_cosets, timed
         )
     if route == "both":
         enum_verdict = _presentation_route(
-            report, pres, assignment, tilde, enum_verdict, max_cosets, timed
+            report, pres, assignment, table, enum_verdict, max_cosets, timed
         )
 
     cox_verdict = None
@@ -375,12 +379,12 @@ def _undecided_at_bound(report, max_cosets, what):
     report.pi1 = {"kind": "Undetermined", "note": f"undecided at bound {max_cosets}"}
 
 
-def _enumeration_route(report, pres, table, path, planes, tilde, assignment, max_cosets, timed):
-    """Regular-action route: |K| = [G~:H]|H|/n! from the table over H, and
-    the verdict from K's regular action on it.  Returns the verdict, or
-    None when the bound on its |K|(floor(log2 |K|) + 1) table lookups
-    stops it."""
-    kernel_order = tilde // report.symmetric_image_order
+def _enumeration_route(report, pres, table, path, planes, assignment, max_cosets, timed):
+    """Regular-action route: |K| = [G~:H] from the table over the S_n
+    complement H, and the verdict from K's regular action on it.  Returns
+    the verdict, or None when the bound on its |K|(floor(log2 |K|) + 1)
+    table lookups stops it."""
+    kernel_order = table.coset_count
     lookups = kernel_order * kernel_order.bit_length()
     if lookups > max_cosets:
         _undecided_at_bound(
@@ -403,9 +407,10 @@ def _enumeration_route(report, pres, table, path, planes, tilde, assignment, max
     return verdict
 
 
-def _presentation_route(report, pres, assignment, tilde, verdict, max_cosets, timed):
+def _presentation_route(report, pres, assignment, table, verdict, max_cosets, timed):
     """Under ``--route both``: |K| and the abelian invariants again, from a
-    presentation of K = ker(G~ -> S_n), independent of the table of G~.
+    presentation of K = ker(G~ -> S_n), independent of the ``table`` of G~
+    over H (None when there is none).
     They must equal the table's and the regular action's ``verdict``
     (its invariants are those of K/K'); without that verdict, this
     route's decides.  Returns the verdict that stands, if any."""
@@ -431,7 +436,7 @@ def _presentation_route(report, pres, assignment, tilde, verdict, max_cosets, ti
             corank = timed("mod2", abelianization, simplified, "mod2")
             if simplified.generator_count <= _SNF_GENERATOR_LIMIT:
                 factors = timed("snf", abelianization, simplified, "integers")
-    _index_cross_check(report, tilde, kernel)
+    _index_cross_check(report, None if table is None else table.coset_count, kernel)
     if kernel is None:
         return verdict
     if verdict is None:
@@ -446,33 +451,29 @@ def _presentation_route(report, pres, assignment, tilde, verdict, max_cosets, ti
     return verdict
 
 
-def _index_cross_check(report, tilde, kernel):
-    """Under ``--route both``: |G~| = [G~:H]|H| from the table over H (None
-    after an overflow), over n!, must equal the kernel presentation's |K|
-    (None when a bound stopped it)."""
+def _index_cross_check(report, index, kernel):
+    """Under ``--route both``: |K| = [G~:H] from the table over H (None
+    without one) must equal the kernel presentation's |K| (None when a
+    bound stopped it)."""
     nfact = report.symmetric_image_order
-    if tilde is not None and tilde % nfact:
-        raise AnalysisError(
-            "kernel", f"group order {tilde} not divisible by image order {nfact}"
-        )
-    if None not in (tilde, kernel) and tilde != nfact * kernel:
+    if None not in (index, kernel) and index != kernel:
         raise AnalysisError(
             "kernel",
-            f"the coset table gives |G~| = [G~:H]|H| = {tilde}, but the kernel "
+            f"the coset table gives |G~| = [G~:H]|H| = {index * nfact}, but the kernel "
             f"presentation gives n!|K| = {nfact}*{kernel} = {nfact * kernel}",
         )
     report.kernel_cross_check = {
-        "from_index": None if tilde is None else tilde // nfact,
+        "from_index": index,
         "from_subgroup_presentation": kernel,
-        "agree": True if None not in (tilde, kernel) else None,
+        "agree": True if None not in (index, kernel) else None,
     }
 
 
 def _coxeter_route(report, pres_noproj, proj, table, assignment, max_cosets, timed):
     """Coxeter-quotient route, its elimination plan derived from a
     Hamiltonian cycle of the plane graph within ``max_cosets`` partial
-    paths and checked on ``table`` (None after an overflow); returns its
-    verdict or None."""
+    paths and checked on ``table`` (None without one); returns its verdict
+    or None."""
     route = timed("coxeter", coxeter_route, pres_noproj, proj, table, assignment, max_cosets)
     if not route.supported:
         report.coxeter_route = {"supported": False, "reason": route.reason}

@@ -414,25 +414,14 @@ def classify_vertex(c: DegenerationComplex, v: Vertex) -> VertexClass:
     return Inner4(cycle=(start, low, opposite, high))
 
 
-def _together(c: DegenerationComplex) -> set[tuple[int, int]]:
-    """The set of :func:`adjacent_pairs`."""
-    seen = set()
-    for v in c.vertices:
-        seen.update(itertools.combinations(sorted(v.edges), 2))
-    return seen
-
-
-def adjacent_pairs(c: DegenerationComplex) -> list[tuple[int, int]]:
-    """Unordered edge-id pairs that occur together in at least one vertex."""
-    return sorted(_together(c))
-
-
 def parasitic_pairs(c: DegenerationComplex) -> list[tuple[int, int]]:
     """Unordered pairs of edges sharing no vertex, sorted lexicographically.
 
     These are the line pairs that intersect only after projection.
     """
-    together = _together(c)
+    together = set()
+    for v in c.vertices:
+        together.update(itertools.combinations(sorted(v.edges), 2))
     ids = sorted(e.id for e in c.edges)
     return [
         (a, b)

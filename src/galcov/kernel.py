@@ -3,9 +3,10 @@
 The exact sequence 0 -> pi1 -> G -> S_n -> 0 identifies the fundamental
 group of the Galois cover with the kernel of the symmetric-group map, so
 everything here is about that kernel.  :func:`regular_kernel` decides it
-from its regular action on a coset table of G over a complement of K:
-at most log2 |K| generators, their Schreier graph, and the Smith normal
-form of the relators that the graph's edges off a spanning tree close.
+from its regular action on a coset table of G over an S_n complement
+of K, which has |K| rows: at most log2 |K| generators, their Schreier
+graph, and the Smith normal form of the relators that the graph's edges
+off a spanning tree close.
 The second, independent route builds a presentation of K: its coset
 table (indexed by the n! permutations), Reidemeister-Schreier rewriting,
 and abelian invariants via Smith normal form or GF(2) rank.
@@ -437,23 +438,18 @@ def identify_structure(order, mod2_corank=None, invariant_factors=None) -> Struc
 # the kernel from its regular action
 
 
-def regular_kernel(
-    table: CosetTable, a: SymmetricAssignment, path=(), planes=()
-) -> StructureVerdict:
+def regular_kernel(table: CosetTable, a: SymmetricAssignment, path, planes) -> StructureVerdict:
     """The kernel K of ``a`` from its regular action on a coset table.
 
     ``table`` is a closed coset table of G over H: the S_n complement
     that :func:`~galcov.presentation.complement_path` found along
-    ``path`` through ``planes``, or the trivial subgroup when ``path`` is
-    empty.  H meets K trivially, so K acts regularly on the orbit of
-    coset 0: every coset over the complement, and over the trivial
-    subgroup the cosets whose breadth-first representative words map to
-    the identity.
+    ``path`` through ``planes``.  H meets K trivially, so K acts
+    regularly on the orbit of coset 0, which is every coset.
 
     The kernel element of coset c is u_c w_c: w_c is the representative
-    word of c, and u_c the bubble-sort word along the path whose image is
-    the inverse of w_c's (empty over the trivial subgroup).  It sends
-    coset 0 to c.  Walking the kernel cosets in order, c's element is
+    word of c along the table's breadth-first spanning tree, and u_c the
+    bubble-sort word along the path whose image is the inverse of w_c's.
+    It sends coset 0 to c.  Walking the cosets in order, c's element is
     traced over them, as a permutation, whenever c lies outside the orbit
     of coset 0 under the elements taken so far; each one must at least
     double that orbit, so at most log2 |K| are taken.  Along the orbit's
@@ -466,73 +462,53 @@ def regular_kernel(
     the Smith normal form of the abelianized relators gives the
     invariants of K/K'.
     """
+    if len(planes) != len(path) + 1:
+        raise ValueError(f"a path of {len(path)} generators walks {len(path) + 1} planes")
     n = a.degree
     rows = table.rows
     # letters in column order, and each letter's column: the permutation
     # of the cosets that it acts as
     letters = [x for g in range(1, table.generator_count + 1) for x in (g, -g)]
     columns = dict(zip(letters, zip(*rows)))
-    images = a.letters
-    # breadth-first spanning tree: the parent coset and letter of each
-    # coset, and the image of its representative word
-    parent = [None] * len(rows)
-    image = [None] * len(rows)
-    image[0] = tuple(range(1, n + 1))
-    reached = [0]
-    for c in reached:
-        for x in letters:
-            d = columns[x][c]
-            if image[d] is None:
-                image[d] = tuple(images[x][y] for y in image[c])
-                parent[d] = (c, x)
-                reached.append(d)
-    if len(reached) != len(rows):
+    # breadth-first spanning tree: the parent coset and letter index of
+    # each coset, and the image of its representative word
+    spanning = _schreier_tree([columns[x] for x in letters])
+    if len(spanning) != len(rows):
         raise KernelError("coset table is not connected")
+    image = [tuple(range(1, n + 1))] * len(rows)
+    for d, (c, s) in itertools.islice(spanning.items(), 1, None):
+        image[d] = tuple(a.letters[letters[s]][y] for y in image[c])
 
     def word(c):
         w = []
         while c:
-            c, x = parent[c]
-            w.append(x)
+            c, s = spanning[c]
+            w.append(letters[s])
         return w[::-1]
 
-    if path:
-        if len(planes) != len(path) + 1:
-            raise ValueError(f"a path of {len(path)} generators walks {len(path) + 1} planes")
-        pos = {p: i for i, p in enumerate(planes)}
-        cosets = range(len(rows))
-    else:
-        cosets = [c for c in range(len(rows)) if image[c] == image[0]]
-        if len(cosets) * math.factorial(n) != len(rows):
-            raise KernelError(
-                f"{len(cosets)} of the {len(rows)} cosets lie in the kernel, not 1 in {n}!"
-            )
-    index = {c: i for i, c in enumerate(cosets)}
-    # the taken elements, as permutations of the kernel cosets, and the
-    # Schreier tree of the orbit of coset 0 under them
+    pos = {p: i for i, p in enumerate(planes)}
+    cosets = tuple(range(len(rows)))
+    # the taken elements, as permutations of the cosets, and the Schreier
+    # tree of the orbit of coset 0 under them
     gens, tree = [], {0: None}
-    for i, c in enumerate(cosets):
-        if i in tree:
+    for c in cosets:
+        if c in tree:
             continue
-        w = word(c)
-        if path:
-            # bubble-sort the path positions that the image moves back
-            b = [pos[image[c][p - 1]] for p in planes]
-            swaps = []
-            for end in range(n - 1, 0, -1):
-                for j in range(end):
-                    if b[j + 1] < b[j]:
-                        b[j], b[j + 1] = b[j + 1], b[j]
-                        swaps.append(path[j])
-            w = swaps[::-1] + w
-        # w from every kernel coset at once, one column per letter, as
+        # bubble-sort the path positions that the image moves back
+        b = [pos[image[c][p - 1]] for p in planes]
+        swaps = []
+        for end in range(n - 1, 0, -1):
+            for j in range(end):
+                if b[j + 1] < b[j]:
+                    b[j], b[j + 1] = b[j + 1], b[j]
+                    swaps.append(path[j])
+        # u_c w_c from every coset at once, one column per letter, as
         # permutations._evaluate does; itemgetter of one index returns no
-        # tuple, but a kernel of one coset has no element to take
-        acc = tuple(cosets)
-        for x in w:
-            acc = itemgetter(*acc)(columns[x])
-        perm = tuple(map(index.get, acc))
-        if perm[0] != i or None in perm:
+        # tuple, but a table of one coset has no element to take
+        perm = cosets
+        for x in swaps[::-1] + word(c):
+            perm = itemgetter(*perm)(columns[x])
+        if perm[0] != c:
             raise KernelError(f"the kernel element of coset {c} does not act on the kernel")
         gens.append(perm)
         before, tree = len(tree), _schreier_tree(gens)

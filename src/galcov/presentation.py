@@ -453,8 +453,8 @@ def relation_holds(gen, replacement, table, assignment) -> bool:
     """Does gen = replacement hold in the group G?
 
     ``table`` is a closed coset table of G over a subgroup H that meets
-    the kernel K of ``assignment``, a homomorphism G -> S_n, trivially
-    (the trivial subgroup, or the complement of :func:`complement_path`).
+    the kernel K of ``assignment``, a homomorphism G -> S_n, trivially,
+    such as the S_n complement of :func:`complement_path`.
     A word is 1 in G exactly when its image is the identity and it fixes
     coset 0, which is H itself: then it lies in H and in K, and H meets K
     only in 1.  So a stated relation passes, as every consequence does.
@@ -500,8 +500,8 @@ def hamiltonian_paths(pres, assignment, starts, bound, fits=None):
 def complement_path(pres, assignment, bound):
     """Generators and planes along a Hamiltonian path of the plane graph
     whose generators state the Coxeter presentation of S_n, as
-    :func:`hamiltonian_paths` yields them, or ((), ()) when the search
-    finds none within ``bound`` partial paths.
+    :func:`hamiltonian_paths` yields them, or ((), ()), with no planes,
+    when the search finds none within ``bound`` partial paths.
 
     ``assignment`` must be a homomorphism onto S_n.  Each path generator
     has a stated square and a transposition image; path neighbours

@@ -5,6 +5,7 @@ they are produced.  Criteria with stated runtime bounds time their own
 computation, end to end, inside the test.
 """
 
+import itertools
 import random
 import time
 
@@ -263,7 +264,7 @@ def test_criterion_7_route_agreement(dt4_enumeration_results, dt4_coxeter_result
 
 def test_criterion_8_property_suites():
     from galcov.presentation import GroupPresentation
-    from galcov.complexes import adjacent_pairs, parasitic_pairs, validate
+    from galcov.complexes import parasitic_pairs, validate
 
     failures = []
 
@@ -335,7 +336,8 @@ def test_criterion_8_property_suites():
                 f"{name}: schreier count {sub.generator_count} != {expected}"
             )
 
-    # --- parasitic/adjacent pair complement identity on random complexes
+    # --- parasitic/met pair complement identity on random complexes: every
+    # edge pair either lies together in a vertex or is parasitic
     rng = random.Random(13579)
     for _ in range(100):
         c = random_valid_complex(rng)
@@ -343,7 +345,11 @@ def test_criterion_8_property_suites():
             failures.append(f"generated complex {c.name} invalid")
             continue
         e = c.edge_count
-        if len(parasitic_pairs(c)) + len(adjacent_pairs(c)) != e * (e - 1) // 2:
+        met = sum(
+            any({a, b} <= v.edges for v in c.vertices)
+            for a, b in itertools.combinations(sorted(x.id for x in c.edges), 2)
+        )
+        if len(parasitic_pairs(c)) + met != e * (e - 1) // 2:
             failures.append(f"pair complement identity fails on {c.name}")
 
     # --- semidirect arithmetic laws on 1000 seeded triples, on windows

@@ -163,8 +163,9 @@ def test_undecided_pipeline_reports_overflow():
 
 
 def test_both_routes_enumerate_once_after_overflow(monkeypatch, capsys):
-    # the Coxeter route reuses the enumeration route's outcome: after an
-    # overflow it must not enumerate the same presentation at the same bound
+    # every table of G~ is over the S_n complement: at 3 the complement
+    # search stops before its 4th partial path, so no route enumerates G~,
+    # and t4's 24-row kernel table is over the bound too
     calls = []
     real = galcov.cli.coset_enumeration
 
@@ -173,16 +174,16 @@ def test_both_routes_enumerate_once_after_overflow(monkeypatch, capsys):
         return real(*args, **kwargs)
 
     monkeypatch.setattr(galcov.cli, "coset_enumeration", counting)
-    # at 3 the complement search stops before its 4th partial path, and
-    # t4's enumeration over the trivial subgroup overflows
+    warning = "undecided at bound: no S_n complement within 3 partial paths"
     report = analyze("t4", route="both", max_cosets=3)
-    assert len(calls) == 1
+    assert calls == []
     assert report.undecided
     assert report.pi1["kind"] == "Undetermined"
     assert report.coxeter_route["supported"] is False
+    assert report.warnings[2] == warning
     assert main(["analyze", "t4", "--route", "both", "--max-cosets", "3"]) == 1
-    assert "undecided at bound" in capsys.readouterr().out
-    assert len(calls) == 2
+    assert f"warning: {warning}\n" in capsys.readouterr().out
+    assert calls == []
 
 
 def test_analyze_dt4_both_routes():
@@ -567,33 +568,6 @@ def test_enumerate_route_order_equals_full_table(monkeypatch, tmp_path, name, se
         assert "no projective relator" in both.coxeter_route["reason"]
 
 
-def test_both_routes_without_a_complement_enumerate_g_in_full(monkeypatch):
-    # with no path, H is trivial: |H| = 1 and the table is regular
-    monkeypatch.setattr(galcov.cli, "complement_path", lambda *args: ((), ()))
-    tables = _recording(monkeypatch)
-    report = analyze("dt4", route="both")
-    assert tables[0].subgroup_words == () and tables[0].coset_count == 11_520
-    assert report.enumeration_route["complement_generators"] == []
-    assert report.enumeration_route["index"] == 11_520
-    assert report.kernel_cross_check == {
-        "from_index": 16, "from_subgroup_presentation": 16, "agree": True
-    }
-    assert report.route_agreement is True
-
-
-def test_enumerate_route_without_a_complement_reads_the_regular_table(monkeypatch):
-    # with H trivial the table has |G~| = 11,520 rows; K acts regularly on
-    # the 16 whose representative words map to the identity
-    monkeypatch.setattr(galcov.cli, "complement_path", lambda *args: ((), ()))
-    tables = _recording(monkeypatch)
-    report = analyze("dt4", route="enumerate")
-    assert [t.coset_count for t in tables] == [11_520]
-    assert report.pi1 == {"kind": "ElementaryAbelian2", "rank": 4}
-    assert report.tilde_order == 11_520 and report.kernel_order == 16
-    assert report.enumeration_route["complement_generators"] == []
-    assert report.enumeration_route["invariants"] == [2, 2, 2, 2]
-
-
 def test_non_abelian_verdict_is_reported_exactly():
     from galcov.cli import _verdict_dict, _verdicts_equal
     from galcov.kernel import StructureVerdict
@@ -687,8 +661,11 @@ def _enumerate_route_needs(name):
 @pytest.mark.parametrize(
     "name,bound,decides,warning",
     [
+        ("t4", 3, False, "no S_n complement within 3 partial paths"),
         ("t4", 4, False, "enumeration overflow at 4 cosets"),
         ("t4", 5, True, None),
+        ("dt4", 5, False, "no S_n complement within 5 partial paths"),
+        ("dt4", 6, False, "enumeration overflow at 6 cosets"),
         ("dt4", 100, False, "enumeration overflow at 100 cosets"),
         ("dt4", 101, True, None),
         ("dt4", 255, True, None),
@@ -706,8 +683,12 @@ def test_regular_action_is_bounded(capsys, name, bound, decides, warning):
     assert bound in needs or bound + 1 in needs or bound in (255, 256)
     assert decides == (bound >= max(needs))
     if not decides:
-        _, allocation, _ = needs
-        assert warning.startswith("enumeration" if bound < allocation else "the regular action")
+        search, allocation, _ = needs
+        assert warning.startswith(
+            "no S_n complement" if bound < search
+            else "enumeration" if bound < allocation
+            else "the regular action"
+        )
     argv = ["analyze", name, "--max-cosets", str(bound), "--format", "json"]
     assert main(argv) == (0 if decides else 1)
     out, err = capsys.readouterr()
@@ -740,7 +721,7 @@ def test_kernel_enumeration_overflow_is_undecided(monkeypatch, capsys):
     assert "undecided at bound: kernel enumeration" in out
     assert "  kernel presentation: undecided at bound\n" in out
     assert "kernel None" not in out
-    # with no table either, nothing decides
+    # with no complement, hence no table, nothing decides
     monkeypatch.setattr(galcov.cli, "complement_path", lambda *args: ((), ()))
     report = analyze("t4", route="both", max_cosets=20)
     assert report.undecided
@@ -748,9 +729,8 @@ def test_kernel_enumeration_overflow_is_undecided(monkeypatch, capsys):
 
 
 def test_kernel_presentation_decides_alone(monkeypatch):
-    # with no complement, the table over the trivial subgroup needs 11,520
-    # rows and overflows at 720, so the Coxeter route has no table and the
-    # kernel presentation's |K| is the report's
+    # with no complement there is no table of G~, so the Coxeter route
+    # declines and the kernel presentation's |K| is the report's
     monkeypatch.setattr(galcov.cli, "complement_path", lambda *args: ((), ()))
     report = analyze("dt4", route="both", max_cosets=720)
     assert report.enumeration_route is None
@@ -794,23 +774,22 @@ def test_kernel_route_decides_both_after_full_overflow(monkeypatch, capsys):
         "from_index": 16, "from_subgroup_presentation": 16, "agree": True
     }
     assert report.route_agreement is True
-    # with no complement found, G~ is enumerated in full (43,933 cosets
-    # defined): that overflows at 720, and the kernel presentation decides
-    # alone
+    # with no complement found, G~ is not enumerated at all: the one table
+    # is the kernel enumeration's, and the kernel presentation decides alone
     monkeypatch.setattr(galcov.cli, "complement_path", lambda *args: ((), ()))
     tables.clear()
     report = analyze("dt4", route="both", max_cosets=720)
-    assert len(tables) == 2 and tables[0] is None  # the full call overflowed
+    assert [t.coset_count for t in tables] == [16]
     assert report.pi1 == {"kind": "ElementaryAbelian2", "rank": 4}
     assert not report.undecided
-    assert "undecided at bound: enumeration overflow at 720 cosets" in report.warnings
+    assert "undecided at bound: no S_n complement within 720 partial paths" in report.warnings
     assert report.kernel_cross_check["from_index"] is None
     assert report.coxeter_route["supported"] is False
     assert report.route_agreement is None
     assert main(["analyze", "dt4", "--route", "both", "--max-cosets", "720"]) == 0
-    assert "undecided at bound: enumeration overflow" in capsys.readouterr().out
-    # below the complement's count both routes stop at their bounds
+    assert "undecided at bound: no S_n complement within 720" in capsys.readouterr().out
+    # below the kernel table's 720 rows both routes stop at their bounds
     assert main(["analyze", "dt4", "--route", "both", "--max-cosets", "30"]) == 1
     out = capsys.readouterr().out
     assert "undecided at bound: kernel table needs 720 rows" in out
-    assert "undecided at bound: enumeration overflow at 30 cosets" in out
+    assert "undecided at bound: no S_n complement within 30 partial paths" in out

@@ -693,14 +693,13 @@ def test_coxeter_cover_6_4_regular_action_decides_from_11264_lookups():
     lattice = route.verdict()
     assert lattice.order == route.quotient.order == 1024
     assert lattice.factors == (4,) * 5
-    tilde = table.coset_count * math.factorial(6)
     for bound in (11_263, 11_264, DEFAULT_MAX_COSETS):
         report = AnalysisReport(
             source="coxeter_cover(6, 4)", name="", complex_summary={}, counts={}, chern={},
             routes_requested="enumerate", symmetric_image_order=math.factorial(6),
         )
         verdict = _enumeration_route(
-            report, full, table, path, planes, tilde, symmetric, bound,
+            report, full, table, path, planes, symmetric, bound,
             lambda stage, fn, *args: fn(*args),
         )
         if bound < 11_264:

@@ -582,19 +582,17 @@ def test_regular_kernel_matches_brute_force_closure(k, expected):
     pres, a, walk = _with_s2_complement(names, relators)
     order, centre, derived, orders = _brute_force(model)
     assert (order, centre, derived) == (expected["order"], expected["centre"], expected["derived"])
-    over_h = coset_enumeration(pres, [walk[0]], 1000)
-    over_1 = coset_enumeration(pres, (), 1000)
-    assert over_h.coset_count == order and over_1.coset_count == 2 * order
-    for table, w in ((over_h, walk), (over_1, ((), ()))):
-        v = regular_kernel(table, a, *w)
-        assert v.kind == expected["kind"] and v.order == order
-        # the invariants of K/K' are those of the presentation's SNF
-        assert v.factors == expected["factors"]
-        assert v.factors == abelian_invariants(GroupPresentation.make(names, relators))
-        if v.kind == "NonAbelian":
-            assert (v.centre_order, v.derived_order) == (centre, derived)
-        else:
-            assert orders == _cyclic_product_orders(v.factors)
+    table = coset_enumeration(pres, [walk[0]], 1000)
+    assert table.coset_count == order
+    v = regular_kernel(table, a, *walk)
+    assert v.kind == expected["kind"] and v.order == order
+    # the invariants of K/K' are those of the presentation's SNF
+    assert v.factors == expected["factors"]
+    assert v.factors == abelian_invariants(GroupPresentation.make(names, relators))
+    if v.kind == "NonAbelian":
+        assert (v.centre_order, v.derived_order) == (centre, derived)
+    else:
+        assert orders == _cyclic_product_orders(v.factors)
 
 
 def test_regular_kernel_over_a_longer_path():
@@ -611,42 +609,32 @@ def test_regular_kernel_over_a_longer_path():
     assert (v.kind, v.factors, v.order) == ("AbelianInvariantFactors", (3,), 3)
     # the path read from its other end gives the same kernel
     assert regular_kernel(table, a, (3, 2), (3, 2, 1)) == v
-    # a path without the planes it walks is refused
+    # a path with fewer planes than it walks is refused
     with pytest.raises(ValueError, match="a path of 2 generators walks 3 planes"):
-        regular_kernel(table, a, (2, 3))
+        regular_kernel(table, a, (2, 3), (1, 2))
 
 
 def test_regular_kernel_rejects_a_set_that_is_not_closed():
     # S_3 = <a, b> on the 3 cosets of <aba>, read as if that subgroup were
-    # trivial: the kernel words 1, a, b act as the identity and two
-    # transpositions, whose product is a 3-cycle
+    # the complement S_1 along the empty path: the kernel words 1, a, b act
+    # as the identity and two transpositions, whose product is a 3-cycle
     pres = GroupPresentation.make(("a", "b"), [(1, 1), (2, 2), (1, 2) * 3])
     table = coset_enumeration(pres, [(1, 2, 1)], 100)
     trivial = SymmetricAssignment(1, (identity(1),) * 2)
     with pytest.raises(KernelError, match="not closed under product"):
-        regular_kernel(table, trivial, ())
+        regular_kernel(table, trivial, (), (1,))
 
 
 def test_regular_kernel_rejects_a_transitive_group_that_is_not_regular():
     # the dihedral group of order 8 = <a, b> on the 4 cosets of <a>, read
-    # as if that subgroup were trivial: the kernel words b and b a double
-    # the orbit of coset 0 twice, but generate a group of order 8 on 4
-    # points, and left multiplication along the tree does not commute
+    # as if that subgroup were the complement S_1: the kernel words b and
+    # b a double the orbit of coset 0 twice, but generate a group of order
+    # 8 on 4 points, and left multiplication along the tree does not commute
     pres = GroupPresentation.make(("a", "b"), [(1, 1), (2, 2), (1, 2) * 4])
     table = coset_enumeration(pres, [(1,)], 100)
     trivial = SymmetricAssignment(1, (identity(1),) * 2)
     with pytest.raises(KernelError, match="not closed under product"):
-        regular_kernel(table, trivial, ())
-
-
-def test_regular_kernel_rejects_a_kernel_of_the_wrong_size():
-    # every coset of S_3 maps to the identity of S_2: six kernel cosets,
-    # not 6 / 2!
-    pres = GroupPresentation.make(("a", "b"), [(1, 1), (2, 2), (1, 2) * 3])
-    table = coset_enumeration(pres, (), 100)
-    trivial = SymmetricAssignment(2, (identity(2),) * 2)
-    with pytest.raises(KernelError, match="6 of the 6 cosets lie in the kernel"):
-        regular_kernel(table, trivial, ())
+        regular_kernel(table, trivial, (), (1,))
 
 
 def _breadth_first(start, letters, step):
@@ -681,16 +669,15 @@ def _kernel_words(table, a, path):
 
 
 def _tables(dt4, case):
-    """(table, assignment, path, planes) of each table a case reads: dt4 or
-    its relabeling over the S_n complement; K x <t> over <t> and over 1."""
+    """(table, assignment, path, planes) of the table a case reads: dt4 or
+    its relabeling over the S_n complement, or K x <t> over <t>."""
     if case.startswith("dt4"):
         c = dt4 if case == "dt4" else relabel_complex(dt4, random.Random(int(case[4:])))
         pres, a = build_tilde_presentation(c), plane_transposition_map(c)
         path, planes = complement_path(pres, a, 10**6)
-        return [(coset_enumeration(pres, [(g,) for g in path], 10**6), a, path, planes)]
+        return coset_enumeration(pres, [(g,) for g in path], 10**6), a, path, planes
     pres, a, (path, planes) = _with_s2_complement(*{"S3": _S3, "Q8": _Q8}[case][:2])
-    return [(coset_enumeration(pres, [path], 1000), a, path, planes),
-            (coset_enumeration(pres, (), 1000), a, (), ())]
+    return coset_enumeration(pres, [path], 1000), a, path, planes
 
 
 @pytest.mark.parametrize("case", ["dt4", "dt4-1", "dt4-2", "dt4-3", "S3", "Q8"])
@@ -698,32 +685,31 @@ def test_regular_kernel_permutations_match_row_by_row_traces(monkeypatch, dt4, c
     # each kernel element acts on the kernel cosets as any word for it does,
     # traced one letter at a time from every kernel coset
     real = galcov.kernel._regular_verdict
-    for table, a, path, planes in _tables(dt4, case):
-        seen = []
-        monkeypatch.setattr(galcov.kernel, "_regular_verdict",
-                            lambda gens, tree: real(seen.append(gens) or gens, tree))
-        regular_kernel(table, a, path, planes)
-        (gens,) = seen
-        words = _kernel_words(table, a, path)
-        cosets = sorted(words)
-        # over the trivial subgroup, 1 in 2! cosets: the fixtures map onto S_2
-        assert len(cosets) == table.coset_count // (1 if path else 2)
-        # at most log2 |K| generators, taken in coset order
-        assert 0 < len(gens) <= math.log2(len(cosets))
-        assert [g[0] for g in gens] == sorted(g[0] for g in gens)
-        index = {c: i for i, c in enumerate(cosets)}
-        for perm in gens:
-            c = cosets[perm[0]]
-            assert perm == tuple(index[table.trace(d, words[c])] for d in cosets)
+    table, a, path, planes = _tables(dt4, case)
+    seen = []
+    monkeypatch.setattr(galcov.kernel, "_regular_verdict",
+                        lambda gens, tree: real(seen.append(gens) or gens, tree))
+    regular_kernel(table, a, path, planes)
+    (gens,) = seen
+    words = _kernel_words(table, a, path)
+    # every coset over the complement is a kernel coset
+    assert sorted(words) == list(range(table.coset_count))
+    # at most log2 |K| generators, taken in coset order
+    assert 0 < len(gens) <= math.log2(table.coset_count)
+    assert [g[0] for g in gens] == sorted(g[0] for g in gens)
+    for perm in gens:
+        c = perm[0]
+        assert perm == tuple(table.trace(d, words[c]) for d in range(table.coset_count))
 
 
 def test_regular_kernel_rejects_a_word_that_leaves_the_kernel_orbit():
-    # S_3 = <a, b> over the trivial subgroup, mapped to S_2 by a -> (1 2)
-    # and b -> 1, which breaks (ab)^3: the breadth-first tree reaches 3 of
-    # the 6 cosets with image 1, as a kernel of index 2! would, but a word
-    # that one of them reads sends another outside those 3
+    # S_3 = <a, b> over the trivial subgroup, mapped onto S_2 by the sign,
+    # read as if that subgroup were the complement <a> along the path (a,):
+    # a moves coset 0, so the kernel word a a of coset 1 = 0.a sends coset
+    # 0 to itself, not to coset 1
     pres = GroupPresentation.make(("a", "b"), [(1, 1), (2, 2), (1, 2) * 3])
     table = coset_enumeration(pres, (), 100)
-    a = SymmetricAssignment(2, (transposition(2, 1, 2), identity(2)))
-    with pytest.raises(KernelError, match="does not act on the kernel"):
-        regular_kernel(table, a, ())
+    sign = transposition(2, 1, 2)
+    a = SymmetricAssignment(2, (sign, sign))
+    with pytest.raises(KernelError, match="the kernel element of coset 1 does not act on the kernel"):
+        regular_kernel(table, a, (1,), (1, 2))

@@ -1,5 +1,6 @@
 import itertools
 import json
+import math
 import random
 
 import pytest
@@ -48,6 +49,7 @@ from .conftest import (
     identity,
     load_relabel_json,
     mulclose,
+    random_valid_complex,
     relabel_complex,
     transposition,
     vertex_pair_relators,
@@ -709,6 +711,27 @@ def test_complement_path_returns_the_planes_it_walked(t4, dt4):
             assert a.moved[g - 1] == tuple(sorted(planes[i : i + 2]))
         walks += 1
     assert walks == 17
+
+
+def test_complement_path_is_found_within_fewer_than_n_factorial_partial_paths(t4, dt4):
+    # the enumeration over the trivial subgroup would need n!|K| >= n!
+    # cosets, so a bound the complement search misses at would stop that
+    # table too: t4, dt4, their relabelings and random draws, the
+    # octahedron among them
+    rng = random.Random(30)
+    complexes = [c if seed is None else relabel_complex(c, random.Random(seed))
+                 for c in (t4, dt4) for seed in (None, *range(6))]
+    complexes += [random_valid_complex(rng) for _ in range(30)]
+    assert {c.plane_count for c in complexes} == {4, 6, 8}
+    # the octahedron's 4-point relations are not recorded here, but the
+    # search reads only the squares, braids and commutators that its
+    # incidence states: a stated square stands in for them
+    stated = PresentationOverrides(extra_relators=("word: g1 g1",))
+    for c in complexes:
+        c = c if c.overrides else c._replace(overrides=stated)
+        pres, a = build_tilde_presentation(c), plane_transposition_map(c)
+        _, planes = complement_path(pres, a, math.factorial(a.degree) - 1)
+        assert len(planes) == a.degree
 
 
 def test_complement_path_needs_stated_squares(t4, t4_presentation):
