@@ -351,13 +351,10 @@ def analyze(
             report, pres_noproj, proj, table, assignment, max_cosets, timed
         )
 
-    if route == "both" and enum_verdict is not None:
-        if report.coxeter_route and report.coxeter_route.get("supported"):
-            report.route_agreement = (
-                enum_verdict.order == report.coxeter_route["order"]
-                and cox_verdict is not None
-                and _verdicts_equal(enum_verdict, cox_verdict)
-            )
+    # cox_verdict is None exactly when the Coxeter route is unsupported, and
+    # equal decided verdicts name groups of one order
+    if route == "both" and None not in (enum_verdict, cox_verdict):
+        report.route_agreement = _verdicts_equal(enum_verdict, cox_verdict)
 
     # |K| and |G~| = n!|K| come from the verdict that stands
     final = enum_verdict if enum_verdict is not None else cox_verdict

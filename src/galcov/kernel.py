@@ -9,7 +9,10 @@ graph, and the Smith normal form of the relators that the graph's edges
 off a spanning tree close.
 The second, independent route builds a presentation of K: its coset
 table (indexed by the n! permutations), Reidemeister-Schreier rewriting,
-and abelian invariants via Smith normal form or GF(2) rank.
+and abelian invariants via Smith normal form or GF(2) rank.  Every
+spanning tree is a :func:`_schreier_tree`, and every permutation is
+composed on padded image tuples, as :func:`~galcov.permutations._evaluate`
+composes them.
 
 The rewrite knows the involution generators: an involution k gives one
 Schreier generator per orbit {c, c.k} rather than one per coset, and each
@@ -26,6 +29,7 @@ from typing import NamedTuple
 from .enumeration import CosetTable, _internal_columns
 from .permutations import (
     SymmetricAssignment,
+    _evaluate,
     permutation_group_order,
     verify_homomorphism,
 )
@@ -41,9 +45,10 @@ def kernel_coset_table(pres: GroupPresentation, a: SymmetricAssignment) -> Coset
 
     Cosets are indexed by the n! permutations in lexicographic image
     order, so coset 0 is the kernel itself; generator g acts by
-    sigma -> sigma * a(g), looked up by image tuple.  Requires the
-    assignment to be a relator-preserving map onto the full symmetric
-    group by transpositions.
+    sigma -> sigma * a(g), looked up by image tuple, padded as the
+    assignment's letters are: ``itemgetter`` of one index returns no tuple.
+    Requires the assignment to be a relator-preserving map onto the full
+    symmetric group by transpositions.
     """
     if failures := verify_homomorphism(pres, a):
         raise KernelError(f"assignment is not a homomorphism; failing relators {failures}")
@@ -55,13 +60,10 @@ def kernel_coset_table(pres: GroupPresentation, a: SymmetricAssignment) -> Coset
             f"assignment is not surjective: image order {image_order} != {n}! = {full}"
         )
 
-    elements = list(itertools.permutations(range(1, n + 1)))
+    elements = [(0, *sigma) for sigma in itertools.permutations(range(1, n + 1))]
     index = {sigma: i for i, sigma in enumerate(elements)}
     columns = [a.letters[x] for k in range(1, pres.generator_count + 1) for x in (k, -k)]
-    rows = [
-        tuple(index[tuple(h[x] for x in sigma)] for h in columns)
-        for sigma in elements
-    ]
+    rows = [tuple(index[itemgetter(*sigma)(h)] for h in columns) for sigma in elements]
     return CosetTable(generator_count=pres.generator_count, rows=tuple(rows))
 
 
@@ -85,12 +87,12 @@ def reidemeister_schreier(
 ) -> GroupPresentation:
     """Presentation of the subgroup whose coset table is given.
 
-    Schreier generators sit on the table edges off a breadth-first
-    spanning tree (columns tried g1..gm, then inverses).  An involution k
-    (a generator with relator k^2) gets one per pair {c, c.k} off the
-    tree, since x_{c.k,k} = x_{c,k}^-1, and one x with relator x^2 per
-    fixed point c = c.k; k^2 is traced nowhere else.  Any other generator
-    gets one per coset off the tree.
+    Schreier generators sit on the table edges off the
+    :func:`_schreier_tree` of the columns g1..gm, then their inverses.  An
+    involution k (a generator with relator k^2) gets one per pair {c, c.k}
+    off the tree, since x_{c.k,k} = x_{c,k}^-1, and one x with relator x^2
+    per fixed point c = c.k; k^2 is traced nowhere else.  Any other
+    generator gets one per coset off the tree.
 
     Every other relator is traced once per closed path: a coset from which
     it would go round a path already traced, forwards or backwards, is
@@ -119,21 +121,12 @@ def reidemeister_schreier(
 
     letter = [None] * size
     order = [icol[k] for k in range(1, m + 1)] + [icol[-k] for k in range(1, m + 1)]
-    seen = bytearray(n)
-    seen[0] = 1
-    frontier = [0]
-    while frontier:
-        grown = []
-        for base in frontier:
-            for col in order:
-                d = target[base + col]
-                if not seen[d // ncols]:
-                    seen[d // ncols] = 1
-                    grown.append(d)
-                    letter[base + col] = letter[d + inv[col]] = 0
-        frontier = grown
-    if not all(seen):
+    columns = list(zip(*table.rows))
+    tree = _schreier_tree(columns[0::2] + columns[1::2])
+    if len(tree) != n:
         raise KernelError("coset table is not connected")
+    for d, (c, s) in itertools.islice(tree.items(), 1, None):
+        letter[c * ncols + order[s]] = letter[d * ncols + inv[order[s]]] = 0
 
     names = []
     for c in range(n):
@@ -447,12 +440,13 @@ def regular_kernel(table: CosetTable, a: SymmetricAssignment, path, planes) -> S
     regularly on the orbit of coset 0, which is every coset.
 
     The kernel element of coset c is u_c w_c: w_c is the representative
-    word of c along the table's breadth-first spanning tree, and u_c the
+    word of c along the table's :func:`_schreier_tree`, and u_c the
     bubble-sort word along the path whose image is the inverse of w_c's.
     It sends coset 0 to c.  Walking the cosets in order, c's element is
-    traced over them, as a permutation, whenever c lies outside the orbit
-    of coset 0 under the elements taken so far; each one must at least
-    double that orbit, so at most log2 |K| are taken.  Along the orbit's
+    composed over the table's columns, as a permutation of the cosets,
+    whenever c lies outside the orbit of coset 0 under the elements taken
+    so far; each one must at least double that orbit, so at most log2 |K|
+    are taken.  Along the orbit's
     Schreier tree, left multiplication by each taken element must commute
     with every taken element, or :class:`KernelError` is raised; then
     their group has a transitive centralizer, so it is regular and is K.
@@ -470,14 +464,10 @@ def regular_kernel(table: CosetTable, a: SymmetricAssignment, path, planes) -> S
     # of the cosets that it acts as
     letters = [x for g in range(1, table.generator_count + 1) for x in (g, -g)]
     columns = dict(zip(letters, zip(*rows)))
-    # breadth-first spanning tree: the parent coset and letter index of
-    # each coset, and the image of its representative word
+    # breadth-first spanning tree: each coset's parent and letter index
     spanning = _schreier_tree([columns[x] for x in letters])
     if len(spanning) != len(rows):
         raise KernelError("coset table is not connected")
-    image = [tuple(range(1, n + 1))] * len(rows)
-    for d, (c, s) in itertools.islice(spanning.items(), 1, None):
-        image[d] = tuple(a.letters[letters[s]][y] for y in image[c])
 
     def word(c):
         w = []
@@ -487,27 +477,26 @@ def regular_kernel(table: CosetTable, a: SymmetricAssignment, path, planes) -> S
         return w[::-1]
 
     pos = {p: i for i, p in enumerate(planes)}
-    cosets = tuple(range(len(rows)))
     # the taken elements, as permutations of the cosets, and the Schreier
     # tree of the orbit of coset 0 under them
     gens, tree = [], {0: None}
-    for c in cosets:
+    for c in range(len(rows)):
         if c in tree:
             continue
-        # bubble-sort the path positions that the image moves back
-        b = [pos[image[c][p - 1]] for p in planes]
+        # bubble-sort the path positions that the image of w_c moves back
+        w = word(c)
+        image = _evaluate(a.letters, w, n)
+        b = [pos[image[p]] for p in planes]
         swaps = []
         for end in range(n - 1, 0, -1):
             for j in range(end):
                 if b[j + 1] < b[j]:
                     b[j], b[j + 1] = b[j + 1], b[j]
                     swaps.append(path[j])
-        # u_c w_c from every coset at once, one column per letter, as
-        # permutations._evaluate does; itemgetter of one index returns no
-        # tuple, but a table of one coset has no element to take
-        perm = cosets
-        for x in swaps[::-1] + word(c):
-            perm = itemgetter(*perm)(columns[x])
+        # u_c w_c from every coset at once, one column per letter; a table
+        # of one coset, whose columns itemgetter could not compose, has no
+        # element to take
+        perm = _evaluate(columns, swaps[::-1] + w, len(rows) - 1)
         if perm[0] != c:
             raise KernelError(f"the kernel element of coset {c} does not act on the kernel")
         gens.append(perm)

@@ -7,7 +7,9 @@ connected components of the plane graph those transpositions span, as
 :func:`galcov.complexes.plane_components` finds them.  An assignment
 builds the image tuple of each signed generator once
 (:attr:`SymmetricAssignment.letters`), and every word evaluation in S_n
-reads them: one ``itemgetter`` lookup per letter.  It also builds the
+reads them through :func:`_evaluate`: one ``itemgetter`` lookup per letter.
+The kernel composes a coset table's columns with it, and builds the n!-row
+kernel table on padded tuples too.  An assignment also builds the
 plane pair of each generator once (:attr:`SymmetricAssignment.moved`),
 and the image order and the plane-graph walks read that.
 
@@ -68,7 +70,8 @@ def plane_transposition_map(c) -> SymmetricAssignment:
 
 def _evaluate(letters, word, degree) -> tuple[int, ...]:
     """(0, w(1), ..., w(n)) for the word w, its left letter acting first.
-    itemgetter(*acc)(s) is tuple(s[y] for y in acc), a tuple as acc is padded."""
+    itemgetter(*acc)(s) is tuple(s[y] for y in acc), a tuple as acc is padded,
+    or whenever degree >= 1: any permutations of 0..degree compose alike."""
     acc = tuple(range(degree + 1))
     for x in word:
         acc = itemgetter(*acc)(letters[x])

@@ -14,7 +14,7 @@ from galcov.complexes import (
     Vertex,
     parasitic_pairs,
 )
-from galcov.datasets import load_builtin
+from galcov.datasets import DT4_JSON, load_builtin
 from galcov.enumeration import _column, coset_enumeration
 from galcov.permutations import SymmetricAssignment, plane_transposition_map
 from galcov.presentation import (
@@ -275,6 +275,106 @@ def coxeter_cover(m, k):
         m, tuple(transposition(m, a, b) for a, b in planes)
     )
     return GroupPresentation.make(names, relators), proj, symmetric
+
+
+def write_dt4_power(path, k):
+    """Write dt4^k to ``path``: dt4 with its projective relator repeated k
+    times, the same complex.  Its kernel is Z_k x Z_2k^4, of order 16 k^5.
+    Returns ``path``."""
+    data = json.loads(DT4_JSON)
+    word = data["overrides"]["projective_relator"].removeprefix("word:").split()
+    data["overrides"]["projective_relator"] = "word: " + " ".join(word * k)
+    path.write_text(json.dumps(data), encoding="utf-8")
+    return path
+
+
+# ---------------------------------------------------------------------------
+# plane graphs: the planes 1..n as nodes, an edge's two planes as an edge
+
+
+def local_condition(n, pairs):
+    """Whether the plane graph on 1..n whose edges are the plane ``pairs``
+    puts each plane on 2 or 3 edges, and every two edges on a plane in a
+    triangle or a 4-cycle of the graph."""
+    ends = {p: [] for p in range(1, n + 1)}
+    for a, b in pairs:
+        ends[a].append(b)
+        ends[b].append(a)
+    for p, others in ends.items():
+        if len(others) not in (2, 3):
+            return False
+        for a, b in itertools.combinations(others, 2):
+            if a == b or not (b in ends[a] or any(b in ends[x] for x in ends[a] if x != p)):
+                return False
+    return True
+
+
+def plane_graphs(n):
+    """Every connected plane graph on 1..n that meets
+    :func:`local_condition`, as sorted edge tuples, in its least-neighbour
+    labelings: each node v > 1 has a least neighbour p(v) < v, its parent
+    in the breadth-first tree, with p(2) <= ... <= p(n), and its other
+    neighbours u < v lie between p(v) and v.  Labeling the nodes in
+    breadth-first order gives every connected graph such a labeling, and
+    isomorphic graphs may have several."""
+    def trees(parents, children):
+        v = len(parents) + 2
+        if v > n:
+            yield parents
+            return
+        for p in range(parents[-1] if parents else 1, v):
+            if children[p] < (3 if p == 1 else 2):
+                children[p] += 1
+                yield from trees(parents + [p], children)
+                children[p] -= 1
+
+    for parents in trees([], [0] * (n + 1)):
+        tree = list(zip(parents, range(2, n + 1)))
+        degree = [0] * (n + 1)
+        for p, v in tree:
+            degree[p] += 1
+            degree[v] += 1
+        chords = [(u, v) for p, v in tree for u in range(p + 1, v)]
+
+        def extend(i, chosen):
+            if i == len(chords):
+                if local_condition(n, tree + chosen):
+                    yield tuple(sorted(tree + chosen))
+                return
+            yield from extend(i + 1, chosen)
+            u, v = chords[i]
+            if degree[u] < 3 and degree[v] < 3:
+                degree[u] += 1
+                degree[v] += 1
+                yield from extend(i + 1, chosen + [(u, v)])
+                degree[u] -= 1
+                degree[v] -= 1
+
+        yield from extend(0, [])
+
+
+def isomorphism_class(n, pairs):
+    """The least relabeling of the edge tuple ``pairs`` over all n! node
+    permutations: equal for isomorphic graphs, and only for those."""
+    return min(
+        tuple(sorted(tuple(sorted((perm[a - 1], perm[b - 1]))) for a, b in pairs))
+        for perm in itertools.permutations(range(1, n + 1))
+    )
+
+
+def pair_rule_presentation(n, pairs):
+    """The presentation the pair rule gives the plane graph: a generator per
+    edge with its square, a braid for two edges that share a plane and a
+    commutator for two that do not; and the map onto S_n that sends each
+    edge to the transposition of its planes."""
+    m = len(pairs)
+    relators = [(g, g) for g in range(1, m + 1)]
+    for i, j in itertools.combinations(range(1, m + 1), 2):
+        shared = set(pairs[i - 1]) & set(pairs[j - 1])
+        relators.append((triple_word if shared else commutator_word)(i, j))
+    names = tuple(f"g{g}" for g in range(1, m + 1))
+    images = tuple(transposition(n, a, b) for a, b in pairs)
+    return GroupPresentation.make(names, relators), SymmetricAssignment(n, images)
 
 
 def serialize_complex(c):

@@ -19,7 +19,13 @@ from galcov.presentation import (
     parse_relation,
 )
 
-from .conftest import plane_cycle_complex, prism_complex, relabel_complex, serialize_complex
+from .conftest import (
+    plane_cycle_complex,
+    prism_complex,
+    relabel_complex,
+    serialize_complex,
+    write_dt4_power,
+)
 
 
 def test_analyze_t4_report():
@@ -586,6 +592,73 @@ def test_non_abelian_verdict_is_reported_exactly():
         kind="NonAbelian", order=8, factors=(2, 2), centre_order=2, derived_order=2
     )
     assert not _verdicts_equal(s3, q8)
+
+
+def test_routes_that_disagree_are_reported(monkeypatch, capsys):
+    # a Coxeter route that reads the quotient of twice dt4's projective
+    # vector, Z2 x Z4^4 of order 512, against the regular action's Z2^4:
+    # the regular action's verdict stands, and the report says NO
+    from galcov.coxeter import lattice_quotient
+
+    real = galcov.cli.coxeter_route
+
+    def doubled(*args):
+        route = real(*args)
+        return route._replace(quotient=lattice_quotient([2 * x for x in route.proj_vector]))
+
+    monkeypatch.setattr(galcov.cli, "coxeter_route", doubled)
+    report = analyze("dt4", route="both")
+    assert report.coxeter_route["supported"] is True
+    assert report.coxeter_route["order"] == 512
+    assert report.route_agreement is False
+    assert report.pi1 == {"kind": "ElementaryAbelian2", "rank": 4}
+    assert report.kernel_order == 16 and not report.undecided
+    assert main(["analyze", "dt4", "--route", "both"]) == 0
+    out = capsys.readouterr().out
+    assert "  coxeter route: invariants (2, 4, 4, 4, 4) -> Z2 x Z4 x Z4 x Z4 x Z4" in out
+    assert "Routes agree: NO\n" in out
+
+
+@pytest.mark.parametrize(
+    "k,route",
+    [(2, "enumerate"), (2, "coxeter"), (2, "both"), (3, "enumerate"), (3, "coxeter")],
+)
+def test_dt4_power_through_the_command_line(tmp_path, capsys, k, route):
+    # dt4^k, the projective relator repeated k times: |K| = 16 k^5 and
+    # K = Z_k x Z_2k^4 on every route (k = 3 under both would take seconds
+    # in the kernel presentation's enumeration)
+    path = write_dt4_power(tmp_path / f"dt4-power{k}.json", k)
+    assert main(["analyze", str(path), "--route", route]) == 0
+    out = capsys.readouterr().out
+    order = 16 * k**5
+    factors = (k, 2 * k, 2 * k, 2 * k, 2 * k)
+    verdict = " x ".join(f"Z{d}" for d in factors)
+    assert f"Group order |G~| = {720 * order}\n" in out
+    assert f"Kernel order = {order}\n" in out
+    assert f"pi1(X_Gal) verdict: {verdict}\n" in out
+    assert "undecided" not in out
+    if route != "enumerate":
+        assert f"  coxeter route: invariants {factors} -> {verdict} (order {order})" in out
+    if route == "both":
+        assert "Routes agree: yes\n" in out
+    assert main(["analyze", str(path), "--route", route, "--format", "json"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["pi1"] == {"kind": "AbelianInvariantFactors", "factors": list(factors)}
+
+
+def test_dt4_power_five_is_undecided_at_the_default_bound(tmp_path, capsys):
+    """dt4^5 has |K| = 50,000, but plain HLT defines over 10^6 cosets on the
+    way to its table over the S_n complement, so at the default bound the
+    run ends undecided, with exit 1, in about 3.5 s.  This pins today's
+    enumerator: deferring the long relator's definitions in it should make
+    dt4^5 decide, and change this test on purpose."""
+    path = write_dt4_power(tmp_path / "dt4-power5.json", 5)
+    start = time.perf_counter()
+    assert main(["analyze", str(path)]) == 1
+    assert time.perf_counter() - start < 60
+    out = capsys.readouterr().out
+    assert "warning: undecided at bound: enumeration overflow at 1000000 cosets\n" in out
+    assert "RESULT UNDECIDED" in out
 
 
 def test_both_routes_raise_when_the_orders_disagree(monkeypatch):

@@ -17,7 +17,10 @@ import random
 import time
 
 from galcov.cli import main
+from galcov.complexes import ComplexError, classify_vertex, parse_complex, validate
 from galcov.datasets import DT4_JSON, T4_JSON
+
+from .conftest import local_condition
 
 CASES = 300
 MAX_COSETS = 20_000
@@ -142,3 +145,26 @@ def test_documents_at_scale_end_in_an_exit_code(tmp_path, capsys):
         for name, text in (("t4", T4_JSON), ("dt4", DT4_JSON)):
             route = rng.choice(("enumerate", "coxeter", "both"))
             check_case(path, scale_up(text, op, rng), route, capsys, f"{name} scale op {op}")
+
+
+def test_accepted_documents_meet_the_local_condition():
+    # the premise of the complement search's bound: the plane graph of every
+    # complex that validate and classify_vertex accept puts each plane on 2
+    # or 3 edges, every two of them in a triangle or a 4-cycle.  Mutants
+    # accepted here have 4 or 6 planes; test_presentation enumerates the
+    # graphs that meet the condition on up to 10
+    accepted = 0
+    for seed in range(4_000):
+        rng = random.Random(seed)
+        text = mutate(rng.choice((T4_JSON, DT4_JSON)), rng)
+        try:
+            c = parse_complex(text)
+            if not validate(c).valid:
+                continue
+            for v in c.vertices:
+                classify_vertex(c, v)
+        except ComplexError:
+            continue
+        accepted += 1
+        assert local_condition(c.plane_count, [e.planes for e in c.edges]), text
+    assert accepted > 1_000

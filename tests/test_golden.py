@@ -1,7 +1,9 @@
 """Whole-report regression net: reports against committed golden copies.
 
-``tests/golden/`` holds, for ``name`` in t4, dt4 and ``route`` in
-enumerate, coxeter and both:
+``tests/golden/`` holds, for ``name`` in t4, dt4 and dt4-power2 and
+``route`` in enumerate, coxeter and both, where dt4-power2 is the file
+``dt4-power2.json`` that ``conftest.write_dt4_power`` writes for k = 2 (dt4
+with its projective relator twice), read from the working directory:
 
 * ``{name}-{route}.json``: ``emit_report(analyze(name, route=route), "json")``
   with the ``timings`` key removed and the rest re-serialized by
@@ -24,20 +26,33 @@ import pytest
 
 from galcov.cli import analyze, emit_report
 
+from .conftest import write_dt4_power
+
 GOLDEN = Path(__file__).parent / "golden"
+NAMES = ["t4", "dt4", "dt4-power2"]
+
+
+def source(name, tmp_path, monkeypatch):
+    """The source that ``analyze`` reads for ``name``: a builtin, or the
+    dt4^2 file under a relative path, so that the report names it alike."""
+    if name != "dt4-power2":
+        return name
+    monkeypatch.chdir(tmp_path)
+    return write_dt4_power(Path(f"{name}.json"), 2).name
 
 
 @pytest.mark.parametrize("route", ["enumerate", "coxeter", "both"])
-@pytest.mark.parametrize("name", ["t4", "dt4"])
-def test_report_matches_golden(name, route):
-    report = json.loads(emit_report(analyze(name, route=route), "json"))
+@pytest.mark.parametrize("name", NAMES)
+def test_report_matches_golden(name, route, tmp_path, monkeypatch):
+    src = source(name, tmp_path, monkeypatch)
+    report = json.loads(emit_report(analyze(src, route=route), "json"))
     report.pop("timings")
     golden = json.loads((GOLDEN / f"{name}-{route}.json").read_text(encoding="utf-8"))
     assert report == golden
 
 
 @pytest.mark.parametrize("route", ["enumerate", "coxeter", "both"])
-@pytest.mark.parametrize("name", ["t4", "dt4"])
-def test_text_report_matches_golden(name, route):
-    report = emit_report(analyze(name, route=route), "text")
+@pytest.mark.parametrize("name", NAMES)
+def test_text_report_matches_golden(name, route, tmp_path, monkeypatch):
+    report = emit_report(analyze(source(name, tmp_path, monkeypatch), route=route), "text")
     assert report == (GOLDEN / f"{name}-{route}.txt").read_bytes()

@@ -5,7 +5,7 @@ import random
 import pytest
 
 import galcov.kernel
-from galcov.enumeration import coset_enumeration, group_order
+from galcov.enumeration import CosetTable, coset_enumeration, group_order
 from galcov.kernel import (
     KernelError,
     abelian_invariants,
@@ -91,6 +91,33 @@ def test_kernel_table_rejects_non_surjective():
     a = SymmetricAssignment(degree=3, images=(t, t))
     with pytest.raises(KernelError, match="surjective"):
         kernel_coset_table(p, a)
+
+
+def test_kernel_table_of_one_point():
+    # S_1 has one permutation: the padded image tuple (0, 1) keys it, where
+    # itemgetter of the one index 1 would return a bare 1
+    p = GroupPresentation.make(("a",), [(1, 1)])
+    a = SymmetricAssignment(degree=1, images=(identity(1),))
+    t = kernel_coset_table(p, a)
+    assert t.rows == ((0, 0),)
+    assert reidemeister_schreier(p, t) == GroupPresentation(("x1",), ((1, 1),))
+
+
+# two cosets that no generator joins: a table no subgroup of index 2 has
+_TWO_COMPONENTS = CosetTable(generator_count=1, rows=((0, 0), (1, 1)))
+
+
+@pytest.mark.parametrize("relator", [(1, 1), (1, 1, 1)], ids=["involution", "order-3"])
+def test_rewrite_rejects_a_table_that_is_not_connected(relator):
+    p = GroupPresentation.make(("a",), [relator])
+    with pytest.raises(KernelError, match="coset table is not connected"):
+        reidemeister_schreier(p, _TWO_COMPONENTS)
+
+
+def test_regular_kernel_rejects_a_table_that_is_not_connected():
+    trivial = SymmetricAssignment(1, (identity(1),))
+    with pytest.raises(KernelError, match="coset table is not connected"):
+        regular_kernel(_TWO_COMPONENTS, trivial, (), (1,))
 
 
 # ---------------------------------------------------------------------------

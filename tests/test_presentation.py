@@ -47,8 +47,11 @@ from .conftest import (
     DT4_PAPER_PLAN,
     coxeter_cover,
     identity,
+    isomorphism_class,
     load_relabel_json,
     mulclose,
+    pair_rule_presentation,
+    plane_graphs,
     random_valid_complex,
     relabel_complex,
     transposition,
@@ -732,6 +735,21 @@ def test_complement_path_is_found_within_fewer_than_n_factorial_partial_paths(t4
         pres, a = build_tilde_presentation(c), plane_transposition_map(c)
         _, planes = complement_path(pres, a, math.factorial(a.degree) - 1)
         assert len(planes) == a.degree
+
+
+def test_every_plane_graph_meeting_the_local_condition_has_a_complement_below_n_factorial():
+    # the graphs an accepted complex can have (test_fuzz checks that premise
+    # on mutated documents), up to the ten planes of the Chern guard:
+    # labelings and isomorphism classes for n = 3..10, and the search finds
+    # an S_n complement within fewer than n! partial paths on every one
+    graphs = {n: list(plane_graphs(n)) for n in range(3, 11)}
+    assert [len(graphs[n]) for n in range(3, 11)] == [1, 6, 9, 11, 0, 2, 0, 0]
+    classes = [len({isomorphism_class(n, g) for g in graphs[n]}) for n in range(3, 11)]
+    assert classes == [1, 3, 2, 3, 0, 1, 0, 0]
+    for n, pairs in ((n, g) for n in graphs for g in graphs[n]):
+        pres, a = pair_rule_presentation(n, pairs)
+        path, planes = complement_path(pres, a, math.factorial(n) - 1)
+        assert len(planes) == n and len(path) == n - 1, pairs
 
 
 def test_complement_path_needs_stated_squares(t4, t4_presentation):
