@@ -27,11 +27,12 @@ is.
 
 So the route needs a projective relator, and refuses a presentation
 without one before it reduces anything.  The generators it keeps are the
-lines of a Hamiltonian cycle of the plane graph: every other line (a
-chord) is eliminated by a conjugate word along one arc of the cycle,
-each relation checked on a coset table of the group first (see
-``derive_plan``).  The reduced relators must then state that cycle's
-quotient (see ``recognize_cycle``).
+lines of a Hamiltonian cycle of the plane graph whose relators state that
+cycle's quotient: every other line (a chord) is eliminated by a
+conjugate word along one arc of the cycle, each relation checked on a
+coset table of the group first (see ``derive_plan``).  The eliminations
+rewrite only chord letters, so the reduced relators still state the
+quotient, and ``label_cycle`` labels the cycle by its generator ids.
 """
 
 from __future__ import annotations
@@ -95,9 +96,9 @@ def eval_words(images, words) -> list[tuple[int, ...]]:
 
 class CoxeterGraph(NamedTuple):
     """The m-cycle of generators that ``derive_plan`` walks, as
-    ``recognize_cycle`` labels it: edge k is (k, k+1) for k < m and edge
-    m is (1, m); the first m-1 edges form the tree, and the last one is
-    the non-tree edge."""
+    ``label_cycle`` labels it: edge k is (k, k+1) for k < m and edge m is
+    (1, m); the first m-1 edges form the tree, and the last one is the
+    non-tree edge."""
 
     vertex_count: int
     edges: tuple[tuple[str, tuple[int, int]], ...]  # (label, (i, j)), i < j
@@ -109,7 +110,7 @@ def standard_assignment(graph: CoxeterGraph) -> dict[str, tuple[int, ...]]:
     Tree edge (i, j) maps to the transposition (i j); the last edge, the
     non-tree edge (i, j), maps to (i j) times u_{i,j}, whose window
     sends i to j - m and j to i + m.  ``graph`` is a cycle as
-    ``recognize_cycle`` builds it.
+    ``label_cycle`` builds it.
     """
     m = graph.vertex_count
     out = {}
@@ -177,7 +178,7 @@ def lattice_quotient(vec) -> LatticeQuotient:
 
 
 # ---------------------------------------------------------------------------
-# the full route: reduce, recognize the cycle, evaluate, quotient
+# the full route: walk the cycle, reduce, evaluate, quotient
 
 
 class CoxeterRoute(NamedTuple):
@@ -209,28 +210,42 @@ def _chord_word(g, cycle, ends, table, symmetric) -> Word | None:
 
 
 def derive_plan(pres, table, symmetric, bound) -> tuple[tuple[int, ...], dict[int, Word]]:
-    """A Hamiltonian cycle of the plane graph, as its generators in walk
-    order, and each generator off it (a chord) mapped to a word over the
-    cycle that equals it in the group.
+    """A Hamiltonian cycle of the plane graph whose generators state the
+    quotient of that cycle, as its generators in walk order, and each
+    generator off it (a chord) mapped to a word over the cycle that equals
+    it in the group.
 
     The cycles close the paths of :func:`hamiltonian_paths` from plane 1,
-    within ``bound`` partial paths.  A chord's image transposes two planes
-    a and b of the cycle, which splits into two arcs e1..ek from a to b;
-    the shorter arc comes first, on a tie the one the walk reaches first,
-    and each gives the positive words e1..ek..e1, then ek..e1..ek.  A word
-    is accepted when :func:`relation_holds` proves it on ``table`` (a
-    closed coset table of the group with its projective relator, over a
-    subgroup that meets the kernel of ``symmetric``, the map onto S_n,
-    trivially).  The cycle is the first whose every chord has a word.
+    within ``bound`` partial paths, with an involution that joins the
+    path's two end planes, has a stated braid with the path's first and
+    last generators, and a stated commutator with the others.  A chord's
+    image transposes two planes a and b of the cycle, which splits into
+    two arcs e1..ek from a to b; the shorter arc comes first, on a tie the
+    one the walk reaches first, and each gives the positive words
+    e1..ek..e1, then ek..e1..ek.  A word is accepted when
+    :func:`relation_holds` proves it on ``table`` (a closed coset table of
+    the group with its projective relator, over a subgroup that meets the
+    kernel of ``symmetric``, the map onto S_n, trivially).  The cycle is
+    the first whose every chord has a word.
     """
     if table is None:
         raise CoxeterError("no coset table is available to verify the plan relations")
     gens = range(1, pres.generator_count + 1)
+    relators = set(pres.relators)
+    involutions = sorted(pres.involutions())
     moved = symmetric.moved
     for path, planes in hamiltonian_paths(pres, symmetric, (1,), bound):
         at = {p: k for k, p in enumerate(planes)}
-        for last in gens:
-            if last not in path and moved[last - 1] == (1, planes[-1]):
+        ends = path[:1] + path[-1:]
+        for last in involutions:
+            if (
+                len(path) > 1
+                and moved[last - 1] == (1, planes[-1])
+                and all(
+                    is_stated(relators, (triple_word if h in ends else commutator_word)(h, last))
+                    for h in path
+                )
+            ):
                 cycle = path + (last,)
                 plan = {
                     g: _chord_word(g, cycle, sorted(map(at.get, moved[g - 1])), table, symmetric)
@@ -245,41 +260,15 @@ def derive_plan(pres, table, symmetric, bound) -> tuple[tuple[int, ...], dict[in
     )
 
 
-def recognize_cycle(pres, cycle) -> CoxeterGraph:
-    """Check that the relators state the quotient of ``cycle``, a cycle
-    through every generator, and label it.
-
-    Every generator must have a stated square, each pair of cycle
-    neighbours (the last and the first too) a stated braid, and every
-    other pair a stated commutator.  Vertex labels start the cycle at the
-    highest-numbered generator, toward its higher-numbered neighbour.
-    """
-    m = pres.generator_count
-    if m < 3:
-        raise CoxeterError("fewer than three generators; no cycle structure")
-    if len(cycle) != m:
-        raise CoxeterError(f"the cycle passes through {len(cycle)} of the {m} generators")
-    relators = set(pres.relators)
-    names = pres.names
-    at = {g: k for k, g in enumerate(cycle)}
-    for i in range(1, m + 1):
-        if not is_stated(relators, (i, i)):
-            raise CoxeterError(f"generator {names[i - 1]} has no square relator")
-        for j in range(i + 1, m + 1):
-            pair = f"({names[i - 1]}, {names[j - 1]})"
-            if (at[i] - at[j]) % m in (1, m - 1):
-                if not is_stated(relators, triple_word(i, j)):
-                    raise CoxeterError(f"cycle neighbours {pair} have no braid relator")
-            elif not is_stated(relators, commutator_word(i, j)):
-                raise CoxeterError(f"pair {pair} off the cycle has no commutator relator")
-
-    def number(g):
-        name = names[g - 1]
-        return int(name[1:]) if name.startswith("g") and name[1:].isdigit() else g
-
-    k = cycle.index(max(cycle, key=number))
+def label_cycle(names, cycle) -> CoxeterGraph:
+    """Label ``cycle``, generator ids in walk order, as a
+    :class:`CoxeterGraph`: vertex 1 starts it at the highest id, toward
+    that generator's higher-numbered neighbour, and ``names`` name the
+    generators."""
+    m = len(cycle)
+    k = cycle.index(max(cycle))
     ring = cycle[k:] + cycle[:k]
-    if number(ring[-1]) > number(ring[1]):
+    if ring[-1] > ring[1]:
         ring = ring[:1] + ring[:0:-1]
     edges = tuple(
         (names[g - 1], (pos + 1, pos + 2) if pos < m - 1 else (1, m))
@@ -305,9 +294,7 @@ def coxeter_route(
         cycle, plan = derive_plan(pres, table, symmetric, bound)
         image = {**plan, **{-g: invert_word(w) for g, w in plan.items()}}
         reduced, (proj_reduced,) = eliminate_and_rewrite(pres, image, (proj,))
-        # the generators that stay keep their order
-        renumber = {g: k for k, g in enumerate(sorted(cycle), 1)}
-        graph = recognize_cycle(reduced, tuple(map(renumber.get, cycle)))
+        graph = label_cycle(pres.names, cycle)
         assignment = standard_assignment(graph)
         images = [assignment[name] for name in reduced.names]
         m = graph.vertex_count

@@ -466,16 +466,20 @@ def relation_holds(gen, replacement, table, assignment) -> bool:
     )
 
 
-def hamiltonian_paths(pres, assignment, starts, bound, fits=None):
+def hamiltonian_paths(pres, assignment, starts, bound):
     """Yield the generators and the planes of each Hamiltonian path of the
-    plane graph that starts at a plane of ``starts``.
+    plane graph, from a plane of ``starts``, whose generators state the
+    Coxeter presentation of S_n (Coxeter and Moser, 1957).
 
     The plane graph joins the two planes that an involution's image
-    transposes.  The walk is depth first, from the starts in order, along
-    edges in generator order, and stops after ``bound`` partial paths;
-    ``fits(path, g)``, when given, prunes the extension of a path by g.
+    transposes, an involution being a generator with a stated square.
+    The walk is depth first, from the starts in order, along edges in
+    generator order, and stops after ``bound`` partial paths.  It extends
+    a path by g only when g's braid with the path's last generator is
+    stated, and its commutator with every earlier one.
     """
     n = assignment.degree
+    relators = set(pres.relators)
     edges = {plane: [] for plane in range(1, n + 1)}
     for g in sorted(pres.involutions()):
         moved = assignment.moved[g - 1]
@@ -493,36 +497,27 @@ def hamiltonian_paths(pres, assignment, starts, bound, fits=None):
         stack.extend(
             (path + (g,), planes + (b,))
             for g, b in reversed(edges[planes[-1]])
-            if b not in planes and (fits is None or fits(path, g))
+            if b not in planes
+            and all(
+                is_stated(relators, (triple_word if h == path[-1] else commutator_word)(h, g))
+                for h in path
+            )
         )
 
 
 def complement_path(pres, assignment, bound):
-    """Generators and planes along a Hamiltonian path of the plane graph
-    whose generators state the Coxeter presentation of S_n, as
-    :func:`hamiltonian_paths` yields them, or ((), ()), with no planes,
-    when the search finds none within ``bound`` partial paths.
+    """Generators and planes along the first path of
+    :func:`hamiltonian_paths` from any plane, lowest first, or ((), ()),
+    with no planes, when the walk finds none within ``bound`` partial
+    paths.
 
-    ``assignment`` must be a homomorphism onto S_n.  Each path generator
-    has a stated square and a transposition image; path neighbours
-    carry a stated braid relator, every other pair a stated commutator
-    (Coxeter and Moser, 1957).  Their subgroup H is then a quotient of
-    S_n, and maps onto S_n because its transpositions join all n planes:
-    H is S_n, meets the kernel K trivially, and [G:H] = |K|.  The search
-    is :func:`hamiltonian_paths` from every plane, lowest first, pruning a
-    partial path as soon as a pair misses its relator.
+    ``assignment`` must be a homomorphism onto S_n.  The path generators
+    state the Coxeter presentation of S_n and have transposition images,
+    so their subgroup H is a quotient of S_n, and maps onto S_n because
+    its transpositions join all n planes: H is S_n, meets the kernel K
+    trivially, and [G:H] = |K|.
     """
-    relators = set(pres.relators)
-
-    def fits(path, g):
-        last = len(path) - 1
-        return all(
-            is_stated(relators, (triple_word if k == last else commutator_word)(h, g))
-            for k, h in enumerate(path)
-        )
-
-    starts = range(1, assignment.degree + 1)
-    paths = hamiltonian_paths(pres, assignment, starts, bound, fits)
+    paths = hamiltonian_paths(pres, assignment, range(1, assignment.degree + 1), bound)
     return next(paths, ((), ()))
 
 

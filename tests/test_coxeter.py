@@ -13,8 +13,8 @@ from galcov.coxeter import (
     coxeter_route,
     derive_plan,
     eval_words,
+    label_cycle,
     lattice_quotient,
-    recognize_cycle,
     standard_assignment,
     u_basis_coords,
 )
@@ -29,6 +29,7 @@ from galcov.presentation import (
     complement_path,
     eliminate_in_turn,
     format_word,
+    hamiltonian_paths,
     projective_relator,
     triple_word,
 )
@@ -488,14 +489,6 @@ def test_projective_relator_off_the_lattice_is_unsupported():
     assert route.proj_vector is None
 
 
-def test_recognize_cycle_rejects_an_unreduced_presentation(t4, dt4):
-    # before any elimination, the chords are generators off the cycle
-    for c, cycle in ((t4, (1, 2, 3, 4)), (dt4, (1, 4, 2, 5, 9, 8))):
-        pres = build_tilde_presentation(c, include_projective=False)
-        with pytest.raises(CoxeterError, match=f"passes through {len(cycle)} of the "):
-            recognize_cycle(pres, cycle)
-
-
 def square_presentation(missing=None):
     """Squares, the braids of the 4-cycle g1 g2 g3 g4 and the commutators
     of its two opposite pairs, less the relator ``missing``."""
@@ -507,34 +500,62 @@ def square_presentation(missing=None):
     return GroupPresentation.make(("g1", "g2", "g3", "g4"), relators)
 
 
+def square_plan(pres):
+    """derive_plan on ``pres``, whose generators g1 g2 g3 g4 transpose the
+    planes (1 2), (2 3), (3 4) and (1 4), with the table of the Coxeter
+    cover of the 4-cycle over its complement; the square has no chord, so
+    the table is never read."""
+    cover, proj, symmetric = coxeter_cover(4, 2)
+    full = GroupPresentation.make(cover.names, cover.relators + (proj,))
+    table = coset_enumeration(full, [(g,) for g in (1, 2, 3)], 1_000)
+    return derive_plan(pres, table, symmetric, 1_000)
+
+
+def test_derive_plan_walks_the_square():
+    assert square_plan(square_presentation()) == ((1, 2, 3, 4), {})
+
+
 @pytest.mark.parametrize(
-    "missing, reason",
-    [
-        ((3, 3), "generator g3 has no square relator"),
-        (triple_word(4, 1), "cycle neighbours (g1, g4) have no braid relator"),
-        (commutator_word(2, 4), "pair (g2, g4) off the cycle has no commutator relator"),
-    ],
-    ids=["square", "neighbour-braid", "commutator"],
+    "missing",
+    [triple_word(1, 2), triple_word(4, 1), commutator_word(2, 4), commutator_word(1, 3)],
+    ids=["path-braid", "closing-braid", "closing-commutator", "path-commutator"],
 )
-def test_recognize_cycle_names_the_missing_relator(monkeypatch, missing, reason):
-    pres = square_presentation(missing)
-    with pytest.raises(CoxeterError) as info:
-        recognize_cycle(pres, (1, 2, 3, 4))
-    assert str(info.value) == reason
-    # the route, handed that cycle with no chords, reports the same reason
-    monkeypatch.setattr(galcov.coxeter, "derive_plan", lambda *args: ((1, 2, 3, 4), {}))
-    route = coxeter_route(pres, (1, 2, 3, 4))
+def test_derive_plan_needs_every_braid_and_commutator_of_the_cycle(missing):
+    # the square's only cycle, walked from plane 1 either way, lacks a pair
+    with pytest.raises(CoxeterError, match="^no Hamiltonian cycle of the plane graph within 1000"):
+        square_plan(square_presentation(missing))
+
+
+def test_derive_plan_walks_no_generator_without_its_square():
+    # g3 is no involution, so no walk takes it, and the rest of the square
+    # is a path through plane 1 from neither end
+    pres = square_presentation((3, 3))
+    _, _, symmetric = coxeter_cover(4, 2)
+    paths = list(hamiltonian_paths(pres, symmetric, (1, 2, 3, 4), 1_000))
+    assert paths == [((2, 1, 4), (3, 2, 1, 4)), ((4, 1, 2), (4, 1, 2, 3))]
+    with pytest.raises(CoxeterError, match="^no Hamiltonian cycle of the plane graph"):
+        square_plan(pres)
+
+
+def test_route_on_two_generators_is_unsupported():
+    # g1 and g2 both transpose the two planes and braid: the walk's path
+    # g1 is one generator, too short to close into a cycle with g2
+    pres = GroupPresentation.make(("g1", "g2"), [(1, 1), (2, 2), triple_word(1, 2)])
+    symmetric = SymmetricAssignment(2, (transposition(2, 1, 2),) * 2)
+    full = GroupPresentation.make(pres.names, pres.relators + ((1, 2),))
+    table = coset_enumeration(full, [(1,)], 100)
+    route = coxeter_route(pres, (1, 2), table, symmetric, 100)
     assert not route.supported
-    assert route.reason == reason
+    assert route.reason.startswith("no Hamiltonian cycle of the plane graph within 100")
 
 
-def test_recognize_cycle_labels_from_the_highest_generator():
+def test_label_cycle_starts_from_the_highest_generator():
     # the cycle g4 g1 g2 g3, walked either way, starts at g4 and goes to
     # g3, its higher-numbered neighbour
-    pres = square_presentation()
+    names = square_presentation().names
     expected = (("g4", (1, 2)), ("g3", (2, 3)), ("g2", (3, 4)), ("g1", (1, 4)))
     for cycle in ((1, 2, 3, 4), (4, 1, 2, 3), (3, 2, 1, 4)):
-        assert recognize_cycle(pres, cycle).edges == expected
+        assert label_cycle(names, cycle) == CoxeterGraph(4, expected)
 
 
 def test_reduce_presentation_plan_requires_evidence(monkeypatch, dt4, dt4_assignment):

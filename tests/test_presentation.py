@@ -34,6 +34,7 @@ from galcov.presentation import (
     format_relation,
     format_word,
     free_reduce,
+    hamiltonian_paths,
     invert_word,
     is_stated,
     parse_relation,
@@ -746,10 +747,31 @@ def test_every_plane_graph_meeting_the_local_condition_has_a_complement_below_n_
     assert [len(graphs[n]) for n in range(3, 11)] == [1, 6, 9, 11, 0, 2, 0, 0]
     classes = [len({isomorphism_class(n, g) for g in graphs[n]}) for n in range(3, 11)]
     assert classes == [1, 3, 2, 3, 0, 1, 0, 0]
+    walked = 0
     for n, pairs in ((n, g) for n in graphs for g in graphs[n]):
         pres, a = pair_rule_presentation(n, pairs)
         path, planes = complement_path(pres, a, math.factorial(n) - 1)
         assert len(planes) == n and len(path) == n - 1, pairs
+        # the pair rule states every pair on a path, so its check in the
+        # walk prunes none of the graph's Hamiltonian paths
+        starts = range(1, n + 1)
+        paths = list(hamiltonian_paths(pres, a, starts, 10**6))
+        assert paths == [p for s in starts for p in unpruned_paths(n, pairs, (), (s,))], pairs
+        walked += len(paths)
+    assert walked == 1_098
+
+
+def unpruned_paths(n, pairs, path, planes):
+    """Every Hamiltonian path of the graph on 1..n whose edge g joins the
+    planes ``pairs[g - 1]``, extending ``path`` through ``planes``, depth
+    first along edges in order."""
+    if len(planes) == n:
+        yield path, planes
+    for g, pair in enumerate(pairs, 1):
+        if planes[-1] in pair:
+            (b,) = set(pair) - {planes[-1]}
+            if b not in planes:
+                yield from unpruned_paths(n, pairs, path + (g,), planes + (b,))
 
 
 def test_complement_path_needs_stated_squares(t4, t4_presentation):
