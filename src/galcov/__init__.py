@@ -23,7 +23,7 @@ _MODULE_EXPORTS = {
     "complexes": (
         "ComplexError", "ComplexParseError", "DegenerationComplex", "Edge", "Inner3", "Inner4",
         "PresentationOverrides", "UnsupportedMultiplicity", "ValidationReport", "Vertex",
-        "classify_vertex", "parasitic_pairs", "parse_complex", "validate",
+        "classify_vertex", "parse_complex", "validate",
     ),
     "coxeter": (
         "CoxeterGraph", "CoxeterRoute", "coxeter_route", "lattice_quotient",

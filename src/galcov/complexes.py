@@ -3,9 +3,7 @@
 A degeneration is recorded purely combinatorially: numbered planes, edges
 (each the intersection line of two planes), and vertices (points where
 three or four edges meet).  This module parses and validates such data,
-classifies vertices into inner 3-points and inner 4-points, and finds
-the parasitic edge pairs (pairs of lines that meet only after projecting
-to the plane).
+and classifies vertices into inner 3-points and inner 4-points.
 
 All types are immutable values; every operation is a pure function.
 """
@@ -412,21 +410,3 @@ def classify_vertex(c: DegenerationComplex, v: Vertex) -> VertexClass:
     low, high = shares[start]  # ascending, as ids are
     opposite = next(y for y in ids if y not in (start, low, high))
     return Inner4(cycle=(start, low, opposite, high))
-
-
-def parasitic_pairs(c: DegenerationComplex) -> list[tuple[int, int]]:
-    """Unordered pairs of edges sharing no vertex, sorted lexicographically.
-
-    These are the line pairs that intersect only after projection.
-    """
-    together = set()
-    for v in c.vertices:
-        together.update(itertools.combinations(sorted(v.edges), 2))
-    ids = sorted(e.id for e in c.edges)
-    return [
-        (a, b)
-        for i, a in enumerate(ids)
-        for b in ids[i + 1 :]
-        if (a, b) not in together
-    ]
-

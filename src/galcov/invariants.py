@@ -26,11 +26,12 @@ count that breaks it gets a warning, not a rejection.
 
 from __future__ import annotations
 
+import itertools
 import math
 from fractions import Fraction
 from typing import NamedTuple
 
-from .complexes import DegenerationComplex, Inner3, Inner4, classify_vertex, parasitic_pairs
+from .complexes import DegenerationComplex, Inner3, Inner4, classify_vertex
 
 COUNTING_RULE_WARNING = (
     "singularity counting rules are validated for inner 3- and 4-points only"
@@ -59,16 +60,22 @@ class ChernSignature(NamedTuple):
 
 
 def singularity_counts(c: DegenerationComplex) -> InvariantCounts:
-    """Count singularities of the regenerated branch curve."""
+    """Count singularities of the regenerated branch curve.
+
+    Expects a complex that :func:`~galcov.complexes.validate` accepts.
+    The parasitic pairs are the edge pairs that meet at no vertex.
+    """
     inner3 = inner4 = 0
+    met = set()
     for v in c.vertices:
         cls = classify_vertex(c, v)
         if isinstance(cls, Inner3):
             inner3 += 1
         elif isinstance(cls, Inner4):
             inner4 += 1
+        met.update(itertools.combinations(sorted(v.edges), 2))
     e = c.edge_count
-    parasitic = len(parasitic_pairs(c))
+    parasitic = math.comb(e, 2) - len(met)
     return InvariantCounts(
         n=c.plane_count,
         m=2 * e,

@@ -6,7 +6,8 @@ everything here is about that kernel.  :func:`regular_kernel` decides it
 from its regular action on a coset table of G over an S_n complement
 of K, which has |K| rows: at most log2 |K| generators, their Schreier
 graph, and the Smith normal form of the relators that the graph's edges
-off a spanning tree close.
+off a spanning tree close.  The normal form splits off one pivot at a
+time, then takes gcds and lcms of the diagonal.
 The second, independent route builds a presentation of K: its coset
 table (indexed by the n! permutations), Reidemeister-Schreier rewriting,
 and abelian invariants via Smith normal form or GF(2) rank.  Every
@@ -199,68 +200,39 @@ def smith_normal_form(matrix) -> tuple[int, ...]:
     """Diagonal of the Smith normal form of an integer matrix.
 
     Returns min(rows, cols) nonnegative invariants d1 | d2 | ... with
-    zeros padding any rank deficiency.
+    zeros padding any rank deficiency.  First the least nonzero entry is
+    the pivot: floor-quotient multiples of its row and column clear the
+    rest of its column and row, and a nonzero remainder left there is a
+    strictly smaller pivot, so the loop ends.  A cleared pivot's |value|
+    joins the diagonal and its row and column go.  Then each pair
+    (d_s, d_t), s < t, becomes (gcd, lcm), which keeps Z/d_s x Z/d_t and
+    leaves the diagonal in divisibility order.
     """
     a = [list(row) for row in matrix]
-    nrows = len(a)
-    ncols = len(a[0]) if nrows else 0
+    ncols = len(a[0]) if a else 0
     if any(len(row) != ncols for row in a):
         raise ValueError("ragged matrix")
-    size = min(nrows, ncols)
-    invariants = []
-    t = 0
-    while t < size:
-        # smallest nonzero entry in the remaining block becomes the pivot
-        pivot = None
-        for i in range(t, nrows):
-            for j in range(t, ncols):
-                v = a[i][j]
-                if v and (pivot is None or abs(v) < abs(a[pivot[0]][pivot[1]])):
-                    pivot = (i, j)
-        if pivot is None:
-            break
-        i, j = pivot
-        if i != t:
-            a[t], a[i] = a[i], a[t]
-        if j != t:
-            for row in a:
-                row[t], row[j] = row[j], row[t]
-        if a[t][t] < 0:
-            a[t] = [-v for v in a[t]]
-
-        dirty = False
-        for i in range(t + 1, nrows):
-            q = a[i][t] // a[t][t]
-            if q:
-                a[i] = [x - q * y for x, y in zip(a[i], a[t])]
-            if a[i][t]:
-                dirty = True
-        for j in range(t + 1, ncols):
-            q = a[t][j] // a[t][t]
-            if q:
+    size = min(len(a), ncols)
+    diag = []
+    while p := min((v for row in a for v in row if v), key=abs, default=0):
+        pivot = next(row for row in a if p in row)
+        j = pivot.index(p)
+        for r, row in enumerate(a):
+            if row is not pivot and (q := row[j] // p):
+                a[r] = [x - q * y for x, y in zip(row, pivot)]
+        for k, v in enumerate(pivot):
+            if k != j and (q := v // p):
                 for row in a:
-                    row[j] -= q * row[t]
-            if a[t][j]:
-                dirty = True
-        if dirty:
+                    row[k] -= q * row[j]
+        if any(row[j] for row in a if row is not pivot) or any(pivot[:j] + pivot[j + 1 :]):
             continue
-        # pivot must divide the whole remaining block
-        d = a[t][t]
-        offender = None
-        for i in range(t + 1, nrows):
-            for j in range(t + 1, ncols):
-                if a[i][j] % d:
-                    offender = i
-                    break
-            if offender is not None:
-                break
-        if offender is not None:
-            a[t] = [x + y for x, y in zip(a[t], a[offender])]
-            continue
-        invariants.append(d)
-        t += 1
-    invariants.extend([0] * (size - len(invariants)))
-    return tuple(invariants)
+        diag.append(abs(p))
+        # zero rows add nothing but the padding
+        a = [row[:j] + row[j + 1 :] for row in a if row is not pivot and any(row)]
+    for s, t in itertools.combinations(range(len(diag)), 2):
+        g = math.gcd(diag[s], diag[t])
+        diag[s], diag[t] = g, diag[s] * diag[t] // g
+    return tuple(diag) + (0,) * (size - len(diag))
 
 
 def _exponent_matrix(pres: GroupPresentation):

@@ -425,14 +425,11 @@ def build_tilde_presentation(
             i, j, k = cl.edges
             relators.append((k, i, j, i))
 
-    projective = None
     if c.overrides is not None:
         for line in c.overrides.extra_relators:
             relators.append(free_reduce(parse_relation(line, names)))
-        if c.overrides.projective_relator is not None:
-            projective = free_reduce(parse_relation(c.overrides.projective_relator, names))
-    if include_projective and projective is not None:
-        relators.append(projective)
+    if include_projective and (projective := projective_relator(c)) is not None:
+        relators.append(free_reduce(projective))
 
     return GroupPresentation(names, tuple(_dedupe(relators)))
 

@@ -12,7 +12,6 @@ from galcov.complexes import (
     Edge,
     PresentationOverrides,
     Vertex,
-    parasitic_pairs,
 )
 from galcov.datasets import DT4_JSON, load_builtin
 from galcov.enumeration import _column, coset_enumeration
@@ -155,6 +154,17 @@ def snf_oracle(matrix):
         out.append(g // prev)
         prev = g
     return tuple(out)
+
+
+def parasitic_pairs(c):
+    """Unordered pairs of edges sharing no vertex, sorted lexicographically:
+    the line pairs that intersect only after projection, listed pair by
+    pair as the oracle for the count in ``singularity_counts``."""
+    together = set()
+    for v in c.vertices:
+        together.update(itertools.combinations(sorted(v.edges), 2))
+    ids = sorted(e.id for e in c.edges)
+    return [ab for ab in itertools.combinations(ids, 2) if ab not in together]
 
 
 def vertex_pair_relators(c):

@@ -41,6 +41,7 @@ from .conftest import (
     identity,
     invert,
     mulclose,
+    parasitic_pairs,
     random_valid_complex,
     sd_inverse,
     snf_oracle,
@@ -264,7 +265,7 @@ def test_criterion_7_route_agreement(dt4_enumeration_results, dt4_coxeter_result
 
 def test_criterion_8_property_suites():
     from galcov.presentation import GroupPresentation
-    from galcov.complexes import parasitic_pairs, validate
+    from galcov.complexes import Inner4, classify_vertex, validate
 
     failures = []
 
@@ -337,7 +338,8 @@ def test_criterion_8_property_suites():
             )
 
     # --- parasitic/met pair complement identity on random complexes: every
-    # edge pair either lies together in a vertex or is parasitic
+    # edge pair either lies together in a vertex or is parasitic, and the
+    # node count is 4 per parasitic pair and per inner 4-point
     rng = random.Random(13579)
     for _ in range(100):
         c = random_valid_complex(rng)
@@ -349,8 +351,12 @@ def test_criterion_8_property_suites():
             any({a, b} <= v.edges for v in c.vertices)
             for a, b in itertools.combinations(sorted(x.id for x in c.edges), 2)
         )
-        if len(parasitic_pairs(c)) + met != e * (e - 1) // 2:
+        parasitic = len(parasitic_pairs(c))
+        if parasitic + met != e * (e - 1) // 2:
             failures.append(f"pair complement identity fails on {c.name}")
+        inner4 = sum(isinstance(classify_vertex(c, v), Inner4) for v in c.vertices)
+        if singularity_counts(c).d != 4 * (parasitic + inner4):
+            failures.append(f"node count disagrees with the parasitic pairs on {c.name}")
 
     # --- semidirect arithmetic laws on 1000 seeded triples, on windows
     rng = random.Random(424242)

@@ -14,14 +14,14 @@ from galcov.complexes import (
     UnsupportedMultiplicity,
     Vertex,
     classify_vertex,
-    parasitic_pairs,
     parse_complex,
     plane_components,
     validate,
 )
 from galcov.datasets import DT4_JSON, T4_JSON
+from galcov.invariants import singularity_counts
 
-from .conftest import prism_complex, random_valid_complex, serialize_complex
+from .conftest import parasitic_pairs, prism_complex, random_valid_complex, serialize_complex
 from .test_fuzz import mutate
 
 
@@ -396,11 +396,19 @@ def _met_pairs(c):
     )
 
 
+def _counted_parasitic_pairs(c):
+    """The parasitic pairs that ``singularity_counts`` counts into its
+    nodes, d = 4 (parasitic pairs + inner 4-points)."""
+    inner4 = sum(isinstance(classify_vertex(c, v), Inner4) for v in c.vertices)
+    return singularity_counts(c).d // 4 - inner4
+
+
 def test_pair_complement_identity_builtin(t4, dt4):
     for c, total in ((t4, 15), (dt4, 36)):
         e = c.edge_count
         assert e * (e - 1) // 2 == total
         assert len(parasitic_pairs(c)) + _met_pairs(c) == total
+        assert _counted_parasitic_pairs(c) == len(parasitic_pairs(c))
 
 
 def test_pair_complement_identity_random():
@@ -410,6 +418,7 @@ def test_pair_complement_identity_random():
         assert validate(c).valid
         e = c.edge_count
         assert len(parasitic_pairs(c)) + _met_pairs(c) == e * (e - 1) // 2
+        assert _counted_parasitic_pairs(c) == len(parasitic_pairs(c))
 
 
 def test_classification_invariant_under_relabeling(dt4):

@@ -393,6 +393,30 @@ def test_snf_identity():
 def test_snf_zero_and_empty():
     assert smith_normal_form([[0, 0], [0, 0]]) == (0, 0)
     assert smith_normal_form([[0, 0, 0]]) == (0,)
+    assert smith_normal_form([]) == ()
+    assert smith_normal_form([[], []]) == ()
+
+
+def test_snf_ragged_matrix_is_rejected():
+    with pytest.raises(ValueError, match="ragged matrix"):
+        smith_normal_form([[1, 2], [3]])
+
+
+@pytest.mark.parametrize(
+    "matrix, diagonal",
+    [
+        # the pivot 2 leaves the remainder 1 in its row: a smaller pivot
+        ([[2, 3]], (1,)),
+        # split-off pivots that do not divide each other: gcd and lcm
+        ([[2, 0], [0, 3]], (1, 6)),
+        ([[4, 0], [0, 6]], (2, 12)),
+        ([[6, 0, 0], [0, 10, 0], [0, 0, 15]], (1, 30, 30)),
+        # a negative pivot
+        ([[-4, 6], [6, -4]], (2, 10)),
+    ],
+)
+def test_snf_remainders_and_divisibility_order(matrix, diagonal):
+    assert smith_normal_form(matrix) == snf_oracle(matrix) == diagonal
 
 
 def test_snf_diag_2_4_under_unimodular_moves():
