@@ -30,7 +30,7 @@ _MODULE_EXPORTS = {
         "standard_assignment",
     ),
     "datasets": ("builtin_names", "load_builtin"),
-    "enumeration": ("CosetTable", "EnumerationOverflow", "coset_enumeration", "group_order"),
+    "enumeration": ("CosetTable", "EnumerationOverflow", "coset_enumeration"),
     "invariants": (
         "ChernSignature", "InvariantCounts", "chern_numbers", "chern_signature", "signature",
         "singularity_counts",

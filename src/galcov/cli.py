@@ -49,7 +49,7 @@ from .complexes import (
     validate,
 )
 from .datasets import BUILTIN_SOURCES, builtin_names, load_builtin
-from .enumeration import EnumerationOverflow, coset_enumeration, group_order
+from .enumeration import EnumerationOverflow, coset_enumeration
 from .invariants import InvariantError, chern_signature, singularity_counts
 from .kernel import (
     KernelError,
@@ -174,8 +174,6 @@ def _verdict_dict(v: StructureVerdict) -> dict:
         out.update(order=v.order, centre_order=v.centre_order, derived_order=v.derived_order)
     if v.kind == "Undetermined":
         out["order"] = v.order
-        if v.mod2_corank is not None:
-            out["mod2_corank"] = v.mod2_corank
         if v.factors is not None:
             out["factors"] = list(v.factors)
         if v.note:
@@ -414,7 +412,7 @@ def _presentation_route(report, pres, assignment, table, verdict, max_cosets, ti
     # validate rejects a plane graph that is not connected, so the plane
     # transpositions generate all of S_n
     nfact = report.symmetric_image_order
-    kernel = corank = factors = None
+    kernel = factors = None
     # the kernel table has one row per permutation: bound it before building
     if nfact > max_cosets:
         _undecided_at_bound(report, max_cosets, f"kernel table needs {nfact} rows")
@@ -429,21 +427,20 @@ def _presentation_route(report, pres, assignment, table, verdict, max_cosets, ti
                 report, max_cosets, f"kernel enumeration overflow at {max_cosets} cosets"
             )
         else:
-            kernel = group_order(rs_table)
-            corank = timed("mod2", abelianization, simplified, "mod2")
+            kernel = rs_table.coset_count
             if simplified.generator_count <= _SNF_GENERATOR_LIMIT:
-                factors = timed("snf", abelianization, simplified, "integers")
+                factors = timed("snf", abelianization, simplified)
     _index_cross_check(report, None if table is None else table.coset_count, kernel)
     if kernel is None:
         return verdict
     if verdict is None:
-        return identify_structure(kernel, mod2_corank=corank, invariant_factors=factors)
+        return identify_structure(kernel, invariant_factors=factors)
     expected = verdict.factors or ()
-    if factors not in (None, expected) or corank != sum(d % 2 == 0 for d in expected):
+    if factors not in (None, expected):
         raise AnalysisError(
             "kernel",
             f"the regular action gives invariants {expected}, but the kernel "
-            f"presentation gives invariant factors {factors} (mod-2 co-rank {corank})",
+            f"presentation gives invariant factors {factors}",
         )
     return verdict
 

@@ -59,7 +59,6 @@ class CosetTable(NamedTuple):
 
     generator_count: int
     rows: tuple[tuple[int, ...], ...]
-    subgroup_words: tuple[tuple[int, ...], ...] = ()
 
     @property
     def coset_count(self):
@@ -88,10 +87,10 @@ def _internal_columns(ngens, involutions):
 
 
 def coset_enumeration(
-    pres, subgroup_words=(), max_cosets=1_000_000, stats=None
+    pres, subgroup=(), max_cosets=1_000_000, stats=None
 ) -> CosetTable:
-    """Enumerate the cosets of the subgroup generated by ``subgroup_words``
-    in the group of ``pres``.  Deterministic for fixed input.
+    """Enumerate the cosets of the subgroup generated by the words
+    ``subgroup`` in the group of ``pres``.  Deterministic for fixed input.
 
     A ``stats`` dict receives the counters ``cosets_defined``,
     ``coincidences`` (scans that closed on two different cosets) and
@@ -100,7 +99,7 @@ def coset_enumeration(
     if max_cosets < 1:
         raise ValueError("max_cosets must be at least 1")
     ngens = pres.generator_count
-    for w in subgroup_words:
+    for w in subgroup:
         for x in w:
             if not 1 <= abs(x) <= ngens:
                 raise ValueError(f"subgroup word references generator {abs(x)}")
@@ -219,7 +218,7 @@ def coset_enumeration(
                 return
             define(f, cols[i])
 
-    for w in subgroup_words:
+    for w in subgroup:
         if w:
             scan_and_fill(1, *columns(w))
 
@@ -251,15 +250,4 @@ def coset_enumeration(
             renumber[old] = len(live_rows)
             live_rows.append(row)
     rows = tuple(tuple([renumber[row[c]] for c in public]) for row in live_rows)
-    return CosetTable(
-        generator_count=ngens,
-        rows=rows,
-        subgroup_words=tuple(tuple(w) for w in subgroup_words),
-    )
-
-
-def group_order(table: CosetTable) -> int:
-    """Order of the group: coset count over the trivial subgroup."""
-    if table.subgroup_words:
-        raise ValueError("table was built over a non-trivial subgroup")
-    return table.coset_count
+    return CosetTable(generator_count=ngens, rows=rows)

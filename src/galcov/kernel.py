@@ -10,7 +10,7 @@ off a spanning tree close.  The normal form splits off one pivot at a
 time, then takes gcds and lcms of the diagonal.
 The second, independent route builds a presentation of K: its coset
 table (indexed by the n! permutations), Reidemeister-Schreier rewriting,
-and abelian invariants via Smith normal form or GF(2) rank.  Every
+and the invariants of K/K' from one Smith normal form.  Every
 spanning tree is a :func:`_schreier_tree`, and every permutation is
 composed on padded image tuples, as :func:`~galcov.permutations._evaluate`
 composes them.
@@ -245,43 +245,12 @@ def _exponent_matrix(pres: GroupPresentation):
     return rows
 
 
-def abelian_invariants(pres: GroupPresentation) -> tuple[int, ...]:
+def abelianization(pres: GroupPresentation) -> tuple[int, ...]:
     """Invariant factors of the abelianization: torsion factors > 1 in
     divisibility order, then one 0 per free rank."""
-    n = pres.generator_count
-    matrix = _exponent_matrix(pres)
-    if not matrix:
-        return (0,) * n
-    diag = smith_normal_form(matrix)
+    diag = smith_normal_form(_exponent_matrix(pres))
     rank = sum(1 for d in diag if d)
-    return tuple(d for d in diag if d > 1) + (0,) * (n - rank)
-
-
-def mod2_corank(pres: GroupPresentation) -> int:
-    """Dimension of the elementary-abelian-2 quotient: generator count
-    minus the GF(2) rank of the relator exponent matrix."""
-    pivots = {}
-    for w in pres.relators:
-        v = 0
-        for x in w:
-            v ^= 1 << (abs(x) - 1)
-        while v:
-            low = v & -v
-            if low in pivots:
-                v ^= pivots[low]
-            else:
-                pivots[low] = v
-                break
-    return pres.generator_count - len(pivots)
-
-
-def abelianization(pres: GroupPresentation, mode: str = "integers"):
-    """Abelian invariants ('integers') or mod-2 co-rank ('mod2')."""
-    if mode == "integers":
-        return abelian_invariants(pres)
-    if mode == "mod2":
-        return mod2_corank(pres)
-    raise ValueError(f"unknown abelianization mode {mode!r}")
+    return tuple(d for d in diag if d > 1) + (0,) * (pres.generator_count - rank)
 
 
 # ---------------------------------------------------------------------------
@@ -289,7 +258,8 @@ def abelianization(pres: GroupPresentation, mode: str = "integers"):
 
 
 class StructureVerdict(NamedTuple):
-    """What the kernel is, as far as the collected evidence decides it.
+    """What the kernel is, as far as its order and the invariants of its
+    abelianization decide it.
 
     kind is one of 'Trivial', 'ElementaryAbelian2',
     'AbelianInvariantFactors', 'NonAbelian' (with the orders of the
@@ -300,7 +270,6 @@ class StructureVerdict(NamedTuple):
     rank: int | None = None
     factors: tuple[int, ...] | None = None
     order: int | None = None
-    mod2_corank: int | None = None
     note: str | None = None
     centre_order: int | None = None
     derived_order: int | None = None
@@ -318,85 +287,42 @@ class StructureVerdict(NamedTuple):
                 f" derived subgroup {self.derived_order})"
             )
         detail = f"order {self.order}"
-        if self.mod2_corank is not None:
-            detail += f", mod-2 co-rank {self.mod2_corank}"
         if self.note:
             detail += f"; {self.note}"
         return f"undetermined ({detail})"
 
 
-def _is_power_of_two(x):
-    return x > 0 and x & (x - 1) == 0
+def identify_structure(order, invariant_factors=None) -> StructureVerdict:
+    """Decide the kernel structure from its order and the invariant
+    factors of its abelianization.
 
-
-def identify_structure(order, mod2_corank=None, invariant_factors=None) -> StructureVerdict:
-    """Decide the kernel structure from its order and abelian evidence.
-
-    Order 1 is trivial.  Order 2^k with mod-2 co-rank k forces the
-    elementary abelian group of that rank (the abelianized quotient
-    already exhausts the order).  Invariant factors whose product equals
-    the order pin down an abelian group.  Anything else, including
-    inconsistent evidence, stays undetermined with the evidence attached.
+    Order 1 is trivial.  Invariant factors whose product equals the order
+    pin down an abelian group, elementary abelian when every factor is 2.
+    Anything else, including inconsistent evidence (a free rank, or a
+    product above the order), stays undetermined with the factors attached.
     """
     if order < 1:
         raise ValueError("order must be a positive integer")
     if order == 1:
-        return StructureVerdict(kind="Trivial", order=1, mod2_corank=mod2_corank)
+        return StructureVerdict(kind="Trivial", order=1)
 
-    if invariant_factors is not None:
-        factors = tuple(invariant_factors)
-        if 0 in factors:
-            return StructureVerdict(
-                kind="Undetermined",
-                order=order,
-                mod2_corank=mod2_corank,
-                factors=factors,
-                note="abelianization has free rank but the order is finite",
-            )
-        prod = 1
-        for d in factors:
-            prod *= d
-        if prod > order:
-            return StructureVerdict(
-                kind="Undetermined",
-                order=order,
-                mod2_corank=mod2_corank,
-                factors=factors,
-                note=f"inconsistent evidence: product of factors {prod} exceeds order",
-            )
-        if prod == order:
-            if factors and all(d == 2 for d in factors):
-                return StructureVerdict(
-                    kind="ElementaryAbelian2",
-                    rank=len(factors),
-                    order=order,
-                    factors=factors,
-                    mod2_corank=mod2_corank,
-                )
-            return StructureVerdict(
-                kind="AbelianInvariantFactors",
-                factors=factors,
-                order=order,
-                mod2_corank=mod2_corank,
-            )
-
-    if mod2_corank is not None and _is_power_of_two(order):
-        k = order.bit_length() - 1
-        if mod2_corank == k:
-            return StructureVerdict(
-                kind="ElementaryAbelian2",
-                rank=k,
-                order=order,
-                mod2_corank=mod2_corank,
-                factors=(2,) * k,
-            )
-
-    return StructureVerdict(
-        kind="Undetermined",
-        order=order,
-        mod2_corank=mod2_corank,
-        factors=tuple(invariant_factors) if invariant_factors is not None else None,
-    )
+    if invariant_factors is None:
+        return StructureVerdict(kind="Undetermined", order=order)
+    factors = tuple(invariant_factors)
+    prod = math.prod(factors)
+    if 0 in factors:
+        note = "abelianization has free rank but the order is finite"
+    elif prod > order:
+        note = f"inconsistent evidence: product of factors {prod} exceeds order"
+    elif prod < order:
+        note = None
+    elif all(d == 2 for d in factors):
+        return StructureVerdict(
+            kind="ElementaryAbelian2", rank=len(factors), order=order, factors=factors
+        )
+    else:
+        return StructureVerdict(kind="AbelianInvariantFactors", factors=factors, order=order)
+    return StructureVerdict(kind="Undetermined", order=order, factors=factors, note=note)
 
 
 # ---------------------------------------------------------------------------

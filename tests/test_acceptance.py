@@ -13,7 +13,7 @@ import pytest
 
 from galcov.coxeter import coxeter_route, eval_words
 from galcov.datasets import load_builtin
-from galcov.enumeration import coset_enumeration, group_order
+from galcov.enumeration import coset_enumeration
 from galcov.invariants import chern_numbers, signature, singularity_counts
 from galcov.kernel import (
     abelianization,
@@ -62,14 +62,16 @@ def test_criterion_1_tetrahedron_group():
     t4 = load_builtin("t4")
     pres = build_tilde_presentation(t4)
     table = coset_enumeration(pres, (), 1_000_000)
-    order = group_order(table)
+    order = table.coset_count
     a = plane_transposition_map(t4)
     failures = verify_homomorphism(pres, a)
     image = permutation_group_order(a.moved)
     kernel_order = order // image
     sub = reidemeister_schreier(pres, kernel_coset_table(pres, a))
-    rs_order = group_order(coset_enumeration(simplify_presentation(sub), (), 100_000))
-    verdict = identify_structure(kernel_order, mod2_corank=abelianization(simplify_presentation(sub), "mod2"))
+    simplified = simplify_presentation(sub)
+    rs_order = coset_enumeration(simplified, (), 100_000).coset_count
+    factors = abelianization(simplified)
+    verdict = identify_structure(kernel_order, invariant_factors=factors)
     elapsed = time.perf_counter() - t0
     ok = (
         order == 24
@@ -77,6 +79,7 @@ def test_criterion_1_tetrahedron_group():
         and image == 24
         and kernel_order == 1
         and rs_order == 1
+        and factors == ()
         and verdict.kind == "Trivial"
         and elapsed < 1.0
     )
@@ -84,7 +87,8 @@ def test_criterion_1_tetrahedron_group():
         1,
         ok,
         f"|G~|={order}, hom holds={not failures}, image order={image}, "
-        f"kernel={kernel_order} (cross-check {rs_order}), verdict={verdict.kind}, "
+        f"kernel={kernel_order} (cross-check {rs_order}), invariants={factors}, "
+        f"verdict={verdict.kind}, "
         f"elapsed={elapsed:.3f}s (< 1 s)",
     )
 
@@ -110,15 +114,14 @@ def dt4_enumeration_results():
     dt4 = load_builtin("dt4")
     pres = build_tilde_presentation(dt4)
     table = coset_enumeration(pres, (), 1_000_000)
-    order = group_order(table)
+    order = table.coset_count
     a = plane_transposition_map(dt4)
     kernel_order = order // permutation_group_order(a.moved)
     sub = reidemeister_schreier(pres, kernel_coset_table(pres, a))
     simplified = simplify_presentation(sub)
-    rs_order = group_order(coset_enumeration(simplified, (), 1_000_000))
-    corank = abelianization(simplified, "mod2")
-    factors = abelianization(simplified, "integers")
-    verdict = identify_structure(kernel_order, mod2_corank=corank, invariant_factors=factors)
+    rs_order = coset_enumeration(simplified, (), 1_000_000).coset_count
+    factors = abelianization(simplified)
+    verdict = identify_structure(kernel_order, invariant_factors=factors)
     elapsed = time.perf_counter() - t0
     return {
         "dt4": dt4,
@@ -127,7 +130,6 @@ def dt4_enumeration_results():
         "order": order,
         "kernel_order": kernel_order,
         "rs_order": rs_order,
-        "corank": corank,
         "factors": factors,
         "verdict": verdict,
         "elapsed": elapsed,
@@ -140,7 +142,7 @@ def test_criterion_3_double_tetrahedron_enumeration(dt4_enumeration_results):
         r["order"] == 11520
         and r["kernel_order"] == 16
         and r["rs_order"] == 16
-        and r["corank"] == 4
+        and r["factors"] == (2, 2, 2, 2)
         and r["verdict"].kind == "ElementaryAbelian2"
         and r["verdict"].rank == 4
         and r["elapsed"] < 60.0
@@ -149,7 +151,7 @@ def test_criterion_3_double_tetrahedron_enumeration(dt4_enumeration_results):
         3,
         ok,
         f"|G~|={r['order']}, kernel={r['kernel_order']} (cross-check {r['rs_order']}), "
-        f"mod-2 rank={r['corank']}, verdict={r['verdict'].describe()}, "
+        f"invariants={r['factors']}, verdict={r['verdict'].describe()}, "
         f"elapsed={r['elapsed']:.2f}s (< 60 s)",
     )
 
@@ -167,7 +169,7 @@ def test_criterion_4_tietze_cross_check(dt4_enumeration_results):
         for (name, _), w in zip(plan, words)
     )
     reduced, _ = eliminate_in_turn(pres, [name for name, _ in plan], words)
-    order = group_order(coset_enumeration(reduced, (), 1_000_000))
+    order = coset_enumeration(reduced, (), 1_000_000).coset_count
     ok = holds and reduced.names == ("g1", "g2", "g4", "g5", "g8", "g9") and order == 11520
     report(
         4,
@@ -305,7 +307,7 @@ def test_criterion_8_property_suites():
         )
     )
     for pres, model in corpus:
-        tc = group_order(coset_enumeration(pres, (), 100_000))
+        tc = coset_enumeration(pres, (), 100_000).coset_count
         oracle = len(mulclose(model))
         if tc != oracle:
             failures.append(f"todd-coxeter {pres} gave {tc}, oracle {oracle}")

@@ -9,7 +9,7 @@ import pytest
 import galcov.cli
 from galcov.cli import AnalysisError, analyze, emit_report, main
 from galcov.datasets import load_builtin
-from galcov.enumeration import coset_enumeration, group_order
+from galcov.enumeration import coset_enumeration
 from galcov.invariants import InvariantError, chern_signature, singularity_counts
 from galcov.permutations import plane_transposition_map
 from galcov.presentation import (
@@ -262,9 +262,9 @@ def test_coxeter_route_enumerates_once_over_the_complement(monkeypatch):
     calls = []
     real = galcov.cli.coset_enumeration
 
-    def recording(pres, subgroup_words, max_cosets):
-        calls.append(subgroup_words)
-        return real(pres, subgroup_words, max_cosets)
+    def recording(pres, subgroup, max_cosets):
+        calls.append(subgroup)
+        return real(pres, subgroup, max_cosets)
 
     monkeypatch.setattr(galcov.cli, "coset_enumeration", recording)
     report = analyze("dt4", route="coxeter")
@@ -507,30 +507,32 @@ def test_disconnected_plane_graph_is_validate_error(tmp_path, capsys, route, pla
 
 
 def _recording(monkeypatch):
-    """Record every table ``analyze`` enumerates, in call order; a call
-    that overflows leaves None."""
-    tables = []
+    """Record every table ``analyze`` enumerates, in call order, and the
+    subgroup words it was enumerated over; a call that overflows leaves
+    None."""
+    tables, subgroups = [], []
     real = galcov.cli.coset_enumeration
 
     def recording(*args, **kwargs):
+        subgroups.append(args[1])
         tables.append(None)
         tables[-1] = real(*args, **kwargs)
         return tables[-1]
 
     monkeypatch.setattr(galcov.cli, "coset_enumeration", recording)
-    return tables
+    return tables, subgroups
 
 
 @pytest.mark.parametrize("name,kernel_order", [("t4", 1), ("dt4", 16)])
 def test_enumerate_route_enumerates_only_the_kernel(monkeypatch, name, kernel_order):
     # the one enumeration is of G~ over an S_n complement H, one coset per
     # kernel element, and |G~| = n!|K|; no presentation of K is built
-    tables = _recording(monkeypatch)
+    tables, subgroups = _recording(monkeypatch)
     for stage in ("kernel_coset_table", "reidemeister_schreier", "simplify_presentation"):
         monkeypatch.setattr(galcov.cli, stage, None)
     report = analyze(name, route="enumerate")
     assert [t.coset_count for t in tables] == [kernel_order]
-    assert len(tables[0].subgroup_words) == report.symmetric_degree - 1
+    assert len(subgroups[0]) == report.symmetric_degree - 1
     assert report.tilde_order == report.symmetric_image_order * kernel_order
     assert {"complement", "enumerate", "regular_kernel"} <= set(report.timings)
     assert not {"kernel_table", "reidemeister_schreier", "simplify"} & set(report.timings)
@@ -546,13 +548,14 @@ def test_enumerate_route_order_equals_full_table(monkeypatch, tmp_path, name, se
         complex_ = relabel_complex(complex_, random.Random(seed))
         source.write_text(serialize_complex(complex_), encoding="utf-8")
         source = str(source)
-    tables = _recording(monkeypatch)
+    tables, subgroups = _recording(monkeypatch)
     both = analyze(source, route="both")
     # G~ is enumerated over an S_n complement H first, then the kernel
     # presentation, whose |K| and invariants must match the regular action's
-    assert len(tables) == 2 and len(tables[0].subgroup_words) == both.symmetric_degree - 1
+    assert len(tables) == 2 and len(subgroups[0]) == both.symmetric_degree - 1
+    assert subgroups[1] == ()
     index = tables[0].coset_count
-    full = group_order(coset_enumeration(build_tilde_presentation(complex_), (), 1_000_000))
+    full = coset_enumeration(build_tilde_presentation(complex_), (), 1_000_000).coset_count
     assert full == {"t4": 24, "dt4": 11_520}[name]
     assert index * both.symmetric_image_order == full
     assert both.kernel_cross_check == {
@@ -683,7 +686,7 @@ def test_both_routes_raise_when_the_invariants_disagree(monkeypatch, capsys):
     err = capsys.readouterr().err
     assert (
         "[kernel] the regular action gives invariants (2, 2, 2, 2), but the kernel "
-        "presentation gives invariant factors (4, 4) (mod-2 co-rank 2)"
+        "presentation gives invariant factors (4, 4)"
     ) in err
     assert "Traceback" not in err
 
@@ -813,6 +816,24 @@ def test_kernel_presentation_decides_alone(monkeypatch):
     }
     assert report.pi1 == {"kind": "ElementaryAbelian2", "rank": 4}
     assert report.kernel_order == 16 and report.tilde_order == 11_520
+    # past the Smith normal form's generator limit it has |K| and no
+    # invariants, and |K| = 16 alone decides nothing
+    monkeypatch.setattr(galcov.cli, "_SNF_GENERATOR_LIMIT", 0)
+    report = analyze("dt4", route="both", max_cosets=720)
+    assert report.undecided and "snf" not in report.timings
+    assert report.pi1 == {"kind": "Undetermined", "order": 16}
+    assert report.kernel_order == 16
+    assert main(["analyze", "dt4", "--route", "both", "--max-cosets", "720"]) == 1
+
+
+def test_snf_generator_limit_leaves_the_regular_verdict(monkeypatch):
+    # past the limit the kernel presentation checks |K| only, and the
+    # regular action's invariants stand
+    monkeypatch.setattr(galcov.cli, "_SNF_GENERATOR_LIMIT", 0)
+    report = analyze("dt4", route="both")
+    assert not report.undecided and "snf" not in report.timings
+    assert report.pi1 == {"kind": "ElementaryAbelian2", "rank": 4}
+    assert report.kernel_cross_check["agree"] is True
 
 
 def test_regular_action_stopped_at_its_lookup_bound(monkeypatch):
@@ -836,7 +857,7 @@ def test_regular_action_stopped_at_its_lookup_bound(monkeypatch):
 def test_kernel_route_decides_both_after_full_overflow(monkeypatch, capsys):
     # dt4's kernel enumeration defines 50 cosets and the one over its
     # complement 100, so at 720, the kernel table's rows, both routes decide
-    tables = _recording(monkeypatch)
+    tables, _ = _recording(monkeypatch)
     report = analyze("dt4", route="both", max_cosets=720)
     assert [t.coset_count for t in tables] == [16, 16]
     assert report.pi1 == {"kind": "ElementaryAbelian2", "rank": 4}

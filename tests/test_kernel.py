@@ -5,14 +5,12 @@ import random
 import pytest
 
 import galcov.kernel
-from galcov.enumeration import CosetTable, coset_enumeration, group_order
+from galcov.enumeration import CosetTable, coset_enumeration
 from galcov.kernel import (
     KernelError,
-    abelian_invariants,
     abelianization,
     identify_structure,
     kernel_coset_table,
-    mod2_corank,
     regular_kernel,
     reidemeister_schreier,
     smith_normal_form,
@@ -49,7 +47,7 @@ def test_kernel_table_index_two():
     t = kernel_coset_table(p, a)
     assert t.coset_count == 2
     sub = reidemeister_schreier(p, t)
-    assert group_order(coset_enumeration(simplify_presentation(sub), (), 100)) == 1
+    assert coset_enumeration(simplify_presentation(sub), (), 100).coset_count == 1
 
 
 def product_table_rows(pres, a):
@@ -323,17 +321,17 @@ def trivial_in(table, word):
 
 def test_rewrite_matches_plain_oracle():
     for pres, subgroup in oracle_inputs():
-        order = group_order(coset_enumeration(pres, (), 10_000))
+        order = coset_enumeration(pres, (), 10_000).coset_count
         table = coset_enumeration(pres, subgroup, 10_000)
         index = table.coset_count
         sub = reidemeister_schreier(pres, table)
         ref = plain_reidemeister_schreier(pres, table)
         assert sub == GroupPresentation.make(sub.names, sub.relators)  # normalized
         assert sub.generator_count == orbit_count(pres, table)
-        h = group_order(coset_enumeration(simplify_presentation(sub), (), 10_000))
-        h_ref = group_order(coset_enumeration(simplify_presentation(ref), (), 10_000))
+        h = coset_enumeration(simplify_presentation(sub), (), 10_000).coset_count
+        h_ref = coset_enumeration(simplify_presentation(ref), (), 10_000).coset_count
         assert h == h_ref and h * index == order
-        assert abelian_invariants(sub) == abelian_invariants(ref)
+        assert abelianization(sub) == abelianization(ref)
 
         # the rewrite holds in the subgroup as the oracle presents it: every
         # relator is trivial, a dropped generator of an involution is the
@@ -360,7 +358,7 @@ def test_t4_kernel_is_trivial(t4, t4_presentation):
     table = kernel_coset_table(t4_presentation, a)
     sub = reidemeister_schreier(t4_presentation, table)
     simplified = simplify_presentation(sub)
-    assert group_order(coset_enumeration(simplified, (), 10_000)) == 1
+    assert coset_enumeration(simplified, (), 10_000).coset_count == 1
 
 
 def test_dt4_kernel_is_z2_to_the_4(dt4, dt4_presentation):
@@ -368,9 +366,8 @@ def test_dt4_kernel_is_z2_to_the_4(dt4, dt4_presentation):
     table = kernel_coset_table(dt4_presentation, a)
     sub = reidemeister_schreier(dt4_presentation, table)
     simplified = simplify_presentation(sub)
-    assert group_order(coset_enumeration(simplified, (), 100_000)) == 16
-    assert abelianization(simplified, "mod2") == 4
-    assert abelian_invariants(simplified) == (2, 2, 2, 2)
+    assert coset_enumeration(simplified, (), 100_000).coset_count == 16
+    assert abelianization(simplified) == (2, 2, 2, 2)
 
 
 def test_rewritten_relators_hold_in_subgroup(t4, t4_presentation):
@@ -379,7 +376,7 @@ def test_rewritten_relators_hold_in_subgroup(t4, t4_presentation):
     table = kernel_coset_table(t4_presentation, a)
     sub = reidemeister_schreier(t4_presentation, table)
     sub_table = coset_enumeration(simplify_presentation(sub), (), 10_000)
-    assert group_order(sub_table) == 1  # trivial group: relators hold vacuously
+    assert sub_table.coset_count == 1  # trivial group: relators hold vacuously
 
 
 # ---------------------------------------------------------------------------
@@ -473,11 +470,11 @@ def test_snf_orbit_of_projective_vector():
 
 
 def test_abelianization_examples():
-    assert abelian_invariants(GroupPresentation.make(("a",), [(1, 1)])) == (2,)
-    assert abelian_invariants(
-        GroupPresentation.make(("a", "b"), [(1, 2, -1, -2)])
-    ) == (0, 0)
-    assert abelianization(GroupPresentation.make(("a",), [(1, 1)]), "mod2") == 1
+    assert abelianization(GroupPresentation.make(("a",), [(1, 1)])) == (2,)
+    assert abelianization(GroupPresentation.make(("a", "b"), [(1, 2, -1, -2)])) == (0, 0)
+    # no relators: the exponent matrix is empty, and its normal form () is
+    # padded to one free rank per generator
+    assert abelianization(GroupPresentation.make(("a", "b"), [])) == (0, 0)
 
 
 def test_abelianization_invariant_under_elimination(t4, t4_presentation):
@@ -485,13 +482,7 @@ def test_abelianization_invariant_under_elimination(t4, t4_presentation):
     table = coset_enumeration(t4_presentation, (), 10_000)
     assert relation_holds(4, (-1, -2, -1), table, plane_transposition_map(t4))
     q, _ = eliminate_and_rewrite(t4_presentation, {4: (-1, -2, -1), -4: (1, 2, 1)}, ())
-    assert abelian_invariants(t4_presentation) == abelian_invariants(q)
-    assert mod2_corank(t4_presentation) == mod2_corank(q)
-
-
-def test_abelianization_bad_mode():
-    with pytest.raises(ValueError):
-        abelianization(GroupPresentation.make(("a",), []), "mod3")
+    assert abelianization(t4_presentation) == abelianization(q)
 
 
 # ---------------------------------------------------------------------------
@@ -503,11 +494,9 @@ def test_identify_trivial():
 
 
 def test_identify_elementary_abelian():
-    v = identify_structure(16, mod2_corank=4)
+    v = identify_structure(16, invariant_factors=(2, 2, 2, 2))
     assert v.kind == "ElementaryAbelian2" and v.rank == 4
     assert v.describe() == "Z2^4"
-    w = identify_structure(16, mod2_corank=4, invariant_factors=(2, 2, 2, 2))
-    assert w.kind == "ElementaryAbelian2" and w.rank == 4
 
 
 def test_identify_abelian_from_factors():
@@ -518,9 +507,13 @@ def test_identify_abelian_from_factors():
 
 
 def test_identify_undetermined_cases():
-    # order 8 with mod-2 co-rank 2: Z4xZ2, D4 and Q8 all qualify
-    v = identify_structure(8, mod2_corank=2)
-    assert v.kind == "Undetermined"
+    # an order alone decides nothing, nor do factors short of it: D4 and
+    # Q8 are both of order 8 with K/K' = Z2 x Z2
+    v = identify_structure(16)
+    assert v.kind == "Undetermined" and v.factors is None
+    assert v.describe() == "undetermined (order 16)"
+    v = identify_structure(8, invariant_factors=(2, 2))
+    assert v.kind == "Undetermined" and v.factors == (2, 2)
     # inconsistent evidence: product of factors exceeds the order
     w = identify_structure(4, invariant_factors=(2, 2, 2))
     assert w.kind == "Undetermined"
@@ -545,7 +538,7 @@ def test_rewritten_relators_trace_identity_in_subgroup_table():
     table = kernel_coset_table(p, a)
     sub = reidemeister_schreier(p, table)
     sub_table = coset_enumeration(sub, (), 10_000)
-    assert group_order(sub_table) == 4
+    assert sub_table.coset_count == 4
     for w in sub.relators:
         for c in range(sub_table.coset_count):
             assert sub_table.trace(c, w) == c
@@ -639,7 +632,7 @@ def test_regular_kernel_matches_brute_force_closure(k, expected):
     assert v.kind == expected["kind"] and v.order == order
     # the invariants of K/K' are those of the presentation's SNF
     assert v.factors == expected["factors"]
-    assert v.factors == abelian_invariants(GroupPresentation.make(names, relators))
+    assert v.factors == abelianization(GroupPresentation.make(names, relators))
     if v.kind == "NonAbelian":
         assert (v.centre_order, v.derived_order) == (centre, derived)
     else:
