@@ -398,7 +398,8 @@ def regular_kernel(table: CosetTable, a: SymmetricAssignment, path, planes) -> S
         if perm[0] != c:
             raise KernelError(f"the kernel element of coset {c} does not act on the kernel")
         gens.append(perm)
-        before, tree = len(tree), _schreier_tree(gens)
+        before = len(tree)
+        _schreier_tree(gens, tree)
         # in a regular group the orbit is as large as the subgroup that the
         # taken elements generate, and the new one lies outside it
         if len(tree) < 2 * before:
@@ -406,12 +407,21 @@ def regular_kernel(table: CosetTable, a: SymmetricAssignment, path, planes) -> S
     return _regular_verdict(gens, tree)
 
 
-def _schreier_tree(gens):
+def _schreier_tree(gens, tree=None):
     """The breadth-first Schreier tree of the orbit of 0 under the
     permutations ``gens``: each point's parent point and generator index
-    (None at 0), in the order reached."""
-    tree, orbit = {0: None}, [0]
-    for x in orbit:
+    (None at 0), in the order reached.  Given the ``tree`` of the orbit
+    under all but the last of ``gens``, it extends that tree in place: the
+    last one on the old points, then every one on the new points."""
+    if tree is None:
+        tree, new = {0: None}, 0
+    else:
+        new, s, g = len(tree), len(gens) - 1, gens[-1]
+        for x in list(tree):
+            if g[x] not in tree:
+                tree[g[x]] = (x, s)
+    orbit = list(tree)
+    for x in itertools.islice(orbit, new, None):
         for s, g in enumerate(gens):
             if g[x] not in tree:
                 tree[g[x]] = (x, s)

@@ -649,19 +649,18 @@ def test_dt4_power_through_the_command_line(tmp_path, capsys, k, route):
     assert report["pi1"] == {"kind": "AbelianInvariantFactors", "factors": list(factors)}
 
 
-def test_dt4_power_five_is_undecided_at_the_default_bound(tmp_path, capsys):
-    """dt4^5 has |K| = 50,000, but plain HLT defines over 10^6 cosets on the
-    way to its table over the S_n complement, so at the default bound the
-    run ends undecided, with exit 1, in about 3.5 s.  This pins today's
-    enumerator: deferring the long relator's definitions in it should make
-    dt4^5 decide, and change this test on purpose."""
+def test_dt4_power_five_decides_at_the_default_bound(tmp_path, capsys):
+    """dt4^5 has |K| = 50,000.  Plain HLT defined over 10^6 cosets on the
+    way to its table over the S_n complement; with the long relator's
+    definitions deferred the enumeration closes at the default bound, and
+    the regular action reads K = Z5 x Z10^4 (about 3 s)."""
     path = write_dt4_power(tmp_path / "dt4-power5.json", 5)
     start = time.perf_counter()
-    assert main(["analyze", str(path)]) == 1
+    assert main(["analyze", str(path)]) == 0
     assert time.perf_counter() - start < 60
     out = capsys.readouterr().out
-    assert "warning: undecided at bound: enumeration overflow at 1000000 cosets\n" in out
-    assert "RESULT UNDECIDED" in out
+    assert "Kernel order = 50000" in out
+    assert "Z5 x Z10 x Z10 x Z10 x Z10" in out
 
 
 def test_both_routes_raise_when_the_orders_disagree(monkeypatch):
@@ -742,8 +741,9 @@ def _enumerate_route_needs(name):
         ("t4", 5, True, None),
         ("dt4", 5, False, "no S_n complement within 5 partial paths"),
         ("dt4", 6, False, "enumeration overflow at 6 cosets"),
-        ("dt4", 100, False, "enumeration overflow at 100 cosets"),
-        ("dt4", 101, True, None),
+        ("dt4", 73, False, "enumeration overflow at 73 cosets"),
+        ("dt4", 79, False, "the regular action of K, of order 16, needs 80 table lookups"),
+        ("dt4", 80, True, None),
         ("dt4", 255, True, None),
         ("dt4", 256, True, None),
     ],
@@ -751,11 +751,11 @@ def _enumerate_route_needs(name):
 def test_regular_action_is_bounded(capsys, name, bound, decides, warning):
     # the enumerate route decides once --max-cosets covers all it needs;
     # each case sits on one side of one need, and the first need left
-    # uncovered names the warning.  dt4's regular action needs 16 * 5 = 80
-    # lookups, under the 101 cosets of its enumeration; 255 and 256 sit on
-    # either side of the 16^2 that multiplying every pair of K would need
+    # uncovered names the warning.  dt4's enumeration allocates 74 cosets,
+    # under the 16 * 5 = 80 lookups of its regular action; 255 and 256 sit
+    # on either side of the 16^2 that multiplying every pair of K would need
     needs = _enumerate_route_needs(name)
-    assert needs == {"t4": (4, 5, 1), "dt4": (6, 101, 80)}[name]
+    assert needs == {"t4": (4, 5, 1), "dt4": (6, 74, 80)}[name]
     assert bound in needs or bound + 1 in needs or bound in (255, 256)
     assert decides == (bound >= max(needs))
     if not decides:

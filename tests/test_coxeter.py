@@ -678,7 +678,7 @@ def test_derived_relations_hold_on_the_faithful_pair(seed):
 
 @pytest.mark.parametrize(
     "m, k, cosets_defined",
-    [(3, 2, 3), (4, 3, 39), (5, 3, 213), (6, 3, 951), (7, 3, 3757), (6, 4, 5586), (7, 4, 27746)],
+    [(3, 2, 3), (4, 3, 31), (5, 3, 86), (6, 3, 298), (7, 3, 835), (6, 4, 1215), (7, 4, 4913)],
 )
 def test_coxeter_cover_routes_agree(m, k, cosets_defined):
     # K = Z_k^(m-1): the regular action on the table over the S_m

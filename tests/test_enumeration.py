@@ -1,9 +1,11 @@
+import json
 import math
 import random
 
 import pytest
 
-from galcov.datasets import load_builtin
+from galcov.complexes import parse_complex
+from galcov.datasets import DT4_JSON, load_builtin
 from galcov.enumeration import EnumerationOverflow, coset_enumeration
 from galcov.kernel import kernel_coset_table, reidemeister_schreier
 from galcov.permutations import plane_transposition_map
@@ -19,6 +21,7 @@ from .conftest import (
     coxeter_cover,
     cycles,
     identity,
+    load_relabel_json,
     mulclose,
     prism_complex,
     relabel_complex,
@@ -303,13 +306,15 @@ def test_subgroup_word_out_of_range_raises(word):
 def test_enumeration_counters(t4_presentation, dt4_presentation):
     # HLT scans every relator but the involution squares, which the
     # self-inverse columns enforce, shortest first.  <a, b, c | b^2, c^2, b a^-1 c^-1,
-    # a b a a> has order 2 and needs one coincidence
+    # a b a a> has order 2 and needs one coincidence.  Neither it nor t4 has
+    # a long relator, so their counters are plain HLT's; dt4's projective
+    # relator is long, and plain HLT defined 43,933 cosets on it
     small = GroupPresentation.make(
         ("a", "b", "c"), [(2, 2), (3, 3), (2, -1, -3), (1, 2, 1, 1)]
     )
     for pres, order, expected in (
         (t4_presentation, 24, (60, 12, 44)),
-        (dt4_presentation, 11520, (43933, 9626, 18637)),
+        (dt4_presentation, 11520, (32014, 6960, 19011)),
         (small, 2, (7, 1, 8)),
     ):
         stats = {}
@@ -331,6 +336,50 @@ def test_overflow_carries_counters():
     with pytest.raises(EnumerationOverflow) as info:
         coset_enumeration(symmetric(4), (), 20)
     assert info.value.stats == dict(cosets_defined=19, coincidences=0, peak_live=20)
+
+
+def _dt4_over_complement(text):
+    c = parse_complex(text)
+    pres = build_tilde_presentation(c)
+    path = complement_path(pres, plane_transposition_map(c), 1000)[0]
+    return pres, [(g,) for g in path]
+
+
+def _dt4_power(k):
+    data = json.loads(DT4_JSON)
+    word = data["overrides"]["projective_relator"].removeprefix("word:")
+    data["overrides"]["projective_relator"] = "word:" + word * k
+    return _dt4_over_complement(json.dumps(data))
+
+
+def _dt4_relabeled(seed):
+    return _dt4_over_complement(load_relabel_json()(DT4_JSON, random.Random(seed)))
+
+
+# each input's index |K|, and the cosets defined with the long relator
+# deferred and by plain HLT, which scanned it like any other relator
+@pytest.mark.parametrize(
+    "case,index,deferred,hlt",
+    [
+        (lambda: _dt4_power(2), 512, 1124, 4299),
+        (lambda: cover_over_complement(6, 4), 1024, 1215, 5586),
+        (lambda: cover_over_complement(7, 3), 729, 835, 3757),
+        (lambda: _dt4_relabeled(1), 16, 72, 112),
+        (lambda: _dt4_relabeled(2), 16, 150, 104),
+        (lambda: _dt4_relabeled(3), 16, 97, 133),
+    ],
+    ids=["dt4^2", "cover-6-4", "cover-7-3", "dt4-relabel1", "dt4-relabel2", "dt4-relabel3"],
+)
+def test_deferred_long_relator_closes_the_table(case, index, deferred, hlt):
+    pres, subgroup = case()
+    stats = {}
+    table = coset_enumeration(pres, subgroup, 1_000_000, stats=stats)
+    verify_table(pres, table)
+    assert all(table.trace(0, w) == 0 for w in subgroup)
+    assert table.coset_count == index
+    assert stats["cosets_defined"] == deferred
+    # fewer than plain HLT, but on relabeling 2 of dt4
+    assert deferred < hlt or (deferred, hlt) == (150, 104)
 
 
 def _order_through_subgroup(pres, table):
@@ -363,7 +412,7 @@ def test_full_enumeration_agrees_with_subgroup_order(seed):
     assert coset_enumeration(pres, (), 1_000_000).rows == table.rows
     if seed is not None:
         assert table.coset_count == math.factorial(6) * 16
-        assert stats["cosets_defined"] == {1: 43539, 2: 43258}[seed]
+        assert stats["cosets_defined"] == {1: 31739, 2: 31188}[seed]
 
 
 def random_word(rng, ngens, length):
