@@ -4,7 +4,7 @@
 classify, count singularities, Chern numbers and signature, generate the
 group presentation, map it onto the symmetric group S_n, and identify the
 kernel K (= the fundamental group of the Galois cover) from one
-Todd-Coxeter table of G~ over an S_n complement H, with [G~:H] = |K| rows
+Todd-Coxeter table of G~ over an S_n complement H, with [G~:H] = |K| cosets
 (undecided when ``complement_path`` finds no H within the bound): |G~| =
 [G~:H]|H| = n!|K|, and the verdict comes from K's regular action on the
 table, read from at most log2 |K| generators, one Schreier graph and
@@ -218,9 +218,10 @@ def analyze(
 
     def timed(stage, fn, *args, **kwargs):
         t0 = time.perf_counter()
-        out = fn(*args, **kwargs)
-        timings[stage] = round(time.perf_counter() - t0, 6)
-        return out
+        try:
+            return fn(*args, **kwargs)
+        finally:
+            timings[stage] = round(time.perf_counter() - t0, 6)
 
     try:
         origin, complex_ = timed("parse", load_source, source)
@@ -354,8 +355,11 @@ def analyze(
     if route == "both" and None not in (enum_verdict, cox_verdict):
         report.route_agreement = _verdicts_equal(enum_verdict, cox_verdict)
 
-    # |K| and |G~| = n!|K| come from the verdict that stands
+    # |K| and |G~| = n!|K| come from the verdict that stands, or, when the
+    # bound refused the regular action and no route decides, from the table
     final = enum_verdict if enum_verdict is not None else cox_verdict
+    if final is None and table is not None and route != "coxeter":
+        final = StructureVerdict("Undetermined", order=table.coset_count, note=report.pi1["note"])
     if final is not None:
         report.kernel_order = final.order
         if final.order is not None:

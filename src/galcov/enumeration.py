@@ -26,8 +26,8 @@ processing through a union-find table:
   at live cosets again, so neither the scans nor the final compression
   need find() calls;
 * once all scans close, remaining undefined entries are filled with fresh
-  definitions, and the final table is compressed to consecutive numbering
-  in the public layout of :class:`CosetTable`, two columns per generator.
+  definitions, and the final table is compressed to consecutive numbering,
+  one tuple per column, which :class:`CosetTable` holds as it is.
 
 Enumerations that would allocate more than ``max_cosets`` cosets raise
 :class:`EnumerationOverflow`: the answer is undecided at that bound, not
@@ -55,45 +55,42 @@ class EnumerationOverflow(RuntimeError):
         )
 
 
-def _column(letter: int) -> int:
-    return 2 * letter - 2 if letter > 0 else -2 * letter - 1
-
-
 class CosetTable(NamedTuple):
-    """Closed coset table: rows[c][col] is the target coset, 0-based.
+    """Closed coset table, its cosets numbered from 0.
 
-    Column ``2k-2`` is the action of generator k, column ``2k-1`` of its
-    inverse.  Each generator column is a permutation of the cosets and
-    every relator traces back to its starting coset.
+    ``columns[2k-2]`` is generator k's permutation of the cosets (entry c
+    is the image of coset c) and ``columns[2k-1]`` its inverse's; an
+    involution's two are the same tuple.  Every relator traces back to its
+    starting coset.  A table with no generators has one coset.
     """
 
     generator_count: int
-    rows: tuple[tuple[int, ...], ...]
+    columns: tuple[tuple[int, ...], ...]
 
     @property
     def coset_count(self):
-        return len(self.rows)
+        return len(self.columns[0]) if self.columns else 1
+
+    def column(self, letter: int) -> tuple[int, ...]:
+        return self.columns[2 * letter - 2 if letter > 0 else -2 * letter - 1]
 
     def trace(self, coset: int, word) -> int:
-        rows = self.rows
         for x in word:
-            coset = rows[coset][_column(x)]
+            coset = self.column(x)[coset]
         return coset
 
 
 def _internal_columns(ngens, involutions):
     """Column layout with one self-inverse column per involution and two
-    for any other generator.  Returns ``icol`` (signed letter -> column),
-    ``inv`` (column -> inverse column) and ``public`` (public column of
-    :class:`CosetTable` -> column)."""
-    icol, inv, public = {}, [], []
+    for any other generator.  Returns ``icol`` (signed letter -> column,
+    keyed 1, -1, 2, -2, ...) and ``inv`` (column -> inverse column)."""
+    icol, inv = {}, []
     for k in range(1, ngens + 1):
         c = len(inv)
         d = c if k in involutions else c + 1
         icol[k], icol[-k] = c, d
         inv += (c,) if c == d else (d, c)
-        public += (c, d)
-    return icol, inv, public
+    return icol, inv
 
 
 def coset_enumeration(
@@ -114,7 +111,7 @@ def coset_enumeration(
             if not 1 <= abs(x) <= ngens:
                 raise ValueError(f"subgroup word references generator {abs(x)}")
     involutions = pres.involutions()
-    icol, inv, public = _internal_columns(ngens, involutions)
+    icol, inv = _internal_columns(ngens, involutions)
     ncols = len(inv)
 
     def columns(w):
@@ -271,14 +268,13 @@ def coset_enumeration(
                         define(alpha, col)
         alpha += 1
 
-    # compress to consecutive numbering, preserving definition order; live
-    # rows point only at live cosets, and each involution column is copied
-    # into both public columns of its generator
+    # compress to consecutive numbering, preserving definition order, one
+    # tuple per column; live rows point only at live cosets
     renumber, live_rows = [0] * len(table), []
     for old, row in enumerate(table[1:], 1):
         if row is not None:
             renumber[old] = len(live_rows)
             live_rows.append(row)
-    rows = tuple(tuple([renumber[row[c]] for c in public]) for row in live_rows)
+    compressed = [tuple([renumber[row[c]] for row in live_rows]) for c in range(ncols)]
     counters()
-    return CosetTable(generator_count=ngens, rows=rows)
+    return CosetTable(ngens, tuple(map(compressed.__getitem__, icol.values())))

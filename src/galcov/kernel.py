@@ -4,7 +4,7 @@ The exact sequence 0 -> pi1 -> G -> S_n -> 0 identifies the fundamental
 group of the Galois cover with the kernel of the symmetric-group map, so
 everything here is about that kernel.  :func:`regular_kernel` decides it
 from its regular action on a coset table of G over an S_n complement
-of K, which has |K| rows: at most log2 |K| generators, their Schreier
+of K, which has |K| cosets: at most log2 |K| generators, their Schreier
 graph, and the Smith normal form of the relators that the graph's edges
 off a spanning tree close.  The normal form splits off one pivot at a
 time, then takes gcds and lcms of the diagonal.
@@ -63,9 +63,10 @@ def kernel_coset_table(pres: GroupPresentation, a: SymmetricAssignment) -> Coset
 
     elements = [(0, *sigma) for sigma in itertools.permutations(range(1, n + 1))]
     index = {sigma: i for i, sigma in enumerate(elements)}
-    columns = [a.letters[x] for k in range(1, pres.generator_count + 1) for x in (k, -k)]
-    rows = [tuple(index[itemgetter(*sigma)(h)] for h in columns) for sigma in elements]
-    return CosetTable(generator_count=pres.generator_count, rows=tuple(rows))
+    letters = [a.letters[x] for k in range(1, pres.generator_count + 1) for x in (k, -k)]
+    # one column per image: an involution's transposition serves both letters
+    column = {h: tuple([index[itemgetter(*sigma)(h)] for sigma in elements]) for h in letters}
+    return CosetTable(pres.generator_count, tuple(map(column.__getitem__, letters)))
 
 
 def _cycle_starts(word, involutions):
@@ -88,6 +89,7 @@ def reidemeister_schreier(
 ) -> GroupPresentation:
     """Presentation of the subgroup whose coset table is given.
 
+    The table's columns fill one flat table, a slice per internal column.
     Schreier generators sit on the table edges off the
     :func:`_schreier_tree` of the columns g1..gm, then their inverses.  An
     involution k (a generator with relator k^2) gets one per pair {c, c.k}
@@ -107,7 +109,7 @@ def reidemeister_schreier(
     m = pres.generator_count
     n = table.coset_count
     involutions = pres.involutions()
-    icol, inv, public = _internal_columns(m, involutions)
+    icol, inv = _internal_columns(m, involutions)
     ncols = len(inv)
     size = n * ncols
 
@@ -115,15 +117,13 @@ def reidemeister_schreier(
     # the target coset, premultiplied by ncols, and the Schreier letter
     # (0 on tree edges); ``step`` pairs them for the trace loop
     target = [0] * size
-    for c, row in enumerate(table.rows):
-        base = c * ncols
-        for pc, col in enumerate(public):
-            target[base + col] = row[pc] * ncols
+    for k in range(1, m + 1):
+        for x in (k,) if k in involutions else (k, -k):
+            target[icol[x] :: ncols] = [d * ncols for d in table.column(x)]
 
     letter = [None] * size
     order = [icol[k] for k in range(1, m + 1)] + [icol[-k] for k in range(1, m + 1)]
-    columns = list(zip(*table.rows))
-    tree = _schreier_tree(columns[0::2] + columns[1::2])
+    tree = _schreier_tree(table.columns[0::2] + table.columns[1::2])
     if len(tree) != n:
         raise KernelError("coset table is not connected")
     for d, (c, s) in itertools.islice(tree.items(), 1, None):
@@ -344,7 +344,8 @@ def regular_kernel(table: CosetTable, a: SymmetricAssignment, path, planes) -> S
     composed over the table's columns, as a permutation of the cosets,
     whenever c lies outside the orbit of coset 0 under the elements taken
     so far; each one must at least double that orbit, so at most log2 |K|
-    are taken.  Along the orbit's
+    are taken.  The spanning tree reads each distinct column once: an
+    involution's two letters share one.  Along the orbit's
     Schreier tree, left multiplication by each taken element must commute
     with every taken element, or :class:`KernelError` is raised; then
     their group has a transitive centralizer, so it is regular and is K.
@@ -356,15 +357,13 @@ def regular_kernel(table: CosetTable, a: SymmetricAssignment, path, planes) -> S
     """
     if len(planes) != len(path) + 1:
         raise ValueError(f"a path of {len(path)} generators walks {len(path) + 1} planes")
-    n = a.degree
-    rows = table.rows
-    # letters in column order, and each letter's column: the permutation
-    # of the cosets that it acts as
-    letters = [x for g in range(1, table.generator_count + 1) for x in (g, -g)]
-    columns = dict(zip(letters, zip(*rows)))
-    # breadth-first spanning tree: each coset's parent and letter index
+    n, size = a.degree, table.coset_count
+    columns = {x: table.column(x) for g in range(1, table.generator_count + 1) for x in (g, -g)}
+    # breadth-first spanning tree: each coset's parent and letter index;
+    # an involution's inverse letter repeats a column and reaches no coset
+    letters = [x for x in columns if x > 0 or columns[x] is not columns[-x]]
     spanning = _schreier_tree([columns[x] for x in letters])
-    if len(spanning) != len(rows):
+    if len(spanning) != size:
         raise KernelError("coset table is not connected")
 
     def word(c):
@@ -378,7 +377,7 @@ def regular_kernel(table: CosetTable, a: SymmetricAssignment, path, planes) -> S
     # the taken elements, as permutations of the cosets, and the Schreier
     # tree of the orbit of coset 0 under them
     gens, tree = [], {0: None}
-    for c in range(len(rows)):
+    for c in range(size):
         if c in tree:
             continue
         # bubble-sort the path positions that the image of w_c moves back
@@ -394,7 +393,7 @@ def regular_kernel(table: CosetTable, a: SymmetricAssignment, path, planes) -> S
         # u_c w_c from every coset at once, one column per letter; a table
         # of one coset, whose columns itemgetter could not compose, has no
         # element to take
-        perm = _evaluate(columns, swaps[::-1] + w, len(rows) - 1)
+        perm = _evaluate(columns, swaps[::-1] + w, size - 1)
         if perm[0] != c:
             raise KernelError(f"the kernel element of coset {c} does not act on the kernel")
         gens.append(perm)

@@ -14,7 +14,7 @@ from galcov.complexes import (
     Vertex,
 )
 from galcov.datasets import DT4_JSON, load_builtin
-from galcov.enumeration import _column, coset_enumeration
+from galcov.enumeration import coset_enumeration
 from galcov.permutations import SymmetricAssignment, plane_transposition_map
 from galcov.presentation import (
     GroupPresentation,
@@ -98,24 +98,26 @@ def mulclose(gens):
 def verify_table(pres, table):
     """Exhaustive closure check, independent of the enumeration strategy.
 
-    Every generator column must be a permutation of the cosets and every
-    relator must trace back to its starting coset from every coset.
+    Every generator column must be a permutation of the cosets, its
+    inverse's column must undo it, and every relator must trace back to its
+    starting coset from every coset.  Column 2k-2 is generator k's, 2k-1
+    its inverse's.
     """
     n = table.coset_count
+    assert len(table.columns) == 2 * table.generator_count
     for k in range(1, table.generator_count + 1):
-        col = _column(k)
-        images = [row[col] for row in table.rows]
+        images, back = table.columns[2 * k - 2], table.columns[2 * k - 1]
         if sorted(images) != list(range(n)):
             raise AssertionError(f"generator {k} does not act as a permutation")
         for c, img in enumerate(images):
-            if table.rows[img][col ^ 1] != c:
+            if back[img] != c:
                 raise AssertionError(f"inverse column of generator {k} inconsistent")
     for w in pres.relators:
-        cols = [_column(x) for x in w]
+        cols = [table.columns[2 * x - 2 if x > 0 else -2 * x - 1] for x in w]
         for c in range(n):
             d = c
             for col in cols:
-                d = table.rows[d][col]
+                d = col[d]
             if d != c:
                 raise AssertionError(
                     f"relator {w} does not trace to identity from coset {c}"

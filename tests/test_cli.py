@@ -774,10 +774,18 @@ def test_regular_action_is_bounded(capsys, name, bound, decides, warning):
         assert not report["undecided"] and not report["warnings"][2:]
         assert report["tilde_order"] == {"t4": 24, "dt4": 11_520}[name]
     else:
+        # only a refused regular action leaves a closed table, whose index
+        # is |K|
+        kernel = 16 if warning.startswith("the regular action") else None
         assert report["undecided"]
-        assert report["tilde_order"] is None and report["kernel_order"] is None
+        assert report["kernel_order"] == kernel
+        assert report["tilde_order"] == (kernel and 720 * kernel)
         assert report["warnings"][2:] == [f"undecided at bound: {warning}"]
-        assert report["pi1"] == {"kind": "Undetermined", "note": f"undecided at bound {bound}"}
+        note = {"kind": "Undetermined", "note": f"undecided at bound {bound}"}
+        assert report["pi1"] == (note if kernel is None else {**note, "order": kernel})
+        # the last stage timed is the one that hit the bound, also when it raised
+        last = "complement" if warning.startswith("no S_n") else "enumerate"
+        assert list(report["timings"])[-1] == last
 
 
 def test_kernel_enumeration_overflow_is_undecided(monkeypatch, capsys):
@@ -838,8 +846,9 @@ def test_snf_generator_limit_leaves_the_regular_verdict(monkeypatch):
 
 def test_regular_action_stopped_at_its_lookup_bound(monkeypatch):
     # with the enumeration unbounded, 79 stops only dt4's regular action,
-    # which needs 16 * 5 = 80 lookups: alone it leaves |K| and |G~| unset,
-    # and under --route both the Coxeter route's verdict sets them
+    # which needs 16 * 5 = 80 lookups: alone it leaves the verdict
+    # undetermined, with |K| = [G~:H] and |G~| from the closed table, and
+    # under --route both the Coxeter route's verdict stands alone
     real = galcov.cli.coset_enumeration
     monkeypatch.setattr(
         galcov.cli, "coset_enumeration", lambda pres, words, bound: real(pres, words)
@@ -847,11 +856,14 @@ def test_regular_action_stopped_at_its_lookup_bound(monkeypatch):
     warning = "undecided at bound: the regular action of K, of order 16, needs 80 table lookups"
     report = analyze("dt4", route="enumerate", max_cosets=79)
     assert report.undecided and warning in report.warnings
-    assert report.kernel_order is None and report.tilde_order is None
+    assert report.kernel_order == 16 and report.tilde_order == 11_520
+    assert report.pi1 == {"kind": "Undetermined", "order": 16, "note": "undecided at bound 79"}
     report = analyze("dt4", route="both", max_cosets=79)
     assert not report.undecided and warning in report.warnings
     assert report.enumeration_route is None and report.coxeter_route["order"] == 16
     assert report.kernel_order == 16 and report.tilde_order == 11_520
+    assert report.pi1 == {"kind": "ElementaryAbelian2", "rank": 4}
+    assert report.route_agreement is None
 
 
 def test_kernel_route_decides_both_after_full_overflow(monkeypatch, capsys):

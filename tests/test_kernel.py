@@ -50,15 +50,16 @@ def test_kernel_table_index_two():
     assert coset_enumeration(simplify_presentation(sub), (), 100).coset_count == 1
 
 
-def product_table_rows(pres, a):
-    """Kernel table rows from permutation products: the oracle for the
-    rows ``kernel_coset_table`` looks up by image tuple."""
+def product_table_columns(pres, a):
+    """Kernel table columns from permutation products: the oracle for the
+    columns ``kernel_coset_table`` looks up by image tuple."""
     elements = list(itertools.permutations(range(1, a.degree + 1)))
     index = {sigma: i for i, sigma in enumerate(elements)}
     gens = a.images[: pres.generator_count]
     return tuple(
-        tuple(index[compose(sigma, h)] for g in gens for h in (g, invert(g)))
-        for sigma in elements
+        tuple(index[compose(sigma, h)] for sigma in elements)
+        for g in gens
+        for h in (g, invert(g))
     )
 
 
@@ -66,14 +67,15 @@ def test_kernel_table_t4(t4, t4_presentation):
     a = plane_transposition_map(t4)
     t = kernel_coset_table(t4_presentation, a)
     assert t.coset_count == 24
-    assert t.rows == product_table_rows(t4_presentation, a)
+    assert t.columns == product_table_columns(t4_presentation, a)
+    assert all(t.column(k) is t.column(-k) for k in t4_presentation.involutions())
 
 
 def test_kernel_table_dt4(dt4, dt4_presentation):
     a = plane_transposition_map(dt4)
     t = kernel_coset_table(dt4_presentation, a)
     assert t.coset_count == 720
-    assert t.rows == product_table_rows(dt4_presentation, a)
+    assert t.columns == product_table_columns(dt4_presentation, a)
 
 
 def test_kernel_table_rejects_non_homomorphism():
@@ -97,12 +99,12 @@ def test_kernel_table_of_one_point():
     p = GroupPresentation.make(("a",), [(1, 1)])
     a = SymmetricAssignment(degree=1, images=(identity(1),))
     t = kernel_coset_table(p, a)
-    assert t.rows == ((0, 0),)
+    assert t.columns == ((0,), (0,))
     assert reidemeister_schreier(p, t) == GroupPresentation(("x1",), ((1, 1),))
 
 
 # two cosets that no generator joins: a table no subgroup of index 2 has
-_TWO_COMPONENTS = CosetTable(generator_count=1, rows=((0, 0), (1, 1)))
+_TWO_COMPONENTS = CosetTable(generator_count=1, columns=((0, 1), (0, 1)))
 
 
 @pytest.mark.parametrize("relator", [(1, 1), (1, 1, 1)], ids=["involution", "order-3"])

@@ -659,7 +659,7 @@ def test_complement_path_of_dt4_is_a_coxeter_path(
     assert dt4_complement_table.coset_count * 720 == dt4_table.coset_count
     # the 16-point action is faithful: G~ is 11,520 permutations of the cosets
     gens = [
-        tuple(row[2 * k - 2] + 1 for row in dt4_complement_table.rows)
+        tuple(c + 1 for c in dt4_complement_table.column(k))
         for k in range(1, dt4_presentation.generator_count + 1)
     ]
     assert len(mulclose(gens)) == 11_520
