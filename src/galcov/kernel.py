@@ -4,13 +4,19 @@ The exact sequence 0 -> pi1 -> G -> S_n -> 0 identifies the fundamental
 group of the Galois cover with the kernel of the symmetric-group map, so
 everything here is about that kernel.  :func:`regular_kernel` decides it
 from its regular action on a coset table of G over an S_n complement
-of K, which has |K| cosets: at most log2 |K| generators, their Schreier
-graph, and the Smith normal form of the relators that the graph's edges
-off a spanning tree close.  The normal form splits off one pivot at a
-time, then takes gcds and lcms of the diagonal.
+of K, which has |K| cosets.  It takes t <= log2 |K| generators, each
+the kernel element of a coset that a breadth-first spanning tree of the
+table, grown only until it reaches that coset, gives a word for; the
+tree stops at the last taken coset.  When the t generators commute
+pairwise, K is abelian and t polycyclic relations, a t x t Smith normal
+form, give its invariants.  Otherwise their Schreier graph decides
+whether they generate a regular group, its centre, and, from the Smith
+normal form of the relators that the graph's edges off a spanning tree
+close, the invariants of K/K'.  The normal form splits off one pivot at
+a time, then takes gcds and lcms of the diagonal.
 The second, independent route builds a presentation of K: its coset
 table (indexed by the n! permutations), Reidemeister-Schreier rewriting,
-and the invariants of K/K' from one Smith normal form.  Every
+and the invariants of K/K' from one Smith normal form.  Every other
 spanning tree is a :func:`_schreier_tree`, and every permutation is
 composed on padded image tuples, as :func:`~galcov.permutations._evaluate`
 composes them.
@@ -336,37 +342,58 @@ def regular_kernel(table: CosetTable, a: SymmetricAssignment, path, planes) -> S
     that :func:`~galcov.presentation.complement_path` found along
     ``path`` through ``planes``.  H meets K trivially, so K acts
     regularly on the orbit of coset 0, which is every coset.
+    :func:`_kernel_elements` takes at most log2 |K| elements of K that
+    generate it.  When they commute pairwise (two compositions for each
+    of the t(t-1)/2 pairs), their group is abelian and transitive, so it
+    is regular and is K, and :func:`_abelian_verdict` reads its
+    invariants from t polycyclic relations, a t x t Smith normal form.
+    Otherwise :func:`_regular_verdict` checks that their group is regular
+    and reads the orders of its centre and derived subgroup.
+    """
+    gens, tree, sizes = _kernel_elements(table, a, path, planes)
+    if all(itemgetter(*g)(h) == itemgetter(*h)(g) for g, h in itertools.combinations(gens, 2)):
+        return _abelian_verdict(gens, tree, sizes)
+    return _regular_verdict(gens, tree)
+
+
+def _kernel_elements(table: CosetTable, a: SymmetricAssignment, path, planes):
+    """Elements of K that generate it, as permutations of the cosets; the
+    Schreier tree of the orbit of coset 0 under them; and that orbit's
+    size under the first s of them, for s = 0..t.
 
     The kernel element of coset c is u_c w_c: w_c is the representative
-    word of c along the table's :func:`_schreier_tree`, and u_c the
-    bubble-sort word along the path whose image is the inverse of w_c's.
-    It sends coset 0 to c.  Walking the cosets in order, c's element is
-    composed over the table's columns, as a permutation of the cosets,
-    whenever c lies outside the orbit of coset 0 under the elements taken
-    so far; each one must at least double that orbit, so at most log2 |K|
-    are taken.  The spanning tree reads each distinct column once: an
-    involution's two letters share one.  Along the orbit's
-    Schreier tree, left multiplication by each taken element must commute
-    with every taken element, or :class:`KernelError` is raised; then
-    their group has a transitive centralizer, so it is regular and is K.
-    The centre is where left and right multiplication by every taken
-    element agree.  Each edge off the tree closes a relator of K over the
-    taken elements (Reidemeister-Schreier over the trivial subgroup), and
-    the Smith normal form of the abelianized relators gives the
-    invariants of K/K'.
+    word of c along a breadth-first spanning tree of the table, and u_c
+    the bubble-sort word along the path whose image is the inverse of
+    w_c's.  It sends coset 0 to c.  Walking the cosets in order, c's
+    element is composed over the table's columns whenever c lies outside
+    the orbit of coset 0 under the elements taken so far; each one must
+    at least double that orbit, so at most log2 |K| are taken.  The
+    spanning tree reads each distinct column once (an involution's two
+    letters share one) and grows only until it reaches the coset being
+    taken, so it stops at the last taken coset; a coset it never reaches
+    means the table is not connected.
     """
     if len(planes) != len(path) + 1:
         raise ValueError(f"a path of {len(path)} generators walks {len(path) + 1} planes")
     n, size = a.degree, table.coset_count
     columns = {x: table.column(x) for g in range(1, table.generator_count + 1) for x in (g, -g)}
     # breadth-first spanning tree: each coset's parent and letter index;
-    # an involution's inverse letter repeats a column and reaches no coset
+    # an involution's inverse letter repeats a column and reaches no coset.
+    # ``word`` expands the reached cosets in order only until c is reached
     letters = [x for x in columns if x > 0 or columns[x] is not columns[-x]]
-    spanning = _schreier_tree([columns[x] for x in letters])
-    if len(spanning) != size:
-        raise KernelError("coset table is not connected")
+    walked = [columns[x] for x in letters]
+    spanning, reached = {0: None}, [0]
+    unexpanded = iter(reached)
 
     def word(c):
+        while c not in spanning:
+            x = next(unexpanded, None)
+            if x is None:
+                raise KernelError("coset table is not connected")
+            for s, col in enumerate(walked):
+                if col[x] not in spanning:
+                    spanning[col[x]] = (x, s)
+                    reached.append(col[x])
         w = []
         while c:
             c, s = spanning[c]
@@ -374,9 +401,9 @@ def regular_kernel(table: CosetTable, a: SymmetricAssignment, path, planes) -> S
         return w[::-1]
 
     pos = {p: i for i, p in enumerate(planes)}
-    # the taken elements, as permutations of the cosets, and the Schreier
-    # tree of the orbit of coset 0 under them
-    gens, tree = [], {0: None}
+    # the taken elements, as permutations of the cosets, the Schreier tree
+    # of the orbit of coset 0 under them, and its size under each prefix
+    gens, tree, sizes = [], {0: None}, [1]
     for c in range(size):
         if c in tree:
             continue
@@ -397,13 +424,13 @@ def regular_kernel(table: CosetTable, a: SymmetricAssignment, path, planes) -> S
         if perm[0] != c:
             raise KernelError(f"the kernel element of coset {c} does not act on the kernel")
         gens.append(perm)
-        before = len(tree)
         _schreier_tree(gens, tree)
         # in a regular group the orbit is as large as the subgroup that the
         # taken elements generate, and the new one lies outside it
-        if len(tree) < 2 * before:
+        if len(tree) < 2 * sizes[-1]:
             raise KernelError("the kernel permutations are not closed under product")
-    return _regular_verdict(gens, tree)
+        sizes.append(len(tree))
+    return gens, tree, sizes
 
 
 def _schreier_tree(gens, tree=None):
@@ -468,3 +495,32 @@ def _regular_verdict(gens, tree):
             derived_order=size // math.prod(factors),
         )
     return identify_structure(size, invariant_factors=factors)
+
+
+def _abelian_verdict(gens, tree, sizes):
+    """Verdict on the group of the pairwise commuting permutations
+    ``gens``, regular on the points of their Schreier ``tree``, whose
+    orbit of 0 under the first s of them has ``sizes[s]`` points.
+
+    The group is abelian, so its relation lattice is spanned by one
+    polycyclic relation per generator (Holt, Eick and O'Brien 2005,
+    ch. 8): g_s^j_s, with j_s = sizes[s+1] / sizes[s], is the least power
+    of g_s in the group of the earlier ones, so it is the element that
+    sends 0 to y = g_s^j_s(0), whose tree word is over the earlier ones.
+    The relation j_s e_s - vec(y), vec(y) that word's exponent vector,
+    is zero above the diagonal, so the t x t matrix of them has
+    determinant prod j_s = |K|, and its Smith normal form gives the
+    invariants of K.
+    """
+    relations = []
+    for s, (g, before, after) in enumerate(zip(gens, sizes, sizes[1:])):
+        row = [0] * len(gens)
+        row[s] = j = after // before
+        y = 0
+        for _ in range(j):
+            y = g[y]
+        while y:
+            y, r = tree[y]
+            row[r] -= 1
+        relations.append(row)
+    return identify_structure(len(tree), tuple(f for f in smith_normal_form(relations) if f > 1))

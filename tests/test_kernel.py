@@ -5,6 +5,7 @@ import random
 import pytest
 
 import galcov.kernel
+from galcov.complexes import parse_complex
 from galcov.enumeration import CosetTable, coset_enumeration
 from galcov.kernel import (
     KernelError,
@@ -27,6 +28,7 @@ from galcov.tietze import simplify_presentation
 
 from .conftest import (
     compose,
+    coxeter_cover,
     identity,
     invert,
     mulclose,
@@ -34,6 +36,7 @@ from .conftest import (
     snf_oracle,
     transposition,
     word_permutation,
+    write_dt4_power,
 )
 
 
@@ -118,6 +121,17 @@ def test_regular_kernel_rejects_a_table_that_is_not_connected():
     trivial = SymmetricAssignment(1, (identity(1),))
     with pytest.raises(KernelError, match="coset table is not connected"):
         regular_kernel(_TWO_COMPONENTS, trivial, (), (1,))
+
+
+def test_regular_kernel_rejects_an_unreachable_last_coset():
+    # Z3 = <a> on cosets 0..2, plus a coset 3 that a fixes: the kernel
+    # element of coset 1 takes the orbit of coset 0 to 0..2, and the
+    # spanning tree, grown only as far as the coset being taken, runs out
+    # before it reaches coset 3
+    table = CosetTable(generator_count=1, columns=((1, 2, 0, 3), (2, 0, 1, 3)))
+    trivial = SymmetricAssignment(1, (identity(1),))
+    with pytest.raises(KernelError, match="coset table is not connected"):
+        regular_kernel(table, trivial, (), (1,))
 
 
 # ---------------------------------------------------------------------------
@@ -623,15 +637,18 @@ def _cyclic_product_orders(factors):
     ],
     ids=["S3", "Q8", "Z4xZ2", "S4", "Z3xS3xZ4", "D50"],
 )
-def test_regular_kernel_matches_brute_force_closure(k, expected):
+def test_regular_kernel_matches_brute_force_closure(monkeypatch, k, expected):
     names, relators, model = k
     pres, a, walk = _with_s2_complement(names, relators)
     order, centre, derived, orders = _brute_force(model)
     assert (order, centre, derived) == (expected["order"], expected["centre"], expected["derived"])
     table = coset_enumeration(pres, [walk[0]], 1000)
     assert table.coset_count == order
+    verdicts = _spy(monkeypatch, "_regular_verdict")
     v = regular_kernel(table, a, *walk)
     assert v.kind == expected["kind"] and v.order == order
+    # only a non-abelian K goes through the centre and derived order
+    assert len(verdicts) == (v.kind == "NonAbelian")
     # the invariants of K/K' are those of the presentation's SNF
     assert v.factors == expected["factors"]
     assert v.factors == abelianization(GroupPresentation.make(names, relators))
@@ -639,6 +656,31 @@ def test_regular_kernel_matches_brute_force_closure(k, expected):
         assert (v.centre_order, v.derived_order) == (centre, derived)
     else:
         assert orders == _cyclic_product_orders(v.factors)
+
+
+def test_abelian_verdict_matches_the_regular_verdict_on_seeded_generators():
+    # Z_d1 x ... x Z_dk acting on itself, generated by seeded elements taken
+    # as the regular action takes them, each outside the orbit of the
+    # earlier ones: the polycyclic relations and the relators of every edge
+    # off the Schreier tree give the group's invariant factors
+    rng = random.Random(7)
+    for _ in range(60):
+        orders = [rng.choice((2, 3, 4, 6, 8)) for _ in range(rng.randint(1, 3))]
+        elements = list(itertools.product(*map(range, orders)))
+        index = {x: i for i, x in enumerate(elements)}
+        gens, tree, sizes = [], {0: None}, [1]
+        while len(tree) < len(elements):
+            g = rng.choice([x for x in elements if index[x] not in tree])
+            gens.append(tuple(
+                index[tuple((a + b) % d for a, b, d in zip(x, g, orders))] for x in elements
+            ))
+            galcov.kernel._schreier_tree(gens, tree)
+            sizes.append(len(tree))
+        diagonal = [[d if i == j else 0 for j in range(len(orders))] for i, d in enumerate(orders)]
+        factors = tuple(f for f in snf_oracle(diagonal) if f > 1)
+        v = galcov.kernel._abelian_verdict(gens, tree, sizes)
+        assert v == galcov.kernel._regular_verdict(gens, tree)
+        assert v.order == len(elements) and v.factors == factors
 
 
 def test_regular_kernel_over_a_longer_path():
@@ -660,18 +702,21 @@ def test_regular_kernel_over_a_longer_path():
         regular_kernel(table, a, (2, 3), (1, 2))
 
 
-def test_regular_kernel_rejects_a_set_that_is_not_closed():
+def test_regular_kernel_rejects_a_set_that_is_not_closed(monkeypatch):
     # S_3 = <a, b> on the 3 cosets of <aba>, read as if that subgroup were
     # the complement S_1 along the empty path: the kernel words 1, a, b act
-    # as the identity and two transpositions, whose product is a 3-cycle
+    # as the identity and two transpositions, whose product is a 3-cycle;
+    # b takes the orbit from 2 points to 3, not 4, before any verdict
     pres = GroupPresentation.make(("a", "b"), [(1, 1), (2, 2), (1, 2) * 3])
     table = coset_enumeration(pres, [(1, 2, 1)], 100)
     trivial = SymmetricAssignment(1, (identity(1),) * 2)
+    verdicts = _spy(monkeypatch, "_regular_verdict") + _spy(monkeypatch, "_abelian_verdict")
     with pytest.raises(KernelError, match="not closed under product"):
         regular_kernel(table, trivial, (), (1,))
+    assert not verdicts
 
 
-def test_regular_kernel_rejects_a_transitive_group_that_is_not_regular():
+def test_regular_kernel_rejects_a_transitive_group_that_is_not_regular(monkeypatch):
     # the dihedral group of order 8 = <a, b> on the 4 cosets of <a>, read
     # as if that subgroup were the complement S_1: the kernel words b and
     # b a double the orbit of coset 0 twice, but generate a group of order
@@ -679,8 +724,11 @@ def test_regular_kernel_rejects_a_transitive_group_that_is_not_regular():
     pres = GroupPresentation.make(("a", "b"), [(1, 1), (2, 2), (1, 2) * 4])
     table = coset_enumeration(pres, [(1,)], 100)
     trivial = SymmetricAssignment(1, (identity(1),) * 2)
+    verdicts = _spy(monkeypatch, "_regular_verdict")
     with pytest.raises(KernelError, match="not closed under product"):
         regular_kernel(table, trivial, (), (1,))
+    # b and b a do not commute, so the regular check refuses them
+    assert len(verdicts) == 1
 
 
 def _breadth_first(start, letters, step):
@@ -714,29 +762,55 @@ def _kernel_words(table, a, path):
     return words
 
 
-def _tables(dt4, case):
-    """(table, assignment, path, planes) of the table a case reads: dt4 or
-    its relabeling over the S_n complement, or K x <t> over <t>."""
-    if case.startswith("dt4"):
-        c = dt4 if case == "dt4" else relabel_complex(dt4, random.Random(int(case[4:])))
+def _spy(monkeypatch, name):
+    """A list with one entry per call of ``galcov.kernel.<name>``, added as
+    the call starts: [arguments], then what it returned, if it returns."""
+    real, calls = getattr(galcov.kernel, name), []
+
+    def spy(*args):
+        calls.append([args])
+        calls[-1].append(real(*args))
+        return calls[-1][1]
+
+    monkeypatch.setattr(galcov.kernel, name, spy)
+    return calls
+
+
+_GROUPS = {"S3": _S3, "Q8": _Q8, "Z4xZ2": _Z4Z2}
+
+
+def _tables(dt4, case, tmp_path=None):
+    """(table, assignment, path, planes) of the table a case reads: dt4,
+    its relabeling or dt4^k ("dt4^k", written to ``tmp_path``) over the
+    S_n complement, the Coxeter cover of the m-cycle with K = Z_k^(m-1)
+    ("cover-m-k") over the S_m complement, or K x <t> over <t>."""
+    if case.startswith("cover"):
+        m, k = map(int, case.split("-")[1:])
+        pres, proj, a = coxeter_cover(m, k)
+        pres = GroupPresentation.make(pres.names, pres.relators + (proj,))
+    elif case.startswith("dt4"):
+        if case.startswith("dt4^"):
+            path = write_dt4_power(tmp_path / "dt4-power.json", int(case[4:]))
+            c = parse_complex(path.read_text())
+        else:
+            c = dt4 if case == "dt4" else relabel_complex(dt4, random.Random(int(case[4:])))
         pres, a = build_tilde_presentation(c), plane_transposition_map(c)
-        path, planes = complement_path(pres, a, 10**6)
-        return coset_enumeration(pres, [(g,) for g in path], 10**6), a, path, planes
-    pres, a, (path, planes) = _with_s2_complement(*{"S3": _S3, "Q8": _Q8}[case][:2])
-    return coset_enumeration(pres, [path], 1000), a, path, planes
+    else:
+        pres, a, (path, planes) = _with_s2_complement(*_GROUPS[case][:2])
+        return coset_enumeration(pres, [path], 1000), a, path, planes
+    path, planes = complement_path(pres, a, 10**6)
+    return coset_enumeration(pres, [(g,) for g in path], 10**6), a, path, planes
 
 
 @pytest.mark.parametrize("case", ["dt4", "dt4-1", "dt4-2", "dt4-3", "S3", "Q8"])
 def test_regular_kernel_permutations_match_row_by_row_traces(monkeypatch, dt4, case):
     # each kernel element acts on the kernel cosets as any word for it does,
-    # traced one letter at a time from every kernel coset
-    real = galcov.kernel._regular_verdict
+    # traced one letter at a time from every kernel coset; the elements are
+    # the ones regular_kernel reads, abelian K or not
     table, a, path, planes = _tables(dt4, case)
-    seen = []
-    monkeypatch.setattr(galcov.kernel, "_regular_verdict",
-                        lambda gens, tree: real(seen.append(gens) or gens, tree))
+    seen = _spy(monkeypatch, "_kernel_elements")
     regular_kernel(table, a, path, planes)
-    (gens,) = seen
+    ((_, (gens, _, _)),) = seen
     words = _kernel_words(table, a, path)
     # every coset over the complement is a kernel coset
     assert sorted(words) == list(range(table.coset_count))
@@ -746,6 +820,42 @@ def test_regular_kernel_permutations_match_row_by_row_traces(monkeypatch, dt4, c
     for perm in gens:
         c = perm[0]
         assert perm == tuple(table.trace(d, words[c]) for d in range(table.coset_count))
+
+
+# abelian kernels and their invariant factors: dt4, its relabelings, dt4^k
+# (Z_k x Z_2k^4), Z4 x Z2 over an S_2 complement and the Coxeter covers
+_ABELIAN = (
+    [("dt4", (2,) * 4)]
+    + [(f"dt4-{seed}", (2,) * 4) for seed in range(1, 6)]
+    + [("dt4^2", (2, 4, 4, 4, 4)), ("dt4^3", (3, 6, 6, 6, 6)), ("Z4xZ2", (2, 4))]
+    + [(f"cover-{m}-{k}", (k,) * (m - 1))
+       for m, k in ((3, 2), (4, 3), (5, 3), (6, 3), (7, 3), (6, 4), (7, 4))]
+)
+
+
+@pytest.mark.parametrize("case,factors", _ABELIAN, ids=[case for case, _ in _ABELIAN])
+def test_abelian_kernel_verdict_matches_the_regular_verdict(
+    monkeypatch, tmp_path, dt4, case, factors
+):
+    # the t polycyclic relations of commuting kernel elements give the
+    # verdict that the relators of every edge off their Schreier tree give,
+    # from a t x t Smith normal form with t <= log2 |K|
+    table, a, path, planes = _tables(dt4, case, tmp_path)
+    elements = _spy(monkeypatch, "_kernel_elements")
+    verdicts = _spy(monkeypatch, "_regular_verdict")
+    snf = _spy(monkeypatch, "smith_normal_form")
+    v = regular_kernel(table, a, path, planes)
+    monkeypatch.undo()
+    assert not verdicts
+    ((_, (gens, tree, _)),) = elements
+    (((matrix,), _),) = snf
+    t = len(gens)
+    assert len(matrix) == t and all(len(row) == t for row in matrix)
+    assert 2**t <= table.coset_count
+    if case == "dt4^3":
+        assert t == 5
+    assert v == galcov.kernel._regular_verdict(gens, tree)
+    assert v.order == table.coset_count == math.prod(factors) and v.factors == factors
 
 
 def test_regular_kernel_rejects_a_word_that_leaves_the_kernel_orbit():
