@@ -479,7 +479,8 @@ def _coxeter_route(report, pres_noproj, proj, table, assignment, max_cosets, tim
     verdict = route.verdict()
     report.coxeter_route = {
         "supported": True,
-        "generators": list(route.reduced.names),
+        # the cycle's generators, in id order
+        "generators": [name for name in route.presentation.names if name in route.assignment],
         "graph": [
             {"generator": name, "vertices": list(pair)} for name, pair in route.graph.edges
         ],

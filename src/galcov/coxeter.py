@@ -26,13 +26,15 @@ the quotient (see ``lattice_quotient``), and it is described by its
 is.
 
 So the route needs a projective relator, and refuses a presentation
-without one before it reduces anything.  The generators it keeps are the
+without one before it derives a plan.  The generators it keeps are the
 lines of a Hamiltonian cycle of the plane graph whose relators state that
 cycle's quotient: every other line (a chord) is eliminated by a
 conjugate word along one arc of the cycle, each relation checked on a
-coset table of the group first (see ``derive_plan``).  The eliminations
-rewrite only chord letters, so the reduced relators still state the
-quotient, and ``label_cycle`` labels the cycle by its generator ids.
+coset table of the group first (see ``derive_plan``), and ``label_cycle``
+labels the cycle by its generator ids.  The route checks the relators as
+written: each chord's window is its plan word's, so a relator's value is
+that of its rewrite over the cycle, and the rewritten presentation
+(``CoxeterRoute.reduced``) is built only when it is read.
 """
 
 from __future__ import annotations
@@ -68,26 +70,31 @@ def eval_words(images, words) -> list[tuple[int, ...]]:
 
     Each image is a window, the affine permutation f of Z sending i + m*t
     to w_i + m*t, which moves no integer by more than d = max|w_i - i|.
-    So L letters keep the entries 0, 1, ..., m inside [-L*d, m + L*d],
-    each image becomes the tuple s of f on that interval (s[y] = f(y), a
-    negative y read from the end), and a letter is one lookup of
-    :func:`permutations._evaluate`, where entry 0 is the pad.
+    Letter -k reads letter k, so a word names -k only for an involution
+    f.  A word whose letters move by at most d_1, ..., d_L keeps the
+    entries 0, 1, ..., m inside [-D, m + D] with D = d_1 + ... + d_L.  So
+    with D the largest such sum over the words, each image becomes the
+    tuple s of f on that interval (s[y] = f(y), a negative y read from the
+    end), and a letter is one lookup of :func:`permutations._evaluate`,
+    where entry 0 is the pad.
     """
     images = list(images)
     if not images:
         raise CoxeterError("empty assignment")
     m = len(images[0])
-    shift = max(abs(x - i) for w in images for i, x in enumerate(w, 1))
-    t = max(map(len, words), default=0) * shift // m + 1
+    shifts = {}
+    for k, w in enumerate(images, 1):
+        shifts[k] = shifts[-k] = max(abs(x - i) for i, x in enumerate(w, 1))
+    try:
+        t = max((sum(map(shifts.__getitem__, w)) for w in words), default=0) // m + 1
+    except KeyError as exc:
+        raise CoxeterError(f"word references unassigned generator {abs(exc.args[0])}") from None
     letters = {}
     for k, w in enumerate(images, 1):
         # f(1 - t*m), ..., f(m + t*m), rotated to start at f(0)
         line = [x + m * s for s in range(-t, t + 1) for x in w]
         letters[k] = letters[-k] = tuple(line[t * m - 1 :] + line[: t * m - 1])
-    try:
-        return [_evaluate(letters, w, m)[1:] for w in words]
-    except KeyError as exc:
-        raise CoxeterError(f"word references unassigned generator {abs(exc.args[0])}") from None
+    return [_evaluate(letters, w, m)[1:] for w in words]
 
 
 # ---------------------------------------------------------------------------
@@ -182,16 +189,33 @@ def lattice_quotient(vec) -> LatticeQuotient:
 
 
 class CoxeterRoute(NamedTuple):
-    """Everything the Coxeter-quotient route produced, or why it could not run."""
+    """Everything the Coxeter-quotient route produced, or why it could not run.
+
+    ``presentation`` is the route's input (projective relator separate)
+    and ``plan`` maps each chord's generator id to its word over the
+    cycle, as :func:`derive_plan` finds them.
+    """
 
     supported: bool
     reason: str | None = None
-    reduced: GroupPresentation | None = None
+    presentation: GroupPresentation | None = None
+    plan: dict[int, Word] | None = None
     graph: CoxeterGraph | None = None
     assignment: dict[str, tuple[int, ...]] | None = None
     proj_vector: tuple[int, ...] | None = None
     proj_u_coords: tuple[int, ...] | None = None
     quotient: LatticeQuotient | None = None
+
+    @property
+    def reduced(self) -> GroupPresentation | None:
+        """The presentation over the cycle's generators: each chord
+        eliminated by its plan word in one :func:`eliminate_and_rewrite`
+        pass, built on each read.  Its relators state the cycle's
+        quotient, as that pass rewrites only chord letters."""
+        if self.presentation is None:
+            return None
+        image = {**self.plan, **{-g: invert_word(w) for g, w in self.plan.items()}}
+        return eliminate_and_rewrite(self.presentation, image, ())[0]
 
     def verdict(self) -> StructureVerdict | None:
         return self.quotient.verdict() if self.quotient is not None else None
@@ -283,23 +307,37 @@ def coxeter_route(
     """Run the whole route on a presentation (projective relator separate).
 
     Without a projective relator there is nothing to quotient by, and the
-    route stops before it reduces anything.  ``table``, ``symmetric`` (the
+    route stops before it derives a plan.  ``table``, ``symmetric`` (the
     map onto S_n) and ``bound`` derive and check the plan, as
     :func:`derive_plan` describes.  Returns an unsupported result, with a
     reason, whenever the input falls outside the one-cycle construction.
+
+    The cycle's generators take the windows of
+    :func:`standard_assignment`, each chord the window of its plan word
+    (one :func:`eval_words` batch, none without a chord), and the
+    relators and the projective relator are evaluated as written in a
+    second batch.  Evaluation is a homomorphism of the free group, so
+    substituting the plan words, free reduction and dedupe change no
+    relator's value: the relators hold exactly when the reduced ones do,
+    and the projective relator has its rewrite's value.  Each plan word
+    is a palindrome of involutions, so each chord's window is an
+    involution too, and :func:`eval_words` may read letter -k as letter k.
     """
     try:
         if proj is None:
             raise CoxeterError("no projective relator to quotient by")
         cycle, plan = derive_plan(pres, table, symmetric, bound)
-        image = {**plan, **{-g: invert_word(w) for g, w in plan.items()}}
-        reduced, (proj_reduced,) = eliminate_and_rewrite(pres, image, (proj,))
         graph = label_cycle(pres.names, cycle)
         assignment = standard_assignment(graph)
-        images = [assignment[name] for name in reduced.names]
         m = graph.vertex_count
-        *values, element = eval_words(images, reduced.relators + (proj_reduced,))
-        if any(v != tuple(range(1, m + 1)) for v in values):
+        identity = tuple(range(1, m + 1))
+        # each chord reads the identity until its plan word, over the cycle only, is evaluated
+        windows = [assignment.get(name, identity) for name in pres.names]
+        if plan:
+            for g, w in zip(plan, eval_words(windows, tuple(plan.values()))):
+                windows[g - 1] = w
+        *values, element = eval_words(windows, pres.relators + (proj,))
+        if any(v != identity for v in values):
             raise CoxeterError("assignment fails to satisfy the reduced relators")
         if any((x - i) % m for i, x in enumerate(element, 1)):
             raise CoxeterError(
@@ -312,7 +350,8 @@ def coxeter_route(
     vec = tuple((x - i) // m for i, x in enumerate(element, 1))
     return CoxeterRoute(
         supported=True,
-        reduced=reduced,
+        presentation=pres,
+        plan=plan,
         graph=graph,
         assignment=assignment,
         proj_vector=vec,

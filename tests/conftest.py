@@ -13,6 +13,7 @@ from galcov.complexes import (
     PresentationOverrides,
     Vertex,
 )
+from galcov.coxeter import coxeter_route
 from galcov.datasets import DT4_JSON, load_builtin
 from galcov.enumeration import coset_enumeration
 from galcov.permutations import SymmetricAssignment, plane_transposition_map
@@ -22,6 +23,7 @@ from galcov.presentation import (
     commutator_word,
     complement_path,
     parse_relation,
+    projective_relator,
     triple_word,
 )
 
@@ -287,6 +289,18 @@ def coxeter_cover(m, k):
         m, tuple(transposition(m, a, b) for a, b in planes)
     )
     return GroupPresentation.make(names, relators), proj, symmetric
+
+
+def route_of_complex(c):
+    """The Coxeter route on the complex ``c`` as ``analyze`` runs it at the
+    default bound: its plan checked on the table of G~ over an S_n
+    complement."""
+    full = build_tilde_presentation(c)
+    symmetric = plane_transposition_map(c)
+    path, _ = complement_path(full, symmetric, 1_000_000)
+    table = coset_enumeration(full, [(g,) for g in path], 1_000_000)
+    pres = build_tilde_presentation(c, include_projective=False)
+    return coxeter_route(pres, projective_relator(c), table, symmetric)
 
 
 def write_dt4_power(path, k):

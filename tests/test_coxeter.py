@@ -7,6 +7,7 @@ import pytest
 import galcov.coxeter
 import galcov.presentation
 from galcov.cli import DEFAULT_MAX_COSETS, AnalysisReport, _enumeration_route, analyze
+from galcov.complexes import parse_complex
 from galcov.coxeter import (
     CoxeterError,
     CoxeterGraph,
@@ -27,9 +28,11 @@ from galcov.presentation import (
     build_tilde_presentation,
     commutator_word,
     complement_path,
+    eliminate_and_rewrite,
     eliminate_in_turn,
     format_word,
     hamiltonian_paths,
+    invert_word,
     projective_relator,
     triple_word,
 )
@@ -44,12 +47,14 @@ from .conftest import (
     mulclose,
     random_permutation,
     relabel_complex,
+    route_of_complex,
     sd_inverse,
     sd_product,
     transposition,
     u_vector,
     window,
     word_of,
+    write_dt4_power,
 )
 
 
@@ -312,6 +317,68 @@ def test_route_assignment_satisfies_reduced_relators(dt4_route):
     assert reduced.relators
     for r in reduced.relators:
         assert eval_words(images, [r])[0] == identity(6), r
+
+
+def check_against_the_rewrite(route, proj):
+    """The route's results against the words it evaluated while it
+    rewrote the presentation: every relator of ``route.reduced`` is 1
+    under the assignment, and the projective relator, rewritten in the
+    same pass, is the translation by ``route.proj_vector``."""
+    image = {**route.plan, **{-g: invert_word(w) for g, w in route.plan.items()}}
+    reduced, (proj_reduced,) = eliminate_and_rewrite(route.presentation, image, (proj,))
+    assert reduced == route.reduced
+    m = route.graph.vertex_count
+    images = [route.assignment[name] for name in reduced.names]
+    *values, element = eval_words(images, reduced.relators + (proj_reduced,))
+    assert values and all(v == identity(m) for v in values)
+    assert element == window(identity(m), route.proj_vector)
+
+
+def test_route_matches_its_rewritten_presentation(tmp_path, dt4):
+    # dt4, its relabelings and its powers, each with three chords; the
+    # Coxeter covers, which have none, are checked where their routes run
+    relabel_json = load_relabel_json()
+    complexes = [dt4]
+    complexes += [parse_complex(relabel_json(DT4_JSON, random.Random(s))) for s in range(6)]
+    for k in (2, 3):
+        path = write_dt4_power(tmp_path / f"dt4-power{k}.json", k)
+        complexes.append(parse_complex(path.read_text(encoding="utf-8")))
+    for c in complexes:
+        route = route_of_complex(c)
+        assert route.supported and len(route.plan) == 3
+        check_against_the_rewrite(route, projective_relator(c))
+
+
+def test_dt4_route_evaluates_as_written(monkeypatch):
+    # one batch for the three chord words, one for the 54 relators and the
+    # projective relator; the presentation is never rewritten
+    eliminations = count_calls(monkeypatch, galcov.coxeter, "eliminate_and_rewrite")
+    evaluations = count_calls(monkeypatch, galcov.coxeter, "eval_words")
+    assert analyze("dt4", route="coxeter").coxeter_route["supported"]
+    assert eliminations == []
+    assert [len(words) for _, words in evaluations] == [3, 55]
+
+
+def test_route_with_a_relator_a_chord_breaks_is_unsupported(
+    dt4, dt4_assignment, dt4_complement_table
+):
+    # dt4's projective relator, stated among the relators too, names the
+    # chords g3, g6 and g7 and maps to a nonzero translation.  The group
+    # and its table are unchanged, so the plan is too, and the check fails
+    # as it does on the rewritten relators
+    pres = build_tilde_presentation(dt4, include_projective=False)
+    proj = projective_relator(dt4)
+    broken = GroupPresentation.make(pres.names, pres.relators + (proj,))
+    route = coxeter_route(broken, proj, dt4_complement_table, dt4_assignment)
+    assert not route.supported
+    assert route.reason == "assignment fails to satisfy the reduced relators"
+    cycle, plan = derive_plan(broken, dt4_complement_table, dt4_assignment, 1_000_000)
+    assert sorted(plan) == [3, 6, 7] and {3, 6, 7} <= set(map(abs, proj))
+    image = {**plan, **{-g: invert_word(w) for g, w in plan.items()}}
+    reduced, _ = eliminate_and_rewrite(broken, image, ())
+    assignment = standard_assignment(label_cycle(broken.names, cycle))
+    values = eval_words([assignment[name] for name in reduced.names], reduced.relators)
+    assert sum(v != identity(6) for v in values) == 1
 
 
 def test_route_quotient(dt4_route):
@@ -693,7 +760,8 @@ def test_coxeter_cover_routes_agree(m, k, cosets_defined):
     assert stats["cosets_defined"] == cosets_defined
     regular = regular_kernel(table, symmetric, path, planes)
     route = coxeter_route(pres, proj, table, symmetric, 1_000_000)
-    assert route.supported
+    assert route.supported and route.plan == {}
+    check_against_the_rewrite(route, proj)
     lattice = route.verdict()
     assert regular.order == lattice.order == route.quotient.order == k ** (m - 1)
     assert regular.factors == lattice.factors == (k,) * (m - 1)

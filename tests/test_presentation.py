@@ -5,8 +5,6 @@ import random
 
 import pytest
 
-import galcov.coxeter
-from galcov.cli import analyze
 from galcov.complexes import (
     ComplexError,
     DegenerationComplex,
@@ -55,6 +53,7 @@ from .conftest import (
     plane_graphs,
     random_valid_complex,
     relabel_complex,
+    route_of_complex,
     transposition,
     vertex_pair_relators,
     word_of,
@@ -441,25 +440,12 @@ def test_build_rejects_a_vertex_naming_a_missing_edge(t4, dt4):
             build_tilde_presentation(broken)
 
 
-def test_eliminated_presentations_are_normalized(monkeypatch, tmp_path):
+def test_eliminated_presentations_are_normalized(dt4):
     # the Coxeter route's reduced presentation on dt4 and its relabelings
-    reduced = []
-    real = galcov.coxeter.eliminate_and_rewrite
-
-    def recording(*args):
-        out = real(*args)
-        reduced.append(out[0])
-        return out
-
-    monkeypatch.setattr(galcov.coxeter, "eliminate_and_rewrite", recording)
     relabel_json = load_relabel_json()
-    path = tmp_path / "dt4.json"
-    assert analyze("dt4", route="coxeter").coxeter_route["supported"]
-    for seed in range(6):
-        path.write_text(relabel_json(DT4_JSON, random.Random(seed)), encoding="utf-8")
-        assert analyze(str(path), route="coxeter").coxeter_route["supported"]
-    assert len(reduced) == 7
-    for p in reduced:
+    relabeled = [parse_complex(relabel_json(DT4_JSON, random.Random(seed))) for seed in range(6)]
+    for c in [dt4] + relabeled:
+        p = route_of_complex(c).reduced
         assert p.generator_count == 6
         assert GroupPresentation.make(p.names, p.relators) == p
 
