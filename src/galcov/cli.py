@@ -216,17 +216,17 @@ def analyze(
         raise AnalysisError("options", f"max_cosets must be at least 1, got {max_cosets}")
     timings = {}
 
-    def timed(stage, fn, *args, **kwargs):
+    # times a stage, and names it in the AnalysisError of its input errors ``errors``
+    def timed(stage, fn, *args, errors=(), **kwargs):
         t0 = time.perf_counter()
         try:
             return fn(*args, **kwargs)
+        except errors as exc:
+            raise AnalysisError(stage, str(exc)) from exc
         finally:
             timings[stage] = round(time.perf_counter() - t0, 6)
 
-    try:
-        origin, complex_ = timed("parse", load_source, source)
-    except ComplexError as exc:
-        raise AnalysisError("parse", str(exc)) from exc
+    origin, complex_ = timed("parse", load_source, source, errors=ComplexError)
 
     report_check = timed("validate", validate, complex_)
     if not report_check.valid:
@@ -236,20 +236,16 @@ def analyze(
 
     warnings: list[str] = list(report_check.notes)
 
-    try:
-        classes = timed(
-            "classify", lambda: {v.id: classify_vertex(complex_, v) for v in complex_.vertices}
-        )
-    except ComplexError as exc:
-        raise AnalysisError("classify", str(exc)) from exc
+    classes = timed(
+        "classify",
+        lambda: {v.id: classify_vertex(complex_, v) for v in complex_.vertices},
+        errors=ComplexError,
+    )
     inner3 = sum(1 for c in classes.values() if isinstance(c, Inner3))
     inner4 = sum(1 for c in classes.values() if isinstance(c, Inner4))
 
     counts = timed("counts", singularity_counts, complex_)
-    try:
-        chern = timed("chern", chern_signature, counts)
-    except InvariantError as exc:
-        raise AnalysisError("chern", str(exc)) from exc
+    chern = timed("chern", chern_signature, counts, errors=InvariantError)
     warnings.extend(chern.warnings)
 
     def presentations():
@@ -264,10 +260,9 @@ def analyze(
             projective_relator(complex_),
         )
 
-    try:
-        pres, pres_noproj, proj = timed("presentation", presentations)
-    except (PresentationError, ComplexError) as exc:
-        raise AnalysisError("presentation", str(exc)) from exc
+    pres, pres_noproj, proj = timed(
+        "presentation", presentations, errors=(PresentationError, ComplexError)
+    )
 
     report = AnalysisReport(
         source=origin,

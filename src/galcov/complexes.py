@@ -123,6 +123,22 @@ def _is_int(x):
     return isinstance(x, int) and not isinstance(x, bool)
 
 
+def _records(data, field, kind):
+    """Yield the location, object and id of each record of the list
+    ``data[field]``, once it is an object with a new id >= 1."""
+    records = data.get(field)
+    _require(isinstance(records, list), f"'{field}' must be a list", f"field {field}")
+    seen = set()
+    for pos, item in enumerate(records):
+        loc = f"{field}[{pos}]"
+        _require(isinstance(item, dict), f"{kind} must be an object", loc)
+        rid = item.get("id")
+        _require(_is_int(rid) and rid >= 1, f"{kind} id must be an integer >= 1", loc)
+        _require(rid not in seen, f"duplicate {kind} id {rid}", loc)
+        seen.add(rid)
+        yield loc, item, rid
+
+
 def parse_complex(text: str) -> DegenerationComplex:
     """Parse a degeneration file (JSON) into a :class:`DegenerationComplex`.
 
@@ -149,17 +165,8 @@ def parse_complex(text: str) -> DegenerationComplex:
         "field planes",
     )
 
-    raw_edges = data.get("edges")
-    _require(isinstance(raw_edges, list), "'edges' must be a list", "field edges")
     edges = []
-    seen_edge_ids = set()
-    for pos, item in enumerate(raw_edges):
-        loc = f"edges[{pos}]"
-        _require(isinstance(item, dict), "edge must be an object", loc)
-        eid = item.get("id")
-        _require(_is_int(eid) and eid >= 1, "edge id must be an integer >= 1", loc)
-        _require(eid not in seen_edge_ids, f"duplicate edge id {eid}", loc)
-        seen_edge_ids.add(eid)
+    for loc, item, eid in _records(data, "edges", "edge"):
         pl = item.get("planes")
         _require(
             isinstance(pl, list) and len(pl) == 2 and all(map(_is_int, pl)),
@@ -170,17 +177,8 @@ def parse_complex(text: str) -> DegenerationComplex:
             _require(1 <= p <= planes, f"plane index {p} out of range 1..{planes}", loc)
         edges.append(Edge(id=eid, planes=(pl[0], pl[1])))
 
-    raw_vertices = data.get("vertices")
-    _require(isinstance(raw_vertices, list), "'vertices' must be a list", "field vertices")
     vertices = []
-    seen_vertex_ids = set()
-    for pos, item in enumerate(raw_vertices):
-        loc = f"vertices[{pos}]"
-        _require(isinstance(item, dict), "vertex must be an object", loc)
-        vid = item.get("id")
-        _require(_is_int(vid) and vid >= 1, "vertex id must be an integer >= 1", loc)
-        _require(vid not in seen_vertex_ids, f"duplicate vertex id {vid}", loc)
-        seen_vertex_ids.add(vid)
+    for loc, item, vid in _records(data, "vertices", "vertex"):
         ve = item.get("edges")
         _require(
             isinstance(ve, list) and all(map(_is_int, ve)),

@@ -47,13 +47,11 @@ from .permutations import _evaluate
 from .presentation import (
     GroupPresentation,
     Word,
-    commutator_word,
     eliminate_and_rewrite,
     hamiltonian_paths,
     invert_word,
-    is_stated,
+    is_stated_along,
     relation_holds,
-    triple_word,
 )
 
 
@@ -265,10 +263,7 @@ def derive_plan(pres, table, symmetric, bound) -> tuple[tuple[int, ...], dict[in
             if (
                 len(path) > 1
                 and moved[last - 1] == (1, planes[-1])
-                and all(
-                    is_stated(relators, (triple_word if h in ends else commutator_word)(h, last))
-                    for h in path
-                )
+                and is_stated_along(relators, path, last, ends)
             ):
                 cycle = path + (last,)
                 plan = {

@@ -5,11 +5,12 @@ group of the Galois cover with the kernel of the symmetric-group map, so
 everything here is about that kernel.  :func:`regular_kernel` decides it
 from its regular action on a coset table of G over an S_n complement
 of K, which has |K| cosets.  It takes t <= log2 |K| generators, each
-the kernel element of a coset that a breadth-first spanning tree of the
-table, grown only until it reaches that coset, gives a word for; the
-tree stops at the last taken coset.  When the t generators commute
-pairwise, K is abelian and t polycyclic relations, a t x t Smith normal
-form, give its invariants.  Otherwise their Schreier graph decides
+the kernel element of a coset that one breadth-first walk of the table
+reaches outside the orbit of the earlier ones, and reads its word from
+the walk's spanning tree; the walk stops once that orbit holds every
+coset.  When the t generators commute pairwise, K is abelian and t
+polycyclic relations, a t x t Smith normal form, give its invariants.
+Otherwise their Schreier graph decides
 whether they generate a regular group, its centre, and, from the Smith
 normal form of the relators that the graph's edges off a spanning tree
 close, the invariants of K/K'.  The normal form splits off one pivot at
@@ -364,51 +365,42 @@ def _kernel_elements(table: CosetTable, a: SymmetricAssignment, path, planes):
     The kernel element of coset c is u_c w_c: w_c is the representative
     word of c along a breadth-first spanning tree of the table, and u_c
     the bubble-sort word along the path whose image is the inverse of
-    w_c's.  It sends coset 0 to c.  Walking the cosets in order, c's
-    element is composed over the table's columns whenever c lies outside
-    the orbit of coset 0 under the elements taken so far; each one must
-    at least double that orbit, so at most log2 |K| are taken.  The
-    spanning tree reads each distinct column once (an involution's two
-    letters share one) and grows only until it reaches the coset being
-    taken, so it stops at the last taken coset; a coset it never reaches
-    means the table is not connected.
+    w_c's.  It sends coset 0 to c.  One breadth-first walk of the table
+    reads each distinct column once (an involution's two letters share
+    one) and composes c's element over the columns whenever the coset c
+    it reaches lies outside the orbit of coset 0 under the elements taken
+    so far; each one must at least double that orbit, so at most log2 |K|
+    are taken.  The walk stops once that orbit holds every coset; a walk
+    that ends first means the table is not connected.
     """
     if len(planes) != len(path) + 1:
         raise ValueError(f"a path of {len(path)} generators walks {len(path) + 1} planes")
     n, size = a.degree, table.coset_count
     columns = {x: table.column(x) for g in range(1, table.generator_count + 1) for x in (g, -g)}
-    # breadth-first spanning tree: each coset's parent and letter index;
-    # an involution's inverse letter repeats a column and reaches no coset.
-    # ``word`` expands the reached cosets in order only until c is reached
+    # the walk's spanning tree: each coset's parent and letter index; an
+    # involution's inverse letter repeats a column and reaches no coset
     letters = [x for x in columns if x > 0 or columns[x] is not columns[-x]]
     walked = [columns[x] for x in letters]
-    spanning, reached = {0: None}, [0]
-    unexpanded = iter(reached)
-
-    def word(c):
-        while c not in spanning:
-            x = next(unexpanded, None)
-            if x is None:
-                raise KernelError("coset table is not connected")
-            for s, col in enumerate(walked):
-                if col[x] not in spanning:
-                    spanning[col[x]] = (x, s)
-                    reached.append(col[x])
-        w = []
-        while c:
-            c, s = spanning[c]
-            w.append(letters[s])
-        return w[::-1]
-
     pos = {p: i for i, p in enumerate(planes)}
     # the taken elements, as permutations of the cosets, the Schreier tree
     # of the orbit of coset 0 under them, and its size under each prefix
     gens, tree, sizes = [], {0: None}, [1]
-    for c in range(size):
+    spanning, reached = {0: None}, [0]
+    for c in reached:
+        if len(tree) == size:
+            break
+        for s, col in enumerate(walked):
+            if col[c] not in spanning:
+                spanning[col[c]] = (c, s)
+                reached.append(col[c])
         if c in tree:
             continue
+        w, x = [], c
+        while x:
+            x, s = spanning[x]
+            w.append(letters[s])
+        w.reverse()
         # bubble-sort the path positions that the image of w_c moves back
-        w = word(c)
         image = _evaluate(a.letters, w, n)
         b = [pos[image[p]] for p in planes]
         swaps = []
@@ -430,6 +422,8 @@ def _kernel_elements(table: CosetTable, a: SymmetricAssignment, path, planes):
         if len(tree) < 2 * sizes[-1]:
             raise KernelError("the kernel permutations are not closed under product")
         sizes.append(len(tree))
+    if len(tree) < size:
+        raise KernelError("coset table is not connected")
     return gens, tree, sizes
 
 

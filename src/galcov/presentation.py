@@ -127,6 +127,16 @@ def is_stated(relators, word) -> bool:
     )
 
 
+def is_stated_along(relators, path, g, neighbours) -> bool:
+    """Are g's braids with ``neighbours`` and its commutators with the
+    other generators of ``path`` stated?  A path grows by g, or a cycle
+    closes with g, only when they are."""
+    return all(
+        is_stated(relators, (triple_word if h in neighbours else commutator_word)(h, g))
+        for h in path
+    )
+
+
 def _reduced_key(w) -> Word:
     """Smallest rotation of the freely reduced word ``w`` or of its
     inverse; the dedup key for relators.
@@ -443,7 +453,7 @@ def projective_relator(c: DegenerationComplex) -> Word | None:
 
 
 # ---------------------------------------------------------------------------
-# Tietze transformations
+# a relation's check on a coset table, and the plane graph's Hamiltonian paths
 
 
 def relation_holds(gen, replacement, table, assignment) -> bool:
@@ -494,11 +504,7 @@ def hamiltonian_paths(pres, assignment, starts, bound):
         stack.extend(
             (path + (g,), planes + (b,))
             for g, b in reversed(edges[planes[-1]])
-            if b not in planes
-            and all(
-                is_stated(relators, (triple_word if h == path[-1] else commutator_word)(h, g))
-                for h in path
-            )
+            if b not in planes and is_stated_along(relators, path, g, path[-1:])
         )
 
 
@@ -516,6 +522,10 @@ def complement_path(pres, assignment, bound):
     """
     paths = hamiltonian_paths(pres, assignment, range(1, assignment.degree + 1), bound)
     return next(paths, ((), ()))
+
+
+# ---------------------------------------------------------------------------
+# Tietze eliminations
 
 
 def eliminate_in_turn(pres, gens, words, companions=()):

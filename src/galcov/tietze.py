@@ -16,11 +16,12 @@ inversion after every move, as :meth:`GroupPresentation.make` does: a
 duplicate dropped later can differ from the relator it duplicated once
 later moves rewrite both, so deduplication cannot wait for the end of the
 merge rounds.  Every move rewrites through
-:func:`galcov.presentation._apply`, the one rewrite routine, which the
-Coxeter route's eliminations share: that route checks each derived
-elimination against a coset table of the group with
-:func:`galcov.presentation.relation_holds` and applies them all in one
-pass with :func:`galcov.presentation.eliminate_and_rewrite`."""
+:func:`galcov.presentation._apply`, the one rewrite routine, which
+:func:`galcov.presentation.eliminate_and_rewrite` shares.  The Coxeter
+route checks each chord's word against a coset table of the group with
+:func:`galcov.presentation.relation_holds` and evaluates the relators as
+written; it runs ``eliminate_and_rewrite`` only when a caller reads
+``CoxeterRoute.reduced``."""
 
 from __future__ import annotations
 

@@ -8,6 +8,7 @@ import pytest
 
 import galcov.cli
 from galcov.cli import AnalysisError, analyze, emit_report, main
+from galcov.complexes import ClassificationError
 from galcov.datasets import load_builtin
 from galcov.enumeration import coset_enumeration
 from galcov.invariants import InvariantError, chern_signature, singularity_counts
@@ -63,6 +64,26 @@ def test_analyze_missing_file_is_parse_stage():
         analyze("missing.json")
     assert info.value.stage == "parse"
     assert info.value.exit_code == 2
+
+
+def test_directory_source_is_parse_error(tmp_path, capsys):
+    # the path exists but is no file: reading it fails, and nothing is parsed
+    assert main(["analyze", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert f"[parse] cannot read {tmp_path}: " in err
+    assert "Traceback" not in err
+
+
+def test_classification_error_is_classify_stage(monkeypatch):
+    def refuse(c, v):
+        raise ClassificationError(f"vertex {v.id}: refused")
+
+    monkeypatch.setattr(galcov.cli, "classify_vertex", refuse)
+    with pytest.raises(AnalysisError) as info:
+        analyze("t4")
+    assert info.value.stage == "classify"
+    assert info.value.exit_code == 2
+    assert str(info.value) == "[classify] vertex 1: refused"
 
 
 def test_analyze_invalid_complex(tmp_path, t4):

@@ -1,4 +1,5 @@
 import itertools
+import json
 import random
 import time
 
@@ -51,6 +52,31 @@ def test_parse_duplicate_edge_id():
     text = T4_JSON.replace('{"id": 2, "planes": [1, 2]}', '{"id": 1, "planes": [1, 2]}')
     with pytest.raises(ComplexParseError, match="duplicate edge id"):
         parse_complex(text)
+
+
+@pytest.mark.parametrize(
+    "field, kind, item",
+    [("edges", "edge", {"planes": [1, 2]}), ("vertices", "vertex", {"edges": [1, 2, 3]})],
+)
+@pytest.mark.parametrize(
+    "records, message",
+    [
+        ("x", "field {field}: '{field}' must be a list"),
+        (["x"], "{field}[0]: {kind} must be an object"),
+        ([{"id": 0}], "{field}[0]: {kind} id must be an integer >= 1"),
+        ([{"id": 2}, {"id": 2}], "{field}[1]: duplicate {kind} id 2"),
+    ],
+    ids=["list", "object", "id", "duplicate"],
+)
+def test_parse_record_messages(field, kind, item, records, message):
+    # edges and vertices share each record check, message and location
+    data = {"planes": 2, "edges": [{"id": 1, "planes": [1, 2]}], "vertices": []}
+    if isinstance(records, list):
+        records = [r if isinstance(r, str) else {**item, **r} for r in records]
+    data[field] = records
+    with pytest.raises(ComplexParseError) as info:
+        parse_complex(json.dumps(data))
+    assert str(info.value) == message.format(field=field, kind=kind)
 
 
 def test_parse_plane_out_of_range():

@@ -125,9 +125,8 @@ def test_regular_kernel_rejects_a_table_that_is_not_connected():
 
 def test_regular_kernel_rejects_an_unreachable_last_coset():
     # Z3 = <a> on cosets 0..2, plus a coset 3 that a fixes: the kernel
-    # element of coset 1 takes the orbit of coset 0 to 0..2, and the
-    # spanning tree, grown only as far as the coset being taken, runs out
-    # before it reaches coset 3
+    # element of coset 1 takes the orbit of coset 0 to 0..2, and the walk
+    # of the table ends before it reaches coset 3
     table = CosetTable(generator_count=1, columns=((1, 2, 0, 3), (2, 0, 1, 3)))
     trivial = SymmetricAssignment(1, (identity(1),))
     with pytest.raises(KernelError, match="coset table is not connected"):
@@ -802,7 +801,7 @@ def _tables(dt4, case, tmp_path=None):
     return coset_enumeration(pres, [(g,) for g in path], 10**6), a, path, planes
 
 
-@pytest.mark.parametrize("case", ["dt4", "dt4-1", "dt4-2", "dt4-3", "S3", "Q8"])
+@pytest.mark.parametrize("case", ["dt4", "dt4-0", "dt4-1", "dt4-2", "dt4-3", "S3", "Q8"])
 def test_regular_kernel_permutations_match_row_by_row_traces(monkeypatch, dt4, case):
     # each kernel element acts on the kernel cosets as any word for it does,
     # traced one letter at a time from every kernel coset; the elements are
@@ -814,9 +813,14 @@ def test_regular_kernel_permutations_match_row_by_row_traces(monkeypatch, dt4, c
     words = _kernel_words(table, a, path)
     # every coset over the complement is a kernel coset
     assert sorted(words) == list(range(table.coset_count))
-    # at most log2 |K| generators, taken in coset order
+    # at most log2 |K| generators, each taken at a coset outside the orbit
+    # of coset 0 under the earlier ones, in the order the walk reaches them
     assert 0 < len(gens) <= math.log2(table.coset_count)
-    assert [g[0] for g in gens] == sorted(g[0] for g in gens)
+    for s, perm in enumerate(gens):
+        assert perm[0] not in galcov.kernel._schreier_tree(gens[:s])
+    if case == "dt4-0":
+        # this relabeling's walk reaches coset 3 before coset 1
+        assert [g[0] for g in gens] != sorted(g[0] for g in gens)
     for perm in gens:
         c = perm[0]
         assert perm == tuple(table.trace(d, words[c]) for d in range(table.coset_count))
