@@ -21,7 +21,10 @@ builds no table.
 Coxeter route's cycle walk, the enumeration over H, the
 |K|(floor(log2 |K|) + 1) table lookups of the regular action (checked
 before the first), the n!-row kernel table (checked before a row is
-built) and the kernel enumeration.
+built) and the kernel enumeration.  Each bound hit adds one warning
+``undecided at bound: ...``, in the order the stages hit them; when no
+route decides, pi1's note is ``undecided at bound N`` after a bound hit,
+else ``no route produced a verdict``.
 
 Exit codes: 0 definite verdict, 1 undecided (a table hit ``max_cosets``,
 or no requested route could decide), 2 input errors.
@@ -173,7 +176,8 @@ def _verdict_dict(v: StructureVerdict) -> dict:
     if v.kind == "NonAbelian":
         out.update(order=v.order, centre_order=v.centre_order, derived_order=v.derived_order)
     if v.kind == "Undetermined":
-        out["order"] = v.order
+        if v.order is not None:
+            out["order"] = v.order
         if v.factors is not None:
             out["factors"] = list(v.factors)
         if v.note:
@@ -199,7 +203,9 @@ def load_source(source: str) -> tuple[str, DegenerationComplex]:
     try:
         text = path.read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as exc:
-        raise AnalysisError("parse", f"cannot read {source}: {exc}") from exc
+        # an OSError's text names the path again: give its reason alone
+        reason = exc.strerror if isinstance(exc, OSError) else exc
+        raise AnalysisError("parse", f"cannot read {source}: {reason}") from exc
     return str(path), parse_complex(text)
 
 
@@ -215,14 +221,20 @@ def analyze(
     if max_cosets < 1:
         raise AnalysisError("options", f"max_cosets must be at least 1, got {max_cosets}")
     timings = {}
+    bound_hits: list[str] = []
 
-    # times a stage, and names it in the AnalysisError of its input errors ``errors``
-    def timed(stage, fn, *args, errors=(), **kwargs):
+    # times a stage, also one that raises; names it in the AnalysisError of
+    # its input errors ``errors``; and, when its enumeration stops at
+    # ``max_cosets``, records its ``overflow`` text as a bound hit
+    def timed(stage, fn, *args, errors=(), overflow=None, **kwargs):
         t0 = time.perf_counter()
         try:
             return fn(*args, **kwargs)
         except errors as exc:
             raise AnalysisError(stage, str(exc)) from exc
+        except EnumerationOverflow:
+            bound_hits.append(overflow)
+            return None
         finally:
             timings[stage] = round(time.perf_counter() - t0, 6)
 
@@ -295,13 +307,10 @@ def analyze(
     report.symmetric_image_order = timed(
         "image_order", permutation_group_order, assignment.moved
     )
-    # compile the on-demand modules this run calls in a stage of their own,
-    # before the timers of the stages that call them start; Tietze
-    # simplification runs only when the n!-row kernel table is in bounds
-    modules = ["coxeter"] if route != "enumerate" else []
-    if route == "both" and report.symmetric_image_order <= max_cosets:
-        modules.append("tietze")
-    if modules:
+    # compile the on-demand modules this route calls in a stage of their
+    # own, before the timers of the stages that call them start
+    if route != "enumerate":
+        modules = ["coxeter", "tietze"] if route == "both" else ["coxeter"]
         timed("import", lambda: [importlib.import_module(f".{m}", __package__) for m in modules])
 
     # both routes read G~ as an extension of S_n by K: the plane
@@ -316,27 +325,21 @@ def analyze(
     if route != "coxeter" or proj is not None:
         path, planes = timed("complement", complement_path, pres, assignment, max_cosets)
         if not planes:
-            _undecided_at_bound(
-                report, max_cosets, f"no S_n complement within {max_cosets} partial paths"
-            )
+            bound_hits.append(f"no S_n complement within {max_cosets} partial paths")
         else:
-            try:
-                table = timed(
-                    "enumerate", coset_enumeration, pres, [(g,) for g in path], max_cosets
-                )
-            except EnumerationOverflow:
-                _undecided_at_bound(
-                    report, max_cosets, f"enumeration overflow at {max_cosets} cosets"
-                )
+            table = timed(
+                "enumerate", coset_enumeration, pres, [(g,) for g in path], max_cosets,
+                overflow=f"enumeration overflow at {max_cosets} cosets",
+            )
 
     enum_verdict = None
     if route != "coxeter" and table is not None:
         enum_verdict = _enumeration_route(
-            report, pres, table, path, planes, assignment, max_cosets, timed
+            report, pres, table, path, planes, assignment, max_cosets, timed, bound_hits
         )
     if route == "both":
         enum_verdict = _presentation_route(
-            report, pres, assignment, table, enum_verdict, max_cosets, timed
+            report, pres, assignment, table, enum_verdict, max_cosets, timed, bound_hits
         )
 
     cox_verdict = None
@@ -350,41 +353,35 @@ def analyze(
     if route == "both" and None not in (enum_verdict, cox_verdict):
         report.route_agreement = _verdicts_equal(enum_verdict, cox_verdict)
 
-    # |K| and |G~| = n!|K| come from the verdict that stands, or, when the
-    # bound refused the regular action and no route decides, from the table
+    # one warning for each bound hit, in the order the stages hit them; |K|
+    # and |G~| = n!|K| come from the verdict that stands, or, when the bound
+    # refused the regular action and no route decides, from the table
+    report.warnings.extend(f"undecided at bound: {hit}" for hit in bound_hits)
     final = enum_verdict if enum_verdict is not None else cox_verdict
-    if final is None and table is not None and route != "coxeter":
-        final = StructureVerdict("Undetermined", order=table.coset_count, note=report.pi1["note"])
-    if final is not None:
-        report.kernel_order = final.order
-        if final.order is not None:
-            report.tilde_order = final.order * report.symmetric_image_order
-        report.pi1 = _verdict_dict(final)
-    if report.pi1 is None:
-        report.pi1 = {"kind": "Undetermined", "note": "no route produced a verdict"}
-    report.undecided = report.pi1.get("kind") == "Undetermined"
+    if final is None:
+        index = table.coset_count if table is not None and route != "coxeter" else None
+        note = f"undecided at bound {max_cosets}" if bound_hits else "no route produced a verdict"
+        final = StructureVerdict("Undetermined", order=index, note=note)
+    report.kernel_order = final.order
+    if final.order is not None:
+        report.tilde_order = final.order * report.symmetric_image_order
+    report.pi1 = _verdict_dict(final)
+    report.undecided = final.kind == "Undetermined"
     return report
 
 
-def _undecided_at_bound(report, max_cosets, what):
-    """A table hit ``max_cosets``: warn where, and leave pi1 undetermined
-    unless another route decides."""
-    report.warnings.append(f"undecided at bound: {what}")
-    report.pi1 = {"kind": "Undetermined", "note": f"undecided at bound {max_cosets}"}
-
-
-def _enumeration_route(report, pres, table, path, planes, assignment, max_cosets, timed):
+def _enumeration_route(
+    report, pres, table, path, planes, assignment, max_cosets, timed, bound_hits
+):
     """Regular-action route: |K| = [G~:H] from the table over the S_n
     complement H, and the verdict from K's regular action on it.  Returns
-    the verdict, or None when the bound on its |K|(floor(log2 |K|) + 1)
-    table lookups stops it."""
+    the verdict, or None, with a bound hit in ``bound_hits``, when the
+    bound on its |K|(floor(log2 |K|) + 1) table lookups stops it."""
     kernel_order = table.coset_count
     lookups = kernel_order * kernel_order.bit_length()
     if lookups > max_cosets:
-        _undecided_at_bound(
-            report,
-            max_cosets,
-            f"the regular action of K, of order {kernel_order}, needs {lookups} table lookups",
+        bound_hits.append(
+            f"the regular action of K, of order {kernel_order}, needs {lookups} table lookups"
         )
         return None
     try:
@@ -401,31 +398,30 @@ def _enumeration_route(report, pres, table, path, planes, assignment, max_cosets
     return verdict
 
 
-def _presentation_route(report, pres, assignment, table, verdict, max_cosets, timed):
+def _presentation_route(report, pres, assignment, table, verdict, max_cosets, timed, bound_hits):
     """Under ``--route both``: |K| and the abelian invariants again, from a
     presentation of K = ker(G~ -> S_n), independent of the ``table`` of G~
     over H (None when there is none).
     They must equal the table's and the regular action's ``verdict``
     (its invariants are those of K/K'); without that verdict, this
-    route's decides.  Returns the verdict that stands, if any."""
+    route's decides.  Returns the verdict that stands, if any; a bound
+    that stops this route is a bound hit in ``bound_hits``."""
     # validate rejects a plane graph that is not connected, so the plane
     # transpositions generate all of S_n
     nfact = report.symmetric_image_order
     kernel = factors = None
     # the kernel table has one row per permutation: bound it before building
     if nfact > max_cosets:
-        _undecided_at_bound(report, max_cosets, f"kernel table needs {nfact} rows")
+        bound_hits.append(f"kernel table needs {nfact} rows")
     else:
         ktable = timed("kernel_table", kernel_coset_table, pres, assignment)
         sub = timed("reidemeister_schreier", reidemeister_schreier, pres, ktable)
         simplified = timed("simplify", simplify_presentation, sub)
-        try:
-            rs_table = timed("kernel_enumerate", coset_enumeration, simplified, (), max_cosets)
-        except EnumerationOverflow:
-            _undecided_at_bound(
-                report, max_cosets, f"kernel enumeration overflow at {max_cosets} cosets"
-            )
-        else:
+        rs_table = timed(
+            "kernel_enumerate", coset_enumeration, simplified, (), max_cosets,
+            overflow=f"kernel enumeration overflow at {max_cosets} cosets",
+        )
+        if rs_table is not None:
             kernel = rs_table.coset_count
             if simplified.generator_count <= _SNF_GENERATOR_LIMIT:
                 factors = timed("snf", abelianization, simplified)

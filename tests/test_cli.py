@@ -71,6 +71,8 @@ def test_directory_source_is_parse_error(tmp_path, capsys):
     assert main(["analyze", str(tmp_path)]) == 2
     err = capsys.readouterr().err
     assert f"[parse] cannot read {tmp_path}: " in err
+    # the reason follows the path, which the message names once
+    assert err.count(str(tmp_path)) == 1
     assert "Traceback" not in err
 
 
@@ -885,6 +887,45 @@ def test_regular_action_stopped_at_its_lookup_bound(monkeypatch):
     assert report.kernel_order == 16 and report.tilde_order == 11_520
     assert report.pi1 == {"kind": "ElementaryAbelian2", "rank": 4}
     assert report.route_agreement is None
+
+
+@pytest.mark.parametrize(
+    "name, route, bound, hits, pi1, kernel, code",
+    [
+        (
+            "dt4", "both", 30,
+            ["enumeration overflow at 30 cosets", "kernel table needs 720 rows"],
+            {"kind": "Undetermined", "note": "undecided at bound 30"}, None, 1,
+        ),
+        (
+            "dt4", "both", 79,
+            [
+                "the regular action of K, of order 16, needs 80 table lookups",
+                "kernel table needs 720 rows",
+            ],
+            {"kind": "ElementaryAbelian2", "rank": 4}, 16, 0,
+        ),
+        (
+            "t4", "both", 3,
+            ["no S_n complement within 3 partial paths", "kernel table needs 24 rows"],
+            {"kind": "Undetermined", "note": "undecided at bound 3"}, None, 1,
+        ),
+        (
+            "dt4", "coxeter", 73,
+            ["enumeration overflow at 73 cosets"],
+            {"kind": "Undetermined", "note": "undecided at bound 73"}, None, 1,
+        ),
+    ],
+)
+def test_each_bound_hit_is_one_warning(name, route, bound, hits, pi1, kernel, code, capsys):
+    # a run that hits several bounds warns once for each, in the order its
+    # stages hit them; the Coxeter route may still decide
+    argv = ["analyze", name, "--route", route, "--max-cosets", str(bound), "--format", "json"]
+    assert main(argv) == code
+    report = json.loads(capsys.readouterr().out)
+    assert report["warnings"][2:] == [f"undecided at bound: {hit}" for hit in hits]
+    assert report["pi1"] == pi1
+    assert report["kernel_order"] == kernel
 
 
 def test_kernel_route_decides_both_after_full_overflow(monkeypatch, capsys):

@@ -787,17 +787,16 @@ def test_coxeter_cover_6_4_regular_action_decides_from_11264_lookups():
             source="coxeter_cover(6, 4)", name="", complex_summary={}, counts={}, chern={},
             routes_requested="enumerate", symmetric_image_order=math.factorial(6),
         )
+        bound_hits = []
         verdict = _enumeration_route(
             report, full, table, path, planes, symmetric, bound,
-            lambda stage, fn, *args: fn(*args),
+            lambda stage, fn, *args: fn(*args), bound_hits,
         )
         if bound < 11_264:
-            assert verdict is None
-            assert report.pi1["kind"] == "Undetermined"
-            assert report.warnings == [
-                "undecided at bound: the regular action of K, of order 1024, "
-                "needs 11264 table lookups"
+            assert verdict is None and report.enumeration_route is None
+            assert bound_hits == [
+                "the regular action of K, of order 1024, needs 11264 table lookups"
             ]
         else:
-            assert verdict == lattice and not report.warnings
+            assert verdict == lattice and not bound_hits
             assert report.enumeration_route["pi1"] == "Z4 x Z4 x Z4 x Z4 x Z4"
