@@ -12,16 +12,19 @@ SNF.  ``both`` adds an independent presentation of K (the n!-row kernel
 table, Reidemeister-Schreier, Tietze simplification, an enumeration of K,
 SNF); its |K| and invariants must match, and it decides alone when the
 table does not.  The Coxeter-quotient route (``coxeter`` or ``both``)
-needs a projective relator, derives its elimination plan from a
-Hamiltonian cycle of the plane graph and checks it on the table; without
-a projective relator it reports itself unsupported, and ``coxeter`` alone
-builds no table.
+reads no table of G~: it needs a projective relator, derives its
+elimination plan from a Hamiltonian cycle of the plane graph, checks it
+in the affine symmetric group and proves it by one enumeration of index 1
+over the cycle; without a projective relator it reports itself
+unsupported.  So ``coxeter`` alone builds no table of G~, and ``both``
+compares two independent exact computations.
 
 ``max_cosets`` bounds every table and search: the complement search, the
-Coxeter route's cycle walk, the enumeration over H, the
-|K|(floor(log2 |K|) + 1) table lookups of the regular action (checked
-before the first), the n!-row kernel table (checked before a row is
-built) and the kernel enumeration.  Each bound hit adds one warning
+enumeration over H, the |K|(floor(log2 |K|) + 1) table lookups of the
+regular action (checked before the first), the n!-row kernel table
+(checked before a row is built), the kernel enumeration, and the Coxeter
+route's cycle walk, chord window combinations and enumeration over its
+cycle.  Each bound hit adds one warning
 ``undecided at bound: ...``, in the order the stages hit them; when no
 route decides, pi1's note is ``undecided at bound N`` after a bound hit,
 else ``no route produced a verdict``.
@@ -70,6 +73,7 @@ from .permutations import (
 )
 from .presentation import (
     PresentationError,
+    SearchBound,
     build_tilde_presentation,
     complement_path,
     format_relation,
@@ -80,11 +84,11 @@ from .presentation import (
 # The Coxeter route and Tietze simplification run on only some routes, so
 # their modules are imported on the first call, not with this one.  Both
 # names stay module-level: a profiler may rebind them here.
-def coxeter_route(pres, proj, table, symmetric, bound):
+def coxeter_route(pres, proj, symmetric, bound):
     """:func:`galcov.coxeter.coxeter_route`, importing its module on call."""
     from .coxeter import coxeter_route as route
 
-    return route(pres, proj, table, symmetric, bound)
+    return route(pres, proj, symmetric, bound)
 
 
 def simplify_presentation(pres):
@@ -318,11 +322,10 @@ def analyze(
     if failures := timed("homomorphism", verify_homomorphism, pres, assignment):
         raise AnalysisError("kernel", f"plane transpositions do not satisfy relators {failures}")
 
-    # one table of G~, over an S_n complement, for every route; the Coxeter
-    # route declines at once without a projective relator, so alone it
-    # needs no table then
+    # one table of G~, over an S_n complement, for the regular action; the
+    # Coxeter route reads none
     path, planes, table = (), (), None
-    if route != "coxeter" or proj is not None:
+    if route != "coxeter":
         path, planes = timed("complement", complement_path, pres, assignment, max_cosets)
         if not planes:
             bound_hits.append(f"no S_n complement within {max_cosets} partial paths")
@@ -333,7 +336,7 @@ def analyze(
             )
 
     enum_verdict = None
-    if route != "coxeter" and table is not None:
+    if table is not None:
         enum_verdict = _enumeration_route(
             report, pres, table, path, planes, assignment, max_cosets, timed, bound_hits
         )
@@ -345,11 +348,11 @@ def analyze(
     cox_verdict = None
     if route in ("coxeter", "both"):
         cox_verdict = _coxeter_route(
-            report, pres_noproj, proj, table, assignment, max_cosets, timed
+            report, pres_noproj, proj, assignment, max_cosets, timed, bound_hits
         )
 
-    # cox_verdict is None exactly when the Coxeter route is unsupported, and
-    # equal decided verdicts name groups of one order
+    # cox_verdict is None exactly when the Coxeter route is unsupported or
+    # bounded, and equal decided verdicts name groups of one order
     if route == "both" and None not in (enum_verdict, cox_verdict):
         report.route_agreement = _verdicts_equal(enum_verdict, cox_verdict)
 
@@ -359,7 +362,7 @@ def analyze(
     report.warnings.extend(f"undecided at bound: {hit}" for hit in bound_hits)
     final = enum_verdict if enum_verdict is not None else cox_verdict
     if final is None:
-        index = table.coset_count if table is not None and route != "coxeter" else None
+        index = table.coset_count if table is not None else None
         note = f"undecided at bound {max_cosets}" if bound_hits else "no route produced a verdict"
         final = StructureVerdict("Undetermined", order=index, note=note)
     report.kernel_order = final.order
@@ -458,12 +461,22 @@ def _index_cross_check(report, index, kernel):
     }
 
 
-def _coxeter_route(report, pres_noproj, proj, table, assignment, max_cosets, timed):
-    """Coxeter-quotient route, its elimination plan derived from a
-    Hamiltonian cycle of the plane graph within ``max_cosets`` partial
-    paths and checked on ``table`` (None without one); returns its verdict
-    or None."""
-    route = timed("coxeter", coxeter_route, pres_noproj, proj, table, assignment, max_cosets)
+def _coxeter_route(report, pres_noproj, proj, assignment, max_cosets, timed, bound_hits):
+    """Coxeter-quotient route, independent of any table of G~: its plan
+    derived from a Hamiltonian cycle of the plane graph and checked in the
+    affine symmetric group, then one enumeration over the cycle, each
+    within ``max_cosets``.  Returns its verdict, or None when it is
+    unsupported or, with a bound hit in ``bound_hits``, bounded."""
+    try:
+        route = timed(
+            "coxeter", coxeter_route, pres_noproj, proj, assignment, max_cosets,
+            overflow=f"coxeter route: enumeration over the cycle overflow at {max_cosets} cosets",
+        )
+    except SearchBound as exc:
+        bound_hits.append(f"coxeter route: {exc}")
+        return None
+    if route is None:
+        return None
     if not route.supported:
         report.coxeter_route = {"supported": False, "reason": route.reason}
         return None
@@ -588,9 +601,9 @@ def _build_parser():
         default=DEFAULT_MAX_COSETS,
         help=(
             "bound on the cosets of each enumeration, the partial paths of the "
-            "complement search and the cycle walk, the |K|(floor(log2 |K|) + 1) "
-            "lookups of the regular action and the n! rows of the kernel table "
-            f"(default {DEFAULT_MAX_COSETS})"
+            "complement search and the cycle walk, the chord window combinations "
+            "of the Coxeter route, the |K|(floor(log2 |K|) + 1) lookups of the "
+            f"regular action and the n! rows of the kernel table (default {DEFAULT_MAX_COSETS})"
         ),
     )
     a.add_argument(

@@ -1,57 +1,69 @@
 """Second route to the Galois-cover group: the Coxeter-type quotient.
 
-After Tietze reduction, the group of the double tetrahedron (minus its
-projective relator) is the quotient group of a cycle graph: generators
-are the graph edges, adjacent edges braid, disjoint edges commute.  For a
-graph with one independent cycle that quotient is S_n acting on the
-rank-(n-1) lattice spanned by the differences u_{i,j} = e_i - e_j, with
-sigma carrying u_{i,j} to u_{sigma(i),sigma(j)} (Rowen, Teicher and
-Vishne, "Coxeter covers of the symmetric groups", J. Group Theory, 2005).
+Let G0 be the group of the presentation without its projective relator.
+On the double tetrahedron G0 is the quotient group of a cycle graph:
+generators are the graph edges, adjacent edges braid, disjoint edges
+commute (Rowen, Teicher and Vishne, "Coxeter covers of the symmetric
+groups", J. Group Theory, 2005).  That is the Coxeter group of the
+m-cycle diagram, the affine symmetric group A: S_m acting on the
+rank-(m-1) lattice spanned by the differences u_{i,j} = e_i - e_j, with
+sigma carrying u_{i,j} to u_{sigma(i),sigma(j)}.  Its elements are
+computed as affine permutations of Z in window notation (Bjorner and
+Brenti, *Combinatorics of Coxeter Groups*, 2005, section 8.3): the window
+(w_1, ..., w_m) of sigma * u(vec) has w_i = sigma(i) + m*vec[sigma(i)], a
+product is one composition of windows, and a pure translation reads
+vec_i = (w_i - i)/m.  ``eval_words`` evaluates words in one batch.
 
-That semidirect product is the affine symmetric group, so its elements
-are computed as affine permutations of Z in window notation (Bjorner
-and Brenti, *Combinatorics of Coxeter Groups*, 2005, section 8.3): the
-window (w_1, ..., w_n) of sigma * u(vec) has w_i = sigma(i) +
-n*vec[sigma(i)], a product is one composition of windows, and a pure
-translation reads vec_i = (w_i - i)/n.  ``eval_words`` evaluates every
-word of the route in one batch.
+The route proves G0 isomorphic to A from the presentation alone, with no
+coset table of G~:
 
-The projective relator then lands inside the lattice, and the kernel of
-the map onto S_n becomes the quotient of the lattice by the sublattice
-generated by the S_n-orbit of that one vector -- conjugation by lattice
-elements is trivial on an abelian normal subgroup, so the orbit generates
-the whole normal closure.  Two gcds of that vector's coordinates give
-the quotient (see ``lattice_quotient``), and it is described by its
+* :func:`derive_plan` walks the plane graph to a Hamiltonian cycle whose
+  generators have their squares, their neighbours' braids and the other
+  pairs' commutators stated (``is_stated_along``).  Those are the Coxeter
+  relations of the m-cycle diagram, so psi: A -> G0, taking generator to
+  generator, is a homomorphism.
+* It then gives the cycle the windows of :func:`standard_assignment` and
+  each other generator (a chord) a window under which every relator
+  holds in A.  So phi: G0 -> A is a homomorphism too.
+* :func:`coxeter_route` enumerates the cosets of the cycle's subgroup of
+  G0.  One coset means psi is onto.  phi(psi(s)) = s on A's generators,
+  so psi is injective, and G0 is isomorphic to A.  Then phi is unique: the
+  chord windows are the only ones possible, and each chord equals its
+  plan word, whose window is the chord's.
+
+G~ is then A modulo the normal closure of phi(proj), the projective
+relator's image, which must lie inside the lattice.  Conjugation by
+lattice elements is trivial on an abelian normal subgroup, so the
+S_m-orbit of that one vector generates the whole normal closure, and the
+kernel of the map onto S_m is the quotient of the lattice by that orbit's
+span.  Two gcds of the vector's coordinates give the quotient (see
+``lattice_quotient``), and it is described by its
 :class:`~galcov.kernel.StructureVerdict`, as the regular action's kernel
 is.
 
 So the route needs a projective relator, and refuses a presentation
-without one before it derives a plan.  The generators it keeps are the
-lines of a Hamiltonian cycle of the plane graph whose relators state that
-cycle's quotient: every other line (a chord) is eliminated by a
-conjugate word along one arc of the cycle, each relation checked on a
-coset table of the group first (see ``derive_plan``), and ``label_cycle``
-labels the cycle by its generator ids.  The route checks the relators as
-written: each chord's window is its plan word's, so a relator's value is
-that of its rewrite over the cycle, and the rewritten presentation
+without one before it derives a plan.  ``label_cycle`` labels the cycle
+by its generator ids, and the presentation rewritten over the cycle
 (``CoxeterRoute.reduced``) is built only when it is read.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from typing import NamedTuple
 
+from .enumeration import coset_enumeration
 from .kernel import StructureVerdict, identify_structure
 from .permutations import _evaluate
 from .presentation import (
     GroupPresentation,
+    SearchBound,
     Word,
     eliminate_and_rewrite,
     hamiltonian_paths,
     invert_word,
     is_stated_along,
-    relation_holds,
 )
 
 
@@ -71,10 +83,9 @@ def eval_words(images, words) -> list[tuple[int, ...]]:
     Letter -k reads letter k, so a word names -k only for an involution
     f.  A word whose letters move by at most d_1, ..., d_L keeps the
     entries 0, 1, ..., m inside [-D, m + D] with D = d_1 + ... + d_L.  So
-    with D the largest such sum over the words, each image becomes the
-    tuple s of f on that interval (s[y] = f(y), a negative y read from the
-    end), and a letter is one lookup of :func:`permutations._evaluate`,
-    where entry 0 is the pad.
+    with D the largest such sum over the words, each image becomes its
+    :func:`_padded` values on that interval, and a letter is one lookup of
+    :func:`permutations._evaluate`, where entry 0 is the pad.
     """
     images = list(images)
     if not images:
@@ -82,17 +93,29 @@ def eval_words(images, words) -> list[tuple[int, ...]]:
     m = len(images[0])
     shifts = {}
     for k, w in enumerate(images, 1):
-        shifts[k] = shifts[-k] = max(abs(x - i) for i, x in enumerate(w, 1))
+        shifts[k] = shifts[-k] = _shift(w)
     try:
         t = max((sum(map(shifts.__getitem__, w)) for w in words), default=0) // m + 1
     except KeyError as exc:
         raise CoxeterError(f"word references unassigned generator {abs(exc.args[0])}") from None
     letters = {}
     for k, w in enumerate(images, 1):
-        # f(1 - t*m), ..., f(m + t*m), rotated to start at f(0)
-        line = [x + m * s for s in range(-t, t + 1) for x in w]
-        letters[k] = letters[-k] = tuple(line[t * m - 1 :] + line[: t * m - 1])
+        letters[k] = letters[-k] = _padded(w, t)
     return [_evaluate(letters, w, m)[1:] for w in words]
+
+
+def _shift(window) -> int:
+    """How far the window's affine permutation moves an integer at most."""
+    return max(abs(x - i) for i, x in enumerate(window, 1))
+
+
+def _padded(window, t) -> tuple[int, ...]:
+    """The values f(1 - t*m), ..., f(m + t*m) of the window's affine
+    permutation f, rotated to start at f(0): entry y is f(y), a negative
+    y read from the end."""
+    m = len(window)
+    line = [x + m * s for s in range(-t, t + 1) for x in window]
+    return tuple(line[t * m - 1 :] + line[: t * m - 1])
 
 
 # ---------------------------------------------------------------------------
@@ -191,7 +214,8 @@ class CoxeterRoute(NamedTuple):
 
     ``presentation`` is the route's input (projective relator separate)
     and ``plan`` maps each chord's generator id to its word over the
-    cycle, as :func:`derive_plan` finds them.
+    cycle, as :func:`derive_plan` finds them: the word has the chord's
+    window, and equals the chord in the group.
     """
 
     supported: bool
@@ -219,39 +243,38 @@ class CoxeterRoute(NamedTuple):
         return self.quotient.verdict() if self.quotient is not None else None
 
 
-def _chord_word(g, cycle, ends, table, symmetric) -> Word | None:
-    """The first word over ``cycle`` that equals the chord g in the group,
-    or None.  ``ends`` are the cycle positions i < j of the planes that
-    g's image moves; None also when it moves other than two."""
-    if len(ends) != 2:
-        return None
-    i, j = ends
-    arcs = sorted((cycle[i:j], cycle[j:] + cycle[:i]), key=len)
-    words = (w for arc in arcs for w in (arc + arc[-2::-1], arc[::-1] + arc[1:]))
-    return next((w for w in words if relation_holds(g, w, table, symmetric)), None)
+def derive_plan(pres, symmetric, bound) -> tuple[tuple[int, ...], dict[int, Word], list]:
+    """A Hamiltonian cycle of the plane graph, as its generators in walk
+    order; each generator off it (a chord) mapped to a word over the
+    cycle; and every generator's window, in id order, such that each
+    relator of ``pres`` holds in the affine symmetric group A.
 
+    The cycles close the paths of :func:`hamiltonian_paths` from plane 1
+    with an involution that joins the path's two end planes, has a stated
+    braid with the path's first and last generators, and a stated
+    commutator with the others.  The cycle's generators take the windows
+    of :func:`standard_assignment`.  A chord's image under ``symmetric``
+    (the map onto S_n) transposes two planes a and b of the cycle, which
+    splits into two arcs e1..ek from a to b; the shorter arc comes first,
+    on a tie the one the walk reaches first, and each gives the words
+    e1..ek..e1, then ek..e1..ek.  On a proper arc both words are one
+    reflection of a finite parabolic subgroup of A, so a chord has at most
+    two windows, each kept with its first word.
 
-def derive_plan(pres, table, symmetric, bound) -> tuple[tuple[int, ...], dict[int, Word]]:
-    """A Hamiltonian cycle of the plane graph whose generators state the
-    quotient of that cycle, as its generators in walk order, and each
-    generator off it (a chord) mapped to a word over the cycle that equals
-    it in the group.
+    The relators are checked in turn: those on the cycle alone once;
+    those on one chord under each of its windows, which drops the windows
+    they break; then those on several chords under the combinations of
+    the windows left, tried lazily, the first under which they all hold
+    giving the plan.  The cycle is the first that has a plan.  Every
+    generator's letters are padded once per cycle, wide enough for each
+    candidate, and each word is evaluated once per window it meets.
 
-    The cycles close the paths of :func:`hamiltonian_paths` from plane 1,
-    within ``bound`` partial paths, with an involution that joins the
-    path's two end planes, has a stated braid with the path's first and
-    last generators, and a stated commutator with the others.  A chord's
-    image transposes two planes a and b of the cycle, which splits into
-    two arcs e1..ek from a to b; the shorter arc comes first, on a tie the
-    one the walk reaches first, and each gives the positive words
-    e1..ek..e1, then ek..e1..ek.  A word is accepted when
-    :func:`relation_holds` proves it on ``table`` (a closed coset table of
-    the group with its projective relator, over a subgroup that meets the
-    kernel of ``symmetric``, the map onto S_n, trivially).  The cycle is
-    the first whose every chord has a word.
+    Raises :class:`~galcov.presentation.SearchBound` when the walk, or one
+    cycle's combinations, pass ``bound``, and :class:`CoxeterError` when
+    the walk runs out of cycles.  That the cycle's generators have index
+    1, so that the group is A (see the module docstring), is for
+    :func:`coxeter_route` to prove.
     """
-    if table is None:
-        raise CoxeterError("no coset table is available to verify the plan relations")
     gens = range(1, pres.generator_count + 1)
     relators = set(pres.relators)
     involutions = sorted(pres.involutions())
@@ -266,17 +289,87 @@ def derive_plan(pres, table, symmetric, bound) -> tuple[tuple[int, ...], dict[in
                 and is_stated_along(relators, path, last, ends)
             ):
                 cycle = path + (last,)
-                plan = {
-                    g: _chord_word(g, cycle, sorted(map(at.get, moved[g - 1])), table, symmetric)
-                    for g in gens
-                    if g not in cycle
-                }
-                if None not in plan.values():
-                    return cycle, plan
+                chords = {g: sorted(map(at.get, moved[g - 1])) for g in gens if g not in cycle}
+                if found := _plan_on_cycle(pres, cycle, chords, bound):
+                    return (cycle, *found)
     raise CoxeterError(
-        f"no Hamiltonian cycle of the plane graph within {bound} partial paths "
-        "writes every other generator as a word over the cycle"
+        "no Hamiltonian cycle of the plane graph writes every other generator "
+        "as a word over the cycle"
     )
+
+
+def _plan_on_cycle(pres, cycle, chords, bound) -> tuple[dict[int, Word], list] | None:
+    """The plan and windows of :func:`derive_plan` on one cycle, or None.
+    ``chords`` maps each chord to the cycle positions i < j of the planes
+    its image moves; a chord that moves other than two has no word."""
+    if any(len(ends) != 2 for ends in chords.values()):
+        return None
+    m = len(cycle)
+    identity = tuple(range(m + 1))
+    assignment = standard_assignment(label_cycle(pres.names, cycle))
+    windows = [assignment.get(name) for name in pres.names]
+    words = {}
+    for g, (i, j) in chords.items():
+        arcs = sorted((cycle[i:j], cycle[j:] + cycle[:i]), key=len)
+        # an arc of one edge gives that edge twice
+        words[g] = list(
+            dict.fromkeys(w for arc in arcs for w in (arc + arc[-2::-1], arc[::-1] + arc[1:]))
+        )
+    # a chord's window moves an integer no further than its widest word does
+    shift = {}
+    for g in cycle:
+        shift[g] = shift[-g] = _shift(windows[g - 1])
+    for g, ws in words.items():
+        shift[g] = shift[-g] = max(sum(map(shift.__getitem__, w)) for w in ws)
+    t = max([*shift.values(), *(sum(map(shift.__getitem__, r)) for r in pres.relators)]) // m + 1
+    letters = {}
+    for g in cycle:
+        letters[g] = letters[-g] = _padded(windows[g - 1], t)
+
+    def hold(rels):
+        return all(_evaluate(letters, r, m) == identity for r in rels)
+
+    alone, several, single = [], [], {g: [] for g in chords}
+    for r in pres.relators:
+        named = single.keys() & map(abs, r)
+        if len(named) > 1:
+            several.append((r, tuple(named)))
+        else:
+            (single[named.pop()] if named else alone).append(r)
+    if not hold(alone):
+        return None
+    options = []
+    for g, ws in words.items():
+        first = {}
+        for w in ws:
+            first.setdefault(_evaluate(letters, w, m)[1:], w)
+        kept = []
+        for window, w in first.items():
+            letters[g] = letters[-g] = padded = _padded(window, t)
+            if hold(single[g]):
+                kept.append((w, window, padded))
+        if not kept:
+            return None
+        options.append(kept)
+    # a relator on several chords is evaluated once per windows of its own chords
+    known = {}
+    for tried, combination in enumerate(itertools.product(*options)):
+        if tried == bound:
+            raise SearchBound(f"chord windows stopped at {bound} combinations")
+        chosen = dict(zip(chords, combination))
+        for g, (_, _, padded) in chosen.items():
+            letters[g] = letters[-g] = padded
+        for r, named in several:
+            key = (r, *(chosen[g][1] for g in named))
+            if key not in known:
+                known[key] = _evaluate(letters, r, m) == identity
+            if not known[key]:
+                break
+        else:
+            for g, (_, window, _) in chosen.items():
+                windows[g - 1] = window
+            return {g: w for g, (w, _, _) in chosen.items()}, windows
+    return None
 
 
 def label_cycle(names, cycle) -> CoxeterGraph:
@@ -296,44 +389,35 @@ def label_cycle(names, cycle) -> CoxeterGraph:
     return CoxeterGraph(vertex_count=m, edges=edges)
 
 
-def coxeter_route(
-    pres, proj: Word | None, table=None, symmetric=None, bound=1_000_000
-) -> CoxeterRoute:
+def coxeter_route(pres, proj: Word | None, symmetric, bound=1_000_000) -> CoxeterRoute:
     """Run the whole route on a presentation (projective relator separate).
 
     Without a projective relator there is nothing to quotient by, and the
-    route stops before it derives a plan.  ``table``, ``symmetric`` (the
-    map onto S_n) and ``bound`` derive and check the plan, as
-    :func:`derive_plan` describes.  Returns an unsupported result, with a
-    reason, whenever the input falls outside the one-cycle construction.
+    route stops before it derives a plan.  ``symmetric`` (the map onto
+    S_n) and ``bound`` derive the plan, as :func:`derive_plan` describes.
+    Then one enumeration of the cosets of the cycle's generators in the
+    group of ``pres``, within ``bound`` cosets, must close on one coset:
+    the group is then the affine symmetric group A.  It runs only after
+    every relator holds in A, as on a cycle that fails there the cycle's
+    subgroup may have infinite index.  The projective relator is
+    evaluated last, alone, under the plan's windows, and must be a
+    translation of the lattice.
 
-    The cycle's generators take the windows of
-    :func:`standard_assignment`, each chord the window of its plan word
-    (one :func:`eval_words` batch, none without a chord), and the
-    relators and the projective relator are evaluated as written in a
-    second batch.  Evaluation is a homomorphism of the free group, so
-    substituting the plan words, free reduction and dedupe change no
-    relator's value: the relators hold exactly when the reduced ones do,
-    and the projective relator has its rewrite's value.  Each plan word
-    is a palindrome of involutions, so each chord's window is an
-    involution too, and :func:`eval_words` may read letter -k as letter k.
+    Returns an unsupported result, with a reason, whenever the input falls
+    outside the one-cycle construction.  Raises
+    :class:`~galcov.presentation.SearchBound` or
+    :class:`~galcov.enumeration.EnumerationOverflow` when a search or the
+    enumeration passes ``bound``.
     """
     try:
         if proj is None:
             raise CoxeterError("no projective relator to quotient by")
-        cycle, plan = derive_plan(pres, table, symmetric, bound)
-        graph = label_cycle(pres.names, cycle)
-        assignment = standard_assignment(graph)
-        m = graph.vertex_count
-        identity = tuple(range(1, m + 1))
-        # each chord reads the identity until its plan word, over the cycle only, is evaluated
-        windows = [assignment.get(name, identity) for name in pres.names]
-        if plan:
-            for g, w in zip(plan, eval_words(windows, tuple(plan.values()))):
-                windows[g - 1] = w
-        *values, element = eval_words(windows, pres.relators + (proj,))
-        if any(v != identity for v in values):
-            raise CoxeterError("assignment fails to satisfy the reduced relators")
+        cycle, plan, windows = derive_plan(pres, symmetric, bound)
+        index = coset_enumeration(pres, [(g,) for g in cycle], bound).coset_count
+        if index != 1:
+            raise CoxeterError(f"the cycle's generators have index {index} in the group, not 1")
+        (element,) = eval_words(windows, [proj])
+        m = len(cycle)
         if any((x - i) % m for i, x in enumerate(element, 1)):
             raise CoxeterError(
                 "projective relator has a non-identity permutation part; "
@@ -343,12 +427,13 @@ def coxeter_route(
         return CoxeterRoute(supported=False, reason=str(exc))
     # a pure translation: its window reads vec_i = (w_i - i)/m
     vec = tuple((x - i) // m for i, x in enumerate(element, 1))
+    graph = label_cycle(pres.names, cycle)
     return CoxeterRoute(
         supported=True,
         presentation=pres,
         plan=plan,
         graph=graph,
-        assignment=assignment,
+        assignment=standard_assignment(graph),
         proj_vector=vec,
         proj_u_coords=u_basis_coords(vec),
         quotient=lattice_quotient(vec),

@@ -60,6 +60,11 @@ class MissingFourPointData(PresentationError):
     """Complex has inner 4-points but no override relations were supplied."""
 
 
+class SearchBound(Exception):
+    """A bounded search stopped at its bound before it ran out of
+    candidates; the message says which search and where."""
+
+
 # ---------------------------------------------------------------------------
 # words
 
@@ -481,9 +486,10 @@ def hamiltonian_paths(pres, assignment, starts, bound):
     The plane graph joins the two planes that an involution's image
     transposes, an involution being a generator with a stated square.
     The walk is depth first, from the starts in order, along edges in
-    generator order, and stops after ``bound`` partial paths.  It extends
-    a path by g only when g's braid with the path's last generator is
-    stated, and its commutator with every earlier one.
+    generator order.  It extends a path by g only when g's braid with the
+    path's last generator is stated, and its commutator with every earlier
+    one.  It raises :class:`SearchBound` when ``bound`` partial paths
+    leave it unfinished.
     """
     n = assignment.degree
     relators = set(pres.relators)
@@ -506,6 +512,8 @@ def hamiltonian_paths(pres, assignment, starts, bound):
             for g, b in reversed(edges[planes[-1]])
             if b not in planes and is_stated_along(relators, path, g, path[-1:])
         )
+    if stack:
+        raise SearchBound(f"walk of the plane graph stopped at {bound} partial paths")
 
 
 def complement_path(pres, assignment, bound):
@@ -521,7 +529,10 @@ def complement_path(pres, assignment, bound):
     trivially, and [G:H] = |K|.
     """
     paths = hamiltonian_paths(pres, assignment, range(1, assignment.degree + 1), bound)
-    return next(paths, ((), ()))
+    try:
+        return next(paths, ((), ()))
+    except SearchBound:
+        return (), ()
 
 
 # ---------------------------------------------------------------------------

@@ -18,9 +18,8 @@ later moves rewrite both, so deduplication cannot wait for the end of the
 merge rounds.  Every move rewrites through
 :func:`galcov.presentation._apply`, the one rewrite routine, which
 :func:`galcov.presentation.eliminate_and_rewrite` shares.  The Coxeter
-route checks each chord's word against a coset table of the group with
-:func:`galcov.presentation.relation_holds` and evaluates the relators as
-written; it runs ``eliminate_and_rewrite`` only when a caller reads
+route checks its relators as written, in the affine symmetric group; it
+runs ``eliminate_and_rewrite`` only when a caller reads
 ``CoxeterRoute.reduced``."""
 
 from __future__ import annotations

@@ -293,14 +293,9 @@ def coxeter_cover(m, k):
 
 def route_of_complex(c):
     """The Coxeter route on the complex ``c`` as ``analyze`` runs it at the
-    default bound: its plan checked on the table of G~ over an S_n
-    complement."""
-    full = build_tilde_presentation(c)
-    symmetric = plane_transposition_map(c)
-    path, _ = complement_path(full, symmetric, 1_000_000)
-    table = coset_enumeration(full, [(g,) for g in path], 1_000_000)
+    default bound, with no table of G~."""
     pres = build_tilde_presentation(c, include_projective=False)
-    return coxeter_route(pres, projective_relator(c), table, symmetric)
+    return coxeter_route(pres, projective_relator(c), plane_transposition_map(c))
 
 
 def write_dt4_power(path, k):

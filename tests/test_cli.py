@@ -7,6 +7,7 @@ import time
 import pytest
 
 import galcov.cli
+import galcov.coxeter
 from galcov.cli import AnalysisError, analyze, emit_report, main
 from galcov.complexes import ClassificationError
 from galcov.datasets import load_builtin
@@ -251,13 +252,14 @@ def test_every_route_times_the_assignment_build(route):
     assert stages.index("assignment") < stages.index("image_order") < stages.index("homomorphism")
 
 
-def test_coxeter_route_times_its_complement_search_and_enumeration():
-    # --route coxeter enumerates the group over its complement; the search
-    # is reported as "complement", the enumeration as "enumerate"
+def test_coxeter_route_builds_no_table_of_the_group():
+    # --route coxeter runs no complement search and no enumeration of G~:
+    # its one enumeration, over its cycle, is timed in its own stage
     report = analyze("dt4", route="coxeter")
     assert report.enumeration_route is None
-    assert {"presentation", "complement", "enumerate", "coxeter"} <= set(report.timings)
-    # without a projective relator the route declines before either runs
+    assert {"presentation", "coxeter"} <= set(report.timings)
+    assert not {"complement", "enumerate"} & set(report.timings)
+    # without a projective relator the route declines, and runs neither
     report = analyze("t4", route="coxeter")
     assert report.coxeter_route == {
         "supported": False, "reason": "no projective relator to quotient by"
@@ -267,31 +269,44 @@ def test_coxeter_route_times_its_complement_search_and_enumeration():
 
 
 def test_coxeter_route_overflow_is_undecided_at_bound(capsys):
-    # --route coxeter enumerates like the other routes, so an overflow is
-    # reported the same way, not as a route that produced no verdict; dt4's
-    # enumeration over its complement defines 100 cosets
-    report = analyze("dt4", route="coxeter", max_cosets=30)
+    # the route's enumeration over its cycle defines 11 cosets on dt4, so at
+    # 11 it overflows: a bound hit, reported as the other routes report
+    # one, not as an unsupported route
+    warning = "undecided at bound: coxeter route: enumeration over the cycle overflow at 11 cosets"
+    report = analyze("dt4", route="coxeter", max_cosets=11)
     assert report.undecided
-    assert report.tilde_order is None
-    assert report.pi1 == {"kind": "Undetermined", "note": "undecided at bound 30"}
-    assert "undecided at bound: enumeration overflow at 30 cosets" in report.warnings
-    assert report.coxeter_route["supported"] is False
-    assert "no coset table is available" in report.coxeter_route["reason"]
-    assert main(["analyze", "dt4", "--route", "coxeter", "--max-cosets", "30"]) == 1
-    assert "undecided at bound" in capsys.readouterr().out
+    assert report.tilde_order is None and report.kernel_order is None
+    assert report.pi1 == {"kind": "Undetermined", "note": "undecided at bound 11"}
+    assert report.warnings[2:] == [warning]
+    assert report.coxeter_route is None
+    assert list(report.timings)[-1] == "coxeter"
+    assert main(["analyze", "dt4", "--route", "coxeter", "--max-cosets", "11"]) == 1
+    assert f"warning: {warning}\n" in capsys.readouterr().out
+    assert main(["analyze", "dt4", "--route", "coxeter", "--max-cosets", "12"]) == 0
+    assert "Z2^4 (order 16)" in capsys.readouterr().out
+    # below 8 partial paths the walk to the cycle stops first
+    report = analyze("dt4", route="coxeter", max_cosets=6)
+    assert report.warnings[2:] == [
+        "undecided at bound: coxeter route: walk of the plane graph stopped at 6 partial paths"
+    ]
 
 
-def test_coxeter_route_enumerates_once_over_the_complement(monkeypatch):
-    calls = []
-    real = galcov.cli.coset_enumeration
+def test_coxeter_route_enumerates_once_over_the_cycle(monkeypatch):
+    # no enumeration of G~ over its complement; one of the group without
+    # its projective relator over the cycle g1 g4 g2 g5 g9 g8
+    calls = {}
+    for module in (galcov.cli, galcov.coxeter):
+        real = module.coset_enumeration
+        calls[module] = []
 
-    def recording(pres, subgroup, max_cosets):
-        calls.append(subgroup)
-        return real(pres, subgroup, max_cosets)
+        def recording(pres, subgroup, max_cosets, real=real, seen=calls[module]):
+            seen.append(subgroup)
+            return real(pres, subgroup, max_cosets)
 
-    monkeypatch.setattr(galcov.cli, "coset_enumeration", recording)
+        monkeypatch.setattr(module, "coset_enumeration", recording)
     report = analyze("dt4", route="coxeter")
-    assert calls == [[(1,), (4,), (2,), (3,), (9,)]]
+    assert calls[galcov.cli] == []
+    assert calls[galcov.coxeter] == [[(1,), (4,), (2,), (5,), (9,), (8,)]]
     assert report.coxeter_route["order"] == 16
     assert report.kernel_order == 16 and report.tilde_order == 11_520
 
@@ -836,19 +851,22 @@ def test_kernel_enumeration_overflow_is_undecided(monkeypatch, capsys):
 
 
 def test_kernel_presentation_decides_alone(monkeypatch):
-    # with no complement there is no table of G~, so the Coxeter route
-    # declines and the kernel presentation's |K| is the report's
+    # with no complement there is no table of G~: the kernel presentation's
+    # |K| is the report's, and the Coxeter route, which reads no table,
+    # agrees with it
     monkeypatch.setattr(galcov.cli, "complement_path", lambda *args: ((), ()))
     report = analyze("dt4", route="both", max_cosets=720)
     assert report.enumeration_route is None
-    assert report.coxeter_route["supported"] is False
+    assert report.coxeter_route["order"] == 16
     assert report.kernel_cross_check == {
         "from_index": None, "from_subgroup_presentation": 16, "agree": None
     }
+    assert report.route_agreement is True
     assert report.pi1 == {"kind": "ElementaryAbelian2", "rank": 4}
     assert report.kernel_order == 16 and report.tilde_order == 11_520
     # past the Smith normal form's generator limit it has |K| and no
-    # invariants, and |K| = 16 alone decides nothing
+    # invariants, and |K| = 16 alone decides nothing: its undetermined
+    # verdict stands before the Coxeter route's
     monkeypatch.setattr(galcov.cli, "_SNF_GENERATOR_LIMIT", 0)
     report = analyze("dt4", route="both", max_cosets=720)
     assert report.undecided and "snf" not in report.timings
@@ -895,7 +913,7 @@ def test_regular_action_stopped_at_its_lookup_bound(monkeypatch):
         (
             "dt4", "both", 30,
             ["enumeration overflow at 30 cosets", "kernel table needs 720 rows"],
-            {"kind": "Undetermined", "note": "undecided at bound 30"}, None, 1,
+            {"kind": "ElementaryAbelian2", "rank": 4}, 16, 0,
         ),
         (
             "dt4", "both", 79,
@@ -911,15 +929,30 @@ def test_regular_action_stopped_at_its_lookup_bound(monkeypatch):
             {"kind": "Undetermined", "note": "undecided at bound 3"}, None, 1,
         ),
         (
-            "dt4", "coxeter", 73,
-            ["enumeration overflow at 73 cosets"],
-            {"kind": "Undetermined", "note": "undecided at bound 73"}, None, 1,
+            "dt4", "coxeter", 11,
+            ["coxeter route: enumeration over the cycle overflow at 11 cosets"],
+            {"kind": "Undetermined", "note": "undecided at bound 11"}, None, 1,
+        ),
+        (
+            "dt4", "coxeter", 5,
+            ["coxeter route: walk of the plane graph stopped at 5 partial paths"],
+            {"kind": "Undetermined", "note": "undecided at bound 5"}, None, 1,
+        ),
+        (
+            "dt4", "both", 11,
+            [
+                "enumeration overflow at 11 cosets",
+                "kernel table needs 720 rows",
+                "coxeter route: enumeration over the cycle overflow at 11 cosets",
+            ],
+            {"kind": "Undetermined", "note": "undecided at bound 11"}, None, 1,
         ),
     ],
 )
 def test_each_bound_hit_is_one_warning(name, route, bound, hits, pi1, kernel, code, capsys):
     # a run that hits several bounds warns once for each, in the order its
-    # stages hit them; the Coxeter route may still decide
+    # stages hit them; the Coxeter route, which builds no table of G~, may
+    # still decide
     argv = ["analyze", name, "--route", route, "--max-cosets", str(bound), "--format", "json"]
     assert main(argv) == code
     report = json.loads(capsys.readouterr().out)
@@ -943,7 +976,8 @@ def test_kernel_route_decides_both_after_full_overflow(monkeypatch, capsys):
     }
     assert report.route_agreement is True
     # with no complement found, G~ is not enumerated at all: the one table
-    # is the kernel enumeration's, and the kernel presentation decides alone
+    # is the kernel enumeration's, the kernel presentation decides, and the
+    # Coxeter route, which needs no table, agrees
     monkeypatch.setattr(galcov.cli, "complement_path", lambda *args: ((), ()))
     tables.clear()
     report = analyze("dt4", route="both", max_cosets=720)
@@ -952,12 +986,14 @@ def test_kernel_route_decides_both_after_full_overflow(monkeypatch, capsys):
     assert not report.undecided
     assert "undecided at bound: no S_n complement within 720 partial paths" in report.warnings
     assert report.kernel_cross_check["from_index"] is None
-    assert report.coxeter_route["supported"] is False
-    assert report.route_agreement is None
+    assert report.coxeter_route["order"] == 16
+    assert report.route_agreement is True
     assert main(["analyze", "dt4", "--route", "both", "--max-cosets", "720"]) == 0
     assert "undecided at bound: no S_n complement within 720" in capsys.readouterr().out
-    # below the kernel table's 720 rows both routes stop at their bounds
-    assert main(["analyze", "dt4", "--route", "both", "--max-cosets", "30"]) == 1
+    # below the kernel table's 720 rows both kernel routes stop at their
+    # bounds, and the Coxeter route decides alone
+    assert main(["analyze", "dt4", "--route", "both", "--max-cosets", "30"]) == 0
     out = capsys.readouterr().out
     assert "undecided at bound: kernel table needs 720 rows" in out
     assert "undecided at bound: no S_n complement within 30 partial paths" in out
+    assert "pi1(X_Gal) verdict: Z2^4\n" in out and "Routes agree" not in out

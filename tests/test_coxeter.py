@@ -20,11 +20,12 @@ from galcov.coxeter import (
     u_basis_coords,
 )
 from galcov.datasets import DT4_JSON, load_builtin
-from galcov.enumeration import coset_enumeration
+from galcov.enumeration import CosetTable, coset_enumeration
 from galcov.kernel import regular_kernel, smith_normal_form
 from galcov.permutations import SymmetricAssignment, plane_transposition_map
 from galcov.presentation import (
     GroupPresentation,
+    SearchBound,
     build_tilde_presentation,
     commutator_word,
     complement_path,
@@ -34,6 +35,7 @@ from galcov.presentation import (
     hamiltonian_paths,
     invert_word,
     projective_relator,
+    relation_holds,
     triple_word,
 )
 
@@ -265,14 +267,9 @@ def test_standard_assignment_triangle():
 
 
 @pytest.fixture(scope="module")
-def dt4_route(dt4, dt4_assignment, dt4_complement_table):
+def dt4_route(dt4, dt4_assignment):
     pres_noproj = build_tilde_presentation(dt4, include_projective=False)
-    return coxeter_route(
-        pres_noproj,
-        projective_relator(dt4),
-        table=dt4_complement_table,
-        symmetric=dt4_assignment,
-    )
+    return coxeter_route(pres_noproj, projective_relator(dt4), symmetric=dt4_assignment)
 
 
 def test_route_reproduces_expected_images(dt4_route):
@@ -349,36 +346,105 @@ def test_route_matches_its_rewritten_presentation(tmp_path, dt4):
         check_against_the_rewrite(route, projective_relator(c))
 
 
+def chord_words(cycle, ends):
+    """The words of a chord whose planes sit at the cycle positions
+    ``ends``, in the order the plan tries them."""
+    i, j = ends
+    arcs = sorted((cycle[i:j], cycle[j:] + cycle[:i]), key=len)
+    return [w for arc in arcs for w in (arc + arc[-2::-1], arc[::-1] + arc[1:])]
+
+
+def test_chord_windows_are_those_of_the_table_checked_words(tmp_path, dt4):
+    # once the group without its projective relator is the affine group,
+    # its map there is unique: each chord's window is that of the first of
+    # its words that relation_holds accepts on the table of G~ over an S_n
+    # complement, which is how the plan was checked before
+    relabel_json = load_relabel_json()
+    complexes = [dt4]
+    complexes += [parse_complex(relabel_json(DT4_JSON, random.Random(s))) for s in range(6)]
+    for k in (2, 3):
+        path = write_dt4_power(tmp_path / f"dt4-power{k}.json", k)
+        complexes.append(parse_complex(path.read_text(encoding="utf-8")))
+    for c in complexes:
+        full = build_tilde_presentation(c)
+        symmetric = plane_transposition_map(c)
+        path, _ = complement_path(full, symmetric, 1_000_000)
+        table = coset_enumeration(full, [(g,) for g in path], 1_000_000)
+        pres = build_tilde_presentation(c, include_projective=False)
+        cycle, plan, windows = derive_plan(pres, symmetric, 1_000_000)
+        planes = [1]
+        for g in cycle[:-1]:
+            a, b = symmetric.moved[g - 1]
+            planes.append(b if planes[-1] == a else a)
+        at = {p: k for k, p in enumerate(planes)}
+        assert len(plan) == 3
+        for g in plan:
+            words = chord_words(cycle, sorted(map(at.get, symmetric.moved[g - 1])))
+            checked = next(w for w in words if relation_holds(g, w, table, symmetric))
+            assert eval_words(windows, [checked]) == [windows[g - 1]]
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 10, 100, 1000])
+def test_dt4_power_on_the_coxeter_route(tmp_path, k):
+    # dt4^k: |K| = 16 k^5 and K = Z_k x Z_2k^4, with no table of G~; the
+    # enumeration over the cycle is the same for every k
+    path = write_dt4_power(tmp_path / f"dt4-power{k}.json", k)
+    report = analyze(str(path), route="coxeter")
+    assert not report.undecided
+    assert report.kernel_order == 16 * k**5 and report.tilde_order == 720 * 16 * k**5
+    assert report.coxeter_route["invariants"] == [k, 2 * k, 2 * k, 2 * k, 2 * k]
+    assert report.coxeter_route["order"] == 16 * k**5
+    assert not {"complement", "enumerate"} & set(report.timings)
+
+
 def test_dt4_route_evaluates_as_written(monkeypatch):
-    # one batch for the three chord words, one for the 54 relators and the
-    # projective relator; the presentation is never rewritten
+    # the plan evaluates the 54 relators and the 12 candidate words on
+    # letters padded once for the cycle, and no word twice under the same
+    # letters: the relators on g6 alone once per window of g6, those on
+    # several chords once per windows of their own chords, in the two
+    # combinations tried (g6's two windows).  The projective relator is
+    # evaluated once, in the one eval_words batch, and the presentation is
+    # never rewritten
     eliminations = count_calls(monkeypatch, galcov.coxeter, "eliminate_and_rewrite")
-    evaluations = count_calls(monkeypatch, galcov.coxeter, "eval_words")
+    batches = count_calls(monkeypatch, galcov.coxeter, "eval_words")
+    evaluated = []
+    real = galcov.coxeter._evaluate
+
+    def recording(letters, word, degree):
+        evaluated.append((word, tuple(letters[x] for x in word)))
+        return real(letters, word, degree)
+
+    monkeypatch.setattr(galcov.coxeter, "_evaluate", recording)
+    pres = build_tilde_presentation(load_builtin("dt4"), include_projective=False)
+    assert len(pres.relators) == 54
     assert analyze("dt4", route="coxeter").coxeter_route["supported"]
     assert eliminations == []
-    assert [len(words) for _, words in evaluations] == [3, 55]
+    assert [len(words) for _, words in batches] == [1]
+    assert len(evaluated) == len(set(evaluated)) == 95
 
 
-def test_route_with_a_relator_a_chord_breaks_is_unsupported(
-    dt4, dt4_assignment, dt4_complement_table
-):
+NO_CYCLE = (
+    "no Hamiltonian cycle of the plane graph writes every other generator as a word over the cycle"
+)
+
+
+def test_route_with_a_relator_a_chord_breaks_is_unsupported(monkeypatch, dt4, dt4_assignment):
     # dt4's projective relator, stated among the relators too, names the
-    # chords g3, g6 and g7 and maps to a nonzero translation.  The group
-    # and its table are unchanged, so the plan is too, and the check fails
-    # as it does on the rewritten relators
+    # chords g3, g6 and g7 and maps to a nonzero translation under the
+    # windows every other relator allows: no cycle has a plan, and the
+    # enumeration over a cycle, which could run away on a cycle that fails
+    # in the affine group, never starts
+    enumerations = count_calls(monkeypatch, galcov.coxeter, "coset_enumeration")
     pres = build_tilde_presentation(dt4, include_projective=False)
     proj = projective_relator(dt4)
+    assert {3, 6, 7} <= set(map(abs, proj))
     broken = GroupPresentation.make(pres.names, pres.relators + (proj,))
-    route = coxeter_route(broken, proj, dt4_complement_table, dt4_assignment)
+    route = coxeter_route(broken, proj, dt4_assignment)
     assert not route.supported
-    assert route.reason == "assignment fails to satisfy the reduced relators"
-    cycle, plan = derive_plan(broken, dt4_complement_table, dt4_assignment, 1_000_000)
-    assert sorted(plan) == [3, 6, 7] and {3, 6, 7} <= set(map(abs, proj))
-    image = {**plan, **{-g: invert_word(w) for g, w in plan.items()}}
-    reduced, _ = eliminate_and_rewrite(broken, image, ())
-    assignment = standard_assignment(label_cycle(broken.names, cycle))
-    values = eval_words([assignment[name] for name in reduced.names], reduced.relators)
-    assert sum(v != identity(6) for v in values) == 1
+    assert route.reason == NO_CYCLE
+    assert enumerations == []
+    with pytest.raises(CoxeterError, match=f"^{NO_CYCLE}$"):
+        derive_plan(broken, dt4_assignment, 1_000_000)
 
 
 def test_route_quotient(dt4_route):
@@ -491,7 +557,7 @@ def test_t4_route_unsupported(monkeypatch, t4):
     rng = random.Random(12)
     for c in [t4] + [relabel_complex(t4, rng) for _ in range(4)]:
         pres = build_tilde_presentation(c, include_projective=False)
-        route = coxeter_route(pres, projective_relator(c))
+        route = coxeter_route(pres, projective_relator(c), plane_transposition_map(c))
         assert not route.supported
         assert route.reason == "no projective relator to quotient by"
     assert eliminations == [] and evaluations == []
@@ -509,18 +575,12 @@ def triangle_presentation(*extra):
 
 def triangle_route(proj, *extra):
     """The route on the triangle, whose generators transpose the planes
-    (1 2), (2 3) and (1 3), with a table of the group and ``proj`` over
-    the complement."""
+    (1 2), (2 3) and (1 3)."""
     pres = triangle_presentation(*extra)
     symmetric = SymmetricAssignment(
         3, tuple(transposition(3, *ab) for ab in ((1, 2), (2, 3), (1, 3)))
     )
-    table = None
-    if proj is not None:
-        full = GroupPresentation.make(pres.names, pres.relators + (proj,))
-        path, _ = complement_path(full, symmetric, 100)
-        table = coset_enumeration(full, [(g,) for g in path], 100)
-    return coxeter_route(pres, proj, table, symmetric)
+    return coxeter_route(pres, proj, symmetric)
 
 
 def test_triangle_route_without_projective_relator_is_unsupported():
@@ -541,12 +601,15 @@ def test_triangle_route_quotients_by_a_root():
     assert route.verdict().kind == "Trivial"
 
 
-def test_route_with_a_relator_the_cycle_breaks_is_unsupported():
+def test_route_with_a_relator_the_cycle_breaks_is_unsupported(monkeypatch):
     # g1 g2 maps onto the 3-cycle (1 3)(2 3), so (g1 g2)^2 does not; the
-    # plane graph is the cycle itself, so no chord is eliminated
+    # plane graph is the cycle itself, whose relators fail in the affine
+    # group on every walk, so the enumeration over it never starts
+    enumerations = count_calls(monkeypatch, galcov.coxeter, "coset_enumeration")
     route = triangle_route((1, 3, 2, 3), (1, 2, 1, 2))
     assert not route.supported
-    assert route.reason == "assignment fails to satisfy the reduced relators"
+    assert route.reason == NO_CYCLE
+    assert enumerations == []
 
 
 def test_projective_relator_off_the_lattice_is_unsupported():
@@ -568,14 +631,10 @@ def square_presentation(missing=None):
 
 
 def square_plan(pres):
-    """derive_plan on ``pres``, whose generators g1 g2 g3 g4 transpose the
-    planes (1 2), (2 3), (3 4) and (1 4), with the table of the Coxeter
-    cover of the 4-cycle over its complement; the square has no chord, so
-    the table is never read."""
-    cover, proj, symmetric = coxeter_cover(4, 2)
-    full = GroupPresentation.make(cover.names, cover.relators + (proj,))
-    table = coset_enumeration(full, [(g,) for g in (1, 2, 3)], 1_000)
-    return derive_plan(pres, table, symmetric, 1_000)
+    """The cycle and plan of derive_plan on ``pres``, whose generators g1
+    g2 g3 g4 transpose the planes (1 2), (2 3), (3 4) and (1 4)."""
+    _, _, symmetric = coxeter_cover(4, 2)
+    return derive_plan(pres, symmetric, 1_000)[:2]
 
 
 def test_derive_plan_walks_the_square():
@@ -589,7 +648,7 @@ def test_derive_plan_walks_the_square():
 )
 def test_derive_plan_needs_every_braid_and_commutator_of_the_cycle(missing):
     # the square's only cycle, walked from plane 1 either way, lacks a pair
-    with pytest.raises(CoxeterError, match="^no Hamiltonian cycle of the plane graph within 1000"):
+    with pytest.raises(CoxeterError, match=f"^{NO_CYCLE}$"):
         square_plan(square_presentation(missing))
 
 
@@ -600,7 +659,7 @@ def test_derive_plan_walks_no_generator_without_its_square():
     _, _, symmetric = coxeter_cover(4, 2)
     paths = list(hamiltonian_paths(pres, symmetric, (1, 2, 3, 4), 1_000))
     assert paths == [((2, 1, 4), (3, 2, 1, 4)), ((4, 1, 2), (4, 1, 2, 3))]
-    with pytest.raises(CoxeterError, match="^no Hamiltonian cycle of the plane graph"):
+    with pytest.raises(CoxeterError, match=f"^{NO_CYCLE}$"):
         square_plan(pres)
 
 
@@ -609,11 +668,9 @@ def test_route_on_two_generators_is_unsupported():
     # g1 is one generator, too short to close into a cycle with g2
     pres = GroupPresentation.make(("g1", "g2"), [(1, 1), (2, 2), triple_word(1, 2)])
     symmetric = SymmetricAssignment(2, (transposition(2, 1, 2),) * 2)
-    full = GroupPresentation.make(pres.names, pres.relators + ((1, 2),))
-    table = coset_enumeration(full, [(1,)], 100)
-    route = coxeter_route(pres, (1, 2), table, symmetric, 100)
+    route = coxeter_route(pres, (1, 2), symmetric, 100)
     assert not route.supported
-    assert route.reason.startswith("no Hamiltonian cycle of the plane graph within 100")
+    assert route.reason == NO_CYCLE
 
 
 def test_label_cycle_starts_from_the_highest_generator():
@@ -625,44 +682,60 @@ def test_label_cycle_starts_from_the_highest_generator():
         assert label_cycle(names, cycle) == CoxeterGraph(4, expected)
 
 
-def test_reduce_presentation_plan_requires_evidence(monkeypatch, dt4, dt4_assignment):
-    # without a table the route is unsupported before any elimination
-    eliminations = count_calls(monkeypatch, galcov.coxeter, "eliminate_and_rewrite")
-    checks = count_calls(monkeypatch, galcov.coxeter, "relation_holds")
-    pres = build_tilde_presentation(dt4, include_projective=False)
-    route = coxeter_route(pres, projective_relator(dt4), None, dt4_assignment)
+def test_reduce_presentation_plan_requires_evidence(monkeypatch, tmp_path):
+    # on seed 0 of dt4's relabelings the walk's first cycle, g5 g4 g2 g3 g8
+    # g6, fails in the affine group, and the second has a plan; only then
+    # does the one enumeration run, over that cycle, and close on one coset
+    path = tmp_path / "dt4.json"
+    path.write_text(load_relabel_json()(DT4_JSON, random.Random(0)), encoding="utf-8")
+    c = parse_complex(path.read_text(encoding="utf-8"))
+    pres = build_tilde_presentation(c, include_projective=False)
+    symmetric = plane_transposition_map(c)
+    enumerations = count_calls(monkeypatch, galcov.coxeter, "coset_enumeration")
+    cycle, _, _ = derive_plan(pres, symmetric, 1_000_000)
+    assert format_word(cycle, pres.names) == "g5 g9 g2 g1 g8 g7"
+    assert enumerations == []
+    assert route_of_complex(c).supported
+    assert enumerations == [(pres, [(g,) for g in cycle], 1_000_000)]
+    # an index other than 1 leaves the group bigger than the affine group
+    monkeypatch.setattr(
+        galcov.coxeter, "coset_enumeration", lambda *args: CosetTable(1, ((1, 0),))
+    )
+    route = route_of_complex(c)
     assert not route.supported
-    assert route.reason == "no coset table is available to verify the plan relations"
-    assert eliminations == [] and checks == []
+    assert route.reason == "the cycle's generators have index 2 in the group, not 1"
 
 
-def test_reduce_presentation_plan_rejects_false_relation(
-    monkeypatch, dt4, dt4_assignment, dt4_table, dt4_complement_table
-):
+def test_reduce_presentation_plan_rejects_false_relation(dt4, dt4_assignment, dt4_complement_table):
     # g6 transposes planes 2 and 5 of the first cycle, g1 g4 g2 g5 g9 g8
-    # through planes 1 2 3 6 5 4; both arcs have three edges.  g4 g2 g5 g2 g4
-    # and g5 g2 g4 g2 g5 have g6's image but are not g6, so they are skipped
+    # through planes 1 2 3 6 5 4; both arcs have three edges, and each
+    # gives one window.  g4 g2 g5 g2 g4 has g6's image but is not g6, as
+    # the table over the S_6 complement shows, and no relator on g6 alone
+    # tells its window from that of g9 g8 g1 g8 g9: the relators on two
+    # chords reject it
     pres = build_tilde_presentation(dt4, include_projective=False)
-    for table in (dt4_table, dt4_complement_table):
-        calls = count_calls(monkeypatch, galcov.coxeter, "relation_holds")
-        cycle, plan = derive_plan(pres, table, dt4_assignment, 1_000_000)
-        assert format_word(cycle, pres.names) == "g1 g4 g2 g5 g9 g8"
-        tried = [(pres.names[g - 1], format_word(w, pres.names)) for g, w, *_ in calls]
-        assert tried == [
-            ("g3", "g5 g9 g5"),
-            ("g6", "g4 g2 g5 g2 g4"),
-            ("g6", "g5 g2 g4 g2 g5"),
-            ("g6", "g9 g8 g1 g8 g9"),
-            ("g7", "g1 g4 g1"),
-        ]
-        assert format_word(plan[6], pres.names) == "g9 g8 g1 g8 g9"
+    cycle, plan, windows = derive_plan(pres, dt4_assignment, 1_000_000)
+    assert format_word(cycle, pres.names) == "g1 g4 g2 g5 g9 g8"
+    assignment = standard_assignment(label_cycle(pres.names, cycle))
+    images = [assignment.get(name, identity(6)) for name in pres.names]
+    texts = ("g4 g2 g5 g2 g4", "g5 g2 g4 g2 g5", "g9 g8 g1 g8 g9", "g1 g8 g9 g8 g1")
+    words = [word_of(text, pres.names) for text in texts]
+    false, _, true, _ = found = eval_words(images, words)
+    assert found == [false, false, true, true] and false != true
+    holds = [relation_holds(6, w, dt4_complement_table, dt4_assignment) for w in words]
+    assert holds == [False, False, True, True]
+    on_g6 = [r for r in pres.relators if {3, 6, 7}.intersection(map(abs, r)) == {6}]
+    for window in (false, true):
+        images[5] = window
+        assert on_g6 and all(v == identity(6) for v in eval_words(images, on_g6))
+    assert format_word(plan[6], pres.names) == "g9 g8 g1 g8 g9" and windows[5] == true
 
 
-def test_derived_plan_of_dt4_is_the_papers(dt4, dt4_assignment, dt4_complement_table, dt4_route):
+def test_derived_plan_of_dt4_is_the_papers(dt4, dt4_assignment, dt4_route):
     # the first cycle of the walk gives the paper's eliminations, so the
     # reduced presentation is the paper's too
     pres = build_tilde_presentation(dt4, include_projective=False)
-    cycle, plan = derive_plan(pres, dt4_complement_table, dt4_assignment, 1_000_000)
+    cycle, plan, _ = derive_plan(pres, dt4_assignment, 1_000_000)
     assert format_word(cycle, pres.names) == "g1 g4 g2 g5 g9 g8"
     named = {pres.names[g - 1]: format_word(w, pres.names) for g, w in plan.items()}
     assert named == dict(DT4_PAPER_PLAN)
@@ -672,14 +745,51 @@ def test_derived_plan_of_dt4_is_the_papers(dt4, dt4_assignment, dt4_complement_t
     assert dt4_route.reduced == reduced
 
 
-def test_derived_plan_without_a_verified_cycle_is_unsupported(
-    monkeypatch, dt4, dt4_assignment, dt4_complement_table
-):
-    monkeypatch.setattr(galcov.coxeter, "relation_holds", lambda *args: False)
+def test_derived_plan_without_a_verified_cycle_is_unsupported(monkeypatch, dt4, dt4_assignment):
+    # no cycle the walk closes has a plan, so the walk runs out of cycles
+    monkeypatch.setattr(galcov.coxeter, "_plan_on_cycle", lambda *args: None)
+    enumerations = count_calls(monkeypatch, galcov.coxeter, "coset_enumeration")
     pres = build_tilde_presentation(dt4, include_projective=False)
-    route = coxeter_route(pres, projective_relator(dt4), dt4_complement_table, dt4_assignment)
+    route = coxeter_route(pres, projective_relator(dt4), dt4_assignment)
     assert not route.supported
-    assert route.reason.startswith("no Hamiltonian cycle of the plane graph within 1000000")
+    assert route.reason == NO_CYCLE
+    assert enumerations == []
+
+
+def pentagon_presentation():
+    """The cycle quotient of the pentagon g1 .. g5 on the planes 1 .. 5,
+    with chords g6 = (1 3), g7 = (1 4) and g8 = (2 4) and one relator on
+    all three.  Each chord has two windows, one per arc, and every relator
+    on one chord holds under both.  The relator is (g6 w6)(g7 w7)(g8 w8),
+    w the chord's word along its longer arc: under any other window
+    a factor is a translation along that chord's root, and the three roots
+    are independent, so it holds only when each chord takes the window of
+    its longer arc, the last of the 8 combinations."""
+    relators = [(g, g) for g in range(1, 9)]
+    relators += [triple_word(g, g % 5 + 1) for g in range(1, 6)]
+    relators += [commutator_word(g, h) for g, h in ((1, 3), (1, 4), (2, 4), (2, 5), (3, 5))]
+    names = tuple(f"g{g}" for g in range(1, 9))
+    longer = {6: "g3 g4 g5 g4 g3", 7: "g1 g2 g3 g2 g1", 8: "g4 g5 g1 g5 g4"}
+    relators.append(sum(((g,) + word_of(longer[g], names) for g in (6, 7, 8)), ()))
+    planes = [(1, 2), (2, 3), (3, 4), (4, 5), (1, 5), (1, 3), (1, 4), (2, 4)]
+    symmetric = SymmetricAssignment(5, tuple(transposition(5, a, b) for a, b in planes))
+    return GroupPresentation.make(names, relators), symmetric, longer
+
+
+def test_derive_plan_tries_chord_combinations_within_the_bound():
+    # the walk pops 5 partial paths to its cycle, and the chords' windows
+    # hold together only in the 8th combination: each search stops at its
+    # own bound
+    pres, symmetric, longer = pentagon_presentation()
+    with pytest.raises(SearchBound, match="^walk of the plane graph stopped at 4 partial paths$"):
+        derive_plan(pres, symmetric, 4)
+    for bound in (5, 7):
+        with pytest.raises(SearchBound, match=f"^chord windows stopped at {bound} combinations$"):
+            derive_plan(pres, symmetric, bound)
+    cycle, plan, windows = derive_plan(pres, symmetric, 8)
+    assert cycle == (1, 2, 3, 4, 5)
+    assert {g: format_word(w, pres.names) for g, w in plan.items()} == longer
+    assert windows[5:] == eval_words(windows[:5], [plan[g] for g in (6, 7, 8)])
 
 
 def pair_action(table, symmetric, g):
@@ -731,8 +841,8 @@ def test_derived_relations_hold_on_the_faithful_pair(seed):
     table = coset_enumeration(pres, [(g,) for g in path], 1_000_000)
     pair = {g: pair_action(table, symmetric, g) for g in range(1, pres.generator_count + 1)}
     assert len(mulclose(pair.values())) == 11_520
-    cycle, plan = derive_plan(
-        build_tilde_presentation(dt4, include_projective=False), table, symmetric, 1_000_000
+    cycle, plan, _ = derive_plan(
+        build_tilde_presentation(dt4, include_projective=False), symmetric, 1_000_000
     )
     assert len(cycle) == 6 and len(plan) == 3
     assert sorted(cycle + tuple(plan)) == list(range(1, 10))
@@ -759,7 +869,7 @@ def test_coxeter_cover_routes_agree(m, k, cosets_defined):
     assert table.coset_count == k ** (m - 1)
     assert stats["cosets_defined"] == cosets_defined
     regular = regular_kernel(table, symmetric, path, planes)
-    route = coxeter_route(pres, proj, table, symmetric, 1_000_000)
+    route = coxeter_route(pres, proj, symmetric, 1_000_000)
     assert route.supported and route.plan == {}
     check_against_the_rewrite(route, proj)
     lattice = route.verdict()
@@ -777,7 +887,7 @@ def test_coxeter_cover_6_4_regular_action_decides_from_11264_lookups():
     path, planes = complement_path(full, symmetric, DEFAULT_MAX_COSETS)
     table = coset_enumeration(full, [(g,) for g in path], DEFAULT_MAX_COSETS)
     assert table.coset_count == 1024
-    route = coxeter_route(pres, proj, table, symmetric, DEFAULT_MAX_COSETS)
+    route = coxeter_route(pres, proj, symmetric, DEFAULT_MAX_COSETS)
     assert route.supported
     lattice = route.verdict()
     assert lattice.order == route.quotient.order == 1024
