@@ -17,7 +17,10 @@ elimination plan from a Hamiltonian cycle of the plane graph, checks it
 in the affine symmetric group and proves it by one enumeration of index 1
 over the cycle; without a projective relator it reports itself
 unsupported.  So ``coxeter`` alone builds no table of G~, and ``both``
-compares two independent exact computations.
+compares two independent exact computations.  The first decided verdict
+stands: one left undetermined, such as the kernel presentation's |K|
+without invariants, yields to the Coxeter route's, and the routes then
+agree when both give |K| and it is the same.
 
 ``max_cosets`` bounds every table and search: the complement search, the
 enumeration over H, the |K|(floor(log2 |K|) + 1) table lookups of the
@@ -190,7 +193,16 @@ def _verdict_dict(v: StructureVerdict) -> dict:
 
 
 def _verdicts_equal(a: StructureVerdict, b: StructureVerdict) -> bool:
-    return a.kind != "Undetermined" and _verdict_dict(a) == _verdict_dict(b)
+    return _verdict_dict(a) == _verdict_dict(b)
+
+
+def _routes_agree(a: StructureVerdict, b: StructureVerdict) -> bool | None:
+    """Two decided verdicts agree when they are equal.  With one
+    undetermined, the routes agree when both give |K| and it is the same,
+    and say nothing when either gives none."""
+    if "Undetermined" in (a.kind, b.kind):
+        return None if None in (a.order, b.order) else a.order == b.order
+    return _verdicts_equal(a, b)
 
 
 def load_source(source: str) -> tuple[str, DegenerationComplex]:
@@ -353,15 +365,19 @@ def analyze(
 
     # cox_verdict is None exactly when the Coxeter route is unsupported or
     # bounded, and equal decided verdicts name groups of one order
-    if route == "both" and None not in (enum_verdict, cox_verdict):
-        report.route_agreement = _verdicts_equal(enum_verdict, cox_verdict)
+    verdicts = [v for v in (enum_verdict, cox_verdict) if v is not None]
+    if route == "both" and len(verdicts) == 2:
+        report.route_agreement = _routes_agree(*verdicts)
 
     # one warning for each bound hit, in the order the stages hit them; |K|
-    # and |G~| = n!|K| come from the verdict that stands, or, when the bound
-    # refused the regular action and no route decides, from the table
+    # and |G~| = n!|K| come from the first decided verdict, else the first
+    # undetermined one, or, when the bound refused the regular action and
+    # no route decides, from the table
     report.warnings.extend(f"undecided at bound: {hit}" for hit in bound_hits)
-    final = enum_verdict if enum_verdict is not None else cox_verdict
-    if final is None:
+    verdicts.sort(key=lambda v: v.kind == "Undetermined")
+    if verdicts:
+        final = verdicts[0]
+    else:
         index = table.coset_count if table is not None else None
         note = f"undecided at bound {max_cosets}" if bound_hits else "no route produced a verdict"
         final = StructureVerdict("Undetermined", order=index, note=note)

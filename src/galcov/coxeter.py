@@ -12,7 +12,10 @@ computed as affine permutations of Z in window notation (Bjorner and
 Brenti, *Combinatorics of Coxeter Groups*, 2005, section 8.3): the window
 (w_1, ..., w_m) of sigma * u(vec) has w_i = sigma(i) + m*vec[sigma(i)], a
 product is one composition of windows, and a pure translation reads
-vec_i = (w_i - i)/m.  ``eval_words`` evaluates words in one batch.
+vec_i = (w_i - i)/m.  ``eval_words`` composes windows arithmetically, in
+O(m) time and memory per letter, for the projective relator, however
+long; the plan's many short words read padded windows instead (see
+:func:`_plan_on_cycle`).
 
 The route proves G0 isomorphic to A from the presentation alone, with no
 coset table of G~:
@@ -78,30 +81,33 @@ class CoxeterError(Exception):
 def eval_words(images, words) -> list[tuple[int, ...]]:
     """Windows of the left-to-right products of the words' letter images.
 
-    Each image is a window, the affine permutation f of Z sending i + m*t
-    to w_i + m*t, which moves no integer by more than d = max|w_i - i|.
-    Letter -k reads letter k, so a word names -k only for an involution
-    f.  A word whose letters move by at most d_1, ..., d_L keeps the
-    entries 0, 1, ..., m inside [-D, m + D] with D = d_1 + ... + d_L.  So
-    with D the largest such sum over the words, each image becomes its
-    :func:`_padded` values on that interval, and a letter is one lookup of
-    :func:`permutations._evaluate`, where entry 0 is the pad.
+    Each image is a window, the affine permutation f of Z sending
+    i + m*t to w_i + m*t: f moves every integer congruent to i mod m by
+    w_i - i.  Letter -k reads letter k, so a word names -k only for an
+    involution f.  Each image becomes its m moves, indexed by residue,
+    and a letter moves each of the m entries of the running window by the
+    move of its residue: O(m) time and memory per letter, however far the
+    product moves an integer.
     """
     images = list(images)
     if not images:
         raise CoxeterError("empty assignment")
-    m = len(images[0])
-    shifts = {}
+    moves = {}
     for k, w in enumerate(images, 1):
-        shifts[k] = shifts[-k] = _shift(w)
+        step = tuple(x - i for i, x in enumerate(w, 1))
+        # residue 0 is the class of m
+        moves[k] = moves[-k] = step[-1:] + step[:-1]
+    m = len(images[0])
+    out = []
     try:
-        t = max((sum(map(shifts.__getitem__, w)) for w in words), default=0) // m + 1
+        for word in words:
+            acc = range(1, m + 1)
+            for move in map(moves.__getitem__, word):
+                acc = [y + move[y % m] for y in acc]
+            out.append(tuple(acc))
     except KeyError as exc:
         raise CoxeterError(f"word references unassigned generator {abs(exc.args[0])}") from None
-    letters = {}
-    for k, w in enumerate(images, 1):
-        letters[k] = letters[-k] = _padded(w, t)
-    return [_evaluate(letters, w, m)[1:] for w in words]
+    return out
 
 
 def _shift(window) -> int:
@@ -112,7 +118,9 @@ def _shift(window) -> int:
 def _padded(window, t) -> tuple[int, ...]:
     """The values f(1 - t*m), ..., f(m + t*m) of the window's affine
     permutation f, rotated to start at f(0): entry y is f(y), a negative
-    y read from the end."""
+    y read from the end.  So a letter is one lookup of
+    :func:`permutations._evaluate` on words that keep 0..m inside that
+    interval, as :func:`_plan_on_cycle` pads once for all its words."""
     m = len(window)
     line = [x + m * s for s in range(-t, t + 1) for x in window]
     return tuple(line[t * m - 1 :] + line[: t * m - 1])

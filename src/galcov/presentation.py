@@ -286,38 +286,55 @@ def commutator_word(i: int, j: int) -> Word:
 #   where W is whitespace-separated tokens gK or gK^-1.
 
 
-def _parse_tokens(tokens, names, line, offset):
-    word = []
-    for pos, tok in enumerate(tokens):
-        base = tok
-        exp = 1
-        if tok.endswith("^-1"):
-            base = tok[:-3]
-            exp = -1
-        elif "^" in tok:
-            raise RelationSyntaxError(
-                f"bad exponent in token {tok!r}", line, offset + pos
-            )
-        if base not in names:
-            raise RelationSyntaxError(
-                f"unknown generator {base!r}", line, offset + pos
-            )
-        word.append(exp * (names.index(base) + 1))
-    return tuple(word)
+def _token_table(names) -> dict[str, int]:
+    """Each token that reads as one letter: a name as its generator's id K,
+    the name followed by ``^-1`` as -K.  A caret elsewhere is a bad
+    exponent, so a name with a caret reads only inverted; of duplicate
+    names the first stands."""
+    table = {}
+    for k, name in enumerate(names, 1):
+        if "^" not in name:
+            table.setdefault(name, k)
+        table.setdefault(name + "^-1", -k)
+    return table
 
 
-def _parse_index(tok, names, line, pos):
+def _parse_tokens(tokens, table, line, offset):
+    """The word of ``tokens``, one lookup each in the token table; the
+    first token it lacks is diagnosed, at its position."""
+    try:
+        return tuple(map(table.__getitem__, tokens))
+    except KeyError as exc:
+        tok = exc.args[0]
+    pos = offset + tokens.index(tok)
+    if "^" in tok and not tok.endswith("^-1"):
+        raise RelationSyntaxError(f"bad exponent in token {tok!r}", line, pos)
+    raise RelationSyntaxError(f"unknown generator {tok.removesuffix('^-1')!r}", line, pos)
+
+
+def _parse_index(tok, table, line, pos):
     if not tok.isdigit():
         raise RelationSyntaxError(f"expected generator number, got {tok!r}", line, pos)
     name = f"g{tok}"
-    if name not in names:
+    if name not in table:
         raise RelationSyntaxError(f"unknown generator {name!r}", line, pos)
-    return names.index(name) + 1
+    return table[name]
 
 
 def parse_relation(line: str, names) -> Word:
-    """Parse one relation-grammar line into a relator word."""
-    names = tuple(names)
+    """Parse one relation-grammar line into a relator word over ``names``.
+
+    Each token of a word is one lookup in the table of the names' tokens,
+    built once per call, so a word parses in time linear in its length.
+    The first token the table lacks raises :class:`RelationSyntaxError`,
+    a bad exponent or an unknown generator, at its token position.
+    """
+    return _parse_relation(line, _token_table(names))
+
+
+def _parse_relation(line, table) -> Word:
+    """:func:`parse_relation` on a token table of the names, so that a
+    caller parsing several lines over one set of names builds it once."""
     tokens = line.split()
     if not tokens:
         raise RelationSyntaxError("empty relation line", line, 0)
@@ -325,31 +342,31 @@ def parse_relation(line: str, names) -> Word:
     if head == "sq":
         if len(tokens) != 2:
             raise RelationSyntaxError("usage: sq K", line, len(tokens))
-        k = _parse_index(tokens[1], names, line, 1)
+        k = _parse_index(tokens[1], table, line, 1)
         return (k, k)
     if head in ("triple", "comm"):
         if len(tokens) != 3:
             raise RelationSyntaxError(f"usage: {head} I J", line, len(tokens))
-        i = _parse_index(tokens[1], names, line, 1)
-        j = _parse_index(tokens[2], names, line, 2)
+        i = _parse_index(tokens[1], table, line, 1)
+        j = _parse_index(tokens[2], table, line, 2)
         return triple_word(i, j) if head == "triple" else commutator_word(i, j)
     if head == "ccomm":
         if len(tokens) < 4 or tokens[2] != ":":
             raise RelationSyntaxError("usage: ccomm I : W", line, 2)
-        i = _parse_index(tokens[1], names, line, 1)
-        w = _parse_tokens(tokens[3:], names, line, 3)
+        i = _parse_index(tokens[1], table, line, 1)
+        w = _parse_tokens(tokens[3:], table, line, 3)
         return free_reduce((i,) + w + (-i,) + invert_word(w))
     if head == "eq:":
         if "=" not in tokens:
             raise RelationSyntaxError("eq: needs '=' between two words", line, 1)
         sep = tokens.index("=")
-        w1 = _parse_tokens(tokens[1:sep], names, line, 1)
-        w2 = _parse_tokens(tokens[sep + 1 :], names, line, sep + 1)
+        w1 = _parse_tokens(tokens[1:sep], table, line, 1)
+        w2 = _parse_tokens(tokens[sep + 1 :], table, line, sep + 1)
         if not w1 or not w2:
             raise RelationSyntaxError("eq: needs two non-empty words", line, sep)
         return free_reduce(w1 + invert_word(w2))
     if head == "word:":
-        w = _parse_tokens(tokens[1:], names, line, 1)
+        w = _parse_tokens(tokens[1:], table, line, 1)
         if not w:
             raise RelationSyntaxError("word: needs a non-empty word", line, 1)
         return w
@@ -405,7 +422,8 @@ def build_tilde_presentation(
     by the plane rule, edges that share a plane share a vertex, so these
     are the braids at the vertices, and the commutators are the parasitic
     pairs and the 4-point diagonals.  The templates are reduced as
-    written, so only the override lines are free-reduced.  Raises
+    written, so only the override lines are free-reduced; they and the
+    projective relator are parsed through one token table.  Raises
     :class:`PresentationError` when a vertex names an edge the complex
     lacks, and :class:`MissingFourPointData` when the complex has an
     inner 4-point but no override relations.
@@ -441,10 +459,11 @@ def build_tilde_presentation(
             relators.append((k, i, j, i))
 
     if c.overrides is not None:
-        for line in c.overrides.extra_relators:
-            relators.append(free_reduce(parse_relation(line, names)))
-    if include_projective and (projective := projective_relator(c)) is not None:
-        relators.append(free_reduce(projective))
+        table = _token_table(names)
+        lines = list(c.overrides.extra_relators)
+        if include_projective and c.overrides.projective_relator is not None:
+            lines.append(c.overrides.projective_relator)
+        relators += (free_reduce(_parse_relation(line, table)) for line in lines)
 
     return GroupPresentation(names, tuple(_dedupe(relators)))
 

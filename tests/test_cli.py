@@ -635,6 +635,24 @@ def test_non_abelian_verdict_is_reported_exactly():
     assert not _verdicts_equal(s3, q8)
 
 
+def test_an_undetermined_verdict_agrees_on_its_order():
+    # with one side undetermined the routes compare |K| when both give
+    # it, and say nothing when either does not; two decided verdicts
+    # compare whole
+    from galcov.cli import _routes_agree
+    from galcov.kernel import StructureVerdict
+
+    z2 = StructureVerdict(kind="ElementaryAbelian2", rank=4, order=16, factors=(2,) * 4)
+    z4 = StructureVerdict(kind="AbelianInvariantFactors", order=16, factors=(4, 4))
+    free = StructureVerdict(kind="AbelianInvariantFactors", order=None, factors=(0,))
+    for decided in (z2, z4):
+        assert _routes_agree(StructureVerdict("Undetermined", order=16), decided) is True
+        assert _routes_agree(decided, StructureVerdict("Undetermined", order=32)) is False
+        assert _routes_agree(StructureVerdict("Undetermined"), decided) is None
+    assert _routes_agree(StructureVerdict("Undetermined", order=16), free) is None
+    assert _routes_agree(z2, z2) is True and _routes_agree(z2, z4) is False
+
+
 def test_routes_that_disagree_are_reported(monkeypatch, capsys):
     # a Coxeter route that reads the quotient of twice dt4's projective
     # vector, Z2 x Z4^4 of order 512, against the regular action's Z2^4:
@@ -865,14 +883,15 @@ def test_kernel_presentation_decides_alone(monkeypatch):
     assert report.pi1 == {"kind": "ElementaryAbelian2", "rank": 4}
     assert report.kernel_order == 16 and report.tilde_order == 11_520
     # past the Smith normal form's generator limit it has |K| and no
-    # invariants, and |K| = 16 alone decides nothing: its undetermined
-    # verdict stands before the Coxeter route's
+    # invariants, and |K| = 16 alone decides nothing: the Coxeter route's
+    # decided verdict stands, and the routes agree on |K|
     monkeypatch.setattr(galcov.cli, "_SNF_GENERATOR_LIMIT", 0)
     report = analyze("dt4", route="both", max_cosets=720)
-    assert report.undecided and "snf" not in report.timings
-    assert report.pi1 == {"kind": "Undetermined", "order": 16}
-    assert report.kernel_order == 16
-    assert main(["analyze", "dt4", "--route", "both", "--max-cosets", "720"]) == 1
+    assert not report.undecided and "snf" not in report.timings
+    assert report.pi1 == {"kind": "ElementaryAbelian2", "rank": 4}
+    assert report.route_agreement is True
+    assert report.kernel_order == 16 and report.tilde_order == 11_520
+    assert main(["analyze", "dt4", "--route", "both", "--max-cosets", "720"]) == 0
 
 
 def test_snf_generator_limit_leaves_the_regular_verdict(monkeypatch):

@@ -11,6 +11,8 @@ from galcov.complexes import parse_complex
 from galcov.coxeter import (
     CoxeterError,
     CoxeterGraph,
+    _padded,
+    _shift,
     coxeter_route,
     derive_plan,
     eval_words,
@@ -22,7 +24,7 @@ from galcov.coxeter import (
 from galcov.datasets import DT4_JSON, load_builtin
 from galcov.enumeration import CosetTable, coset_enumeration
 from galcov.kernel import regular_kernel, smith_normal_form
-from galcov.permutations import SymmetricAssignment, plane_transposition_map
+from galcov.permutations import SymmetricAssignment, _evaluate, plane_transposition_map
 from galcov.presentation import (
     GroupPresentation,
     SearchBound,
@@ -196,6 +198,36 @@ def test_eval_words_matches_the_per_entry_formula():
         assert eval_words(images, words) == [per_entry(images, w) for w in words]
         assert eval_words(images, []) == []
     assert wide > 250
+
+
+def test_eval_words_matches_the_padded_evaluation():
+    # an independent oracle: the padded letters _plan_on_cycle reads, each
+    # letter one lookup in its window's values on an interval that no word
+    # leaves; windows with translations, and words of thousands of letters
+    # with inverse letters
+    rng = random.Random(1618)
+    far = 0
+    for _ in range(12):
+        m = rng.randint(2, 7)
+        images = []
+        for _ in range(rng.randint(1, 4)):
+            vec = [rng.randint(-1, 1) for _ in range(m - 1)]
+            images.append(window(random_permutation(rng, m), vec + [-sum(vec)]))
+        words = [
+            tuple(
+                rng.choice((1, -1)) * rng.randint(1, len(images))
+                for _ in range(rng.randint(1000, 3000))
+            )
+            for _ in range(2)
+        ]
+        t = max(sum(_shift(images[abs(x) - 1]) for x in w) for w in words) // m + 1
+        letters = {}
+        for k, w in enumerate(images, 1):
+            letters[k] = letters[-k] = _padded(w, t)
+        got = eval_words(images, words)
+        assert got == [_evaluate(letters, w, m)[1:] for w in words]
+        far += any(not -m < x <= 2 * m for w in got for x in w)
+    assert far > 6
 
 
 def test_eval_word_refuses_a_word_off_the_assignment():
@@ -403,8 +435,8 @@ def test_dt4_route_evaluates_as_written(monkeypatch):
     # letters: the relators on g6 alone once per window of g6, those on
     # several chords once per windows of their own chords, in the two
     # combinations tried (g6's two windows).  The projective relator is
-    # evaluated once, in the one eval_words batch, and the presentation is
-    # never rewritten
+    # evaluated once, in the one eval_words batch, which composes windows
+    # without padded letters, and the presentation is never rewritten
     eliminations = count_calls(monkeypatch, galcov.coxeter, "eliminate_and_rewrite")
     batches = count_calls(monkeypatch, galcov.coxeter, "eval_words")
     evaluated = []
@@ -420,7 +452,7 @@ def test_dt4_route_evaluates_as_written(monkeypatch):
     assert analyze("dt4", route="coxeter").coxeter_route["supported"]
     assert eliminations == []
     assert [len(words) for _, words in batches] == [1]
-    assert len(evaluated) == len(set(evaluated)) == 95
+    assert len(evaluated) == len(set(evaluated)) == 94
 
 
 NO_CYCLE = (

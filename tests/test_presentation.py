@@ -262,6 +262,74 @@ def test_parse_relation_errors_carry_position():
     assert err is not None and err.position == 4
 
 
+def _syntax_error(line):
+    with pytest.raises(RelationSyntaxError) as info:
+        parse_relation(line, NAMES9)
+    return info.value
+
+
+def _dt4_with(key, line):
+    """dt4 with ``line`` as its projective relator, or appended to its
+    override lines."""
+    data = json.loads(DT4_JSON)
+    if key == "projective_relator":
+        data["overrides"][key] = line
+    else:
+        data["overrides"][key].append(line)
+    return parse_complex(json.dumps(data))
+
+
+@pytest.mark.parametrize(
+    "bad, message",
+    [
+        ("g99", "unknown generator 'g99'"),
+        ("g3^2", "bad exponent in token 'g3^2'"),
+        ("g3^-1^-1", "unknown generator 'g3^-1'"),
+        ("^-1", "unknown generator ''"),
+    ],
+)
+def test_parse_relation_diagnoses_a_bad_token_deep_in_a_long_word(bad, message):
+    # letter 20,001 of dt4^1000's 22,000-letter projective relator, and
+    # again at its end: the first is named, with its token position and
+    # the line, and the projective relator's own parse and the
+    # presentation build raise the same error
+    letters = json.loads(DT4_JSON)["overrides"]["projective_relator"].split()[1:] * 1000
+    assert len(letters) == 22_000
+    line = "word: " + " ".join(letters[:20_000] + [bad] + letters[20_000:] + [bad])
+    err = _syntax_error(line)
+    assert (err.position, err.line) == (20_001, line)
+    assert str(err) == f"{message} (at token 20001) in {line!r}"
+    dt4 = _dt4_with("projective_relator", line)
+    for parse in (projective_relator, build_tilde_presentation):
+        with pytest.raises(RelationSyntaxError) as info:
+            parse(dt4)
+        assert str(info.value) == str(err)
+
+
+@pytest.mark.parametrize(
+    "line, position, message",
+    [
+        ("ccomm 1 : g8 g99 g8", 4, "unknown generator 'g99'"),
+        ("ccomm 1 : g8 g7^2 g8", 4, "bad exponent in token 'g7^2'"),
+        ("ccomm 1 : g8^-1^-1", 3, "unknown generator 'g8^-1'"),
+        ("ccomm 99 : g8", 1, "unknown generator 'g99'"),
+        ("eq: g3 g99 = g5 g9 g5", 2, "unknown generator 'g99'"),
+        ("eq: g3^1 = g5", 1, "bad exponent in token 'g3^1'"),
+        ("eq: g3 = g5 g9^-2 g5", 4, "bad exponent in token 'g9^-2'"),
+        ("eq: g3 = g5 g10", 4, "unknown generator 'g10'"),
+    ],
+)
+def test_parse_relation_diagnoses_bad_tokens_in_ccomm_and_eq(line, position, message):
+    # the same message and position from parse_relation and, as dt4's
+    # last override line, from the presentation build
+    err = _syntax_error(line)
+    assert (err.position, err.line) == (position, line)
+    assert str(err) == f"{message} (at token {position}) in {line!r}"
+    with pytest.raises(RelationSyntaxError) as info:
+        build_tilde_presentation(_dt4_with("extra_relators", line))
+    assert str(info.value) == str(err)
+
+
 def test_format_relation_roundtrip():
     for line in ("sq 3", "triple 1 2", "comm 4 6", "word: g1 g2^-1 g3"):
         w = parse_relation(line, NAMES9)
