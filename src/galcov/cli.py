@@ -264,27 +264,29 @@ def analyze(
 
     warnings: list[str] = list(report_check.notes)
 
+    # the one classification of the analysis: the counts and every
+    # presentation build read these classes
     classes = timed(
         "classify",
-        lambda: {v.id: classify_vertex(complex_, v) for v in complex_.vertices},
+        lambda: [classify_vertex(complex_, v) for v in complex_.vertices],
         errors=ComplexError,
     )
-    inner3 = sum(1 for c in classes.values() if isinstance(c, Inner3))
-    inner4 = sum(1 for c in classes.values() if isinstance(c, Inner4))
+    inner3 = sum(isinstance(c, Inner3) for c in classes)
+    inner4 = sum(isinstance(c, Inner4) for c in classes)
 
-    counts = timed("counts", singularity_counts, complex_)
+    counts = timed("counts", singularity_counts, complex_, classes)
     chern = timed("chern", chern_signature, counts, errors=InvariantError)
     warnings.extend(chern.warnings)
 
     def presentations():
         # only the Coxeter route reads the presentation without the projective
         # relator; the first build parses that relator, so bad input fails here
-        pres = build_tilde_presentation(complex_)
+        pres = build_tilde_presentation(complex_, classes=classes)
         if route == "enumerate":
             return pres, None, None
         return (
             pres,
-            build_tilde_presentation(complex_, include_projective=False),
+            build_tilde_presentation(complex_, include_projective=False, classes=classes),
             projective_relator(complex_),
         )
 

@@ -124,27 +124,33 @@ def _is_int(x):
 
 
 def _records(data, field, kind):
-    """Yield the location, object and id of each record of the list
-    ``data[field]``, once it is an object with a new id >= 1."""
+    """Yield the position, object and id of each record of the list
+    ``data[field]``, once it is an object with a new id >= 1.  A failed
+    check names the record as ``field[position]``."""
     records = data.get(field)
     _require(isinstance(records, list), f"'{field}' must be a list", f"field {field}")
     seen = set()
     for pos, item in enumerate(records):
-        loc = f"{field}[{pos}]"
-        _require(isinstance(item, dict), f"{kind} must be an object", loc)
+        if not isinstance(item, dict):
+            raise ComplexParseError(f"{kind} must be an object", f"{field}[{pos}]")
         rid = item.get("id")
-        _require(_is_int(rid) and rid >= 1, f"{kind} id must be an integer >= 1", loc)
-        _require(rid not in seen, f"duplicate {kind} id {rid}", loc)
+        if not (_is_int(rid) and rid >= 1):
+            raise ComplexParseError(f"{kind} id must be an integer >= 1", f"{field}[{pos}]")
+        if rid in seen:
+            raise ComplexParseError(f"duplicate {kind} id {rid}", f"{field}[{pos}]")
         seen.add(rid)
-        yield loc, item, rid
+        yield pos, item, rid
 
 
 def parse_complex(text: str) -> DegenerationComplex:
     """Parse a degeneration file (JSON) into a :class:`DegenerationComplex`.
 
     Raises :class:`ComplexParseError` on malformed syntax, duplicate ids,
-    or plane indices out of range.  Softer structural defects (degenerate
-    edges, wrong vertex multiplicities, ...) are left to :func:`validate`.
+    or plane indices out of range, with the record it fails on as its
+    location (``edges[2]``, ``field planes``).  Checks run in file order,
+    and each builds its message and location only when it fails.  Softer
+    structural defects (degenerate edges, wrong vertex multiplicities,
+    ...) are left to :func:`validate`.
     """
     try:
         data = json.loads(text)
@@ -166,28 +172,28 @@ def parse_complex(text: str) -> DegenerationComplex:
     )
 
     edges = []
-    for loc, item, eid in _records(data, "edges", "edge"):
+    for pos, item, eid in _records(data, "edges", "edge"):
         pl = item.get("planes")
-        _require(
-            isinstance(pl, list) and len(pl) == 2 and all(map(_is_int, pl)),
-            "edge planes must be a pair of integers",
-            loc,
-        )
-        for p in pl:
-            _require(1 <= p <= planes, f"plane index {p} out of range 1..{planes}", loc)
-        edges.append(Edge(id=eid, planes=(pl[0], pl[1])))
+        if not (isinstance(pl, list) and len(pl) == 2 and _is_int(pl[0]) and _is_int(pl[1])):
+            raise ComplexParseError("edge planes must be a pair of integers", f"edges[{pos}]")
+        a, b = pl
+        if not (1 <= a <= planes and 1 <= b <= planes):
+            p = next(p for p in pl if not 1 <= p <= planes)
+            raise ComplexParseError(f"plane index {p} out of range 1..{planes}", f"edges[{pos}]")
+        edges.append(Edge(eid, (a, b)))
 
     vertices = []
-    for loc, item, vid in _records(data, "vertices", "vertex"):
+    for pos, item, vid in _records(data, "vertices", "vertex"):
         ve = item.get("edges")
-        _require(
-            isinstance(ve, list) and all(map(_is_int, ve)),
-            "vertex edges must be a list of integers",
-            loc,
-        )
-        repeated = sorted(x for x, k in Counter(ve).items() if k > 1)
-        _require(not repeated, f"repeated edge id {', '.join(map(str, repeated))}", loc)
-        vertices.append(Vertex(id=vid, edges=frozenset(ve)))
+        if not (isinstance(ve, list) and all(map(_is_int, ve))):
+            raise ComplexParseError("vertex edges must be a list of integers", f"vertices[{pos}]")
+        ids = frozenset(ve)
+        if len(ids) != len(ve):
+            repeated = sorted(x for x, k in Counter(ve).items() if k > 1)
+            raise ComplexParseError(
+                f"repeated edge id {', '.join(map(str, repeated))}", f"vertices[{pos}]"
+            )
+        vertices.append(Vertex(vid, ids))
 
     overrides = None
     if "overrides" in data and data["overrides"] is not None:

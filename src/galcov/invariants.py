@@ -31,7 +31,7 @@ import math
 from fractions import Fraction
 from typing import NamedTuple
 
-from .complexes import DegenerationComplex, Inner3, Inner4, classify_vertex
+from .complexes import DegenerationComplex, Inner3, Inner4, VertexClass, classify_vertex
 
 COUNTING_RULE_WARNING = (
     "singularity counting rules are validated for inner 3- and 4-points only"
@@ -59,20 +59,23 @@ class ChernSignature(NamedTuple):
     warnings: tuple[str, ...] = ()
 
 
-def singularity_counts(c: DegenerationComplex) -> InvariantCounts:
+def singularity_counts(
+    c: DegenerationComplex, classes: list[VertexClass] | None = None
+) -> InvariantCounts:
     """Count singularities of the regenerated branch curve.
 
     Expects a complex that :func:`~galcov.complexes.validate` accepts.
-    The parasitic pairs are the edge pairs that meet at no vertex.
+    ``classes`` holds the :func:`~galcov.complexes.classify_vertex` class
+    of each vertex, in the order of ``c.vertices``; without it each
+    vertex is classified here.  The parasitic pairs are the edge pairs
+    that meet at no vertex.
     """
-    inner3 = inner4 = 0
+    if classes is None:
+        classes = [classify_vertex(c, v) for v in c.vertices]
+    inner3 = sum(isinstance(cls, Inner3) for cls in classes)
+    inner4 = sum(isinstance(cls, Inner4) for cls in classes)
     met = set()
     for v in c.vertices:
-        cls = classify_vertex(c, v)
-        if isinstance(cls, Inner3):
-            inner3 += 1
-        elif isinstance(cls, Inner4):
-            inner4 += 1
         met.update(itertools.combinations(sorted(v.edges), 2))
     e = c.edge_count
     parasitic = math.comb(e, 2) - len(met)
@@ -85,12 +88,16 @@ def singularity_counts(c: DegenerationComplex) -> InvariantCounts:
     )
 
 
-def _as_int(x: Fraction):
-    return int(x) if x.denominator == 1 else x
+def _exact(num: int, den: int):
+    """num/den as an int when den divides num, else as a Fraction."""
+    q, r = divmod(num, den)
+    return Fraction(num, den) if r else q
 
 
 def chern_numbers(k: InvariantCounts):
-    """(c1^2, c2) of the Galois cover, exact."""
+    """(c1^2, c2) of the Galois cover, exact: c1^2 = n!(m - 6)^2/4 and
+    c2 = n!(36 - 12m + 3d + 6mu + 2rho)/12, each an int, or a Fraction
+    when it is not an integer."""
     if k.n > _MAX_DEGREE:
         raise InvariantError(
             f"degree {k.n} exceeds the supported bound {_MAX_DEGREE} (factorial guard)"
@@ -98,16 +105,16 @@ def chern_numbers(k: InvariantCounts):
     if min(k) < 0:
         raise InvariantError("counts must be nonnegative")
     nfact = math.factorial(k.n)
-    c1sq = Fraction(nfact, 4) * (k.m - 6) ** 2
-    c2 = nfact * (
-        3 - k.m + Fraction(k.d, 4) + Fraction(k.mu, 2) + Fraction(k.rho, 6)
-    )
-    return _as_int(c1sq), _as_int(c2)
+    c1sq = _exact(nfact * (k.m - 6) ** 2, 4)
+    c2 = _exact(nfact * (36 - 12 * k.m + 3 * k.d + 6 * k.mu + 2 * k.rho), 12)
+    return c1sq, c2
 
 
 def signature(c1sq, c2):
-    """chi = (c1^2 - 2*c2)/3, exact rational."""
-    return _as_int(Fraction(c1sq - 2 * c2, 3))
+    """chi = (c1^2 - 2*c2)/3, exact: an int, or a Fraction when it is not
+    an integer."""
+    num, den = (c1sq - 2 * c2).as_integer_ratio()
+    return _exact(num, 3 * den)
 
 
 def chern_signature(k: InvariantCounts) -> ChernSignature:

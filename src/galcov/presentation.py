@@ -34,7 +34,7 @@ import itertools
 from operator import mul, neg
 from typing import NamedTuple
 
-from .complexes import DegenerationComplex, Inner3, Inner4, classify_vertex
+from .complexes import DegenerationComplex, Inner3, Inner4, VertexClass, classify_vertex
 from .permutations import _evaluate
 
 Word = tuple[int, ...]
@@ -410,7 +410,9 @@ def format_relation(word, names) -> str:
 
 
 def build_tilde_presentation(
-    c: DegenerationComplex, include_projective: bool = True
+    c: DegenerationComplex,
+    include_projective: bool = True,
+    classes: list[VertexClass] | None = None,
 ) -> GroupPresentation:
     """Generate the quotient-group presentation of a degeneration complex.
 
@@ -426,7 +428,9 @@ def build_tilde_presentation(
     projective relator are parsed through one token table.  Raises
     :class:`PresentationError` when a vertex names an edge the complex
     lacks, and :class:`MissingFourPointData` when the complex has an
-    inner 4-point but no override relations.
+    inner 4-point but no override relations.  ``classes`` holds the
+    :func:`~galcov.complexes.classify_vertex` class of each vertex, in the
+    order of ``c.vertices``; without it each vertex is classified here.
     """
     edge_ids = sorted(e.id for e in c.edges)
     if edge_ids != list(range(1, len(edge_ids) + 1)):
@@ -436,7 +440,8 @@ def build_tilde_presentation(
         if missing := [x for x in sorted(v.edges) if not 1 <= x <= len(edge_ids)]:
             raise PresentationError(f"vertex {v.id} references missing edge {missing[0]}")
 
-    classes = [classify_vertex(c, v) for v in c.vertices]
+    if classes is None:
+        classes = [classify_vertex(c, v) for v in c.vertices]
     has_four_point = any(isinstance(cl, Inner4) for cl in classes)
     if has_four_point and (c.overrides is None or not c.overrides.extra_relators):
         raise MissingFourPointData(

@@ -8,8 +8,10 @@ import pytest
 
 import galcov.cli
 import galcov.coxeter
+import galcov.invariants
+import galcov.presentation
 from galcov.cli import AnalysisError, analyze, emit_report, main
-from galcov.complexes import ClassificationError
+from galcov.complexes import ClassificationError, classify_vertex
 from galcov.datasets import load_builtin
 from galcov.enumeration import coset_enumeration
 from galcov.invariants import InvariantError, chern_signature, singularity_counts
@@ -87,6 +89,34 @@ def test_classification_error_is_classify_stage(monkeypatch):
     assert info.value.stage == "classify"
     assert info.value.exit_code == 2
     assert str(info.value) == "[classify] vertex 1: refused"
+
+
+@pytest.mark.parametrize("name", ["t4", "dt4"])
+@pytest.mark.parametrize("route", ["enumerate", "coxeter", "both"])
+def test_analyze_classifies_each_vertex_once(monkeypatch, name, route):
+    # the classify stage is the only classification of an analysis: the
+    # counts and every presentation build read its classes
+    calls = []
+    for module in (galcov.cli, galcov.invariants, galcov.presentation):
+
+        def counting(c, v, _real=module.classify_vertex):
+            calls.append(v.id)
+            return _real(c, v)
+
+        monkeypatch.setattr(module, "classify_vertex", counting)
+    analyze(name, route=route)
+    assert sorted(calls) == sorted(v.id for v in load_builtin(name).vertices)
+
+
+@pytest.mark.parametrize("name", ["t4", "dt4"])
+def test_given_classes_give_what_classifying_gives(name):
+    c = load_builtin(name)
+    classes = [classify_vertex(c, v) for v in c.vertices]
+    assert singularity_counts(c) == singularity_counts(c, classes)
+    for include_projective in (True, False):
+        assert build_tilde_presentation(c, include_projective) == build_tilde_presentation(
+            c, include_projective, classes=classes
+        )
 
 
 def test_analyze_invalid_complex(tmp_path, t4):
@@ -361,7 +391,7 @@ def test_degree_over_the_factorial_guard_is_chern_error(monkeypatch, capsys):
         chern_signature(singularity_counts(plane_cycle_complex()))
     counts = galcov.cli.singularity_counts
     monkeypatch.setattr(
-        galcov.cli, "singularity_counts", lambda c: counts(c)._replace(n=12)
+        galcov.cli, "singularity_counts", lambda c, classes=None: counts(c, classes)._replace(n=12)
     )
     assert main(["analyze", "t4"]) == 2
     err = capsys.readouterr().err
@@ -477,8 +507,8 @@ def test_relators_the_transpositions_break_are_kernel_error(monkeypatch, capsys,
     # which share a plane, and g1 g2 itself
     build = galcov.cli.build_tilde_presentation
 
-    def broken(c, include_projective=True):
-        pres = build(c, include_projective)
+    def broken(c, include_projective=True, classes=None):
+        pres = build(c, include_projective, classes)
         return GroupPresentation.make(pres.names, pres.relators + ((1, 2, -1, -2), (1, 2)))
 
     monkeypatch.setattr(galcov.cli, "build_tilde_presentation", broken)

@@ -64,12 +64,19 @@ def test_parse_duplicate_edge_id():
         ("x", "field {field}: '{field}' must be a list"),
         (["x"], "{field}[0]: {kind} must be an object"),
         ([{"id": 0}], "{field}[0]: {kind} id must be an integer >= 1"),
+        ([{"id": [1]}], "{field}[0]: {kind} id must be an integer >= 1"),
+        ([{"id": {}}], "{field}[0]: {kind} id must be an integer >= 1"),
+        ([{"id": True}], "{field}[0]: {kind} id must be an integer >= 1"),
+        ([{"id": 1}, {"id": [1]}], "{field}[1]: {kind} id must be an integer >= 1"),
         ([{"id": 2}, {"id": 2}], "{field}[1]: duplicate {kind} id 2"),
     ],
-    ids=["list", "object", "id", "duplicate"],
+    ids=["list", "object", "id", "list-id", "object-id", "boolean-id", "list-id-after-an-id",
+         "duplicate"],
 )
 def test_parse_record_messages(field, kind, item, records, message):
-    # edges and vertices share each record check, message and location
+    # edges and vertices share each record check, message and location; an
+    # id that is not an integer fails as one, before the duplicate check
+    # could hash it
     data = {"planes": 2, "edges": [{"id": 1, "planes": [1, 2]}], "vertices": []}
     if isinstance(records, list):
         records = [r if isinstance(r, str) else {**item, **r} for r in records]
@@ -100,6 +107,41 @@ def test_parse_rejects_booleans_as_integers(old, new, message):
     assert old in T4_JSON
     with pytest.raises(ComplexParseError, match=message):
         parse_complex(T4_JSON.replace(old, new))
+
+
+def one_edge(planes):
+    return {"edges": [{"id": 1, "planes": planes}]}
+
+
+def one_vertex(edges):
+    return {"vertices": [{"id": 1, "edges": edges}]}
+
+
+@pytest.mark.parametrize(
+    "fields, message",
+    [
+        ({"planes": True}, "field planes: 'planes' must be a positive integer"),
+        (one_edge([1, 2, 1]), "edges[0]: edge planes must be a pair of integers"),
+        (one_edge([1, False]), "edges[0]: edge planes must be a pair of integers"),
+        (one_edge([1, 9]), "edges[0]: plane index 9 out of range 1..2"),
+        (one_edge([0, 9]), "edges[0]: plane index 0 out of range 1..2"),
+        (one_edge([9, 1]), "edges[0]: plane index 9 out of range 1..2"),
+        (one_vertex([1, "2"]), "vertices[0]: vertex edges must be a list of integers"),
+        (one_vertex([3, 1, 3, 1, 2]), "vertices[0]: repeated edge id 1, 3"),
+    ],
+    ids=[
+        "boolean-planes", "three-planes", "boolean-plane", "second-plane-out",
+        "first-plane-out", "first-plane-out-second-in", "vertex-edges", "repeated-edges",
+    ],
+)
+def test_parse_failure_message_and_location(fields, message):
+    # the first failed check names its record; repeated edge ids are
+    # listed in ascending order
+    data = {"planes": 2, "edges": [], "vertices": [], **fields}
+    with pytest.raises(ComplexParseError) as info:
+        parse_complex(json.dumps(data))
+    assert str(info.value) == message
+    assert info.value.location == message.split(": ")[0]
 
 
 @pytest.mark.parametrize("source", [T4_JSON, DT4_JSON])

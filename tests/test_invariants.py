@@ -1,3 +1,5 @@
+import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -139,3 +141,41 @@ def test_noether_is_not_checked_on_rational_numbers():
     # c2 is fractional here, so the integrality warning stands alone
     report = chern_signature(InvariantCounts(n=3, m=6, mu=7, d=1, rho=1))
     assert isinstance(report.c2, Fraction) and noether_warnings(report) == []
+
+
+def fraction_chern_signature(k):
+    """The module's formulas in Fraction arithmetic throughout, with its
+    warnings: c1^2 = n!/4 (m - 6)^2, c2 = n!(3 - m + d/4 + mu/2 + rho/6)
+    and chi = (c1^2 - 2 c2)/3."""
+    nfact = math.factorial(k.n)
+    c1sq = Fraction(nfact, 4) * (k.m - 6) ** 2
+    c2 = nfact * (3 - k.m + Fraction(k.d, 4) + Fraction(k.mu, 2) + Fraction(k.rho, 6))
+    chi = (c1sq - 2 * c2) / 3
+    warnings = [COUNTING_RULE_WARNING]
+    for label, value in (("c1^2", c1sq), ("c2", c2)):
+        if value.denominator != 1:
+            warnings.append(f"{label} is not an integer; kept as an exact rational")
+    if c1sq.denominator == c2.denominator == 1 and (c1sq + c2) % 12:
+        warnings.append(f"c1^2 + c2 = {c1sq + c2} is not divisible by 12 (Noether's formula)")
+    if chi.denominator != 1:
+        warnings.append("chi is not an integer; kept as an exact rational")
+    return c1sq, c2, chi, tuple(warnings)
+
+
+def test_chern_signature_matches_fraction_arithmetic_on_a_grid():
+    # every value is an int when it is an integer and a Fraction when not,
+    # so the report writes "a/b" exactly when the rational formula does
+    grid = itertools.product(range(1, 11), range(9), range(5), range(5), range(7))
+    rational = set()
+    for n, m, d, mu, rho in grid:
+        k = InvariantCounts(n=n, m=m, mu=mu, d=d, rho=rho)
+        *expected, warnings = fraction_chern_signature(k)
+        report = chern_signature(k)
+        assert report.warnings == warnings, k
+        for label, got, want in zip(("c1sq", "c2", "chi"), report, expected):
+            assert got == want, (k, label)
+            assert type(got) is (int if want.denominator == 1 else Fraction), (k, label)
+            if want.denominator != 1:
+                rational.add(label)
+        assert signature(report.c1sq, report.c2) == report.chi
+    assert rational == {"c1sq", "c2", "chi"}
