@@ -12,10 +12,10 @@ computed as affine permutations of Z in window notation (Bjorner and
 Brenti, *Combinatorics of Coxeter Groups*, 2005, section 8.3): the window
 (w_1, ..., w_m) of sigma * u(vec) has w_i = sigma(i) + m*vec[sigma(i)], a
 product is one composition of windows, and a pure translation reads
-vec_i = (w_i - i)/m.  ``eval_words`` composes windows arithmetically, in
-O(m) time and memory per letter, for the projective relator, however
-long; the plan's many short words read padded windows instead (see
-:func:`_plan_on_cycle`).
+vec_i = (w_i - i)/m.  Every product, the plan's short words and the
+projective relator alike, traces each window entry through the word
+(:func:`_product`), in O(m) time per letter and in memory that does not
+grow with the word.
 
 The route proves G0 isomorphic to A from the presentation alone, with no
 coset table of G~:
@@ -58,7 +58,6 @@ from typing import NamedTuple
 
 from .enumeration import coset_enumeration
 from .kernel import StructureVerdict, identify_structure
-from .permutations import _evaluate
 from .presentation import (
     GroupPresentation,
     SearchBound,
@@ -78,52 +77,45 @@ class CoxeterError(Exception):
 # windows of affine permutations
 
 
+def _moves(window) -> tuple[int, ...]:
+    """The move w_i - i of each residue class mod m under the window's
+    affine permutation, indexed by residue: residue 0 is the class of m."""
+    step = tuple(x - i for i, x in enumerate(window, 1))
+    return step[-1:] + step[:-1]
+
+
+def _product(moves, word, m) -> tuple[int, ...]:
+    """Window of the left-to-right product of the word's letters, where
+    ``moves`` maps each letter to the :func:`_moves` of its window.  Each
+    entry 1..m is traced through the word, moving by its residue's move
+    once per letter: O(m) time per letter, and memory that does not grow
+    with the word, however far the product moves an integer."""
+    out = []
+    for y in range(1, m + 1):
+        for x in word:
+            y += moves[x][y % m]
+        out.append(y)
+    return tuple(out)
+
+
 def eval_words(images, words) -> list[tuple[int, ...]]:
     """Windows of the left-to-right products of the words' letter images.
 
     Each image is a window, the affine permutation f of Z sending
-    i + m*t to w_i + m*t: f moves every integer congruent to i mod m by
-    w_i - i.  Letter -k reads letter k, so a word names -k only for an
-    involution f.  Each image becomes its m moves, indexed by residue,
-    and a letter moves each of the m entries of the running window by the
-    move of its residue: O(m) time and memory per letter, however far the
-    product moves an integer.
+    i + m*t to w_i + m*t.  Letter -k reads letter k, so a word names -k
+    only for an involution f.  Each product is one :func:`_product`.
     """
     images = list(images)
     if not images:
         raise CoxeterError("empty assignment")
     moves = {}
     for k, w in enumerate(images, 1):
-        step = tuple(x - i for i, x in enumerate(w, 1))
-        # residue 0 is the class of m
-        moves[k] = moves[-k] = step[-1:] + step[:-1]
+        moves[k] = moves[-k] = _moves(w)
     m = len(images[0])
-    out = []
     try:
-        for word in words:
-            acc = range(1, m + 1)
-            for move in map(moves.__getitem__, word):
-                acc = [y + move[y % m] for y in acc]
-            out.append(tuple(acc))
+        return [_product(moves, word, m) for word in words]
     except KeyError as exc:
         raise CoxeterError(f"word references unassigned generator {abs(exc.args[0])}") from None
-    return out
-
-
-def _shift(window) -> int:
-    """How far the window's affine permutation moves an integer at most."""
-    return max(abs(x - i) for i, x in enumerate(window, 1))
-
-
-def _padded(window, t) -> tuple[int, ...]:
-    """The values f(1 - t*m), ..., f(m + t*m) of the window's affine
-    permutation f, rotated to start at f(0): entry y is f(y), a negative
-    y read from the end.  So a letter is one lookup of
-    :func:`permutations._evaluate` on words that keep 0..m inside that
-    interval, as :func:`_plan_on_cycle` pads once for all its words."""
-    m = len(window)
-    line = [x + m * s for s in range(-t, t + 1) for x in window]
-    return tuple(line[t * m - 1 :] + line[: t * m - 1])
 
 
 # ---------------------------------------------------------------------------
@@ -273,9 +265,8 @@ def derive_plan(pres, symmetric, bound) -> tuple[tuple[int, ...], dict[int, Word
     those on one chord under each of its windows, which drops the windows
     they break; then those on several chords under the combinations of
     the windows left, tried lazily, the first under which they all hold
-    giving the plan.  The cycle is the first that has a plan.  Every
-    generator's letters are padded once per cycle, wide enough for each
-    candidate, and each word is evaluated once per window it meets.
+    giving the plan.  The cycle is the first that has a plan, and each
+    word is evaluated once per window it meets.
 
     Raises :class:`~galcov.presentation.SearchBound` when the walk, or one
     cycle's combinations, pass ``bound``, and :class:`CoxeterError` when
@@ -313,7 +304,7 @@ def _plan_on_cycle(pres, cycle, chords, bound) -> tuple[dict[int, Word], list] |
     if any(len(ends) != 2 for ends in chords.values()):
         return None
     m = len(cycle)
-    identity = tuple(range(m + 1))
+    identity = tuple(range(1, m + 1))
     assignment = standard_assignment(label_cycle(pres.names, cycle))
     windows = [assignment.get(name) for name in pres.names]
     words = {}
@@ -323,19 +314,12 @@ def _plan_on_cycle(pres, cycle, chords, bound) -> tuple[dict[int, Word], list] |
         words[g] = list(
             dict.fromkeys(w for arc in arcs for w in (arc + arc[-2::-1], arc[::-1] + arc[1:]))
         )
-    # a chord's window moves an integer no further than its widest word does
-    shift = {}
+    moves = {}
     for g in cycle:
-        shift[g] = shift[-g] = _shift(windows[g - 1])
-    for g, ws in words.items():
-        shift[g] = shift[-g] = max(sum(map(shift.__getitem__, w)) for w in ws)
-    t = max([*shift.values(), *(sum(map(shift.__getitem__, r)) for r in pres.relators)]) // m + 1
-    letters = {}
-    for g in cycle:
-        letters[g] = letters[-g] = _padded(windows[g - 1], t)
+        moves[g] = moves[-g] = _moves(windows[g - 1])
 
     def hold(rels):
-        return all(_evaluate(letters, r, m) == identity for r in rels)
+        return all(_product(moves, r, m) == identity for r in rels)
 
     alone, several, single = [], [], {g: [] for g in chords}
     for r in pres.relators:
@@ -350,12 +334,12 @@ def _plan_on_cycle(pres, cycle, chords, bound) -> tuple[dict[int, Word], list] |
     for g, ws in words.items():
         first = {}
         for w in ws:
-            first.setdefault(_evaluate(letters, w, m)[1:], w)
+            first.setdefault(_product(moves, w, m), w)
         kept = []
         for window, w in first.items():
-            letters[g] = letters[-g] = padded = _padded(window, t)
+            moves[g] = moves[-g] = chord_moves = _moves(window)
             if hold(single[g]):
-                kept.append((w, window, padded))
+                kept.append((w, window, chord_moves))
         if not kept:
             return None
         options.append(kept)
@@ -365,12 +349,12 @@ def _plan_on_cycle(pres, cycle, chords, bound) -> tuple[dict[int, Word], list] |
         if tried == bound:
             raise SearchBound(f"chord windows stopped at {bound} combinations")
         chosen = dict(zip(chords, combination))
-        for g, (_, _, padded) in chosen.items():
-            letters[g] = letters[-g] = padded
+        for g, (_, _, chord_moves) in chosen.items():
+            moves[g] = moves[-g] = chord_moves
         for r, named in several:
             key = (r, *(chosen[g][1] for g in named))
             if key not in known:
-                known[key] = _evaluate(letters, r, m) == identity
+                known[key] = _product(moves, r, m) == identity
             if not known[key]:
                 break
         else:

@@ -327,7 +327,10 @@ def parse_relation(line: str, names) -> Word:
     Each token of a word is one lookup in the table of the names' tokens,
     built once per call, so a word parses in time linear in its length.
     The first token the table lacks raises :class:`RelationSyntaxError`,
-    a bad exponent or an unknown generator, at its token position.
+    a bad exponent or an unknown generator, at its token position.  The
+    word is returned as the line writes it, not free-reduced: whoever
+    stores it reduces it once, as :func:`build_tilde_presentation` and
+    :meth:`GroupPresentation.make` do.
     """
     return _parse_relation(line, _token_table(names))
 
@@ -355,7 +358,7 @@ def _parse_relation(line, table) -> Word:
             raise RelationSyntaxError("usage: ccomm I : W", line, 2)
         i = _parse_index(tokens[1], table, line, 1)
         w = _parse_tokens(tokens[3:], table, line, 3)
-        return free_reduce((i,) + w + (-i,) + invert_word(w))
+        return (i,) + w + (-i,) + invert_word(w)
     if head == "eq:":
         if "=" not in tokens:
             raise RelationSyntaxError("eq: needs '=' between two words", line, 1)
@@ -364,7 +367,7 @@ def _parse_relation(line, table) -> Word:
         w2 = _parse_tokens(tokens[sep + 1 :], table, line, sep + 1)
         if not w1 or not w2:
             raise RelationSyntaxError("eq: needs two non-empty words", line, sep)
-        return free_reduce(w1 + invert_word(w2))
+        return w1 + invert_word(w2)
     if head == "word:":
         w = _parse_tokens(tokens[1:], table, line, 1)
         if not w:
@@ -379,9 +382,9 @@ def format_word(word, names) -> str:
     ) or "1"
 
 
-def format_relation(word, names) -> str:
-    """Render a relator in the relation grammar (recognizing sq/triple/comm)."""
-    w = free_reduce(word)
+def format_relation(w, names) -> str:
+    """Render a relator in the relation grammar (recognizing sq/triple/comm)
+    as it is stored: a relator of a presentation is already reduced."""
 
     def num(x):
         name = names[abs(x) - 1]

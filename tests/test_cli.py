@@ -13,8 +13,9 @@ import galcov.presentation
 from galcov.cli import AnalysisError, analyze, emit_report, main
 from galcov.complexes import ClassificationError, classify_vertex
 from galcov.datasets import load_builtin
-from galcov.enumeration import coset_enumeration
-from galcov.invariants import InvariantError, chern_signature, singularity_counts
+from galcov.enumeration import CosetTable, coset_enumeration
+from galcov.invariants import InvariantCounts, InvariantError, chern_signature, singularity_counts
+from galcov.kernel import identify_structure
 from galcov.permutations import plane_transposition_map
 from galcov.presentation import (
     GroupPresentation,
@@ -551,6 +552,88 @@ def test_unknown_generator_in_the_projective_relator_is_presentation_error(tmp_p
     with pytest.raises(AnalysisError, match=r"^\[presentation\] unknown generator 'g99'") as info:
         analyze(str(path), route=route)
     assert (info.value.stage, info.value.exit_code) == ("presentation", 2)
+
+
+@pytest.mark.parametrize(
+    "line, message, position",
+    [
+        ("sq", "usage: sq K", 1),
+        ("ccomm 1 g8", "usage: ccomm I : W", 2),
+        ("eq: g1 =", "eq: needs two non-empty words", 2),
+        ("word:", "word: needs a non-empty word", 1),
+        ("pow 1 2", "unknown relation form 'pow'", 0),
+        ("sq x", "expected generator number, got 'x'", 1),
+    ],
+)
+def test_override_line_usage_error_is_presentation_error(tmp_path, capsys, line, message, position):
+    # each usage error of the relation grammar, as t4's one override line
+    from galcov.datasets import T4_JSON
+
+    data = json.loads(T4_JSON)
+    data["overrides"] = {"extra_relators": [line]}
+    path = tmp_path / "t4-bad-line.json"
+    path.write_text(json.dumps(data), encoding="utf-8")
+    assert main(["analyze", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: [presentation] {message} (at token {position}) in {line!r}\n"
+    assert captured.out == ""
+
+
+def test_kernel_error_of_the_regular_action_is_kernel_stage(monkeypatch, capsys):
+    # t4's table with one more coset, fixed by every letter: no letter
+    # joins it to coset 0, so the regular action's walk ends before it
+    real = galcov.cli.coset_enumeration
+
+    def with_a_loose_coset(*args):
+        table = real(*args)
+        return CosetTable(table.generator_count, tuple(c + (len(c),) for c in table.columns))
+
+    monkeypatch.setattr(galcov.cli, "coset_enumeration", with_a_loose_coset)
+    assert main(["analyze", "t4"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: [kernel] coset table is not connected\n"
+    assert captured.out == ""
+
+
+def test_presentation_dump_in_the_text_report(capsys):
+    # the text report lists the relators the JSON report dumps, one a line
+    assert main(["analyze", "t4", "--emit-presentation", "--format", "json"]) == 0
+    dump = json.loads(capsys.readouterr().out)["presentation"]
+    assert main(["analyze", "t4", "--emit-presentation"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    start = lines.index("Presentation relators:") + 1
+    assert lines[start : start + len(dump)] == [f"  {x}" for x in dump]
+    assert lines[start + len(dump)].startswith("warning: ")
+    assert len(dump) == 25 and dump[0] == "sq 1"
+
+
+def test_rational_chern_values_in_both_formats(monkeypatch, capsys):
+    # no valid complex gives a rational Chern number, so the counts behind
+    # them are replaced: c2 = 11/2 and chi = -11/3, written exactly
+    counts = InvariantCounts(n=3, m=6, mu=7, d=1, rho=1)
+    monkeypatch.setattr(galcov.cli, "chern_signature", lambda _: chern_signature(counts))
+    assert main(["analyze", "t4", "--format", "json"]) == 0
+    data = json.loads(capsys.readouterr().out)
+    assert data["chern"] == {"c1sq": 0, "c2": "11/2", "chi": "-11/3"}
+    assert "chi is not an integer; kept as an exact rational" in data["warnings"]
+    assert main(["analyze", "t4"]) == 0
+    assert "Chern: c1^2=0 c2=11/2 signature chi=-11/3\n" in capsys.readouterr().out
+
+
+def test_undetermined_verdict_with_factors_and_a_note(monkeypatch, capsys):
+    # a regular action whose invariants show a free rank at a finite order:
+    # the verdict stays undetermined, with its order, factors and note
+    verdict = identify_structure(16, (2, 2, 2, 0))
+    note = "abelianization has free rank but the order is finite"
+    monkeypatch.setattr(galcov.cli, "regular_kernel", lambda *args: verdict)
+    assert main(["analyze", "dt4", "--format", "json"]) == 1
+    data = json.loads(capsys.readouterr().out)
+    assert data["pi1"] == {"kind": "Undetermined", "order": 16, "factors": [2, 2, 2, 0], "note": note}
+    assert data["routes"]["enumeration"]["pi1"] == f"undetermined (order 16; {note})"
+    assert main(["analyze", "dt4"]) == 1
+    out = capsys.readouterr().out
+    assert f"-> undetermined (order 16; {note})\n" in out
+    assert "RESULT UNDECIDED (see warnings)\n" in out
 
 
 @pytest.mark.parametrize("route", ["enumerate", "coxeter", "both"])

@@ -11,8 +11,6 @@ from galcov.complexes import parse_complex
 from galcov.coxeter import (
     CoxeterError,
     CoxeterGraph,
-    _padded,
-    _shift,
     coxeter_route,
     derive_plan,
     eval_words,
@@ -24,7 +22,7 @@ from galcov.coxeter import (
 from galcov.datasets import DT4_JSON, load_builtin
 from galcov.enumeration import CosetTable, coset_enumeration
 from galcov.kernel import regular_kernel, smith_normal_form
-from galcov.permutations import SymmetricAssignment, _evaluate, plane_transposition_map
+from galcov.permutations import SymmetricAssignment, plane_transposition_map
 from galcov.presentation import (
     GroupPresentation,
     SearchBound,
@@ -179,8 +177,8 @@ def per_entry(images, word):
 
 
 def test_eval_words_matches_the_per_entry_formula():
-    # random windows move entries by several multiples of m, so a
-    # batch's interval reaches well past one window either side of 1..m
+    # random windows move entries by several multiples of m, so products
+    # reach well past one window either side of 1..m
     rng = random.Random(2718)
     wide = 0
     for _ in range(300):
@@ -200,11 +198,9 @@ def test_eval_words_matches_the_per_entry_formula():
     assert wide > 250
 
 
-def test_eval_words_matches_the_padded_evaluation():
-    # an independent oracle: the padded letters _plan_on_cycle reads, each
-    # letter one lookup in its window's values on an interval that no word
-    # leaves; windows with translations, and words of thousands of letters
-    # with inverse letters
+def test_eval_words_matches_the_per_entry_formula_on_long_words():
+    # windows with translations, and words of thousands of letters with
+    # inverse letters, whose products move entries far past 1..m
     rng = random.Random(1618)
     far = 0
     for _ in range(12):
@@ -220,12 +216,8 @@ def test_eval_words_matches_the_padded_evaluation():
             )
             for _ in range(2)
         ]
-        t = max(sum(_shift(images[abs(x) - 1]) for x in w) for w in words) // m + 1
-        letters = {}
-        for k, w in enumerate(images, 1):
-            letters[k] = letters[-k] = _padded(w, t)
         got = eval_words(images, words)
-        assert got == [_evaluate(letters, w, m)[1:] for w in words]
+        assert got == [per_entry(images, w) for w in words]
         far += any(not -m < x <= 2 * m for w in got for x in w)
     assert far > 6
 
@@ -430,29 +422,30 @@ def test_dt4_power_on_the_coxeter_route(tmp_path, k):
 
 
 def test_dt4_route_evaluates_as_written(monkeypatch):
-    # the plan evaluates the 54 relators and the 12 candidate words on
-    # letters padded once for the cycle, and no word twice under the same
-    # letters: the relators on g6 alone once per window of g6, those on
-    # several chords once per windows of their own chords, in the two
-    # combinations tried (g6's two windows).  The projective relator is
-    # evaluated once, in the one eval_words batch, which composes windows
-    # without padded letters, and the presentation is never rewritten
+    # every product is one _product call, and no word is evaluated twice
+    # under the same letter moves: the plan evaluates the 54 relators and
+    # the 12 candidate words, the relators on g6 alone once per window of
+    # g6, those on several chords once per windows of their own chords, in
+    # the two combinations tried (g6's two windows), 94 calls in all; the
+    # projective relator is the 95th, in the one eval_words batch, and the
+    # presentation is never rewritten
     eliminations = count_calls(monkeypatch, galcov.coxeter, "eliminate_and_rewrite")
     batches = count_calls(monkeypatch, galcov.coxeter, "eval_words")
     evaluated = []
-    real = galcov.coxeter._evaluate
+    real = galcov.coxeter._product
 
-    def recording(letters, word, degree):
-        evaluated.append((word, tuple(letters[x] for x in word)))
-        return real(letters, word, degree)
+    def recording(moves, word, m):
+        evaluated.append((word, tuple(moves[x] for x in word)))
+        return real(moves, word, m)
 
-    monkeypatch.setattr(galcov.coxeter, "_evaluate", recording)
+    monkeypatch.setattr(galcov.coxeter, "_product", recording)
     pres = build_tilde_presentation(load_builtin("dt4"), include_projective=False)
     assert len(pres.relators) == 54
     assert analyze("dt4", route="coxeter").coxeter_route["supported"]
     assert eliminations == []
     assert [len(words) for _, words in batches] == [1]
-    assert len(evaluated) == len(set(evaluated)) == 94
+    assert len(evaluated) == len(set(evaluated)) == 95
+    assert evaluated[-1][0] == projective_relator(load_builtin("dt4"))
 
 
 NO_CYCLE = (

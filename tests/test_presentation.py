@@ -5,6 +5,8 @@ import random
 
 import pytest
 
+import galcov.presentation
+from galcov.cli import analyze
 from galcov.complexes import (
     ComplexError,
     DegenerationComplex,
@@ -243,6 +245,32 @@ def test_parse_relation_forms():
     assert parse_relation("ccomm 1 : g8 g7 g8", NAMES9) == (1, 8, 7, 8, -1, -8, -7, -8)
     assert parse_relation("eq: g3 = g5 g9 g5", NAMES9) == (3, -5, -9, -5)
     assert parse_relation("word: g2 g4^-1", NAMES9) == (2, -4)
+
+
+def test_each_override_line_is_reduced_once_by_the_builder(monkeypatch):
+    # the parser returns every form as written, cancelling pairs and all;
+    # the build reduces each line once, and the dump renders the stored
+    # relator: 8 reductions per dt4 build of its 7 override lines and its
+    # projective relator, two builds on the coxeter route
+    assert parse_relation("ccomm 1 : g1^-1 g2", NAMES9) == (1, -1, 2, -1, -2, 1)
+    assert parse_relation("eq: g1 g2 = g3 g2", NAMES9) == (1, 2, -2, -3)
+    data = json.loads(DT4_JSON)
+    data["overrides"]["extra_relators"].append("eq: g1 g2 = g4 g2")
+    pres = build_tilde_presentation(parse_complex(json.dumps(data)))
+    assert (1, -4) in pres.relators
+    reduced = []
+    real = galcov.presentation.free_reduce
+
+    def counting(word):
+        reduced.append(word)
+        return real(word)
+
+    monkeypatch.setattr(galcov.presentation, "free_reduce", counting)
+    analyze("dt4", route="enumerate", emit_presentation=True)
+    assert len(reduced) == 8
+    reduced.clear()
+    analyze("dt4", route="coxeter")
+    assert len(reduced) == 15
 
 
 def test_parse_relation_errors_carry_position():
