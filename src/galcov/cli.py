@@ -1,26 +1,26 @@
 """End-to-end analysis pipeline and command-line interface.
 
-``analyze`` drives the full computation for one degeneration: validate,
-classify, count singularities, Chern numbers and signature, generate the
-group presentation, map it onto the symmetric group S_n, and identify the
-kernel K (= the fundamental group of the Galois cover) from one
-Todd-Coxeter table of G~ over an S_n complement H, with [G~:H] = |K| cosets
-(undecided when ``complement_path`` finds no H within the bound): |G~| =
-[G~:H]|H| = n!|K|, and the verdict comes from K's regular action on the
-table, read from at most log2 |K| generators, one Schreier graph and
-SNF.  ``both`` adds an independent presentation of K (the n!-row kernel
-table, Reidemeister-Schreier, Tietze simplification, an enumeration of K,
-SNF); its |K| and invariants must match, and it decides alone when the
-table does not.  The Coxeter-quotient route (``coxeter`` or ``both``)
-reads no table of G~: it needs a projective relator, derives its
-elimination plan from a Hamiltonian cycle of the plane graph, checks it
-in the affine symmetric group and proves it by one enumeration of index 1
-over the cycle; without a projective relator it reports itself
-unsupported.  So ``coxeter`` alone builds no table of G~, and ``both``
-compares two independent exact computations.  The first decided verdict
-stands: one left undetermined, such as the kernel presentation's |K|
-without invariants, yields to the Coxeter route's, and the routes then
-agree when both give |K| and it is the same.
+``analyze`` drives the full computation for one degeneration, every stage
+and route in its own body: validate, classify, count singularities, Chern
+numbers and signature, generate the group presentation, map it onto the
+symmetric group S_n, and identify the kernel K (= the fundamental group of
+the Galois cover) from one Todd-Coxeter table of G~ over an S_n complement
+H, with [G~:H] = |K| cosets (undecided when ``complement_path`` finds no H
+within the bound): |G~| = [G~:H]|H| = n!|K|, and the verdict comes from
+K's regular action on the table, read from at most log2 |K| generators,
+one Schreier graph and SNF.  ``both`` adds an independent presentation of
+K (the n!-row kernel table, Reidemeister-Schreier, Tietze simplification,
+an enumeration of K, SNF); its |K| and invariants must match, and it
+decides alone when the table does not.  The Coxeter-quotient route
+(``coxeter`` or ``both``) reads no table of G~: it needs a projective
+relator, derives its elimination plan from a Hamiltonian cycle of the
+plane graph, checks it in the affine symmetric group and proves it by one
+enumeration of index 1 over the cycle; without a projective relator it
+reports itself unsupported.  So ``coxeter`` alone builds no table of G~,
+and ``both`` compares two independent exact computations.  The first
+decided verdict stands: one left undetermined, such as the kernel
+presentation's |K| without invariants, yields to the Coxeter route's, and
+the routes then agree when both give |K| and it is the same.
 
 ``max_cosets`` bounds every table and search: the complement search, the
 enumeration over H, the |K|(floor(log2 |K|) + 1) table lookups of the
@@ -33,7 +33,8 @@ route decides, pi1's note is ``undecided at bound N`` after a bound hit,
 else ``no route produced a verdict``.
 
 Exit codes: 0 definite verdict, 1 undecided (a table hit ``max_cosets``,
-or no requested route could decide), 2 input errors.
+or no requested route could decide), 2 input errors: each stage's reaches
+``main`` as an :class:`AnalysisError` that names the stage.
 """
 
 from __future__ import annotations
@@ -192,17 +193,13 @@ def _verdict_dict(v: StructureVerdict) -> dict:
     return out
 
 
-def _verdicts_equal(a: StructureVerdict, b: StructureVerdict) -> bool:
-    return _verdict_dict(a) == _verdict_dict(b)
-
-
 def _routes_agree(a: StructureVerdict, b: StructureVerdict) -> bool | None:
     """Two decided verdicts agree when they are equal.  With one
     undetermined, the routes agree when both give |K| and it is the same,
     and say nothing when either gives none."""
     if "Undetermined" in (a.kind, b.kind):
         return None if None in (a.order, b.order) else a.order == b.order
-    return _verdicts_equal(a, b)
+    return _verdict_dict(a) == _verdict_dict(b)
 
 
 def load_source(source: str) -> tuple[str, DegenerationComplex]:
@@ -290,9 +287,7 @@ def analyze(
             projective_relator(complex_),
         )
 
-    pres, pres_noproj, proj = timed(
-        "presentation", presentations, errors=(PresentationError, ComplexError)
-    )
+    pres, pres_noproj, proj = timed("presentation", presentations, errors=PresentationError)
 
     report = AnalysisReport(
         source=origin,
@@ -348,22 +343,111 @@ def analyze(
                 "enumerate", coset_enumeration, pres, [(g,) for g in path], max_cosets,
                 overflow=f"enumeration overflow at {max_cosets} cosets",
             )
+    index = None if table is None else table.coset_count
 
+    # the regular action: |K| = [G~:H] from the table over H, and the
+    # verdict from K's regular action on it, within its |K|(floor(log2 |K|)
+    # + 1) table lookups
     enum_verdict = None
     if table is not None:
-        enum_verdict = _enumeration_route(
-            report, pres, table, path, planes, assignment, max_cosets, timed, bound_hits
-        )
-    if route == "both":
-        enum_verdict = _presentation_route(
-            report, pres, assignment, table, enum_verdict, max_cosets, timed, bound_hits
-        )
+        lookups = index * index.bit_length()
+        if lookups > max_cosets:
+            bound_hits.append(
+                f"the regular action of K, of order {index}, needs {lookups} table lookups"
+            )
+        else:
+            try:
+                enum_verdict = timed(
+                    "regular_kernel", regular_kernel, table, assignment, path, planes
+                )
+            except KernelError as exc:
+                raise AnalysisError("kernel", str(exc)) from exc
+            report.enumeration_route = {
+                "complement_generators": [pres.names[g - 1] for g in path],
+                "index": index,
+                "invariants": list(enum_verdict.factors or ()),
+                "verdict": _verdict_dict(enum_verdict),
+                "pi1": enum_verdict.describe(),
+            }
 
+    # under ``both``: |K| and the abelian invariants again, from a
+    # presentation of K = ker(G~ -> S_n), independent of the table over H.
+    # They must equal the table's |K| and the regular action's invariants
+    # (those of K/K'); without that verdict, this route's decides.  validate
+    # rejects a plane graph that is not connected, so the plane
+    # transpositions generate all of S_n
+    if route == "both":
+        nfact = report.symmetric_image_order
+        kernel = factors = None
+        # the kernel table has one row per permutation: bound it before building
+        if nfact > max_cosets:
+            bound_hits.append(f"kernel table needs {nfact} rows")
+        else:
+            ktable = timed("kernel_table", kernel_coset_table, pres, assignment)
+            sub = timed("reidemeister_schreier", reidemeister_schreier, pres, ktable)
+            simplified = timed("simplify", simplify_presentation, sub)
+            rs_table = timed(
+                "kernel_enumerate", coset_enumeration, simplified, (), max_cosets,
+                overflow=f"kernel enumeration overflow at {max_cosets} cosets",
+            )
+            if rs_table is not None:
+                kernel = rs_table.coset_count
+                if simplified.generator_count <= _SNF_GENERATOR_LIMIT:
+                    factors = timed("snf", abelianization, simplified)
+        if None not in (index, kernel) and index != kernel:
+            raise AnalysisError(
+                "kernel",
+                f"the coset table gives |G~| = [G~:H]|H| = {index * nfact}, but the kernel "
+                f"presentation gives n!|K| = {nfact}*{kernel} = {nfact * kernel}",
+            )
+        report.kernel_cross_check = {
+            "from_index": index,
+            "from_subgroup_presentation": kernel,
+            "agree": True if None not in (index, kernel) else None,
+        }
+        if kernel is not None:
+            if enum_verdict is None:
+                enum_verdict = identify_structure(kernel, invariant_factors=factors)
+            elif factors not in (None, enum_verdict.factors or ()):
+                raise AnalysisError(
+                    "kernel",
+                    f"the regular action gives invariants {enum_verdict.factors or ()}, but "
+                    f"the kernel presentation gives invariant factors {factors}",
+                )
+
+    # the Coxeter-quotient route, independent of any table of G~: its plan
+    # derived from a Hamiltonian cycle of the plane graph and checked in the
+    # affine symmetric group, then one enumeration over the cycle, each
+    # within ``max_cosets``; no verdict when it is unsupported or bounded
     cox_verdict = None
-    if route in ("coxeter", "both"):
-        cox_verdict = _coxeter_route(
-            report, pres_noproj, proj, assignment, max_cosets, timed, bound_hits
-        )
+    if route != "enumerate":
+        try:
+            cox = timed(
+                "coxeter", coxeter_route, pres_noproj, proj, assignment, max_cosets,
+                overflow="coxeter route: enumeration over the cycle overflow at "
+                f"{max_cosets} cosets",
+            )
+        except SearchBound as exc:
+            bound_hits.append(f"coxeter route: {exc}")
+            cox = None
+        if cox is not None and not cox.supported:
+            report.coxeter_route = {"supported": False, "reason": cox.reason}
+        elif cox is not None:
+            cox_verdict = cox.verdict()
+            report.coxeter_route = {
+                "supported": True,
+                # the cycle's generators, in id order
+                "generators": [name for name in cox.presentation.names if name in cox.assignment],
+                "graph": [
+                    {"generator": name, "vertices": list(pair)} for name, pair in cox.graph.edges
+                ],
+                "non_tree_edge": cox.graph.edges[-1][0],
+                "projective_vector_u": list(cox.proj_u_coords),
+                "invariants": list(cox.quotient.invariants),
+                "order": cox.quotient.order,
+                "verdict": _verdict_dict(cox_verdict),
+                "pi1": cox_verdict.describe(),
+            }
 
     # cox_verdict is None exactly when the Coxeter route is unsupported or
     # bounded, and equal decided verdicts name groups of one order
@@ -380,7 +464,6 @@ def analyze(
     if verdicts:
         final = verdicts[0]
     else:
-        index = table.coset_count if table is not None else None
         note = f"undecided at bound {max_cosets}" if bound_hits else "no route produced a verdict"
         final = StructureVerdict("Undetermined", order=index, note=note)
     report.kernel_order = final.order
@@ -389,131 +472,6 @@ def analyze(
     report.pi1 = _verdict_dict(final)
     report.undecided = final.kind == "Undetermined"
     return report
-
-
-def _enumeration_route(
-    report, pres, table, path, planes, assignment, max_cosets, timed, bound_hits
-):
-    """Regular-action route: |K| = [G~:H] from the table over the S_n
-    complement H, and the verdict from K's regular action on it.  Returns
-    the verdict, or None, with a bound hit in ``bound_hits``, when the
-    bound on its |K|(floor(log2 |K|) + 1) table lookups stops it."""
-    kernel_order = table.coset_count
-    lookups = kernel_order * kernel_order.bit_length()
-    if lookups > max_cosets:
-        bound_hits.append(
-            f"the regular action of K, of order {kernel_order}, needs {lookups} table lookups"
-        )
-        return None
-    try:
-        verdict = timed("regular_kernel", regular_kernel, table, assignment, path, planes)
-    except KernelError as exc:
-        raise AnalysisError("kernel", str(exc)) from exc
-    report.enumeration_route = {
-        "complement_generators": [pres.names[g - 1] for g in path],
-        "index": table.coset_count,
-        "invariants": list(verdict.factors or ()),
-        "verdict": _verdict_dict(verdict),
-        "pi1": verdict.describe(),
-    }
-    return verdict
-
-
-def _presentation_route(report, pres, assignment, table, verdict, max_cosets, timed, bound_hits):
-    """Under ``--route both``: |K| and the abelian invariants again, from a
-    presentation of K = ker(G~ -> S_n), independent of the ``table`` of G~
-    over H (None when there is none).
-    They must equal the table's and the regular action's ``verdict``
-    (its invariants are those of K/K'); without that verdict, this
-    route's decides.  Returns the verdict that stands, if any; a bound
-    that stops this route is a bound hit in ``bound_hits``."""
-    # validate rejects a plane graph that is not connected, so the plane
-    # transpositions generate all of S_n
-    nfact = report.symmetric_image_order
-    kernel = factors = None
-    # the kernel table has one row per permutation: bound it before building
-    if nfact > max_cosets:
-        bound_hits.append(f"kernel table needs {nfact} rows")
-    else:
-        ktable = timed("kernel_table", kernel_coset_table, pres, assignment)
-        sub = timed("reidemeister_schreier", reidemeister_schreier, pres, ktable)
-        simplified = timed("simplify", simplify_presentation, sub)
-        rs_table = timed(
-            "kernel_enumerate", coset_enumeration, simplified, (), max_cosets,
-            overflow=f"kernel enumeration overflow at {max_cosets} cosets",
-        )
-        if rs_table is not None:
-            kernel = rs_table.coset_count
-            if simplified.generator_count <= _SNF_GENERATOR_LIMIT:
-                factors = timed("snf", abelianization, simplified)
-    _index_cross_check(report, None if table is None else table.coset_count, kernel)
-    if kernel is None:
-        return verdict
-    if verdict is None:
-        return identify_structure(kernel, invariant_factors=factors)
-    expected = verdict.factors or ()
-    if factors not in (None, expected):
-        raise AnalysisError(
-            "kernel",
-            f"the regular action gives invariants {expected}, but the kernel "
-            f"presentation gives invariant factors {factors}",
-        )
-    return verdict
-
-
-def _index_cross_check(report, index, kernel):
-    """Under ``--route both``: |K| = [G~:H] from the table over H (None
-    without one) must equal the kernel presentation's |K| (None when a
-    bound stopped it)."""
-    nfact = report.symmetric_image_order
-    if None not in (index, kernel) and index != kernel:
-        raise AnalysisError(
-            "kernel",
-            f"the coset table gives |G~| = [G~:H]|H| = {index * nfact}, but the kernel "
-            f"presentation gives n!|K| = {nfact}*{kernel} = {nfact * kernel}",
-        )
-    report.kernel_cross_check = {
-        "from_index": index,
-        "from_subgroup_presentation": kernel,
-        "agree": True if None not in (index, kernel) else None,
-    }
-
-
-def _coxeter_route(report, pres_noproj, proj, assignment, max_cosets, timed, bound_hits):
-    """Coxeter-quotient route, independent of any table of G~: its plan
-    derived from a Hamiltonian cycle of the plane graph and checked in the
-    affine symmetric group, then one enumeration over the cycle, each
-    within ``max_cosets``.  Returns its verdict, or None when it is
-    unsupported or, with a bound hit in ``bound_hits``, bounded."""
-    try:
-        route = timed(
-            "coxeter", coxeter_route, pres_noproj, proj, assignment, max_cosets,
-            overflow=f"coxeter route: enumeration over the cycle overflow at {max_cosets} cosets",
-        )
-    except SearchBound as exc:
-        bound_hits.append(f"coxeter route: {exc}")
-        return None
-    if route is None:
-        return None
-    if not route.supported:
-        report.coxeter_route = {"supported": False, "reason": route.reason}
-        return None
-    verdict = route.verdict()
-    report.coxeter_route = {
-        "supported": True,
-        # the cycle's generators, in id order
-        "generators": [name for name in route.presentation.names if name in route.assignment],
-        "graph": [
-            {"generator": name, "vertices": list(pair)} for name, pair in route.graph.edges
-        ],
-        "non_tree_edge": route.graph.edges[-1][0],
-        "projective_vector_u": list(route.proj_u_coords),
-        "invariants": list(route.quotient.invariants),
-        "order": route.quotient.order,
-        "verdict": _verdict_dict(verdict),
-        "pi1": verdict.describe(),
-    }
-    return verdict
 
 
 # ---------------------------------------------------------------------------
@@ -650,9 +608,6 @@ def main(argv=None) -> int:
     except AnalysisError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.exit_code
-    except ComplexError as exc:
-        print(f"error: [parse] {exc}", file=sys.stderr)
-        return 2
     sys.stdout.buffer.write(emit_report(report, args.format))
     sys.stdout.flush()
     return 1 if report.undecided else 0

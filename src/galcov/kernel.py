@@ -341,7 +341,9 @@ def regular_kernel(table: CosetTable, a: SymmetricAssignment, path, planes) -> S
 
     ``table`` is a closed coset table of G over H: the S_n complement
     that :func:`~galcov.presentation.complement_path` found along
-    ``path`` through ``planes``.  H meets K trivially, so K acts
+    ``path`` through ``planes``.  A ``planes`` that is not a permutation
+    of 1..n, or a path whose j-th generator does not transpose planes j
+    and j + 1, raises :class:`KernelError`.  H meets K trivially, so K acts
     regularly on the orbit of coset 0, which is every coset.
     :func:`_kernel_elements` takes at most log2 |K| elements of K that
     generate it.  When they commute pairwise (two compositions for each
@@ -376,6 +378,13 @@ def _kernel_elements(table: CosetTable, a: SymmetricAssignment, path, planes):
     if len(planes) != len(path) + 1:
         raise ValueError(f"a path of {len(path)} generators walks {len(path) + 1} planes")
     n, size = a.degree, table.coset_count
+    # the bubble sort reads each plane's position on the path, and swaps
+    # neighbours by the path's generators
+    if sorted(planes) != list(range(1, n + 1)):
+        raise KernelError(f"the path's planes {tuple(planes)} are not a permutation of 1..{n}")
+    for g, pair in zip(path, zip(planes, planes[1:])):
+        if not 0 < g <= len(a.moved) or a.moved[g - 1] != tuple(sorted(pair)):
+            raise KernelError(f"generator {g} does not transpose planes {pair[0]} and {pair[1]}")
     columns = {x: table.column(x) for g in range(1, table.generator_count + 1) for x in (g, -g)}
     # the walk's spanning tree: each coset's parent and letter index; an
     # involution's inverse letter repeats a column and reaches no coset

@@ -11,7 +11,7 @@ import galcov.coxeter
 import galcov.invariants
 import galcov.presentation
 from galcov.cli import AnalysisError, analyze, emit_report, main
-from galcov.complexes import ClassificationError, classify_vertex
+from galcov.complexes import ClassificationError, ComplexParseError, classify_vertex
 from galcov.datasets import load_builtin
 from galcov.enumeration import CosetTable, coset_enumeration
 from galcov.invariants import InvariantCounts, InvariantError, chern_signature, singularity_counts
@@ -90,6 +90,38 @@ def test_classification_error_is_classify_stage(monkeypatch):
     assert info.value.stage == "classify"
     assert info.value.exit_code == 2
     assert str(info.value) == "[classify] vertex 1: refused"
+
+
+@pytest.mark.parametrize(
+    "name, error, stage",
+    [
+        ("parse_complex", ComplexParseError, "parse"),
+        ("classify_vertex", ClassificationError, "classify"),
+    ],
+)
+def test_complex_error_exits_2_at_its_stage(monkeypatch, tmp_path, capsys, name, error, stage):
+    # each stage that can raise a ComplexError names itself in the
+    # AnalysisError that main reports
+    path = tmp_path / "t4.json"
+    path.write_text(serialize_complex(load_builtin("t4")), encoding="utf-8")
+
+    def refuse(*args):
+        raise error("refused")
+
+    monkeypatch.setattr(galcov.cli, name, refuse)
+    assert main(["analyze", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: [{stage}] refused\n"
+    assert captured.out == ""
+
+
+def test_a_path_that_walks_no_complement_exits_2_at_kernel(monkeypatch, capsys):
+    # a complement path through one of t4's four planes: the regular action
+    # refuses it before it reads a plane's position on the path
+    monkeypatch.setattr(galcov.cli, "complement_path", lambda *args: ((), (1,)))
+    assert main(["analyze", "t4"]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: [kernel] the path's planes (1,) are not a permutation of 1..4\n"
 
 
 @pytest.mark.parametrize("name", ["t4", "dt4"])
@@ -729,7 +761,8 @@ def test_enumerate_route_order_equals_full_table(monkeypatch, tmp_path, name, se
 
 
 def test_non_abelian_verdict_is_reported_exactly():
-    from galcov.cli import _verdict_dict, _verdicts_equal
+    # two decided verdicts agree only when they are reported alike
+    from galcov.cli import _routes_agree, _verdict_dict
     from galcov.kernel import StructureVerdict
 
     s3 = StructureVerdict(
@@ -739,13 +772,13 @@ def test_non_abelian_verdict_is_reported_exactly():
         "kind": "NonAbelian", "order": 6, "centre_order": 1, "derived_order": 3
     }
     assert s3.describe() == "non-abelian of order 6 (centre 1, derived subgroup 3)"
-    assert _verdicts_equal(s3, s3)
+    assert _routes_agree(s3, s3) is True
     z6 = StructureVerdict(kind="AbelianInvariantFactors", order=6, factors=(6,))
-    assert not _verdicts_equal(s3, z6) and not _verdicts_equal(z6, s3)
+    assert _routes_agree(s3, z6) is False and _routes_agree(z6, s3) is False
     q8 = StructureVerdict(
         kind="NonAbelian", order=8, factors=(2, 2), centre_order=2, derived_order=2
     )
-    assert not _verdicts_equal(s3, q8)
+    assert _routes_agree(s3, q8) is False
 
 
 def test_an_undetermined_verdict_agrees_on_its_order():

@@ -4,9 +4,10 @@ import random
 
 import pytest
 
+import galcov.cli
 import galcov.coxeter
 import galcov.presentation
-from galcov.cli import DEFAULT_MAX_COSETS, AnalysisReport, _enumeration_route, analyze
+from galcov.cli import DEFAULT_MAX_COSETS, _verdict_dict, analyze
 from galcov.complexes import parse_complex
 from galcov.coxeter import (
     CoxeterError,
@@ -903,35 +904,45 @@ def test_coxeter_cover_routes_agree(m, k, cosets_defined):
     assert regular.describe() == lattice.describe()
 
 
-def test_coxeter_cover_6_4_regular_action_decides_from_11264_lookups():
+def test_coxeter_cover_6_4_regular_action_decides_from_11264_lookups(monkeypatch):
     # K = Z4^5: the table over the S_6 complement has 1,024 rows, so the
     # regular action needs 1,024 * 11 = 11,264 lookups; one fewer leaves
-    # it undecided, and from there on it agrees with the lattice quotient
+    # it undecided, and from there on it agrees with the lattice quotient.
+    # analyze runs on the cover's presentation and map in place of dt4's
     pres, proj, symmetric = coxeter_cover(6, 4)
     full = GroupPresentation.make(pres.names, pres.relators + (proj,))
-    path, planes = complement_path(full, symmetric, DEFAULT_MAX_COSETS)
-    table = coset_enumeration(full, [(g,) for g in path], DEFAULT_MAX_COSETS)
-    assert table.coset_count == 1024
     route = coxeter_route(pres, proj, symmetric, DEFAULT_MAX_COSETS)
     assert route.supported
     lattice = route.verdict()
     assert lattice.order == route.quotient.order == 1024
     assert lattice.factors == (4,) * 5
+    defined = []
+
+    def enumeration(*args):
+        stats = {}
+        table = coset_enumeration(*args, stats)
+        defined.append(stats["cosets_defined"])
+        return table
+
+    monkeypatch.setattr(galcov.cli, "build_tilde_presentation", lambda c, **kwargs: full)
+    monkeypatch.setattr(galcov.cli, "plane_transposition_map", lambda c: symmetric)
+    monkeypatch.setattr(galcov.cli, "coset_enumeration", enumeration)
     for bound in (11_263, 11_264, DEFAULT_MAX_COSETS):
-        report = AnalysisReport(
-            source="coxeter_cover(6, 4)", name="", complex_summary={}, counts={}, chern={},
-            routes_requested="enumerate", symmetric_image_order=math.factorial(6),
-        )
-        bound_hits = []
-        verdict = _enumeration_route(
-            report, full, table, path, planes, symmetric, bound,
-            lambda stage, fn, *args: fn(*args), bound_hits,
+        report = analyze("dt4", max_cosets=bound)
+        # the table closes well within either bound
+        assert defined.pop() == 1215
+        assert report.symmetric_image_order == math.factorial(6)
+        assert report.kernel_order == 1024
+        hit = (
+            "undecided at bound: the regular action of K, of order 1024, needs 11264 table lookups"
         )
         if bound < 11_264:
-            assert verdict is None and report.enumeration_route is None
-            assert bound_hits == [
-                "the regular action of K, of order 1024, needs 11264 table lookups"
-            ]
+            assert report.undecided and report.enumeration_route is None
+            assert report.pi1 == {
+                "kind": "Undetermined", "order": 1024, "note": "undecided at bound 11263"
+            }
+            assert hit in report.warnings
         else:
-            assert verdict == lattice and not bound_hits
+            assert not report.undecided and hit not in report.warnings
+            assert report.pi1 == report.enumeration_route["verdict"] == _verdict_dict(lattice)
             assert report.enumeration_route["pi1"] == "Z4 x Z4 x Z4 x Z4 x Z4"

@@ -873,3 +873,27 @@ def test_regular_kernel_rejects_a_word_that_leaves_the_kernel_orbit():
     a = SymmetricAssignment(2, (sign, sign))
     with pytest.raises(KernelError, match="the kernel element of coset 1 does not act on the kernel"):
         regular_kernel(table, a, (1,), (1, 2))
+
+
+@pytest.mark.parametrize(
+    "path, planes, message",
+    [
+        ((), (1,), r"the path's planes \(1,\) are not a permutation of 1..4"),
+        ((1, 4, 3), (1, 3, 3, 4), r"the path's planes \(1, 3, 3, 4\) are not a permutation"),
+        ((1, 4, 3), (1, 2, 3, 4), "generator 1 does not transpose planes 1 and 2"),
+        ((1, 4, 7), (1, 3, 2, 4), "generator 7 does not transpose planes 2 and 4"),
+    ],
+    ids=["one-plane", "repeated-plane", "wrong-pair", "no-such-generator"],
+)
+def test_regular_kernel_rejects_a_path_that_walks_no_complement(
+    t4, t4_presentation, path, planes, message
+):
+    # t4's table over the complement along g1 g4 g3 through planes 1 3 2 4,
+    # read along a path whose planes or generators do not match it
+    a = plane_transposition_map(t4)
+    walk = complement_path(t4_presentation, a, 1000)
+    assert walk == ((1, 4, 3), (1, 3, 2, 4))
+    table = coset_enumeration(t4_presentation, [(g,) for g in walk[0]], 1000)
+    assert regular_kernel(table, a, *walk).kind == "Trivial"
+    with pytest.raises(KernelError, match=message):
+        regular_kernel(table, a, path, planes)
